@@ -139,25 +139,6 @@ let domains_arg =
            byte-identical reports.  Defaults to $(b,TF_DOMAINS) when set, \
            else 1 (sequential).")
 
-let schedule_conv =
-  let parse s =
-    match Threadfuser.Par_replay.schedule_of_string s with
-    | Some sch -> Ok sch
-    | None -> Error (`Msg "schedule must be static or dynamic")
-  in
-  Arg.conv
-    (parse, fun ppf s -> Fmt.string ppf (Threadfuser.Par_replay.schedule_name s))
-
-let schedule_arg =
-  Arg.(
-    value
-    & opt schedule_conv Threadfuser.Par_replay.Static
-    & info [ "schedule" ] ~docv:"POLICY"
-        ~doc:
-          "Warp-to-domain scheduling policy: $(b,static) contiguous chunks \
-           (default) or $(b,dynamic) atomic work pulling for skewed warp \
-           costs.  Output is byte-identical either way.")
-
 let resolve_domains = function
   | Some d -> max 1 d
   | None -> Threadfuser.Par_replay.default_domains ()
@@ -287,14 +268,12 @@ let list_cmd =
     Term.(const run $ const ())
 
 let analyze_run () trace_out metrics_out w warp_size level threads scale
-    exclude ignore_sync domains schedule per_function per_warp timeline blocks
-    json =
+    exclude ignore_sync domains per_function per_warp timeline blocks json =
   let options =
     {
       (options ~warp_size ~ignore_sync) with
       Analyzer.record_timeline = timeline;
       domains = resolve_domains domains;
-      schedule;
     }
   in
   let r =
@@ -382,8 +361,7 @@ let analyze_cmd =
     Term.(
       const analyze_run $ setup_term $ trace_out_arg $ metrics_out_arg
       $ workload_pos $ warp_size $ opt_level $ threads
-      $ scale $ exclude $ ignore_sync $ domains_arg $ schedule_arg
-      $ per_function $ per_warp_flag $ timeline_flag $ blocks_flag $ json_flag)
+      $ scale $ exclude $ ignore_sync $ domains_arg $ per_function $ per_warp_flag $ timeline_flag $ blocks_flag $ json_flag)
 
 let sweep_run w threads =
   Fmt.pr "warp-width sweep for %s:@." w.W.name;
@@ -1383,15 +1361,14 @@ let socket_arg =
         ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
-    schedule max_sessions quota deadline workers seed backoff inject_disc
-    inject_stall inject_oversize stall_s disc_after socket admin_socket
-    flight_dir cache_dir =
+    max_sessions quota deadline workers seed backoff inject_disc inject_stall
+    inject_oversize stall_s disc_after socket admin_socket flight_dir cache_dir
+    =
   let prog = W.link ~alloc:w.W.alloc w.W.cpu level in
   let options =
     {
       (options ~warp_size ~ignore_sync) with
       Analyzer.domains = resolve_domains domains;
-      schedule;
     }
   in
   let fault =
@@ -1563,7 +1540,7 @@ let serve_cmd =
     Term.(
       const serve_run $ setup_term $ trace_out_arg $ metrics_out_arg
       $ workload_pos $ opt_level $ warp_size $ ignore_sync $ domains_arg
-      $ schedule_arg $ max_sessions_arg $ quota_arg $ deadline_arg
+      $ max_sessions_arg $ quota_arg $ deadline_arg
       $ workers_arg $ seed_arg $ backoff_arg $ inject_disconnect_arg
       $ inject_stall_writer_arg $ inject_oversize_arg $ stall_s_arg
       $ disconnect_after_arg $ socket_arg $ admin_socket_arg $ flight_dir_arg

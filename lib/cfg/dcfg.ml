@@ -26,6 +26,13 @@ let entry_node = 0
 
 let n_nodes t = t.n_blocks + 1
 
+module Obs = Threadfuser_obs.Obs
+
+let c_dcfg_edges =
+  Obs.Counter.make "tf_dcfg_edges_total" ~help:"distinct observed DCFG edges"
+let c_dcfg_funcs =
+  Obs.Counter.make "tf_dcfg_functions_total" ~help:"per-function DCFGs built"
+
 (** Builder accumulating edges from any number of thread traces. *)
 module Builder = struct
   type dcfg = t
@@ -116,42 +123,37 @@ module Builder = struct
   (** Finish into an array indexed by function id; functions never observed
       get an empty graph. *)
   let finish t : dcfg array =
-    Array.init (Program.func_count t.prog) (fun fid ->
-        match Hashtbl.find_opt t.funcs fid with
-        | Some a -> finish_func a
-        | None ->
-            let nb = Program.block_count (Program.func t.prog fid) in
-            {
-              func = fid;
-              n_blocks = nb;
-              exit_node = nb;
-              succs = Array.make (nb + 1) [];
-              preds = Array.make (nb + 1) [];
-              observed = Array.make (nb + 1) false;
-            })
+    let dcfgs =
+      Array.init (Program.func_count t.prog) (fun fid ->
+          match Hashtbl.find_opt t.funcs fid with
+          | Some a -> finish_func a
+          | None ->
+              let nb = Program.block_count (Program.func t.prog fid) in
+              {
+                func = fid;
+                n_blocks = nb;
+                exit_node = nb;
+                succs = Array.make (nb + 1) [];
+                preds = Array.make (nb + 1) [];
+                observed = Array.make (nb + 1) false;
+              })
+    in
+    if !Obs.enabled then begin
+      Obs.Counter.add c_dcfg_funcs (Array.length dcfgs);
+      Obs.Counter.add c_dcfg_edges
+        (Array.fold_left
+           (fun acc d ->
+             Array.fold_left (fun acc succs -> acc + List.length succs) acc d.succs)
+           0 dcfgs)
+    end;
+    dcfgs
 end
-
-module Obs = Threadfuser_obs.Obs
-
-let c_dcfg_edges =
-  Obs.Counter.make "tf_dcfg_edges_total" ~help:"distinct observed DCFG edges"
-let c_dcfg_funcs =
-  Obs.Counter.make "tf_dcfg_functions_total" ~help:"per-function DCFGs built"
 
 (** Build the per-function DCFGs of a whole trace set in one pass. *)
 let of_traces prog traces =
   let b = Builder.create prog in
   Array.iter (Builder.feed b) traces;
-  let dcfgs = Builder.finish b in
-  if !Obs.enabled then begin
-    Obs.Counter.add c_dcfg_funcs (Array.length dcfgs);
-    Obs.Counter.add c_dcfg_edges
-      (Array.fold_left
-         (fun acc d ->
-           Array.fold_left (fun acc succs -> acc + List.length succs) acc d.succs)
-         0 dcfgs)
-  end;
-  dcfgs
+  Builder.finish b
 
 let pp ppf t =
   Fmt.pf ppf "dcfg f%d (%d blocks + exit):@." t.func t.n_blocks;

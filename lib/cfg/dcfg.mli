@@ -27,7 +27,8 @@ module Builder : sig
 
   val feed : t -> Threadfuser_trace.Thread_trace.t -> unit
 
-  (** One DCFG per program function (empty graph if never observed). *)
+  (** One DCFG per program function (empty graph if never observed).
+      Counts the graphs and their edges into the [tf_dcfg_*] counters. *)
   val finish : t -> dcfg array
 end
 

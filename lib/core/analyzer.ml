@@ -45,11 +45,9 @@ type options = {
   reconv : Emulator.reconv_mode; (* IPDOM or function-exit-only (ablation) *)
   gen_warp_trace : bool; (* also produce the simulator trace *)
   record_timeline : bool; (* record per-warp occupancy timelines *)
-  domains : int; (* replay domains; 1 = sequential (docs/performance.md) *)
-  schedule : Par_replay.schedule; (* warp-to-domain scheduling policy *)
-  auto_domains : bool;
-      (* cap [domains] by trace volume ([Par_replay.auto_domains]) so tiny
-         workloads don't pay hand-off costs; identical output either way *)
+  domains : int;
+      (* replay domains, capped by trace volume ([Par_replay.auto_domains]);
+         1 = sequential (docs/performance.md) *)
 }
 
 let default_options =
@@ -61,8 +59,6 @@ let default_options =
     gen_warp_trace = false;
     record_timeline = false;
     domains = 1;
-    schedule = Par_replay.Static;
-    auto_domains = true;
   }
 
 (* One folded call stack of the replay flamegraph: frames root-first,
@@ -278,7 +274,7 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
   }
 
 (* A warp whose replay aborted (checked pipeline only): the lanes it
-   carried (as indices into the analyzed trace array) and the verdict. *)
+   carried (as survivor indices) and the verdict. *)
 type warp_failure = {
   fw_warp : int;
   fw_tids : int array;
@@ -319,40 +315,23 @@ type shard = {
   mutable sh_excluded : int;
 }
 
-let econfig_of (options : options) =
-  {
-    Emulator.warp_size = options.warp_size;
-    sync = options.sync;
-    reconv = options.reconv;
-    record_timeline = options.record_timeline;
-  }
-
-let new_shard ?wt_builder prog ipdoms econfig () =
-  {
-    sh_emu = Emulator.create ?warp_trace:wt_builder prog ipdoms econfig;
-    sh_failures = [];
-    sh_io = 0;
-    sh_spin = 0;
-    sh_excluded = 0;
-  }
-
-(* Replay warp [warp_id] carrying lanes [tids] into [sh].  [lane_trace]
-   resolves a tid (an index into the analyzed set) to its trace: direct
-   array indexing in batch mode, a batch-relative lookup in streaming
-   mode.  Per-warp stats land in the preallocated [stats] slot for
-   [warp_id]: each warp is owned by exactly one worker, so the writes are
-   domain-confined and no post-merge sort/concat is needed. *)
+(* Replay warp [warp_id] into [sh].  Its lanes are indices into the
+   replay batch [traces], whose first trace is survivor [base].  Per-warp
+   stats land in the preallocated [stats] slot for [warp_id]: each warp
+   is owned by exactly one worker, so the writes are domain-confined and
+   no post-merge sort/concat is needed. *)
 let shard_replay_warp ~(options : options) ?fuel ~catch sh
-    ~(stats : Metrics.warp_stat option array) ~warp_id ~tids ~lane_trace =
+    ~(stats : Metrics.warp_stat option array) ~warp_id ~base
+    (traces : Thread_trace.t array) lanes =
   let emu = sh.sh_emu in
-  let cursors = Array.map (fun tid -> Cursor.of_trace (lane_trace tid)) tids in
+  let cursors = Array.map (fun l -> Cursor.of_trace traces.(l)) lanes in
   let issues0 = emu.Emulator.issues
   and instrs0 = emu.Emulator.thread_instrs in
   let replay () =
     if not !Obs.enabled then Emulator.run_warp ?fuel emu ~warp_id cursors
     else
       Obs.span ~track:Obs.replay_track
-        ~args:[ ("lanes", Obs.itos (Array.length tids)) ]
+        ~args:[ ("lanes", Obs.itos (Array.length lanes)) ]
         ("warp " ^ Obs.itos warp_id)
         (fun () ->
           Obs.timed h_warp_replay (fun () ->
@@ -373,7 +352,7 @@ let shard_replay_warp ~(options : options) ?fuel ~catch sh
             warp_efficiency =
               Metrics.efficiency ~issues:warp_issues ~thread_instrs:warp_instrs
                 ~warp_size:options.warp_size;
-            lanes = Array.length tids;
+            lanes = Array.length lanes;
           }
   | exception e when catch && not (fatal e) ->
       Obs.Counter.incr c_warp_failures;
@@ -382,11 +361,15 @@ let shard_replay_warp ~(options : options) ?fuel ~catch sh
         ~fields:
           [
             ("warp", string_of_int warp_id);
-            ("lanes", string_of_int (Array.length tids));
+            ("lanes", string_of_int (Array.length lanes));
             ("diag", Tf_error.to_string diag);
           ];
       sh.sh_failures <-
-        { fw_warp = warp_id; fw_tids = tids; fw_diag = diag }
+        {
+          fw_warp = warp_id;
+          fw_tids = Array.map (( + ) base) lanes;
+          fw_diag = diag;
+        }
         :: sh.sh_failures);
   Array.iter
     (fun (c : Cursor.t) ->
@@ -427,12 +410,6 @@ let work_of (traces : Thread_trace.t array) =
     (fun acc (t : Thread_trace.t) -> acc + Array.length t.Thread_trace.events)
     0 traces
 
-let effective_domains (options : options) ~items ~work =
-  let requested = max 1 options.domains in
-  if options.auto_domains then
-    Par_replay.auto_domains ~requested ~items ~work
-  else requested
-
 (* Fold the per-call-stack accumulation into root-first named stacks. *)
 let fold_flame prog (emu : Emulator.t) =
   Hashtbl.fold
@@ -448,106 +425,158 @@ let fold_flame prog (emu : Emulator.t) =
          compare (b.fl_issues, b.fl_lost, a.frames)
            (a.fl_issues, a.fl_lost, b.frames))
 
-(* The shared pipeline body.  [catch = false] re-raises warp replay
-   failures (the historical [analyze] contract); [catch = true] records
-   them as {!warp_failure}s and keeps replaying the remaining warps.
-   [threads_total] / [pre_quarantined] / [pre_dropped] describe threads
-   already quarantined by validation so the coverage fields account for
-   them. *)
-let run_pipeline ~(options : options) ?fuel ~catch ~threads_total
-    ~pre_quarantined ~pre_dropped prog (traces : Thread_trace.t array) :
+(* ------------------------------------------------------------------ *)
+(* The pipeline.  [analyze], [analyze_checked] and [Session] all run
+   [pipeline]; they differ only in their trace source, in where replay
+   batches are cut, and in whether the checked mode is on. *)
+
+(* A trace set as the pipeline sees it, in ingest order: each thread's
+   tid and event count up front, plus an in-order pass over the traces
+   tagged with their ingest index.  Batch analysis passes an array; a
+   streaming session re-decodes its spool on every pass. *)
+type source = {
+  tids : int array;
+  events : int array;
+  iter : (int -> Thread_trace.t -> unit) -> unit;
+}
+
+let array_source (traces : Thread_trace.t array) =
+  {
+    tids = Array.map (fun (t : Thread_trace.t) -> t.Thread_trace.tid) traces;
+    events =
+      Array.map
+        (fun (t : Thread_trace.t) -> Array.length t.Thread_trace.events)
+        traces;
+    iter = (fun f -> Array.iteri f traces);
+  }
+
+(* DCFG -> IPDOM -> warp formation and replay, batch by batch -> report,
+   over the survivors [iter] yields ([surv_events] holds their event
+   counts, by survivor index).  After each survivor (ingest index [i])
+   joins the pending batch, [cut i] decides whether to replay the batch
+   now; it may only fire on a warp boundary.  Whatever is pending at the
+   end is the last batch.  Each batch's shards fold into the running
+   accumulator: [Emulator.merge_into] is additive in every field and
+   every ranking [build_report] emits is totally ordered, so the output
+   depends neither on the cuts nor on the domain count.
+   [catch = false] re-raises warp replay failures (the [analyze]
+   contract); [catch = true] records them as {!warp_failure}s and keeps
+   replaying.  [threads_total] / [pre_quarantined] / [pre_dropped]
+   describe threads quarantined before replay, so the coverage fields
+   account for them. *)
+let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
+    ~pre_quarantined ~pre_dropped prog ~surv_events ~iter :
     result * warp_failure list =
-  let dcfgs = Obs.span "dcfg" (fun () -> Dcfg.of_traces prog traces) in
-  let ipdoms = Obs.span "ipdom" (fun () -> Ipdom.of_dcfgs dcfgs) in
-  let warps =
-    Obs.span "warp_formation" (fun () ->
-        Batching.form options.batching ~warp_size:options.warp_size traces)
+  let dcfgs =
+    Obs.span "dcfg" (fun () ->
+        let b = Dcfg.Builder.create prog in
+        iter (fun _ tr -> Dcfg.Builder.feed b tr);
+        Dcfg.Builder.finish b)
   in
-  Log.debug "pipeline: warps formed"
-    ~fields:
-      [
-        ("threads", string_of_int (Array.length traces));
-        ("warps", string_of_int (Array.length warps));
-        ("warp_size", string_of_int options.warp_size);
-      ];
+  let ipdoms = Obs.span "ipdom" (fun () -> Ipdom.of_dcfgs dcfgs) in
+  let ws = options.warp_size in
+  let n_threads = Array.length surv_events in
+  (* every batching policy forms ceil(n / warp_size) warps, and only the
+     last batch may end in a partial warp *)
+  let n_warps = (n_threads + ws - 1) / ws in
   let wt_builder =
     if options.gen_warp_trace then
-      Some
-        (Warp_trace.Builder.create ~warp_size:options.warp_size
-           ~n_warps:(Array.length warps))
+      Some (Warp_trace.Builder.create ~warp_size:ws ~n_warps)
     else None
   in
-  let econfig = econfig_of options in
-  let domains =
-    effective_domains options ~items:(Array.length warps)
-      ~work:(work_of traces)
+  let econfig =
+    {
+      Emulator.warp_size = ws;
+      sync = options.sync;
+      reconv = options.reconv;
+      record_timeline = options.record_timeline;
+    }
+  in
+  let init () =
+    {
+      sh_emu = Emulator.create ?warp_trace:wt_builder prog ipdoms econfig;
+      sh_failures = [];
+      sh_io = 0;
+      sh_spin = 0;
+      sh_excluded = 0;
+    }
   in
   (* per-warp stats land in preallocated warp-id slots (warp-confined
      writes), so the fan-in needs no sort/concat *)
-  let warp_stats : Metrics.warp_stat option array =
-    Array.make (Array.length warps) None
-  in
-  let replay_warp sh warp_id =
-    shard_replay_warp ~options ?fuel ~catch sh ~stats:warp_stats ~warp_id
-      ~tids:warps.(warp_id)
-      ~lane_trace:(fun tid -> traces.(tid))
-  in
-  let shards =
-    Obs.span "replay"
-      ~args:
+  let stats : Metrics.warp_stat option array = Array.make n_warps None in
+  let acc = ref None and base = ref 0 and warp0 = ref 0 and pending = ref [] in
+  let replay_batch () =
+    let traces = Array.of_list (List.rev !pending) in
+    pending := [];
+    let warps =
+      Obs.span "warp_formation" (fun () ->
+          Batching.form options.batching ~warp_size:ws traces)
+    in
+    let n = Array.length warps in
+    Log.debug "pipeline: warps formed"
+      ~fields:
         [
-          ("warps", string_of_int (Array.length warps));
-          ("domains", string_of_int domains);
-          ("requested_domains", string_of_int (max 1 options.domains));
-          ("schedule", Par_replay.schedule_name options.schedule);
-        ]
-      (fun () ->
-        Par_replay.map_shards ~domains ~schedule:options.schedule
-          ~n:(Array.length warps)
-          ~init:(new_shard ?wt_builder prog ipdoms econfig)
-          ~item:replay_warp)
+          ("threads", string_of_int (Array.length traces));
+          ("warps", string_of_int n);
+          ("warp_size", string_of_int ws);
+        ];
+    let domains =
+      Par_replay.auto_domains ~requested:options.domains ~items:n
+        ~work:(work_of traces)
+    in
+    let batch_base = !base and batch_warp0 = !warp0 in
+    let shards =
+      Obs.span "replay"
+        ~args:
+          [
+            ("warps", string_of_int n);
+            ("domains", string_of_int domains);
+            ("requested_domains", string_of_int (max 1 options.domains));
+          ]
+        (fun () ->
+          Par_replay.map_shards ~domains ~n ~init ~item:(fun sh w ->
+              shard_replay_warp ~options ?fuel ~catch sh ~stats
+                ~warp_id:(batch_warp0 + w) ~base:batch_base traces warps.(w)))
+    in
+    acc := Some (merge_shards (Option.to_list !acc @ shards));
+    base := batch_base + Array.length traces;
+    warp0 := batch_warp0 + n
   in
-  (* Deterministic reduction: fold every shard into the first; per-warp
-     stats are already in global warp order, and failure warp ids are
-     unique, so the failure sort is total at any schedule. *)
-  let merged = merge_shards shards in
+  iter (fun i tr ->
+      pending := tr :: !pending;
+      if cut i then replay_batch ());
+  (* the last batch; an empty set still replays one (empty) batch *)
+  (match (!pending, !acc) with [], Some _ -> () | _ -> replay_batch ());
+  let merged = Option.get !acc in
   let emu = merged.sh_emu in
-  let per_warp =
-    Array.to_list warp_stats |> List.filter_map (fun s -> s)
-  in
+  let per_warp = Array.to_list stats |> List.filter_map Fun.id in
+  (* failure warp ids are unique, so the sort is total *)
   let failures =
     List.sort (fun a b -> compare a.fw_warp b.fw_warp) merged.sh_failures
   in
-  let skipped_io = ref merged.sh_io
-  and skipped_spin = ref merged.sh_spin
-  and skipped_excluded = ref merged.sh_excluded in
   let replay_quarantined =
     List.fold_left (fun acc f -> acc + Array.length f.fw_tids) 0 failures
   in
   let replay_dropped =
     List.fold_left
       (fun acc f ->
-        Array.fold_left
-          (fun acc tid ->
-            acc + Array.length traces.(tid).Thread_trace.events)
-          acc f.fw_tids)
+        Array.fold_left (fun acc i -> acc + surv_events.(i)) acc f.fw_tids)
       0 failures
   in
   let coverage =
     {
       Metrics.threads_total;
-      threads_analyzed = Array.length traces - replay_quarantined;
+      threads_analyzed = n_threads - replay_quarantined;
       threads_quarantined = pre_quarantined + replay_quarantined;
       events_dropped = pre_dropped + replay_dropped;
       warps_failed = List.length failures;
     }
   in
   let report =
-    build_report options prog emu ~n_threads:(Array.length traces)
-      ~n_warps:(Array.length warps) ~per_warp ~skipped_io:!skipped_io
-      ~skipped_spin:!skipped_spin ~skipped_excluded:!skipped_excluded ~coverage
+    build_report options prog emu ~n_threads ~n_warps ~per_warp
+      ~skipped_io:merged.sh_io ~skipped_spin:merged.sh_spin
+      ~skipped_excluded:merged.sh_excluded ~coverage
   in
-  let flame = fold_flame prog emu in
   if !Obs.enabled then begin
     List.iter
       (fun (s : Metrics.div_site) ->
@@ -580,7 +609,7 @@ let run_pipeline ~(options : options) ?fuel ~catch ~threads_total
   Log.info "analysis complete"
     ~fields:
       [
-        ("warps", string_of_int (Array.length warps));
+        ("warps", string_of_int n_warps);
         ("issues", string_of_int report.Metrics.issues);
         ("thread_instrs", string_of_int report.Metrics.thread_instrs);
         ( "simt_efficiency",
@@ -596,28 +625,96 @@ let run_pipeline ~(options : options) ?fuel ~catch ~threads_total
         List.sort
           (fun (a : Timeline.t) b -> compare a.Timeline.warp_id b.Timeline.warp_id)
           emu.Emulator.timelines;
-      flame;
+      flame = fold_flame prog emu;
       dcfgs;
       ipdoms;
       options;
     },
     failures )
 
-(** Run the full analysis pipeline over a trace set. *)
-let analyze ?(options = default_options) prog (traces : Thread_trace.t array) :
-    result =
-  fst
-    (run_pipeline ~options ~catch:false ~threads_total:(Array.length traces)
-       ~pre_quarantined:0 ~pre_dropped:0 prog traces)
-
-(* ------------------------------------------------------------------ *)
-(* The checked pipeline: validate -> quarantine -> bounded replay.      *)
-
 type checked = {
   result : result;
   diagnostics : Tf_error.diagnostic list;
   quarantined : (int * Tf_error.diagnostic) list;
 }
+
+(* Every replay step consumes at least one event across the warp in any
+   non-pathological schedule; the factor leaves room for stack churn
+   (pushes, pops, reconvergence retargets) on damaged traces. *)
+let default_fuel events = (64 * events) + 4096
+
+(* Quarantine -> replay -> coverage over [src].  Every thread whose tid
+   carries an Error among [diagnostics] is quarantined before replay
+   ({!Validate.verdict}).  [checked] turns on the fuel watchdog (default:
+   {!default_fuel} of the survivors' events), per-warp failure capture
+   and the whole-set crash fallback; [analyze] runs with it off and no
+   diagnostics. *)
+let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
+    (src : source) : checked =
+  let bad, keep = Validate.verdict ~tids:src.tids diagnostics in
+  let n_total = Array.length src.tids in
+  let surv_tids = ref [] and surv_events = ref [] and pre_dropped = ref 0 in
+  for i = n_total - 1 downto 0 do
+    if keep.(i) then begin
+      surv_tids := src.tids.(i) :: !surv_tids;
+      surv_events := src.events.(i) :: !surv_events
+    end
+    else pre_dropped := !pre_dropped + src.events.(i)
+  done;
+  let surv_tids = Array.of_list !surv_tids
+  and surv_events = Array.of_list !surv_events in
+  let fuel =
+    if not checked then None
+    else
+      Some
+        (Option.value fuel
+           ~default:(default_fuel (Array.fold_left ( + ) 0 surv_events)))
+  in
+  let run ~pre_quarantined ~pre_dropped ~surv_events ~iter =
+    replay ~options ?fuel ~catch:checked ~cut ~threads_total:n_total
+      ~pre_quarantined ~pre_dropped prog ~surv_events ~iter
+  in
+  match
+    run
+      ~pre_quarantined:(n_total - Array.length surv_tids)
+      ~pre_dropped:!pre_dropped ~surv_events
+      ~iter:(fun f -> src.iter (fun i tr -> if keep.(i) then f i tr))
+  with
+  | result, failures ->
+      let replay_quar =
+        List.concat_map
+          (fun f ->
+            Array.to_list f.fw_tids
+            |> List.map (fun i -> (surv_tids.(i), f.fw_diag)))
+          failures
+      in
+      {
+        result;
+        diagnostics = diagnostics @ List.map (fun f -> f.fw_diag) failures;
+        quarantined = bad @ replay_quar;
+      }
+  | exception e when checked && not (fatal e) ->
+      (* DCFG / IPDOM / warp formation blew up despite validation: the
+         whole trace set is quarantined and the report is empty-but-typed. *)
+      let d = diag_of_exn e in
+      let result, _ =
+        run ~pre_quarantined:n_total
+          ~pre_dropped:(Array.fold_left ( + ) 0 src.events)
+          ~surv_events:[||] ~iter:ignore
+      in
+      {
+        result;
+        diagnostics = diagnostics @ [ d ];
+        quarantined =
+          bad @ (Array.to_list surv_tids |> List.map (fun tid -> (tid, d)));
+      }
+
+(** Run the full analysis pipeline over a trace set. *)
+let analyze ?(options = default_options) prog (traces : Thread_trace.t array) :
+    result =
+  (pipeline ~options ~checked:false ~cut:(fun _ -> false) ~diagnostics:[] prog
+     (array_source traces))
+    .result
 
 let bounds_of_program prog =
   {
@@ -629,17 +726,6 @@ let bounds_of_program prog =
           Array.length (Program.func prog f).Program.blocks.(b).Program.instrs);
   }
 
-(* Every replay step consumes at least one event across the warp in any
-   non-pathological schedule; the factor leaves room for stack churn
-   (pushes, pops, reconvergence retargets) on damaged traces. *)
-let default_fuel (traces : Thread_trace.t array) =
-  let events =
-    Array.fold_left
-      (fun acc (t : Thread_trace.t) -> acc + Array.length t.Thread_trace.events)
-      0 traces
-  in
-  (64 * events) + 4096
-
 (** Like {!analyze}, but fail typed, bounded and partial-result-capable:
     threads that fail validation are quarantined up front, every warp
     replays under a fuel watchdog, and a warp whose replay aborts
@@ -647,68 +733,9 @@ let default_fuel (traces : Thread_trace.t array) =
     coverage fields account for everything dropped. *)
 let analyze_checked ?(options = default_options) ?fuel prog
     (traces : Thread_trace.t array) : checked =
-  let threads_total = Array.length traces in
-  let diagnostics, bad = Validate.quarantine ~bounds:(bounds_of_program prog) traces in
-  let bad_tids = List.map fst bad in
-  let survivors =
-    Array.of_list
-      (List.filter
-         (fun (t : Thread_trace.t) ->
-           not (List.mem t.Thread_trace.tid bad_tids))
-         (Array.to_list traces))
-  in
-  let pre_quarantined = threads_total - Array.length survivors in
-  let pre_dropped =
-    Array.fold_left
-      (fun acc (t : Thread_trace.t) ->
-        if List.mem t.Thread_trace.tid bad_tids then
-          acc + Array.length t.Thread_trace.events
-        else acc)
-      0 traces
-  in
-  let fuel = match fuel with Some f -> f | None -> default_fuel survivors in
-  let run survivors ~pre_quarantined ~pre_dropped =
-    run_pipeline ~options ~fuel ~catch:true ~threads_total ~pre_quarantined
-      ~pre_dropped prog survivors
-  in
-  match run survivors ~pre_quarantined ~pre_dropped with
-  | result, failures ->
-      let replay_quar =
-        List.concat_map
-          (fun f ->
-            Array.to_list f.fw_tids
-            |> List.map (fun idx ->
-                   (survivors.(idx).Thread_trace.tid, f.fw_diag)))
-          failures
-      in
-      {
-        result;
-        diagnostics =
-          diagnostics @ List.map (fun f -> f.fw_diag) failures;
-        quarantined = bad @ replay_quar;
-      }
-  | exception e when not (fatal e) ->
-      (* DCFG / IPDOM / warp formation blew up despite validation: the
-         whole trace set is quarantined and the report is empty-but-typed. *)
-      let d = diag_of_exn e in
-      let all_events =
-        Array.fold_left
-          (fun acc (t : Thread_trace.t) ->
-            acc + Array.length t.Thread_trace.events)
-          0 traces
-      in
-      let result, _ =
-        run_pipeline ~options ~fuel ~catch:true ~threads_total
-          ~pre_quarantined:threads_total ~pre_dropped:all_events prog [||]
-      in
-      {
-        result;
-        diagnostics = diagnostics @ [ d ];
-        quarantined =
-          bad
-          @ (Array.to_list survivors
-            |> List.map (fun (t : Thread_trace.t) -> (t.Thread_trace.tid, d)));
-      }
+  pipeline ~options ?fuel ~checked:true ~cut:(fun _ -> false)
+    ~diagnostics:(Validate.all ~bounds:(bounds_of_program prog) traces)
+    prog (array_source traces)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming sessions: bounded-memory incremental analysis.            *)
@@ -732,7 +759,7 @@ module Session = struct
        file once the in-memory tail passes half the budget.  Threads with
        validation errors are spooled too: quarantine is by tid and a
        clean thread sharing a tid with a later bad one must still be
-       excluded, exactly as [Validate.quarantine] does. *)
+       excluded, exactly as [Validate.verdict] does. *)
     s_buf : Buffer.t;
     mutable s_file : (string * out_channel) option;
     mutable s_spilled : int;
@@ -742,9 +769,9 @@ module Session = struct
     mutable s_seqs : int list list; (* barrier sequences, for the vote *)
     mutable s_events : int list; (* event count per thread *)
     mutable s_sizes : int list; (* spooled frame bytes per thread *)
-    mutable s_diags : (int * Tf_error.diagnostic list) list;
-        (* (ingest index, per-thread diagnostics newest-first); only
-           threads that produced any *)
+    mutable s_diags : Tf_error.diagnostic list list;
+        (* per-thread diagnostics (each newest-first), only threads that
+           produced any *)
     mutable s_failure : Tf_error.diagnostic option;
     mutable s_done : bool;
     mutable s_phase : phase;
@@ -790,7 +817,8 @@ module Session = struct
   let failure t = t.s_failure
 
   (* The in-memory spool tail stays under half the budget; the other half
-     covers the decoder's reassembly buffer and the replay batch. *)
+     covers the decoder's reassembly buffer and the replay batch, which is
+     cut at the same size. *)
   let spill_at t = max 65536 (t.s_budget / 2)
 
   let spill t =
@@ -823,7 +851,7 @@ module Session = struct
     t.s_seqs <- Validate.barrier_seq trace :: t.s_seqs;
     t.s_events <- Array.length trace.Thread_trace.events :: t.s_events;
     (let diags = Validate.thread ~bounds:t.s_bounds trace in
-     if diags <> [] then t.s_diags <- (t.s_n, diags) :: t.s_diags);
+     if diags <> [] then t.s_diags <- diags :: t.s_diags);
     let before = Buffer.length t.s_buf in
     Stream.add_thread t.s_buf trace;
     t.s_sizes <- (Buffer.length t.s_buf - before) :: t.s_sizes;
@@ -851,18 +879,22 @@ module Session = struct
     end
 
   (* Iterate the spooled frames in ingest order — the spill file (oldest)
-     then the in-memory tail — re-decoded through a bounded decoder, so
-     the pass holds one frame plus one chunk, never the spool. *)
+     then the in-memory tail — with their ingest index, re-decoded
+     through a bounded decoder, so the pass holds one frame plus one
+     chunk, never the spool. *)
   let iter_spool t f =
     let dec =
       Stream.create ~max_frame_bytes:t.s_max_frame ~expect_magic:false ()
     in
+    let i = ref 0 in
     let drain () =
       let continue_ = ref true in
       while !continue_ do
         match Stream.next dec with
         | Stream.Need_more -> continue_ := false
-        | Stream.Frame tr -> f tr
+        | Stream.Frame tr ->
+            f !i tr;
+            incr i
         | Stream.End_of_stream | Stream.Corrupt _ ->
             (* the spool is written only by [add_thread]: well-formed
                thread frames, no end frame *)
@@ -890,225 +922,33 @@ module Session = struct
     Stream.feed dec (Buffer.contents t.s_buf);
     drain ()
 
-  (* The streaming equivalent of [analyze_checked]'s body.  Barrier vote
-     over the retained sequences -> quarantine by tid (exactly
-     [Validate.quarantine]'s rule) -> pass A re-feeds surviving spool
-     frames to a DCFG builder in ingest order (identical insertion order
-     to [Dcfg.of_traces], hence identical graphs and IPDOMs) -> pass B
-     replays Sequential warps in warp-aligned bounded batches, merging
-     every batch's shards into a running accumulator.
-     [Emulator.merge_into] is additive in every field and every ranking
-     [build_report] emits is totally ordered, so the result is
-     byte-identical to the batch pipeline at any chunking, batch size and
-     domain count. *)
-  let analyze_ingested t ~(options : options) : checked =
-    let prog = t.s_prog in
-    let n_total = t.s_n in
-    let tids = Array.of_list (List.rev t.s_tids) in
-    let seqs = Array.of_list (List.rev t.s_seqs) in
-    let evs = Array.of_list (List.rev t.s_events) in
-    let sizes = Array.of_list (List.rev t.s_sizes) in
-    (* diagnostics in [Validate.all]'s order: per thread in ingest order
-       (newest-first within a thread), then the barrier vote *)
-    let barrier_diags = Validate.barrier_check ~tids seqs in
+  (* The spool as the pipeline's trace source: the retained per-thread
+     metadata up front and [iter_spool] for every pass.  Diagnostics come
+     in [Validate.all]'s order: per thread in ingest order (newest-first
+     within a thread), then the barrier vote.  Replay batches are cut on
+     a warp boundary once about half a budget of spooled frames is
+     pending, so replay holds one batch of decoded traces, never the
+     whole set. *)
+  let analyze_spool t ~(options : options) : checked =
+    let arr l = Array.of_list (List.rev l) in
+    let tids = arr t.s_tids and sizes = arr t.s_sizes in
     let diagnostics =
-      List.concat_map (fun (_, ds) -> ds) (List.rev t.s_diags) @ barrier_diags
+      List.concat (List.rev t.s_diags)
+      @ Validate.barrier_check ~tids (arr t.s_seqs)
     in
-    (* quarantine by tid with the first matching Error in list order *)
-    let first_err : (int, Tf_error.diagnostic) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (d : Tf_error.diagnostic) ->
-        match d.Tf_error.thread with
-        | Some tid when d.Tf_error.severity = Tf_error.Error ->
-            if not (Hashtbl.mem first_err tid) then Hashtbl.add first_err tid d
-        | _ -> ())
-      diagnostics;
-    let bad =
-      Array.to_list tids
-      |> List.filter_map (fun tid ->
-             Hashtbl.find_opt first_err tid |> Option.map (fun d -> (tid, d)))
+    let pending = ref 0 and bytes = ref 0 in
+    let cut i =
+      incr pending;
+      bytes := !bytes + sizes.(i);
+      if !pending mod options.warp_size = 0 && !bytes >= spill_at t then begin
+        pending := 0;
+        bytes := 0;
+        true
+      end
+      else false
     in
-    let keep = Array.map (fun tid -> not (Hashtbl.mem first_err tid)) tids in
-    let surv_tids = ref [] and surv_events = ref [] in
-    Array.iteri
-      (fun i k ->
-        if k then begin
-          surv_tids := tids.(i) :: !surv_tids;
-          surv_events := evs.(i) :: !surv_events
-        end)
-      keep;
-    let surv_tids = Array.of_list (List.rev !surv_tids) in
-    let surv_events = Array.of_list (List.rev !surv_events) in
-    let n_surv = Array.length surv_tids in
-    let pre_quarantined = n_total - n_surv in
-    let pre_dropped =
-      let acc = ref 0 in
-      Array.iteri (fun i k -> if not k then acc := !acc + evs.(i)) keep;
-      !acc
-    in
-    let fuel =
-      match t.s_fuel with
-      | Some f -> f
-      | None -> (64 * Array.fold_left ( + ) 0 surv_events) + 4096
-    in
-    let run () =
-      (* pass A: DCFG over survivors in ingest order *)
-      let builder = Dcfg.Builder.create prog in
-      Obs.span "dcfg" (fun () ->
-          let idx = ref 0 in
-          iter_spool t (fun tr ->
-              if keep.(!idx) then Dcfg.Builder.feed builder tr;
-              incr idx));
-      let dcfgs = Dcfg.Builder.finish builder in
-      let ipdoms = Obs.span "ipdom" (fun () -> Ipdom.of_dcfgs dcfgs) in
-      let ws = options.warp_size in
-      let n_warps = (n_surv + ws - 1) / ws in
-      let wt_builder =
-        if options.gen_warp_trace then
-          Some (Warp_trace.Builder.create ~warp_size:ws ~n_warps)
-        else None
-      in
-      let econfig = econfig_of options in
-      let requested_domains = max 1 options.domains in
-      let acc = Emulator.create prog ipdoms econfig in
-      let warp_stats : Metrics.warp_stat option array =
-        Array.make n_warps None
-      in
-      let failures = ref [] in
-      let io = ref 0 and spin = ref 0 and excluded = ref 0 in
-      (* pass B: warp-aligned batches of roughly a budget's worth of
-         decoded trace, replayed over the domain pool *)
-      let batch_target = max 65536 (t.s_budget / 2) in
-      let batch = ref [] and batch_n = ref 0 and batch_bytes = ref 0 in
-      let base = ref 0 in
-      (* survivor index of the batch's first lane *)
-      let flush_batch () =
-        if !batch_n > 0 then begin
-          let traces_b = Array.of_list (List.rev !batch) in
-          let nb = !batch_n in
-          batch := [];
-          batch_n := 0;
-          batch_bytes := 0;
-          let warps_b = (nb + ws - 1) / ws in
-          let base_warp = !base / ws in
-          let replay sh i =
-            let lo = i * ws in
-            let hi = min nb (lo + ws) in
-            let tids_w = Array.init (hi - lo) (fun k -> !base + lo + k) in
-            shard_replay_warp ~options ~fuel ~catch:true sh
-              ~stats:warp_stats ~warp_id:(base_warp + i) ~tids:tids_w
-              ~lane_trace:(fun g -> traces_b.(g - !base))
-          in
-          let domains =
-            effective_domains options ~items:warps_b ~work:(work_of traces_b)
-          in
-          let shards =
-            Par_replay.map_shards ~domains ~schedule:options.schedule
-              ~n:warps_b
-              ~init:(new_shard ?wt_builder prog ipdoms econfig)
-              ~item:replay
-          in
-          let merged = merge_shards shards in
-          Emulator.merge_into ~dst:acc merged.sh_emu;
-          failures := List.rev_append merged.sh_failures !failures;
-          io := !io + merged.sh_io;
-          spin := !spin + merged.sh_spin;
-          excluded := !excluded + merged.sh_excluded;
-          base := !base + nb
-        end
-      in
-      Obs.span "replay"
-        ~args:
-          [
-            ("warps", string_of_int n_warps);
-            ("domains", string_of_int requested_domains);
-            ("schedule", Par_replay.schedule_name options.schedule);
-          ]
-        (fun () ->
-          let idx = ref 0 in
-          iter_spool t (fun tr ->
-              let i = !idx in
-              incr idx;
-              if keep.(i) then begin
-                batch := tr :: !batch;
-                incr batch_n;
-                batch_bytes := !batch_bytes + sizes.(i);
-                if !batch_n mod ws = 0 && !batch_bytes >= batch_target then
-                  flush_batch ()
-              end);
-          flush_batch ());
-      let per_warp =
-        Array.to_list warp_stats |> List.filter_map (fun s -> s)
-      in
-      let failures =
-        List.sort (fun a b -> compare a.fw_warp b.fw_warp) !failures
-      in
-      let replay_quarantined =
-        List.fold_left (fun a f -> a + Array.length f.fw_tids) 0 failures
-      in
-      let replay_dropped =
-        List.fold_left
-          (fun a f ->
-            Array.fold_left (fun a idx -> a + surv_events.(idx)) a f.fw_tids)
-          0 failures
-      in
-      let coverage =
-        {
-          Metrics.threads_total = n_total;
-          threads_analyzed = n_surv - replay_quarantined;
-          threads_quarantined = pre_quarantined + replay_quarantined;
-          events_dropped = pre_dropped + replay_dropped;
-          warps_failed = List.length failures;
-        }
-      in
-      let report =
-        build_report options prog acc ~n_threads:n_surv ~n_warps ~per_warp
-          ~skipped_io:!io ~skipped_spin:!spin ~skipped_excluded:!excluded
-          ~coverage
-      in
-      ( {
-          report;
-          warp_trace = Option.map Warp_trace.Builder.finish wt_builder;
-          timelines =
-            List.sort
-              (fun (a : Timeline.t) b ->
-                compare a.Timeline.warp_id b.Timeline.warp_id)
-              acc.Emulator.timelines;
-          flame = fold_flame prog acc;
-          dcfgs;
-          ipdoms;
-          options;
-        },
-        failures )
-    in
-    match run () with
-    | result, failures ->
-        let replay_quar =
-          List.concat_map
-            (fun f ->
-              Array.to_list f.fw_tids
-              |> List.map (fun idx -> (surv_tids.(idx), f.fw_diag)))
-            failures
-        in
-        {
-          result;
-          diagnostics = diagnostics @ List.map (fun f -> f.fw_diag) failures;
-          quarantined = bad @ replay_quar;
-        }
-    | exception e when not (fatal e) ->
-        (* mirror [analyze_checked]'s whole-set quarantine fallback *)
-        let d = diag_of_exn e in
-        let all_events = Array.fold_left ( + ) 0 evs in
-        let result, _ =
-          run_pipeline ~options ~fuel ~catch:true ~threads_total:n_total
-            ~pre_quarantined:n_total ~pre_dropped:all_events prog [||]
-        in
-        {
-          result;
-          diagnostics = diagnostics @ [ d ];
-          quarantined =
-            bad @ (Array.to_list surv_tids |> List.map (fun tid -> (tid, d)));
-        }
+    pipeline ~options ?fuel:t.s_fuel ~checked:true ~cut ~diagnostics t.s_prog
+      { tids; events = arr t.s_events; iter = iter_spool t }
 
   let snapshot t : Metrics.report =
     match t.s_phase with
@@ -1120,7 +960,7 @@ module Session = struct
         let options =
           { t.s_options with gen_warp_trace = false; record_timeline = false }
         in
-        (analyze_ingested t ~options).result.report
+        (analyze_spool t ~options).result.report
 
   let remove_spool t =
     (match t.s_file with
@@ -1135,7 +975,7 @@ module Session = struct
     | Closed -> invalid_arg "Analyzer.Session.finish: session closed"
     | Finished c -> c
     | Ingest ->
-        let c = analyze_ingested t ~options:t.s_options in
+        let c = analyze_spool t ~options:t.s_options in
         let c =
           match t.s_failure with
           | None -> c

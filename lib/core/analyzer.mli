@@ -25,21 +25,14 @@ type options = {
       (** replay worker domains; warps are sharded across an OCaml 5
           domain pool and reduced deterministically, so any value >= 1
           yields byte-identical output (docs/performance.md).  1 =
-          sequential replay in the calling domain. *)
-  schedule : Par_replay.schedule;
-      (** warp-to-domain scheduling policy; {!Par_replay.Static} unless
-          warp costs are heavily skewed *)
-  auto_domains : bool;
-      (** cap [domains] by trace volume ({!Par_replay.auto_domains}) so a
-          workload too small to amortize domain hand-offs replays on
-          fewer domains than requested.  The reduction is
-          grouping-invariant, so output is byte-identical either way;
-          only the wall-clock changes.  On by default. *)
+          sequential replay in the calling domain.  The request is capped
+          by trace volume ({!Par_replay.auto_domains}), so a workload too
+          small to amortize domain hand-offs replays on fewer domains;
+          only the wall-clock changes. *)
 }
 
 (** warp 32, sequential batching, lock serialization on, IPDOM
-    reconvergence, no warp-trace generation, 1 replay domain (static
-    schedule, auto -j cap on). *)
+    reconvergence, no warp-trace generation, 1 replay domain. *)
 val default_options : options
 
 (** One folded call stack of the replay flamegraph ({!result.flame}):
@@ -82,10 +75,6 @@ type checked = {
       (** (tid, why) per thread excluded from the report *)
 }
 
-(** Fuel the checked pipeline gives each replay when none is supplied
-    (proportional to the trace set's event count). *)
-val default_fuel : Threadfuser_trace.Thread_trace.t array -> int
-
 (** Graceful-degradation variant of {!analyze} for untrusted traces
     (docs/robustness.md): validates every thread against the program
     ({!Threadfuser_trace.Validate}), quarantines threads that fail,
@@ -105,11 +94,17 @@ val analyze_checked :
     Bounded-memory incremental analysis: feed {!Threadfuser_trace.Stream}
     chunks as they arrive, then {!Session.finish} for a report that is
     byte-identical to {!analyze_checked} over the same traces — at any
-    chunking, any session budget and any [options.domains].  Memory is
-    bounded by the per-session budget, not the trace length: ingested
-    threads are re-framed into a spool that spills to a temp file, and
-    the finishing replay streams warp-aligned batches of roughly half a
-    budget back out of it.  Used by [threadfuser serve]
+    chunking, any session budget and any [options.domains].
+
+    There is one pipeline with two trace sources.  {!analyze} and
+    {!analyze_checked} hand it an array and replay it as one batch; a
+    session hands it its spool.  Ingested threads are validated on
+    arrival and re-framed into a spool that spills to a temp file, so
+    memory is bounded by the per-session budget, not the trace length.
+    The pipeline then re-reads the spool once for the DCFG and once for
+    replay, cut into warp-aligned batches of roughly half a budget.
+    Quarantine, fuel, coverage, crash fallback and instrumentation are
+    the same code on both sources.  Used by [threadfuser serve]
     (docs/robustness.md §8). *)
 module Session : sig
   type t
@@ -162,10 +157,10 @@ module Session : sig
       final report. *)
   val snapshot : t -> Metrics.report
 
-  (** Run the analysis over everything ingested.  Quarantine, coverage,
-      fuel defaulting and crash fallback match {!analyze_checked} exactly;
-      a stream {!failure} is prepended to [diagnostics].  Idempotent; the
-      spool is released. *)
+  (** Run the checked pipeline over everything ingested, exactly as
+      {!analyze_checked} would over the same traces; a stream {!failure}
+      is prepended to [diagnostics].  Idempotent; the spool is
+      released. *)
   val finish : t -> checked
 
   (** Release the spool and temp file.  Safe to call at any point (e.g.

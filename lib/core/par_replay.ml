@@ -11,32 +11,16 @@
     construction), and hands the shards back in a deterministic order for
     the caller to reduce.
 
-    Two schedules:
-
-    - {!Static} (default): worker [k] owns the contiguous chunk of
-      indices [k*ceil(n/d) ..]; zero coordination, perfect for uniform
-      warps.
-    - {!Dynamic}: workers pull the next index from a shared atomic
-      counter; better when warp costs are skewed (one giant warp plus
-      many small ones), at the price of one fetch-and-add per item.
-
-    Under both schedules every worker processes its indices in ascending
-    order, which keeps failure semantics deterministic: if items raise,
+    Scheduling is static: worker [k] owns the contiguous chunk of indices
+    [k*ceil(n/d) ..], with zero coordination.  Every worker processes its
+    indices in ascending order, which keeps failure semantics
+    deterministic: if items raise,
     the exception re-raised after the join is the one from the {e lowest}
     failing index — exactly the exception a sequential left-to-right loop
     would have surfaced (later items may additionally have run, but their
     shards are discarded by the raise). *)
 
 module Obs = Threadfuser_obs.Obs
-
-type schedule = Static | Dynamic
-
-let schedule_name = function Static -> "static" | Dynamic -> "dynamic"
-
-let schedule_of_string = function
-  | "static" -> Some Static
-  | "dynamic" -> Some Dynamic
-  | _ -> None
 
 (** Domain count for [None]-means-default call sites: [TF_DOMAINS] when
     set to a positive int, else 1 (serial).  Clamped to
@@ -302,7 +286,7 @@ let reraise_lowest (failures : failure option array) =
   | None -> ()
   | Some f -> Printexc.raise_with_backtrace f.f_exn f.f_bt
 
-(** [map_shards ~domains ~schedule ~n ~init ~item] processes indices
+(** [map_shards ~domains ~n ~init ~item] processes indices
     [0..n-1] with up to [domains] workers.  Each worker runs
     [init ()] {e in its own domain} to build a private shard, then
     [item shard i] for every index it owns (ascending), and the shards
@@ -313,7 +297,7 @@ let reraise_lowest (failures : failure option array) =
     exception of the lowest failing index is re-raised.  [domains <= 1]
     (or [n <= 1]) runs inline in the calling domain with no spawns —
     byte-for-byte today's sequential behaviour. *)
-let map_shards ~domains ~schedule ~n ~(init : unit -> 'shard)
+let map_shards ~domains ~n ~(init : unit -> 'shard)
     ~(item : 'shard -> int -> unit) : 'shard list =
   let workers = max 1 (min domains n) in
   if workers = 1 then begin
@@ -328,8 +312,7 @@ let map_shards ~domains ~schedule ~n ~(init : unit -> 'shard)
     [ shard ]
   end
   else begin
-    let next = Atomic.make 0 in
-    (* static chunking: worker k owns [k*chunk, min ((k+1)*chunk, n)) *)
+    (* worker k owns [k*chunk, min ((k+1)*chunk, n)) *)
     let chunk = (n + workers - 1) / workers in
     let failures : failure option array = Array.make workers None in
     let shards : 'shard option array = Array.make workers None in
@@ -340,27 +323,14 @@ let map_shards ~domains ~schedule ~n ~(init : unit -> 'shard)
       in
       match init () with
       | exception e -> fail (-1) e
-      | shard -> (
+      | shard ->
           shards.(k) <- Some shard;
-          match schedule with
-          | Static ->
-              let lo = k * chunk and hi = min n ((k + 1) * chunk) in
-              let i = ref lo in
-              while !i < hi && failures.(k) = None do
-                (try item shard !i with e -> fail !i e);
-                incr i
-              done
-          | Dynamic ->
-              let continue = ref true in
-              while !continue do
-                let i = Atomic.fetch_and_add next 1 in
-                if i >= n then continue := false
-                else
-                  try item shard i
-                  with e ->
-                    fail i e;
-                    continue := false
-              done)
+          let lo = k * chunk and hi = min n ((k + 1) * chunk) in
+          let i = ref lo in
+          while !i < hi && failures.(k) = None do
+            (try item shard !i with e -> fail !i e);
+            incr i
+          done
     in
     Pool.run (get_pool ()) ~workers run_worker;
     reraise_lowest failures;

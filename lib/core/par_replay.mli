@@ -5,16 +5,6 @@
     partitions — in parallel yet reduce to byte-identical output at any
     domain count.  See docs/performance.md. *)
 
-type schedule =
-  | Static  (** contiguous index chunks per worker; zero coordination *)
-  | Dynamic
-      (** workers pull the next index from an atomic counter; for skewed
-          warp costs *)
-
-val schedule_name : schedule -> string
-
-val schedule_of_string : string -> schedule option
-
 (** Default worker count when the caller passed nothing: [TF_DOMAINS]
     when set to a positive int (clamped to
     [Domain.recommended_domain_count]), else 1. *)
@@ -29,11 +19,11 @@ val default_domains : unit -> int
     grouping-invariant, so output is byte-identical either way. *)
 val auto_domains : requested:int -> items:int -> work:int -> int
 
-(** [map_shards ~domains ~schedule ~n ~init ~item] processes indices
-    [0..n-1] with up to [domains] workers drawn from the persistent
-    pool.  [init ()] runs {e inside} each worker domain (its shard is
-    domain-confined by construction); [item shard i] runs for every
-    index the worker owns, in ascending order.  Returns the shards
+(** [map_shards ~domains ~n ~init ~item] processes indices [0..n-1] with
+    up to [domains] workers drawn from the persistent pool, each owning
+    one contiguous chunk.  [init ()] runs {e inside} each worker domain
+    (its shard is domain-confined by construction); [item shard i] runs
+    for every index the worker owns, in ascending order.  Returns the shards
     ordered by worker id — merging in that order keeps order-sensitive
     reductions deterministic at every [domains].
 
@@ -45,7 +35,6 @@ val auto_domains : requested:int -> items:int -> work:int -> int
     all workers inline — same results, just not accelerated. *)
 val map_shards :
   domains:int ->
-  schedule:schedule ->
   n:int ->
   init:(unit -> 'shard) ->
   item:('shard -> int -> unit) ->

@@ -190,19 +190,33 @@ let all ?(bounds = no_bounds) (traces : Thread_trace.t array) :
   in
   List.rev_append diags barrier_diags
 
+(** The quarantine verdict, keyed by tid: one hash-table pass over the
+    diagnostics, one over [tids]. *)
+let verdict ~(tids : int array) (diags : Tf_error.diagnostic list) =
+  let first_err = Hashtbl.create 8 in
+  List.iter
+    (fun (d : Tf_error.diagnostic) ->
+      match d.Tf_error.thread with
+      | Some tid
+        when d.Tf_error.severity = Tf_error.Error
+             && not (Hashtbl.mem first_err tid) ->
+          Hashtbl.add first_err tid d
+      | _ -> ())
+    diags;
+  let bad =
+    Array.fold_right
+      (fun tid acc ->
+        match Hashtbl.find_opt first_err tid with
+        | Some d -> (tid, d) :: acc
+        | None -> acc)
+      tids []
+  in
+  (bad, Array.map (fun tid -> not (Hashtbl.mem first_err tid)) tids)
+
 (** Threads with at least one [Error]-severity diagnostic, with the first
-    such diagnostic (the quarantine set of [Analyzer.analyze_checked]). *)
+    such diagnostic ({!verdict} over {!all}). *)
 let quarantine ?(bounds = no_bounds) (traces : Thread_trace.t array) :
     Tf_error.diagnostic list * (int * Tf_error.diagnostic) list =
   let diags = all ~bounds traces in
-  let bad =
-    Array.to_list traces
-    |> List.filter_map (fun (t : Thread_trace.t) ->
-           List.find_opt
-             (fun (d : Tf_error.diagnostic) ->
-               d.Tf_error.severity = Tf_error.Error
-               && d.Tf_error.thread = Some t.Thread_trace.tid)
-             diags
-           |> Option.map (fun d -> (t.Thread_trace.tid, d)))
-  in
-  (diags, bad)
+  let tids = Array.map (fun (t : Thread_trace.t) -> t.Thread_trace.tid) traces in
+  (diags, fst (verdict ~tids diags))

@@ -38,9 +38,19 @@ val barrier_check :
 val all :
   ?bounds:bounds -> Thread_trace.t array -> Tf_error.diagnostic list
 
-(** [quarantine traces] is [(diagnostics, bad)]: all diagnostics plus, per
-    thread with at least one [Error]-severity diagnostic, its tid and the
-    first such diagnostic. *)
+(** [verdict ~tids diags] is [(bad, keep)], keyed by tid: a tid is bad
+    when some [Error]-severity diagnostic in [diags] names it.  [bad]
+    holds, per entry of [tids] (in order) carrying a bad tid, the tid and
+    its first such diagnostic; [keep.(i)] is whether [tids.(i)] is clean.
+    Every thread sharing a bad tid is excluded, including a clean one.
+    Linear in [tids] and [diags]. *)
+val verdict :
+  tids:int array ->
+  Tf_error.diagnostic list ->
+  (int * Tf_error.diagnostic) list * bool array
+
+(** [quarantine traces] is [(diagnostics, bad)]: {!all} plus the [bad]
+    half of its {!verdict}. *)
 val quarantine :
   ?bounds:bounds ->
   Thread_trace.t array ->

@@ -138,6 +138,26 @@ let test_all_quarantined () =
   Alcotest.(check int) "none analyzed" 0 cov.Metrics.threads_analyzed;
   Alcotest.(check int) "all quarantined" 2 cov.Metrics.threads_quarantined
 
+(* Quarantine is linear in the thread count.  Every thread here releases
+   a lock it never took: at a few bytes per thread, 20 000 of them fit in
+   a pack file of about 140 KB, and a per-thread scan of the diagnostic
+   list takes seconds on such a set. *)
+let test_quarantine_linear () =
+  let prog = Program.assemble lock_funcs in
+  let n = 20_000 in
+  let traces =
+    Array.init n (fun tid ->
+        { Thread_trace.tid; events = [| Event.Lock_rel 0x10; Event.Return |] })
+  in
+  let t0 = Unix.gettimeofday () in
+  let c = Analyzer.analyze_checked ~options prog traces in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "every thread quarantined" n
+    (List.length c.Analyzer.quarantined);
+  Alcotest.(check bool)
+    (Printf.sprintf "quarantined in %.2f s (bound 2 s)" dt)
+    true (dt < 2.0)
+
 let () =
   Alcotest.run "fault"
     [
@@ -149,6 +169,8 @@ let () =
             test_injector_deterministic;
           Alcotest.test_case "all threads quarantined" `Quick
             test_all_quarantined;
+          Alcotest.test_case "20k bad threads quarantine in linear time"
+            `Quick test_quarantine_linear;
           Alcotest.test_case "fuzz smoke (100 seeds)" `Quick test_fuzz_smoke;
         ] );
     ]

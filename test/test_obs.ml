@@ -430,7 +430,10 @@ let test_domain_hammer () =
    domains recording into the shared collector must lose nothing, so
    counter totals, histogram sample counts, the event total and the
    Prometheus counter lines all match the serial replay exactly (event
-   *order* and span durations are the only things allowed to differ). *)
+   *order* and span durations are the only things allowed to differ).
+   The same goes for the two trace sources of the checked pipeline: a
+   session fed the same traces speaks the stage vocabulary of
+   [analyze_checked]. *)
 let test_parallel_replay_obs_parity () =
   let bfs = Registry.find "bfs" in
   let tr = W.trace_cpu bfs in
@@ -442,12 +445,9 @@ let test_parallel_replay_obs_parity () =
     let ln = String.length name and ls = String.length suffix in
     ln >= ls && String.sub name (ln - ls) ls = suffix
   in
-  let capture domains =
+  let capture run =
     with_collector (fun () ->
-        ignore
-          (Analyzer.analyze
-             ~options:{ Analyzer.default_options with Analyzer.domains }
-             tr.W.prog tr.W.traces);
+        run ();
         let snap = Obs.snapshot () in
         let counters =
           List.filter
@@ -474,8 +474,14 @@ let test_parallel_replay_obs_parity () =
           List.length snap.Obs.events + snap.Obs.events_dropped,
           prom_counter_lines ))
   in
-  let c1, h1, e1, p1 = capture 1 in
-  let c4, h4, e4, p4 = capture 4 in
+  let analyze domains () =
+    ignore
+      (Analyzer.analyze
+         ~options:{ Analyzer.default_options with Analyzer.domains }
+         tr.W.prog tr.W.traces)
+  in
+  let c1, h1, e1, p1 = capture (analyze 1) in
+  let c4, h4, e4, p4 = capture (analyze 4) in
   Alcotest.(check (list (pair string int)))
     "counter totals match serial" (List.sort compare c1)
     (List.sort compare c4);
@@ -483,7 +489,23 @@ let test_parallel_replay_obs_parity () =
     "histogram sample counts match serial" (List.sort compare h1)
     (List.sort compare h4);
   Alcotest.(check int) "no replay event lost or invented" e1 e4;
-  Alcotest.(check (list string)) "prometheus counter lines match serial" p1 p4
+  Alcotest.(check (list string)) "prometheus counter lines match serial" p1 p4;
+  let cb, hb, eb, _ =
+    capture (fun () -> ignore (Analyzer.analyze_checked tr.W.prog tr.W.traces))
+  in
+  let cs, hs, es, _ =
+    capture (fun () ->
+        let s = Analyzer.Session.create tr.W.prog in
+        Array.iter (Analyzer.Session.add_thread s) tr.W.traces;
+        ignore (Analyzer.Session.finish s))
+  in
+  Alcotest.(check (list (pair string int)))
+    "session counter totals match batch" (List.sort compare cb)
+    (List.sort compare cs);
+  Alcotest.(check (list (pair string int)))
+    "session histogram sample counts match batch" (List.sort compare hb)
+    (List.sort compare hs);
+  Alcotest.(check int) "session events match batch" eb es
 
 (* A snapshot is a point-in-time copy: with four domains observing into a
    histogram while we snapshot and export, every exposition must stay

@@ -1,7 +1,7 @@
 (* Domain-parallel warp replay: the deterministic-reduction contract.
-   Whatever the domain count or schedule, every analyzer artifact —
-   report JSON, blame rankings, folded flamegraph, timelines, warp
-   traces — must be byte-identical to the sequential replay. *)
+   Whatever the domain count, every analyzer artifact — report JSON,
+   blame rankings, folded flamegraph, timelines, warp traces — must be
+   byte-identical to the sequential replay. *)
 
 module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
@@ -19,18 +19,16 @@ module Flamegraph = Threadfuser_report.Flamegraph
    within its worker, and shards come back in worker order. *)
 let test_shards_partition () =
   List.iter
-    (fun (schedule, domains, n) ->
+    (fun (domains, n) ->
       let shards =
-        Par_replay.map_shards ~domains ~schedule ~n
+        Par_replay.map_shards ~domains ~n
           ~init:(fun () -> ref [])
           ~item:(fun acc i -> acc := i :: !acc)
       in
       let seen = List.concat_map (fun acc -> List.rev !acc) shards in
       let sorted = List.sort compare seen in
       Alcotest.(check (list int))
-        (Printf.sprintf "%s d=%d n=%d covers each index once"
-           (Par_replay.schedule_name schedule)
-           domains n)
+        (Printf.sprintf "d=%d n=%d covers each index once" domains n)
         (List.init n (fun i -> i))
         sorted;
       List.iter
@@ -39,37 +37,24 @@ let test_shards_partition () =
           Alcotest.(check (list int)) "ascending within worker"
             (List.sort compare l) l)
         shards;
-      (* static chunks are contiguous, so worker-order concatenation is
-         the identity permutation *)
-      if schedule = Par_replay.Static then
-        Alcotest.(check (list int)) "static: worker order = index order"
-          (List.init n (fun i -> i))
-          seen)
-    [
-      (Par_replay.Static, 1, 7);
-      (Par_replay.Static, 3, 7);
-      (Par_replay.Static, 4, 4);
-      (Par_replay.Static, 8, 3);
-      (Par_replay.Dynamic, 3, 7);
-      (Par_replay.Dynamic, 4, 16);
-    ]
+      (* chunks are contiguous, so worker-order concatenation is the
+         identity permutation *)
+      Alcotest.(check (list int)) "worker order = index order"
+        (List.init n (fun i -> i))
+        seen)
+    [ (1, 7); (3, 7); (4, 4); (8, 3); (4, 16) ]
 
 (* The exception a sequential loop would have raised first (lowest
    index) is the one that surfaces, whatever worker hit it. *)
 let test_shards_exception () =
-  List.iter
-    (fun schedule ->
-      match
-        Par_replay.map_shards ~domains:4 ~schedule ~n:16
-          ~init:(fun () -> ())
-          ~item:(fun () i -> if i mod 5 = 3 then failwith (string_of_int i))
-      with
-      | _ -> Alcotest.fail "expected an item exception to propagate"
-      | exception Failure i ->
-          Alcotest.(check string)
-            (Par_replay.schedule_name schedule ^ ": lowest failing index wins")
-            "3" i)
-    [ Par_replay.Static; Par_replay.Dynamic ]
+  match
+    Par_replay.map_shards ~domains:4 ~n:16
+      ~init:(fun () -> ())
+      ~item:(fun () i -> if i mod 5 = 3 then failwith (string_of_int i))
+  with
+  | _ -> Alcotest.fail "expected an item exception to propagate"
+  | exception Failure i ->
+      Alcotest.(check string) "lowest failing index wins" "3" i
 
 (* parallel_for: the simulators' disjoint-range primitive *)
 let test_parallel_for_coverage () =
@@ -141,73 +126,53 @@ let test_pool_persistent () =
   Alcotest.(check int) "pool did not grow past the cap"
     after (Par_replay.pool_domains ())
 
-let test_schedule_names () =
-  List.iter
-    (fun s ->
-      Alcotest.(check (option string))
-        "schedule_of_string inverts schedule_name"
-        (Some (Par_replay.schedule_name s))
-        (Option.map Par_replay.schedule_name
-           (Par_replay.schedule_of_string (Par_replay.schedule_name s))))
-    [ Par_replay.Static; Par_replay.Dynamic ];
-  Alcotest.(check bool) "unknown schedule rejected" true
-    (Par_replay.schedule_of_string "fifo" = None)
-
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism over the workload registry                    *)
 
-let analyze_at ?(warp_size = 32) ~domains ~schedule traced =
+let analyze_at ?(warp_size = 32) ~domains traced =
   Analyzer.analyze
     ~options:
       {
         Analyzer.default_options with
         Analyzer.warp_size;
         domains;
-        schedule;
         gen_warp_trace = true;
         record_timeline = true;
       }
     traced.W.prog traced.W.traces
 
-(* Full artifact set at -j1 vs -j4, static and dynamic. *)
+(* Full artifact set at -j1 vs -j4. *)
 let test_artifacts_identical () =
   List.iter
     (fun name ->
       let traced = W.trace_cpu (Registry.find name) in
-      let base = analyze_at ~domains:1 ~schedule:Par_replay.Static traced in
-      List.iter
-        (fun schedule ->
-          let par = analyze_at ~domains:4 ~schedule traced in
-          let tag what =
-            Printf.sprintf "%s [%s]: %s identical" name
-              (Par_replay.schedule_name schedule)
-              what
-          in
-          Alcotest.(check string) (tag "report JSON")
-            (Report_json.to_string base.Analyzer.report)
-            (Report_json.to_string par.Analyzer.report);
-          Alcotest.(check string) (tag "folded flamegraph")
-            (Flamegraph.folded ~weight:Flamegraph.Lost base.Analyzer.flame)
-            (Flamegraph.folded ~weight:Flamegraph.Lost par.Analyzer.flame);
-          Alcotest.(check string) (tag "warp trace bytes")
-            (Warp_serial.to_string (Option.get base.Analyzer.warp_trace))
-            (Warp_serial.to_string (Option.get par.Analyzer.warp_trace));
-          Alcotest.(check bool) (tag "timelines") true
-            (base.Analyzer.timelines = par.Analyzer.timelines);
-          (* ranking order, not just content: blame output is consumed
-             top-down *)
-          Alcotest.(check (list string)) (tag "divergence ranking")
-            (List.map
-               (fun s ->
-                 Printf.sprintf "%s:%d:%d" s.Metrics.ds_func s.Metrics.ds_block
-                   s.Metrics.ds_lost_lanes)
-               base.Analyzer.report.Metrics.divergence_sites)
-            (List.map
-               (fun s ->
-                 Printf.sprintf "%s:%d:%d" s.Metrics.ds_func s.Metrics.ds_block
-                   s.Metrics.ds_lost_lanes)
-               par.Analyzer.report.Metrics.divergence_sites))
-        [ Par_replay.Static; Par_replay.Dynamic ])
+      let base = analyze_at ~domains:1 traced in
+      let par = analyze_at ~domains:4 traced in
+      let tag what = Printf.sprintf "%s: %s identical" name what in
+      Alcotest.(check string) (tag "report JSON")
+        (Report_json.to_string base.Analyzer.report)
+        (Report_json.to_string par.Analyzer.report);
+      Alcotest.(check string) (tag "folded flamegraph")
+        (Flamegraph.folded ~weight:Flamegraph.Lost base.Analyzer.flame)
+        (Flamegraph.folded ~weight:Flamegraph.Lost par.Analyzer.flame);
+      Alcotest.(check string) (tag "warp trace bytes")
+        (Warp_serial.to_string (Option.get base.Analyzer.warp_trace))
+        (Warp_serial.to_string (Option.get par.Analyzer.warp_trace));
+      Alcotest.(check bool) (tag "timelines") true
+        (base.Analyzer.timelines = par.Analyzer.timelines);
+      (* ranking order, not just content: blame output is consumed
+         top-down *)
+      Alcotest.(check (list string)) (tag "divergence ranking")
+        (List.map
+           (fun s ->
+             Printf.sprintf "%s:%d:%d" s.Metrics.ds_func s.Metrics.ds_block
+               s.Metrics.ds_lost_lanes)
+           base.Analyzer.report.Metrics.divergence_sites)
+        (List.map
+           (fun s ->
+             Printf.sprintf "%s:%d:%d" s.Metrics.ds_func s.Metrics.ds_block
+               s.Metrics.ds_lost_lanes)
+           par.Analyzer.report.Metrics.divergence_sites))
     [ "bfs"; "hdsearch-mid"; "uncoalesced"; "md5" ]
 
 (* Degenerate shapes: sharding must be invisible when there is nothing
@@ -233,8 +198,8 @@ let test_edge_warp_counts () =
   in
   Alcotest.(check string) "1 warp: -j8 = -j1" (one_report 1) (one_report 8);
   (* more domains than warps: every artifact still byte-identical *)
-  let base = analyze_at ~domains:1 ~schedule:Par_replay.Static traced in
-  let wide = analyze_at ~domains:64 ~schedule:Par_replay.Static traced in
+  let base = analyze_at ~domains:1 traced in
+  let wide = analyze_at ~domains:64 traced in
   Alcotest.(check string) "domains >> warps: report identical"
     (Report_json.to_string base.Analyzer.report)
     (Report_json.to_string wide.Analyzer.report);
@@ -242,8 +207,8 @@ let test_edge_warp_counts () =
     (Warp_serial.to_string (Option.get base.Analyzer.warp_trace))
     (Warp_serial.to_string (Option.get wide.Analyzer.warp_trace))
 
-(* Random (domains, schedule, warp size): the report never depends on
-   how the replay was sharded. *)
+(* Random (domains, warp size): the report never depends on how the
+   replay was sharded. *)
 let test_sharding_invisible =
   let traced = lazy (W.trace_cpu (Registry.find "vectoradd")) in
   let base = Hashtbl.create 4 in
@@ -253,24 +218,18 @@ let test_sharding_invisible =
     | None ->
         let s =
           Report_json.to_string
-            (analyze_at ~warp_size ~domains:1 ~schedule:Par_replay.Static
-               (Lazy.force traced))
+            (analyze_at ~warp_size ~domains:1 (Lazy.force traced))
               .Analyzer.report
         in
         Hashtbl.add base warp_size s;
         s
   in
-  QCheck.Test.make ~name:"report independent of (domains, schedule, warp)"
+  QCheck.Test.make ~name:"report independent of (domains, warp size)"
     ~count:12
-    QCheck.(
-      triple (int_range 1 6)
-        (map (fun b -> if b then Par_replay.Static else Par_replay.Dynamic)
-           bool)
-        (oneofl [ 2; 4; 8; 16; 32 ]))
-    (fun (domains, schedule, warp_size) ->
+    QCheck.(pair (int_range 1 6) (oneofl [ 2; 4; 8; 16; 32 ]))
+    (fun (domains, warp_size) ->
       Report_json.to_string
-        (analyze_at ~warp_size ~domains ~schedule (Lazy.force traced))
-          .Analyzer.report
+        (analyze_at ~warp_size ~domains (Lazy.force traced)).Analyzer.report
       = base_for warp_size)
 
 let () =
@@ -289,8 +248,6 @@ let () =
           Alcotest.test_case "auto -j caps by work" `Quick test_auto_domains;
           Alcotest.test_case "pool persists across sections" `Quick
             test_pool_persistent;
-          Alcotest.test_case "schedule names round-trip" `Quick
-            test_schedule_names;
         ] );
       ( "determinism",
         [

@@ -156,7 +156,8 @@ let test_random_chunking =
 
 (* Quarantine parity: damaged threads (bad block refs, unbalanced calls,
    a barrier deserter) stream to the same partial report, diagnostics and
-   quarantine set as the batch path. *)
+   quarantine set as the batch path.  Quarantine is by tid, so a clean
+   thread sharing its tid with a later bad one is excluded too. *)
 let test_quarantine_parity () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
   let bad_call =
@@ -166,15 +167,33 @@ let test_quarantine_parity () =
     (* casts a lone barrier vote; every other thread disagrees *)
     { Thread_trace.tid = 9002; events = [| Event.Barrier 0xdead |] }
   in
-  let traces = Array.append traced.W.traces [| bad_call; deserter |] in
-  let options = options ~domains:2 in
-  let batch = Analyzer.analyze_checked ~options traced.W.prog traces in
-  Alcotest.(check bool) "fixture actually quarantines" true
-    (batch.Analyzer.quarantined <> []);
-  let streamed =
-    session_over ~options ~chunks:[ 37; 1; 511 ] traces traced.W.prog
+  let clean_dup = { (traced.W.traces.(0)) with Thread_trace.tid = 9003 } in
+  let bad_dup =
+    {
+      Thread_trace.tid = 9003;
+      events = [| Event.Lock_rel 0x10; Event.Return |];
+    }
   in
-  check_equal ~tag:"damaged set" batch streamed
+  let options = options ~domains:2 in
+  List.iter
+    (fun (tag, traces, excluded) ->
+      let batch = Analyzer.analyze_checked ~options traced.W.prog traces in
+      Alcotest.(check (list int))
+        (tag ^ ": quarantined tids")
+        excluded
+        (List.sort compare (List.map fst batch.Analyzer.quarantined));
+      let streamed =
+        session_over ~options ~chunks:[ 37; 1; 511 ] traces traced.W.prog
+      in
+      check_equal ~tag batch streamed)
+    [
+      ( "damaged set",
+        Array.append traced.W.traces [| bad_call; deserter |],
+        [ 9001; 9002 ] );
+      ( "duplicate tid",
+        Array.concat [ [| clean_dup |]; traced.W.traces; [| bad_dup |] ],
+        [ 9003; 9003 ] );
+    ]
 
 (* The memory contract: ingesting a stream much larger than the budget
    keeps [buffered_bytes] under it and spills the rest to disk. *)
