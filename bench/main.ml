@@ -558,8 +558,8 @@ let sim_par_bench () =
   Fmt.pr "wrote %s@.@." path
 
 (* ------------------------------------------------------------------ *)
-(* Suite-runner throughput: the same batch at --jobs 1/2/4, fork
-   isolation, plus a determinism check (per-workload reports must be
+(* Suite-runner throughput: the same batch at --jobs 1/2/4, plus a
+   determinism check (per-workload reports must be
    byte-identical however the supervisor schedules them). *)
 
 let suite_bench () =
@@ -576,7 +576,7 @@ let suite_bench () =
       [ "vectoradd"; "bfs"; "uncoalesced"; "rotate"; "user"; "md5" ]
   in
   let n = List.length jobs in
-  Fmt.pr "suite-runner throughput (%d jobs, fork isolation):@." n;
+  Fmt.pr "suite-runner throughput (%d jobs):@." n;
   let run_at parallelism =
     let dir =
       Filename.concat
@@ -645,7 +645,6 @@ let suite_bench () =
       [
         ("schema", J.String "threadfuser-bench-suite/1");
         ("jobs", J.Int n);
-        ("isolation", J.String "fork");
         ( "levels",
           J.List
             (List.map

@@ -37,9 +37,9 @@ module Analyzer = Threadfuser.Analyzer
 module Metrics = Threadfuser.Metrics
 module Serial = Threadfuser_trace.Serial
 module Pack = Threadfuser_trace.Pack
+module Trace_file = Threadfuser_trace.Trace_file
 module Validate = Threadfuser_trace.Validate
 module Cache = Threadfuser_cache.Cache
-module Store_fault = Threadfuser_fault.Store_fault
 module Tf_error = Threadfuser_util.Tf_error
 module Injector = Threadfuser_fault.Injector
 module Fuzz = Threadfuser_fault.Fuzz
@@ -592,7 +592,7 @@ let cfg_cmd =
     Term.(const cfg_run $ workload_pos $ opt_level $ threads $ function_name)
 
 let tracefile_run path =
-  let traces = Serial.of_file path in
+  let traces = Trace_file.load path in
   Fmt.pr "%s: %d threads@." path (Array.length traces);
   let module TT = Threadfuser_trace.Thread_trace in
   let total = ref 0 in
@@ -728,20 +728,8 @@ let replay_cmd =
 
 let pp_diag ppf d = Fmt.pf ppf "  %s" (Tf_error.to_string d)
 
-(* Format sniffing: both trace containers are accepted, keyed on their
-   magic.  Either decoder raises [Serial.Corrupt] on damage — TFPACK1
-   additionally from a per-block CRC-32 mismatch — which the top-level
-   handler maps to exit 2, the same typed treatment as .tfwarp files. *)
-let load_traces path =
-  let data = read_file path in
-  let has_prefix p =
-    String.length data >= String.length p
-    && String.sub data 0 (String.length p) = p
-  in
-  if has_prefix Pack.magic then Pack.decode data else Serial.of_string data
-
 let check_run () path workload level =
-  let traces = load_traces path in
+  let traces = Trace_file.load path in
   match workload with
   | None ->
       (* no program at hand: structural checks only *)
@@ -1018,21 +1006,21 @@ let diff_cmd =
 (* ------------------------------------------------------------------ *)
 (* Suite: supervised batch execution with checkpoint/resume             *)
 
-let suite_run () trace_out metrics_out workloads jobs isolation deadline
-    retries backoff dir resume warps levels threads scale seed inject_crash
-    inject_stall stall_s every_attempt use_cache cache_dir domains =
+let suite_run () trace_out metrics_out workloads jobs deadline retries backoff
+    dir resume warps levels threads scale seed inject_crash inject_stall stall_s
+    every_attempt use_cache cache_dir domains =
   let workloads =
     match workloads with
     | [] -> List.map (fun w -> w.W.name) Registry.all
     | ws -> ws
   in
   let chaos =
-    if inject_crash = 0 && inject_stall = 0 then None
-    else
-      Some
-        (Runner.Exec_fault.plan ~seed ~crash_pct:inject_crash
-           ~stall_pct:inject_stall ~stall_s
-           ~first_attempt_only:(not every_attempt) ())
+    let p =
+      Runner.Exec_fault.plan ~seed ~crash_pct:inject_crash
+        ~stall_pct:inject_stall ~stall_s
+        ~first_attempt_only:(not every_attempt) ()
+    in
+    if Runner.Exec_fault.active p then Some p else None
   in
   let cache =
     if use_cache || cache_dir <> None then
@@ -1042,7 +1030,6 @@ let suite_run () trace_out metrics_out workloads jobs isolation deadline
   let config =
     {
       Runner.parallelism = jobs;
-      isolation;
       deadline_s = deadline;
       retries;
       backoff_s = backoff;
@@ -1094,25 +1081,6 @@ let suite_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Jobs to run in parallel.")
-  in
-  let isolation_conv =
-    let parse = function
-      | "fork" -> Ok Runner.Fork
-      | "domains" -> Ok Runner.Domains
-      | _ -> Error (`Msg "isolation must be fork or domains")
-    in
-    Arg.conv (parse, fun ppf i -> Fmt.string ppf (Runner.isolation_name i))
-  in
-  let isolation_arg =
-    Arg.(
-      value
-      & opt isolation_conv Runner.Fork
-      & info [ "isolation" ] ~docv:"MODE"
-          ~doc:
-            "$(b,fork): each attempt in a forked child — crashes cannot \
-             touch the supervisor and deadlines SIGKILL for real.  \
-             $(b,domains): in-process OCaml domain pool — cheaper, but \
-             isolation is exception-deep and deadlines are cooperative.")
   in
   let deadline_arg =
     Arg.(
@@ -1240,7 +1208,7 @@ let suite_cmd =
           job; exits 3 unless every job completed clean.")
     Term.(
       const suite_run $ setup_term $ trace_out_arg $ metrics_out_arg
-      $ workloads_pos $ jobs_arg $ isolation_arg $ deadline_arg $ retries_arg
+      $ workloads_pos $ jobs_arg $ deadline_arg $ retries_arg
       $ backoff_arg $ dir_arg $ resume_flag $ warps_arg $ levels_arg $ threads
       $ scale $ seed_arg $ inject_crash_arg $ inject_stall_arg $ stall_s_arg
       $ every_attempt_flag $ cache_flag $ cache_dir_opt $ suite_domains_arg)
@@ -1372,12 +1340,12 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
     }
   in
   let fault =
-    if inject_disc = 0 && inject_stall = 0 && inject_oversize = 0 then None
-    else
-      Some
-        (Runner.Exec_fault.session_plan ~seed ~disconnect_pct:inject_disc
-           ~stall_writer_pct:inject_stall ~oversize_pct:inject_oversize
-           ~writer_stall_s:stall_s ~disconnect_after:disc_after ())
+    let p =
+      Runner.Exec_fault.session_plan ~seed ~disconnect_pct:inject_disc
+        ~stall_writer_pct:inject_stall ~oversize_pct:inject_oversize
+        ~writer_stall_s:stall_s ~disconnect_after:disc_after ()
+    in
+    if Runner.Exec_fault.session_plan_active p then Some p else None
   in
   let cache = Option.map Cache.open_ cache_dir in
   let cfg =
@@ -1547,7 +1515,7 @@ let serve_cmd =
       $ serve_cache_dir_arg)
 
 let client_run () path socket chunk_bytes =
-  let traces = Serial.of_file path in
+  let traces = Trace_file.load path in
   let outcome =
     Sclient.session ~chunk_bytes ~socket_path:socket (Stream.encode traces)
   in

@@ -24,9 +24,7 @@ let action_name = function
 
 type plan = {
   seed : int;
-  crash_pct : int;  (** chance (percent) an eligible attempt crashes *)
-  stall_pct : int;  (** chance (percent) an eligible attempt stalls *)
-  stall_s : float;  (** stall duration when one fires *)
+  arms : action Fault_plan.t;  (** crash, then stall *)
   first_attempt_only : bool;
       (** restrict faults to attempt 1, so retries always recover —
           the deterministic shape CI smoke tests want *)
@@ -36,13 +34,16 @@ type plan = {
 
 let plan ?(seed = 1) ?(crash_pct = 0) ?(stall_pct = 0) ?(stall_s = 30.)
     ?(first_attempt_only = true) ?only_prefix () =
-  if crash_pct < 0 || crash_pct > 100 || stall_pct < 0 || stall_pct > 100 then
-    invalid_arg "Exec_fault.plan: percentages must be in 0..100";
-  { seed; crash_pct; stall_pct; stall_s; first_attempt_only; only_prefix }
+  {
+    seed;
+    arms =
+      Fault_plan.make ~who:"Exec_fault.plan"
+        [ (crash_pct, fun _ -> Crash); (stall_pct, fun _ -> Stall stall_s) ];
+    first_attempt_only;
+    only_prefix;
+  }
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+let active p = Fault_plan.active p.arms
 
 (** [decide plan ~job ~attempt] — [attempt] is 1-based.  Pure: the same
     triple always yields the same action. *)
@@ -51,7 +52,7 @@ let decide p ~job ~attempt =
   let eligible =
     (not (p.first_attempt_only && attempt > 1))
     && (match p.only_prefix with
-       | Some pre -> starts_with ~prefix:pre job
+       | Some prefix -> String.starts_with ~prefix job
        | None -> true)
   in
   if not eligible then No_fault
@@ -59,10 +60,9 @@ let decide p ~job ~attempt =
     (* [Lcg.hash_string] keys the per-job stream: a stable hash, so chaos
        decisions replay across OCaml versions. *)
     let job_stream = Lcg.derive ~seed:p.seed ~index:(Lcg.hash_string job) in
-    let g = Lcg.create (Lcg.derive ~seed:job_stream ~index:attempt) in
-    if Lcg.chance g p.crash_pct 100 then Crash
-    else if Lcg.chance g p.stall_pct 100 then Stall p.stall_s
-    else No_fault
+    Fault_plan.draw p.arms
+      ~stream:(Lcg.derive ~seed:job_stream ~index:attempt)
+      ~none:No_fault
 
 (* ------------------------------------------------------------------ *)
 (* Session faults: the serve daemon's chaos dimension.                  *)
@@ -80,32 +80,29 @@ let session_action_name = function
   | Oversize_frame -> "oversize-frame"
 
 type session_plan = {
-  sn_seed : int;
-  disconnect_pct : int;
-  stall_writer_pct : int;
-  oversize_pct : int;
-  writer_stall_s : float;
-  disconnect_after : int;
+  session_seed : int;
+  session_arms : session_action Fault_plan.t;
+      (** disconnect, then writer stall, then oversize frame *)
 }
 
 let session_plan ?(seed = 1) ?(disconnect_pct = 0) ?(stall_writer_pct = 0)
     ?(oversize_pct = 0) ?(writer_stall_s = 30.) ?(disconnect_after = 4096) () =
-  let bad p = p < 0 || p > 100 in
-  if bad disconnect_pct || bad stall_writer_pct || bad oversize_pct then
-    invalid_arg "Exec_fault.session_plan: percentages must be in 0..100";
+  let session_arms =
+    Fault_plan.make ~who:"Exec_fault.session_plan"
+      [
+        (* the cut point is derived from the same stream: replayable, but
+           not the same byte for every damaged session *)
+        ( disconnect_pct,
+          fun g -> Disconnect (Lcg.int_range g 0 disconnect_after) );
+        (stall_writer_pct, fun _ -> Stall_writer writer_stall_s);
+        (oversize_pct, fun _ -> Oversize_frame);
+      ]
+  in
   if disconnect_after < 0 then
     invalid_arg "Exec_fault.session_plan: disconnect_after must be >= 0";
-  {
-    sn_seed = seed;
-    disconnect_pct;
-    stall_writer_pct;
-    oversize_pct;
-    writer_stall_s;
-    disconnect_after;
-  }
+  { session_seed = seed; session_arms }
 
-let session_plan_active p =
-  p.disconnect_pct > 0 || p.stall_writer_pct > 0 || p.oversize_pct > 0
+let session_plan_active p = Fault_plan.active p.session_arms
 
 (** [decide_session plan ~session] — the fault for the daemon's
     [session]-th accepted connection (0-based ordinal).  Pure, so a chaos
@@ -114,11 +111,6 @@ let session_plan_active p =
 let decide_session p ~session =
   if session < 0 then
     invalid_arg "Exec_fault.decide_session: session ordinal is 0-based";
-  let g = Lcg.create (Lcg.derive ~seed:p.sn_seed ~index:session) in
-  if Lcg.chance g p.disconnect_pct 100 then
-    (* the cut point is derived from the same stream: replayable, but not
-       the same byte for every damaged session *)
-    Disconnect (Lcg.int_range g 0 p.disconnect_after)
-  else if Lcg.chance g p.stall_writer_pct 100 then Stall_writer p.writer_stall_s
-  else if Lcg.chance g p.oversize_pct 100 then Oversize_frame
-  else Session_ok
+  Fault_plan.draw p.session_arms
+    ~stream:(Lcg.derive ~seed:p.session_seed ~index:session)
+    ~none:Session_ok

@@ -11,14 +11,9 @@ type action =
 
 val action_name : action -> string
 
-type plan = {
-  seed : int;
-  crash_pct : int;  (** chance (percent) an eligible attempt crashes *)
-  stall_pct : int;  (** chance (percent) an eligible attempt stalls *)
-  stall_s : float;  (** stall duration when one fires *)
-  first_attempt_only : bool;  (** faults hit only attempt 1 (default) *)
-  only_prefix : string option;  (** restrict to job ids with this prefix *)
-}
+type plan
+(** Crash and stall percentages drawn in that order (see {!Fault_plan}),
+    plus which attempts and job ids are eligible. *)
 
 (** Build a plan; percentages are validated to 0..100.  Defaults: seed 1,
     no faults, 30 s stalls, first attempt only, all jobs eligible. *)
@@ -31,6 +26,9 @@ val plan :
   ?only_prefix:string ->
   unit ->
   plan
+
+val active : plan -> bool
+(** At least one percentage is non-zero. *)
 
 (** [decide plan ~job ~attempt] — the action for this attempt ([attempt]
     is 1-based; raises on 0).  Deterministic per triple. *)
@@ -57,14 +55,10 @@ type session_action =
 
 val session_action_name : session_action -> string
 
-type session_plan = {
-  sn_seed : int;
-  disconnect_pct : int;
-  stall_writer_pct : int;
-  oversize_pct : int;
-  writer_stall_s : float;  (** stall length when one fires *)
-  disconnect_after : int;  (** upper bound on the cut point (bytes) *)
-}
+type session_plan
+(** Disconnect, writer-stall and oversize-frame percentages drawn in that
+    order (see {!Fault_plan}), plus the stall length and the cut-point
+    bound. *)
 
 (** Build a session-fault plan; percentages validated to 0..100.
     Defaults: seed 1, no faults, 30 s stalls, cut within 4096 bytes. *)

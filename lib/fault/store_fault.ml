@@ -32,30 +32,32 @@ let action_name = function
 
 type plan = {
   seed : int;
-  torn_pct : int;  (** chance (percent) a commit is torn *)
-  flip_pct : int;  (** chance (percent) a committed blob gets a bit flip *)
-  partial_pct : int;  (** chance (percent) the index append is lost *)
+  arms : action Fault_plan.t;
+      (** torn write, then bit flip, then partial rename *)
 }
 
 let plan ?(seed = 1) ?(torn_pct = 0) ?(flip_pct = 0) ?(partial_pct = 0) () =
-  let bad p = p < 0 || p > 100 in
-  if bad torn_pct || bad flip_pct || bad partial_pct then
-    invalid_arg "Store_fault.plan: percentages must be in 0..100";
-  { seed; torn_pct; flip_pct; partial_pct }
-
-let active p = p.torn_pct > 0 || p.flip_pct > 0 || p.partial_pct > 0
+  {
+    seed;
+    arms =
+      Fault_plan.make ~who:"Store_fault.plan"
+        [
+          (* the cut fraction comes from the same stream: replayable, but
+             not the same cut for every torn entry *)
+          ( torn_pct,
+            fun g -> Torn_write (float_of_int (Lcg.int_range g 1 99) /. 100.)
+          );
+          (flip_pct, fun _ -> Bit_flip);
+          (partial_pct, fun _ -> Partial_rename);
+        ];
+  }
 
 (** [decide plan ~id] — the fault for committing entry [id].  Pure: the
     same pair always yields the same action. *)
 let decide p ~id =
-  let g = Lcg.create (Lcg.derive ~seed:p.seed ~index:(Lcg.hash_string id)) in
-  if Lcg.chance g p.torn_pct 100 then
-    (* the cut fraction comes from the same stream: replayable, but not
-       the same cut for every torn entry *)
-    Torn_write (float_of_int (Lcg.int_range g 1 99) /. 100.)
-  else if Lcg.chance g p.flip_pct 100 then Bit_flip
-  else if Lcg.chance g p.partial_pct 100 then Partial_rename
-  else No_fault
+  Fault_plan.draw p.arms
+    ~stream:(Lcg.derive ~seed:p.seed ~index:(Lcg.hash_string id))
+    ~none:No_fault
 
 (** [mangle action ~id bytes] — the damaged image of [bytes] under
     [action] (identity for [No_fault] and [Partial_rename], whose damage

@@ -14,18 +14,13 @@ type action =
 
 val action_name : action -> string
 
-type plan = {
-  seed : int;
-  torn_pct : int;
-  flip_pct : int;
-  partial_pct : int;
-}
+type plan
+(** Torn-write, bit-flip and partial-rename percentages drawn in that
+    order (see {!Fault_plan}). *)
 
 val plan :
   ?seed:int -> ?torn_pct:int -> ?flip_pct:int -> ?partial_pct:int -> unit -> plan
 (** Raises [Invalid_argument] on percentages outside 0..100. *)
-
-val active : plan -> bool
 
 val decide : plan -> id:string -> action
 (** The fault for committing entry [id]; pure and replayable. *)

@@ -4,19 +4,12 @@
     checkpoint/resume.
 
     The paper's evaluation is a batch of 36 analyses; this module is the
-    execution boundary that lets such a batch survive one bad job.  Two
-    isolation modes:
-
-    - {b Fork} (default): the supervisor stays single-threaded and runs
-      every job attempt in a [Unix.fork]ed child, up to [parallelism] in
-      flight.  A crashing, OOMing or runaway child cannot take the suite
-      down; deadlines are enforced for real with SIGKILL.  (Keeping the
-      parent single-threaded also sidesteps fork-in-multithreaded-process
-      hazards.)
-    - {b Domains}: an OCaml 5 domain pool running jobs in-process — no
-      fork overhead, but isolation is only exception-deep and deadlines
-      are classified post-hoc (a cooperative check when the job returns;
-      the fuel watchdogs inside the emulator bound true runaways).
+    execution boundary that lets such a batch survive one bad job.  The
+    supervisor stays single-threaded and runs every job attempt in a
+    [Unix.fork]ed child, up to [parallelism] in flight.  A crashing,
+    OOMing or runaway child cannot take the suite down, and deadlines are
+    enforced for real with SIGKILL.  (Keeping the parent single-threaded
+    also sidesteps fork-in-multithreaded-process hazards.)
 
     Every terminal outcome is journalled ({!Journal}) so [--resume] skips
     completed work, and the suite always terminates with a {!manifest}
@@ -162,8 +155,8 @@ let failures m =
 
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown: a signal handler (or any thread) requests a stop;
-   the supervisors notice between jobs.  Fork isolation additionally
-   kills in-flight children, so an interrupted suite exits promptly.
+   the supervisor notices on its next poll and kills in-flight children,
+   so an interrupted suite exits promptly.
    Unfinished jobs are simply never journalled — the journal holds only
    fsync'd terminal outcomes, which is exactly what [--resume] replays. *)
 
@@ -174,13 +167,8 @@ let request_stop () = Atomic.set stop_requested true
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-type isolation = Fork | Domains
-
-let isolation_name = function Fork -> "fork" | Domains -> "domains"
-
 type config = {
   parallelism : int;  (** jobs in flight at once *)
-  isolation : isolation;
   deadline_s : float option;  (** per-attempt wall-clock budget *)
   retries : int;  (** extra attempts after the first *)
   backoff_s : float;  (** base backoff before the first retry *)
@@ -195,7 +183,6 @@ type config = {
 let default_config =
   {
     parallelism = 1;
-    isolation = Fork;
     deadline_s = None;
     retries = 1;
     backoff_s = 0.25;
@@ -262,9 +249,7 @@ let read_text path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
-(* The job body (shared by both isolation modes)                       *)
-
-exception Injected_crash
+(* The job body                                                        *)
 
 (** Run one analysis to a report-JSON string.  Deterministic: replay and
     report rendering depend only on the job, never on scheduling. *)
@@ -282,15 +267,6 @@ let exec_job ~domains (j : job) : string * bool =
   in
   let rep = r.Analyzer.report in
   (Report_json.to_string rep, Metrics.degraded rep)
-
-let apply_chaos_inproc chaos ~id ~attempt =
-  match chaos with
-  | None -> ()
-  | Some plan -> (
-      match Exec_fault.decide plan ~job:id ~attempt with
-      | Exec_fault.No_fault -> ()
-      | Exec_fault.Stall s -> Unix.sleepf s
-      | Exec_fault.Crash -> raise Injected_crash)
 
 (* Per-job backoff stream: derived from the suite seed and the job id, so
    two jobs never share jitter and a re-run waits identically. *)
@@ -325,8 +301,7 @@ type pending = {
 }
 
 (* The per-job ring is small: supervisor-side lifecycle notes are a
-   handful per attempt, and in domains mode the attached tap only adds
-   the job's own spans. *)
+   handful per attempt. *)
 let job_flight_capacity = 512
 
 let fl_note (p : pending) ?(args = []) name =
@@ -357,7 +332,7 @@ let dump_job_flight cfg (p : pending) (outcome : Outcome.t) =
     None
 
 (* ------------------------------------------------------------------ *)
-(* Fork isolation                                                      *)
+(* The fork supervisor                                                 *)
 
 (* Child exit codes.  0 and [exit_degraded] both carry a report artifact;
    anything else is a crash. *)
@@ -649,132 +624,6 @@ let run_fork cfg (pendings : pending list) ~(finish : entry -> unit) =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Domains isolation                                                   *)
-
-let run_one_inproc cfg (p : pending) : entry =
-  let rec go attempt =
-    let started_wall = Unix.gettimeofday () in
-    let started_obs = Obs.now_us () in
-    Obs.Counter.incr c_spawned;
-    fl_note p ~args:[ ("attempt", Obs.itos attempt) ] "attempt started";
-    (* in-process: tap this domain so the attempt's own spans land in the
-       job's ring alongside the supervisor's lifecycle notes *)
-    let result =
-      Obs.Flight.with_attached p.pfl (fun () ->
-          try
-            apply_chaos_inproc cfg.chaos ~id:p.pid_ ~attempt;
-            let json, degraded = exec_job ~domains:cfg.domains p.pjob in
-            `Done (json, degraded)
-          with
-          | Injected_crash -> `Crash "injected crash"
-          | e -> `Crash (Printexc.to_string e))
-    in
-    let dur = Unix.gettimeofday () -. started_wall in
-    (* cooperative deadline: the attempt ran to completion (or died), but
-       past budget its result is discarded and classified [Timeout] —
-       fork isolation is the mode with preemptive kills *)
-    let result =
-      match (result, cfg.deadline_s) with
-      | `Done _, Some d when dur > d -> `Timeout
-      | `Crash _, Some d when dur > d -> `Timeout
-      | r, _ -> r
-    in
-    let span outcome =
-      if !Obs.enabled then
-        Obs.complete ~track:suite_track p.pid_ ~ts:started_obs
-          ~dur:(Obs.now_us () -. started_obs)
-          ~args:[ ("attempt", string_of_int attempt); ("outcome", outcome) ]
-    in
-    match result with
-    | `Done (json, degraded) ->
-        let rel = report_rel p.pid_ in
-        write_text (Filename.concat cfg.dir rel) (json ^ "\n");
-        span (if degraded then "degraded" else "ok");
-        fl_note p
-          ~args:[ ("attempt", Obs.itos attempt) ]
-          (if degraded then "attempt degraded" else "attempt ok");
-        {
-          job = p.pjob;
-          id = p.pid_;
-          outcome = (if degraded then Outcome.Degraded else Outcome.Ok);
-          attempts = attempt;
-          duration_s = dur;
-          source = Fresh;
-          report_file = Some rel;
-          flight_file = None;
-        }
-    | (`Timeout | `Crash _) as failure ->
-        let failure =
-          match failure with
-          | `Timeout -> `Timeout
-          | `Crash m -> `Crash m
-        in
-        let failure_name =
-          match failure with `Timeout -> "timeout" | `Crash _ -> "crash"
-        in
-        span failure_name;
-        fl_note p
-          ~args:[ ("attempt", Obs.itos attempt); ("kind", failure_name) ]
-          "attempt failed";
-        if attempt <= cfg.retries then begin
-          Obs.Counter.incr c_retries;
-          Unix.sleepf (backoff_delay cfg ~id:p.pid_ ~attempt);
-          go (attempt + 1)
-        end
-        else begin
-          let outcome = final_outcome ~attempt failure in
-          let flight_file = dump_job_flight cfg p outcome in
-          {
-            job = p.pjob;
-            id = p.pid_;
-            outcome;
-            attempts = attempt;
-            duration_s = dur;
-            source = Fresh;
-            report_file = None;
-            flight_file;
-          }
-        end
-  in
-  go 1
-
-let run_domains cfg (pendings : pending list) ~(finish : entry -> unit) =
-  let m = Mutex.create () in
-  let q = Queue.create () in
-  List.iter (fun p -> Queue.add p q) pendings;
-  let take () =
-    Mutex.lock m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock m)
-      (fun () ->
-        (* interrupted: in-flight jobs run to completion (in-process work
-           cannot be safely killed) but nothing new starts *)
-        let r =
-          if Atomic.get stop_requested then None else Queue.take_opt q
-        in
-        if !Obs.enabled then
-          Obs.instant ~track:suite_track "queue_depth"
-            ~args:[ ("waiting", string_of_int (Queue.length q)) ];
-        r)
-  in
-  let rec worker () =
-    match take () with
-    | None -> ()
-    | Some p ->
-        let entry = run_one_inproc cfg p in
-        (* [finish] journals and aggregates; serialized across workers *)
-        Mutex.lock m;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock m)
-          (fun () -> finish entry);
-        worker ()
-  in
-  let extra = max 0 (min (cfg.parallelism - 1) (List.length pendings - 1)) in
-  let domains = List.init extra (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains
-
-(* ------------------------------------------------------------------ *)
 (* Manifest                                                            *)
 
 let outcome_of_record (r : Journal.record) =
@@ -974,7 +823,6 @@ let run ?(config = default_config) (jobs : job list) : manifest =
       [
         ("jobs", string_of_int (List.length jobs));
         ("parallelism", string_of_int config.parallelism);
-        ("isolation", isolation_name config.isolation);
         ("resume", string_of_bool config.resume);
       ]
     "suite starting";
@@ -1060,10 +908,7 @@ let run ?(config = default_config) (jobs : job list) : manifest =
   Fun.protect
     ~finally:(fun () -> Journal.close writer)
     (fun () ->
-      if pendings <> [] then
-        match config.isolation with
-        | Fork -> run_fork config pendings ~finish
-        | Domains -> run_domains config pendings ~finish);
+      if pendings <> [] then run_fork config pendings ~finish);
   let interrupted = Atomic.get stop_requested in
   (* on an interrupt some jobs never produced an entry; the manifest
      still accounts for every finished one *)

@@ -1,8 +1,8 @@
 (** Supervised batch execution of analyses over the workload registry.
 
     [run] takes a list of {!job}s (one analysis configuration each) and
-    executes them under a supervisor with crash isolation, per-job
-    wall-clock deadlines, seeded retry/backoff, and an append-only
+    executes them under a supervisor that runs every attempt in a
+    [Unix.fork]ed child, with per-job SIGKILL deadlines, seeded retry/backoff, and an append-only
     checkpoint journal ({!Journal}) enabling [--resume].  It {e always}
     terminates with a {!manifest} that accounts for every requested job.
     See docs/robustness.md ("Supervision"). *)
@@ -122,19 +122,8 @@ val pp_manifest : Format.formatter -> manifest -> unit
 
 (** {1 Configuration} *)
 
-type isolation =
-  | Fork
-      (** each attempt in a [Unix.fork]ed child; preemptive SIGKILL
-          deadlines; crashes cannot touch the supervisor *)
-  | Domains
-      (** OCaml 5 domain pool, in-process; exception-deep isolation and
-          cooperative (post-hoc) deadline classification *)
-
-val isolation_name : isolation -> string
-
 type config = {
   parallelism : int;  (** jobs in flight at once *)
-  isolation : isolation;
   deadline_s : float option;  (** per-attempt wall-clock budget *)
   retries : int;  (** extra attempts after the first *)
   backoff_s : float;  (** base backoff before the first retry *)
@@ -155,18 +144,18 @@ type config = {
 }
 
 val default_config : config
-(** parallelism 1, [Fork], no deadline, 1 retry, 0.25 s backoff, seed 1,
+(** parallelism 1, no deadline, 1 retry, 0.25 s backoff, seed 1,
     dir [".tfsuite"], no resume, no chaos, no cache, 1 replay domain. *)
 
 (** {1 Running} *)
 
 val request_stop : unit -> unit
 (** Ask a running {!run} to shut down gracefully (async-signal-safe: call
-    it from a SIGINT/SIGTERM handler).  Fork isolation kills and reaps
-    in-flight children; domains isolation lets in-flight jobs finish.
-    Either way nothing new starts, every already-journalled outcome is
-    fsync'd on disk, and the returned manifest has [interrupted = true] —
-    a later [--resume] run re-runs exactly the unfinished jobs. *)
+    it from a SIGINT/SIGTERM handler).  The supervisor kills and reaps
+    in-flight children and starts nothing new; every already-journalled
+    outcome is fsync'd on disk, and the returned manifest has
+    [interrupted = true] — a later [--resume] run re-runs exactly the
+    unfinished jobs. *)
 
 val run : ?config:config -> job list -> manifest
 (** Execute the batch.  Creates [config.dir] (with [reports/] and [tmp/]),
@@ -174,7 +163,7 @@ val run : ?config:config -> job list -> manifest
     and returns the manifest — entries in request order, duplicates (by
     {!job_id}) dropped with a warning.  Every job carries a small flight
     recorder of supervisor-side lifecycle events (attempts, retries,
-    deadline kills; in domains mode also the job's own spans); a job that
+    deadline kills); a job that
     fails terminally dumps it to [flight/<id>.trace.json] +
     [.metrics.txt], referenced from its entry.  Raises [Invalid_argument]
     only on an empty job list or nonsensical config; job failures are

@@ -203,9 +203,3 @@ let to_file path traces =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> Buffer.output_buffer oc (to_buffer traces))
-
-let of_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))

@@ -13,8 +13,6 @@ val of_string : string -> Thread_trace.t array
 
 val to_file : string -> Thread_trace.t array -> unit
 
-val of_file : string -> Thread_trace.t array
-
 (** {2 Low-level varint primitives} (exposed for tests) *)
 
 type reader = { data : string; mutable pos : int }

@@ -11,6 +11,8 @@ module Event = Threadfuser_trace.Event
 module Serial = Threadfuser_trace.Serial
 module Tf_error = Threadfuser_util.Tf_error
 module Injector = Threadfuser_fault.Injector
+module Exec_fault = Threadfuser_fault.Exec_fault
+module Store_fault = Threadfuser_fault.Store_fault
 module Fuzz = Threadfuser_fault.Fuzz
 module Registry = Threadfuser_workloads.Registry
 module W = Threadfuser_workloads.Workload
@@ -158,6 +160,154 @@ let test_quarantine_linear () =
     (Printf.sprintf "quarantined in %.2f s (bound 2 s)" dt)
     true (dt < 2.0)
 
+(* Golden decision table for the three seeded fault plans: every
+   [(plan, key)] below must map to the action recorded in
+   fault_decisions.golden, so any change to stream derivation or arm
+   order shows up as a diff rather than a silently different chaos run. *)
+let fault_decision_table () =
+  let b = Buffer.create 131072 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let exec_plans =
+    [
+      ("c50s25", fun seed ->
+          Exec_fault.plan ~seed ~crash_pct:50 ~stall_pct:25 ~stall_s:0.5
+            ~first_attempt_only:false ());
+      ("s100first", fun seed -> Exec_fault.plan ~seed ~stall_pct:100 ());
+      ("c34s34bfs", fun seed ->
+          Exec_fault.plan ~seed ~crash_pct:34 ~stall_pct:34
+            ~first_attempt_only:false ~only_prefix:"bfs" ());
+      ("c10s60", fun seed ->
+          Exec_fault.plan ~seed ~crash_pct:10 ~stall_pct:60 ~stall_s:2.
+            ~first_attempt_only:false ());
+    ]
+  in
+  let jobs =
+    List.concat_map
+      (fun w -> List.map (Printf.sprintf "%s.w%d.O1.s1" w) [ 8; 32 ])
+      [ "vectoradd"; "bfs"; "uncoalesced"; "pigz"; "nbody" ]
+    @ [ ""; "x" ]
+  in
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun seed ->
+          let p = mk seed in
+          List.iter
+            (fun job ->
+              for attempt = 1 to 3 do
+                let a =
+                  match Exec_fault.decide p ~job ~attempt with
+                  | Exec_fault.No_fault -> "none"
+                  | Crash -> "crash"
+                  | Stall s -> Printf.sprintf "stall %g" s
+                in
+                line "exec %s seed=%d job=%S attempt=%d -> %s" name seed job
+                  attempt a
+              done)
+            jobs)
+        [ 1; 4; 9; 42; 2024 ])
+    exec_plans;
+  let session_plans =
+    [
+      ("o34", fun seed -> Exec_fault.session_plan ~seed ~oversize_pct:34 ());
+      ("d30w20o25", fun seed ->
+          Exec_fault.session_plan ~seed ~disconnect_pct:30
+            ~stall_writer_pct:20 ~oversize_pct:25 ~writer_stall_s:2.5 ());
+      ("d100cut17", fun seed ->
+          Exec_fault.session_plan ~seed ~disconnect_pct:100
+            ~disconnect_after:17 ());
+    ]
+  in
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun seed ->
+          let p = mk seed in
+          for session = 0 to 63 do
+            let a =
+              match Exec_fault.decide_session p ~session with
+              | Exec_fault.Session_ok -> "none"
+              | Disconnect n -> Printf.sprintf "disconnect %d" n
+              | Stall_writer s -> Printf.sprintf "stall-writer %g" s
+              | Oversize_frame -> "oversize-frame"
+            in
+            line "session %s seed=%d session=%d -> %s" name seed session a
+          done)
+        [ 1; 4; 11; 99 ])
+    session_plans;
+  let store_plans =
+    [
+      ("t30f30p30", fun seed ->
+          Store_fault.plan ~seed ~torn_pct:30 ~flip_pct:30 ~partial_pct:30 ());
+      ("f100", fun seed -> Store_fault.plan ~seed ~flip_pct:100 ());
+      ("t100", fun seed -> Store_fault.plan ~seed ~torn_pct:100 ());
+    ]
+  in
+  let payload = String.init 300 (fun i -> Char.chr ((i * 37 + 11) land 255)) in
+  let ids = List.init 40 (Printf.sprintf "entry-%02d") in
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun seed ->
+          let p = mk seed in
+          List.iter
+            (fun id ->
+              let action = Store_fault.decide p ~id in
+              let a =
+                match action with
+                | Store_fault.No_fault -> "none"
+                | Torn_write f -> Printf.sprintf "torn-write %.17g" f
+                | Bit_flip -> "bit-flip"
+                | Partial_rename -> "partial-rename"
+              in
+              line "store %s seed=%d id=%s -> %s mangle=%s" name seed id a
+                (Digest.to_hex
+                   (Digest.string (Store_fault.mangle action ~id payload))))
+            ids)
+        [ 1; 7; 42 ])
+    store_plans;
+  Buffer.contents b
+
+(* The table above was recorded before the three plans shared one draw
+   core; the core must reproduce every line. *)
+let test_decision_table () =
+  let golden =
+    (* dune copies the table beside the test binary *)
+    let ic =
+      open_in_bin
+        (Filename.concat
+           (Filename.dirname Sys.executable_name)
+           "fault_decisions.golden")
+    in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let expect = String.split_on_char '\n' golden in
+  let got = String.split_on_char '\n' (fault_decision_table ()) in
+  Alcotest.(check int) "table length" (List.length expect) (List.length got);
+  List.iter2 (Alcotest.(check string) "decision") expect got
+
+(* Every plan rejects a percentage outside 0..100, naming itself. *)
+let test_plan_validation () =
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an out-of-range percentage" name
+    | exception Invalid_argument m ->
+        Alcotest.(check string)
+          "message" (name ^ ": percentages must be in 0..100") m
+  in
+  rejects "Exec_fault.plan" (fun () ->
+      ignore (Exec_fault.plan ~stall_pct:101 ()));
+  rejects "Exec_fault.session_plan" (fun () ->
+      ignore (Exec_fault.session_plan ~oversize_pct:(-1) ()));
+  rejects "Store_fault.plan" (fun () ->
+      ignore (Store_fault.plan ~partial_pct:200 ()));
+  Alcotest.(check bool) "all-zero plan inactive" false
+    (Exec_fault.active (Exec_fault.plan ()));
+  Alcotest.(check bool) "one arm makes it active" true
+    (Exec_fault.session_plan_active (Exec_fault.session_plan ~oversize_pct:1 ()))
+
 let () =
   Alcotest.run "fault"
     [
@@ -172,5 +322,9 @@ let () =
           Alcotest.test_case "20k bad threads quarantine in linear time"
             `Quick test_quarantine_linear;
           Alcotest.test_case "fuzz smoke (100 seeds)" `Quick test_fuzz_smoke;
+          Alcotest.test_case "golden decision table" `Quick
+            test_decision_table;
+          Alcotest.test_case "plan percentages validated" `Quick
+            test_plan_validation;
         ] );
     ]

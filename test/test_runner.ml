@@ -1,7 +1,8 @@
 (* The supervised suite runner: manifest accounting under crashes, stalls
    and deadlines; retry/backoff; the fsync'd checkpoint journal and
-   --resume (including a real SIGKILL of the supervisor); both isolation
-   modes; and determinism of report artifacts under parallelism. *)
+   --resume (including a real SIGKILL of the supervisor and a graceful
+   [request_stop]); and determinism of report artifacts under
+   parallelism. *)
 
 module Runner = Threadfuser_runner.Runner
 module Journal = Threadfuser_runner.Journal
@@ -28,38 +29,10 @@ let read_file p =
 
 let small = [ "vectoradd"; "bfs"; "uncoalesced" ]
 
-(* OCaml 5 forbids [Unix.fork] in a process that has ever spawned another
-   domain, so any test exercising [Runner.Domains] must itself run in a
-   forked subprocess: the child spawns domains and exits, the parent stays
-   fork-clean for the remaining fork-isolation tests.  (A real CLI run
-   picks one isolation mode per invocation, so the mix never arises.) *)
-let in_subprocess f =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          f ();
-          0
-        with e ->
-          prerr_endline (Printexc.to_string e);
-          1
-      in
-      Unix._exit code
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED c -> Alcotest.failf "subprocess failed with exit %d" c
-      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-          Alcotest.failf "subprocess killed by signal %d" s)
-
-let config ?(parallelism = 2) ?(isolation = Runner.Fork) ?deadline_s
-    ?(retries = 1) ?(backoff_s = 0.005) ?(resume = false) ?chaos dir =
+let config ?(parallelism = 2) ?deadline_s ?(retries = 1) ?(backoff_s = 0.005) ?(resume = false) ?chaos dir =
   {
     Runner.default_config with
     parallelism;
-    isolation;
     deadline_s;
     retries;
     backoff_s;
@@ -96,13 +69,13 @@ let test_matrix () =
     (List.map Runner.job_id jobs)
 
 (* ------------------------------------------------------------------ *)
-(* The happy path, both isolation modes                                 *)
+(* The happy path                                                      *)
 
-let check_happy isolation () =
+let test_happy () =
   let dir = fresh_dir () in
   let m =
     Runner.run
-      ~config:(config ~isolation dir)
+      ~config:(config dir)
       (List.map Runner.job small)
   in
   Alcotest.(check int) "all jobs accounted" 3 (List.length m.Runner.entries);
@@ -132,7 +105,7 @@ let check_happy isolation () =
   (* dedup: the same job twice runs once *)
   let m2 =
     Runner.run
-      ~config:(config ~isolation (fresh_dir ()))
+      ~config:(config (fresh_dir ()))
       [ Runner.job "bfs"; Runner.job "bfs" ]
   in
   Alcotest.(check int) "duplicates dropped" 1 (List.length m2.Runner.entries)
@@ -474,50 +447,69 @@ let test_journal_crash_at_any_byte () =
   Alcotest.(check int) "torn job re-ran" 1
     (List.length (by_source Runner.Fresh))
 
-(* [Runner.request_stop] mid-run (what the CLI's SIGINT handler calls):
-   nothing new starts, in-flight work is journalled, the manifest says
-   interrupted, and --resume completes exactly the dropped jobs.  Domains
-   isolation + a stopper domain, so the whole thing runs [in_subprocess]
-   to keep the parent fork-clean. *)
+(* [Runner.request_stop] mid-run, called from a SIGALRM handler exactly
+   as the CLI's SIGINT handler calls it: the supervisor kills and reaps
+   the in-flight child, nothing new starts, the finished job stays
+   journalled, the manifest says interrupted, and --resume completes
+   exactly the dropped jobs.  Only bfs stalls, so vectoradd finishes and
+   is journalled first; the handler polls the journal and stops the run
+   (and its own timer) once that line lands, during bfs's 30 s stall. *)
 let test_interrupt_resume () =
   let dir = fresh_dir () in
   let jobs = List.map Runner.job small in
-  (* every first attempt stalls 0.3 s: the stopper fires inside job 1's
-     stall, so jobs 2 and 3 are never handed out *)
   let chaos =
-    Exec_fault.plan ~stall_pct:100 ~stall_s:0.3 ~first_attempt_only:true ()
+    Exec_fault.plan ~stall_pct:100 ~stall_s:30. ~only_prefix:"bfs" ()
   in
-  let stopper =
-    Domain.spawn (fun () ->
-        Unix.sleepf 0.1;
-        Runner.request_stop ())
+  let timer v =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = v; it_value = v })
   in
+  let on_alarm _ =
+    if
+      Sys.file_exists (Journal.path dir)
+      && String.contains (read_file (Journal.path dir)) '\n'
+    then begin
+      timer 0.;
+      Runner.request_stop ()
+    end
+  in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle on_alarm) in
+  let t0 = Unix.gettimeofday () in
   let m1 =
-    Runner.run
-      ~config:
-        (config ~parallelism:1 ~isolation:Runner.Domains ~chaos dir)
-      jobs
+    Fun.protect
+      ~finally:(fun () ->
+        timer 0.;
+        Sys.set_signal Sys.sigalrm previous)
+      (fun () ->
+        timer 0.02;
+        Runner.run ~config:(config ~parallelism:1 ~chaos dir) jobs)
   in
-  Domain.join stopper;
+  let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "manifest says interrupted" true m1.Runner.interrupted;
   Alcotest.(check bool) "interrupted run is not all_ok" false
     (Runner.all_ok m1);
-  let done1 = List.length m1.Runner.entries in
-  Alcotest.(check bool) "some jobs were dropped" true (done1 < 3);
+  Alcotest.(check (list string))
+    "only the finished job has an entry" [ "vectoradd.w32.O1.s1" ]
+    (List.map (fun e -> e.Runner.id) m1.Runner.entries);
+  Alcotest.(check bool)
+    (Printf.sprintf "stalled child killed, not waited out (%.2f s)" elapsed)
+    true (elapsed < 15.);
+  Alcotest.(check (list string))
+    "killed attempt's files cleaned up" []
+    (Array.to_list (Sys.readdir (Filename.concat dir "tmp")));
   (* [run] resets the stop flag on entry, so the same process can resume *)
   let m2 =
-    Runner.run
-      ~config:
-        (config ~parallelism:1 ~isolation:Runner.Domains ~resume:true dir)
-      jobs
+    Runner.run ~config:(config ~parallelism:1 ~resume:true dir) jobs
   in
   Alcotest.(check bool) "resume completed the suite" true (Runner.all_ok m2);
   Alcotest.(check int) "all jobs accounted" 3 (List.length m2.Runner.entries);
-  Alcotest.(check int) "journalled work was not repeated" done1
-    (List.length
-       (List.filter
-          (fun e -> e.Runner.source = Runner.Resumed)
-          m2.Runner.entries))
+  Alcotest.(check (list string))
+    "journalled work was not repeated" [ "vectoradd.w32.O1.s1" ]
+    (List.filter_map
+       (fun e ->
+         if e.Runner.source = Runner.Resumed then Some e.Runner.id else None)
+       m2.Runner.entries)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism under parallelism                                        *)
@@ -594,9 +586,7 @@ let () =
         ] );
       ( "supervisor",
         [
-          Alcotest.test_case "fork happy path" `Quick (check_happy Runner.Fork);
-          Alcotest.test_case "domains happy path" `Quick (fun () ->
-              in_subprocess (check_happy Runner.Domains));
+          Alcotest.test_case "fork happy path" `Quick test_happy;
           Alcotest.test_case "crash then recover" `Quick
             test_crash_then_recover;
           Alcotest.test_case "gave up" `Quick test_gave_up;
@@ -615,8 +605,8 @@ let () =
             test_sigkill_resume;
           Alcotest.test_case "crash at any byte of the last record" `Quick
             test_journal_crash_at_any_byte;
-          Alcotest.test_case "request_stop then resume" `Quick (fun () ->
-              in_subprocess test_interrupt_resume);
+          Alcotest.test_case "request_stop then resume" `Quick
+            test_interrupt_resume;
         ] );
       ( "determinism",
         [

@@ -71,8 +71,33 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Serial.to_file path [| sample_trace |];
-      let back = Serial.of_file path in
+      let back = Trace_file.load path in
       Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid)
+
+(* The one loader sniffs the container: the same traces saved as
+   TFTRACE1 and as TFPACK1 load equal, and bytes carrying neither magic
+   are a typed [Corrupt], never a crash. *)
+let test_loader_sniffs_format () =
+  let traces = [| sample_trace; { sample_trace with Thread_trace.tid = 8 } |] in
+  let save ext write =
+    let path = Filename.temp_file "tfload" ext in
+    write path traces;
+    path
+  in
+  let plain = save ".tftrace" Serial.to_file in
+  let packed = save ".pack" Pack.to_file in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ plain; packed ])
+    (fun () ->
+      let a = Trace_file.load plain and b = Trace_file.load packed in
+      Alcotest.(check bool) "TFTRACE1 loads the saved traces" true (a = traces);
+      Alcotest.(check bool) "TFPACK1 loads equal traces" true (b = a));
+  List.iter
+    (fun garbage ->
+      match Trace_file.of_string garbage with
+      | exception Serial.Corrupt _ -> ()
+      | _ -> Alcotest.failf "garbage %S loaded" garbage)
+    [ ""; "TFPACK"; "TFPACK1\xff\xff"; "not a trace at all" ]
 
 (* Random event generator for the round-trip property. *)
 let gen_event =
@@ -271,6 +296,8 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "truncated" `Quick test_truncated;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+          Alcotest.test_case "loader sniffs TFTRACE1 and TFPACK1" `Quick
+            test_loader_sniffs_format;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_varint;
         ] );
