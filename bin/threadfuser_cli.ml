@@ -96,10 +96,27 @@ let workload_pos =
     & pos 0 (some workload_arg) None
     & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see $(b,threadfuser list)).")
 
+(* A warp width the emulator can replay: its active masks pack the lanes
+   into an int. *)
+let warp_size_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some w when w >= 1 && w <= Threadfuser.Mask.max_lanes -> Ok w
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "warp size must be an integer in 1..%d, got %S"
+                Threadfuser.Mask.max_lanes s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let warp_size =
   Arg.(
-    value & opt int 32
-    & info [ "w"; "warp-size" ] ~docv:"N" ~doc:"Warp width (lanes per warp).")
+    value & opt warp_size_conv 32
+    & info [ "w"; "warp-size" ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf "Warp width (lanes per warp), 1..%d."
+             Threadfuser.Mask.max_lanes))
 
 let level_arg =
   let parse s =
@@ -1123,9 +1140,12 @@ let suite_cmd =
   let warps_arg =
     Arg.(
       value
-      & opt (list int) [ 32 ]
+      & opt (list warp_size_conv) [ 32 ]
       & info [ "w"; "warp-size" ] ~docv:"N,..."
-          ~doc:"Warp widths to cross into the job matrix.")
+          ~doc:
+            (Printf.sprintf "Warp widths (each 1..%d) to cross into the job \
+                             matrix."
+               Threadfuser.Mask.max_lanes))
   in
   let levels_arg =
     Arg.(

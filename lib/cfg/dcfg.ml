@@ -42,6 +42,9 @@ module Builder = struct
     nb : int;
     edges : (int, unit) Hashtbl.t; (* from * (nb+1) + to *)
     seen : bool array;
+    known : int list array;
+        (* per source node, the targets already in [edges]: memory linear
+           in blocks + edges *)
   }
 
   type t = { prog : Program.t; funcs : (int, func_acc) Hashtbl.t }
@@ -54,12 +57,30 @@ module Builder = struct
     | None ->
         let nb = Program.block_count (Program.func t.prog fid) in
         let a =
-          { fid; nb; edges = Hashtbl.create 64; seen = Array.make (nb + 1) false }
+          {
+            fid;
+            nb;
+            edges = Hashtbl.create 64;
+            seen = Array.make (nb + 1) false;
+            known = Array.make (nb + 1) [];
+          }
         in
         Hashtbl.add t.funcs fid a;
         a
 
-  let add_edge a from_ to_ = Hashtbl.replace a.edges ((from_ * (a.nb + 1)) + to_) ()
+  (* Only an edge's first sighting reaches [edges], so the table sees the
+     same insertions in the same order as one fed every sighting, and
+     [finish_func] lists succs/preds in the same order.  A block has a
+     handful of distinct successors, so the scan is short. *)
+  let rec known (to_ : int) = function
+    | [] -> false
+    | t :: rest -> t = to_ || known to_ rest
+
+  let add_edge a from_ to_ =
+    if not (known to_ a.known.(from_)) then begin
+      a.known.(from_) <- to_ :: a.known.(from_);
+      Hashtbl.replace a.edges ((from_ * (a.nb + 1)) + to_) ()
+    end
 
   (* Frame: the function being executed and the last block observed in it. *)
   type frame = { facc : func_acc; mutable last : int }

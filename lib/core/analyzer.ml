@@ -156,32 +156,30 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
   in
   let total_slots = emu.Emulator.issues * options.warp_size in
   let divergence_sites =
-    Hashtbl.fold
-      (fun (fid, bid) (c : Emulator.div_site_cell) acc ->
-        if c.Emulator.sc_splits = 0 && c.Emulator.sc_lost = 0 then acc
-        else
-          {
-            Metrics.ds_fid = fid;
-            ds_func = Program.func_name prog fid;
-            ds_block = bid;
-            ds_label = src_label fid bid;
-            ds_kind =
-              (match c.Emulator.sc_kind with
-              | Emulator.Branch_site -> `Branch
-              | Emulator.Sync_site -> `Sync);
-            ds_splits = c.Emulator.sc_splits;
-            ds_lost_lanes = c.Emulator.sc_lost;
-            ds_recoverable =
-              (if total_slots = 0 then 0.0
-               else float_of_int c.Emulator.sc_lost /. float_of_int total_slots);
-          }
-          :: acc)
-      emu.Emulator.div_sites []
+    let acc = ref [] in
+    Emulator.iter_div_sites emu (fun ~fid ~block:bid (c : Emulator.div_site_cell) ->
+        if c.Emulator.sc_splits <> 0 || c.Emulator.sc_lost <> 0 then
+          acc :=
+            {
+              Metrics.ds_fid = fid;
+              ds_func = Program.func_name prog fid;
+              ds_block = bid;
+              ds_label = src_label fid bid;
+              ds_kind =
+                (match c.Emulator.sc_kind with
+                | Emulator.Branch_site -> `Branch
+                | Emulator.Sync_site -> `Sync);
+              ds_splits = c.Emulator.sc_splits;
+              ds_lost_lanes = c.Emulator.sc_lost;
+              ds_recoverable =
+                (if total_slots = 0 then 0.0
+                 else float_of_int c.Emulator.sc_lost /. float_of_int total_slots);
+            }
+            :: !acc);
+    !acc
     |> List.sort (fun (a : Metrics.div_site) b ->
-           (* full tiebreak to (fid, block): sites are keyed by that pair,
-              so the order is total and Hashtbl iteration order (which
-              differs between sequential and shard-merged tables) can
-              never leak into the ranking *)
+           (* full tiebreak to (fid, block), the site key, so the order
+              is total and never depends on how the table is walked *)
            compare
              ( b.Metrics.ds_lost_lanes,
                b.Metrics.ds_splits,
@@ -194,30 +192,31 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
     |> List.filteri (fun i _ -> i < 20)
   in
   let mem_sites =
-    Hashtbl.fold
-      (fun (fid, bid, ioff) (c : Coalesce.site_counters) acc ->
+    let acc = ref [] in
+    Coalesce.iter_sites emu.Emulator.coalesce
+      (fun ~fid ~block:bid ~ioff (c : Coalesce.site_counters) ->
         let excess =
           c.Coalesce.a_stack_excess + c.Coalesce.a_heap_excess
           + c.Coalesce.a_global_excess
         in
-        if excess = 0 then acc
-        else
-          {
-            Metrics.ms_fid = fid;
-            ms_func = Program.func_name prog fid;
-            ms_block = bid;
-            ms_ioff = ioff;
-            ms_label = src_label fid bid;
-            ms_issues = c.Coalesce.a_issues;
-            ms_txns = c.Coalesce.a_txns;
-            ms_min_txns = c.Coalesce.a_min_txns;
-            ms_excess = excess;
-            ms_stack_excess = c.Coalesce.a_stack_excess;
-            ms_heap_excess = c.Coalesce.a_heap_excess;
-            ms_global_excess = c.Coalesce.a_global_excess;
-          }
-          :: acc)
-      emu.Emulator.coalesce.Coalesce.sites []
+        if excess <> 0 then
+          acc :=
+            {
+              Metrics.ms_fid = fid;
+              ms_func = Program.func_name prog fid;
+              ms_block = bid;
+              ms_ioff = ioff;
+              ms_label = src_label fid bid;
+              ms_issues = c.Coalesce.a_issues;
+              ms_txns = c.Coalesce.a_txns;
+              ms_min_txns = c.Coalesce.a_min_txns;
+              ms_excess = excess;
+              ms_stack_excess = c.Coalesce.a_stack_excess;
+              ms_heap_excess = c.Coalesce.a_heap_excess;
+              ms_global_excess = c.Coalesce.a_global_excess;
+            }
+            :: !acc);
+    !acc
     |> List.sort (fun (a : Metrics.mem_site) b ->
            (* tiebreak down to ioff — the full site key — for the same
               total-order reason as divergence_sites above *)
@@ -651,6 +650,10 @@ let default_fuel events = (64 * events) + 4096
    diagnostics. *)
 let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
     (src : source) : checked =
+  if options.warp_size < 1 || options.warp_size > Mask.max_lanes then
+    invalid_arg
+      (Printf.sprintf "Analyzer: warp size %d outside 1..%d" options.warp_size
+         Mask.max_lanes);
   let bad, keep = Validate.verdict ~tids:src.tids diagnostics in
   let n_total = Array.length src.tids in
   let surv_tids = ref [] and surv_events = ref [] and pre_dropped = ref 0 in

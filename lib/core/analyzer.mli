@@ -16,6 +16,8 @@
 
 type options = {
   warp_size : int;
+      (** lanes per warp, 1..{!Mask.max_lanes}; analysis raises
+          [Invalid_argument] outside that range *)
   batching : Batching.t;
   sync : Emulator.sync_mode;
   reconv : Emulator.reconv_mode;

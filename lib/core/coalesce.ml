@@ -7,6 +7,7 @@
     paper's heap-vs-stack divergence breakdown (Fig. 10). *)
 
 module Layout = Threadfuser_machine.Layout
+module Program = Threadfuser_prog.Program
 module Obs = Threadfuser_obs.Obs
 
 let transaction_bytes = 32
@@ -69,6 +70,16 @@ type site_counters = {
   mutable a_global_excess : int;
 }
 
+let site_counters () =
+  {
+    a_issues = 0;
+    a_txns = 0;
+    a_min_txns = 0;
+    a_stack_excess = 0;
+    a_heap_excess = 0;
+    a_global_excess = 0;
+  }
+
 (* Per-segment staging for the allocation-free {!record_lanes} entry
    point: the current instruction's accesses split by address segment.
    Growable — a warp-level instruction usually has at most one access per
@@ -83,7 +94,11 @@ type t = {
   stack : seg_counters;
   heap : seg_counters;
   global : seg_counters;
-  sites : (int * int * int, site_counters) Hashtbl.t;
+  block_site : int array array;
+      (* per function, per block: index of the block's first instruction
+         site (instruction [ioff] is site [block_site.(fid).(block) + ioff]);
+         entry [n_blocks] is the function's end *)
+  sites : site_counters array; (* one per static instruction *)
   xs : seg_scratch array; (* staging per segment: stack, heap, global *)
   mutable lines_buf : int array; (* 32 B line ids of one access set *)
   evt_seen : (int, unit) Hashtbl.t;
@@ -93,39 +108,50 @@ type t = {
 
 let seg_scratch () = { x_addr = Array.make 64 0; x_size = Array.make 64 0; x_n = 0 }
 
-let create () =
+(* The site table is dense: a program has few static instructions (2,960
+   over all 36 registry workloads), so every site gets its counters up
+   front and the hot path indexes an array instead of hashing a key. *)
+let create prog =
+  let n = ref 0 in
+  let block_site =
+    Array.init (Program.func_count prog) (fun fid ->
+        let blocks = (Program.func prog fid).Program.blocks in
+        let base = Array.make (Array.length blocks + 1) 0 in
+        Array.iteri
+          (fun b (blk : Program.block) ->
+            base.(b) <- !n;
+            n := !n + Array.length blk.Program.instrs)
+          blocks;
+        base.(Array.length blocks) <- !n;
+        base)
+  in
   {
     stack = seg_counters ();
     heap = seg_counters ();
     global = seg_counters ();
-    sites = Hashtbl.create 64;
+    block_site;
+    sites = Array.init !n (fun _ -> site_counters ());
     xs = [| seg_scratch (); seg_scratch (); seg_scratch () |];
     lines_buf = Array.make 128 0;
     evt_seen = Hashtbl.create 32;
   }
+
+(* Every site in (fid, block, ioff) order. *)
+let iter_sites t f =
+  Array.iteri
+    (fun fid base ->
+      for block = 0 to Array.length base - 2 do
+        for i = base.(block) to base.(block + 1) - 1 do
+          f ~fid ~block ~ioff:(i - base.(block)) t.sites.(i)
+        done
+      done)
+    t.block_site
 
 (* Called when a warp's replay starts: per-occurrence instants are
    thinned to the first occurrence per (warp, site) unless
    [Obs.full_events] — warp-confined thinning state keeps the surviving
    event set identical at every domain count (counters stay exact). *)
 let new_warp t = Hashtbl.reset t.evt_seen
-
-let site_counters t key =
-  match Hashtbl.find_opt t.sites key with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          a_issues = 0;
-          a_txns = 0;
-          a_min_txns = 0;
-          a_stack_excess = 0;
-          a_heap_excess = 0;
-          a_global_excess = 0;
-        }
-      in
-      Hashtbl.add t.sites key c;
-      c
 
 (** Perfectly-coalesced floor for an access set: the 32 B lines needed if
     the same bytes were laid out contiguously. *)
@@ -201,42 +227,33 @@ let count_transactions_scratch t (x : seg_scratch) =
     allocation-free hot-path twin of {!record}: identical accounting
     (segment split, site attribution, Obs instruments), returns the total
     transaction count. *)
-let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
+let record_lanes t ~is_store ~site ~n (addrs : int array) (sizes : int array) =
   t.xs.(0).x_n <- 0;
   t.xs.(1).x_n <- 0;
   t.xs.(2).x_n <- 0;
   for i = 0 to n - 1 do
     push_scratch t.xs.(seg_index (Layout.segment_of addrs.(i))) addrs.(i) sizes.(i)
   done;
-  let site_cell =
-    match site with
-    | None -> None
-    | Some key ->
-        let c = site_counters t key in
-        c.a_issues <- c.a_issues + 1;
-        Some c
-  in
+  let c = t.sites.(site) in
+  c.a_issues <- c.a_issues + 1;
   let total = ref 0 in
   for si = 0 to 2 do
     let x = t.xs.(si) in
     if x.x_n > 0 then begin
       let segment = segment_of_index si in
       let txns = count_transactions_scratch t x in
-      (match site_cell with
-      | None -> ()
-      | Some c ->
-          let bytes = ref 0 in
-          for i = 0 to x.x_n - 1 do
-            bytes := !bytes + max 1 x.x_size.(i)
-          done;
-          let min_txns = max 1 ((!bytes + transaction_bytes - 1) / transaction_bytes) in
-          let excess = max 0 (txns - min_txns) in
-          c.a_txns <- c.a_txns + txns;
-          c.a_min_txns <- c.a_min_txns + min_txns;
-          (match segment with
-          | Layout.Stack -> c.a_stack_excess <- c.a_stack_excess + excess
-          | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
-          | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess));
+      let bytes = ref 0 in
+      for i = 0 to x.x_n - 1 do
+        bytes := !bytes + max 1 x.x_size.(i)
+      done;
+      let min_txns = max 1 ((!bytes + transaction_bytes - 1) / transaction_bytes) in
+      let excess = max 0 (txns - min_txns) in
+      c.a_txns <- c.a_txns + txns;
+      c.a_min_txns <- c.a_min_txns + min_txns;
+      (match segment with
+      | Layout.Stack -> c.a_stack_excess <- c.a_stack_excess + excess
+      | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
+      | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess);
       if !Obs.enabled then begin
         let lanes = x.x_n in
         Obs.Counter.incr c_mem_instrs;
@@ -247,17 +264,11 @@ let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
           (* worst case: the instruction degenerated to one transaction
              per lane — surface it on the memory track *)
           Obs.Counter.incr c_mem_serialized;
-          let key =
-            match site with
-            | Some (fid, block, ioff) ->
-                (fid lsl 40) lor (block lsl 20) lor ioff
-            | None -> -1
-          in
           if
             !Obs.full_events
-            || (not (Hashtbl.mem t.evt_seen key))
+            || (not (Hashtbl.mem t.evt_seen site))
                && begin
-                    Hashtbl.add t.evt_seen key ();
+                    Hashtbl.add t.evt_seen site ();
                     true
                   end
           then
@@ -290,7 +301,7 @@ let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
 (** Record one warp-level memory instruction: [lanes] is the (addr, size)
     list over active lanes.  Convenience wrapper over {!record_lanes} for
     tests and cold call sites. *)
-let record t ~is_store ?site (lanes : (int * int) list) =
+let record t ~is_store ~site (lanes : (int * int) list) =
   let n = List.length lanes in
   let addrs = Array.make (max n 1) 0 and sizes = Array.make (max n 1) 0 in
   List.iteri
@@ -298,7 +309,7 @@ let record t ~is_store ?site (lanes : (int * int) list) =
       addrs.(i) <- a;
       sizes.(i) <- s)
     lanes;
-  record_lanes t ~is_store ?site ~n addrs sizes
+  record_lanes t ~is_store ~site ~n addrs sizes
 
 (** Fold [src]'s counters into [dst] — the shard reduction of the
     domain-parallel replay (see Par_replay): every field is a sum, so the
@@ -315,9 +326,9 @@ let merge_into ~dst src =
   merge_seg dst.stack src.stack;
   merge_seg dst.heap src.heap;
   merge_seg dst.global src.global;
-  Hashtbl.iter
-    (fun key (c : site_counters) ->
-      let d = site_counters dst key in
+  Array.iteri
+    (fun i (c : site_counters) ->
+      let d = dst.sites.(i) in
       d.a_issues <- d.a_issues + c.a_issues;
       d.a_txns <- d.a_txns + c.a_txns;
       d.a_min_txns <- d.a_min_txns + c.a_min_txns;

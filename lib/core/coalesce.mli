@@ -18,8 +18,9 @@ type seg_counters = {
 }
 
 (** Per-access-site attribution: transactions a site generated beyond the
-    perfectly-coalesced minimum, split by address segment.  Sites are keyed
-    by the originating instruction [(fid, block, ioff)]. *)
+    perfectly-coalesced minimum, split by address segment.  A site is one
+    static instruction [(fid, block, ioff)]; the table is dense, indexed
+    through [block_site]. *)
 type site_counters = {
   mutable a_issues : int;  (** warp-level load/store instructions at the site *)
   mutable a_txns : int;  (** 32 B transactions generated *)
@@ -36,13 +37,24 @@ type t = {
   stack : seg_counters;
   heap : seg_counters;
   global : seg_counters;
-  sites : (int * int * int, site_counters) Hashtbl.t;
+  block_site : int array array;
+      (** per function, per block: site index of the block's first
+          instruction, so instruction [ioff] of block [b] of function
+          [f] is site [block_site.(f).(b) + ioff]; entry [n_blocks] is the
+          function's end *)
+  sites : site_counters array;  (** one per static instruction *)
   xs : seg_scratch array;
   mutable lines_buf : int array;
   evt_seen : (int, unit) Hashtbl.t;
 }
 
-val create : unit -> t
+(** An empty model with one site per static instruction of the program. *)
+val create : Threadfuser_prog.Program.t -> t
+
+(** [iter_sites t f] calls [f ~fid ~block ~ioff counters] for every site,
+    in [(fid, block, ioff)] order, untouched sites included. *)
+val iter_sites :
+  t -> (fid:int -> block:int -> ioff:int -> site_counters -> unit) -> unit
 
 (** Reset the per-warp instant-thinning state; {!Emulator.run_warp}
     calls this when a warp's replay starts.  Unless [Obs.full_events] is
@@ -56,9 +68,9 @@ val min_transactions : (int * int) list -> int
 
 (** Record one warp-level memory instruction ([lanes] = active lanes'
     [(addr, size)] pairs); returns the total transactions generated.
-    [site] attributes the instruction and its excess transactions to an
-    [(fid, block, ioff)] instruction site. *)
-val record : t -> is_store:bool -> ?site:int * int * int -> (int * int) list -> int
+    [site] (an index, see [block_site]) is the instruction site the
+    instruction and its excess transactions are attributed to. *)
+val record : t -> is_store:bool -> site:int -> (int * int) list -> int
 
 (** Allocation-free twin of {!record} over parallel arrays
     [addrs]/[sizes][0..n-1] — the replay hot path ({!Emulator.count_block}
@@ -67,14 +79,15 @@ val record : t -> is_store:bool -> ?site:int * int * int -> (int * int) list -> 
 val record_lanes :
   t ->
   is_store:bool ->
-  ?site:int * int * int ->
+  site:int ->
   n:int ->
   int array ->
   int array ->
   int
 
 (** Fold [src]'s counters into [dst] (shard reduction of the
-    domain-parallel replay); every field is a sum. *)
+    domain-parallel replay); every field is a sum.  Both must have been
+    created for the same program. *)
 val merge_into : dst:t -> t -> unit
 
 (** Total (transactions, warp-level memory instructions) over all segments. *)

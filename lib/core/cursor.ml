@@ -3,19 +3,12 @@
     The warp emulator drives one cursor per lane.  [Skip] events (I/O, lock
     spinning) carry no control flow; they are absorbed transparently whenever
     the cursor is inspected and accumulated into the skip counters (paper
-    Fig. 8 reports their share). *)
+    Fig. 8 reports their share).  Absorption is lazy: a skip is counted only
+    once the cursor is inspected at or past it, so a warp that aborts
+    mid-replay reports exactly the skips its lanes reached. *)
 
 module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
-
-type control =
-  | C_block of { func : int; block : int; n_instr : int; accesses : Event.access array }
-  | C_call of int
-  | C_ret
-  | C_lock of int
-  | C_unlock of int
-  | C_barrier of int
-  | C_end
 
 type t = {
   tid : int;
@@ -36,49 +29,43 @@ let of_trace (trace : Thread_trace.t) =
     skipped_excluded = 0;
   }
 
-let rec absorb_skips c =
+(* [peek] returns no other [Skip]: the skips in a trace are absorbed before
+   it looks. *)
+let end_of_trace = Event.Skip { reason = Event.Io; n_instr = 0 }
+
+let rec absorb_run c =
   if c.pos < Array.length c.events then
     match c.events.(c.pos) with
-    | Event.Skip { reason = Event.Io; n_instr } ->
-        c.skipped_io <- c.skipped_io + n_instr;
+    | Event.Skip { reason; n_instr } ->
+        (match reason with
+        | Event.Io -> c.skipped_io <- c.skipped_io + n_instr
+        | Event.Spin -> c.skipped_spin <- c.skipped_spin + n_instr
+        | Event.Excluded -> c.skipped_excluded <- c.skipped_excluded + n_instr);
         c.pos <- c.pos + 1;
-        absorb_skips c
-    | Event.Skip { reason = Event.Spin; n_instr } ->
-        c.skipped_spin <- c.skipped_spin + n_instr;
-        c.pos <- c.pos + 1;
-        absorb_skips c
-    | Event.Skip { reason = Event.Excluded; n_instr } ->
-        c.skipped_excluded <- c.skipped_excluded + n_instr;
-        c.pos <- c.pos + 1;
-        absorb_skips c
+        absorb_run c
     | Event.Block _ | Event.Call _ | Event.Return | Event.Lock_acq _
     | Event.Lock_rel _ | Event.Barrier _ ->
         ()
 
-(** Next control item without consuming it (skips are absorbed). *)
-let peek c : control =
-  absorb_skips c;
-  if c.pos >= Array.length c.events then C_end
-  else
-    match c.events.(c.pos) with
-    | Event.Block { func; block; n_instr; accesses } ->
-        C_block { func; block; n_instr; accesses }
-    | Event.Call f -> C_call f
-    | Event.Return -> C_ret
-    | Event.Lock_acq a -> C_lock a
-    | Event.Lock_rel a -> C_unlock a
-    | Event.Barrier a -> C_barrier a
-    | Event.Skip _ -> assert false
+(* Kept apart from the recursive [absorb_run] so it inlines: the common
+   case, no skip at the read position, is then one bounds check and one
+   tag test. *)
+let[@inline] absorb_skips c =
+  if c.pos < Array.length c.events then
+    match Array.unsafe_get c.events c.pos with
+    | Event.Skip _ -> absorb_run c
+    | Event.Block _ | Event.Call _ | Event.Return | Event.Lock_acq _
+    | Event.Lock_rel _ | Event.Barrier _ ->
+        ()
 
-(** Consume the control item [peek] would return. *)
-let advance c =
+let peek c =
   absorb_skips c;
-  if c.pos < Array.length c.events then c.pos <- c.pos + 1
+  if c.pos < Array.length c.events then c.events.(c.pos) else end_of_trace
 
 let next c =
-  let item = peek c in
-  advance c;
-  item
+  let e = peek c in
+  if c.pos < Array.length c.events then c.pos <- c.pos + 1;
+  e
 
 let at_end c =
   absorb_skips c;

@@ -1,22 +1,9 @@
 (** A reading position in one thread's dynamic trace.
 
     The warp emulator drives one cursor per lane.  [Skip] events carry no
-    control flow; they are absorbed transparently whenever the cursor is
-    inspected and accumulated into the skip counters (paper Fig. 8). *)
-
-type control =
-  | C_block of {
-      func : int;
-      block : int;
-      n_instr : int;
-      accesses : Threadfuser_trace.Event.access array;
-    }
-  | C_call of int
-  | C_ret
-  | C_lock of int
-  | C_unlock of int
-  | C_barrier of int
-  | C_end
+    control flow; they are absorbed lazily whenever the cursor is inspected
+    and accumulated into the skip counters (paper Fig. 8), so a warp that
+    aborts mid-replay reports exactly the skips its lanes reached. *)
 
 type t = {
   tid : int;
@@ -29,13 +16,16 @@ type t = {
 
 val of_trace : Threadfuser_trace.Thread_trace.t -> t
 
-(** Next control item without consuming it (skips are absorbed). *)
-val peek : t -> control
+(** The value {!peek} returns at the end of the trace: a [Skip], which
+    {!peek} never returns otherwise. *)
+val end_of_trace : Threadfuser_trace.Event.t
 
-(** Consume the item [peek] would return. *)
-val advance : t -> unit
+(** The next non-[Skip] event without consuming it (the skips before it
+    are absorbed), or {!end_of_trace}.  Returns the stored event; nothing
+    is allocated. *)
+val peek : t -> Threadfuser_trace.Event.t
 
-(** [peek] then [advance]. *)
-val next : t -> control
+(** [peek], consuming the event it returns. *)
+val next : t -> Threadfuser_trace.Event.t
 
 val at_end : t -> bool

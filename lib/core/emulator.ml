@@ -104,8 +104,9 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(* A blame chain entry: (site, lanes lost per lock-step issue). *)
-type blame = ((int * int) * int) list
+(* A blame chain entry: (divergence-site index, lanes lost per lock-step
+   issue).  Site [div_base.(fid) + block] is block [block] of [fid]. *)
+type blame = (int * int) list
 
 (* Folded-stack accumulation for the replay flamegraph: the warp's call
    stack (leaf first) -> lock-step issues and lost-lane issue slots. *)
@@ -121,6 +122,7 @@ type scratch = {
   lane_ids : int array; (* active lanes of the current block, ascending *)
   lane_accs : Event.access array array;
   lane_ptr : int array; (* per-active-lane read pointer *)
+  lane_target : int array; (* per lane: next block, during a regroup *)
   mutable n_lanes : int;
   mutable ld_lane : int array;
   mutable ld_addr : int array;
@@ -157,7 +159,8 @@ type t = {
   mutable wt_warp : int; (* warp currently being emitted *)
   mutable tl_current : Timeline.sample Vec.t option; (* active warp's samples *)
   mutable timelines : Timeline.t list; (* finished warps, reversed *)
-  div_sites : (int * int, div_site_cell) Hashtbl.t; (* (fid, block) sites *)
+  div_base : int array; (* per function: site index of its block 0 *)
+  div_sites : div_site_cell array; (* one per static block *)
   flame : (int list, flame_cell) Hashtbl.t; (* call stack (leaf first) *)
   mutable call_stack : int list; (* replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option; (* cached cell for [call_stack] *)
@@ -167,11 +170,17 @@ type t = {
 
 let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
   let ws = config.warp_size in
+  let nf = Program.func_count prog in
+  let div_base = Array.make (nf + 1) 0 in
+  for fid = 0 to nf - 1 do
+    div_base.(fid + 1) <-
+      div_base.(fid) + Program.block_count (Program.func prog fid)
+  done;
   {
     prog;
     ipdoms;
     config;
-    coalesce = Coalesce.create ();
+    coalesce = Coalesce.create prog;
     func_issues = Array.make (Program.func_count prog) 0;
     func_instrs = Array.make (Program.func_count prog) 0;
     block_issues =
@@ -190,7 +199,10 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     wt_warp = 0;
     tl_current = None;
     timelines = [];
-    div_sites = Hashtbl.create 64;
+    div_base;
+    div_sites =
+      Array.init div_base.(nf) (fun _ ->
+          { sc_splits = 0; sc_lost = 0; sc_kind = Branch_site });
     flame = Hashtbl.create 64;
     call_stack = [];
     flame_cur = None;
@@ -200,6 +212,7 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
         lane_ids = Array.make ws 0;
         lane_accs = Array.make ws [||];
         lane_ptr = Array.make ws 0;
+        lane_target = Array.make ws 0;
         n_lanes = 0;
         ld_lane = Array.make ws 0;
         ld_addr = Array.make ws 0;
@@ -241,13 +254,26 @@ let emit_instant t key =
 
 let evt_key tag func v = (tag lsl 58) lor (func lsl 29) lor v
 
-let div_site_cell t key kind =
-  match Hashtbl.find_opt t.div_sites key with
-  | Some c -> c
-  | None ->
-      let c = { sc_splits = 0; sc_lost = 0; sc_kind = kind } in
-      Hashtbl.add t.div_sites key c;
-      c
+let div_site t ~func ~block = t.div_base.(func) + block
+
+(* Every divergence site in (fid, block) order. *)
+let iter_div_sites t f =
+  for fid = 0 to Array.length t.div_base - 2 do
+    for i = t.div_base.(fid) to t.div_base.(fid + 1) - 1 do
+      f ~fid ~block:(i - t.div_base.(fid)) t.div_sites.(i)
+    done
+  done
+
+(* Charge every enclosing divergence site its lost lanes for [n] issues. *)
+let rec charge_blame sites n (blame : blame) =
+  match blame with
+  | [] -> ()
+  | (site, lost) :: rest ->
+      if lost > 0 then begin
+        let c = sites.(site) in
+        c.sc_lost <- c.sc_lost + (n * lost)
+      end;
+      charge_blame sites n rest
 
 let flame_cell t key =
   match Hashtbl.find_opt t.flame key with
@@ -257,7 +283,7 @@ let flame_cell t key =
       Hashtbl.add t.flame key c;
       c
 
-let exit_node t fid = (Program.func t.prog fid).Program.blocks |> Array.length
+let exit_node t fid = t.div_base.(fid + 1) - t.div_base.(fid)
 
 (* ------------------------------------------------------------------ *)
 (* Block execution: accounting, coalescing, warp-trace emission.       *)
@@ -294,6 +320,36 @@ let push_mem s ~is_store lane addr size =
     s.n_ld <- n + 1
   end
 
+(* Emit [instr] to the warp trace with the memory accesses gathered for
+   it ([n_ld]/[n_st] lanes; none for an instruction without memory).  A
+   lane with several accesses at one instruction contributes its
+   first. *)
+let emit_instr t wt ~mask (instr : (int, int) Instr.t) =
+  let s = t.scratch in
+  let lane_addrs count lanes addrs =
+    if count = 0 then None
+    else begin
+      let a = Array.make t.config.warp_size (-1) in
+      for i = 0 to count - 1 do
+        if a.(lanes.(i)) < 0 then a.(lanes.(i)) <- addrs.(i)
+      done;
+      Some a
+    end
+  in
+  let mem =
+    if s.n_ld = 0 && s.n_st = 0 then Crack.no_mem
+    else
+      {
+        Crack.load = lane_addrs s.n_ld s.ld_lane s.ld_addr;
+        store = lane_addrs s.n_st s.st_lane s.st_addr;
+        size =
+          (if s.n_ld > 0 then s.ld_size.(s.n_ld - 1) else s.st_size.(s.n_st - 1));
+      }
+  in
+  List.iter
+    (fun op -> Warp_trace.Builder.emit wt ~warp:t.wt_warp mask op)
+    (Crack.crack instr mem)
+
 (* Execute block [block] of [func] for the active lanes staged in
    [t.scratch] ([lane_ids]/[lane_accs][0..n_lanes), ascending lane order).
    All bookkeeping lives here so the lock-step path and the scalar
@@ -302,20 +358,13 @@ let push_mem s ~is_store lane addr size =
    cost per issue.  Allocation-free apart from warp-trace cracking. *)
 let count_block t ~func ~block ~mask ~(blame : blame) =
   let s = t.scratch in
-  let f = Program.func t.prog func in
-  let instrs = f.Program.blocks.(block).Program.instrs in
+  let instrs = (Program.func t.prog func).Program.blocks.(block).Program.instrs in
   let n = Array.length instrs in
   let active = s.n_lanes in
-  Obs.Counter.incr c_blocks;
+  if t.obs_on then Obs.Counter.incr c_blocks;
   t.issues <- t.issues + n;
   t.thread_instrs <- t.thread_instrs + (n * active);
-  List.iter
-    (fun (site, lost) ->
-      if lost > 0 then begin
-        let c = div_site_cell t site Branch_site in
-        c.sc_lost <- c.sc_lost + (n * lost)
-      end)
-    blame;
+  charge_blame t.div_sites n blame;
   (let fc =
      match t.flame_cur with
      | Some fc -> fc
@@ -333,65 +382,66 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   t.func_instrs.(func) <- t.func_instrs.(func) + (n * active);
   t.block_issues.(func).(block) <- t.block_issues.(func).(block) + n;
   t.block_instrs.(func).(block) <- t.block_instrs.(func).(block) + (n * active);
-  (* Per-lane read pointers into the (ioff-sorted) access arrays. *)
+  (* Visit only the instructions that access memory: a merge over the
+     lanes' ioff-sorted access arrays.  [lane_ptr] is each lane's read
+     pointer; a lane whose next access sits below the current ioff (or at
+     or past [n]) is never read again, exactly as a full ioff-by-ioff
+     scan would leave it.  [next] is the smallest ioff >= the current one
+     at which some lane's next access sits, or [n]. *)
+  let next = ref n in
   for i = 0 to active - 1 do
-    s.lane_ptr.(i) <- 0
+    s.lane_ptr.(i) <- 0;
+    let accs = s.lane_accs.(i) in
+    if Array.length accs > 0 then begin
+      let io = accs.(0).Event.ioff in
+      if io >= 0 && io < !next then next := io
+    end
   done;
+  let site0 = t.coalesce.Coalesce.block_site.(func).(block) in
   let emit_wt = t.wt in
-  for ioff = 0 to n - 1 do
-    s.n_ld <- 0;
-    s.n_st <- 0;
-    for i = 0 to active - 1 do
-      let accs = s.lane_accs.(i) in
-      let len = Array.length accs in
-      let p = ref s.lane_ptr.(i) in
-      while !p < len && accs.(!p).Event.ioff = ioff do
-        let a = accs.(!p) in
-        push_mem s ~is_store:a.Event.is_store s.lane_ids.(i) a.Event.addr
-          a.Event.size;
-        incr p
-      done;
-      s.lane_ptr.(i) <- !p
-    done;
-    if s.n_ld > 0 then
-      ignore
-        (Coalesce.record_lanes t.coalesce ~is_store:false
-           ~site:(func, block, ioff) ~n:s.n_ld s.ld_addr s.ld_size);
-    if s.n_st > 0 then
-      ignore
-        (Coalesce.record_lanes t.coalesce ~is_store:true
-           ~site:(func, block, ioff) ~n:s.n_st s.st_addr s.st_size);
-    match emit_wt with
+  let ioff = ref 0 in
+  while !ioff < n do
+    let m = !next in
+    (* the warp trace carries every instruction, memory or not *)
+    (match emit_wt with
     | None -> ()
     | Some wt ->
-        (* A lane's first access at this [ioff] wins, matching the
-           newest-first list gather this replaced (later entries of that
-           list were older and overwrote). *)
-        let lane_addrs count lanes addrs =
-          if count = 0 then None
-          else begin
-            let a = Array.make t.config.warp_size (-1) in
-            for i = 0 to count - 1 do
-              if a.(lanes.(i)) < 0 then a.(lanes.(i)) <- addrs.(i)
-            done;
-            Some a
-          end
-        in
-        let size =
-          if s.n_ld > 0 then s.ld_size.(s.n_ld - 1)
-          else if s.n_st > 0 then s.st_size.(s.n_st - 1)
-          else 0
-        in
-        let mem =
-          {
-            Crack.load = lane_addrs s.n_ld s.ld_lane s.ld_addr;
-            store = lane_addrs s.n_st s.st_lane s.st_addr;
-            size;
-          }
-        in
-        List.iter
-          (fun op -> Warp_trace.Builder.emit wt ~warp:t.wt_warp mask op)
-          (Crack.crack instrs.(ioff) mem)
+        s.n_ld <- 0;
+        s.n_st <- 0;
+        for j = !ioff to m - 1 do
+          emit_instr t wt ~mask instrs.(j)
+        done);
+    if m < n then begin
+      s.n_ld <- 0;
+      s.n_st <- 0;
+      next := n;
+      for i = 0 to active - 1 do
+        let accs = s.lane_accs.(i) in
+        let len = Array.length accs in
+        let p = ref s.lane_ptr.(i) in
+        while !p < len && accs.(!p).Event.ioff = m do
+          let a = accs.(!p) in
+          push_mem s ~is_store:a.Event.is_store s.lane_ids.(i) a.Event.addr
+            a.Event.size;
+          incr p
+        done;
+        s.lane_ptr.(i) <- !p;
+        if !p < len then begin
+          let io = accs.(!p).Event.ioff in
+          if io > m && io < !next then next := io
+        end
+      done;
+      if s.n_ld > 0 then
+        ignore
+          (Coalesce.record_lanes t.coalesce ~is_store:false ~site:(site0 + m)
+             ~n:s.n_ld s.ld_addr s.ld_size);
+      if s.n_st > 0 then
+        ignore
+          (Coalesce.record_lanes t.coalesce ~is_store:true ~site:(site0 + m)
+             ~n:s.n_st s.st_addr s.st_size);
+      match emit_wt with None -> () | Some wt -> emit_instr t wt ~mask instrs.(m)
+    end;
+    ioff := m + 1
   done;
   instrs.(n - 1)
 
@@ -407,23 +457,18 @@ type entry = {
   e_frame : bool; (* a function frame (its pop leaves the function) *)
 }
 
-(* Check the lane is positioned at the expected block and return its
-   recorded memory accesses. *)
-let block_accesses_of_lane cursors func node lane =
-  match Cursor.peek cursors.(lane) with
-  | Cursor.C_block { func = f; block = b; accesses; _ }
-    when f = func && b = node ->
-      accesses
-  | c ->
-      errf "lane %d: expected block f%d.b%d, trace has %s" lane func node
-        (match c with
-        | Cursor.C_block b -> Printf.sprintf "block f%d.b%d" b.func b.block
-        | Cursor.C_call f -> Printf.sprintf "call f%d" f
-        | Cursor.C_ret -> "return"
-        | Cursor.C_lock _ -> "lock"
-        | Cursor.C_unlock _ -> "unlock"
-        | Cursor.C_barrier _ -> "barrier"
-        | Cursor.C_end -> "end of trace")
+(* What a lane's trace has where the emulator expected something else
+   ([Cursor.peek]'s end-of-trace [Skip] included).  [callee] names a
+   call's target. *)
+let describe ?(callee = true) (ev : Event.t) =
+  match ev with
+  | Event.Block b -> Printf.sprintf "block f%d.b%d" b.func b.block
+  | Event.Call f -> if callee then Printf.sprintf "call f%d" f else "call"
+  | Event.Return -> "return"
+  | Event.Lock_acq _ -> "lock"
+  | Event.Lock_rel _ -> "unlock"
+  | Event.Barrier _ -> "barrier"
+  | Event.Skip _ -> "end of trace"
 
 (* Reconvergence point for a divergence whose lanes stand at [targets]
    inside [e]: the nearest common post-dominator of the targets (for plain
@@ -467,26 +512,26 @@ let scalar_critical_section ?(fuel : fuel = None) ~warp_id ~(blame : blame) t
   let rec go () =
     burn fuel ~warp_id;
     match Cursor.next c with
-    | Cursor.C_block { func; block; accesses; _ } ->
+    | Event.Block { func; block; accesses; _ } ->
         s.n_lanes <- 1;
         s.lane_ids.(0) <- lane;
         s.lane_accs.(0) <- accesses;
         ignore (count_block t ~func ~block ~mask:(Mask.singleton lane) ~blame);
         go ()
-    | Cursor.C_call f ->
+    | Event.Call f ->
         set_call_stack t (f :: t.call_stack);
         go ()
-    | Cursor.C_ret ->
+    | Event.Return ->
         (match t.call_stack with
         | _ :: (_ :: _ as rest) -> set_call_stack t rest
         | _ -> ());
         go ()
-    | Cursor.C_lock _ ->
+    | Event.Lock_acq _ ->
         t.lock_acquires <- t.lock_acquires + 1;
         go ()
-    | Cursor.C_barrier _ -> go ()
-    | Cursor.C_unlock a -> if a = lock_addr then () else go ()
-    | Cursor.C_end ->
+    | Event.Barrier _ -> go ()
+    | Event.Lock_rel a -> if a = lock_addr then () else go ()
+    | Event.Skip _ ->
         Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
           "lane %d: trace ended inside critical section of lock 0x%x (lock \
            never released)"
@@ -504,44 +549,56 @@ let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
   let s = t.scratch in
   s.n_groups <- 0;
   (* Group the active lanes by their next block: linear scan over the
-     (few) distinct targets, no Hashtbl, no lane list. *)
-  let parent_lanes =
-    Mask.fold
-      (fun n lane ->
-        let target =
-          match Cursor.peek cursors.(lane) with
-          | Cursor.C_block b when b.func = e.e_func -> b.block
-          | c ->
-              errf "lane %d: expected a block of f%d after f%d.b%d, got %s" lane
-                e.e_func e.e_func block
-                (match c with
-                | Cursor.C_block b ->
-                    Printf.sprintf "block f%d.b%d" b.func b.block
-                | Cursor.C_call _ -> "call"
-                | Cursor.C_ret -> "return"
-                | Cursor.C_lock _ -> "lock"
-                | Cursor.C_unlock _ -> "unlock"
-                | Cursor.C_barrier _ -> "barrier"
-                | Cursor.C_end -> "end of trace")
-        in
-        let g = ref (-1) in
-        for j = 0 to s.n_groups - 1 do
-          if s.grp_target.(j) = target then g := j
-        done;
-        if !g >= 0 then s.grp_mask.(!g) <- Mask.add s.grp_mask.(!g) lane
-        else begin
-          s.grp_target.(s.n_groups) <- target;
-          s.grp_mask.(s.n_groups) <- Mask.singleton lane;
-          s.n_groups <- s.n_groups + 1
-        end;
-        n + 1)
-      0 e.e_mask
-  in
+     (few) distinct targets, no Hashtbl, no lane list.  Each lane's target
+     is kept so the group masks need building only when the warp
+     splits. *)
+  let parent_lanes = ref 0 in
+  let m = ref (e.e_mask :> int) and lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let target =
+        match Cursor.peek cursors.(!lane) with
+        | Event.Block b when b.func = e.e_func -> b.block
+        | ev ->
+            errf "lane %d: expected a block of f%d after f%d.b%d, got %s" !lane
+              e.e_func e.e_func block
+              (describe ~callee:false ev)
+      in
+      s.lane_target.(!lane) <- target;
+      let j = ref 0 in
+      while !j < s.n_groups && s.grp_target.(!j) <> target do
+        incr j
+      done;
+      if !j = s.n_groups then begin
+        s.grp_target.(s.n_groups) <- target;
+        s.n_groups <- s.n_groups + 1
+      end;
+      incr parent_lanes
+    end;
+    m := !m lsr 1;
+    incr lane
+  done;
+  let parent_lanes = !parent_lanes in
   if s.n_groups = 1 then e.pc <- s.grp_target.(0)
   else begin
+    for j = 0 to s.n_groups - 1 do
+      s.grp_mask.(j) <- Mask.empty
+    done;
+    let m = ref (e.e_mask :> int) and lane = ref 0 in
+    while !m <> 0 do
+      if !m land 1 <> 0 then begin
+        let j = ref 0 in
+        while s.grp_target.(!j) <> s.lane_target.(!lane) do
+          incr j
+        done;
+        s.grp_mask.(!j) <- Mask.add s.grp_mask.(!j) !lane
+      end;
+      m := !m lsr 1;
+      incr lane
+    done;
     Obs.Counter.incr c_div_splits;
-    let site = (e.e_func, block) in
-    let cell = div_site_cell t site kind in
+    let site = div_site t ~func:e.e_func ~block in
+    let cell = t.div_sites.(site) in
     cell.sc_splits <- cell.sc_splits + 1;
     if kind = Sync_site then cell.sc_kind <- Sync_site;
     if t.obs_on && emit_instant t (evt_key 0 e.e_func block) then
@@ -603,7 +660,7 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
     List.map
       (fun lane ->
         match Cursor.next cursors.(lane) with
-        | Cursor.C_lock a ->
+        | Event.Lock_acq a ->
             t.lock_acquires <- t.lock_acquires + 1;
             (lane, a)
         | _ -> errf "lane %d: expected lock acquire after f%d.b%d" lane e.e_func block)
@@ -612,9 +669,10 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
   (* Serialized critical sections run one lane at a time: the idle
      contenders are the lock site's fault, so the scalar replay extends
      the blame chain with ((func, block), contenders - 1). *)
-  let site = (e.e_func, block) in
+  let site = div_site t ~func:e.e_func ~block in
   let serial_blame ~contenders : blame =
-    ignore (div_site_cell t site Sync_site);
+    (* a lock-acquire block is only ever a sync site *)
+    t.div_sites.(site).sc_kind <- Sync_site;
     (site, contenders - 1) :: e.e_blame
   in
   (match t.config.sync with
@@ -678,6 +736,38 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
 (* ------------------------------------------------------------------ *)
 (* Warp main loop                                                       *)
 
+(* The event that follows a block's call, return, barrier or unlock
+   terminator in every lane's trace. *)
+type marker = M_call | M_ret | M_barrier | M_unlock
+
+(* Consume [marker] from every active lane of [e], which just executed
+   [block].  A missing barrier arrival would block the whole team forever
+   on real hardware — a typed deadlock verdict. *)
+let consume_markers cursors (e : entry) block marker =
+  let m = ref (e.e_mask :> int) and lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let c = cursors.(!lane) in
+      match (marker, Cursor.next c) with
+      | M_call, _
+      | M_ret, Event.Return
+      | M_barrier, Event.Barrier _
+      | M_unlock, Event.Lock_rel _ ->
+          ()
+      | M_ret, _ ->
+          errf "lane %d: expected return after f%d.b%d" !lane e.e_func block
+      | M_barrier, _ ->
+          Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
+            "lane %d: no barrier arrival after f%d.b%d (barrier never \
+             satisfied)"
+            !lane e.e_func block
+      | M_unlock, _ ->
+          errf "lane %d: expected unlock after f%d.b%d" !lane e.e_func block
+    end;
+    m := !m lsr 1;
+    incr lane
+  done
+
 (** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
     lanes must start at the same worker function.  [fuel] (when given)
     bounds the total number of stack steps + serialized events, raising a
@@ -696,7 +786,7 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   else begin
     let worker =
       match Cursor.peek cursors.(0) with
-      | Cursor.C_block b ->
+      | Event.Block b ->
           if b.block <> 0 then errf "warp %d: trace does not start at entry" warp_id;
           b.func
       | _ -> errf "warp %d: empty trace" warp_id
@@ -717,7 +807,7 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
         e_func = worker;
         pc = 0;
         e_reconv = exit_node t worker;
-        e_mask = Mask.of_list (List.init n_lanes (fun i -> i));
+        e_mask = Mask.full n_lanes;
         e_blame = [];
         e_frame = true;
       };
@@ -748,14 +838,22 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
         (* Consume this block from every active lane, staging the lanes and
            their access arrays in the scratch buffers (ascending). *)
         s.n_lanes <- 0;
-        Mask.iter
-          (fun lane ->
-            let accesses = block_accesses_of_lane cursors e.e_func block lane in
-            Cursor.advance cursors.(lane);
-            s.lane_ids.(s.n_lanes) <- lane;
-            s.lane_accs.(s.n_lanes) <- accesses;
-            s.n_lanes <- s.n_lanes + 1)
-          e.e_mask;
+        let m = ref (e.e_mask :> int) and lane = ref 0 in
+        while !m <> 0 do
+          if !m land 1 <> 0 then begin
+            (* consumed before the check: a mismatch aborts the warp *)
+            match Cursor.next cursors.(!lane) with
+            | Event.Block b when b.func = e.e_func && b.block = block ->
+                s.lane_ids.(s.n_lanes) <- !lane;
+                s.lane_accs.(s.n_lanes) <- b.accesses;
+                s.n_lanes <- s.n_lanes + 1
+            | ev ->
+                errf "lane %d: expected block f%d.b%d, trace has %s" !lane
+                  e.e_func block (describe ev)
+          end;
+          m := !m lsr 1;
+          incr lane
+        done;
         let term =
           count_block t ~func:e.e_func ~block ~mask:e.e_mask ~blame:e.e_blame
         in
@@ -765,8 +863,8 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                straight to the continuation block (paper §III's selective
                tracing) *)
             match Cursor.peek cursors.(s.lane_ids.(0)) with
-            | Cursor.C_call _ ->
-                Mask.iter (fun lane -> Cursor.advance cursors.(lane)) e.e_mask;
+            | Event.Call _ ->
+                consume_markers cursors e block M_call;
                 e.pc <- block + 1;
                 set_call_stack t (callee :: t.call_stack);
                 Vec.push stack
@@ -780,12 +878,7 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                   }
             | _ -> regroup t stack e block cursors)
         | Instr.Ret ->
-            Mask.iter
-              (fun lane ->
-                match Cursor.next cursors.(lane) with
-                | Cursor.C_ret -> ()
-                | _ -> errf "lane %d: expected return after f%d.b%d" lane e.e_func block)
-              e.e_mask;
+            consume_markers cursors e block M_ret;
             e.pc <- exit_node t e.e_func
         | Instr.Halt -> e.pc <- exit_node t e.e_func
         | Instr.Lock_acquire _ -> handle_locks ~fuel ~warp_id t stack e block cursors
@@ -794,27 +887,12 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                team barrier is free; count it and continue in lockstep.  A
                lane without the arrival would block the whole team forever
                on real hardware — a typed deadlock verdict. *)
-            Mask.iter
-              (fun lane ->
-                match Cursor.next cursors.(lane) with
-                | Cursor.C_barrier _ -> ()
-                | _ ->
-                    Tf_error.fail ~thread:cursors.(lane).Cursor.tid
-                      Tf_error.Deadlock
-                      "lane %d: no barrier arrival after f%d.b%d (barrier \
-                       never satisfied)"
-                      lane e.e_func block)
-              e.e_mask;
+            consume_markers cursors e block M_barrier;
             t.barrier_syncs <- t.barrier_syncs + 1;
             Obs.Counter.incr c_barrier_syncs;
             regroup t stack e block cursors
         | Instr.Lock_release _ ->
-            Mask.iter
-              (fun lane ->
-                match Cursor.next cursors.(lane) with
-                | Cursor.C_unlock _ -> ()
-                | _ -> errf "lane %d: expected unlock after f%d.b%d" lane e.e_func block)
-              e.e_mask;
+            consume_markers cursors e block M_unlock;
             regroup t stack e block cursors
         | Instr.Jcc _ | Instr.Jmp _ | Instr.Io _ | Instr.Mov _ | Instr.Cmov _
         | Instr.Lea _ | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _
@@ -861,9 +939,9 @@ let merge_into ~dst src =
   Array.iteri (fun fid s -> add_into dst.block_issues.(fid) s) src.block_issues;
   Array.iteri (fun fid s -> add_into dst.block_instrs.(fid) s) src.block_instrs;
   Coalesce.merge_into ~dst:dst.coalesce src.coalesce;
-  Hashtbl.iter
-    (fun key (c : div_site_cell) ->
-      let d = div_site_cell dst key c.sc_kind in
+  Array.iteri
+    (fun i (c : div_site_cell) ->
+      let d = dst.div_sites.(i) in
       d.sc_splits <- d.sc_splits + c.sc_splits;
       d.sc_lost <- d.sc_lost + c.sc_lost;
       (* a site's kind is determined by its terminator (lock blocks are

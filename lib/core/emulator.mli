@@ -41,7 +41,8 @@ type config = {
 
 (** {1 Site-level divergence attribution}
 
-    Every warp split is tagged with its originating [(fid, block)] site,
+    Every warp split is tagged with its originating [(fid, block)] site
+    (index [div_base.(fid) + block] of [div_sites]),
     and every block executed inside the divergent region charges the site
     its marginal lost-lane cost — (parent active lanes - child active
     lanes) inactive issue slots per lock-step issue — until the child pops
@@ -58,9 +59,9 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(** A blame chain: (site, lanes lost per lock-step issue) per enclosing
-    divergence. *)
-type blame = ((int * int) * int) list
+(** A blame chain: (site index, lanes lost per lock-step issue) per
+    enclosing divergence. *)
+type blame = (int * int) list
 
 (** Folded-stack accumulation for the replay flamegraph, keyed by the
     warp's call stack (leaf first). *)
@@ -89,8 +90,11 @@ type t = {
   mutable wt_warp : int;
   mutable tl_current : Timeline.sample Threadfuser_util.Vec.t option;
   mutable timelines : Timeline.t list;  (** finished warps, reversed *)
-  div_sites : (int * int, div_site_cell) Hashtbl.t;
-      (** per-[(fid, block)] divergence attribution, across all warps *)
+  div_base : int array;
+      (** per function: site index of its block 0; entry [n_funcs] is the
+          total *)
+  div_sites : div_site_cell array;
+      (** divergence attribution per static block, across all warps *)
   flame : (int list, flame_cell) Hashtbl.t;
       (** folded call stacks (leaf first), across all warps *)
   mutable call_stack : int list;  (** replaying warp's frames, leaf first *)
@@ -106,6 +110,10 @@ val create :
   Threadfuser_cfg.Ipdom.t array ->
   config ->
   t
+
+(** [iter_div_sites t f] calls [f ~fid ~block cell] for every static
+    block, in [(fid, block)] order. *)
+val iter_div_sites : t -> (fid:int -> block:int -> div_site_cell -> unit) -> unit
 
 (** Replay one warp; [cursors.(lane)] is the lane's trace cursor.  Counters
     accumulate across calls, so one [t] serves a whole grid of warps.

@@ -39,25 +39,6 @@ let to_list (mask : t) =
 
 let of_list lanes = List.fold_left add empty lanes
 
-let iter f (mask : t) =
-  let m = ref mask and lane = ref 0 in
-  while !m <> 0 do
-    if !m land 1 <> 0 then f !lane;
-    m := !m lsr 1;
-    incr lane
-  done
-
-(* allocation-free left fold over active lanes, ascending — the hot-path
-   replacement for [to_list] + [List.fold_left] *)
-let fold f (acc : 'a) (mask : t) =
-  let m = ref mask and lane = ref 0 and acc = ref acc in
-  while !m <> 0 do
-    if !m land 1 <> 0 then acc := f !acc !lane;
-    m := !m lsr 1;
-    incr lane
-  done;
-  !acc
-
 let pp ~warp_size ppf mask =
   for lane = warp_size - 1 downto 0 do
     Fmt.char ppf (if mem mask lane then '1' else '0')

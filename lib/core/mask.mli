@@ -32,10 +32,4 @@ val to_list : t -> int list
 
 val of_list : int list -> t
 
-val iter : (int -> unit) -> t -> unit
-
-(** [fold f acc m] — left fold over the active lanes, ascending;
-    allocation-free (the hot-path replacement for [to_list]). *)
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
 val pp : warp_size:int -> Format.formatter -> t -> unit

@@ -353,7 +353,8 @@ let prop_efficiency_bounds =
   QCheck.Test.make ~name:"efficiency in (0,1]" ~count:50
     QCheck.(pair (int_range 1 30) (int_range 1 6))
     (fun (n_threads, log_w) ->
-      let warp_size = 1 lsl log_w in
+      (* 2..32 lanes, and the widest warp the masks allow in place of 64 *)
+      let warp_size = min Mask.max_lanes (1 lsl log_w) in
       let prog, traces =
         trace_workload [ diamond ] ~worker:"worker"
           ~args:(Array.init n_threads (fun i -> [ i * 3 ]))

@@ -198,6 +198,164 @@ let test_call_boundaries_per_function () =
   Alcotest.(check (list int)) "leaf body to exit" [ 1 ]
     (List.sort compare dcfgs.(leaf).Dcfg.succs.(0))
 
+(* -- DCFG edge order ------------------------------------------------------ *)
+
+module Event = Threadfuser_trace.Event
+module Thread_trace = Threadfuser_trace.Thread_trace
+
+(* The builder as it was before its edge table was gated by a seen-edge
+   check: every sighting of an edge goes to the Hashtbl.  IPDOM and the
+   reports read succs/preds in list order, so the gated builder must
+   produce the very same lists, order included. *)
+module Plain_builder = struct
+  type func_acc = {
+    fid : int;
+    nb : int;
+    edges : (int, unit) Hashtbl.t;
+    seen : bool array;
+  }
+
+  type t = { prog : Program.t; funcs : (int, func_acc) Hashtbl.t }
+
+  let create prog = { prog; funcs = Hashtbl.create 32 }
+
+  let acc t fid =
+    match Hashtbl.find_opt t.funcs fid with
+    | Some a -> a
+    | None ->
+        let nb = Program.block_count (Program.func t.prog fid) in
+        let a =
+          { fid; nb; edges = Hashtbl.create 64; seen = Array.make (nb + 1) false }
+        in
+        Hashtbl.add t.funcs fid a;
+        a
+
+  let add_edge a from_ to_ = Hashtbl.replace a.edges ((from_ * (a.nb + 1)) + to_) ()
+
+  type frame = { facc : func_acc; mutable last : int }
+
+  let feed t (trace : Thread_trace.t) =
+    let stack = ref [] in
+    let enter fid = stack := { facc = acc t fid; last = -1 } :: !stack in
+    let leave () =
+      match !stack with
+      | [] -> ()
+      | fr :: rest ->
+          if fr.last >= 0 then begin
+            add_edge fr.facc fr.last fr.facc.nb;
+            fr.facc.seen.(fr.facc.nb) <- true
+          end;
+          stack := rest
+    in
+    Array.iter
+      (fun (e : Event.t) ->
+        match e with
+        | Event.Block { func; block; _ } ->
+            (match !stack with
+            | fr :: _ when fr.facc.fid = func -> ()
+            | _ -> enter func);
+            let fr = List.hd !stack in
+            fr.facc.seen.(block) <- true;
+            if fr.last >= 0 then add_edge fr.facc fr.last block;
+            fr.last <- block
+        | Event.Call callee -> enter callee
+        | Event.Return -> leave ()
+        | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _ | Event.Skip _ ->
+            ())
+      trace.Thread_trace.events;
+    while !stack <> [] do
+      leave ()
+    done
+
+  let finish t =
+    Array.init (Program.func_count t.prog) (fun fid ->
+        let nb = Program.block_count (Program.func t.prog fid) in
+        let n = nb + 1 in
+        let succs = Array.make n [] and preds = Array.make n [] in
+        let seen =
+          match Hashtbl.find_opt t.funcs fid with
+          | None -> Array.make n false
+          | Some a ->
+              Hashtbl.iter
+                (fun key () ->
+                  let from_ = key / n and to_ = key mod n in
+                  succs.(from_) <- to_ :: succs.(from_);
+                  preds.(to_) <- from_ :: preds.(to_))
+                a.edges;
+              a.seen
+        in
+        {
+          Dcfg.func = fid;
+          n_blocks = nb;
+          exit_node = nb;
+          succs;
+          preds;
+          observed = seen;
+        })
+
+  let of_traces prog traces =
+    let b = create prog in
+    Array.iter (feed b) traces;
+    finish b
+end
+
+let same_dcfgs prog traces =
+  Plain_builder.of_traces prog traces = Dcfg.of_traces prog traces
+
+(* A mini-ISA program with many blocks per function (each [if_] adds a
+   few), for random traces to wander through. *)
+let wide_program =
+  lazy
+    (let open Build in
+     let body k =
+       List.init k (fun i ->
+           if_ Cond.Lt (reg 1) (imm i) ~then_:[ add (reg 1) (imm 1) ] ())
+       @ [ ret ]
+     in
+     Program.assemble [ func "f0" (body 9); func "f1" (body 4); func "f2" (body 1) ])
+
+(* Random traces: block ids anywhere in the current function (so blocks
+   reach many distinct successors, in any order), calls and returns in
+   any nesting, plus events the builder ignores. *)
+let gen_traces =
+  let open QCheck.Gen in
+  let prog = Lazy.force wide_program in
+  let nb f = Program.block_count (Program.func prog f) in
+  let event =
+    frequency
+      [
+        ( 12,
+          let* func = int_bound 2 in
+          let* block = int_bound (nb func - 1) in
+          return (Event.Block { func; block; n_instr = 1; accesses = Event.no_accesses }) );
+        (2, map (fun f -> Event.Call f) (int_bound 2));
+        (2, return Event.Return);
+        (1, return (Event.Skip { reason = Event.Io; n_instr = 3 }));
+        (1, map (fun a -> Event.Lock_acq a) (int_bound 4));
+      ]
+  in
+  list_size (int_range 1 6)
+    (map
+       (fun evs -> { Thread_trace.tid = 0; events = Array.of_list evs })
+       (list_size (int_range 0 200) event))
+  |> map Array.of_list
+
+let prop_dcfg_order_random =
+  QCheck.Test.make ~name:"gated DCFG = plain builder, list order included"
+    ~count:300 (QCheck.make gen_traces) (fun traces ->
+      same_dcfgs (Lazy.force wide_program) traces)
+
+let test_dcfg_order_workloads () =
+  List.iter
+    (fun (w : Threadfuser_workloads.Workload.t) ->
+      let tr = Threadfuser_workloads.Workload.trace_cpu ~threads:8 w in
+      Alcotest.(check bool)
+        (w.Threadfuser_workloads.Workload.name ^ " DCFG lists")
+        true
+        (same_dcfgs tr.Threadfuser_workloads.Workload.prog
+           tr.Threadfuser_workloads.Workload.traces))
+    Threadfuser_workloads.Registry.all
+
 let () =
   Alcotest.run "cfg"
     [
@@ -211,6 +369,9 @@ let () =
           Alcotest.test_case "diamond edges" `Quick test_dcfg_diamond_edges;
           Alcotest.test_case "partial observation" `Quick test_dcfg_one_thread_partial;
           Alcotest.test_case "call boundaries" `Quick test_call_boundaries_per_function;
+          QCheck_alcotest.to_alcotest prop_dcfg_order_random;
+          Alcotest.test_case "edge order on every workload" `Quick
+            test_dcfg_order_workloads;
         ] );
       ( "ipdom",
         [

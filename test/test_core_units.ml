@@ -62,10 +62,17 @@ let test_coalesce_duplicates () =
     (Coalesce.count_transactions (List.init 32 (fun _ -> (100, 8))))
 
 let test_coalesce_segments () =
-  let c = Coalesce.create () in
+  let c =
+    Coalesce.create
+      (Threadfuser_prog.Program.assemble
+         [ Threadfuser_prog.Build.func "f" [ Threadfuser_prog.Build.ret ] ])
+  in
   let stack_addr = Layout.stack_top 0 - 64 in
   let heap_addr = Layout.heap_base + 128 in
-  let n = Coalesce.record c ~is_store:false [ (stack_addr, 8); (heap_addr, 8); (0x20000, 8) ] in
+  let n =
+    Coalesce.record c ~is_store:false ~site:0
+      [ (stack_addr, 8); (heap_addr, 8); (0x20000, 8) ]
+  in
   Alcotest.(check int) "three segments, three txns" 3 n;
   Alcotest.(check int) "stack counted" 1 c.Coalesce.stack.Coalesce.ld_txns;
   Alcotest.(check int) "heap counted" 1 c.Coalesce.heap.Coalesce.ld_txns;
@@ -172,18 +179,16 @@ let test_cursor_absorbs_skips () =
       |]
   in
   (match Cursor.peek c with
-  | Cursor.C_call 2 -> ()
+  | Event.Call 2 -> ()
   | _ -> Alcotest.fail "expected call after skips");
   Alcotest.(check int) "io counted" 10 c.Cursor.skipped_io;
   Alcotest.(check int) "spin counted" 5 c.Cursor.skipped_spin;
-  Cursor.advance c;
+  ignore (Cursor.next c);
   (match Cursor.next c with
-  | Cursor.C_ret -> ()
+  | Event.Return -> ()
   | _ -> Alcotest.fail "expected return");
   Alcotest.(check bool) "at end" true (Cursor.at_end c);
-  (match Cursor.peek c with
-  | Cursor.C_end -> ()
-  | _ -> Alcotest.fail "expected end")
+  Alcotest.(check bool) "end of trace" true (Cursor.peek c == Cursor.end_of_trace)
 
 (* -- NCP reconvergence ----------------------------------------------------- *)
 
@@ -431,6 +436,40 @@ let test_warp_serial_corrupt () =
   | exception Failure _ -> () (* int_of_string on a torn token *)
   | _ -> Alcotest.fail "expected failure on truncation"
 
+(* -- warp width bounds -------------------------------------------------------- *)
+
+(* Masks pack lanes into an int, so 1..Mask.max_lanes is the whole range:
+   wider or empty warps are refused up front, and the widest warp replays
+   every one of its lanes. *)
+let test_warp_width_bounds () =
+  let tr = W.trace_cpu ~threads:Mask.max_lanes (Registry.find "vectoradd") in
+  let options warp_size = { Analyzer.default_options with warp_size } in
+  List.iter
+    (fun ws ->
+      (match Analyzer.analyze ~options:(options ws) tr.W.prog tr.W.traces with
+      | _ -> Alcotest.failf "analyze accepted warp size %d" ws
+      | exception Invalid_argument _ -> ());
+      match Analyzer.analyze_checked ~options:(options ws) tr.W.prog tr.W.traces with
+      | _ -> Alcotest.failf "analyze_checked accepted warp size %d" ws
+      | exception Invalid_argument _ -> ())
+    [ 0; Mask.max_lanes + 1 ];
+  let r =
+    (Analyzer.analyze ~options:(options Mask.max_lanes) tr.W.prog tr.W.traces)
+      .Analyzer.report
+  in
+  let traced =
+    Array.fold_left
+      (fun acc (t : Thread_trace.t) ->
+        Array.fold_left
+          (fun acc -> function Event.Block b -> acc + b.n_instr | _ -> acc)
+          acc t.Thread_trace.events)
+      0 tr.W.traces
+  in
+  Alcotest.(check (list int))
+    "one full warp" [ Mask.max_lanes ]
+    (List.map (fun (w : Metrics.warp_stat) -> w.Metrics.lanes) r.Metrics.per_warp);
+  Alcotest.(check int) "every lane's instructions" traced r.Metrics.thread_instrs
+
 let () =
   Alcotest.run "core_units"
     [
@@ -440,6 +479,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_mask_bounds;
           QCheck_alcotest.to_alcotest prop_mask_roundtrip;
           QCheck_alcotest.to_alcotest prop_mask_set_ops;
+          Alcotest.test_case "warp width bounds" `Quick test_warp_width_bounds;
         ] );
       ( "coalesce",
         [

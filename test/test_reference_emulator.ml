@@ -5,11 +5,14 @@
    stack with in-place mask updates, scalar critical-section replay and
    fused bookkeeping.  The reference below is a direct structural
    recursion: "run these lanes from their current positions until each
-   reaches [reconv]", recomputing groups functionally at every step and
-   ignoring everything but issue/instruction counts.  Agreement on both
-   counts across randomly generated divergent programs — including
-   bucketed-lock critical sections and calls — and across real Table I
-   workloads gives high confidence in the production bookkeeping. *)
+   reaches [reconv]", recomputing groups functionally at every step.  It
+   walks the traces itself (no [Cursor]) and counts issues, thread
+   instructions and, per [(func, block, ioff)] site, warp-level memory
+   instructions and their 32 B transactions from a sorted unique list of
+   line ids (no [Coalesce]).  Agreement on all three across randomly
+   generated divergent programs — including bucketed-lock critical
+   sections and calls — and across real Table I workloads gives high
+   confidence in the production bookkeeping. *)
 
 open Threadfuser_isa
 open Threadfuser_prog
@@ -19,14 +22,93 @@ module Memory = Threadfuser_machine.Memory
 module Dcfg = Threadfuser_cfg.Dcfg
 module Ipdom = Threadfuser_cfg.Ipdom
 module Lcg = Threadfuser_util.Lcg
+module Event = Threadfuser_trace.Event
+module Layout = Threadfuser_machine.Layout
 
 (* ---- the reference: recursive region execution ------------------------- *)
 
 exception Reference_stuck of string
 
-let reference_counts prog ipdoms (traces : Threadfuser_trace.Thread_trace.t array)
-    tids =
-  let cursors = Array.map (fun tid -> Cursor.of_trace traces.(tid)) tids in
+(* The reference reads traces on its own: a lane is an index into its
+   event array, [Skip] events are stepped over, and the next control item
+   is recomputed from scratch every time it is asked for. *)
+type control =
+  | Blk of int * int * Event.access array (* func, block, accesses *)
+  | Call of int (* callee *)
+  | Ret
+  | Lock of int
+  | Unlock of int
+  | Bar
+  | End
+
+type lane = { events : Event.t array; mutable at : int }
+
+let rec control l =
+  if l.at >= Array.length l.events then End
+  else
+    match l.events.(l.at) with
+    | Event.Skip _ ->
+        l.at <- l.at + 1;
+        control l
+    | Event.Block { func; block; accesses; _ } -> Blk (func, block, accesses)
+    | Event.Call f -> Call f
+    | Event.Return -> Ret
+    | Event.Lock_acq a -> Lock a
+    | Event.Lock_rel a -> Unlock a
+    | Event.Barrier _ -> Bar
+
+(* consume the control item [control] returns *)
+let take l =
+  let c = control l in
+  if c <> End then l.at <- l.at + 1;
+  c
+
+(* Naive coalescing of one site's accesses: per load/store and per address
+   segment, the sorted unique list of 32 B line ids the accesses touch;
+   the site issues one instruction per load/store kind present. *)
+type site_count = { mutable s_issues : int; mutable s_txns : int }
+
+let naive_coalesce sites key (accesses : Event.access list) =
+  List.iter
+    (fun is_store ->
+      let mine = List.filter (fun (a : Event.access) -> a.Event.is_store = is_store) accesses in
+      if mine <> [] then begin
+        let c =
+          match Hashtbl.find_opt sites key with
+          | Some c -> c
+          | None ->
+              let c = { s_issues = 0; s_txns = 0 } in
+              Hashtbl.add sites key c;
+              c
+        in
+        c.s_issues <- c.s_issues + 1;
+        List.iter
+          (fun segment ->
+            let lines =
+              List.concat_map
+                (fun (a : Event.access) ->
+                  if Layout.segment_of a.Event.addr <> segment then []
+                  else
+                    let first = a.Event.addr / 32
+                    and last = (a.Event.addr + max 1 a.Event.size - 1) / 32 in
+                    List.init (last - first + 1) (fun i -> first + i))
+                mine
+              |> List.sort_uniq compare
+            in
+            c.s_txns <- c.s_txns + List.length lines)
+          [ Layout.Stack; Layout.Heap; Layout.Global ]
+      end)
+    [ false; true ]
+
+(* [(issues, thread instructions, per-site counts)] of one warp's
+   replay; [sites] accumulates across calls, keyed [(func, block, ioff)]. *)
+let reference_counts ?(sites = Hashtbl.create 16) prog ipdoms
+    (traces : Threadfuser_trace.Thread_trace.t array) tids =
+  let lanes =
+    Array.map
+      (fun tid -> { events = traces.(tid).Threadfuser_trace.Thread_trace.events; at = 0 })
+      tids
+  in
   let issues = ref 0 and instrs = ref 0 in
   let exit_node fid =
     Array.length (Program.func prog fid).Program.blocks
@@ -34,32 +116,58 @@ let reference_counts prog ipdoms (traces : Threadfuser_trace.Thread_trace.t arra
   let block_len fid bid =
     Array.length (Program.func prog fid).Program.blocks.(bid).Program.instrs
   in
+  (* one lock-step execution of a block by [ls]: issue and instruction
+     counts, then every instruction's accesses coalesced at its site *)
+  let execute func block ls =
+    let n = block_len func block in
+    issues := !issues + n;
+    instrs := !instrs + (n * List.length ls);
+    let accs =
+      List.concat_map
+        (fun l ->
+          match take lanes.(l) with
+          | Blk (_, _, a) -> Array.to_list a
+          | _ -> raise (Reference_stuck "expected a block"))
+        ls
+    in
+    for ioff = 0 to n - 1 do
+      naive_coalesce sites (func, block, ioff)
+        (List.filter (fun (a : Event.access) -> a.Event.ioff = ioff) accs)
+    done
+  in
   (* current node of a lane within [func]: its next block, or the exit *)
   let node_of func lane =
-    match Cursor.peek cursors.(lane) with
-    | Cursor.C_block { func = f; block; _ } when f = func -> block
-    | Cursor.C_ret | Cursor.C_end -> exit_node func
-    | Cursor.C_call _ -> -2 (* handled by the caller *)
+    match control lanes.(lane) with
+    | Blk (f, block, _) when f = func -> block
+    | Ret | End -> exit_node func
+    | Call _ -> -2 (* handled by the caller *)
     | _ -> raise (Reference_stuck "unexpected control at node_of")
   in
   (* scalar replay of one lane's critical section, counting one-lane
      issues, until the matching unlock *)
   let rec scalar_cs lane addr =
-    match Cursor.next cursors.(lane) with
-    | Cursor.C_block { func; block; _ } ->
-        let n = block_len func block in
-        issues := !issues + n;
-        instrs := !instrs + n;
+    match control lanes.(lane) with
+    | Blk (func, block, _) ->
+        execute func block [ lane ];
         scalar_cs lane addr
-    | Cursor.C_call _ | Cursor.C_ret | Cursor.C_lock _ | Cursor.C_barrier _ ->
+    | Call _ | Ret | Lock _ | Bar ->
+        ignore (take lanes.(lane));
         scalar_cs lane addr
-    | Cursor.C_unlock a -> if a = addr then () else scalar_cs lane addr
-    | Cursor.C_end -> raise (Reference_stuck "trace ended inside CS")
+    | Unlock a ->
+        ignore (take lanes.(lane));
+        if a = addr then () else scalar_cs lane addr
+    | End -> raise (Reference_stuck "trace ended inside CS")
+  in
+  (* consume the uniform follow-up item [expect] from every lane *)
+  let consume lanes_ expect what =
+    List.iter
+      (fun l -> if not (expect (take lanes.(l))) then raise (Reference_stuck what))
+      lanes_
   in
   (* run [lanes] (all at the same node of [func]) until they reach
      [reconv]; lanes move strictly forward through their traces *)
-  let rec run_region func lanes reconv =
-    match lanes with
+  let rec run_region func ls reconv =
+    match ls with
     | [] -> ()
     | lane0 :: _ -> (
         let here = node_of func lane0 in
@@ -70,25 +178,22 @@ let reference_counts prog ipdoms (traces : Threadfuser_trace.Thread_trace.t arra
             (fun l ->
               if node_of func l <> here then
                 raise (Reference_stuck "lanes disagree at region head"))
-            lanes;
+            ls;
           if here = exit_node func then
             raise (Reference_stuck "reached exit before reconv")
           else begin
-            let n = block_len func here in
-            issues := !issues + n;
-            instrs := !instrs + (n * List.length lanes);
-            List.iter (fun l -> Cursor.advance cursors.(l)) lanes;
+            execute func here ls;
             (* follow-up control, uniform by construction *)
-            match Cursor.peek cursors.(List.hd lanes) with
-            | Cursor.C_lock _ ->
+            match control lanes.(List.hd ls) with
+            | Lock _ ->
                 (* consume the acquires; serialize same-lock groups *)
                 let addrs =
                   List.map
                     (fun l ->
-                      match Cursor.next cursors.(l) with
-                      | Cursor.C_lock a -> (l, a)
+                      match take lanes.(l) with
+                      | Lock a -> (l, a)
                       | _ -> raise (Reference_stuck "expected lock"))
-                    lanes
+                    ls
                 in
                 let by_addr =
                   List.sort_uniq compare (List.map snd addrs)
@@ -100,43 +205,27 @@ let reference_counts prog ipdoms (traces : Threadfuser_trace.Thread_trace.t arra
                     if List.length group > 1 then
                       List.iter (fun l -> scalar_cs l a) group)
                   by_addr;
-                continue_after func lanes reconv
-            | Cursor.C_unlock _ ->
-                List.iter
-                  (fun l ->
-                    match Cursor.next cursors.(l) with
-                    | Cursor.C_unlock _ -> ()
-                    | _ -> raise (Reference_stuck "expected unlock"))
-                  lanes;
-                continue_after func lanes reconv
-            | Cursor.C_barrier _ ->
-                List.iter
-                  (fun l ->
-                    match Cursor.next cursors.(l) with
-                    | Cursor.C_barrier _ -> ()
-                    | _ -> raise (Reference_stuck "expected barrier"))
-                  lanes;
-                continue_after func lanes reconv
-            | Cursor.C_call callee ->
-                List.iter (fun l -> Cursor.advance cursors.(l)) lanes;
-                run_region callee lanes (exit_node callee);
-                (* consume the returns *)
-                List.iter
-                  (fun l ->
-                    match Cursor.next cursors.(l) with
-                    | Cursor.C_ret -> ()
-                    | _ -> raise (Reference_stuck "expected return"))
-                  lanes;
-                continue_after func lanes reconv
-            | _ -> continue_after func lanes reconv
+                continue_after func ls reconv
+            | Unlock _ ->
+                consume ls (function Unlock _ -> true | _ -> false) "expected unlock";
+                continue_after func ls reconv
+            | Bar ->
+                consume ls (( = ) Bar) "expected barrier";
+                continue_after func ls reconv
+            | Call callee ->
+                consume ls (( = ) (Call callee)) "expected call";
+                run_region callee ls (exit_node callee);
+                consume ls (( = ) Ret) "expected return";
+                continue_after func ls reconv
+            | _ -> continue_after func ls reconv
           end
         end)
-  and continue_after func lanes reconv =
+  and continue_after func ls reconv =
     (* group lanes by their next node and recurse per group *)
-    let targets = List.map (fun l -> (l, node_of func l)) lanes in
+    let targets = List.map (fun l -> (l, node_of func l)) ls in
     let distinct = List.sort_uniq compare (List.map snd targets) in
     match distinct with
-    | [ _ ] -> run_region func lanes reconv
+    | [ _ ] -> run_region func ls reconv
     | many ->
         let tbl = ipdoms.(func) in
         let r =
@@ -157,14 +246,41 @@ let reference_counts prog ipdoms (traces : Threadfuser_trace.Thread_trace.t arra
                    targets)
                 r)
           (List.sort compare many);
-        run_region func lanes reconv
+        run_region func ls reconv
   in
-  (match Cursor.peek cursors.(0) with
-  | Cursor.C_block { func; _ } ->
-      run_region func (Array.to_list (Array.init (Array.length tids) Fun.id))
-        (exit_node func)
+  (match control lanes.(0) with
+  | Blk (func, _, _) ->
+      run_region func (List.init (Array.length tids) Fun.id) (exit_node func)
   | _ -> raise (Reference_stuck "empty trace"));
   (!issues, !instrs)
+
+(* The production emulator's site table, restricted to the sites it
+   touched, against the reference's naive one. *)
+let sites_agree prog ipdoms traces warps ref_sites ~warp_size =
+  let emu =
+    Emulator.create prog ipdoms
+      {
+        Emulator.warp_size;
+        sync = Emulator.Serialize;
+        reconv = Emulator.Ipdom_reconv;
+        record_timeline = false;
+      }
+  in
+  Array.iteri
+    (fun warp_id tids ->
+      Emulator.run_warp emu ~warp_id
+        (Array.map (fun tid -> Cursor.of_trace traces.(tid)) tids))
+    warps;
+  let production = ref [] in
+  Coalesce.iter_sites emu.Emulator.coalesce (fun ~fid ~block ~ioff c ->
+      if c.Coalesce.a_issues > 0 then
+        production :=
+          ((fid, block, ioff), (c.Coalesce.a_issues, c.Coalesce.a_txns))
+          :: !production);
+  let reference =
+    Hashtbl.fold (fun k c acc -> (k, (c.s_issues, c.s_txns)) :: acc) ref_sites []
+  in
+  List.sort compare !production = List.sort compare reference
 
 (* ---- generator: divergent programs with calls and bucketed locks ------- *)
 
@@ -180,7 +296,9 @@ let rec gen_stmt g depth : Build.code =
         [
           mov (reg 13) (reg (vr ()));
           and_ (reg 13) (imm 511);
-          mov (reg (vr ())) (mem ~scale:8 ~index:13 ~disp:data_region ());
+          (if Lcg.chance g 1 3 then
+             mov (mem ~scale:8 ~index:13 ~disp:data_region ()) (reg (vr ()))
+           else mov (reg (vr ())) (mem ~scale:8 ~index:13 ~disp:data_region ()));
         ]
   | 3 ->
       if Lcg.chance g 1 3 then
@@ -269,22 +387,26 @@ let compare_once seed threads warp_size =
   in
   (* reference, warp by warp (sequential batching) *)
   let warps = Batching.form Batching.Sequential ~warp_size traces in
-  let ref_issues = ref 0 and ref_instrs = ref 0 in
+  let ref_issues = ref 0 and ref_instrs = ref 0 and sites = Hashtbl.create 16 in
   Array.iter
     (fun tids ->
-      let i, n = reference_counts prog ipdoms traces tids in
+      let i, n = reference_counts ~sites prog ipdoms traces tids in
       ref_issues := !ref_issues + i;
       ref_instrs := !ref_instrs + n)
     warps;
-  (production.Metrics.issues, production.Metrics.thread_instrs, !ref_issues, !ref_instrs)
+  ( production.Metrics.issues,
+    production.Metrics.thread_instrs,
+    !ref_issues,
+    !ref_instrs,
+    sites_agree prog ipdoms traces warps sites ~warp_size )
 
 let prop_reference_agreement =
   QCheck.Test.make ~name:"production emulator = recursive reference" ~count:120
     QCheck.(triple small_int (int_range 1 16) (int_range 1 3))
     (fun (seed, threads, wexp) ->
       let warp_size = 1 lsl wexp in
-      let pi, pn, ri, rn = compare_once seed threads warp_size in
-      pi = ri && pn = rn)
+      let pi, pn, ri, rn, sites = compare_once seed threads warp_size in
+      pi = ri && pn = rn && sites)
 
 let test_reference_on_workloads () =
   (* lock-free Table I workloads must agree too *)
@@ -306,18 +428,21 @@ let test_reference_on_workloads () =
         Batching.form Batching.Sequential ~warp_size:8
           tr.Threadfuser_workloads.Workload.traces
       in
-      let ri = ref 0 and rn = ref 0 in
+      let ri = ref 0 and rn = ref 0 and sites = Hashtbl.create 64 in
       Array.iter
         (fun tids ->
           let i, n =
-            reference_counts tr.Threadfuser_workloads.Workload.prog ipdoms
+            reference_counts ~sites tr.Threadfuser_workloads.Workload.prog ipdoms
               tr.Threadfuser_workloads.Workload.traces tids
           in
           ri := !ri + i;
           rn := !rn + n)
         warps;
       Alcotest.(check int) (name ^ " issues") production.Metrics.issues !ri;
-      Alcotest.(check int) (name ^ " instrs") production.Metrics.thread_instrs !rn)
+      Alcotest.(check int) (name ^ " instrs") production.Metrics.thread_instrs !rn;
+      Alcotest.(check bool) (name ^ " coalescing sites") true
+        (sites_agree tr.Threadfuser_workloads.Workload.prog ipdoms
+           tr.Threadfuser_workloads.Workload.traces warps sites ~warp_size:8))
     [ "bfs"; "b+tree"; "particlefilter"; "blackscholes"; "freqmine"; "x264";
       "urlshort"; "fluidanimate" ]
 
