@@ -75,12 +75,12 @@ let bechamel_suite () =
     in
     Analyze.all ols Instance.monotonic_clock raw
   in
-  let serial_test =
-    Test.make ~name:"trace serialization: bfs roundtrip"
+  let pack_test =
+    Test.make ~name:"TFPACK1 trace file: bfs roundtrip"
       (Staged.stage (fun () ->
            ignore
-             (Threadfuser_trace.Serial.of_string
-                (Threadfuser_trace.Serial.to_string traced.W.traces))))
+             (Threadfuser_trace.Pack.decode
+                (Threadfuser_trace.Pack.encode traced.W.traces))))
   in
   let pigz = Registry.find "pigz" in
   let pigz_traced = W.trace_cpu ~threads:16 pigz in
@@ -165,7 +165,7 @@ let bechamel_suite () =
         ("analyzer_bfs", analyze_test);
         ("analyzer_bfs_obs_on", obs_analyze_test);
         ("warp_trace_gpusim_vectoradd", warp_trace_test);
-        ("serial_roundtrip_bfs", serial_test);
+        ("pack_roundtrip_bfs", pack_test);
         ("analyzer_pigz16", heavy_test);
       ]
   in

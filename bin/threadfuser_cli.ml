@@ -3,8 +3,8 @@
      threadfuser list                         workload catalog (Table I)
      threadfuser analyze pigz -w 16 -O O3     efficiency + divergence report
      threadfuser sweep pigz                   warp-width sweep
-     threadfuser trace bfs -o bfs.tftrace     capture a trace file
-     threadfuser check bfs.tftrace bfs        validate a trace file
+     threadfuser trace bfs -o bfs.tfpack      capture a TFPACK1 trace file
+     threadfuser check bfs.tfpack bfs         validate a trace file
      threadfuser fuzz bfs -n 1000             seeded corruption campaign
      threadfuser simulate vectoradd           cycle-level speedup projection
      threadfuser profile bfs --trace-out t.json   phase timing + event trace
@@ -15,9 +15,8 @@
      threadfuser suite --resume               finish an interrupted batch
      threadfuser suite --cache                skip jobs via the artifact cache
      threadfuser cache stat|verify|scrub|gc   artifact-store maintenance
-     threadfuser trace bfs --pack             compact TFPACK1 trace container
      threadfuser serve bfs --socket tf.sock   streaming analysis daemon
-     threadfuser client bfs.tftrace           stream a trace to the daemon
+     threadfuser client bfs.tfpack            stream a trace to the daemon
      threadfuser stat --prom                  scrape a live daemon's stats
      threadfuser top --interval 2             rolling daemon rate lines
 
@@ -396,41 +395,32 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"SIMT efficiency across warp widths (2..32).")
     Term.(const sweep_run $ workload_pos $ threads)
 
-let trace_run w level threads output pack =
+let trace_run w level threads output =
   let tr = W.trace_cpu ~level ?threads w in
-  if pack then Pack.to_file output tr.W.traces
-  else Serial.to_file output tr.W.traces;
+  Pack.to_file output tr.W.traces;
   let stats =
     Array.fold_left
       (fun acc t ->
         acc + (Threadfuser_trace.Thread_trace.stats t).Threadfuser_trace.Thread_trace.traced_instrs)
       0 tr.W.traces
   in
-  Fmt.pr "wrote %s (%s): %d threads, %d traced instructions@." output
-    (if pack then "TFPACK1" else "TFTRACE1")
+  Fmt.pr "wrote %s (TFPACK1): %d threads, %d traced instructions@." output
     (Array.length tr.W.traces) stats
 
 let trace_cmd =
   let output =
     Arg.(
       value
-      & opt string "trace.tftrace"
+      & opt string "trace.tfpack"
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Trace file to write.")
-  in
-  let pack_flag =
-    Arg.(
-      value & flag
-      & info [ "pack" ]
-          ~doc:
-            "Write the compact columnar TFPACK1 container (delta-encoded, \
-             per-block CRC-32) instead of flat TFTRACE1.  $(b,threadfuser \
-             check) accepts both.")
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Capture a workload's per-thread dynamic traces to a file.")
-    Term.(const trace_run $ workload_pos $ opt_level $ threads $ output
-          $ pack_flag)
+       ~doc:
+         "Capture a workload's per-thread dynamic traces to a file in the \
+          compact columnar TFPACK1 container (delta-encoded, per-block \
+          CRC-32).")
+    Term.(const trace_run $ workload_pos $ opt_level $ threads $ output)
 
 let gpu_preset_arg =
   let presets =
@@ -514,7 +504,7 @@ let profile_run () w warp_size level threads scale trace_out metrics_out
         Obs.set_full_events false)
       (fun () ->
         let tr =
-          Obs.span "decode"
+          Obs.span "tracer"
             ~args:[ ("workload", w.W.name) ]
             (fun () -> W.trace_cpu ~level ?threads ~scale w)
         in
@@ -634,7 +624,8 @@ let tracefile_cmd =
       & info [] ~docv:"FILE" ~doc:"Trace file written by $(b,threadfuser trace).")
   in
   Cmd.v
-    (Cmd.info "tracefile" ~doc:"Inspect a serialized trace file.")
+    (Cmd.info "tracefile"
+       ~doc:"Inspect a trace file (TFPACK1, or legacy TFTRACE1).")
     Term.(const tracefile_run $ path)
 
 let disasm_run w level output =
@@ -793,8 +784,8 @@ let check_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "Trace file written by $(b,threadfuser trace) — flat TFTRACE1 \
-             or compact TFPACK1 ($(b,--pack)), sniffed by magic.")
+            "Trace file written by $(b,threadfuser trace) (TFPACK1), or a \
+             legacy TFTRACE1 file; the format is sniffed by magic.")
   in
   let workload =
     Arg.(
@@ -807,9 +798,9 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Validate a serialized trace file (TFTRACE1 or TFPACK1): decode — \
-          including magic/version and per-block CRC-32 checks for packed \
-          traces — run the diagnostic passes, and (given a workload) the \
+         "Validate a trace file (TFPACK1, or legacy TFTRACE1): decode — \
+          including magic/version and per-block CRC-32 checks for TFPACK1 \
+          — run the diagnostic passes, and (given a workload) the \
           quarantining checked analysis.  Exits 2 on corrupt input, 3 on \
           validation/replay errors.")
     Term.(const check_run $ setup_term $ path $ workload $ opt_level)
@@ -828,7 +819,7 @@ let fuzz_run log_level workload runs seed0 threads level verbose =
   List.iter
     (fun (w : W.t) ->
       let tr = W.trace_cpu ~level ?threads w in
-      let bytes = Serial.to_string tr.W.traces in
+      let bytes = Pack.encode tr.W.traces in
       let on_outcome =
         if verbose then
           Some
@@ -877,7 +868,8 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Corrupt a workload's captured trace N times with the seeded fault \
+         "Corrupt a workload's captured trace (the TFPACK1 bytes \
+          $(b,threadfuser trace) writes) N times with the seeded fault \
           injector (byte flips, truncations, dropped/duplicated events, \
           unbalanced locks and barriers) and drive each through the checked \
           analysis pipeline.  Every run must end in a clean report, a typed \
@@ -1535,15 +1527,14 @@ let serve_cmd =
       $ serve_cache_dir_arg)
 
 let client_run () path socket chunk_bytes =
-  let traces = Trace_file.load path in
-  let outcome =
-    Sclient.session ~chunk_bytes ~socket_path:socket (Stream.encode traces)
-  in
+  let stream = Stream.encode (Trace_file.load path) in
+  let outcome = Sclient.session ~chunk_bytes ~socket_path:socket stream in
   let r = outcome.Sclient.reply in
   Log.info "serve reply"
     ~fields:
       ([
          ("status", Sprotocol.status_name r.Sprotocol.status);
+         ("streamed_bytes", string_of_int (String.length stream));
          ("threads", string_of_int r.Sprotocol.threads);
          ("quarantined", string_of_int r.Sprotocol.quarantined);
        ]

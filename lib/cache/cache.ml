@@ -3,7 +3,7 @@
     On disk, a cache root holds
 
     {v
-      objects/<id>.<kind>   committed blobs (TFBLOB1 envelopes)
+      objects/<id>.report   committed blobs (TFBLOB1 envelopes)
       tmp/                  commit staging — same filesystem as objects/
       quarantine/           blobs that failed verification, set aside
       index.jsonl           fsync'd append-only journal of the live set
@@ -20,10 +20,11 @@
 
     Every read re-verifies the envelope: magic, CRC-32 over the whole
     body, bounded length headers via {!Serial}'s readers, and that the
-    embedded key matches the requested one.  Reports are additionally
-    parsed and {!Report_json.validate}d.  Anything that fails is moved to
-    [quarantine/] — never served, never fatal — with a typed
-    {!Tf_error} diagnostic and a [tf_cache_corrupt_total] tick. *)
+    embedded key matches the requested one.  The payload, an analysis
+    report, must additionally parse and pass {!Report_json.validate}.
+    Anything that fails is moved to [quarantine/] — never served, never
+    fatal — with a typed {!Tf_error} diagnostic and a
+    [tf_cache_corrupt_total] tick. *)
 
 module Serial = Threadfuser_trace.Serial
 module Json = Threadfuser_report.Json
@@ -62,21 +63,11 @@ type key = {
   analyzer_version : string;
 }
 
-type kind = Report | Pack
-
-let kind_name = function Report -> "report" | Pack -> "pack"
-
-let kind_of_name = function
-  | "report" -> Some Report
-  | "pack" -> Some Pack
-  | _ -> None
-
-let kind_tag = function Report -> 0 | Pack -> 1
-
-let kind_of_tag = function
-  | 0 -> Report
-  | 1 -> Pack
-  | n -> raise (Serial.Corrupt (Printf.sprintf "bad blob kind %d" n))
+(* Every blob holds an analysis report.  Its body still leads with the
+   kind tag of an older layout that also stored packed traces, so stores
+   written then keep verifying: tag 0 is a report, any other tag is
+   corrupt. *)
+let report_tag = 0
 
 (* 0x1f cannot appear in the numeric fields and is vanishingly unlikely in
    names, so the canonical string is injective in practice; the embedded
@@ -93,7 +84,7 @@ let key_id k =
   Printf.sprintf "%015x%015x" (Lcg.hash_string c)
     (Lcg.hash_string (c ^ "\x1f#2"))
 
-let object_name k kind = key_id k ^ "." ^ kind_name kind
+let object_name k = key_id k ^ ".report"
 
 let pp_key ppf k =
   Fmt.pf ppf "%s opt=%d warp=%d analyzer=%s" k.workload k.opt_level
@@ -105,9 +96,9 @@ let pp_key ppf k =
 
 let blob_magic = "TFBLOB1"
 
-let encode_blob ~key:k ~kind payload =
+let encode_blob ~key:k payload =
   let body = Buffer.create (String.length payload + 64) in
-  Serial.write_uint body (kind_tag kind);
+  Serial.write_uint body report_tag;
   Serial.write_uint body (String.length k.workload);
   Buffer.add_string body k.workload;
   Serial.write_uint body k.opt_level;
@@ -145,7 +136,9 @@ let decode_blob s =
          (Printf.sprintf "blob crc mismatch (stored %08x, computed %08x)"
             stored computed));
   let r = { Serial.data = body; pos = 0 } in
-  let kind = kind_of_tag (Serial.read_uint r) in
+  let tag = Serial.read_uint r in
+  if tag <> report_tag then
+    raise (Serial.Corrupt (Printf.sprintf "bad blob kind %d" tag));
   let wlen = Serial.read_count r ~min_bytes:1 "workload" in
   let workload = read_bytes r wlen in
   let opt_level = Serial.read_uint r in
@@ -159,20 +152,17 @@ let decode_blob s =
       (Serial.Corrupt
          (Printf.sprintf "blob has %d trailing byte(s)"
             (body_len - r.Serial.pos)));
-  ({ workload; opt_level; warp_size; analyzer_version }, kind, payload)
+  ({ workload; opt_level; warp_size; analyzer_version }, payload)
 
-(* Reports get one more gate before they are trusted: the payload must be
+(* One more gate before a report is trusted: the payload must be
    parseable JSON that passes the report validator. *)
-let validate_payload kind payload =
-  match kind with
-  | Pack -> Ok ()
-  | Report -> (
-      match Json.parse payload with
-      | Error m -> Error ("cached report does not parse: " ^ m)
-      | Ok j -> (
-          match Report_json.validate j with
-          | Ok () -> Ok ()
-          | Error m -> Error ("cached report fails validation: " ^ m)))
+let validate_payload payload =
+  match Json.parse payload with
+  | Error m -> Error ("cached report does not parse: " ^ m)
+  | Ok j -> (
+      match Report_json.validate j with
+      | Ok () -> Ok ()
+      | Error m -> Error ("cached report fails validation: " ^ m))
 
 (* ------------------------------------------------------------------ *)
 (* Store state.                                                        *)
@@ -234,10 +224,10 @@ let append_index_line t line =
   write 0;
   Unix.fsync t.index_fd
 
-let put_line ~id ~kind ~bytes =
+let put_line ~id ~bytes =
   Printf.sprintf
-    {|{"schema":"%s","op":"put","id":"%s","kind":"%s","bytes":%d}|} schema id
-    (kind_name kind) bytes
+    {|{"schema":"%s","op":"put","id":"%s","kind":"report","bytes":%d}|}
+    schema id bytes
 
 let op_line op ~id =
   Printf.sprintf {|{"schema":"%s","op":"%s","id":"%s"}|} schema op id
@@ -255,8 +245,8 @@ let parse_index_line line =
       match (str "schema", str "op", str "id") with
       | Some s, _, _ when s <> schema -> Error ("unknown schema " ^ s)
       | Some _, Some "put", Some id -> (
-          match (Option.bind (str "kind") kind_of_name, int "bytes") with
-          | Some _, Some bytes when bytes >= 0 -> Ok (`Put (id, bytes))
+          match (str "kind", int "bytes") with
+          | Some "report", Some bytes when bytes >= 0 -> Ok (`Put (id, bytes))
           | _ -> Error "bad put record")
       | Some _, Some "touch", Some id -> Ok (`Touch id)
       | Some _, Some "evict", Some id -> Ok (`Evict id)
@@ -377,10 +367,10 @@ let write_atomic t ~name bytes =
   Unix.rename tmp dest;
   fsync_dir t.objects_dir
 
-let put t ~key ~kind payload =
+let put t ~key payload =
   with_lock t @@ fun () ->
-  let id = object_name key kind in
-  let blob = encode_blob ~key ~kind payload in
+  let id = object_name key in
+  let blob = encode_blob ~key payload in
   let action =
     match t.fault with
     | None -> Store_fault.No_fault
@@ -394,7 +384,7 @@ let put t ~key ~kind payload =
          on disk but the index never learns of it — scrub re-adopts it *)
       ()
   | _ ->
-      append_index_line t (put_line ~id ~kind ~bytes:(String.length image));
+      append_index_line t (put_line ~id ~bytes:(String.length image));
       t.seq <- t.seq + 1;
       Hashtbl.replace t.entries id
         { e_bytes = String.length image; e_seq = t.seq });
@@ -422,9 +412,9 @@ let quarantine_blob t ~id =
 (* ------------------------------------------------------------------ *)
 (* Lookup.                                                             *)
 
-let find ?(on_corrupt = fun _ -> ()) t ~key ~kind =
+let find ?(on_corrupt = fun _ -> ()) t ~key =
   with_lock t @@ fun () ->
-  let id = object_name key kind in
+  let id = object_name key in
   let corrupt fmt =
     Format.kasprintf
       (fun m ->
@@ -445,11 +435,10 @@ let find ?(on_corrupt = fun _ -> ()) t ~key ~kind =
       | s -> (
           match decode_blob s with
           | exception Serial.Corrupt m -> corrupt "%s" m
-          | k, kd, payload ->
-              if k <> key || kd <> kind then
-                corrupt "blob key mismatch (%a)" pp_key k
+          | k, payload ->
+              if k <> key then corrupt "blob key mismatch (%a)" pp_key k
               else begin
-                match validate_payload kind payload with
+                match validate_payload payload with
                 | Error m -> corrupt "%s" m
                 | Ok () ->
                     t.seq <- t.seq + 1;
@@ -502,11 +491,11 @@ let blob_ok t id =
   | s -> (
       match decode_blob s with
       | exception Serial.Corrupt _ -> None
-      | k, kind, payload -> (
-          if object_name k kind <> id then None
+      | k, payload -> (
+          if object_name k <> id then None
           else
-            match validate_payload kind payload with
-            | Ok () -> Some (kind, String.length s)
+            match validate_payload payload with
+            | Ok () -> Some (String.length s)
             | Error _ -> None))
 
 let verify t =
@@ -546,9 +535,9 @@ let scrub t =
   List.iter
     (fun id ->
       match blob_ok t id with
-      | Some (kind, bytes) ->
+      | Some bytes ->
           if not (Hashtbl.mem t.entries id) then incr adopted;
-          survivors := (id, kind, bytes) :: !survivors
+          survivors := (id, bytes) :: !survivors
       | None -> (
           incr corrupt;
           Obs.Counter.incr c_corrupt;
@@ -566,7 +555,7 @@ let scrub t =
   let missing = ref 0 in
   Hashtbl.iter
     (fun id _ ->
-      if not (List.exists (fun (i, _, _) -> i = id) survivors) then
+      if not (List.mem_assoc id survivors) then
         incr missing)
     t.entries;
   (* commit-crash leftovers in tmp/ are unreachable garbage *)
@@ -584,8 +573,8 @@ let scrub t =
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       List.iter
-        (fun (id, kind, bytes) ->
-          let line = put_line ~id ~kind ~bytes ^ "\n" in
+        (fun (id, bytes) ->
+          let line = put_line ~id ~bytes ^ "\n" in
           let n = String.length line in
           let rec write off =
             if off < n then
@@ -603,7 +592,7 @@ let scrub t =
   Hashtbl.reset t.entries;
   t.seq <- 0;
   List.iter
-    (fun (id, _, bytes) ->
+    (fun (id, bytes) ->
       t.seq <- t.seq + 1;
       Hashtbl.replace t.entries id { e_bytes = bytes; e_seq = t.seq })
     survivors;

@@ -1,5 +1,4 @@
-(** Content-addressed, crash-safe artifact store for analysis reports and
-    TFPACK1 compact traces.
+(** Content-addressed, crash-safe artifact store for analysis reports.
 
     Entries are keyed on [(workload hash, opt level, warp size, analyzer
     version)] — the full input identity of an analysis, sound because
@@ -21,10 +20,6 @@ type key = {
   warp_size : int;
   analyzer_version : string;
 }
-
-type kind = Report | Pack
-
-val kind_name : kind -> string
 
 val key_id : key -> string
 (** Stable hex content address (two independent 63-bit hash streams).
@@ -48,19 +43,17 @@ val tmp_dir : t -> string
 (** The commit staging directory — always inside the cache root, so the
     final rename never crosses a filesystem boundary. *)
 
-val put : t -> key:key -> kind:kind -> string -> unit
-(** Commit one payload atomically.  An existing entry for the same key is
+val put : t -> key:key -> string -> unit
+(** Commit one report payload atomically.  An existing entry for the same key is
     replaced. *)
 
 val find :
   ?on_corrupt:(Threadfuser_util.Tf_error.diagnostic -> unit) ->
   t ->
   key:key ->
-  kind:kind ->
   string option
 (** Verified lookup: envelope magic, CRC, bounded lengths and the
-    embedded key are checked, and [Report] payloads must additionally
-    pass {!Threadfuser_report.Report_json.validate}.  A damaged entry is
+    embedded key are checked, and the payload must additionally pass {!Threadfuser_report.Report_json.validate}.  A damaged entry is
     quarantined, reported through [on_corrupt] and counted in
     [tf_cache_corrupt_total]; the call returns [None] (a miss), never
     raises, never serves bad bytes. *)

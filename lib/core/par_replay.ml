@@ -42,24 +42,12 @@ let default_domains () =
    so a tiny workload collapses to fewer domains — the reduction is
    grouping-invariant, so the output is byte-identical either way. *)
 
-let default_min_work_per_domain = 20_000
-
-let min_work_per_domain () =
-  match Sys.getenv_opt "TF_DOMAINS_MIN_WORK" with
-  | None -> default_min_work_per_domain
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some t -> t (* <= 0 disables the heuristic *)
-      | None -> default_min_work_per_domain)
+let min_work_per_domain = 20_000
 
 let auto_domains ~requested ~items ~work =
   let requested = max 1 requested in
   if requested = 1 then 1
-  else
-    let items_cap = max 1 items in
-    let t = min_work_per_domain () in
-    if t <= 0 then min requested items_cap
-    else min requested (min items_cap (max 1 (work / t)))
+  else min requested (min (max 1 items) (max 1 (work / min_work_per_domain)))
 
 (* ------------------------------------------------------------------ *)
 (* The persistent helper-domain pool.

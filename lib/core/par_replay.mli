@@ -10,13 +10,17 @@
     [Domain.recommended_domain_count]), else 1. *)
 val default_domains : unit -> int
 
+val min_work_per_domain : int
+(** Work units (the analyzer counts trace events) that earn one domain:
+    20000. *)
+
 (** [auto_domains ~requested ~items ~work] caps a requested domain count
     for a workload of [items] shardable units carrying [work] total work
-    units: one domain is granted per [TF_DOMAINS_MIN_WORK] work units
-    (default 20000; [<= 0] disables the cap), never more than [items] or
-    [requested].  Tiny workloads thus collapse toward serial instead of
-    paying hand-off costs they cannot amortize; the reduction is
-    grouping-invariant, so output is byte-identical either way. *)
+    units: one domain is granted per {!min_work_per_domain} work units,
+    never more than [items] or [requested].  Tiny workloads thus collapse
+    toward serial instead of paying hand-off costs they cannot amortize;
+    the reduction is grouping-invariant, so output is byte-identical
+    either way. *)
 val auto_domains : requested:int -> items:int -> work:int -> int
 
 (** [map_shards ~domains ~n ~init ~item] processes indices [0..n-1] with

@@ -12,6 +12,7 @@
 module Analyzer = Threadfuser.Analyzer
 module Metrics = Threadfuser.Metrics
 module Serial = Threadfuser_trace.Serial
+module Trace_file = Threadfuser_trace.Trace_file
 module Tf_error = Threadfuser_util.Tf_error
 module Program = Threadfuser_prog.Program
 
@@ -47,8 +48,9 @@ let coverage_accounts (c : Metrics.coverage) =
   && c.Metrics.threads_analyzed >= 0
   && c.Metrics.threads_quarantined >= 0
 
-(** Run one seeded corruption of [bytes] (a serialized trace set captured
-    from a program built against [prog]) end to end.  Even seeds corrupt
+(** Run one seeded corruption of [bytes] (a trace file's bytes, as
+    [threadfuser trace] writes them, captured from a program built against
+    [prog]) end to end.  Even seeds corrupt
     the serialized bytes (decoder path); odd seeds decode cleanly and then
     damage the events (validation / replay path). *)
 let run_one ~(prog : Program.t) ~bytes ~seed : outcome =
@@ -56,10 +58,10 @@ let run_one ~(prog : Program.t) ~bytes ~seed : outcome =
     let traces =
       if seed land 1 = 0 then begin
         let damaged, _fault = Injector.corrupt_bytes ~seed bytes in
-        Serial.of_string damaged
+        Trace_file.of_string damaged
       end
       else begin
-        let traces = Serial.of_string bytes in
+        let traces = Trace_file.of_string bytes in
         let damaged, _applied = Injector.inject ~seed traces in
         damaged
       end

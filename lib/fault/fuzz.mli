@@ -23,8 +23,9 @@ type totals = {
   mutable uncaught : (int * string) list;  (** (seed, exn) — BUG if any *)
 }
 
-(** One seeded corruption, end to end.  Even seeds corrupt the serialized
-    bytes (decoder path); odd seeds decode cleanly and damage the events
+(** One seeded corruption, end to end.  [bytes] is a trace file's
+    contents, loaded through {!Threadfuser_trace.Trace_file}.  Even seeds
+    corrupt the bytes (decoder path); odd seeds decode cleanly and damage the events
     (validation / replay path). *)
 val run_one : prog:Program.t -> bytes:string -> seed:int -> outcome
 

@@ -6,8 +6,8 @@
     call/return and lock pairs, missing barrier arrivals).  Faults come in
     two layers:
 
-    - {e byte-level} ({!corrupt_bytes}): bit flips and truncations of the
-      serialized [Serial] form, exercising the decoder;
+    - {e byte-level} ({!corrupt_bytes}): bit flips and truncations of a
+      trace file's bytes, exercising the loader;
     - {e event-level} ({!inject}): structured edits of decoded traces,
       exercising validation, quarantine and the replay watchdogs.
 

@@ -42,6 +42,6 @@ type byte_fault =
 
 val pp_byte_fault : Format.formatter -> byte_fault -> unit
 
-(** [corrupt_bytes ~seed s] damages one byte (or truncates) the serialized
-    trace [s], deterministically from [seed]. *)
+(** [corrupt_bytes ~seed s] damages one byte (or truncates) the trace
+    file bytes [s], deterministically from [seed]. *)
 val corrupt_bytes : seed:int -> string -> string * byte_fault

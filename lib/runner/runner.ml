@@ -791,7 +791,7 @@ let run ?(config = default_config) (jobs : job list) : manifest =
         match e.report_file with
         | Some rel -> (
             try
-              Cache.put c ~key:(cache_key e.job) ~kind:Cache.Report
+              Cache.put c ~key:(cache_key e.job)
                 (read_text (Filename.concat config.dir rel))
             with exn ->
               Log.warn
@@ -843,7 +843,7 @@ let run ?(config = default_config) (jobs : job list) : manifest =
             "corrupt cache entry quarantined"
         in
         match
-          Cache.find ~on_corrupt c ~key:(cache_key j) ~kind:Cache.Report
+          Cache.find ~on_corrupt c ~key:(cache_key j)
         with
         | exception exn ->
             Log.warn

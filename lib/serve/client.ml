@@ -1,7 +1,5 @@
 (** Client side of the serve protocol: one blocking session per call. *)
 
-module Stream = Threadfuser_trace.Stream
-module Thread_trace = Threadfuser_trace.Thread_trace
 module Tf_error = Threadfuser_util.Tf_error
 
 type outcome = {
@@ -58,9 +56,6 @@ let session ?(chunk_bytes = 65536) ~socket_path bytes =
           Tf_error.fail Tf_error.Corrupt_input
             "serve greeting was %S, expected ready or busy"
             (Protocol.status_name greeting.Protocol.status))
-
-let session_traces ?chunk_bytes ~socket_path (traces : Thread_trace.t array) =
-  session ?chunk_bytes ~socket_path (Stream.encode traces)
 
 (* One STATS scrape against the daemon's admin socket.  The request is a
    single line; the reply is one frame — the JSON status document or the

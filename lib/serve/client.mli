@@ -14,13 +14,6 @@ type outcome = {
     on connection failure and [Tf_error.Error] on a malformed reply. *)
 val session : ?chunk_bytes:int -> socket_path:string -> string -> outcome
 
-(** As {!session}, encoding the traces first. *)
-val session_traces :
-  ?chunk_bytes:int ->
-  socket_path:string ->
-  Threadfuser_trace.Thread_trace.t array ->
-  outcome
-
 (** [stats ?format ~socket_path ()] scrapes the daemon's admin socket
     (derived via {!Serve.admin_path_of} from the {e session} socket path)
     and returns the reply payload: the JSON status document

@@ -223,14 +223,14 @@ let report_frame ?cache status rep =
   match (status, cache) with
   | Protocol.Ok_report, Some (t, key) -> (
       match
-        Cache.find t ~key ~kind:Cache.Report ~on_corrupt:(fun d ->
+        Cache.find t ~key ~on_corrupt:(fun d ->
             Log.warn "corrupt cache entry quarantined"
               ~fields:[ ("error", Tf_error.to_string d) ])
       with
       | Some payload -> payload
       | None ->
           let s = fresh () in
-          (try Cache.put t ~key ~kind:Cache.Report s
+          (try Cache.put t ~key s
            with exn ->
              Log.warn "cache put failed; reply served uncached"
                ~fields:[ ("exn", Printexc.to_string exn) ]);

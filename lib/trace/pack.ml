@@ -19,14 +19,12 @@
     against the previous access (the stream crosses block boundaries),
     size, and the store flag.  All predictors reset per thread block, so
     each block decodes independently — which is what lets the CRC-32
-    trailer sit per block and the streaming decoder emit threads as their
-    bytes arrive.
+    trailer sit per block.
 
     Hot traces are loops: block ids, lock addresses and access strides
     repeat with small deltas, so the columns varint-pack far better than
     the flat TFTRACE1 encoding. *)
 
-module Tf_error = Threadfuser_util.Tf_error
 module Crc32 = Threadfuser_util.Crc32
 
 let magic = "TFPACK1"
@@ -232,7 +230,9 @@ let decode s : Thread_trace.t array =
         let tid = Serial.read_uint r in
         if tid < 0 then raise (Serial.Corrupt "negative thread id");
         let payload_len = Serial.read_uint r in
-        if payload_len < 0 || payload_len + 4 > String.length s - r.Serial.pos
+        (* [payload_len + 4] would overflow for a crafted length near
+           [max_int]; subtract on the side that cannot *)
+        if payload_len < 0 || payload_len > String.length s - r.Serial.pos - 4
         then raise (Serial.Corrupt "pack block length exceeds remaining input");
         let payload = String.sub s r.Serial.pos payload_len in
         r.Serial.pos <- r.Serial.pos + payload_len;
@@ -261,163 +261,3 @@ let of_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> decode (really_input_string ic (in_channel_length ic)))
-
-(* -- incremental decoding ----------------------------------------------- *)
-
-module Dec = struct
-  type status =
-    | Expect_magic
-    | Expect_count
-    | Blocks of int  (* thread blocks still to come *)
-    | Done
-    | Failed of Tf_error.diagnostic  (* sticky *)
-
-  type t = {
-    mutable buf : Bytes.t;
-    mutable len : int;
-    mutable pos : int;
-    mutable state : status;
-    max_block : int;
-  }
-
-  let create ?(max_block_bytes = 16 * 1024 * 1024) () =
-    if max_block_bytes <= 0 then
-      invalid_arg "Pack.Dec.create: max_block_bytes must be positive";
-    {
-      buf = Bytes.create 4096;
-      len = 0;
-      pos = 0;
-      state = Expect_magic;
-      max_block = max_block_bytes;
-    }
-
-  let buffered t = t.len - t.pos
-
-  let feed t ?(off = 0) ?len s =
-    let len = match len with Some l -> l | None -> String.length s - off in
-    if off < 0 || len < 0 || off + len > String.length s then
-      invalid_arg "Pack.Dec.feed: bad substring";
-    if t.pos > 0 && (t.pos = t.len || t.pos >= 4096) then begin
-      Bytes.blit t.buf t.pos t.buf 0 (t.len - t.pos);
-      t.len <- t.len - t.pos;
-      t.pos <- 0
-    end;
-    if t.len + len > Bytes.length t.buf then begin
-      let cap = ref (max 4096 (2 * Bytes.length t.buf)) in
-      while t.len + len > !cap do
-        cap := 2 * !cap
-      done;
-      let bigger = Bytes.create !cap in
-      Bytes.blit t.buf 0 bigger 0 t.len;
-      t.buf <- bigger
-    end;
-    Bytes.blit_string s off t.buf t.len len;
-    t.len <- t.len + len
-
-  type step =
-    | Need_more
-    | Thread of Thread_trace.t
-    | End_of_pack
-    | Corrupt of Tf_error.diagnostic
-
-  exception Short
-  exception Bad of string
-
-  (* Varint over the reassembly buffer: [Serial.read_uint]'s overlong
-     bound, but [Short] on exhaustion (more input may still arrive). *)
-  let read_uint_b t p =
-    let rec go shift acc =
-      if !p >= t.len then raise Short;
-      let b = Char.code (Bytes.get t.buf !p) in
-      incr p;
-      if shift >= 63 then raise (Bad "overlong varint");
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    go 0 0
-
-  let fail t fmt =
-    Format.kasprintf
-      (fun m ->
-        let d = Tf_error.diag Tf_error.Corrupt_input "%s" m in
-        t.state <- Failed d;
-        Corrupt d)
-      fmt
-
-  let rec next t =
-    match t.state with
-    | Failed d -> Corrupt d
-    | Done ->
-        if t.pos < t.len then
-          fail t "%d byte(s) after the last pack block" (t.len - t.pos)
-        else End_of_pack
-    | Expect_magic ->
-        let n = String.length magic in
-        if t.len - t.pos < n then Need_more
-        else if Bytes.sub_string t.buf t.pos n <> magic then
-          fail t "bad pack magic"
-        else begin
-          t.pos <- t.pos + n;
-          t.state <- Expect_count;
-          next t
-        end
-    | Expect_count -> (
-        let p = ref t.pos in
-        match read_uint_b t p with
-        | n ->
-            if n < 0 then fail t "negative thread count"
-            else begin
-              t.pos <- !p;
-              t.state <- (if n = 0 then Done else Blocks n);
-              next t
-            end
-        | exception Short -> Need_more
-        | exception Bad m -> fail t "%s" m)
-    | Blocks remaining -> (
-        let p = ref t.pos in
-        match
-          let tid = read_uint_b t p in
-          if tid < 0 then raise (Bad "negative thread id");
-          let payload_len = read_uint_b t p in
-          (* bound before buffering: an oversized declaration must fail
-             from the header alone *)
-          if payload_len < 0 || payload_len > t.max_block then
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "pack block of %d bytes exceeds the %d-byte bound"
-                    payload_len t.max_block));
-          if t.len - !p < payload_len + 4 then raise Short;
-          let payload = Bytes.sub_string t.buf !p payload_len in
-          let stored =
-            Crc32.read_le
-              (Bytes.sub_string t.buf (!p + payload_len) 4)
-              0
-          in
-          check_crc ~payload ~stored;
-          (!p + payload_len + 4, decode_payload ~tid payload)
-        with
-        | pos, trace ->
-            t.pos <- pos;
-            t.state <- (if remaining = 1 then Done else Blocks (remaining - 1));
-            Thread trace
-        | exception Short -> Need_more
-        | exception Bad m -> fail t "%s" m
-        | exception Serial.Corrupt m -> fail t "%s" m)
-
-  let decode_all s =
-    let t = create () in
-    feed t s;
-    let acc = ref [] in
-    let rec go () =
-      match next t with
-      | Thread tr ->
-          acc := tr :: !acc;
-          go ()
-      | End_of_pack -> Ok (Array.of_list (List.rev !acc))
-      | Need_more ->
-          Error (Tf_error.diag Tf_error.Corrupt_input "pack truncated mid-block")
-      | Corrupt d -> Error d
-    in
-    go ()
-end

@@ -4,12 +4,12 @@
     access addresses each get their own varint column) and safer at rest:
     every per-thread block carries a CRC-32 trailer, so torn or bit-flipped
     bytes are detected before any event reaches an analyzer.  Encoding is
-    deterministic — the same traces always produce the same bytes — which
-    is what lets the artifact cache content-address packed traces.
+    deterministic: the same traces always produce the same bytes.  It is
+    the only trace format ThreadFuser writes; {!Trace_file}
+    also reads legacy TFTRACE1 files.
 
     All decode errors raise {!Serial.Corrupt} (the CLI's typed exit-2
-    path); the incremental {!Dec} reports them as sticky
-    {!Threadfuser_util.Tf_error} diagnostics instead. *)
+    path). *)
 
 val magic : string
 (** ["TFPACK1"] — the container's leading bytes, for format sniffing. *)
@@ -24,30 +24,3 @@ val to_file : string -> Thread_trace.t array -> unit
 
 val of_file : string -> Thread_trace.t array
 (** Raises {!Serial.Corrupt} like {!decode}; [Sys_error] on I/O failure. *)
-
-(** Incremental decoder: feed arbitrary chunks, pull whole thread traces.
-    Any chunking yields the same thread sequence as {!decode}. *)
-module Dec : sig
-  type t
-
-  val create : ?max_block_bytes:int -> unit -> t
-  (** [max_block_bytes] (default 16 MiB) bounds a single thread block; an
-      oversized declared length is rejected from the header alone, before
-      any payload is buffered. *)
-
-  val feed : t -> ?off:int -> ?len:int -> string -> unit
-
-  val buffered : t -> int
-  (** Bytes fed but not yet consumed. *)
-
-  type step =
-    | Need_more  (** the buffered bytes end mid-item; feed more *)
-    | Thread of Thread_trace.t
-    | End_of_pack  (** all declared thread blocks decoded *)
-    | Corrupt of Threadfuser_util.Tf_error.diagnostic  (** sticky *)
-
-  val next : t -> step
-
-  val decode_all : string -> (Thread_trace.t array, Threadfuser_util.Tf_error.diagnostic) result
-  (** One-shot convenience over a fully buffered pack. *)
-end

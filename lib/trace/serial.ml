@@ -1,6 +1,7 @@
-(** Binary serialization of traces.
+(** The varint codec and event codec every trace container shares, plus
+    the read-only decoder for legacy TFTRACE1 files.
 
-    Format (all integers LEB128 varints over the two's-complement bit
+    TFTRACE1 (all integers LEB128 varints over the two's-complement bit
     pattern): a magic header, a thread count, then per thread the tid, the
     event count and the events.  Event tags:
 
@@ -14,20 +15,11 @@
       6 Barrier addr
     v}
 
-    The format supports both in-memory buffers and files, so traces can be
-    captured once and re-analyzed under many warp configurations, like the
-    paper's trace files feeding Accel-Sim. *)
+    ThreadFuser no longer writes TFTRACE1 ({!Pack}'s TFPACK1 is the one
+    written format); files captured before that still load through
+    {!Trace_file}. *)
 
 let magic = "TFTRACE1"
-
-module Obs = Threadfuser_obs.Obs
-
-let c_decoded_threads =
-  Obs.Counter.make "tf_trace_threads_decoded_total"
-    ~help:"thread traces decoded from serialized form"
-let c_decoded_bytes =
-  Obs.Counter.make "tf_trace_bytes_decoded_total"
-    ~help:"serialized trace bytes decoded"
 
 (* -- varint primitives -------------------------------------------------- *)
 
@@ -45,8 +37,6 @@ let write_uint buf n =
     end
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
-
-let write_int = write_uint
 
 type reader = { data : string; mutable pos : int }
 
@@ -70,8 +60,6 @@ let read_uint r =
     if b land 0x80 <> 0 then go (shift + 7) acc else acc
   in
   go 0 0
-
-let read_int = read_uint
 
 (* Length headers are untrusted: a corrupt count must fail as [Corrupt]
    before it reaches [Array.init] (a 5-byte file must not trigger a
@@ -102,7 +90,7 @@ let write_event buf (e : Event.t) =
       Array.iter
         (fun (a : Event.access) ->
           write_uint buf a.ioff;
-          write_int buf a.addr;
+          write_uint buf a.addr;
           write_uint buf a.size;
           write_uint buf (if a.is_store then 1 else 0))
         b.accesses
@@ -112,10 +100,10 @@ let write_event buf (e : Event.t) =
   | Event.Return -> write_uint buf 2
   | Event.Lock_acq a ->
       write_uint buf 3;
-      write_int buf a
+      write_uint buf a
   | Event.Lock_rel a ->
       write_uint buf 4;
-      write_int buf a
+      write_uint buf a
   | Event.Skip { reason; n_instr } ->
       write_uint buf 5;
       write_uint buf
@@ -123,7 +111,7 @@ let write_event buf (e : Event.t) =
       write_uint buf n_instr
   | Event.Barrier a ->
       write_uint buf 6;
-      write_int buf a
+      write_uint buf a
 
 let read_event r : Event.t =
   match read_uint r with
@@ -136,7 +124,7 @@ let read_event r : Event.t =
       let accesses =
         Array.init n_acc (fun _ ->
             let ioff = read_uint r in
-            let addr = read_int r in
+            let addr = read_uint r in
             let size = read_uint r in
             let is_store = read_uint r = 1 in
             { Event.ioff; addr; size; is_store })
@@ -144,8 +132,8 @@ let read_event r : Event.t =
       Event.Block { func; block; n_instr; accesses }
   | 1 -> Event.Call (read_uint r)
   | 2 -> Event.Return
-  | 3 -> Event.Lock_acq (read_int r)
-  | 4 -> Event.Lock_rel (read_int r)
+  | 3 -> Event.Lock_acq (read_uint r)
+  | 4 -> Event.Lock_rel (read_uint r)
   | 5 ->
       let reason =
         match read_uint r with
@@ -156,50 +144,22 @@ let read_event r : Event.t =
       in
       let n_instr = read_uint r in
       Event.Skip { reason; n_instr }
-  | 6 -> Event.Barrier (read_int r)
+  | 6 -> Event.Barrier (read_uint r)
   | n -> raise (Corrupt (Printf.sprintf "bad event tag %d" n))
 
-(* -- whole traces ------------------------------------------------------- *)
-
-let to_buffer (traces : Thread_trace.t array) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  write_uint buf (Array.length traces);
-  Array.iter
-    (fun (t : Thread_trace.t) ->
-      write_uint buf t.tid;
-      write_uint buf (Array.length t.events);
-      Array.iter (write_event buf) t.events)
-    traces;
-  buf
-
-let to_string traces = Buffer.contents (to_buffer traces)
+(* -- legacy whole traces ------------------------------------------------ *)
 
 let of_string s : Thread_trace.t array =
-  Obs.span "decode"
-    ~args:[ ("bytes", string_of_int (String.length s)) ]
-    (fun () ->
-      let n_magic = String.length magic in
-      if String.length s < n_magic || String.sub s 0 n_magic <> magic then
-        raise (Corrupt "bad magic");
-      let r = { data = s; pos = n_magic } in
-      (* a thread costs at least 2 bytes (tid + event count) *)
-      let n_threads = read_count r ~min_bytes:2 "thread" in
-      let traces =
-        Array.init n_threads (fun _ ->
-            let tid = read_uint r in
-            if tid < 0 then raise (Corrupt "negative thread id");
-            (* an event is at least 1 byte (its tag) *)
-            let n_events = read_count r ~min_bytes:1 "event" in
-            let events = Array.init n_events (fun _ -> read_event r) in
-            { Thread_trace.tid; events })
-      in
-      Obs.Counter.add c_decoded_threads n_threads;
-      Obs.Counter.add c_decoded_bytes (String.length s);
-      traces)
-
-let to_file path traces =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc (to_buffer traces))
+  let n_magic = String.length magic in
+  if String.length s < n_magic || String.sub s 0 n_magic <> magic then
+    raise (Corrupt "bad magic");
+  let r = { data = s; pos = n_magic } in
+  (* a thread costs at least 2 bytes (tid + event count) *)
+  let n_threads = read_count r ~min_bytes:2 "thread" in
+  Array.init n_threads (fun _ ->
+      let tid = read_uint r in
+      if tid < 0 then raise (Corrupt "negative thread id");
+      (* an event is at least 1 byte (its tag) *)
+      let n_events = read_count r ~min_bytes:1 "event" in
+      let events = Array.init n_events (fun _ -> read_event r) in
+      { Thread_trace.tid; events })

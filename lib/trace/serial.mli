@@ -1,19 +1,15 @@
-(** Binary serialization of trace sets (LEB128 varints over the
-    two's-complement bit pattern), so traces can be captured once and
-    re-analyzed under many warp configurations — the paper's trace files. *)
+(** The shared LEB128 varint codec (over the two's-complement bit
+    pattern) and event codec that {!Pack} and {!Stream} frame, plus the
+    read-only decoder for legacy TFTRACE1 trace files.  ThreadFuser writes
+    TFPACK1 only; {!Trace_file} is the loader that accepts both. *)
 
 exception Corrupt of string
 (** Raised by the readers on malformed or truncated input. *)
 
-val to_buffer : Thread_trace.t array -> Buffer.t
-
-val to_string : Thread_trace.t array -> string
-
 val of_string : string -> Thread_trace.t array
+(** Decode a legacy TFTRACE1 trace set. *)
 
-val to_file : string -> Thread_trace.t array -> unit
-
-(** {2 Low-level varint primitives} (exposed for tests) *)
+(** {2 Low-level varint primitives} *)
 
 type reader = { data : string; mutable pos : int }
 
@@ -21,12 +17,9 @@ val read_byte : reader -> int
 (** One raw byte; raises [Corrupt] at end of input. *)
 
 val write_uint : Buffer.t -> int -> unit
-
-val write_int : Buffer.t -> int -> unit
+(** Every OCaml int round-trips, negatives included (at 9 bytes). *)
 
 val read_uint : reader -> int
-
-val read_int : reader -> int
 
 val read_count : reader -> min_bytes:int -> string -> int
 (** Bounded length header: reads a varint count and raises [Corrupt]

@@ -21,8 +21,6 @@ let tag_end = 1
 
 (* -- encoding ----------------------------------------------------------- *)
 
-let add_magic buf = Buffer.add_string buf magic
-
 let add_thread buf (t : Thread_trace.t) =
   let payload = Buffer.create 256 in
   Serial.write_uint payload t.Thread_trace.tid;
@@ -32,13 +30,11 @@ let add_thread buf (t : Thread_trace.t) =
   Serial.write_uint buf (Buffer.length payload);
   Buffer.add_buffer buf payload
 
-let add_end buf = Serial.write_uint buf tag_end
-
 let encode traces =
   let buf = Buffer.create 4096 in
-  add_magic buf;
+  Buffer.add_string buf magic;
   Array.iter (add_thread buf) traces;
-  add_end buf;
+  Serial.write_uint buf tag_end;
   Buffer.contents buf
 
 (* -- incremental decoding ----------------------------------------------- *)

@@ -1,7 +1,7 @@
 (** Chunked streaming serialization of thread traces.
 
-    Where {!Serial} encodes a complete trace set in one block, this module
-    frames one thread per bounded frame so a trace set can be produced,
+    Where {!Pack} stores a complete trace set at rest, this module frames
+    one thread per bounded frame so a trace set can be produced,
     shipped and consumed incrementally — the wire format of the
     [threadfuser serve] session protocol and the spool format of
     [Analyzer.Session].
@@ -17,21 +17,17 @@
 module Tf_error := Threadfuser_util.Tf_error
 
 val magic : string
-(** Stream header ("TFSTREAM1"), distinct from {!Serial}'s "TFTRACE1". *)
+(** Stream header ("TFSTREAM1"), distinct from {!Pack}'s "TFPACK1". *)
 
 (** {1 Encoding} *)
-
-val add_magic : Buffer.t -> unit
 
 val add_thread : Buffer.t -> Thread_trace.t -> unit
 (** One framed thread: tag, payload length, then tid + events in
     {!Serial}'s event codec. *)
 
-val add_end : Buffer.t -> unit
-(** The end-of-stream frame; bytes after it are a protocol error. *)
-
 val encode : Thread_trace.t array -> string
-(** [magic] + one thread frame each + end frame. *)
+(** [magic] + one thread frame each + the end frame (bytes after it are a
+    protocol error). *)
 
 (** {1 Incremental decoding} *)
 

@@ -1,6 +1,8 @@
 (** The one trace-file loader: every command that reads a captured trace
-    set goes through here, so a TFTRACE1 file ({!Serial}) and a TFPACK1
-    file ({!Pack}) are accepted alike, keyed on their magic. *)
+    set goes through here.  It accepts the TFPACK1 files ThreadFuser
+    writes ({!Pack}) and legacy TFTRACE1 files ({!Serial}), keyed on their
+    magic.  Each decode is one [decode] span and feeds the
+    [tf_trace_{threads,bytes}_decoded_total] counters. *)
 
 val of_string : string -> Thread_trace.t array
 (** Decode either container.  Raises {!Serial.Corrupt} on damage —

@@ -9,7 +9,8 @@ module Machine = Threadfuser_machine.Machine
 module Memory = Threadfuser_machine.Memory
 module Compiler = Threadfuser_compiler.Compiler
 module Thread_trace = Threadfuser_trace.Thread_trace
-module Serial = Threadfuser_trace.Serial
+module Pack = Threadfuser_trace.Pack
+module Trace_file = Threadfuser_trace.Trace_file
 
 let bar = 0x50000
 
@@ -124,7 +125,7 @@ let test_analyzer_barrier_across_warps () =
 
 let test_serial_roundtrip_with_barrier () =
   let _, _, r = run_phased 2 in
-  let back = Serial.of_string (Serial.to_string r.Machine.traces) in
+  let back = Trace_file.of_string (Pack.encode r.Machine.traces) in
   Array.iteri
     (fun i (t : Thread_trace.t) ->
       Alcotest.(check bool)

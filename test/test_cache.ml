@@ -1,5 +1,5 @@
 (* The artifact cache and the TFPACK1 container: encode/decode round-trips
-   (byte-identical re-encode, any chunking), corruption detection, the
+   (byte-identical re-encode), corruption detection, the
    crash-at-any-byte commit torture, injected durability faults
    (torn write / bit flip / partial rename), scrub's index rebuild,
    deterministic LRU gc, and the warm-suite integration (second run serves
@@ -12,7 +12,7 @@ module Event = Threadfuser_trace.Event
 module Cache = Threadfuser_cache.Cache
 module Store_fault = Threadfuser_fault.Store_fault
 module Runner = Threadfuser_runner.Runner
-module Tf_error = Threadfuser_util.Tf_error
+module Crc32 = Threadfuser_util.Crc32
 
 let dir_counter = ref 0
 
@@ -105,37 +105,6 @@ let test_pack_file () =
   Pack.to_file path sample_traces;
   check_traces "file round-trip" sample_traces (Pack.of_file path)
 
-(* Streaming decode at every chunking agrees with the one-shot decoder,
-   byte-at-a-time included. *)
-let test_pack_chunked () =
-  let bytes = Pack.encode sample_traces in
-  List.iter
-    (fun chunk ->
-      let dec = Pack.Dec.create () in
-      let pos = ref 0 in
-      let n = String.length bytes in
-      while !pos < n do
-        let len = min chunk (n - !pos) in
-        Pack.Dec.feed dec ~off:!pos ~len bytes;
-        pos := !pos + len
-      done;
-      let acc = ref [] in
-      let rec drain () =
-        match Pack.Dec.next dec with
-        | Pack.Dec.Thread t ->
-            acc := t :: !acc;
-            drain ()
-        | Pack.Dec.End_of_pack -> ()
-        | Pack.Dec.Need_more -> Alcotest.fail "decoder starved on full input"
-        | Pack.Dec.Corrupt d -> Alcotest.fail (Tf_error.to_string d)
-      in
-      drain ();
-      check_traces
-        (Printf.sprintf "chunk size %d" chunk)
-        sample_traces
-        (Array.of_list (List.rev !acc)))
-    [ 1; 2; 3; 7; 16; 64; 4096 ]
-
 let gen_event =
   let open QCheck.Gen in
   frequency
@@ -179,8 +148,8 @@ let gen_traces =
     return (Array.of_list ts))
 
 (* decode . encode = id, and encode . decode . encode = encode: the
-   container is deterministic, which is what lets the cache
-   content-address packed traces. *)
+   container is deterministic, so capturing the same traces always writes
+   the same file. *)
 let prop_pack_roundtrip =
   QCheck.Test.make ~name:"TFPACK1 roundtrip (byte-identical re-encode)"
     ~count:200 (QCheck.make gen_traces) (fun traces ->
@@ -193,44 +162,14 @@ let prop_pack_roundtrip =
            back traces
       && Pack.encode back = bytes)
 
-(* Any chunking of the byte stream yields the same threads. *)
-let prop_pack_chunking =
-  QCheck.Test.make ~name:"TFPACK1 streaming decode at any chunking" ~count:100
-    (QCheck.make
-       QCheck.Gen.(pair gen_traces (list_size (int_bound 30) (int_range 1 64))))
-    (fun (traces, chunks) ->
-      let bytes = Pack.encode traces in
-      let dec = Pack.Dec.create () in
-      let pos = ref 0 in
-      let n = String.length bytes in
-      let cuts = ref chunks in
-      while !pos < n do
-        let want = match !cuts with c :: rest -> cuts := rest; c | [] -> n in
-        let len = min want (n - !pos) in
-        Pack.Dec.feed dec ~off:!pos ~len bytes;
-        pos := !pos + len
-      done;
-      let rec drain acc =
-        match Pack.Dec.next dec with
-        | Pack.Dec.Thread t -> drain (t :: acc)
-        | Pack.Dec.End_of_pack -> Some (Array.of_list (List.rev acc))
-        | Pack.Dec.Need_more | Pack.Dec.Corrupt _ -> None
-      in
-      match drain [] with
-      | None -> false
-      | Some back -> back = Pack.decode bytes)
-
 (* Every strict prefix of a pack is typed-corrupt, never an exception or
    a silent partial decode. *)
 let test_pack_truncation () =
   let bytes = Pack.encode sample_traces in
   for cut = 0 to String.length bytes - 1 do
-    (match Pack.decode (String.sub bytes 0 cut) with
+    match Pack.decode (String.sub bytes 0 cut) with
     | _ -> Alcotest.failf "prefix of %d byte(s) decoded" cut
-    | exception Serial.Corrupt _ -> ());
-    match Pack.Dec.decode_all (String.sub bytes 0 cut) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "streaming decode accepted a %d-byte prefix" cut
+    | exception Serial.Corrupt _ -> ()
   done
 
 (* Single corrupted byte anywhere: decode must raise [Serial.Corrupt] —
@@ -254,21 +193,33 @@ let test_pack_bitflip () =
     true
     (!detected >= n - 3)
 
-(* An oversized declared block length is rejected from the header alone,
-   before any payload is buffered. *)
-let test_pack_oversize_bound () =
+(* A block header declaring more payload than the input holds is
+   rejected from the header alone, before any payload is copied. *)
+let pack_header ~payload_len =
   let buf = Buffer.create 32 in
   Buffer.add_string buf Pack.magic;
   Serial.write_uint buf 1;
   Serial.write_uint buf 0;
-  Serial.write_uint buf 1_000_000;
-  let dec = Pack.Dec.create ~max_block_bytes:1024 () in
-  Pack.Dec.feed dec (Buffer.contents buf);
-  (match Pack.Dec.next dec with
-  | Pack.Dec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "oversized block header accepted");
-  Alcotest.(check bool) "nothing buffered beyond the header" true
-    (Pack.Dec.buffered dec < 32)
+  Serial.write_uint buf payload_len;
+  Buffer.add_string buf (String.make 16 '\000');
+  Buffer.contents buf
+
+let test_pack_oversize_bound () =
+  match Pack.decode (pack_header ~payload_len:1_000_000) with
+  | exception Serial.Corrupt _ -> ()
+  | _ -> Alcotest.fail "oversized block header accepted"
+
+(* A declared length of 2^62 - 1 (varint ff x8 3f, 34 bytes in all): the
+   bound check must not overflow into accepting it and reaching
+   [String.sub]. *)
+let test_pack_length_overflow () =
+  let bytes = pack_header ~payload_len:max_int in
+  Alcotest.(check int) "crafted input size" 34 (String.length bytes);
+  match Pack.decode bytes with
+  | exception Serial.Corrupt _ -> ()
+  | exception e ->
+      Alcotest.failf "escaped as %s, not Corrupt" (Printexc.to_string e)
+  | _ -> Alcotest.fail "block length near max_int accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                                *)
@@ -276,7 +227,10 @@ let test_pack_oversize_bound () =
 let key ?(workload = "bfs:abc123") ?(opt_level = 1) ?(warp_size = 32) () =
   { Cache.workload; opt_level; warp_size; analyzer_version = "tf-analyzer/1" }
 
-let pack_payload = Pack.encode sample_traces
+(* The smallest document {!Threadfuser_report.Report_json.validate}
+   accepts: the cache serves only reports that pass it. *)
+let report_payload =
+  {|{"warp_size":32,"threads":1,"warps":1,"issues":0,"thread_instructions":0,"simt_efficiency":1.0,"memory":{},"synchronization":{},"coverage":{},"per_function":[]}|}
 
 let objects_dir root = Filename.concat root "objects"
 
@@ -290,22 +244,20 @@ let test_cache_roundtrip () =
   let c = Cache.open_ root in
   let k = key () in
   Alcotest.(check (option string)) "cold miss" None
-    (Cache.find c ~key:k ~kind:Cache.Pack);
-  Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
-  Alcotest.(check (option string)) "hit after put" (Some pack_payload)
-    (Cache.find c ~key:k ~kind:Cache.Pack);
+    (Cache.find c ~key:k);
+  Cache.put c ~key:k report_payload;
+  Alcotest.(check (option string)) "hit after put" (Some report_payload)
+    (Cache.find c ~key:k);
   Alcotest.(check (option string)) "other key misses" None
-    (Cache.find c ~key:(key ~opt_level:2 ()) ~kind:Cache.Pack);
-  Alcotest.(check (option string)) "other kind misses" None
-    (Cache.find c ~key:k ~kind:Cache.Report);
+    (Cache.find c ~key:(key ~opt_level:2 ()));
   let s = Cache.stat c in
   Alcotest.(check int) "one live entry" 1 s.Cache.entries_live;
   Alcotest.(check int) "no quarantine" 0 s.Cache.quarantined;
   Cache.close c;
   (* durability: a fresh handle serves the same bytes *)
   let c2 = Cache.open_ root in
-  Alcotest.(check (option string)) "hit across reopen" (Some pack_payload)
-    (Cache.find c2 ~key:k ~kind:Cache.Pack);
+  Alcotest.(check (option string)) "hit across reopen" (Some report_payload)
+    (Cache.find c2 ~key:k);
   Cache.close c2
 
 let test_cache_key_id () =
@@ -332,8 +284,8 @@ let test_cache_tmp_in_root () =
   Alcotest.(check bool) "tmp dir inside the cache root" true
     (String.length tmp > String.length root
     && String.sub tmp 0 (String.length root) = root);
-  Cache.put c ~key:(key ()) ~kind:Cache.Pack pack_payload;
-  ignore (Cache.find c ~key:(key ()) ~kind:Cache.Pack);
+  Cache.put c ~key:(key ()) report_payload;
+  ignore (Cache.find c ~key:(key ()));
   Alcotest.(check int) "no staging residue after commit" 0
     (Array.length (Sys.readdir tmp));
   Cache.close c
@@ -346,15 +298,15 @@ let test_cache_crash_at_any_byte () =
   let root = fresh_dir () in
   let c = Cache.open_ root in
   let k = key () in
-  Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k report_payload;
   let path = only_object root in
   let full = read_file path in
   let corrupt_seen = ref 0 in
   for cut = 0 to String.length full - 1 do
-    Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
+    Cache.put c ~key:k report_payload;
     write_file path (String.sub full 0 cut);
     match
-      Cache.find c ~key:k ~kind:Cache.Pack ~on_corrupt:(fun _ ->
+      Cache.find c ~key:k ~on_corrupt:(fun _ ->
           incr corrupt_seen)
     with
     | None -> ()
@@ -367,10 +319,10 @@ let test_cache_crash_at_any_byte () =
   let v = Cache.verify c in
   Alcotest.(check bool) "verified clean after scrub" true
     (v.Cache.corrupt = 0 && v.Cache.missing = 0 && v.Cache.orphaned = 0);
-  Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k report_payload;
   Alcotest.(check (option string)) "store still serves after torture"
-    (Some pack_payload)
-    (Cache.find c ~key:k ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c ~key:k);
   Cache.close c
 
 (* A flipped byte in a committed blob is quarantined on read — returned as
@@ -379,7 +331,7 @@ let test_cache_bitflip_quarantine () =
   let root = fresh_dir () in
   let c = Cache.open_ root in
   let k = key () in
-  Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k report_payload;
   let path = only_object root in
   let full = read_file path in
   let b = Bytes.of_string full in
@@ -387,7 +339,7 @@ let test_cache_bitflip_quarantine () =
   Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x10));
   write_file path (Bytes.to_string b);
   let diag = ref None in
-  (match Cache.find c ~key:k ~kind:Cache.Pack ~on_corrupt:(fun d -> diag := Some d)
+  (match Cache.find c ~key:k ~on_corrupt:(fun d -> diag := Some d)
    with
   | None -> ()
   | Some _ -> Alcotest.fail "bit-flipped blob served");
@@ -396,7 +348,37 @@ let test_cache_bitflip_quarantine () =
   Alcotest.(check int) "blob quarantined" 1 s.Cache.quarantined;
   Alcotest.(check int) "entry no longer live" 0 s.Cache.entries_live;
   Alcotest.(check (option string)) "subsequent lookups miss cleanly" None
-    (Cache.find c ~key:k ~kind:Cache.Pack);
+    (Cache.find c ~key:k);
+  Cache.close c
+
+(* The cache stores reports only.  A blob whose body carries the kind tag
+   an older layout gave packed traces (1) is corrupt even under a valid
+   CRC: quarantined on read, never served. *)
+let test_cache_old_pack_tag () =
+  let root = fresh_dir () in
+  let c = Cache.open_ root in
+  let k = key () in
+  Cache.put c ~key:k report_payload;
+  let path = only_object root in
+  Alcotest.(check string) "object named for its report"
+    (Cache.key_id k ^ ".report") (Filename.basename path);
+  let full = read_file path in
+  let magic = String.length "TFBLOB1" in
+  let body = Bytes.of_string (String.sub full magic (String.length full - magic - 4)) in
+  Alcotest.(check int) "body leads with the report tag" 0
+    (Char.code (Bytes.get body 0));
+  Bytes.set body 0 '\001';
+  let resealed = Buffer.create (String.length full) in
+  Buffer.add_string resealed (String.sub full 0 magic);
+  Buffer.add_bytes resealed body;
+  Crc32.add_le resealed (Crc32.string (Bytes.to_string body));
+  write_file path (Buffer.contents resealed);
+  let diag = ref None in
+  (match Cache.find c ~key:k ~on_corrupt:(fun d -> diag := Some d) with
+  | None -> ()
+  | Some _ -> Alcotest.fail "pack-tagged blob served");
+  Alcotest.(check bool) "typed diagnostic reported" true (!diag <> None);
+  Alcotest.(check int) "blob quarantined" 1 (Cache.stat c).Cache.quarantined;
   Cache.close c
 
 (* The seeded durability injectors: every fault mode ends in a clean miss
@@ -408,12 +390,12 @@ let test_cache_fault_injection () =
     let fault = Store_fault.plan ~seed:42 ?torn_pct ?flip_pct ?partial_pct () in
     let c = Cache.open_ ~fault root in
     let k = key () in
-    Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
-    (match Cache.find c ~key:k ~kind:Cache.Pack with
+    Cache.put c ~key:k report_payload;
+    (match Cache.find c ~key:k with
     | None -> ()
     | Some got ->
         Alcotest.(check string) "a hit under fault must still be intact"
-          pack_payload got);
+          report_payload got);
     Cache.close c;
     (* reopen clean and repair *)
     let c2 = Cache.open_ root in
@@ -426,13 +408,13 @@ let test_cache_fault_injection () =
       (v.Cache.corrupt = 0 && v.Cache.missing = 0 && v.Cache.orphaned = 0);
     if adopted then
       Alcotest.(check (option string)) "adopted blob now hits"
-        (Some pack_payload)
-        (Cache.find c2 ~key:k ~kind:Cache.Pack)
+        (Some report_payload)
+        (Cache.find c2 ~key:k)
     else begin
-      Cache.put c2 ~key:k ~kind:Cache.Pack pack_payload;
+      Cache.put c2 ~key:k report_payload;
       Alcotest.(check (option string)) "healed store serves"
-        (Some pack_payload)
-        (Cache.find c2 ~key:k ~kind:Cache.Pack)
+        (Some report_payload)
+        (Cache.find c2 ~key:k)
     end;
     Cache.close c2
   in
@@ -446,27 +428,27 @@ let test_cache_index_rebuild () =
   let root = fresh_dir () in
   let c = Cache.open_ root in
   let k1 = key () and k2 = key ~opt_level:2 () in
-  Cache.put c ~key:k1 ~kind:Cache.Pack pack_payload;
-  Cache.put c ~key:k2 ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k1 report_payload;
+  Cache.put c ~key:k2 report_payload;
   Cache.close c;
   Sys.remove (Filename.concat root "index.jsonl");
   let c2 = Cache.open_ root in
   Alcotest.(check (option string)) "no index, no hit" None
-    (Cache.find c2 ~key:k1 ~kind:Cache.Pack);
+    (Cache.find c2 ~key:k1);
   let r = Cache.scrub c2 in
   Alcotest.(check int) "both blobs adopted" 2 r.Cache.orphaned;
   Alcotest.(check (option string)) "rebuilt index serves k1"
-    (Some pack_payload)
-    (Cache.find c2 ~key:k1 ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c2 ~key:k1);
   Alcotest.(check (option string)) "rebuilt index serves k2"
-    (Some pack_payload)
-    (Cache.find c2 ~key:k2 ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c2 ~key:k2);
   Cache.close c2;
   (* the rebuilt index survives a reopen too *)
   let c3 = Cache.open_ root in
   Alcotest.(check (option string)) "rebuilt index durable"
-    (Some pack_payload)
-    (Cache.find c3 ~key:k1 ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c3 ~key:k1);
   Cache.close c3
 
 (* A torn tail on the index journal is quarantined on open, never fatal,
@@ -475,15 +457,15 @@ let test_cache_torn_index_line () =
   let root = fresh_dir () in
   let c = Cache.open_ root in
   let k = key () in
-  Cache.put c ~key:k ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k report_payload;
   Cache.close c;
   let index = Filename.concat root "index.jsonl" in
   let full = read_file index in
   write_file index (full ^ "{\"op\":\"put\",\"tr");
   let c2 = Cache.open_ root in
   Alcotest.(check (option string)) "intact entries survive a torn tail"
-    (Some pack_payload)
-    (Cache.find c2 ~key:k ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c2 ~key:k);
   Cache.close c2
 
 (* gc evicts in journal-append (LRU) order: a touched entry outlives an
@@ -494,22 +476,22 @@ let test_cache_gc_lru () =
   let k1 = key ~workload:"a" () in
   let k2 = key ~workload:"b" () in
   let k3 = key ~workload:"c" () in
-  Cache.put c ~key:k1 ~kind:Cache.Pack pack_payload;
-  Cache.put c ~key:k2 ~kind:Cache.Pack pack_payload;
-  Cache.put c ~key:k3 ~kind:Cache.Pack pack_payload;
+  Cache.put c ~key:k1 report_payload;
+  Cache.put c ~key:k2 report_payload;
+  Cache.put c ~key:k3 report_payload;
   (* touch k1: k2 becomes the least recently used *)
-  ignore (Cache.find c ~key:k1 ~kind:Cache.Pack);
+  ignore (Cache.find c ~key:k1);
   let total = (Cache.stat c).Cache.bytes_live in
   let evicted = Cache.gc c ~budget_bytes:(total - 1) in
   Alcotest.(check int) "one eviction to fit" 1 evicted;
   Alcotest.(check (option string)) "LRU entry evicted" None
-    (Cache.find c ~key:k2 ~kind:Cache.Pack);
+    (Cache.find c ~key:k2);
   Alcotest.(check (option string)) "touched entry survives"
-    (Some pack_payload)
-    (Cache.find c ~key:k1 ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c ~key:k1);
   Alcotest.(check (option string)) "newest entry survives"
-    (Some pack_payload)
-    (Cache.find c ~key:k3 ~kind:Cache.Pack);
+    (Some report_payload)
+    (Cache.find c ~key:k3);
   Alcotest.(check int) "gc to zero clears the store" 2
     (Cache.gc c ~budget_bytes:0);
   Alcotest.(check int) "empty after full eviction" 0
@@ -572,14 +554,14 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_pack_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_pack_file;
-          Alcotest.test_case "chunked decode" `Quick test_pack_chunked;
           QCheck_alcotest.to_alcotest prop_pack_roundtrip;
-          QCheck_alcotest.to_alcotest prop_pack_chunking;
           Alcotest.test_case "truncation at any byte" `Quick
             test_pack_truncation;
           Alcotest.test_case "corrupted byte detected" `Quick test_pack_bitflip;
           Alcotest.test_case "oversize bound from header" `Quick
             test_pack_oversize_bound;
+          Alcotest.test_case "block length overflow is corrupt" `Quick
+            test_pack_length_overflow;
         ] );
       ( "cache",
         [
@@ -590,6 +572,8 @@ let () =
             test_cache_crash_at_any_byte;
           Alcotest.test_case "bit flip quarantined" `Quick
             test_cache_bitflip_quarantine;
+          Alcotest.test_case "old pack tag quarantined" `Quick
+            test_cache_old_pack_tag;
           Alcotest.test_case "fault injection heals" `Quick
             test_cache_fault_injection;
           Alcotest.test_case "index rebuilt from blobs" `Quick

@@ -9,6 +9,9 @@ module Machine = Threadfuser_machine.Machine
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Serial = Threadfuser_trace.Serial
+module Pack = Threadfuser_trace.Pack
+module Trace_file = Threadfuser_trace.Trace_file
+module Crc32 = Threadfuser_util.Crc32
 module Tf_error = Threadfuser_util.Tf_error
 module Injector = Threadfuser_fault.Injector
 module Exec_fault = Threadfuser_fault.Exec_fault
@@ -95,15 +98,13 @@ let test_fuel_watchdog () =
    surely) different damage. *)
 let test_injector_deterministic () =
   let _, traces = traced_lock_workload () in
-  let serial t =
-    Serial.to_string t
-  in
   let d1, a1 = Injector.inject ~seed:42 traces in
   let d2, a2 = Injector.inject ~seed:42 traces in
-  Alcotest.(check string) "event faults deterministic" (serial d1) (serial d2);
+  Alcotest.(check string) "event faults deterministic" (Pack.encode d1)
+    (Pack.encode d2);
   Alcotest.(check int) "same faults applied" (List.length a1)
     (List.length a2);
-  let bytes = Serial.to_string traces in
+  let bytes = Pack.encode traces in
   let b1, _ = Injector.corrupt_bytes ~seed:7 bytes in
   let b2, _ = Injector.corrupt_bytes ~seed:7 bytes in
   Alcotest.(check string) "byte faults deterministic" b1 b2;
@@ -115,7 +116,7 @@ let test_injector_deterministic () =
 let test_fuzz_smoke () =
   let w = Registry.find "vectoradd" in
   let tr = W.trace_cpu ~threads:8 w in
-  let bytes = Serial.to_string tr.W.traces in
+  let bytes = Pack.encode tr.W.traces in
   let t = Fuzz.run ~seed0:1 ~runs:100 ~prog:tr.W.prog ~bytes () in
   Alcotest.(check int) "all runs classified" 100 t.Fuzz.runs;
   (match t.Fuzz.uncaught with
@@ -124,6 +125,71 @@ let test_fuzz_smoke () =
       Alcotest.failf "seed %d escaped the checked pipeline: %s" seed m);
   Alcotest.(check bool) "campaign exercised the reject path" true
     (t.Fuzz.rejected > 0)
+
+(* Fuzzing a TFPACK1 file never gets past the per-block CRC-32, so this
+   is the payload decoder's hostile-input coverage: overwrite payload
+   bytes, re-seal every block's CRC, then load.  The loader must return
+   traces or raise [Serial.Corrupt], and whatever it returns must go
+   through [analyze_checked] without raising.  The workloads cover
+   accesses, calls, locks and skips (no registered workload has
+   barriers; a mutated tag byte can still produce one). *)
+let resealed_targets =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun name ->
+            let tr = W.trace_cpu ~threads:8 (Registry.find name) in
+            (name, tr.W.prog, Pack.encode tr.W.traces))
+          [
+            "vectoradd"; "bfs"; "mcrouter-memcached"; "uniqueid";
+            "fluidanimate"; "hdsearch-mid";
+          ]))
+
+(* (payload offset, payload length) of every thread block *)
+let pack_blocks bytes =
+  let r = { Serial.data = bytes; pos = String.length Pack.magic } in
+  let n = Serial.read_uint r in
+  Array.init n (fun _ ->
+      ignore (Serial.read_uint r : int);
+      let len = Serial.read_uint r in
+      let off = r.Serial.pos in
+      r.Serial.pos <- off + len + 4;
+      (off, len))
+
+let reseal bytes blocks =
+  Array.iter
+    (fun (off, len) ->
+      let crc = Crc32.string (Bytes.sub_string bytes off len) in
+      for k = 0 to 3 do
+        Bytes.set bytes (off + len + k) (Char.chr ((crc lsr (8 * k)) land 0xff))
+      done)
+    blocks
+
+let prop_resealed_pack =
+  QCheck.Test.make ~name:"re-sealed TFPACK1 mutations stay typed" ~count:600
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(int_range 1 4) (triple small_nat int (int_bound 255))))
+    (fun (target, edits) ->
+      let targets = Lazy.force resealed_targets in
+      let name, prog, clean = targets.(target mod Array.length targets) in
+      let blocks = pack_blocks clean in
+      let bytes = Bytes.of_string clean in
+      List.iter
+        (fun (b, pos, v) ->
+          let off, len = blocks.(b mod Array.length blocks) in
+          if len > 0 then
+            Bytes.set bytes (off + ((pos land max_int) mod len)) (Char.chr v))
+        edits;
+      reseal bytes blocks;
+      match Trace_file.of_string (Bytes.to_string bytes) with
+      | exception Serial.Corrupt _ -> true
+      | traces -> (
+          match Analyzer.analyze_checked prog traces with
+          | _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%s: analyze_checked raised %s" name
+                (Printexc.to_string e)))
 
 (* Quarantining every thread must still produce a (fully degraded) report
    rather than an exception. *)
@@ -322,6 +388,7 @@ let () =
           Alcotest.test_case "20k bad threads quarantine in linear time"
             `Quick test_quarantine_linear;
           Alcotest.test_case "fuzz smoke (100 seeds)" `Quick test_fuzz_smoke;
+          QCheck_alcotest.to_alcotest prop_resealed_pack;
           Alcotest.test_case "golden decision table" `Quick
             test_decision_table;
           Alcotest.test_case "plan percentages validated" `Quick

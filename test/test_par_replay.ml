@@ -79,29 +79,17 @@ let test_parallel_for_exception () =
 
 (* auto -j: the work-based cap that keeps tiny workloads off the pool *)
 let test_auto_domains () =
-  let with_min_work v f =
-    let old = Sys.getenv_opt "TF_DOMAINS_MIN_WORK" in
-    Unix.putenv "TF_DOMAINS_MIN_WORK" v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "TF_DOMAINS_MIN_WORK"
-          (Option.value old ~default:""))
-      f
-  in
-  with_min_work "1000" (fun () ->
-      Alcotest.(check int) "big workload keeps its domains" 4
-        (Par_replay.auto_domains ~requested:4 ~items:16 ~work:100_000);
-      Alcotest.(check int) "tiny workload collapses to 1" 1
-        (Par_replay.auto_domains ~requested:4 ~items:16 ~work:900);
-      Alcotest.(check int) "mid workload gets partial credit" 2
-        (Par_replay.auto_domains ~requested:4 ~items:16 ~work:2_500);
-      Alcotest.(check int) "items cap still applies" 3
-        (Par_replay.auto_domains ~requested:8 ~items:3 ~work:1_000_000);
-      Alcotest.(check int) "requested 1 stays 1" 1
-        (Par_replay.auto_domains ~requested:1 ~items:16 ~work:100_000));
-  with_min_work "0" (fun () ->
-      Alcotest.(check int) "threshold <= 0 disables the heuristic" 4
-        (Par_replay.auto_domains ~requested:4 ~items:16 ~work:1))
+  let t = Par_replay.min_work_per_domain in
+  Alcotest.(check int) "big workload keeps its domains" 4
+    (Par_replay.auto_domains ~requested:4 ~items:16 ~work:(100 * t));
+  Alcotest.(check int) "tiny workload collapses to 1" 1
+    (Par_replay.auto_domains ~requested:4 ~items:16 ~work:(t - 1));
+  Alcotest.(check int) "mid workload gets partial credit" 2
+    (Par_replay.auto_domains ~requested:4 ~items:16 ~work:(5 * t / 2));
+  Alcotest.(check int) "items cap still applies" 3
+    (Par_replay.auto_domains ~requested:8 ~items:3 ~work:(1000 * t));
+  Alcotest.(check int) "requested 1 stays 1" 1
+    (Par_replay.auto_domains ~requested:1 ~items:16 ~work:(100 * t))
 
 (* The pool persists across fork-join sections: helper count only ever
    grows to the machine cap, never one pool per analysis. *)

@@ -94,7 +94,8 @@ let test_byte_identity () =
           List.map
             (fun chunk_bytes ->
               Domain.spawn (fun () ->
-                  Client.session_traces ~chunk_bytes ~socket_path traces))
+                  Client.session ~chunk_bytes ~socket_path
+                    (Stream.encode traces)))
             [ 7; 1024; 65536 ]
         in
         List.iter
@@ -131,7 +132,7 @@ let test_busy_shed () =
   let (), stats =
     with_daemon ~max_sessions:1 (fun socket_path ->
         let holder = squat socket_path in
-        let o = Client.session_traces ~socket_path traces in
+        let o = Client.session ~socket_path (Stream.encode traces) in
         Alcotest.(check string) "second session shed" "busy"
           (Protocol.status_name o.Client.reply.Protocol.status);
         Alcotest.(check bool) "busy says why" true
@@ -143,7 +144,7 @@ let test_busy_shed () =
            takes the daemon a beat, so retry busy greetings briefly. *)
         Unix.close holder;
         let rec retry n =
-          let o2 = Client.session_traces ~socket_path traces in
+          let o2 = Client.session ~socket_path (Stream.encode traces) in
           match o2.Client.reply.Protocol.status with
           | Protocol.Busy when n > 0 ->
               Unix.sleepf 0.05;
@@ -179,7 +180,7 @@ let test_poison_isolation () =
         Protocol.write_all fd (String.sub stream 0 (String.length stream / 3));
         Unix.close fd;
         (* the daemon still serves *)
-        let o2 = Client.session_traces ~socket_path traces in
+        let o2 = Client.session ~socket_path (Stream.encode traces) in
         Alcotest.(check string) "daemon survives poison" "ok"
           (Protocol.status_name o2.Client.reply.Protocol.status);
         Alcotest.(check bool) "clean report still byte-identical" true
@@ -227,7 +228,8 @@ let test_injected_faults () =
   in
   let outcomes, stats =
     with_daemon ~fault (fun socket_path ->
-        List.init 3 (fun _ -> Client.session_traces ~socket_path traces))
+        List.init 3 (fun _ ->
+            Client.session ~socket_path (Stream.encode traces)))
   in
   List.iter
     (fun o ->

@@ -8,6 +8,7 @@ module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Validate = Threadfuser_trace.Validate
+module Trace_file = Threadfuser_trace.Trace_file
 module Tf_error = Threadfuser_util.Tf_error
 
 let sample_traces =
@@ -166,7 +167,7 @@ let test_oversized_frame () =
     }
   in
   let buf = Buffer.create 64 in
-  Stream.add_magic buf;
+  Buffer.add_string buf Stream.magic;
   Stream.add_thread buf big;
   let s = Buffer.contents buf in
   let dec = Stream.create ~max_frame_bytes:256 () in
@@ -207,10 +208,10 @@ let test_zero_length () =
   Alcotest.(check bool) "empty decoder wants input" true (Stream.next dec = Stream.Need_more);
   Stream.feed dec "";
   Alcotest.(check bool) "empty feed is a no-op" true (Stream.next dec = Stream.Need_more);
-  (match Serial.of_string "" with
+  (match Trace_file.of_string "" with
   | exception Serial.Corrupt _ -> ()
   | exception Tf_error.Error _ -> ()
-  | _ -> Alcotest.fail "Serial accepted empty input");
+  | _ -> Alcotest.fail "the trace loader accepted empty input");
   Alcotest.(check int) "Validate.all on zero traces" 0
     (List.length (Validate.all [||]));
   let empty = { Thread_trace.tid = 0; events = [||] } in
@@ -222,10 +223,7 @@ let test_zero_length () =
 
 (* An end frame split across chunks, and bytes after it. *)
 let test_end_frame_edges () =
-  let buf = Buffer.create 16 in
-  Stream.add_magic buf;
-  Stream.add_end buf;
-  let s = Buffer.contents buf in
+  let s = Stream.encode [||] in
   let dec = Stream.create () in
   Stream.feed dec ~len:(String.length s - 1) s;
   let frames, fin = drain dec in

@@ -1,6 +1,9 @@
-(* Tests for trace events, statistics and binary serialization. *)
+(* Tests for trace events, statistics, the trace-file loader and the
+   read-only legacy TFTRACE1 decoder. *)
 
 open Threadfuser_trace
+module W = Threadfuser_workloads.Workload
+module Registry = Threadfuser_workloads.Registry
 
 let access ioff addr size is_store = { Event.ioff; addr; size; is_store }
 
@@ -27,6 +30,21 @@ let sample_events =
 
 let sample_trace = { Thread_trace.tid = 7; events = sample_events }
 
+(* ThreadFuser no longer writes TFTRACE1, but it still reads old files, so
+   the decoder's tests build their inputs here from the shared codec:
+   magic, thread count, then per thread tid, event count and events. *)
+let legacy_bytes (traces : Thread_trace.t array) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "TFTRACE1";
+  Serial.write_uint buf (Array.length traces);
+  Array.iter
+    (fun (t : Thread_trace.t) ->
+      Serial.write_uint buf t.tid;
+      Serial.write_uint buf (Array.length t.events);
+      Array.iter (Serial.write_event buf) t.events)
+    traces;
+  Buffer.contents buf
+
 let test_stats () =
   let s = Thread_trace.stats sample_trace in
   Alcotest.(check int) "traced" 8 s.Thread_trace.traced_instrs;
@@ -39,8 +57,7 @@ let test_stats () =
 
 let test_roundtrip () =
   let traces = [| sample_trace; { Thread_trace.tid = 9; events = [||] } |] in
-  let s = Serial.to_string traces in
-  let back = Serial.of_string s in
+  let back = Serial.of_string (legacy_bytes traces) in
   Alcotest.(check int) "thread count" 2 (Array.length back);
   Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid;
   Alcotest.(check int) "event count" (Array.length sample_events)
@@ -59,7 +76,7 @@ let test_bad_magic () =
   | _ -> Alcotest.fail "expected Corrupt"
 
 let test_truncated () =
-  let s = Serial.to_string [| sample_trace |] in
+  let s = legacy_bytes [| sample_trace |] in
   let cut = String.sub s 0 (String.length s - 3) in
   match Serial.of_string cut with
   | exception Serial.Corrupt _ -> ()
@@ -70,7 +87,7 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Serial.to_file path [| sample_trace |];
+      Pack.to_file path [| sample_trace |];
       let back = Trace_file.load path in
       Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid)
 
@@ -79,13 +96,13 @@ let test_file_roundtrip () =
    are a typed [Corrupt], never a crash. *)
 let test_loader_sniffs_format () =
   let traces = [| sample_trace; { sample_trace with Thread_trace.tid = 8 } |] in
-  let save ext write =
+  let save ext bytes =
     let path = Filename.temp_file "tfload" ext in
-    write path traces;
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
     path
   in
-  let plain = save ".tftrace" Serial.to_file in
-  let packed = save ".pack" Pack.to_file in
+  let plain = save ".tftrace" (legacy_bytes traces) in
+  let packed = save ".tfpack" (Pack.encode traces) in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ plain; packed ])
     (fun () ->
@@ -98,6 +115,21 @@ let test_loader_sniffs_format () =
       | exception Serial.Corrupt _ -> ()
       | _ -> Alcotest.failf "garbage %S loaded" garbage)
     [ ""; "TFPACK"; "TFPACK1\xff\xff"; "not a trace at all" ]
+
+(* A TFTRACE1 file as the tool wrote it before TFPACK1 became the only
+   written format ([trace vectoradd -t 8]; tracing is deterministic).  It
+   must load to exactly the traces a fresh capture produces, and analyze
+   clean against the workload's program, as [check FILE vectoradd] does. *)
+let test_legacy_fixture () =
+  let w = Registry.find "vectoradd" in
+  let tr = W.trace_cpu ~threads:8 w in
+  let traces = Trace_file.load "legacy_vectoradd.tftrace" in
+  Alcotest.(check int) "thread count" 8 (Array.length traces);
+  Alcotest.(check bool) "equals a fresh capture" true (traces = tr.W.traces);
+  let checked = Threadfuser.Analyzer.analyze_checked tr.W.prog traces in
+  Alcotest.(check bool) "analyzes clean" false
+    (Threadfuser.Metrics.degraded
+       checked.Threadfuser.Analyzer.result.Threadfuser.Analyzer.report)
 
 (* Random event generator for the round-trip property. *)
 let gen_event =
@@ -135,7 +167,7 @@ let prop_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (int_bound 50) gen_event))
     (fun events ->
       let t = { Thread_trace.tid = 0; events = Array.of_list events } in
-      let back = Serial.of_string (Serial.to_string [| t |]) in
+      let back = Serial.of_string (legacy_bytes [| t |]) in
       Array.length back = 1
       && Array.length back.(0).Thread_trace.events = List.length events
       && Array.for_all2 Event.equal back.(0).Thread_trace.events t.events)
@@ -172,12 +204,12 @@ let decode_checked what s =
   | exception e ->
       Alcotest.failf "%s: escaped with %s" what (Printexc.to_string e)
 
-(* Every single-byte truncation and every single-bit flip of a serialized
-   trace set must either decode (possibly to garbage the validator flags)
+(* Every single-byte truncation and every single-bit flip of a legacy
+   trace file (no CRC guards it) must either decode (possibly to garbage the validator flags)
    or raise [Corrupt] / [Tf_error.Error] — never [Invalid_argument],
    [Not_found], out-of-memory allocation or a hang. *)
 let test_truncation_sweep () =
-  let s = Serial.to_string [| sample_trace; sync_trace |] in
+  let s = legacy_bytes [| sample_trace; sync_trace |] in
   for keep = 0 to String.length s - 1 do
     decode_checked
       (Printf.sprintf "truncate to %d bytes" keep)
@@ -185,7 +217,7 @@ let test_truncation_sweep () =
   done
 
 let test_bitflip_sweep () =
-  let s = Serial.to_string [| sample_trace; sync_trace |] in
+  let s = legacy_bytes [| sample_trace; sync_trace |] in
   for off = 0 to String.length s - 1 do
     for bit = 0 to 7 do
       let b = Bytes.of_string s in
@@ -282,9 +314,9 @@ let prop_varint =
     QCheck.(oneof [ small_signed_int; int ])
     (fun n ->
       let buf = Buffer.create 10 in
-      Serial.write_int buf n;
+      Serial.write_uint buf n;
       let r = { Serial.data = Buffer.contents buf; pos = 0 } in
-      Serial.read_int r = n)
+      Serial.read_uint r = n)
 
 let () =
   Alcotest.run "trace"
@@ -298,6 +330,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "loader sniffs TFTRACE1 and TFPACK1" `Quick
             test_loader_sniffs_format;
+          Alcotest.test_case "legacy TFTRACE1 fixture loads" `Quick
+            test_legacy_fixture;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_varint;
         ] );
