@@ -10,7 +10,6 @@
     virtual exit node is [n_blocks]. *)
 
 module Program = Threadfuser_prog.Program
-module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
 
 type t = {
@@ -101,23 +100,23 @@ module Builder = struct
           end;
           stack := rest
     in
-    Array.iter
-      (fun (e : Event.t) ->
-        match e with
-        | Event.Block { func; block; _ } ->
-            (match !stack with
-            | fr :: _ when fr.facc.fid = func -> ()
-            | _ -> enter func);
-            let fr = List.hd !stack in
-            fr.facc.seen.(block) <- true;
-            if fr.last >= 0 then add_edge fr.facc fr.last block;
-            fr.last <- block
-        | Event.Call callee -> enter callee
-        | Event.Return -> leave ()
-        | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _
-        | Event.Skip _ ->
-            ())
-      trace.events;
+    for i = 0 to Thread_trace.length trace - 1 do
+      match trace.events.(i) with
+      | Thread_trace.Block ->
+          let func = trace.arg.(i) and block = trace.block.(i) in
+          (match !stack with
+          | fr :: _ when fr.facc.fid = func -> ()
+          | _ -> enter func);
+          let fr = List.hd !stack in
+          fr.facc.seen.(block) <- true;
+          if fr.last >= 0 then add_edge fr.facc fr.last block;
+          fr.last <- block
+      | Thread_trace.Call -> enter trace.arg.(i)
+      | Thread_trace.Return -> leave ()
+      | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier
+      | Thread_trace.Skip ->
+          ()
+    done;
     (* A thread cut short (Halt) still reconverges at the virtual exit. *)
     while !stack <> [] do
       leave ()

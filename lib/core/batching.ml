@@ -11,7 +11,6 @@
       their dynamic block trace, so threads that start on similar control
       paths share a warp — a software take on dynamic warp formation. *)
 
-module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
 
 type t = Sequential | Strided | Signature_greedy
@@ -27,20 +26,17 @@ let all = [ Sequential; Strided; Signature_greedy ]
 let signature ?(prefix = 64) (trace : Thread_trace.t) =
   let h = ref 0x2545f4914f6cdd1d in
   let mix v = h := (!h lxor v) * 0x100000001b3 in
-  let remaining = ref prefix in
-  (try
-     Array.iter
-       (fun (e : Event.t) ->
-         match e with
-         | Event.Block { func; block; _ } ->
-             mix ((func * 8191) + block);
-             decr remaining;
-             if !remaining = 0 then raise Exit
-         | Event.Call _ | Event.Return | Event.Lock_acq _ | Event.Lock_rel _
-         | Event.Barrier _ | Event.Skip _ ->
-             ())
-       trace.events
-   with Exit -> ());
+  let remaining = ref prefix and i = ref 0 in
+  while !remaining > 0 && !i < Thread_trace.length trace do
+    (match trace.events.(!i) with
+    | Thread_trace.Block ->
+        mix ((trace.arg.(!i) * 8191) + trace.block.(!i));
+        decr remaining
+    | Thread_trace.Call | Thread_trace.Return | Thread_trace.Lock_acq
+    | Thread_trace.Lock_rel | Thread_trace.Barrier | Thread_trace.Skip ->
+        ());
+    incr i
+  done;
   !h land max_int
 
 (** [form policy ~warp_size traces] partitions thread ids into warps.  The

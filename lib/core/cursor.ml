@@ -12,7 +12,7 @@ module Thread_trace = Threadfuser_trace.Thread_trace
 
 type t = {
   tid : int;
-  events : Event.t array;
+  trace : Thread_trace.t;
   mutable pos : int;
   mutable skipped_io : int;
   mutable skipped_spin : int;
@@ -22,51 +22,33 @@ type t = {
 let of_trace (trace : Thread_trace.t) =
   {
     tid = trace.tid;
-    events = trace.events;
+    trace;
     pos = 0;
     skipped_io = 0;
     skipped_spin = 0;
     skipped_excluded = 0;
   }
 
-(* [peek] returns no other [Skip]: the skips in a trace are absorbed before
-   it looks. *)
+let rec absorb_run c =
+  let tr = c.trace in
+  if c.pos < Array.length tr.events && tr.events.(c.pos) = Thread_trace.Skip
+  then begin
+    let n = tr.n_instr.(c.pos) and code = tr.arg.(c.pos) in
+    if code = Thread_trace.skip_io then c.skipped_io <- c.skipped_io + n
+    else if code = Thread_trace.skip_spin then
+      c.skipped_spin <- c.skipped_spin + n
+    else c.skipped_excluded <- c.skipped_excluded + n;
+    c.pos <- c.pos + 1;
+    absorb_run c
+  end
+
 let end_of_trace = Event.Skip { reason = Event.Io; n_instr = 0 }
 
-let rec absorb_run c =
-  if c.pos < Array.length c.events then
-    match c.events.(c.pos) with
-    | Event.Skip { reason; n_instr } ->
-        (match reason with
-        | Event.Io -> c.skipped_io <- c.skipped_io + n_instr
-        | Event.Spin -> c.skipped_spin <- c.skipped_spin + n_instr
-        | Event.Excluded -> c.skipped_excluded <- c.skipped_excluded + n_instr);
-        c.pos <- c.pos + 1;
-        absorb_run c
-    | Event.Block _ | Event.Call _ | Event.Return | Event.Lock_acq _
-    | Event.Lock_rel _ | Event.Barrier _ ->
-        ()
-
-(* Kept apart from the recursive [absorb_run] so it inlines: the common
-   case, no skip at the read position, is then one bounds check and one
-   tag test. *)
-let[@inline] absorb_skips c =
-  if c.pos < Array.length c.events then
-    match Array.unsafe_get c.events c.pos with
-    | Event.Skip _ -> absorb_run c
-    | Event.Block _ | Event.Call _ | Event.Return | Event.Lock_acq _
-    | Event.Lock_rel _ | Event.Barrier _ ->
-        ()
-
-let peek c =
-  absorb_skips c;
-  if c.pos < Array.length c.events then c.events.(c.pos) else end_of_trace
-
-let next c =
-  let e = peek c in
-  if c.pos < Array.length c.events then c.pos <- c.pos + 1;
-  e
+let event c =
+  absorb_run c;
+  if c.pos < Array.length c.trace.events then Thread_trace.get c.trace c.pos
+  else end_of_trace
 
 let at_end c =
-  absorb_skips c;
-  c.pos >= Array.length c.events
+  absorb_run c;
+  c.pos >= Array.length c.trace.events

@@ -26,6 +26,7 @@
 
 module Program = Threadfuser_prog.Program
 module Event = Threadfuser_trace.Event
+module Thread_trace = Threadfuser_trace.Thread_trace
 module Ipdom = Threadfuser_cfg.Ipdom
 module Tf_error = Threadfuser_util.Tf_error
 module Vec = Threadfuser_util.Vec
@@ -53,6 +54,35 @@ let c_barrier_syncs =
 let c_blocks =
   Obs.Counter.make "tf_blocks_executed_total"
     ~help:"warp-level basic-block executions"
+
+(* Cursor reads of the replay loop, kept in this module so they inline
+   (dune's default build compiles libraries [-opaque], so calls into
+   another module are never inlined).  [peek] returns the kind of the
+   next non-Skip event, or [Skip] at the end of the trace; it calls
+   {!Cursor.absorb_run} only when it must absorb a Skip.  [arg] and
+   [block_id] read the peeked event's columns. *)
+let[@inline] peek (c : Cursor.t) =
+  let kinds = c.trace.Thread_trace.events in
+  if c.pos < Array.length kinds then
+    match Array.unsafe_get kinds c.pos with
+    | Thread_trace.Skip ->
+        Cursor.absorb_run c;
+        if c.pos < Array.length kinds then Array.unsafe_get kinds c.pos
+        else Thread_trace.Skip
+    | k -> k
+  else Thread_trace.Skip
+
+let[@inline] advance (c : Cursor.t) =
+  if c.pos < Array.length c.trace.Thread_trace.events then c.pos <- c.pos + 1
+
+let[@inline] next c =
+  let k = peek c in
+  advance c;
+  k
+
+let[@inline] arg (c : Cursor.t) = c.trace.Thread_trace.arg.(c.pos)
+
+let[@inline] block_id (c : Cursor.t) = c.trace.Thread_trace.block.(c.pos)
 
 exception Emulation_error of string
 
@@ -120,8 +150,9 @@ type flame_cell = { mutable fc_issues : int; mutable fc_lost : int }
    [grp_*] pair collects the distinct branch targets of a regroup. *)
 type scratch = {
   lane_ids : int array; (* active lanes of the current block, ascending *)
-  lane_accs : Event.access array array;
-  lane_ptr : int array; (* per-active-lane read pointer *)
+  lane_ptr : int array; (* per active lane: next access in its trace *)
+  lane_end : int array; (* per active lane: end of the block's accesses *)
+  mutable cursors : Cursor.t array; (* the replaying warp's lanes *)
   lane_target : int array; (* per lane: next block, during a regroup *)
   mutable n_lanes : int;
   mutable ld_lane : int array;
@@ -210,8 +241,9 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     scratch =
       {
         lane_ids = Array.make ws 0;
-        lane_accs = Array.make ws [||];
         lane_ptr = Array.make ws 0;
+        lane_end = Array.make ws 0;
+        cursors = [||];
         lane_target = Array.make ws 0;
         n_lanes = 0;
         ld_lane = Array.make ws 0;
@@ -350,8 +382,19 @@ let emit_instr t wt ~mask (instr : (int, int) Instr.t) =
     (fun op -> Warp_trace.Builder.emit wt ~warp:t.wt_warp mask op)
     (Crack.crack instr mem)
 
+(* Stage lane [lane], whose cursor [c] is at a Block, as the next active
+   lane of the block about to execute: its access range in its trace's
+   access columns. *)
+let[@inline] stage s (c : Cursor.t) lane =
+  let k = s.n_lanes and off = c.Cursor.trace.Thread_trace.acc_off in
+  s.lane_ids.(k) <- lane;
+  s.lane_ptr.(k) <- off.(c.Cursor.pos);
+  s.lane_end.(k) <- off.(c.Cursor.pos + 1);
+  s.n_lanes <- k + 1
+
 (* Execute block [block] of [func] for the active lanes staged in
-   [t.scratch] ([lane_ids]/[lane_accs][0..n_lanes), ascending lane order).
+   [t.scratch] ([lane_ids]/[lane_ptr]/[lane_end][0..n_lanes), ascending
+   lane order; see {!stage}).
    All bookkeeping lives here so the lock-step path and the scalar
    serialized path stay consistent.  [blame] is the chain of divergence
    sites enclosing this execution; each is charged its marginal lost-lane
@@ -383,17 +426,16 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   t.block_issues.(func).(block) <- t.block_issues.(func).(block) + n;
   t.block_instrs.(func).(block) <- t.block_instrs.(func).(block) + (n * active);
   (* Visit only the instructions that access memory: a merge over the
-     lanes' ioff-sorted access arrays.  [lane_ptr] is each lane's read
+     lanes' ioff-sorted access ranges.  [lane_ptr] is each lane's read
      pointer; a lane whose next access sits below the current ioff (or at
      or past [n]) is never read again, exactly as a full ioff-by-ioff
      scan would leave it.  [next] is the smallest ioff >= the current one
      at which some lane's next access sits, or [n]. *)
   let next = ref n in
   for i = 0 to active - 1 do
-    s.lane_ptr.(i) <- 0;
-    let accs = s.lane_accs.(i) in
-    if Array.length accs > 0 then begin
-      let io = accs.(0).Event.ioff in
+    let p = s.lane_ptr.(i) in
+    if p < s.lane_end.(i) then begin
+      let io = s.cursors.(s.lane_ids.(i)).Cursor.trace.Thread_trace.ioff.(p) in
       if io >= 0 && io < !next then next := io
     end
   done;
@@ -416,18 +458,19 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
       s.n_st <- 0;
       next := n;
       for i = 0 to active - 1 do
-        let accs = s.lane_accs.(i) in
-        let len = Array.length accs in
+        let lane = s.lane_ids.(i) in
+        let tr = s.cursors.(lane).Cursor.trace in
+        let len = s.lane_end.(i) in
         let p = ref s.lane_ptr.(i) in
-        while !p < len && accs.(!p).Event.ioff = m do
-          let a = accs.(!p) in
-          push_mem s ~is_store:a.Event.is_store s.lane_ids.(i) a.Event.addr
-            a.Event.size;
+        while !p < len && tr.Thread_trace.ioff.(!p) = m do
+          push_mem s
+            ~is_store:(Thread_trace.is_store tr !p)
+            lane tr.Thread_trace.addr.(!p) tr.Thread_trace.size.(!p);
           incr p
         done;
         s.lane_ptr.(i) <- !p;
         if !p < len then begin
-          let io = accs.(!p).Event.ioff in
+          let io = tr.Thread_trace.ioff.(!p) in
           if io > m && io < !next then next := io
         end
       done;
@@ -458,8 +501,8 @@ type entry = {
 }
 
 (* What a lane's trace has where the emulator expected something else
-   ([Cursor.peek]'s end-of-trace [Skip] included).  [callee] names a
-   call's target. *)
+   ([Cursor.event]'s end-of-trace [Skip] included).  [callee] names a
+   call's target.  Error paths only: it reads the boxed event view. *)
 let describe ?(callee = true) (ev : Event.t) =
   match ev with
   | Event.Block b -> Printf.sprintf "block f%d.b%d" b.func b.block
@@ -511,27 +554,37 @@ let scalar_critical_section ?(fuel : fuel = None) ~warp_id ~(blame : blame) t
   let s = t.scratch in
   let rec go () =
     burn fuel ~warp_id;
-    match Cursor.next c with
-    | Event.Block { func; block; accesses; _ } ->
-        s.n_lanes <- 1;
-        s.lane_ids.(0) <- lane;
-        s.lane_accs.(0) <- accesses;
+    match peek c with
+    | Thread_trace.Block ->
+        let func = arg c and block = block_id c in
+        s.n_lanes <- 0;
+        stage s c lane;
+        advance c;
         ignore (count_block t ~func ~block ~mask:(Mask.singleton lane) ~blame);
         go ()
-    | Event.Call f ->
+    | Thread_trace.Call ->
+        let f = arg c in
+        advance c;
         set_call_stack t (f :: t.call_stack);
         go ()
-    | Event.Return ->
+    | Thread_trace.Return ->
+        advance c;
         (match t.call_stack with
         | _ :: (_ :: _ as rest) -> set_call_stack t rest
         | _ -> ());
         go ()
-    | Event.Lock_acq _ ->
+    | Thread_trace.Lock_acq ->
+        advance c;
         t.lock_acquires <- t.lock_acquires + 1;
         go ()
-    | Event.Barrier _ -> go ()
-    | Event.Lock_rel a -> if a = lock_addr then () else go ()
-    | Event.Skip _ ->
+    | Thread_trace.Barrier ->
+        advance c;
+        go ()
+    | Thread_trace.Lock_rel ->
+        let a = arg c in
+        advance c;
+        if a = lock_addr then () else go ()
+    | Thread_trace.Skip ->
         Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
           "lane %d: trace ended inside critical section of lock 0x%x (lock \
            never released)"
@@ -556,13 +609,14 @@ let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
   let m = ref (e.e_mask :> int) and lane = ref 0 in
   while !m <> 0 do
     if !m land 1 <> 0 then begin
+      let c = cursors.(!lane) in
       let target =
-        match Cursor.peek cursors.(!lane) with
-        | Event.Block b when b.func = e.e_func -> b.block
-        | ev ->
+        match peek c with
+        | Thread_trace.Block when arg c = e.e_func -> block_id c
+        | _ ->
             errf "lane %d: expected a block of f%d after f%d.b%d, got %s" !lane
               e.e_func e.e_func block
-              (describe ~callee:false ev)
+              (describe ~callee:false (Cursor.event c))
       in
       s.lane_target.(!lane) <- target;
       let j = ref 0 in
@@ -659,8 +713,11 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
   let addrs =
     List.map
       (fun lane ->
-        match Cursor.next cursors.(lane) with
-        | Event.Lock_acq a ->
+        let c = cursors.(lane) in
+        match peek c with
+        | Thread_trace.Lock_acq ->
+            let a = arg c in
+            advance c;
             t.lock_acquires <- t.lock_acquires + 1;
             (lane, a)
         | _ -> errf "lane %d: expected lock acquire after f%d.b%d" lane e.e_func block)
@@ -748,11 +805,11 @@ let consume_markers cursors (e : entry) block marker =
   while !m <> 0 do
     if !m land 1 <> 0 then begin
       let c = cursors.(!lane) in
-      match (marker, Cursor.next c) with
+      match (marker, next c) with
       | M_call, _
-      | M_ret, Event.Return
-      | M_barrier, Event.Barrier _
-      | M_unlock, Event.Lock_rel _ ->
+      | M_ret, Thread_trace.Return
+      | M_barrier, Thread_trace.Barrier
+      | M_unlock, Thread_trace.Lock_rel ->
           ()
       | M_ret, _ ->
           errf "lane %d: expected return after f%d.b%d" !lane e.e_func block
@@ -777,6 +834,7 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   let fuel : fuel = Option.map ref fuel in
   t.wt_warp <- warp_id;
   t.obs_on <- !Obs.enabled;
+  t.scratch.cursors <- cursors;
   Hashtbl.reset t.scratch.evt_seen;
   Coalesce.new_warp t.coalesce;
   if t.config.record_timeline then
@@ -785,10 +843,12 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   if n_lanes = 0 then ()
   else begin
     let worker =
-      match Cursor.peek cursors.(0) with
-      | Event.Block b ->
-          if b.block <> 0 then errf "warp %d: trace does not start at entry" warp_id;
-          b.func
+      let c = cursors.(0) in
+      match peek c with
+      | Thread_trace.Block ->
+          if block_id c <> 0 then
+            errf "warp %d: trace does not start at entry" warp_id;
+          arg c
       | _ -> errf "warp %d: empty trace" warp_id
     in
     let stack =
@@ -836,20 +896,21 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
       else begin
         let block = e.pc in
         (* Consume this block from every active lane, staging the lanes and
-           their access arrays in the scratch buffers (ascending). *)
+           their access ranges in the scratch buffers (ascending). *)
         s.n_lanes <- 0;
         let m = ref (e.e_mask :> int) and lane = ref 0 in
         while !m <> 0 do
           if !m land 1 <> 0 then begin
-            (* consumed before the check: a mismatch aborts the warp *)
-            match Cursor.next cursors.(!lane) with
-            | Event.Block b when b.func = e.e_func && b.block = block ->
-                s.lane_ids.(s.n_lanes) <- !lane;
-                s.lane_accs.(s.n_lanes) <- b.accesses;
-                s.n_lanes <- s.n_lanes + 1
-            | ev ->
+            let c = cursors.(!lane) in
+            match peek c with
+            | Thread_trace.Block
+              when arg c = e.e_func && block_id c = block ->
+                stage s c !lane;
+                advance c
+            | _ ->
+                (* a mismatch aborts the warp *)
                 errf "lane %d: expected block f%d.b%d, trace has %s" !lane
-                  e.e_func block (describe ev)
+                  e.e_func block (describe (Cursor.event c))
           end;
           m := !m lsr 1;
           incr lane
@@ -862,8 +923,8 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
             (* an excluded callee leaves no Call event: the lanes jump
                straight to the continuation block (paper §III's selective
                tracing) *)
-            match Cursor.peek cursors.(s.lane_ids.(0)) with
-            | Event.Call _ ->
+            match peek cursors.(s.lane_ids.(0)) with
+            | Thread_trace.Call ->
                 consume_markers cursors e block M_call;
                 e.pc <- block + 1;
                 set_call_stack t (callee :: t.call_stack);
@@ -904,7 +965,7 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
       (fun lane c ->
         if not (Cursor.at_end c) then
           errf "warp %d lane %d: %d unconsumed trace events" warp_id lane
-            (Array.length c.events - c.pos))
+            (Array.length c.Cursor.trace.Thread_trace.events - c.Cursor.pos))
       cursors;
     match t.tl_current with
     | Some v ->

@@ -23,7 +23,6 @@
     program order there). *)
 
 module Cache = Threadfuser_gpusim.Cache
-module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Par_replay = Threadfuser.Par_replay
 
@@ -80,23 +79,23 @@ let log_access core ~core_id addr =
 (* Local leg of one thread on [core]: private L1 only; L1 misses are
    charged the L1 penalty and logged for the shared-L2 merge. *)
 let thread_cycles config core ~core_id (trace : Thread_trace.t) =
-  Array.iter
-    (fun (e : Event.t) ->
-      match e with
-      | Event.Block b ->
-          core.cycles <- core.cycles + b.n_instr;
-          Array.iter
-            (fun (a : Event.access) ->
-              if not (Cache.access core.l1 a.Event.addr) then begin
-                core.cycles <- core.cycles + config.l1_miss_penalty;
-                log_access core ~core_id a.Event.addr
-              end)
-            b.accesses
-      | Event.Skip { n_instr; _ } -> core.cycles <- core.cycles + n_instr
-      | Event.Lock_acq _ | Event.Lock_rel _ -> core.cycles <- core.cycles + 20
-      | Event.Barrier _ -> core.cycles <- core.cycles + 40
-      | Event.Call _ | Event.Return -> core.cycles <- core.cycles + 2)
-    trace.events
+  for i = 0 to Thread_trace.length trace - 1 do
+    match trace.events.(i) with
+    | Thread_trace.Block ->
+        core.cycles <- core.cycles + trace.n_instr.(i);
+        for j = trace.acc_off.(i) to trace.acc_off.(i + 1) - 1 do
+          let addr = trace.addr.(j) in
+          if not (Cache.access core.l1 addr) then begin
+            core.cycles <- core.cycles + config.l1_miss_penalty;
+            log_access core ~core_id addr
+          end
+        done
+    | Thread_trace.Skip -> core.cycles <- core.cycles + trace.n_instr.(i)
+    | Thread_trace.Lock_acq | Thread_trace.Lock_rel ->
+        core.cycles <- core.cycles + 20
+    | Thread_trace.Barrier -> core.cycles <- core.cycles + 40
+    | Thread_trace.Call | Thread_trace.Return -> core.cycles <- core.cycles + 2
+  done
 
 (** [domains] partitions the cores over the persistent domain pool;
     statistics are byte-identical at any value. *)

@@ -157,11 +157,11 @@ let inject ~seed ?(faults = 2) (traces : Thread_trace.t array) :
       let ti = Lcg.int rng n in
       let t = out.(ti) in
       let fault = List.nth all_faults (Lcg.int rng (List.length all_faults)) in
-      let n_ev = Array.length t.Thread_trace.events in
+      let n_ev = Thread_trace.length t in
       let index = if n_ev = 0 then 0 else Lcg.int rng n_ev in
-      match apply_fault rng fault t.Thread_trace.events index with
+      match apply_fault rng fault (Thread_trace.to_events t) index with
       | Some events ->
-          out.(ti) <- { t with Thread_trace.events };
+          out.(ti) <- Thread_trace.of_events t.Thread_trace.tid events;
           applied := { fault; tid = t.Thread_trace.tid; index } :: !applied
       | None -> ()
     done;

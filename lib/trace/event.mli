@@ -1,6 +1,10 @@
 (** Dynamic per-thread trace events — the abstraction the paper's PIN-based
     tracer produces.
 
+    A trace stores its events as flat columns ({!Thread_trace.t}); [t] is
+    the boxed view of one event, for tests, fault injection, printing and
+    error messages.
+
     Event order within a thread:
     - a [Block] is emitted when the basic block finishes executing and
       carries all memory accesses its instructions performed;

@@ -52,62 +52,44 @@ let predictor () = { p_func = 0; p_block = 0; p_call = 0; p_sync = 0; p_addr = 0
 
 (* -- encoding ----------------------------------------------------------- *)
 
-let tag_of_event : Event.t -> int = function
-  | Event.Block _ -> 0
-  | Event.Call _ -> 1
-  | Event.Return -> 2
-  | Event.Lock_acq _ -> 3
-  | Event.Lock_rel _ -> 4
-  | Event.Skip _ -> 5
-  | Event.Barrier _ -> 6
-
 let encode_payload (t : Thread_trace.t) =
   let buf = Buffer.create 512 in
-  let events = t.Thread_trace.events in
-  Serial.write_uint buf (Array.length events);
-  Array.iter (fun e -> Buffer.add_char buf (Char.chr (tag_of_event e))) events;
+  let n = Thread_trace.length t in
+  Serial.write_uint buf n;
+  Array.iter
+    (fun k -> Buffer.add_char buf (Char.chr (Serial.tag_of_kind k)))
+    t.events;
   let p = predictor () in
   (* args column *)
-  Array.iter
-    (fun (e : Event.t) ->
-      match e with
-      | Event.Block b ->
-          Serial.write_uint buf (zigzag (b.func - p.p_func));
-          Serial.write_uint buf (zigzag (b.block - p.p_block));
-          Serial.write_uint buf b.n_instr;
-          Serial.write_uint buf (Array.length b.accesses);
-          p.p_func <- b.func;
-          p.p_block <- b.block
-      | Event.Call f ->
-          Serial.write_uint buf (zigzag (f - p.p_call));
-          p.p_call <- f
-      | Event.Return -> ()
-      | Event.Lock_acq a | Event.Lock_rel a | Event.Barrier a ->
-          Serial.write_uint buf (zigzag (a - p.p_sync));
-          p.p_sync <- a
-      | Event.Skip { reason; n_instr } ->
-          Serial.write_uint buf
-            (match reason with
-            | Event.Io -> 0
-            | Event.Spin -> 1
-            | Event.Excluded -> 2);
-          Serial.write_uint buf n_instr)
-    events;
-  (* access column *)
-  Array.iter
-    (fun (e : Event.t) ->
-      match e with
-      | Event.Block b ->
-          Array.iter
-            (fun (a : Event.access) ->
-              Serial.write_uint buf a.ioff;
-              Serial.write_uint buf (zigzag (a.addr - p.p_addr));
-              Serial.write_uint buf a.size;
-              Serial.write_uint buf (if a.is_store then 1 else 0);
-              p.p_addr <- a.addr)
-            b.accesses
-      | _ -> ())
-    events;
+  for i = 0 to n - 1 do
+    let arg = t.arg.(i) in
+    match t.events.(i) with
+    | Thread_trace.Block ->
+        Serial.write_uint buf (zigzag (arg - p.p_func));
+        Serial.write_uint buf (zigzag (t.block.(i) - p.p_block));
+        Serial.write_uint buf t.n_instr.(i);
+        Serial.write_uint buf (t.acc_off.(i + 1) - t.acc_off.(i));
+        p.p_func <- arg;
+        p.p_block <- t.block.(i)
+    | Thread_trace.Call ->
+        Serial.write_uint buf (zigzag (arg - p.p_call));
+        p.p_call <- arg
+    | Thread_trace.Return -> ()
+    | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier ->
+        Serial.write_uint buf (zigzag (arg - p.p_sync));
+        p.p_sync <- arg
+    | Thread_trace.Skip ->
+        Serial.write_uint buf arg;
+        Serial.write_uint buf t.n_instr.(i)
+  done;
+  (* access column: every access belongs to a Block, in block order *)
+  for j = 0 to Array.length t.ioff - 1 do
+    Serial.write_uint buf t.ioff.(j);
+    Serial.write_uint buf (zigzag (t.addr.(j) - p.p_addr));
+    Serial.write_uint buf t.size.(j);
+    Serial.write_uint buf (if Thread_trace.is_store t j then 1 else 0);
+    p.p_addr <- t.addr.(j)
+  done;
   Buffer.contents buf
 
 let add_thread buf (t : Thread_trace.t) =
@@ -126,87 +108,80 @@ let encode (traces : Thread_trace.t array) =
 
 (* -- payload decoding --------------------------------------------------- *)
 
+(* A lock or barrier address, delta-coded against the previous one. *)
+let read_sync p r =
+  let a = p.p_sync + unzigzag (Serial.read_uint r) in
+  p.p_sync <- a;
+  a
+
 (* The payload is a fully-buffered substring, so {!Serial}'s bounded
    readers apply with all counts relative to the payload, exactly like a
-   TFSTREAM1 frame. *)
+   TFSTREAM1 frame.  The tag column is checked in place, then read again
+   beside the args column, so the columns go straight into the builder
+   with no per-event intermediate. *)
 let decode_payload ~tid payload : Thread_trace.t =
+  let module B = Thread_trace.Builder in
   let r = { Serial.data = payload; pos = 0 } in
   (* an event costs at least its 1 tag byte *)
   let n_events = Serial.read_count r ~min_bytes:1 "event" in
-  let tags =
-    Array.init n_events (fun _ ->
-        let t = Serial.read_byte r in
-        if t > 6 then raise (Serial.Corrupt (Printf.sprintf "bad event tag %d" t));
-        t)
-  in
+  let tags = r.Serial.pos and kinds = Serial.kinds in
+  for i = tags to tags + n_events - 1 do
+    let t = Char.code (String.unsafe_get payload i) in
+    if t >= Array.length kinds then
+      raise (Serial.Corrupt (Printf.sprintf "bad event tag %d" t))
+  done;
+  r.Serial.pos <- tags + n_events;
+  let b = B.create ~events:n_events ~accesses:0 tid in
   let p = predictor () in
-  (* args column: partial events, access counts remembered for the access
-     column *)
-  let n_acc = Array.make n_events 0 in
-  let events =
-    Array.mapi
-      (fun i tag ->
-        match tag with
-        | 0 ->
-            let func = p.p_func + unzigzag (Serial.read_uint r) in
-            let block = p.p_block + unzigzag (Serial.read_uint r) in
-            let n_instr = Serial.read_uint r in
-            if n_instr < 0 then raise (Serial.Corrupt "negative n_instr");
-            (* an access costs at least 4 varint bytes in its column *)
-            let n = Serial.read_count r ~min_bytes:4 "access" in
-            n_acc.(i) <- n;
-            p.p_func <- func;
-            p.p_block <- block;
-            Event.Block { func; block; n_instr; accesses = Event.no_accesses }
-        | 1 ->
-            let f = p.p_call + unzigzag (Serial.read_uint r) in
-            p.p_call <- f;
-            Event.Call f
-        | 2 -> Event.Return
-        | 3 | 4 | 6 ->
-            let a = p.p_sync + unzigzag (Serial.read_uint r) in
-            p.p_sync <- a;
-            if tag = 3 then Event.Lock_acq a
-            else if tag = 4 then Event.Lock_rel a
-            else Event.Barrier a
-        | 5 ->
-            let reason =
-              match Serial.read_uint r with
-              | 0 -> Event.Io
-              | 1 -> Event.Spin
-              | 2 -> Event.Excluded
-              | n -> raise (Serial.Corrupt (Printf.sprintf "bad skip reason %d" n))
-            in
-            let n_instr = Serial.read_uint r in
-            Event.Skip { reason; n_instr }
-        | _ -> assert false)
-      tags
-  in
-  (* access column *)
-  let events =
-    Array.mapi
-      (fun i e ->
-        match e with
-        | Event.Block b when n_acc.(i) > 0 ->
-            let accesses =
-              Array.init n_acc.(i) (fun _ ->
-                  let ioff = Serial.read_uint r in
-                  let addr = p.p_addr + unzigzag (Serial.read_uint r) in
-                  let size = Serial.read_uint r in
-                  let is_store = Serial.read_uint r = 1 in
-                  p.p_addr <- addr;
-                  { Event.ioff; addr; size; is_store })
-            in
-            Event.Block { b with accesses }
-        | e -> e)
-      events
-  in
+  (* args column *)
+  for i = tags to tags + n_events - 1 do
+    match Array.unsafe_get kinds (Char.code (String.unsafe_get payload i)) with
+    | Thread_trace.Block ->
+        let func = p.p_func + unzigzag (Serial.read_uint r) in
+        let block = p.p_block + unzigzag (Serial.read_uint r) in
+        let n_instr = Serial.read_uint r in
+        if n_instr < 0 then raise (Serial.Corrupt "negative n_instr");
+        (* an access costs at least 4 varint bytes in its column *)
+        let n_acc = Serial.read_count r ~min_bytes:4 "access" in
+        p.p_func <- func;
+        p.p_block <- block;
+        B.block b ~func ~block ~n_instr ~n_acc
+    | Thread_trace.Call ->
+        let f = p.p_call + unzigzag (Serial.read_uint r) in
+        p.p_call <- f;
+        B.call b f
+    | Thread_trace.Return -> B.return b
+    | Thread_trace.Lock_acq -> B.lock_acq b (read_sync p r)
+    | Thread_trace.Lock_rel -> B.lock_rel b (read_sync p r)
+    | Thread_trace.Barrier -> B.barrier b (read_sync p r)
+    | Thread_trace.Skip ->
+        let code = Serial.read_skip_code r in
+        B.skip b code (Serial.read_uint r)
+  done;
+  (* access column: each Block's count passed the per-block bound, but
+     their sum must also fit what is left, before it sizes the columns *)
+  let n_acc = B.claimed b in
+  let left = String.length payload - r.Serial.pos in
+  if n_acc > left / 4 then
+    raise
+      (Serial.Corrupt
+         (Printf.sprintf "access count %d exceeds remaining input (%d bytes)"
+            n_acc left));
+  B.reserve_accesses b n_acc;
+  for _ = 1 to n_acc do
+    let ioff = Serial.read_uint r in
+    let addr = p.p_addr + unzigzag (Serial.read_uint r) in
+    let size = Serial.read_uint r in
+    let is_store = Serial.read_uint r = 1 in
+    p.p_addr <- addr;
+    B.access b ~ioff ~addr ~size ~is_store
+  done;
   if r.Serial.pos <> String.length payload then
     raise
       (Serial.Corrupt
          (Printf.sprintf "pack payload has %d trailing byte(s)"
             (String.length payload - r.Serial.pos)));
-  { Thread_trace.tid; events }
+  B.finish b
 
 let check_crc ~payload ~stored =
   let computed = Crc32.string payload in

@@ -17,8 +17,11 @@ val magic : string
 val encode : Thread_trace.t array -> string
 
 val decode : string -> Thread_trace.t array
-(** Raises {!Serial.Corrupt} on bad magic, truncation, CRC mismatch,
-    overlong varints, lying counts or trailing bytes. *)
+(** Decodes straight into the flat columns, each allocated once at its
+    exact size.  Raises {!Serial.Corrupt} on bad magic, truncation, CRC
+    mismatch, overlong varints, lying counts (every count, and the sum of
+    a payload's access counts, is bounded by the bytes left before
+    anything is sized from it) or trailing bytes. *)
 
 val to_file : string -> Thread_trace.t array -> unit
 

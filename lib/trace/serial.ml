@@ -53,13 +53,22 @@ let read_byte r =
    bound also keeps [lsl] inside the word size (shifting an OCaml int by
    >= Sys.int_size is undefined). *)
 let read_uint r =
-  let rec go shift acc =
-    let b = read_byte r in
-    if shift >= 63 then raise (Corrupt "overlong varint");
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+  let data = r.data in
+  let len = String.length data in
+  let pos = ref r.pos and shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
+    if !pos >= len then begin
+      r.pos <- !pos;
+      raise (Corrupt "truncated")
+    end;
+    let b = Char.code (String.unsafe_get data !pos) in
+    incr pos;
+    if !shift >= 63 then raise (Corrupt "overlong varint");
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  r.pos <- !pos;
+  !acc
 
 (* Length headers are untrusted: a corrupt count must fail as [Corrupt]
    before it reaches [Array.init] (a 5-byte file must not trigger a
@@ -79,73 +88,86 @@ let read_count r ~min_bytes what =
 
 (* -- events ------------------------------------------------------------- *)
 
-let write_event buf (e : Event.t) =
-  match e with
-  | Event.Block b ->
-      write_uint buf 0;
-      write_uint buf b.func;
-      write_uint buf b.block;
-      write_uint buf b.n_instr;
-      write_uint buf (Array.length b.accesses);
-      Array.iter
-        (fun (a : Event.access) ->
-          write_uint buf a.ioff;
-          write_uint buf a.addr;
-          write_uint buf a.size;
-          write_uint buf (if a.is_store then 1 else 0))
-        b.accesses
-  | Event.Call f ->
-      write_uint buf 1;
-      write_uint buf f
-  | Event.Return -> write_uint buf 2
-  | Event.Lock_acq a ->
-      write_uint buf 3;
-      write_uint buf a
-  | Event.Lock_rel a ->
-      write_uint buf 4;
-      write_uint buf a
-  | Event.Skip { reason; n_instr } ->
-      write_uint buf 5;
-      write_uint buf
-        (match reason with Event.Io -> 0 | Event.Spin -> 1 | Event.Excluded -> 2);
-      write_uint buf n_instr
-  | Event.Barrier a ->
-      write_uint buf 6;
-      write_uint buf a
+(* {!Thread_trace.kind}'s constructor order is the tag numbering. *)
+let kinds =
+  Thread_trace.[| Block; Call; Return; Lock_acq; Lock_rel; Skip; Barrier |]
 
-let read_event r : Event.t =
-  match read_uint r with
-  | 0 ->
+let tag_of_kind : Thread_trace.kind -> int = function
+  | Thread_trace.Block -> 0
+  | Thread_trace.Call -> 1
+  | Thread_trace.Return -> 2
+  | Thread_trace.Lock_acq -> 3
+  | Thread_trace.Lock_rel -> 4
+  | Thread_trace.Skip -> 5
+  | Thread_trace.Barrier -> 6
+
+(* Event [i] of [t]. *)
+let write_event buf (t : Thread_trace.t) i =
+  let kind = t.events.(i) in
+  write_uint buf (tag_of_kind kind);
+  match kind with
+  | Thread_trace.Block ->
+      write_uint buf t.arg.(i);
+      write_uint buf t.block.(i);
+      write_uint buf t.n_instr.(i);
+      let lo = t.acc_off.(i) and hi = t.acc_off.(i + 1) in
+      write_uint buf (hi - lo);
+      for j = lo to hi - 1 do
+        write_uint buf t.ioff.(j);
+        write_uint buf t.addr.(j);
+        write_uint buf t.size.(j);
+        write_uint buf (if Thread_trace.is_store t j then 1 else 0)
+      done
+  | Thread_trace.Call | Thread_trace.Lock_acq | Thread_trace.Lock_rel
+  | Thread_trace.Barrier ->
+      write_uint buf t.arg.(i)
+  | Thread_trace.Return -> ()
+  | Thread_trace.Skip ->
+      write_uint buf t.arg.(i);
+      write_uint buf t.n_instr.(i)
+
+let read_skip_code r =
+  let c = read_uint r in
+  if not (Thread_trace.is_skip_code c) then
+    raise (Corrupt (Printf.sprintf "bad skip reason %d" c));
+  c
+
+let read_event r b =
+  let module B = Thread_trace.Builder in
+  let tag = read_uint r in
+  if tag < 0 || tag >= Array.length kinds then
+    raise (Corrupt (Printf.sprintf "bad event tag %d" tag));
+  match kinds.(tag) with
+  | Thread_trace.Block ->
       let func = read_uint r in
       let block = read_uint r in
       let n_instr = read_uint r in
       (* an access is at least 4 varint bytes (ioff addr size is_store) *)
       let n_acc = read_count r ~min_bytes:4 "access" in
-      let accesses =
-        Array.init n_acc (fun _ ->
-            let ioff = read_uint r in
-            let addr = read_uint r in
-            let size = read_uint r in
-            let is_store = read_uint r = 1 in
-            { Event.ioff; addr; size; is_store })
-      in
-      Event.Block { func; block; n_instr; accesses }
-  | 1 -> Event.Call (read_uint r)
-  | 2 -> Event.Return
-  | 3 -> Event.Lock_acq (read_uint r)
-  | 4 -> Event.Lock_rel (read_uint r)
-  | 5 ->
-      let reason =
-        match read_uint r with
-        | 0 -> Event.Io
-        | 1 -> Event.Spin
-        | 2 -> Event.Excluded
-        | n -> raise (Corrupt (Printf.sprintf "bad skip reason %d" n))
-      in
-      let n_instr = read_uint r in
-      Event.Skip { reason; n_instr }
-  | 6 -> Event.Barrier (read_uint r)
-  | n -> raise (Corrupt (Printf.sprintf "bad event tag %d" n))
+      for _ = 1 to n_acc do
+        let ioff = read_uint r in
+        let addr = read_uint r in
+        let size = read_uint r in
+        let is_store = read_uint r = 1 in
+        B.access b ~ioff ~addr ~size ~is_store
+      done;
+      B.block b ~func ~block ~n_instr ~n_acc
+  | Thread_trace.Call -> B.call b (read_uint r)
+  | Thread_trace.Return -> B.return b
+  | Thread_trace.Lock_acq -> B.lock_acq b (read_uint r)
+  | Thread_trace.Lock_rel -> B.lock_rel b (read_uint r)
+  | Thread_trace.Skip ->
+      let code = read_skip_code r in
+      B.skip b code (read_uint r)
+  | Thread_trace.Barrier -> B.barrier b (read_uint r)
+
+(* [n_events] events into a fresh trace of thread [tid]. *)
+let read_events r ~tid n_events =
+  let b = Thread_trace.Builder.create ~events:n_events tid in
+  for _ = 1 to n_events do
+    read_event r b
+  done;
+  Thread_trace.Builder.finish b
 
 (* -- legacy whole traces ------------------------------------------------ *)
 
@@ -161,5 +183,4 @@ let of_string s : Thread_trace.t array =
       if tid < 0 then raise (Corrupt "negative thread id");
       (* an event is at least 1 byte (its tag) *)
       let n_events = read_count r ~min_bytes:1 "event" in
-      let events = Array.init n_events (fun _ -> read_event r) in
-      { Thread_trace.tid; events })
+      read_events r ~tid n_events)

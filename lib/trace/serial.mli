@@ -29,7 +29,19 @@ val read_count : reader -> min_bytes:int -> string -> int
 
 (** {2 Event codec} (shared with {!Stream}'s framed format) *)
 
-val write_event : Buffer.t -> Event.t -> unit
+val kinds : Thread_trace.kind array
+(** Event kinds by tag: [kinds.(tag_of_kind k) = k]. *)
 
-val read_event : reader -> Event.t
-(** Raises [Corrupt] on a bad tag, bad skip reason or truncation. *)
+val tag_of_kind : Thread_trace.kind -> int
+(** The one-byte event tag both codecs write (0 Block ... 6 Barrier). *)
+
+val write_event : Buffer.t -> Thread_trace.t -> int -> unit
+(** [write_event buf t i] appends event [i] of [t]. *)
+
+val read_events : reader -> tid:int -> int -> Thread_trace.t
+(** [read_events r ~tid n] decodes [n] events into a fresh trace.
+    Raises [Corrupt] on a bad tag, bad skip reason or truncation. *)
+
+val read_skip_code : reader -> int
+(** A skip reason code; raises [Corrupt] unless
+    {!Thread_trace.is_skip_code}. *)

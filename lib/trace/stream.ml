@@ -24,8 +24,10 @@ let tag_end = 1
 let add_thread buf (t : Thread_trace.t) =
   let payload = Buffer.create 256 in
   Serial.write_uint payload t.Thread_trace.tid;
-  Serial.write_uint payload (Array.length t.Thread_trace.events);
-  Array.iter (Serial.write_event payload) t.Thread_trace.events;
+  Serial.write_uint payload (Thread_trace.length t);
+  for i = 0 to Thread_trace.length t - 1 do
+    Serial.write_event payload t i
+  done;
   Serial.write_uint buf tag_thread;
   Serial.write_uint buf (Buffer.length payload);
   Buffer.add_buffer buf payload
@@ -107,15 +109,16 @@ exception Bad of string
 (* Varint over the reassembly buffer, with [Serial.read_uint]'s overlong
    bound but [Short] instead of "truncated" (more input may still fix it). *)
 let read_uint_b t p =
-  let rec go shift acc =
+  let shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
     if !p >= t.len then raise Short;
     let b = Char.code (Bytes.get t.buf !p) in
     incr p;
-    if shift >= 63 then raise (Bad "overlong varint");
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+    if !shift >= 63 then raise (Bad "overlong varint");
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let fail t fmt =
   Format.kasprintf
@@ -135,13 +138,13 @@ let decode_thread t ~payload_off ~payload_len =
   let tid = Serial.read_uint r in
   if tid < 0 then raise (Serial.Corrupt "negative thread id");
   let n_events = Serial.read_count r ~min_bytes:1 "event" in
-  let events = Array.init n_events (fun _ -> Serial.read_event r) in
+  let trace = Serial.read_events r ~tid n_events in
   if r.pos <> payload_len then
     raise
       (Serial.Corrupt
          (Printf.sprintf "thread frame has %d trailing byte(s)"
             (payload_len - r.pos)));
-  { Thread_trace.tid; events }
+  trace
 
 let rec next t =
   match t.state with

@@ -34,40 +34,49 @@ type bounds = {
 let no_bounds =
   { func_count = max_int; block_count = (fun _ -> max_int); block_instrs = None }
 
-let check_block ~bounds ~tid diags ~func ~block ~n_instr
-    ~(accesses : Event.access array) =
-  let d k fmt = Format.kasprintf (fun m -> diags := Tf_error.diag ~thread:tid k "%s" m :: !diags) fmt in
+(* Prepend a diagnostic of thread [tid] to [diags]. *)
+let add_diag diags tid k fmt =
+  Format.kasprintf
+    (fun m -> diags := Tf_error.diag ~thread:tid k "%s" m :: !diags)
+    fmt
+
+(* Block [i] of [t]. *)
+let check_block ~bounds diags (t : Thread_trace.t) i =
+  let func = t.arg.(i) and block = t.block.(i) and n_instr = t.n_instr.(i) in
+  let tid = t.tid in
   if func < 0 || func >= bounds.func_count then
-    d Tf_error.Bad_block_ref "function id %d out of range (program has %d)"
-      func bounds.func_count
+    add_diag diags tid Tf_error.Bad_block_ref
+      "function id %d out of range (program has %d)" func bounds.func_count
   else if block < 0 || block >= bounds.block_count func then
-    d Tf_error.Bad_block_ref "block f%d.b%d out of range (function has %d)"
-      func block (bounds.block_count func)
+    add_diag diags tid Tf_error.Bad_block_ref
+      "block f%d.b%d out of range (function has %d)" func block
+      (bounds.block_count func)
   else begin
     (match bounds.block_instrs with
     | Some instrs when instrs func block <> n_instr ->
-        d Tf_error.Bad_access
+        add_diag diags tid Tf_error.Bad_access
           "block f%d.b%d claims %d instructions, program has %d" func block
           n_instr (instrs func block)
     | _ -> ());
     if n_instr <= 0 then
-      d Tf_error.Bad_access "block f%d.b%d has n_instr %d" func block n_instr
+      add_diag diags tid Tf_error.Bad_access "block f%d.b%d has n_instr %d"
+        func block n_instr
     else begin
       let last_ioff = ref (-1) in
-      Array.iter
-        (fun (a : Event.access) ->
-          if a.ioff < 0 || a.ioff >= n_instr then
-            d Tf_error.Bad_access
-              "access offset %d outside block f%d.b%d (%d instructions)"
-              a.ioff func block n_instr
-          else if a.ioff < !last_ioff then
-            d Tf_error.Bad_access "accesses of f%d.b%d not sorted by offset"
-              func block;
-          if a.size <= 0 then
-            d Tf_error.Bad_access "access of f%d.b%d has size %d" func block
-              a.size;
-          last_ioff := a.ioff)
-        accesses
+      for j = t.acc_off.(i) to t.acc_off.(i + 1) - 1 do
+        let ioff = t.ioff.(j) and size = t.size.(j) in
+        if ioff < 0 || ioff >= n_instr then
+          add_diag diags tid Tf_error.Bad_access
+            "access offset %d outside block f%d.b%d (%d instructions)" ioff
+            func block n_instr
+        else if ioff < !last_ioff then
+          add_diag diags tid Tf_error.Bad_access
+            "accesses of f%d.b%d not sorted by offset" func block;
+        if size <= 0 then
+          add_diag diags tid Tf_error.Bad_access
+            "access of f%d.b%d has size %d" func block size;
+        last_ioff := ioff
+      done
     end
   end
 
@@ -75,52 +84,49 @@ let check_block ~bounds ~tid diags ~func ~block ~n_instr
     consistency).  Returns diagnostics, newest first. *)
 let thread ?(bounds = no_bounds) (t : Thread_trace.t) :
     Tf_error.diagnostic list =
-  let tid = t.Thread_trace.tid in
   let diags = ref [] in
-  let add k fmt =
-    Format.kasprintf
-      (fun m -> diags := Tf_error.diag ~thread:tid k "%s" m :: !diags)
-      fmt
-  in
+  let add k fmt = add_diag diags t.tid k fmt in
   let depth = ref 0 in
   let worker_returned = ref false in
   let held = ref [] in
   (* lock addresses, innermost first *)
-  Array.iteri
-    (fun i (e : Event.t) ->
-      if !worker_returned then
-        match e with
-        | Event.Skip _ -> ()
-        | _ -> add Tf_error.Unbalanced_call "event %d after the worker's final return" i
-      else
-        match e with
-        | Event.Block { func; block; n_instr; accesses } ->
-            check_block ~bounds ~tid diags ~func ~block ~n_instr ~accesses
-        | Event.Call f ->
-            if f < 0 || f >= bounds.func_count then
-              add Tf_error.Bad_block_ref "call to function id %d out of range" f;
-            incr depth
-        | Event.Return ->
-            if !depth > 0 then decr depth
-            else
-              (* depth 0: this is the worker's own return, legal only as
-                 the last control event of the trace *)
-              worker_returned := true
-        | Event.Lock_acq a -> held := a :: !held
-        | Event.Lock_rel a ->
-            if List.mem a !held then begin
-              (* remove one occurrence *)
-              let rec drop = function
-                | [] -> []
-                | x :: tl -> if x = a then tl else x :: drop tl
-              in
-              held := drop !held
-            end
-            else
-              add Tf_error.Unbalanced_lock
-                "release of lock 0x%x the thread does not hold (event %d)" a i
-        | Event.Barrier _ | Event.Skip _ -> ())
-    t.Thread_trace.events;
+  for i = 0 to Thread_trace.length t - 1 do
+    let kind = t.events.(i) in
+    if !worker_returned then begin
+      if kind <> Thread_trace.Skip then
+        add Tf_error.Unbalanced_call
+          "event %d after the worker's final return" i
+    end
+    else
+      match kind with
+      | Thread_trace.Block -> check_block ~bounds diags t i
+      | Thread_trace.Call ->
+          let f = t.arg.(i) in
+          if f < 0 || f >= bounds.func_count then
+            add Tf_error.Bad_block_ref "call to function id %d out of range" f;
+          incr depth
+      | Thread_trace.Return ->
+          if !depth > 0 then decr depth
+          else
+            (* depth 0: this is the worker's own return, legal only as
+               the last control event of the trace *)
+            worker_returned := true
+      | Thread_trace.Lock_acq -> held := t.arg.(i) :: !held
+      | Thread_trace.Lock_rel ->
+          let a = t.arg.(i) in
+          if List.mem a !held then begin
+            (* remove one occurrence *)
+            let rec drop = function
+              | [] -> []
+              | x :: tl -> if x = a then tl else x :: drop tl
+            in
+            held := drop !held
+          end
+          else
+            add Tf_error.Unbalanced_lock
+              "release of lock 0x%x the thread does not hold (event %d)" a i
+      | Thread_trace.Barrier | Thread_trace.Skip -> ()
+  done;
   if (not !worker_returned) && !depth > 0 then
     add Tf_error.Unbalanced_call "trace ends inside %d unreturned call(s)"
       !depth;
@@ -134,8 +140,11 @@ let thread ?(bounds = no_bounds) (t : Thread_trace.t) :
   !diags
 
 let barrier_seq (t : Thread_trace.t) =
-  Array.to_list t.Thread_trace.events
-  |> List.filter_map (function Event.Barrier a -> Some a | _ -> None)
+  let seq = ref [] in
+  for i = Thread_trace.length t - 1 downto 0 do
+    if t.events.(i) = Thread_trace.Barrier then seq := t.arg.(i) :: !seq
+  done;
+  !seq
 
 (** Cross-thread barrier consistency over precomputed per-thread barrier
     sequences: threads whose sequence differs from the majority get a

@@ -14,7 +14,6 @@
 
 open Threadfuser_isa
 module Program = Threadfuser_prog.Program
-module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
 
 let n_features = 11
@@ -81,25 +80,25 @@ let extract (prog : Program.t) (trace : Thread_trace.t) : float array =
   let edges = Hashtbl.create 256 in
   let lock_ops = ref 0 in
   let last_block = ref (-1) in
-  Array.iter
-    (fun (e : Event.t) ->
-      match e with
-      | Event.Block { func; block; n_instr; accesses = accs } ->
-          total_instrs := !total_instrs + n_instr;
-          incr total_blocks;
-          let f = Program.func prog func in
-          Array.iter (classify_static mix) f.Program.blocks.(block).Program.instrs;
-          Array.iter
-            (fun (a : Event.access) ->
-              incr accesses;
-              Hashtbl.replace unique_addrs a.Event.addr ())
-            accs;
-          let key = (func * 100_000) + block in
-          if !last_block >= 0 then Hashtbl.replace edges ((!last_block * 1_000_000_000) + key) ();
-          last_block := key
-      | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _ -> incr lock_ops
-      | Event.Call _ | Event.Return | Event.Skip _ -> ())
-    trace.Thread_trace.events;
+  for i = 0 to Thread_trace.length trace - 1 do
+    match trace.events.(i) with
+    | Thread_trace.Block ->
+        let func = trace.arg.(i) and block = trace.block.(i) in
+        total_instrs := !total_instrs + trace.n_instr.(i);
+        incr total_blocks;
+        let f = Program.func prog func in
+        Array.iter (classify_static mix) f.Program.blocks.(block).Program.instrs;
+        for j = trace.acc_off.(i) to trace.acc_off.(i + 1) - 1 do
+          incr accesses;
+          Hashtbl.replace unique_addrs trace.addr.(j) ()
+        done;
+        let key = (func * 100_000) + block in
+        if !last_block >= 0 then Hashtbl.replace edges ((!last_block * 1_000_000_000) + key) ();
+        last_block := key
+    | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier ->
+        incr lock_ops
+    | Thread_trace.Call | Thread_trace.Return | Thread_trace.Skip -> ()
+  done;
   let fi = float_of_int in
   let instrs = max 1 !total_instrs in
   let frac n = fi n /. fi instrs in

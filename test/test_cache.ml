@@ -39,9 +39,7 @@ let write_file p s =
    empty thread and a non-trivial tid. *)
 let sample_traces =
   [|
-    {
-      Thread_trace.tid = 0;
-      events =
+    Thread_trace.of_events 0
         [|
           Event.Block
             {
@@ -71,12 +69,9 @@ let sample_traces =
             };
           Event.Return;
         |];
-    };
-    { Thread_trace.tid = 1; events = [||] };
-    {
-      Thread_trace.tid = 7;
-      events = [| Event.Block { func = 2; block = 5; n_instr = 1; accesses = [||] } |];
-    };
+    Thread_trace.of_events 1 [||];
+    Thread_trace.of_events 7
+      [| Event.Block { func = 2; block = 5; n_instr = 1; accesses = [||] } |];
   |]
 
 let check_traces msg expected (actual : Thread_trace.t array) =
@@ -143,7 +138,7 @@ let gen_traces =
       list_repeat n
         (let* tid = int_bound 1000 in
          let* events = list_size (int_bound 40) gen_event in
-         return { Thread_trace.tid; events = Array.of_list events })
+         return (Thread_trace.of_events tid (Array.of_list events)))
     in
     return (Array.of_list ts))
 
@@ -157,8 +152,7 @@ let prop_pack_roundtrip =
       let back = Pack.decode bytes in
       Array.length back = Array.length traces
       && Array.for_all2
-           (fun (a : Thread_trace.t) (b : Thread_trace.t) ->
-             a.tid = b.tid && Array.for_all2 Event.equal a.events b.events)
+           (fun (a : Thread_trace.t) (b : Thread_trace.t) -> a = b)
            back traces
       && Pack.encode back = bytes)
 

@@ -262,7 +262,7 @@ module Plain_builder = struct
         | Event.Return -> leave ()
         | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _ | Event.Skip _ ->
             ())
-      trace.Thread_trace.events;
+      (Thread_trace.to_events trace);
     while !stack <> [] do
       leave ()
     done
@@ -336,7 +336,7 @@ let gen_traces =
   in
   list_size (int_range 1 6)
     (map
-       (fun evs -> { Thread_trace.tid = 0; events = Array.of_list evs })
+       (fun evs -> Thread_trace.of_events 0 (Array.of_list evs))
        (list_size (int_range 0 200) event))
   |> map Array.of_list
 

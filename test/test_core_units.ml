@@ -166,7 +166,7 @@ let test_crack_control () =
 
 (* -- cursor ---------------------------------------------------------------- *)
 
-let cursor_of events = Cursor.of_trace { Thread_trace.tid = 0; events }
+let cursor_of events = Cursor.of_trace (Thread_trace.of_events 0 events)
 
 let test_cursor_absorbs_skips () =
   let c =
@@ -178,17 +178,21 @@ let test_cursor_absorbs_skips () =
         Event.Return;
       |]
   in
-  (match Cursor.peek c with
+  (match Cursor.event c with
   | Event.Call 2 -> ()
   | _ -> Alcotest.fail "expected call after skips");
   Alcotest.(check int) "io counted" 10 c.Cursor.skipped_io;
   Alcotest.(check int) "spin counted" 5 c.Cursor.skipped_spin;
-  ignore (Cursor.next c);
-  (match Cursor.next c with
+  Alcotest.(check int) "at the call" 2 c.Cursor.pos;
+  c.Cursor.pos <- c.Cursor.pos + 1;
+  (match Cursor.event c with
   | Event.Return -> ()
   | _ -> Alcotest.fail "expected return");
+  c.Cursor.pos <- c.Cursor.pos + 1;
   Alcotest.(check bool) "at end" true (Cursor.at_end c);
-  Alcotest.(check bool) "end of trace" true (Cursor.peek c == Cursor.end_of_trace)
+  (match Cursor.event c with
+  | Event.Skip { n_instr = 0; _ } -> ()
+  | _ -> Alcotest.fail "end of trace")
 
 (* -- NCP reconvergence ----------------------------------------------------- *)
 
@@ -462,7 +466,7 @@ let test_warp_width_bounds () =
       (fun acc (t : Thread_trace.t) ->
         Array.fold_left
           (fun acc -> function Event.Block b -> acc + b.n_instr | _ -> acc)
-          acc t.Thread_trace.events)
+          acc (Thread_trace.to_events t))
       0 tr.W.traces
   in
   Alcotest.(check (list int))

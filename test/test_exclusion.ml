@@ -52,7 +52,7 @@ let test_trace_shape () =
   Array.iter
     (fun (t : Thread_trace.t) ->
       let kinds =
-        Array.to_list t.Thread_trace.events
+        Array.to_list (Thread_trace.to_events t)
         |> List.map (function
              | Event.Block _ -> "B"
              | Event.Call _ -> "C"

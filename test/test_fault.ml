@@ -55,10 +55,10 @@ let test_deadlock_verdict () =
     Array.of_list
       (List.filter
          (function Event.Lock_rel _ -> false | _ -> true)
-         (Array.to_list t0.Thread_trace.events))
+         (Array.to_list (Thread_trace.to_events t0)))
   in
   let damaged = Array.copy traces in
-  damaged.(0) <- { t0 with Thread_trace.events };
+  damaged.(0) <- Thread_trace.of_events t0.Thread_trace.tid events;
   (match Analyzer.analyze ~options prog damaged with
   | exception Tf_error.Error d ->
       Alcotest.(check string)
@@ -165,12 +165,48 @@ let reseal bytes blocks =
       done)
     blocks
 
+(* A sealed thread block of [k] Blocks that each declare [m] accesses.
+   The payload ends with an access column of exactly [4 * m] bytes, so
+   every count passes the per-block bound (a quarter of the bytes left
+   when it is read), yet together they claim [k * m]: only a bound on
+   the sum stops the decoder sizing its access columns from them. *)
+let inflated_block ~k ~m =
+  let payload = Buffer.create 64 in
+  Serial.write_uint payload k;
+  Buffer.add_string payload (String.make k '\000');
+  for _ = 1 to k do
+    List.iter (Serial.write_uint payload) [ 0; 0; 1; m ]
+  done;
+  Buffer.add_string payload (String.make (4 * m) '\000');
+  let payload = Buffer.contents payload in
+  let b = Buffer.create (String.length payload + 16) in
+  Serial.write_uint b 0;
+  Serial.write_uint b (String.length payload);
+  Buffer.add_string b payload;
+  Crc32.add_le b (Crc32.string payload);
+  Buffer.contents b
+
+(* [bytes] with [block] inserted as its first thread block. *)
+let prepend_block bytes block =
+  let r = { Serial.data = bytes; pos = String.length Pack.magic } in
+  let n = Serial.read_uint r in
+  let buf = Buffer.create (String.length bytes + String.length block) in
+  Buffer.add_string buf Pack.magic;
+  Serial.write_uint buf (n + 1);
+  Buffer.add_string buf block;
+  Buffer.add_substring buf bytes r.Serial.pos (String.length bytes - r.Serial.pos);
+  Buffer.contents buf
+
+(* Every mutated file must decode to a typed error or analyze cleanly.
+   With [inflate = Some (k, m)], the same file led by an
+   {!inflated_block} must also be refused by the summed access count. *)
 let prop_resealed_pack =
   QCheck.Test.make ~name:"re-sealed TFPACK1 mutations stay typed" ~count:600
     QCheck.(
-      pair small_nat
-        (list_of_size Gen.(int_range 1 4) (triple small_nat int (int_bound 255))))
-    (fun (target, edits) ->
+      triple small_nat
+        (list_of_size Gen.(int_range 1 4) (triple small_nat int (int_bound 255)))
+        (option (pair small_nat small_nat)))
+    (fun (target, edits, inflate) ->
       let targets = Lazy.force resealed_targets in
       let name, prog, clean = targets.(target mod Array.length targets) in
       let blocks = pack_blocks clean in
@@ -182,14 +218,32 @@ let prop_resealed_pack =
             Bytes.set bytes (off + ((pos land max_int) mod len)) (Char.chr v))
         edits;
       reseal bytes blocks;
-      match Trace_file.of_string (Bytes.to_string bytes) with
-      | exception Serial.Corrupt _ -> true
+      let bytes = Bytes.to_string bytes in
+      (match Trace_file.of_string bytes with
+      | exception Serial.Corrupt _ -> ()
       | traces -> (
           match Analyzer.analyze_checked prog traces with
-          | _ -> true
+          | _ -> ()
           | exception e ->
               QCheck.Test.fail_reportf "%s: analyze_checked raised %s" name
-                (Printexc.to_string e)))
+                (Printexc.to_string e)));
+      match inflate with
+      | None -> true
+      | Some (k, m) -> (
+          (* shrinking stays in range: at least 2 Blocks, 1 access each *)
+          let k = 2 + (k mod 63) and m = 1 + (m mod 1000) in
+          match
+            Trace_file.of_string (prepend_block bytes (inflated_block ~k ~m))
+          with
+          | exception Serial.Corrupt msg
+            when String.starts_with ~prefix:"access count" msg ->
+              true
+          | exception Serial.Corrupt msg ->
+              QCheck.Test.fail_reportf "%s: inflated counts refused as %S" name
+                msg
+          | _ ->
+              QCheck.Test.fail_reportf "%s: inflated access counts decoded"
+                name))
 
 (* Quarantining every thread must still produce a (fully degraded) report
    rather than an exception. *)
@@ -198,7 +252,7 @@ let test_all_quarantined () =
   let garbage =
     Array.map
       (fun (t : Thread_trace.t) ->
-        { t with Thread_trace.events = [| Event.Return; Event.Return |] })
+        Thread_trace.of_events t.Thread_trace.tid [| Event.Return; Event.Return |])
       traces
   in
   let c = Analyzer.analyze_checked ~options prog garbage in
@@ -215,7 +269,7 @@ let test_quarantine_linear () =
   let n = 20_000 in
   let traces =
     Array.init n (fun tid ->
-        { Thread_trace.tid; events = [| Event.Lock_rel 0x10; Event.Return |] })
+        Thread_trace.of_events tid [| Event.Lock_rel 0x10; Event.Return |])
   in
   let t0 = Unix.gettimeofday () in
   let c = Analyzer.analyze_checked ~options prog traces in

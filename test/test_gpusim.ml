@@ -313,9 +313,7 @@ let test_cpusim_cycle_accounting () =
   let module Event = Threadfuser_trace.Event in
   let module TT = Threadfuser_trace.Thread_trace in
   let trace =
-    {
-      TT.tid = 0;
-      events =
+    TT.of_events 0
         [|
           Event.Block
             {
@@ -331,8 +329,7 @@ let test_cpusim_cycle_accounting () =
           Event.Call 1;
           Event.Return;
           Event.Block { func = 0; block = 1; n_instr = 3; accesses = [||] };
-        |];
-    }
+        |]
   in
   let cfg = { Cpusim.default_config with Cpusim.n_cores = 1 } in
   let s = Cpusim.run ~config:cfg [| trace |] in
@@ -353,7 +350,7 @@ let test_cpusim_cache_reuse () =
         accesses = [| { Event.ioff = 0; addr = 0x20000; size = 8; is_store = false } |];
       }
   in
-  let trace = { TT.tid = 0; events = [| block 0; block 1 |] } in
+  let trace = TT.of_events 0 [| block 0; block 1 |] in
   let cfg = { Cpusim.default_config with Cpusim.n_cores = 1 } in
   let s = Cpusim.run ~config:cfg [| trace |] in
   (* first access misses both levels, second hits L1 *)

@@ -221,7 +221,7 @@ let test_trace_structure_call () =
   let m = Machine.create prog in
   let r = Machine.run_workers m ~worker:"root" ~args:[| [] |] in
   let kinds =
-    Array.to_list r.Machine.traces.(0).Thread_trace.events
+    Array.to_list (Thread_trace.to_events r.Machine.traces.(0))
     |> List.map (function
          | Event.Block _ -> "B"
          | Event.Call _ -> "C"
@@ -250,7 +250,7 @@ let test_memory_accesses_recorded () =
   let m = Machine.create prog in
   let r = Machine.run_workers m ~worker:"f" ~args:[| [] |] in
   let accesses =
-    Array.to_list r.Machine.traces.(0).Thread_trace.events
+    Array.to_list (Thread_trace.to_events r.Machine.traces.(0))
     |> List.concat_map (function
          | Event.Block b -> Array.to_list b.accesses
          | _ -> [])

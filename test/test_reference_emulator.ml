@@ -106,7 +106,9 @@ let reference_counts ?(sites = Hashtbl.create 16) prog ipdoms
     (traces : Threadfuser_trace.Thread_trace.t array) tids =
   let lanes =
     Array.map
-      (fun tid -> { events = traces.(tid).Threadfuser_trace.Thread_trace.events; at = 0 })
+      (fun tid ->
+        (* the boxed view: the oracle never reads the trace columns *)
+        { events = Threadfuser_trace.Thread_trace.to_events traces.(tid); at = 0 })
       tids
   in
   let issues = ref 0 and instrs = ref 0 in

@@ -161,18 +161,15 @@ let test_random_chunking =
 let test_quarantine_parity () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
   let bad_call =
-    { Thread_trace.tid = 9001; events = [| Event.Call 9999; Event.Return |] }
+    Thread_trace.of_events 9001 [| Event.Call 9999; Event.Return |]
   in
   let deserter =
     (* casts a lone barrier vote; every other thread disagrees *)
-    { Thread_trace.tid = 9002; events = [| Event.Barrier 0xdead |] }
+    Thread_trace.of_events 9002 [| Event.Barrier 0xdead |]
   in
   let clean_dup = { (traced.W.traces.(0)) with Thread_trace.tid = 9003 } in
   let bad_dup =
-    {
-      Thread_trace.tid = 9003;
-      events = [| Event.Lock_rel 0x10; Event.Return |];
-    }
+    Thread_trace.of_events 9003 [| Event.Lock_rel 0x10; Event.Return |]
   in
   let options = options ~domains:2 in
   List.iter

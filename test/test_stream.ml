@@ -13,9 +13,7 @@ module Tf_error = Threadfuser_util.Tf_error
 
 let sample_traces =
   [|
-    {
-      Thread_trace.tid = 0;
-      events =
+    Thread_trace.of_events 0
         [|
           Event.Block
             {
@@ -33,12 +31,9 @@ let sample_traces =
           Event.Skip { reason = Event.Io; n_instr = 12 };
           Event.Return;
         |];
-    };
-    { Thread_trace.tid = 1; events = [||] };
-    {
-      Thread_trace.tid = 7;
-      events = [| Event.Block { func = 2; block = 5; n_instr = 1; accesses = [||] } |];
-    };
+    Thread_trace.of_events 1 [||];
+    Thread_trace.of_events 7
+      [| Event.Block { func = 2; block = 5; n_instr = 1; accesses = [||] } |];
   |]
 
 let is_infix ~affix s =
@@ -159,12 +154,9 @@ let test_bitflip_sweep () =
 
 let test_oversized_frame () =
   let big =
-    {
-      Thread_trace.tid = 3;
-      events =
-        Array.init 4096 (fun i ->
-            Event.Block { func = 0; block = i; n_instr = 1; accesses = [||] });
-    }
+    Thread_trace.of_events 3
+      (Array.init 4096 (fun i ->
+           Event.Block { func = 0; block = i; n_instr = 1; accesses = [||] }))
   in
   let buf = Buffer.create 64 in
   Buffer.add_string buf Stream.magic;
@@ -214,7 +206,7 @@ let test_zero_length () =
   | _ -> Alcotest.fail "the trace loader accepted empty input");
   Alcotest.(check int) "Validate.all on zero traces" 0
     (List.length (Validate.all [||]));
-  let empty = { Thread_trace.tid = 0; events = [||] } in
+  let empty = Thread_trace.of_events 0 [||] in
   Alcotest.(check int) "empty trace validates clean" 0
     (List.length (Validate.thread empty));
   match Stream.decode (Stream.encode [| empty |]) with

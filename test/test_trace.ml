@@ -28,22 +28,57 @@ let sample_events =
     Event.Return;
   |]
 
-let sample_trace = { Thread_trace.tid = 7; events = sample_events }
+let sample_trace = Thread_trace.of_events 7 sample_events
 
 (* ThreadFuser no longer writes TFTRACE1, but it still reads old files, so
-   the decoder's tests build their inputs here from the shared codec:
-   magic, thread count, then per thread tid, event count and events. *)
-let legacy_bytes (traces : Thread_trace.t array) =
+   the decoder's tests build their inputs here, straight from boxed
+   events: magic, thread count, then per thread tid, event count and
+   events.  Nothing here reads the trace columns, so the bytes are a
+   reference the column decoder is checked against. *)
+let legacy_event buf (e : Event.t) =
+  let w = Serial.write_uint buf in
+  match e with
+  | Event.Block b ->
+      w 0;
+      w b.func;
+      w b.block;
+      w b.n_instr;
+      w (Array.length b.accesses);
+      Array.iter
+        (fun (a : Event.access) ->
+          w a.ioff;
+          w a.addr;
+          w a.size;
+          w (if a.is_store then 1 else 0))
+        b.accesses
+  | Event.Call f -> w 1; w f
+  | Event.Return -> w 2
+  | Event.Lock_acq a -> w 3; w a
+  | Event.Lock_rel a -> w 4; w a
+  | Event.Skip { reason; n_instr } ->
+      w 5;
+      w (match reason with Event.Io -> 0 | Event.Spin -> 1 | Event.Excluded -> 2);
+      w n_instr
+  | Event.Barrier a -> w 6; w a
+
+let legacy_bytes_of_events (threads : (int * Event.t array) list) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "TFTRACE1";
-  Serial.write_uint buf (Array.length traces);
-  Array.iter
-    (fun (t : Thread_trace.t) ->
-      Serial.write_uint buf t.tid;
-      Serial.write_uint buf (Array.length t.events);
-      Array.iter (Serial.write_event buf) t.events)
-    traces;
+  Serial.write_uint buf (List.length threads);
+  List.iter
+    (fun (tid, events) ->
+      Serial.write_uint buf tid;
+      Serial.write_uint buf (Array.length events);
+      Array.iter (legacy_event buf) events)
+    threads;
   Buffer.contents buf
+
+let legacy_bytes (traces : Thread_trace.t array) =
+  legacy_bytes_of_events
+    (Array.to_list
+       (Array.map
+          (fun (t : Thread_trace.t) -> (t.tid, Thread_trace.to_events t))
+          traces))
 
 let test_stats () =
   let s = Thread_trace.stats sample_trace in
@@ -56,7 +91,7 @@ let test_stats () =
   Alcotest.(check int) "locks" 2 s.Thread_trace.lock_ops
 
 let test_roundtrip () =
-  let traces = [| sample_trace; { Thread_trace.tid = 9; events = [||] } |] in
+  let traces = [| sample_trace; Thread_trace.of_events 9 [||] |] in
   let back = Serial.of_string (legacy_bytes traces) in
   Alcotest.(check int) "thread count" 2 (Array.length back);
   Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid;
@@ -67,7 +102,7 @@ let test_roundtrip () =
       Alcotest.(check bool)
         (Printf.sprintf "event %d" i)
         true
-        (Event.equal e back.(0).Thread_trace.events.(i)))
+        (Event.equal e (Thread_trace.get back.(0) i)))
     sample_events
 
 let test_bad_magic () =
@@ -166,11 +201,127 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"serialization roundtrip" ~count:100
     (QCheck.make QCheck.Gen.(list_size (int_bound 50) gen_event))
     (fun events ->
-      let t = { Thread_trace.tid = 0; events = Array.of_list events } in
-      let back = Serial.of_string (legacy_bytes [| t |]) in
+      let events = Array.of_list events in
+      let back = Serial.of_string (legacy_bytes_of_events [ (0, events) ]) in
       Array.length back = 1
-      && Array.length back.(0).Thread_trace.events = List.length events
-      && Array.for_all2 Event.equal back.(0).Thread_trace.events t.events)
+      && Thread_trace.length back.(0) = Array.length events
+      && Array.for_all2 Event.equal (Thread_trace.to_events back.(0)) events)
+
+(* Threads of random boxed events, the reference every decoder must
+   reproduce column for column. *)
+let gen_threads =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (pair (int_bound 1000)
+         (map Array.of_list (list_size (int_bound 50) gen_event))))
+
+let prop_view_roundtrip =
+  QCheck.Test.make ~name:"of_events (to_events t) = t" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_bound 50) gen_event))
+    (fun events ->
+      let t = Thread_trace.of_events 3 (Array.of_list events) in
+      Thread_trace.of_events t.tid (Thread_trace.to_events t) = t
+      && Array.for_all2 Event.equal (Thread_trace.to_events t)
+           (Array.of_list events))
+
+(* Machine-made traces (the tracer's own builder calls) survive the view
+   too, on workloads with accesses, locks, barriers, I/O and exclusion. *)
+let test_view_roundtrip_workloads () =
+  List.iter
+    (fun name ->
+      let tr = W.trace_cpu ~threads:16 (Registry.find name) in
+      Array.iter
+        (fun (t : Thread_trace.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s tid %d" name t.tid)
+            true
+            (Thread_trace.of_events t.tid (Thread_trace.to_events t) = t))
+        tr.W.traces)
+    [ "vectoradd"; "bfs"; "hdsearch-mid"; "fluidanimate"; "pigz"; "rotate" ]
+
+(* TFPACK1, TFSTREAM1 and TFTRACE1 each decode to exactly [of_events] of
+   the boxed events they were written from. *)
+let prop_decoders_match_view =
+  QCheck.Test.make ~name:"decoders yield of_events of the boxed reference"
+    ~count:200 (QCheck.make gen_threads) (fun threads ->
+      let expected =
+        Array.of_list
+          (List.map (fun (tid, evs) -> Thread_trace.of_events tid evs) threads)
+      in
+      Pack.decode (Pack.encode expected) = expected
+      && Stream.decode (Stream.encode expected) = Ok expected
+      && Serial.of_string (legacy_bytes_of_events threads) = expected)
+
+(* Event counts per workload, recorded before the trace went columnar:
+   [ns_per_event]'s denominator in the end-to-end benchmark, so it cannot
+   drift silently.  Every registry workload at its default thread count,
+   plus the simulate workload's 11 correlation workloads at 512. *)
+let event_counts_golden =
+  [
+    ("bfs", None, 1479);
+    ("nn", None, 2560);
+    ("streamcluster", None, 45227);
+    ("b+tree", None, 33751);
+    ("particlefilter", None, 132196);
+    ("bfs-par", None, 4020);
+    ("cc", None, 2142);
+    ("pagerank", None, 1862);
+    ("nbody", None, 33280);
+    ("vectoradd", None, 1536);
+    ("uncoalesced", None, 1536);
+    ("mcrouter-memcached", None, 4006);
+    ("mcrouter-mid", None, 9635);
+    ("mcrouter-leaf", None, 3968);
+    ("textsearch-leaf", None, 50949);
+    ("textsearch-mid", None, 64982);
+    ("hdsearch-leaf", None, 43787);
+    ("hdsearch-mid", None, 99488);
+    ("post", None, 22669);
+    ("text", None, 27246);
+    ("urlshort", None, 6144);
+    ("uniqueid", None, 1599);
+    ("usertag", None, 18717);
+    ("user", None, 4992);
+    ("blackscholes", None, 2048);
+    ("streamcluster-p", None, 19420);
+    ("bodytrack", None, 18271);
+    ("facesim", None, 2560);
+    ("fluidanimate", None, 9746);
+    ("freqmine", None, 1156);
+    ("swaptions", None, 119424);
+    ("vips", None, 80128);
+    ("x264", None, 96817);
+    ("pigz", None, 809024);
+    ("rotate", None, 33024);
+    ("md5", None, 16896);
+    ("bfs", Some 512, 3729);
+    ("nn", Some 512, 10240);
+    ("streamcluster", Some 512, 180525);
+    ("b+tree", Some 512, 135777);
+    ("particlefilter", Some 512, 540304);
+    ("bfs-par", Some 512, 6265);
+    ("cc", Some 512, 5785);
+    ("pagerank", Some 512, 4894);
+    ("nbody", Some 512, 133120);
+    ("vectoradd", Some 512, 6144);
+    ("uncoalesced", Some 512, 6144);
+  ]
+
+let test_event_counts_golden () =
+  List.iter
+    (fun (name, threads, expected) ->
+      let tr = W.trace_cpu ?threads (Registry.find name) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s at %s threads" name
+           (match threads with Some n -> string_of_int n | None -> "default"))
+        expected
+        (Array.fold_left
+           (fun acc (t : Thread_trace.t) -> acc + Array.length t.events)
+           0 tr.W.traces))
+    event_counts_golden;
+  Alcotest.(check int) "every registry workload pinned"
+    (List.length Registry.all + List.length Registry.correlation)
+    (List.length event_counts_golden)
 
 (* ---- robustness: hostile input must fail with a typed error ----------- *)
 
@@ -179,18 +330,15 @@ module Tf_error = Threadfuser_util.Tf_error
 (* A second trace with the sync events the sample lacks, so the sweep also
    exercises barrier decoding and the validator's lock/barrier checks. *)
 let sync_trace =
-  {
-    Thread_trace.tid = 8;
-    events =
-      [|
-        Event.Block { func = 0; block = 0; n_instr = 2; accesses = [||] };
-        Event.Barrier 0x900;
-        Event.Lock_acq 0x500;
-        Event.Block { func = 0; block = 1; n_instr = 1; accesses = [||] };
-        Event.Lock_rel 0x500;
-        Event.Return;
-      |];
-  }
+  Thread_trace.of_events 8
+    [|
+      Event.Block { func = 0; block = 0; n_instr = 2; accesses = [||] };
+      Event.Barrier 0x900;
+      Event.Lock_acq 0x500;
+      Event.Block { func = 0; block = 1; n_instr = 1; accesses = [||] };
+      Event.Lock_rel 0x500;
+      Event.Return;
+    |]
 
 (* Decode + validate; the only acceptable failures are the typed ones. *)
 let decode_checked what s =
@@ -275,15 +423,12 @@ let test_validate () =
   | [] -> Alcotest.fail "divergent barrier sequence not flagged"
   | _ -> ());
   let unbalanced =
-    {
-      Thread_trace.tid = 3;
-      events =
-        [|
-          Event.Block { func = 0; block = 0; n_instr = 1; accesses = [||] };
-          Event.Return;
-          Event.Return;
-        |];
-    }
+    Thread_trace.of_events 3
+      [|
+        Event.Block { func = 0; block = 0; n_instr = 1; accesses = [||] };
+        Event.Return;
+        Event.Return;
+      |]
   in
   (match Validate.all [| unbalanced |] with
   | [] -> Alcotest.fail "extra Return not flagged"
@@ -292,14 +437,11 @@ let test_validate () =
         "kind" "unbalanced-call"
         (Tf_error.kind_name d.Tf_error.kind));
   let held =
-    {
-      Thread_trace.tid = 4;
-      events =
-        [|
-          Event.Lock_acq 0xbeef;
-          Event.Block { func = 0; block = 0; n_instr = 1; accesses = [||] };
-        |];
-    }
+    Thread_trace.of_events 4
+      [|
+        Event.Lock_acq 0xbeef;
+        Event.Block { func = 0; block = 0; n_instr = 1; accesses = [||] };
+      |]
   in
   match
     List.filter
@@ -318,6 +460,22 @@ let prop_varint =
       let r = { Serial.data = Buffer.contents buf; pos = 0 } in
       Serial.read_uint r = n)
 
+(* [read_uint] is on every decoder's hot path: it must not allocate. *)
+let test_read_uint_no_alloc () =
+  let buf = Buffer.create 64 in
+  List.iter (Serial.write_uint buf) [ 0; 1; 127; 128; 300; 1 lsl 40; -1 ];
+  let data = Buffer.contents buf in
+  let r = { Serial.data; pos = 0 } in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if r.pos = String.length data then r.pos <- 0;
+    sum := !sum + Serial.read_uint r
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10,000 reads" 0. words;
+  ignore (Sys.opaque_identity !sum)
+
 let () =
   Alcotest.run "trace"
     [
@@ -334,6 +492,17 @@ let () =
             test_legacy_fixture;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_varint;
+          Alcotest.test_case "read_uint does not allocate" `Quick
+            test_read_uint_no_alloc;
+        ] );
+      ( "flat form",
+        [
+          QCheck_alcotest.to_alcotest prop_view_roundtrip;
+          Alcotest.test_case "view round-trips machine traces" `Quick
+            test_view_roundtrip_workloads;
+          QCheck_alcotest.to_alcotest prop_decoders_match_view;
+          Alcotest.test_case "event counts golden" `Quick
+            test_event_counts_golden;
         ] );
       ( "robustness",
         [
