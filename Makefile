@@ -103,9 +103,9 @@ suite: build
 # scrub/verify leave the store provably clean.
 suite-cached: build
 	dune exec --no-build bin/threadfuser_cli.exe -- suite \
-		vectoradd uncoalesced bfs --jobs 2 --cache --dir .tfsuite-cold
+		vectoradd uncoalesced bfs --jobs 2 --cache-dir .tfcache --dir .tfsuite-cold
 	dune exec --no-build bin/threadfuser_cli.exe -- suite \
-		vectoradd uncoalesced bfs --jobs 2 --cache --dir .tfsuite-warm
+		vectoradd uncoalesced bfs --jobs 2 --cache-dir .tfcache --dir .tfsuite-warm
 	dune exec --no-build bin/threadfuser_cli.exe -- cache scrub
 	dune exec --no-build bin/threadfuser_cli.exe -- cache verify
 	dune exec --no-build bin/threadfuser_cli.exe -- cache stat

@@ -1,14 +1,17 @@
 (* The experiment harness: regenerates every table and figure of the
-   paper's evaluation, plus the DESIGN.md ablations and a Bechamel
-   micro-benchmark of the framework itself.
+   paper's evaluation, plus the DESIGN.md ablations and the framework's
+   own overhead benchmarks.
 
      dune exec bench/main.exe             -- everything
      dune exec bench/main.exe -- fig1     -- one experiment
      dune exec bench/main.exe -- table1 fig5 fig6 ...
-     dune exec bench/main.exe -- perf     -- Bechamel framework benchmarks
+     dune exec bench/main.exe -- perf     -- tracing + obs overhead ratios
 
    Experiment ids: table1 fig1 fig5a fig5b (fig5 = both) fig6 fig7 fig8
-   fig9 fig10 table2 xapp scaling simtcpu ablations perf. *)
+   fig9 fig10 table2 xapp scaling simtcpu ablations perf suite
+   analyzer_par sim_par.  An unknown id exits 1 before anything runs.
+   Per-stage timings come from bench/e2e's per-layer ledger
+   (tfbench --trace 1), not from here. *)
 
 module E = Threadfuser_experiments
 module W = Threadfuser_workloads.Workload
@@ -23,92 +26,10 @@ let all_ids =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the framework's own pipeline stages.    *)
+(* perf: tracing overhead vs native, and the collector's paired cost.   *)
 
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let bfs = Registry.find "bfs" in
-  let traced = W.trace_cpu bfs in
-  let tracer_test =
-    Test.make ~name:"tracer: bfs machine run"
-      (Staged.stage (fun () -> ignore (W.trace_cpu bfs)))
-  in
-  let dcfg_test =
-    Test.make ~name:"dcfg+ipdom: bfs traces"
-      (Staged.stage (fun () ->
-           let dcfgs =
-             Threadfuser_cfg.Dcfg.of_traces traced.W.prog traced.W.traces
-           in
-           ignore (Threadfuser_cfg.Ipdom.of_dcfgs dcfgs)))
-  in
-  let analyze_test =
-    Test.make ~name:"analyzer: bfs warp replay"
-      (Staged.stage (fun () ->
-           ignore (Analyzer.analyze traced.W.prog traced.W.traces)))
-  in
-  let vec = Registry.find "vectoradd" in
-  let vec_traced = W.trace_cpu vec in
-  let warp_trace_test =
-    Test.make ~name:"warp-trace gen + gpusim: vectoradd"
-      (Staged.stage (fun () ->
-           let r =
-             Analyzer.analyze
-               ~options:{ Analyzer.default_options with gen_warp_trace = true }
-               vec_traced.W.prog vec_traced.W.traces
-           in
-           ignore
-             (Threadfuser_gpusim.Gpusim.run
-                ~config:Threadfuser_gpusim.Config.tiny
-                (Option.get r.Analyzer.warp_trace))))
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let pack_test =
-    Test.make ~name:"TFPACK1 trace file: bfs roundtrip"
-      (Staged.stage (fun () ->
-           ignore
-             (Threadfuser_trace.Pack.decode
-                (Threadfuser_trace.Pack.encode traced.W.traces))))
-  in
-  let pigz = Registry.find "pigz" in
-  let pigz_traced = W.trace_cpu ~threads:16 pigz in
-  let heavy_test =
-    Test.make ~name:"analyzer: pigz (16 threads) warp replay"
-      (Staged.stage (fun () ->
-           ignore (Analyzer.analyze pigz_traced.W.prog pigz_traced.W.traces)))
-  in
-  (* same replay with the observability collector recording: the delta over
-     the plain analyzer run bounds the instrumentation cost (the disabled
-     collector is the default everywhere else in this suite) *)
-  let obs_analyze_test =
-    let module Obs = Threadfuser_obs.Obs in
-    Test.make ~name:"analyzer: bfs warp replay (obs on)"
-      (Staged.stage (fun () ->
-           (* reset BEFORE each iteration: event/counter/sample state left
-              by the previous iteration (or any earlier test) must not
-              bloat this one's measured allocations *)
-           Obs.reset ();
-           Obs.set_enabled true;
-           Fun.protect
-             ~finally:(fun () ->
-               Obs.set_enabled false;
-               (* and drop this iteration's accumulation on the way out so
-                  the global collector is clean for whatever runs next *)
-               Obs.reset ())
-             (fun () -> ignore (Analyzer.analyze traced.W.prog traced.W.traces))))
-  in
+let perf_bench () =
+  let bfs = W.trace_cpu (Registry.find "bfs") in
   (* the paper's tracing-overhead claim (2-6x native execution): compare
      the machine with tracing on vs off *)
   let overhead name =
@@ -142,42 +63,15 @@ let bechamel_suite () =
         (n, ratio))
       [ "pigz"; "x264"; "swaptions"; "bfs" ]
   in
-  Fmt.pr "@.== Framework micro-benchmarks (Bechamel, monotonic clock) ==@.";
-  (* each Test.make holds one sub-test, so each result table has one OLS *)
-  let estimate test =
-    let est = ref None in
-    Hashtbl.iter
-      (fun name ols ->
-        match Bechamel.Analyze.OLS.estimates ols with
-        | Some [ e ] ->
-            Fmt.pr "  %-45s %12.0f ns/run@." name e;
-            est := Some e
-        | Some _ | None -> Fmt.pr "  %-45s (no estimate)@." name)
-      (analyze (benchmark test));
-    !est
-  in
-  let stages =
-    List.map
-      (fun (key, test) -> (key, estimate test))
-      [
-        ("tracer_bfs", tracer_test);
-        ("dcfg_ipdom_bfs", dcfg_test);
-        ("analyzer_bfs", analyze_test);
-        ("analyzer_bfs_obs_on", obs_analyze_test);
-        ("warp_trace_gpusim_vectoradd", warp_trace_test);
-        ("pack_roundtrip_bfs", pack_test);
-        ("analyzer_pigz16", heavy_test);
-      ]
-  in
-  Fmt.pr "@.";
-  (* The obs tax is a *paired* measurement: the two bechamel estimates
-     above are taken minutes apart, so machine drift (frequency, page
-     cache, GC heap shape) can exceed the difference being measured.
-     Interleaving off/on batches and taking each side's minimum pins the
-     ratio down on noisy single-core hosts. *)
+  Fmt.pr "@.== Collector overhead, bfs analyzer run ==@.";
+  (* The obs tax is a *paired* measurement: separate timings taken
+     minutes apart let machine drift (frequency, page cache, GC heap
+     shape) exceed the difference being measured.  Interleaving off/on
+     batches and taking each side's minimum pins the ratio down on noisy
+     single-core hosts. *)
   let obs_ratio_paired, obs_flight_ratio_paired =
     let module Obs = Threadfuser_obs.Obs in
-    let analyze () = ignore (Analyzer.analyze traced.W.prog traced.W.traces) in
+    let analyze () = ignore (Analyzer.analyze bfs.W.prog bfs.W.traces) in
     let run_on () =
       Obs.reset ();
       Obs.set_enabled true;
@@ -228,17 +122,13 @@ let bechamel_suite () =
     obs_flight_ratio_paired;
   (* machine-readable summary for CI trend tracking *)
   let module J = Threadfuser_report.Json in
-  let num = function Some ns -> J.Float ns | None -> J.Null in
-  let obs_ratio = J.Float obs_ratio_paired in
   let doc =
     J.Obj
       [
         ("schema", J.String "threadfuser-bench-pipeline/1");
-        ( "stages_ns_per_run",
-          J.Obj (List.map (fun (k, v) -> (k, num v)) stages) );
         ( "tracing_overhead_vs_native",
           J.Obj (List.map (fun (n, r) -> (n, J.Float r)) overheads) );
-        ("obs_on_vs_off_analyzer_ratio", obs_ratio);
+        ("obs_on_vs_off_analyzer_ratio", J.Float obs_ratio_paired);
         ("obs_flight_vs_off_analyzer_ratio", J.Float obs_flight_ratio_paired);
       ]
   in
@@ -611,7 +501,7 @@ let suite_bench () =
   Fmt.pr "  reports byte-identical across -j1/-j4: %b@." deterministic;
   (* artifact-cache leg: a cold populate then a warm rerun over the same
      cache — the warm rollup carries the hit ratio, and the wall-clock
-     pair is the headline number for [suite --cache] *)
+     pair is the headline number for [suite --cache-dir] *)
   let module Cache = Threadfuser_cache.Cache in
   let cache_root =
     Filename.concat
@@ -702,6 +592,12 @@ let () =
     | [] -> all_ids
     | l -> List.map (function "fig5a" | "fig5b" -> "fig5" | id -> id) l
   in
+  (match List.filter (fun id -> not (List.mem id all_ids)) ids with
+  | [] -> ()
+  | bad ->
+      Fmt.epr "bench: unknown experiment id(s) %s (known: %s)@."
+        (String.concat " " bad) (String.concat " " all_ids);
+      exit 1);
   let ctx = E.Ctx.create () in
   (* results threaded into Table II *)
   let fig5_stats = ref None and fig6_out = ref None and xapp_out = ref None in
@@ -730,13 +626,7 @@ let () =
   if need "scaling" then ignore (E.Scaling.run ctx);
   if need "simtcpu" then ignore (E.Simt_cpu.run ctx);
   if need "ablations" then E.Ablations.run ctx;
-  if need "perf" then bechamel_suite ();
+  if need "perf" then perf_bench ();
   if need "suite" then suite_bench ();
   if need "analyzer_par" then analyzer_par_bench ();
-  if need "sim_par" then sim_par_bench ();
-  List.iter
-    (fun id ->
-      if not (List.mem id all_ids) then
-        Fmt.epr "unknown experiment id %s (known: %s)@." id
-          (String.concat " " all_ids))
-    ids
+  if need "sim_par" then sim_par_bench ()

@@ -4,21 +4,23 @@
      threadfuser analyze pigz -w 16 -O O3     efficiency + divergence report
      threadfuser sweep pigz                   warp-width sweep
      threadfuser trace bfs -o bfs.tfpack      capture a TFPACK1 trace file
-     threadfuser check bfs.tfpack bfs         validate a trace file
+     threadfuser check bfs.tfpack             summarize + validate a trace file
+     threadfuser check bfs.tfpack bfs         checked replay against a workload
      threadfuser fuzz bfs -n 1000             seeded corruption campaign
      threadfuser simulate vectoradd           cycle-level speedup projection
      threadfuser profile bfs --trace-out t.json   phase timing + event trace
-     threadfuser correlate                    the Fig. 5 correlation study
      threadfuser blame hdsearch-mid           divergence bottleneck ranking
      threadfuser diff base.json new.json      report regression gate
      threadfuser suite bfs pigz -j 4          supervised batch analysis
      threadfuser suite --resume               finish an interrupted batch
-     threadfuser suite --cache                skip jobs via the artifact cache
+     threadfuser suite --cache-dir .tfcache   skip jobs via the artifact cache
      threadfuser cache stat|verify|scrub|gc   artifact-store maintenance
      threadfuser serve bfs --socket tf.sock   streaming analysis daemon
      threadfuser client bfs.tfpack            stream a trace to the daemon
      threadfuser stat --prom                  scrape a live daemon's stats
-     threadfuser top --interval 2             rolling daemon rate lines
+     threadfuser stat --interval 2            rolling daemon rate lines
+
+   The Fig. 5 correlation study is regenerated by `bench/main.exe fig5'.
 
    Observability (docs/observability.md): --log-level / TF_LOG control the
    structured logger; --trace-out writes a Perfetto-loadable Chrome trace
@@ -361,7 +363,8 @@ let exclude =
     & opt (list string) []
     & info [ "exclude" ] ~docv:"FN,..."
         ~doc:
-          "Exclude functions from tracing (their execution appears as            skipped instructions), like the paper's selective tracing.")
+          "Exclude functions from tracing (their execution appears as \
+           skipped instructions), like the paper's selective tracing.")
 
 let analyze_cmd =
   let per_function =
@@ -437,23 +440,8 @@ let gpu_preset_arg =
     & info [ "gpu" ] ~docv:"PRESET"
         ~doc:"GPU configuration: scaled (default), rtx3070, h100 or tiny.")
 
-let sim_epoch_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "epoch" ] ~docv:"CYCLES"
-        ~doc:
-          "Cycle-epoch barrier length for the domain-parallel simulator \
-           merge.  Statistics are byte-identical at any value >= 1; only \
-           the wall-clock changes.  Default 4096.")
-
-let simulate_run () trace_out metrics_out w threads gpu_config domains epoch =
+let simulate_run () trace_out metrics_out w threads gpu_config domains =
   let domains = resolve_domains domains in
-  let epoch =
-    match epoch with
-    | Some e -> max 1 e
-    | None -> Threadfuser_gpusim.Gpusim.default_epoch
-  in
   let ctx = E.Ctx.create ?threads () in
   let tr = E.Ctx.traced ctx w in
   let cpu_t = E.Fig6.cpu_seconds ~domains tr in
@@ -466,7 +454,7 @@ let simulate_run () trace_out metrics_out w threads gpu_config domains epoch =
             tr.W.prog tr.W.traces
         in
         let wt = Option.get r.Analyzer.warp_trace in
-        Threadfuser_gpusim.Gpusim.run ~config:gpu_config ~domains ~epoch wt)
+        Threadfuser_gpusim.Gpusim.run ~config:gpu_config ~domains wt)
   in
   let gpu_t = Threadfuser_gpusim.Gpusim.seconds ~config:gpu_config stats in
   Fmt.pr "workload: %s@." w.W.name;
@@ -487,7 +475,7 @@ let simulate_cmd =
           and project speedup over the multicore CPU model.")
     Term.(
       const simulate_run $ setup_term $ trace_out_arg $ metrics_out_arg
-      $ workload_pos $ threads $ gpu_preset_arg $ domains_arg $ sim_epoch_arg)
+      $ workload_pos $ threads $ gpu_preset_arg $ domains_arg)
 
 (* profile: the whole pipeline under the collector, plus a human summary.
    Unlike --trace-out on other commands the collector is always on here,
@@ -563,15 +551,6 @@ let profile_cmd =
       const profile_run $ setup_term $ workload_pos $ warp_size $ opt_level
       $ threads $ scale $ trace_out_arg $ metrics_out_arg $ domains_arg)
 
-let correlate_cmd =
-  let run () = ignore (E.Fig5.run (E.Ctx.create ())) in
-  Cmd.v
-    (Cmd.info "correlate"
-       ~doc:
-         "Reproduce the paper's correlation study (Fig. 5) across compiler \
-          optimization levels.")
-    Term.(const run $ const ())
-
 let cfg_run w level threads function_name =
   let tr = W.trace_cpu ~level ?threads w in
   let dcfgs = Threadfuser_cfg.Dcfg.of_traces tr.W.prog tr.W.traces in
@@ -595,38 +574,9 @@ let cfg_cmd =
   Cmd.v
     (Cmd.info "cfg"
        ~doc:
-         "Emit a workload function's dynamic CFG (with IPDOM reconvergence           edges) as Graphviz DOT on stdout.")
+         "Emit a workload function's dynamic CFG (with IPDOM reconvergence \
+          edges) as Graphviz DOT on stdout.")
     Term.(const cfg_run $ workload_pos $ opt_level $ threads $ function_name)
-
-let tracefile_run path =
-  let traces = Trace_file.load path in
-  Fmt.pr "%s: %d threads@." path (Array.length traces);
-  let module TT = Threadfuser_trace.Thread_trace in
-  let total = ref 0 in
-  Array.iter
-    (fun (t : TT.t) ->
-      let s = TT.stats t in
-      total := !total + s.TT.traced_instrs;
-      Fmt.pr
-        "  tid %3d: %6d instrs, %5d blocks, %5d loads, %5d stores, %4d lock          ops, %6d skipped (io %d / spin %d)@."
-        t.TT.tid s.TT.traced_instrs s.TT.blocks s.TT.loads s.TT.stores
-        s.TT.lock_ops
-        (s.TT.skipped_io + s.TT.skipped_spin)
-        s.TT.skipped_io s.TT.skipped_spin)
-    traces;
-  Fmt.pr "total traced instructions: %d@." !total
-
-let tracefile_cmd =
-  let path =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Trace file written by $(b,threadfuser trace).")
-  in
-  Cmd.v
-    (Cmd.info "tracefile"
-       ~doc:"Inspect a trace file (TFPACK1, or legacy TFTRACE1).")
-    Term.(const tracefile_run $ path)
 
 let disasm_run w level output =
   let prog = W.link ~alloc:w.W.alloc w.W.cpu level in
@@ -653,14 +603,16 @@ let disasm_cmd =
   Cmd.v
     (Cmd.info "disasm"
        ~doc:
-         "Disassemble a workload (with its runtime library linked in) to           .tfasm text.")
+         "Disassemble a workload (with its runtime library linked in) to \
+          .tfasm text.")
     Term.(const disasm_run $ workload_pos $ opt_level $ output)
 
 let asm_run path =
   let surface = Threadfuser_prog.Asm_text.of_file path in
   match Threadfuser_prog.Program.assemble surface with
   | prog ->
-      Fmt.pr "%s assembles cleanly: %d functions, %d basic blocks, %d               instructions@."
+      Fmt.pr "%s assembles cleanly: %d functions, %d basic blocks, %d \
+         instructions@."
         path
         (Threadfuser_prog.Program.func_count prog)
         (Array.fold_left
@@ -703,7 +655,8 @@ let warptrace_cmd =
   Cmd.v
     (Cmd.info "warptrace"
        ~doc:
-         "Generate the warp-level RISC trace (the simulator integration           format) and write it to a file.")
+         "Generate the warp-level RISC trace (the simulator integration \
+          format) and write it to a file.")
     Term.(const warptrace_run $ workload_pos $ warp_size $ threads $ output)
 
 let replay_run path domains =
@@ -736,11 +689,33 @@ let replay_cmd =
 
 let pp_diag ppf d = Fmt.pf ppf "  %s" (Tf_error.to_string d)
 
+(* Per-thread event counts, as [check FILE] prints them before the
+   structural diagnostics. *)
+let pp_trace_summary path traces =
+  let module TT = Threadfuser_trace.Thread_trace in
+  Fmt.pr "%s: %d threads@." path (Array.length traces);
+  let total = ref 0 in
+  Array.iter
+    (fun (t : TT.t) ->
+      let s = TT.stats t in
+      total := !total + s.TT.traced_instrs;
+      Fmt.pr
+        "  tid %3d: %6d instrs, %5d blocks, %5d loads, %5d stores, %4d lock \
+         ops, %6d skipped (io %d / spin %d / excluded %d)@."
+        t.TT.tid s.TT.traced_instrs s.TT.blocks s.TT.loads s.TT.stores
+        s.TT.lock_ops
+        (s.TT.skipped_io + s.TT.skipped_spin + s.TT.skipped_excluded)
+        s.TT.skipped_io s.TT.skipped_spin s.TT.skipped_excluded)
+    traces;
+  Fmt.pr "total traced instructions: %d@." !total
+
 let check_run () path workload level =
   let traces = Trace_file.load path in
   match workload with
   | None ->
-      (* no program at hand: structural checks only *)
+      (* no program at hand: the per-thread summary, then structural
+         checks only *)
+      pp_trace_summary path traces;
       let diags = Validate.all traces in
       List.iter (fun d -> Fmt.pr "%a@." pp_diag d) diags;
       let errors =
@@ -793,15 +768,18 @@ let check_cmd =
       & pos 1 (some workload_arg) None
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "Validate against this workload's program (range checks +             checked replay).  Omit for structural checks only.")
+            "Validate against this workload's program (range checks + \
+             checked replay).  Omit for a per-thread summary and \
+             structural checks only.")
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Validate a trace file (TFPACK1, or legacy TFTRACE1): decode — \
           including magic/version and per-block CRC-32 checks for TFPACK1 \
-          — run the diagnostic passes, and (given a workload) the \
-          quarantining checked analysis.  Exits 2 on corrupt input, 3 on \
+          — print a per-thread summary (without a workload), run the \
+          diagnostic passes, and (given a workload) the quarantining \
+          checked analysis.  Exits 2 on corrupt input, 3 on \
           validation/replay errors.")
     Term.(const check_run $ setup_term $ path $ workload $ opt_level)
 
@@ -1017,7 +995,7 @@ let diff_cmd =
 
 let suite_run () trace_out metrics_out workloads jobs deadline retries backoff
     dir resume warps levels threads scale seed inject_crash inject_stall stall_s
-    every_attempt use_cache cache_dir domains =
+    every_attempt cache_dir domains =
   let workloads =
     match workloads with
     | [] -> List.map (fun w -> w.W.name) Registry.all
@@ -1031,11 +1009,7 @@ let suite_run () trace_out metrics_out workloads jobs deadline retries backoff
     in
     if Runner.Exec_fault.active p then Some p else None
   in
-  let cache =
-    if use_cache || cache_dir <> None then
-      Some (Cache.open_ (Option.value cache_dir ~default:".tfcache"))
-    else None
-  in
+  let cache = Option.map Cache.open_ cache_dir in
   let config =
     {
       Runner.parallelism = jobs;
@@ -1180,23 +1154,16 @@ let suite_cmd =
             "Make retries as fault-prone as first attempts (default: \
              faults fire on attempt 1 only, so retries recover).")
   in
-  let cache_flag =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Serve jobs from the content-addressed artifact cache when the \
-             key (workload, opt level, warp size, analyzer version) hits; \
-             write clean fresh results through.  Composes with \
-             $(b,--resume).  Default root $(b,.tfcache); override with \
-             $(b,--cache-dir).")
-  in
   let cache_dir_opt =
     Arg.(
       value
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Artifact-cache root (implies $(b,--cache)).")
+          ~doc:
+            "Serve jobs from the content-addressed artifact cache at \
+             $(docv) when the key (workload, opt level, warp size, analyzer \
+             version) hits; write clean fresh results through.  Composes \
+             with $(b,--resume).")
   in
   (* suite already uses -j for job-level parallelism, so the replay-domain
      knob is long-form only here *)
@@ -1223,7 +1190,7 @@ let suite_cmd =
       $ workloads_pos $ jobs_arg $ deadline_arg $ retries_arg
       $ backoff_arg $ dir_arg $ resume_flag $ warps_arg $ levels_arg $ threads
       $ scale $ seed_arg $ inject_crash_arg $ inject_stall_arg $ stall_s_arg
-      $ every_attempt_flag $ cache_flag $ cache_dir_opt $ suite_domains_arg)
+      $ every_attempt_flag $ cache_dir_opt $ suite_domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Cache: artifact-store maintenance                                    *)
@@ -1290,7 +1257,7 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:
          "Maintain the content-addressed artifact cache used by \
-          $(b,threadfuser suite --cache): inspect it, re-verify every \
+          $(b,threadfuser suite --cache-dir): inspect it, re-verify every \
           entry, repair it after a crash, and enforce a size budget.")
     [
       Cmd.v
@@ -1341,9 +1308,8 @@ let socket_arg =
         ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
-    max_sessions quota deadline workers seed backoff inject_disc inject_stall
-    inject_oversize stall_s disc_after socket admin_socket flight_dir cache_dir
-    =
+    max_sessions quota deadline workers seed inject_disc inject_stall
+    inject_oversize stall_s disc_after socket flight_dir cache_dir =
   let prog = W.link ~alloc:w.W.alloc w.W.cpu level in
   let options =
     {
@@ -1369,12 +1335,7 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
       deadline_s = deadline;
       workers = max 1 workers;
       seed;
-      backoff_base_s = backoff;
       fault;
-      admin_path =
-        (match admin_socket with
-        | Some p -> Some p
-        | None -> Some (Serve.admin_path_of socket));
       flight_dir;
       cache;
     }
@@ -1433,14 +1394,6 @@ let serve_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Root seed for backoff jitter and fault injection.")
   in
-  let backoff_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "backoff" ] ~docv:"SECONDS"
-          ~doc:
-            "Base listener back-off after a transient accept failure; \
-             doubles per attempt with seeded jitter.")
-  in
   let inject_disconnect_arg =
     Arg.(
       value & opt int 0
@@ -1474,16 +1427,6 @@ let serve_cmd =
       value & opt int 4096
       & info [ "disconnect-after" ] ~docv:"BYTES"
           ~doc:"Upper bound on bytes read before an injected disconnect.")
-  in
-  let admin_socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "admin-socket" ] ~docv:"PATH"
-          ~doc:
-            "Where the STATS admin socket listens (default: \
-             $(b,<socket>.stats)).  $(b,threadfuser stat) and $(b,top) \
-             scrape it.")
   in
   let flight_dir_arg =
     Arg.(
@@ -1521,9 +1464,9 @@ let serve_cmd =
       const serve_run $ setup_term $ trace_out_arg $ metrics_out_arg
       $ workload_pos $ opt_level $ warp_size $ ignore_sync $ domains_arg
       $ max_sessions_arg $ quota_arg $ deadline_arg
-      $ workers_arg $ seed_arg $ backoff_arg $ inject_disconnect_arg
+      $ workers_arg $ seed_arg $ inject_disconnect_arg
       $ inject_stall_writer_arg $ inject_oversize_arg $ stall_s_arg
-      $ disconnect_after_arg $ socket_arg $ admin_socket_arg $ flight_dir_arg
+      $ disconnect_after_arg $ socket_arg $ flight_dir_arg
       $ serve_cache_dir_arg)
 
 let client_run () path socket chunk_bytes =
@@ -1580,7 +1523,7 @@ let client_cmd =
     Term.(const client_run $ setup_term $ path $ socket_arg $ chunk_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Stat / top: scrape a running daemon's admin socket                   *)
+(* Stat: scrape a running daemon's admin socket                         *)
 
 let scrape ~format socket =
   let admin = Serve.admin_path_of socket in
@@ -1648,51 +1591,10 @@ let stat_print_human j =
         sessions
   | _ -> ()
 
-let stat_run () socket prom json =
-  let format =
-    if prom then Sprotocol.Stats_prom else Sprotocol.Stats_json
-  in
-  match scrape ~format socket with
-  | Error m ->
-      Log.err "cannot scrape daemon: %s" m;
-      exit exit_corrupt
-  | Ok body ->
-      if prom || json then print_string body
-      else stat_print_human (parse_stats body)
-
-let prom_flag =
-  Arg.(
-    value & flag
-    & info [ "prom" ]
-        ~doc:"Print the raw Prometheus text exposition instead of a summary.")
-
-let json_flag =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Print the raw JSON status document ($(b,tfserve-stats/1)) \
-           instead of a summary.")
-
-let stat_cmd =
-  Cmd.v
-    (Cmd.info "stat"
-       ~doc:
-         "One-shot scrape of a running $(b,threadfuser serve) daemon's \
-          admin socket ($(b,<socket>.stats)): live per-session state, \
-          totals and latency quantiles.  $(b,--prom) and $(b,--json) emit \
-          the raw exposition for scripts and scrapers.  Exit 2 when no \
-          daemon answers.")
-    Term.(const stat_run $ setup_term $ socket_arg $ prom_flag $ json_flag)
-
 (* Poll loop over the JSON document: rates are deltas between consecutive
    scrapes, so a dashboardless terminal still sees ingest B/s and session
    throughput move. *)
-let top_run () socket interval count =
-  if interval <= 0.0 then begin
-    Log.err "--interval must be positive";
-    exit exit_usage
-  end;
+let stat_poll socket interval count =
   let stop = ref false in
   let handle _ = stop := true in
   ignore (Sys.signal Sys.sigint (Sys.Signal_handle handle));
@@ -1731,28 +1633,79 @@ let top_run () socket interval count =
     if (not !stop) && (count = 0 || !iter < count) then Unix.sleepf interval
   done
 
-let top_cmd =
+let stat_run () socket prom json interval count =
+  let usage m =
+    Log.err "%s" m;
+    exit exit_usage
+  in
+  if count < 0 then usage "--count must be >= 0";
+  match interval with
+  | Some interval ->
+      if not (Float.is_finite interval && interval > 0.0) then
+        usage "--interval must be a positive number of seconds";
+      if prom || json then
+        usage "--interval prints rate lines; drop --prom / --json";
+      stat_poll socket interval count
+  | None -> (
+      if count > 0 then usage "--count needs --interval";
+      let format =
+        if prom then Sprotocol.Stats_prom else Sprotocol.Stats_json
+      in
+      match scrape ~format socket with
+      | Error m ->
+          Log.err "cannot scrape daemon: %s" m;
+          exit exit_corrupt
+      | Ok body ->
+          if prom || json then print_string body
+          else stat_print_human (parse_stats body))
+
+let prom_flag =
+  Arg.(
+    value & flag
+    & info [ "prom" ]
+        ~doc:"Print the raw Prometheus text exposition instead of a summary.")
+
+let json_flag =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Print the raw JSON status document ($(b,tfserve-stats/1)) \
+           instead of a summary.")
+
+let stat_cmd =
   let interval_arg =
     Arg.(
-      value & opt float 2.0
+      value
+      & opt (some float) None
       & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Seconds between scrapes.")
+          ~doc:
+            "Poll every $(docv) and print a rolling rate line per scrape \
+             instead of one summary.")
   in
   let count_arg =
     Arg.(
       value & opt int 0
       & info [ "count" ] ~docv:"N"
-          ~doc:"Stop after this many scrapes (0 = until interrupted).")
+          ~doc:
+            "With $(b,--interval): stop after this many scrapes (0 = until \
+             interrupted).")
   in
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info "stat"
        ~doc:
-         "Poll a running $(b,threadfuser serve) daemon's admin socket and \
-          print a rolling rate line per scrape: active sessions, \
-          sessions/s, ingest bytes/s, shed rate and session latency \
-          quantiles.  The first scrape prints the header; rates are \
-          deltas between consecutive scrapes.")
-    Term.(const top_run $ setup_term $ socket_arg $ interval_arg $ count_arg)
+         "Scrape a running $(b,threadfuser serve) daemon's admin socket \
+          ($(b,<socket>.stats)).  Once by default: live per-session state, \
+          totals and latency quantiles; $(b,--prom) and $(b,--json) emit \
+          the raw exposition for scripts and scrapers.  With \
+          $(b,--interval), poll and print a rate line per scrape: active \
+          sessions, sessions/s, ingest bytes/s, shed rate and session \
+          latency quantiles (the first scrape prints the header; rates \
+          are deltas between consecutive scrapes).  Exit 2 when no daemon \
+          answers.")
+    Term.(
+      const stat_run $ setup_term $ socket_arg $ prom_flag $ json_flag
+      $ interval_arg $ count_arg)
 
 let main =
   Cmd.group
@@ -1761,10 +1714,10 @@ let main =
          "A SIMT analysis framework for MIMD programs (reproduction of the \
           MICRO 2024 paper).")
     [
-      list_cmd; analyze_cmd; sweep_cmd; trace_cmd; tracefile_cmd; cfg_cmd;
-      disasm_cmd; asm_cmd; warptrace_cmd; replay_cmd; simulate_cmd;
-      profile_cmd; correlate_cmd; check_cmd; fuzz_cmd; blame_cmd; diff_cmd;
-      suite_cmd; cache_cmd; serve_cmd; client_cmd; stat_cmd; top_cmd;
+      list_cmd; analyze_cmd; sweep_cmd; trace_cmd; cfg_cmd; disasm_cmd;
+      asm_cmd; warptrace_cmd; replay_cmd; simulate_cmd; profile_cmd;
+      check_cmd; fuzz_cmd; blame_cmd; diff_cmd; suite_cmd; cache_cmd;
+      serve_cmd; client_cmd; stat_cmd;
     ]
 
 (* Top-level error handler: uncaught-exception backtraces never reach the

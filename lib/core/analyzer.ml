@@ -750,7 +750,6 @@ module Session = struct
 
   type t = {
     s_options : options;
-    s_fuel : int option;
     s_budget : int;
     s_max_frame : int;
     s_prog : Program.t;
@@ -780,8 +779,8 @@ module Session = struct
     mutable s_phase : phase;
   }
 
-  let create ?(options = default_options) ?fuel
-      ?(budget_bytes = default_budget) ?tmp_dir prog =
+  let create ?(options = default_options) ?(budget_bytes = default_budget)
+      ?tmp_dir prog =
     if budget_bytes <= 0 then
       invalid_arg "Analyzer.Session.create: budget_bytes must be positive";
     if options.batching <> Batching.Sequential then
@@ -791,7 +790,6 @@ module Session = struct
     let max_frame = max budget_bytes 65536 in
     {
       s_options = options;
-      s_fuel = fuel;
       s_budget = budget_bytes;
       s_max_frame = max_frame;
       s_prog = prog;
@@ -950,7 +948,7 @@ module Session = struct
       end
       else false
     in
-    pipeline ~options ?fuel:t.s_fuel ~checked:true ~cut ~diagnostics t.s_prog
+    pipeline ~options ~checked:true ~cut ~diagnostics t.s_prog
       { tids; events = arr t.s_events; iter = iter_spool t }
 
   let snapshot t : Metrics.report =

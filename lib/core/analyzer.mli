@@ -122,7 +122,6 @@ module Session : sig
         trace at once, which streaming cannot provide). *)
   val create :
     ?options:options ->
-    ?fuel:int ->
     ?budget_bytes:int ->
     ?tmp_dir:string ->
     Threadfuser_prog.Program.t ->

@@ -4,8 +4,8 @@
 
     The collector is *off* by default.  Every hook is guarded by a single
     load-and-branch on {!enabled}, so an instrumented pipeline with the
-    collector disabled runs at native speed (the Bechamel perf suite tracks
-    the ratio); argument construction at call sites must therefore also sit
+    collector disabled runs at native speed ([bench/main.exe perf] records
+    the paired on/off ratio); argument construction at call sites must therefore also sit
     behind [if !Obs.enabled then ...].
 
     Spans and instants land on {e tracks} (Perfetto rows).  Framework

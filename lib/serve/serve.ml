@@ -80,16 +80,13 @@ type config = {
   socket_path : string;
   prog : Program.t;
   options : Analyzer.options;
-  fuel : int option;
   max_sessions : int;
   session_quota : int;  (** per-session memory budget (bytes) *)
   deadline_s : float option;  (** per-session wall-clock budget *)
   workers : int;  (** analysis worker domains *)
   seed : int;  (** backoff jitter seed *)
-  backoff_base_s : float;  (** base accept-retry delay *)
   fault : Exec_fault.session_plan option;  (** chaos injection *)
   tmp_dir : string option;  (** session spool directory *)
-  admin_path : string option;  (** STATS admin socket; [None] disables *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder;
           [None] disables the recorder *)
@@ -100,7 +97,7 @@ type config = {
 }
 
 (** Where the STATS admin socket lives relative to the session socket —
-    shared with the [threadfuser stat]/[top] clients. *)
+    shared with the [threadfuser stat] client. *)
 let admin_path_of socket_path =
   if Filename.check_suffix socket_path ".stats" then socket_path
   else socket_path ^ ".stats"
@@ -110,16 +107,13 @@ let default_config ~prog ~socket_path =
     socket_path;
     prog;
     options = Analyzer.default_options;
-    fuel = None;
     max_sessions = 8;
     session_quota = Session.default_budget;
     deadline_s = None;
     workers = 1;
     seed = 1;
-    backoff_base_s = 0.05;
     fault = None;
     tmp_dir = None;
-    admin_path = Some (admin_path_of socket_path);
     flight_dir = None;
     cache = None;
   }
@@ -610,7 +604,7 @@ let accept_session svc listen_fd =
       end
       else begin
         let session =
-          Session.create ~options:svc.cfg.options ?fuel:svc.cfg.fuel
+          Session.create ~options:svc.cfg.options
             ~budget_bytes:svc.cfg.session_quota ?tmp_dir:svc.cfg.tmp_dir
             svc.cfg.prog
         in
@@ -832,6 +826,10 @@ let error_stats_reply msg =
 
 let admin_deadline_s = 5.0
 
+(* Base listener back-off after a transient accept failure; doubles per
+   attempt with seeded jitter. *)
+let accept_backoff_s = 0.05
+
 let accept_admin svc admin_fd =
   match Unix.accept ~cloexec:true admin_fd with
   | exception Unix.Unix_error _ -> ()
@@ -910,11 +908,8 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
     fd
   in
   let listen_fd = bind_unix cfg.socket_path in
-  let admin_fd =
-    match cfg.admin_path with
-    | None -> None
-    | Some path -> Some (path, bind_unix path)
-  in
+  let admin_path = admin_path_of cfg.socket_path in
+  let admin_fd = bind_unix admin_path in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -956,7 +951,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
     if Atomic.get stop && !listening then begin
       listening := false;
       close_quietly listen_fd;
-      (match admin_fd with Some (_, fd) -> close_quietly fd | None -> ());
+      close_quietly admin_fd;
       Log.info "serve: draining"
         ~fields:[ ("sessions", string_of_int (List.length svc.sessions)) ]
     end;
@@ -989,9 +984,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
       else begin
         let readable =
           (if !listening && t >= !accept_muted_until then [ listen_fd ] else [])
-          @ (match admin_fd with
-            | Some (_, fd) when !listening -> [ fd ]
-            | _ -> [])
+          @ (if !listening then [ admin_fd ] else [])
           @ [ svc.wake_r ]
           @ List.filter_map
               (fun a -> if a.areply = "" then Some a.afd else None)
@@ -1060,7 +1053,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
                      seeded backoff delay rather than spinning *)
                   incr accept_attempt;
                   let delay =
-                    Backoff.delay_s ~base:cfg.backoff_base_s ~seed:cfg.seed
+                    Backoff.delay_s ~base:accept_backoff_s ~seed:cfg.seed
                       ~attempt:!accept_attempt
                   in
                   accept_muted_until := now () +. delay;
@@ -1072,10 +1065,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
                         ("attempt", string_of_int !accept_attempt);
                       ]
             end;
-            (match admin_fd with
-            | Some (_, fd) when !listening && List.mem fd rs ->
-                accept_admin svc fd
-            | _ -> ());
+            if !listening && List.mem admin_fd rs then accept_admin svc admin_fd;
             List.iter
               (fun a ->
                 if List.mem a.afd rs then read_admin svc a;
@@ -1114,14 +1104,12 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
   done;
   if !listening then begin
     close_quietly listen_fd;
-    match admin_fd with Some (_, fd) -> close_quietly fd | None -> ()
+    close_quietly admin_fd
   end;
   List.iter (fun a -> close_quietly a.afd) svc.admins;
   svc.admins <- [];
   (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-  (match admin_fd with
-  | Some (path, _) -> ( try Sys.remove path with Sys_error _ -> ())
-  | None -> ());
+  (try Sys.remove admin_path with Sys_error _ -> ());
   Mutex.lock svc.mutex;
   svc.shutdown_workers <- true;
   Condition.broadcast svc.cond;

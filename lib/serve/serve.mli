@@ -15,19 +15,14 @@ type config = {
   socket_path : string;  (** Unix-domain socket to bind *)
   prog : Threadfuser_prog.Program.t;  (** program every session analyzes *)
   options : Threadfuser.Analyzer.options;
-  fuel : int option;  (** per-replay fuel override *)
   max_sessions : int;  (** concurrent sessions before shedding *)
   session_quota : int;  (** per-session memory budget (bytes) *)
   deadline_s : float option;  (** per-session wall-clock budget *)
   workers : int;  (** analysis worker domains *)
   seed : int;  (** backoff jitter seed *)
-  backoff_base_s : float;  (** base accept-retry delay *)
   fault : Threadfuser_fault.Exec_fault.session_plan option;
       (** deterministic chaos injection, keyed by accept ordinal *)
   tmp_dir : string option;  (** session spool directory *)
-  admin_path : string option;
-      (** STATS admin socket (see {!admin_path_of}); [None] disables the
-          admin surface *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder
           ([session-<id>.trace.json] + [.metrics.txt]); [None] disables
@@ -42,13 +37,12 @@ type config = {
 }
 
 (** Where the STATS admin socket lives relative to the session socket
-    ([<socket>.stats]) — shared with the [threadfuser stat]/[top]
-    clients so they can derive it from [--socket] alone. *)
+    ([<socket>.stats]).  The daemon always binds it there, and the
+    [threadfuser stat] client derives it from [--socket] alone. *)
 val admin_path_of : string -> string
 
 (** 8 sessions, {!Threadfuser.Analyzer.Session.default_budget} quota, no
-    deadline, 1 worker, seed 1, 50ms backoff base, no faults; admin
-    socket at [admin_path_of socket_path], flight recorder off, no
+    deadline, 1 worker, seed 1, no faults, flight recorder off, no
     cache. *)
 val default_config :
   prog:Threadfuser_prog.Program.t -> socket_path:string -> config
@@ -60,8 +54,8 @@ type stats = {
   bytes_ingested : int;
 }
 
-(** [run ?stop ?on_ready cfg] binds the socket (and the admin socket when
-    [cfg.admin_path] is set), calls [on_ready] once accepting, and serves
+(** [run ?stop ?on_ready cfg] binds the socket and the admin socket at
+    [admin_path_of cfg.socket_path], calls [on_ready] once accepting, and serves
     until [stop] becomes [true] — then closes the listeners, drains live
     sessions to completion, removes the socket files and returns.  Stale
     socket files left by a dead daemon are replaced.  The observability

@@ -11,7 +11,7 @@
       2 Return
       3 Lock_acq addr
       4 Lock_rel addr
-      5 Skip    reason(0=io,1=spin) n_instr
+      5 Skip    reason(0=io,1=spin,2=excluded) n_instr
       6 Barrier addr
     v}
 
