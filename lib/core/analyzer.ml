@@ -756,13 +756,16 @@ module Session = struct
     s_bounds : Validate.bounds;
     s_dec : Stream.t;
     s_tmp_dir : string option;
-    (* The spool: every ingested thread re-framed in [Stream]'s format
-       (no magic), newest frames in [s_buf], older ones spilled to a temp
-       file once the in-memory tail passes half the budget.  Threads with
-       validation errors are spooled too: quarantine is by tid and a
-       clean thread sharing a tid with a later bad one must still be
-       excluded, exactly as [Validate.verdict] does. *)
-    s_buf : Buffer.t;
+    (* The spool, in ingest order: the oldest threads re-framed in
+       [Stream]'s format (no magic) in a temp file, the newest ones kept
+       decoded in [s_tail] (newest first).  The tail is charged its
+       [Thread_trace.heap_bytes] and is encoded to the file only when it
+       passes half the budget.  Threads with validation errors are
+       spooled too: quarantine is by tid and a clean thread sharing a tid
+       with a later bad one must still be excluded, exactly as
+       [Validate.verdict] does. *)
+    mutable s_tail : Thread_trace.t list;
+    mutable s_tail_bytes : int;
     mutable s_file : (string * out_channel) option;
     mutable s_spilled : int;
     (* Per-thread metadata, newest first (O(threads), not O(bytes)). *)
@@ -770,7 +773,7 @@ module Session = struct
     mutable s_tids : int list;
     mutable s_seqs : int list list; (* barrier sequences, for the vote *)
     mutable s_events : int list; (* event count per thread *)
-    mutable s_sizes : int list; (* spooled frame bytes per thread *)
+    mutable s_sizes : int list; (* decoded heap bytes per thread *)
     mutable s_diags : Tf_error.diagnostic list list;
         (* per-thread diagnostics (each newest-first), only threads that
            produced any *)
@@ -796,7 +799,8 @@ module Session = struct
       s_bounds = bounds_of_program prog;
       s_dec = Stream.create ~max_frame_bytes:max_frame ();
       s_tmp_dir = tmp_dir;
-      s_buf = Buffer.create 4096;
+      s_tail = [];
+      s_tail_bytes = 0;
       s_file = None;
       s_spilled = 0;
       s_n = 0;
@@ -810,18 +814,20 @@ module Session = struct
       s_phase = Ingest;
     }
 
-  let buffered_bytes t = Stream.buffered t.s_dec + Buffer.length t.s_buf
+  let buffered_bytes t = Stream.buffered t.s_dec + t.s_tail_bytes
   let spilled_bytes t = t.s_spilled
   let bytes_ingested t = Stream.bytes_fed t.s_dec
   let threads_ingested t = t.s_n
   let input_done t = t.s_done
   let failure t = t.s_failure
 
-  (* The in-memory spool tail stays under half the budget; the other half
+  (* The decoded spool tail stays under half the budget; the other half
      covers the decoder's reassembly buffer and the replay batch, which is
-     cut at the same size. *)
+     cut at the same decoded size. *)
   let spill_at t = max 65536 (t.s_budget / 2)
 
+  (* Encode the tail, oldest first, onto the spill file; one frame is
+     staged at a time. *)
   let spill t =
     let oc =
       match t.s_file with
@@ -834,9 +840,16 @@ module Session = struct
           t.s_file <- Some (path, oc);
           oc
     in
-    Buffer.output_buffer oc t.s_buf;
-    t.s_spilled <- t.s_spilled + Buffer.length t.s_buf;
-    Buffer.clear t.s_buf
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun tr ->
+        Stream.add_thread buf tr;
+        Buffer.output_buffer oc buf;
+        t.s_spilled <- t.s_spilled + Buffer.length buf;
+        Buffer.clear buf)
+      (List.rev t.s_tail);
+    t.s_tail <- [];
+    t.s_tail_bytes <- 0
 
   let require_ingest t what =
     match t.s_phase with
@@ -853,11 +866,12 @@ module Session = struct
     t.s_events <- Array.length trace.Thread_trace.events :: t.s_events;
     (let diags = Validate.thread ~bounds:t.s_bounds trace in
      if diags <> [] then t.s_diags <- diags :: t.s_diags);
-    let before = Buffer.length t.s_buf in
-    Stream.add_thread t.s_buf trace;
-    t.s_sizes <- (Buffer.length t.s_buf - before) :: t.s_sizes;
+    let bytes = Thread_trace.heap_bytes trace in
+    t.s_sizes <- bytes :: t.s_sizes;
+    t.s_tail <- trace :: t.s_tail;
+    t.s_tail_bytes <- t.s_tail_bytes + bytes;
     t.s_n <- t.s_n + 1;
-    if Buffer.length t.s_buf > spill_at t then spill t
+    if t.s_tail_bytes > spill_at t then spill t
 
   let feed t ?off ?len chunk =
     require_ingest t "feed";
@@ -879,25 +893,27 @@ module Session = struct
       done
     end
 
-  (* Iterate the spooled frames in ingest order — the spill file (oldest)
-     then the in-memory tail — with their ingest index, re-decoded
-     through a bounded decoder, so the pass holds one frame plus one
-     chunk, never the spool. *)
+  (* Iterate the spool in ingest order with each thread's ingest index:
+     the spill file (oldest), re-decoded through a bounded decoder so the
+     pass holds one frame plus one chunk of it, then the decoded tail as
+     it is. *)
   let iter_spool t f =
     let dec =
       Stream.create ~max_frame_bytes:t.s_max_frame ~expect_magic:false ()
     in
     let i = ref 0 in
+    let emit tr =
+      f !i tr;
+      incr i
+    in
     let drain () =
       let continue_ = ref true in
       while !continue_ do
         match Stream.next dec with
         | Stream.Need_more -> continue_ := false
-        | Stream.Frame tr ->
-            f !i tr;
-            incr i
+        | Stream.Frame tr -> emit tr
         | Stream.End_of_stream | Stream.Corrupt _ ->
-            (* the spool is written only by [add_thread]: well-formed
+            (* the spill file is written only by [spill]: well-formed
                thread frames, no end frame *)
             assert false
       done
@@ -920,16 +936,15 @@ module Session = struct
             in
             go ())
     | None -> ());
-    Stream.feed dec (Buffer.contents t.s_buf);
-    drain ()
+    List.iter emit (List.rev t.s_tail)
 
   (* The spool as the pipeline's trace source: the retained per-thread
      metadata up front and [iter_spool] for every pass.  Diagnostics come
      in [Validate.all]'s order: per thread in ingest order (newest-first
      within a thread), then the barrier vote.  Replay batches are cut on
-     a warp boundary once about half a budget of spooled frames is
-     pending, so replay holds one batch of decoded traces, never the
-     whole set. *)
+     the first warp boundary at which half a budget of decoded traces is
+     pending, so replay holds at most that plus one warp, never the whole
+     set. *)
   let analyze_spool t ~(options : options) : checked =
     let arr l = Array.of_list (List.rev l) in
     let tids = arr t.s_tids and sizes = arr t.s_sizes in
@@ -969,7 +984,9 @@ module Session = struct
         (try close_out oc with Sys_error _ -> ());
         (try Sys.remove path with Sys_error _ -> ())
     | None -> ());
-    t.s_file <- None
+    t.s_file <- None;
+    t.s_tail <- [];
+    t.s_tail_bytes <- 0
 
   let finish t : checked =
     match t.s_phase with
@@ -984,11 +1001,9 @@ module Session = struct
         in
         t.s_phase <- Finished c;
         remove_spool t;
-        Buffer.reset t.s_buf;
         c
 
   let close t =
     remove_spool t;
-    Buffer.reset t.s_buf;
     t.s_phase <- (match t.s_phase with Finished c -> Finished c | _ -> Closed)
 end

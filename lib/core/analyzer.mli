@@ -101,13 +101,17 @@ val analyze_checked :
     There is one pipeline with two trace sources.  {!analyze} and
     {!analyze_checked} hand it an array and replay it as one batch; a
     session hands it its spool.  Ingested threads are validated on
-    arrival and re-framed into a spool that spills to a temp file, so
-    memory is bounded by the per-session budget, not the trace length.
-    The pipeline then re-reads the spool once for the DCFG and once for
-    replay, cut into warp-aligned batches of roughly half a budget.
-    Quarantine, fuel, coverage, crash fallback and instrumentation are
-    the same code on both sources.  Used by [threadfuser serve]
-    (docs/robustness.md §8). *)
+    arrival and kept decoded in the spool's tail, each charged its
+    {!Threadfuser_trace.Thread_trace.heap_bytes}.  Only when the tail
+    passes half the budget is it encoded as {!Threadfuser_trace.Stream}
+    frames onto a temp file, so memory is bounded by the per-session
+    budget, not the trace length, and a session within budget never
+    encodes or re-decodes a trace.  Each pipeline pass (one for the
+    DCFG, one for replay) re-decodes the spill file, then walks the
+    decoded tail; replay is cut at the first warp boundary where half a
+    budget of decoded traces is pending.  Quarantine, fuel, coverage,
+    crash fallback and instrumentation are the same code on both
+    sources.  Used by [threadfuser serve] (docs/robustness.md §8). *)
 module Session : sig
   type t
 
@@ -115,7 +119,8 @@ module Session : sig
   val default_budget : int
 
   (** [create prog] starts a session.  [budget_bytes] bounds both the
-      in-memory spool tail and a single stream frame (at least 64 KiB);
+      in-memory spool (decoder reassembly plus the decoded tail) and a
+      single stream frame (at least 64 KiB);
       [tmp_dir] hosts the spill file (default: [Filename.temp_dir_name]).
       @raise Invalid_argument if [budget_bytes <= 0] or
         [options.batching] is not [Sequential] (other policies need every
@@ -134,7 +139,8 @@ module Session : sig
       discarded, so a hostile stream cannot grow the session. *)
   val feed : t -> ?off:int -> ?len:int -> string -> unit
 
-  (** Ingest an already-decoded thread directly (in-process use). *)
+  (** Ingest an already-decoded thread directly (in-process use).  The
+      session keeps the trace itself, not a copy, until it spills. *)
   val add_thread : t -> Threadfuser_trace.Thread_trace.t -> unit
 
   (** The stream's end frame has been consumed. *)
@@ -146,11 +152,11 @@ module Session : sig
   val threads_ingested : t -> int
   val bytes_ingested : t -> int
 
-  (** Bytes currently held in memory (decoder reassembly + spool tail) —
-      the quantity the budget bounds. *)
+  (** Bytes currently held in memory (decoder reassembly + the decoded
+      spool tail's heap bytes) — the quantity the budget bounds. *)
   val buffered_bytes : t -> int
 
-  (** Bytes moved to the spill file so far. *)
+  (** Encoded bytes written to the spill file so far. *)
   val spilled_bytes : t -> int
 
   (** Rolling report over the threads ingested so far (the warp-trace and

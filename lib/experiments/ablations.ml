@@ -99,7 +99,8 @@ let scheduler ctx =
 
 let lock_policy ctx =
   Fmt.pr
-    "@.== Ablation: lock serialization policy (conflicting lanes vs whole      warp vs ignored) ==@.";
+    "@.== Ablation: lock serialization policy (conflicting lanes vs whole \
+     warp vs ignored) ==@.";
   let t =
     Table.create
       [
@@ -127,7 +128,9 @@ let lock_policy ctx =
     [ "mcrouter-memcached"; "urlshort"; "uniqueid"; "post"; "fluidanimate" ];
   Table.print ~name:"ablation_lock_policy" t;
   Fmt.pr
-    "@.the paper serializes only same-lock threads and defers other      reconvergence/serialization choices to future work (§III); whole-warp      serialization is the pessimistic end of that space.@."
+    "@.the paper serializes only same-lock threads and defers other \
+     reconvergence/serialization choices to future work (§III); whole-warp \
+     serialization is the pessimistic end of that space.@."
 
 let run ctx =
   batching ctx;

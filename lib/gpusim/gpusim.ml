@@ -427,7 +427,8 @@ let seconds ~(config : Config.t) (s : stats) =
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "cycles=%d instrs=%d ipc=%.2f l1=%d/%d l2=%d/%d dram=%d idle=%d      stalls[mem=%d dep=%d empty=%d]"
+    "cycles=%d instrs=%d ipc=%.2f l1=%d/%d l2=%d/%d dram=%d idle=%d \
+     stalls[mem=%d dep=%d empty=%d]"
     s.cycles s.instructions (ipc s) s.l1_hits s.l1_misses s.l2_hits
     s.l2_misses s.dram_transactions s.idle_cycles s.stall_memory
     s.stall_dependency s.stall_empty

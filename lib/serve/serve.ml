@@ -86,7 +86,10 @@ type config = {
   workers : int;  (** analysis worker domains *)
   seed : int;  (** backoff jitter seed *)
   fault : Exec_fault.session_plan option;  (** chaos injection *)
-  tmp_dir : string option;  (** session spool directory *)
+  tmp_dir : string option;
+      (** where a session over half its quota of decoded traces spills
+          them as TFSTREAM1 frames (default: [Filename.temp_dir_name],
+          i.e. [TMPDIR]); the file is removed when the session ends *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder;
           [None] disables the recorder *)

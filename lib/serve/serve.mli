@@ -22,7 +22,10 @@ type config = {
   seed : int;  (** backoff jitter seed *)
   fault : Threadfuser_fault.Exec_fault.session_plan option;
       (** deterministic chaos injection, keyed by accept ordinal *)
-  tmp_dir : string option;  (** session spool directory *)
+  tmp_dir : string option;
+      (** where a session over half its quota of decoded traces spills
+          them as TFSTREAM1 frames (default: [Filename.temp_dir_name],
+          i.e. [TMPDIR]); the file is removed when the session ends *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder
           ([session-<id>.trace.json] + [.metrics.txt]); [None] disables

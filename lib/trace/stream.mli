@@ -3,8 +3,9 @@
     Where {!Pack} stores a complete trace set at rest, this module frames
     one thread per bounded frame so a trace set can be produced,
     shipped and consumed incrementally — the wire format of the
-    [threadfuser serve] session protocol and the spool format of
-    [Analyzer.Session].
+    [threadfuser serve] session protocol and the format of
+    [Analyzer.Session]'s spill file.  A session keeps its newest threads
+    decoded and encodes them here only when they pass half its budget.
 
     The decoder is push-based and total: [feed] it arbitrary byte chunks
     (any chunking, byte-at-a-time included) and [next] either yields a
@@ -36,8 +37,8 @@ type t
 
 val create : ?max_frame_bytes:int -> ?expect_magic:bool -> unit -> t
 (** [max_frame_bytes] (default 16 MiB) bounds a single frame's declared
-    payload; [expect_magic:false] decodes a bare frame sequence (the
-    session spool format, which carries no header). *)
+    payload; [expect_magic:false] decodes a bare frame sequence (a
+    session's spill file, which carries no header). *)
 
 type step =
   | Need_more  (** the buffered bytes end mid-frame; feed more *)

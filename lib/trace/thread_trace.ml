@@ -21,6 +21,20 @@ let length t = Array.length t.events
 let is_store t j =
   Char.code (Bytes.unsafe_get t.store (j lsr 3)) land (1 lsl (j land 7)) <> 0
 
+(* A column's heap words: header plus payload.  An empty array is the
+   runtime's shared static atom, which no trace owns.  A [Bytes.t] of
+   length [n] is a header plus [n / word + 1] words (always padded). *)
+let array_words a = if Array.length a = 0 then 0 else 1 + Array.length a
+
+let heap_bytes t =
+  let word = Sys.word_size / 8 in
+  let record = 1 + 10 (* header + the ten fields of [t] *) in
+  let store = 1 + (Bytes.length t.store / word) + 1 in
+  word
+  * (record + array_words t.events + array_words t.arg
+   + array_words t.block + array_words t.n_instr + array_words t.acc_off
+   + array_words t.ioff + array_words t.addr + array_words t.size + store)
+
 (* Skip reason codes, as the [arg] column and both wire formats carry
    them. *)
 let skip_io = 0

@@ -38,6 +38,12 @@ val length : t -> int
 val is_store : t -> int -> bool
 (** Whether access [j] is a store. *)
 
+val heap_bytes : t -> int
+(** The exact heap bytes of the trace: the record and every column,
+    header words included.  Empty columns are the runtime's shared empty
+    array and count 0.  What [Analyzer.Session] charges a decoded trace
+    against its budget. *)
+
 (** {2 Skip reason codes}
 
     The one mapping between a Skip's {!Event.skip_reason} and the code its

@@ -167,6 +167,16 @@ let test_end_to_end_pipeline () =
   (* every micro-op was issued exactly once *)
   Alcotest.(check int) "ops all issued" (Warp_trace.total_ops wt) s.Gpusim.instructions
 
+(* The one-line stats summary separates its fields with single spaces. *)
+let test_pp_stats_spacing () =
+  let s = Gpusim.run ~config:tiny (kernel (Array.init 64 (fun _ -> entry alu_op))) in
+  let line = Fmt.str "%a" Gpusim.pp_stats s in
+  (* a double space (or a leading/trailing one) leaves an empty field *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no double space in %S" line)
+    false
+    (List.mem "" (String.split_on_char ' ' line))
+
 let test_stall_attribution () =
   (* a dependent ALU chain stalls on dependencies; divergent loads consumed
      immediately stall on memory *)
@@ -408,6 +418,7 @@ let () =
           Alcotest.test_case "schedulers" `Quick test_lrr_vs_gto_both_finish;
           Alcotest.test_case "end to end" `Quick test_end_to_end_pipeline;
           Alcotest.test_case "stall attribution" `Quick test_stall_attribution;
+          Alcotest.test_case "stats line spacing" `Quick test_pp_stats_spacing;
           Alcotest.test_case "lane consistency" `Quick
             test_analyzer_gpusim_lane_consistency;
         ] );

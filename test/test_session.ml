@@ -18,6 +18,7 @@ module Event = Threadfuser_trace.Event
 module Tf_error = Threadfuser_util.Tf_error
 module Report_json = Threadfuser_report.Report_json
 module Flamegraph = Threadfuser_report.Flamegraph
+module Obs = Threadfuser_obs.Obs
 
 let options ~domains =
   {
@@ -226,6 +227,87 @@ let test_bounded_memory () =
     (Report_json.to_string c.Analyzer.result.Analyzer.report);
   Session.close s
 
+(* The decoded-byte contract: the spool tail is charged its decoded heap
+   size ([Thread_trace.heap_bytes]), so a stream that decodes to at least
+   8x the budget still keeps [buffered_bytes] under it after every feed,
+   and spills.  Replay batches are cut on decoded bytes too: read from
+   the [replay] spans' [warps] args, every batch holds at most half a
+   budget of decoded traces plus its last warp. *)
+let test_decoded_budget () =
+  let traced = W.trace_cpu ~threads:256 (Registry.find "mcrouter-mid") in
+  let traces = traced.W.traces in
+  let n = Array.length traces in
+  let stream = Stream.encode traces in
+  let budget_bytes = 128 * 1024 in
+  let spill_at = budget_bytes / 2 in
+  let sizes = Array.map Thread_trace.heap_bytes traces in
+  let decoded = Array.fold_left ( + ) 0 sizes in
+  Alcotest.(check bool)
+    (Printf.sprintf "decoded size %d >= 8 x budget" decoded)
+    true
+    (decoded >= 8 * budget_bytes);
+  let options = options ~domains:1 in
+  let ws = options.Analyzer.warp_size in
+  let s = Session.create ~options ~budget_bytes traced.W.prog in
+  let pos = ref 0 in
+  while !pos < String.length stream do
+    let len = min 4096 (String.length stream - !pos) in
+    Session.feed s ~off:!pos ~len stream;
+    pos := !pos + len;
+    let held = Session.buffered_bytes s in
+    if held > budget_bytes then
+      Alcotest.failf "in-memory bytes %d > budget %d after %d stream bytes"
+        held budget_bytes !pos
+  done;
+  Alcotest.(check bool) "spilled" true (Session.spilled_bytes s > 0);
+  Obs.reset ();
+  Obs.set_enabled true;
+  let c, snap =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let c = Session.finish s in
+        (c, Obs.snapshot ()))
+  in
+  Alcotest.(check int) "no span dropped" 0 snap.Obs.events_dropped;
+  let batches =
+    List.filter_map
+      (function
+        | Obs.Complete { name = "replay"; args; _ } ->
+            Some (int_of_string (List.assoc "warps" args))
+        | _ -> None)
+      snap.Obs.events
+  in
+  Alcotest.(check bool) "several replay batches" true (List.length batches > 1);
+  let sum lo hi =
+    let b = ref 0 in
+    for i = lo to hi - 1 do
+      b := !b + sizes.(i)
+    done;
+    !b
+  in
+  let first =
+    List.fold_left
+      (fun first warps ->
+        let last = min n (first + (warps * ws)) in
+        let last_warp = sum (max first (last - ws)) last in
+        let held = sum first last in
+        if held > spill_at + last_warp then
+          Alcotest.failf
+            "batch of threads %d..%d holds %d decoded bytes > %d + last warp %d"
+            first (last - 1) held spill_at last_warp;
+        last)
+      0 batches
+  in
+  Alcotest.(check int) "batches cover every thread" n first;
+  let batch = Analyzer.analyze_checked ~options traced.W.prog traces in
+  Alcotest.(check string) "decoded-spool session byte-identical"
+    (Report_json.to_string batch.Analyzer.result.Analyzer.report)
+    (Report_json.to_string c.Analyzer.result.Analyzer.report);
+  Session.close s
+
 (* Corruption mid-stream degrades the session, not the process: the
    sticky failure is reported, later chunks are discarded, and finish
    still analyzes the clean prefix. *)
@@ -318,7 +400,11 @@ let () =
           Alcotest.test_case "quarantine parity" `Quick test_quarantine_parity;
         ] );
       ( "bounded memory",
-        [ Alcotest.test_case "budget respected" `Quick test_bounded_memory ] );
+        [
+          Alcotest.test_case "budget respected" `Quick test_bounded_memory;
+          Alcotest.test_case "decoded bytes bound spool and batches" `Quick
+            test_decoded_budget;
+        ] );
       ( "degradation",
         [
           Alcotest.test_case "corrupt mid-stream" `Quick test_corrupt_midstream;

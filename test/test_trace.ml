@@ -252,6 +252,43 @@ let prop_decoders_match_view =
       && Stream.decode (Stream.encode expected) = Ok expected
       && Serial.of_string (legacy_bytes_of_events threads) = expected)
 
+(* [heap_bytes] is the exact heap the columns occupy, checked against
+   the runtime's own count for machine-traced, TFPACK1-decoded and
+   TFSTREAM1-decoded traces and for an empty trace.  The one difference
+   is the empty array: every empty column is the runtime's shared static
+   atom, which [heap_bytes] counts as 0 (no trace owns it) and
+   [Obj.reachable_words] counts once, as its one header word, however
+   many columns point at it. *)
+let test_heap_bytes () =
+  let word = Sys.word_size / 8 in
+  let check tag (t : Thread_trace.t) =
+    (* the kind column is as long as [arg] *)
+    let atom =
+      List.exists
+        (fun a -> Array.length a = 0)
+        [ t.arg; t.block; t.n_instr; t.acc_off; t.ioff; t.addr; t.size ]
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%s tid %d" tag t.tid)
+      (Obj.reachable_words (Obj.repr t) * word)
+      (Thread_trace.heap_bytes t + if atom then word else 0)
+  in
+  let empty = Thread_trace.of_events 5 [||] in
+  check "empty" empty;
+  Alcotest.(check int) "empty trace: record, acc_off and store"
+    (word * (11 + 2 + 2))
+    (Thread_trace.heap_bytes empty);
+  check "sample" sample_trace;
+  List.iter
+    (fun name ->
+      let traces = (W.trace_cpu ~threads:16 (Registry.find name)).W.traces in
+      Array.iter (check (name ^ " traced")) traces;
+      Array.iter (check (name ^ " TFPACK1")) (Pack.decode (Pack.encode traces));
+      match Stream.decode (Stream.encode traces) with
+      | Ok back -> Array.iter (check (name ^ " TFSTREAM1")) back
+      | Error _ -> Alcotest.fail (name ^ ": stream round trip"))
+    [ "vectoradd"; "bfs"; "hdsearch-mid"; "pigz"; "rotate" ]
+
 (* Event counts per workload, recorded before the trace went columnar:
    [ns_per_event]'s denominator in the end-to-end benchmark, so it cannot
    drift silently.  Every registry workload at its default thread count,
@@ -503,6 +540,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_decoders_match_view;
           Alcotest.test_case "event counts golden" `Quick
             test_event_counts_golden;
+          Alcotest.test_case "heap_bytes matches the runtime" `Quick
+            test_heap_bytes;
         ] );
       ( "robustness",
         [
