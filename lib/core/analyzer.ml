@@ -298,10 +298,11 @@ let diag_of_exn ?thread = function
 (* Shared replay machinery (batch pipeline and streaming session).
 
    Replay shard: one per worker domain.  The emulator (and the per-warp
-   stat / failure accumulators) are private to the shard, so nothing
-   shared is mutated during replay — the warp-trace builder is shared,
-   but its per-warp streams are preallocated and each domain only
-   touches the streams of its own warps.  Shards merge in worker order,
+   stat / failure accumulators) are private to the shard, and so is its
+   warp-trace emitter (scratch columns reused across the shard's warps);
+   the only shared state written during replay is the builder's array of
+   sealed warp columns, where each domain stores only its own warps'
+   slots.  Shards merge in worker order,
    and [Emulator.merge_into] is additive in every field, so any grouping
    of warps into batches reduces to byte-identical output at any domain
    count (docs/performance.md). *)
@@ -480,7 +481,7 @@ let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
   let n_warps = (n_threads + ws - 1) / ws in
   let wt_builder =
     if options.gen_warp_trace then
-      Some (Warp_trace.Builder.create ~warp_size:ws ~n_warps)
+      Some (Warp_trace.Builder.create ~warp_size:ws ~n_warps (Crack.sites prog))
     else None
   in
   let econfig =

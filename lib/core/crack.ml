@@ -3,51 +3,35 @@
     The paper converts each traced x86 CISC instruction into one or more
     RISC micro-ops before feeding the SIMT simulator — e.g. an [add] with a
     memory operand becomes a load followed by an add (§III).  This module
-    performs the same expansion for the mini-ISA.  Lane addresses for the
-    load/store micro-ops are supplied by the emulator from the trace's
-    per-instruction access records. *)
+    performs the same expansion for the mini-ISA, once per static
+    instruction; lane addresses for the load/store micro-ops are filled in
+    when the emulator emits them ({!Warp_trace.Builder.emit}) from the
+    trace's per-instruction access records. *)
 
 open Threadfuser_isa
-module Layout = Threadfuser_machine.Layout
+module Program = Threadfuser_prog.Program
 
-type lane_mem = { load : int array option; store : int array option; size : int }
-(** Per-lane addresses for the (at most) one load and one store a cracked
-    instruction performs; arrays are warp-sized with -1 for inactive lanes. *)
+(* A cracked micro-op before its lanes' addresses are known: its template
+   and, for a memory micro-op, which of the instruction's access sets
+   supplies the addresses, with the access size. *)
+type access = No_access | Load of int | Store of int
 
-let no_mem = { load = None; store = None; size = 0 }
+type uop = { tpl : Warp_trace.template; access : access }
 
-let space_of_addrs addrs =
-  (* A memory micro-op's space is decided by its first active lane; the
-     machine's segments never mix stack and heap within one instruction in
-     practice, and the simulator only cares about local vs global. *)
-  let space = ref Warp_trace.Global in
-  (try
-     Array.iter
-       (fun a ->
-         if a >= 0 then begin
-           (match Layout.segment_of a with
-           | Layout.Stack -> space := Warp_trace.Local
-           | Layout.Heap | Layout.Global -> space := Warp_trace.Global);
-           raise Exit
-         end)
-       addrs
-   with Exit -> ());
-  !space
+let uop cls ?(dst = -1) ?(srcs = [||]) () =
+  { tpl = { Warp_trace.t_cls = cls; t_dst = dst; t_srcs = srcs }; access = No_access }
 
-let mop cls ?(dst = -1) ?(srcs = [||]) ?mem () : Warp_trace.mop =
-  { Warp_trace.cls; dst; srcs; mem }
+let load_uop ~size ~dst ~addr_srcs =
+  {
+    tpl = { Warp_trace.t_cls = Opclass.Load; t_dst = dst; t_srcs = addr_srcs };
+    access = Load size;
+  }
 
-let load_mop ~addrs ~size ~dst ~addr_srcs =
-  let space = space_of_addrs addrs in
-  mop Opclass.Load ~dst ~srcs:addr_srcs
-    ~mem:{ Warp_trace.is_store = false; size; space; addrs }
-    ()
-
-let store_mop ~addrs ~size ~data_srcs =
-  let space = space_of_addrs addrs in
-  mop Opclass.Store ~srcs:data_srcs
-    ~mem:{ Warp_trace.is_store = true; size; space; addrs }
-    ()
+let store_uop ~size ~data_srcs =
+  {
+    tpl = { Warp_trace.t_cls = Opclass.Store; t_dst = -1; t_srcs = data_srcs };
+    access = Store size;
+  }
 
 let reg_of = function Operand.Reg r -> r | Operand.Imm _ | Operand.Mem _ -> -1
 
@@ -62,61 +46,54 @@ let addr_srcs (op : Operand.t) =
   | Operand.Mem m -> Array.of_list (Operand.mem_regs m)
   | Operand.Reg _ | Operand.Imm _ -> [||]
 
-(** Crack one instruction into micro-ops.  [mem] carries the lanes'
-    addresses gathered from the trace (empty when the instruction has no
-    memory operand). *)
-let crack (instr : (int, int) Instr.t) (mem : lane_mem) : Warp_trace.mop list =
+(* The micro-ops of one instruction, addresses not yet known. *)
+let uops (instr : (int, int) Instr.t) : uop list =
   let temp = Warp_trace.temp_reg and flags = Warp_trace.flags_reg in
   let w_size w = Width.bytes w in
   match instr with
   | Instr.Mov (w, dst, src) -> (
       match (dst, src) with
       | Operand.Mem _, _ ->
-          let addrs = Option.get mem.store in
-          [ store_mop ~addrs ~size:(w_size w)
+          [ store_uop ~size:(w_size w)
               ~data_srcs:(Array.append (srcs_of_operand src) (addr_srcs dst)) ]
       | _, Operand.Mem _ ->
-          let addrs = Option.get mem.load in
-          [ load_mop ~addrs ~size:(w_size w) ~dst:(reg_of dst) ~addr_srcs:(addr_srcs src) ]
+          [ load_uop ~size:(w_size w) ~dst:(reg_of dst) ~addr_srcs:(addr_srcs src) ]
       | _, (Operand.Reg _ | Operand.Imm _) ->
-          [ mop Opclass.Ialu ~dst:(reg_of dst) ~srcs:(srcs_of_operand src) () ])
+          [ uop Opclass.Ialu ~dst:(reg_of dst) ~srcs:(srcs_of_operand src) () ])
   | Instr.Cmov (_, dst, src) -> (
       match src with
       | Operand.Mem _ ->
-          let addrs = Option.get mem.load in
           [
-            load_mop ~addrs ~size:8 ~dst:temp ~addr_srcs:(addr_srcs src);
-            mop Opclass.Ialu ~dst:(reg_of dst) ~srcs:[| temp; flags |] ();
+            load_uop ~size:8 ~dst:temp ~addr_srcs:(addr_srcs src);
+            uop Opclass.Ialu ~dst:(reg_of dst) ~srcs:[| temp; flags |] ();
           ]
       | Operand.Reg _ | Operand.Imm _ ->
           [
-            mop Opclass.Ialu ~dst:(reg_of dst)
+            uop Opclass.Ialu ~dst:(reg_of dst)
               ~srcs:(Array.append (srcs_of_operand src) [| flags |])
               ();
           ])
   | Instr.Lea (r, m) ->
-      [ mop Opclass.Ialu ~dst:r ~srcs:(Array.of_list (Operand.mem_regs m)) () ]
+      [ uop Opclass.Ialu ~dst:r ~srcs:(Array.of_list (Operand.mem_regs m)) () ]
   | Instr.Binop (op, w, dst, src) -> (
       let cls = Opclass.of_binop op in
       match (dst, src) with
       | Operand.Mem _, _ ->
           (* read-modify-write: load, op, store *)
-          let la = Option.get mem.load and sa = Option.get mem.store in
           [
-            load_mop ~addrs:la ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs dst);
-            mop cls ~dst:temp ~srcs:(Array.append [| temp |] (srcs_of_operand src)) ();
-            store_mop ~addrs:sa ~size:(w_size w)
+            load_uop ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs dst);
+            uop cls ~dst:temp ~srcs:(Array.append [| temp |] (srcs_of_operand src)) ();
+            store_uop ~size:(w_size w)
               ~data_srcs:(Array.append [| temp |] (addr_srcs dst));
           ]
       | _, Operand.Mem _ ->
-          let la = Option.get mem.load in
           [
-            load_mop ~addrs:la ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs src);
-            mop cls ~dst:(reg_of dst) ~srcs:[| reg_of dst; temp |] ();
+            load_uop ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs src);
+            uop cls ~dst:(reg_of dst) ~srcs:[| reg_of dst; temp |] ();
           ]
       | _, (Operand.Reg _ | Operand.Imm _) ->
           [
-            mop cls ~dst:(reg_of dst)
+            uop cls ~dst:(reg_of dst)
               ~srcs:(Array.append [| reg_of dst |] (srcs_of_operand src))
               ();
           ])
@@ -124,21 +101,19 @@ let crack (instr : (int, int) Instr.t) (mem : lane_mem) : Warp_trace.mop list =
       let cls = Opclass.of_unop op in
       match dst with
       | Operand.Mem _ ->
-          let la = Option.get mem.load and sa = Option.get mem.store in
           [
-            load_mop ~addrs:la ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs dst);
-            mop cls ~dst:temp ~srcs:[| temp |] ();
-            store_mop ~addrs:sa ~size:(w_size w)
+            load_uop ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs dst);
+            uop cls ~dst:temp ~srcs:[| temp |] ();
+            store_uop ~size:(w_size w)
               ~data_srcs:(Array.append [| temp |] (addr_srcs dst));
           ]
       | Operand.Reg _ | Operand.Imm _ ->
-          [ mop cls ~dst:(reg_of dst) ~srcs:[| reg_of dst |] () ])
+          [ uop cls ~dst:(reg_of dst) ~srcs:[| reg_of dst |] () ])
   | Instr.Cmp (w, a, b) -> (
       let mem_part op =
         match op with
         | Operand.Mem _ ->
-            let la = Option.get mem.load in
-            ( [ load_mop ~addrs:la ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs op) ],
+            ( [ load_uop ~size:(w_size w) ~dst:temp ~addr_srcs:(addr_srcs op) ],
               [| temp |] )
         | Operand.Reg _ | Operand.Imm _ -> ([], srcs_of_operand op)
       in
@@ -146,19 +121,50 @@ let crack (instr : (int, int) Instr.t) (mem : lane_mem) : Warp_trace.mop list =
       let loads_a, srcs_a = mem_part a in
       let loads_b, srcs_b = mem_part b in
       loads_a @ loads_b
-      @ [ mop Opclass.Ialu ~dst:Warp_trace.flags_reg ~srcs:(Array.append srcs_a srcs_b) () ])
-  | Instr.Jcc (_, _) -> [ mop Opclass.Branch ~srcs:[| flags |] () ]
-  | Instr.Jmp _ -> [ mop Opclass.Branch () ]
-  | Instr.Call _ | Instr.Ret -> [ mop Opclass.Callret () ]
+      @ [ uop Opclass.Ialu ~dst:Warp_trace.flags_reg ~srcs:(Array.append srcs_a srcs_b) () ])
+  | Instr.Jcc (_, _) -> [ uop Opclass.Branch ~srcs:[| flags |] () ]
+  | Instr.Jmp _ -> [ uop Opclass.Branch () ]
+  | Instr.Call _ | Instr.Ret -> [ uop Opclass.Callret () ]
   | Instr.Lock_acquire _ | Instr.Lock_release _ | Instr.Barrier _ ->
-      [ mop Opclass.Sync () ]
+      [ uop Opclass.Sync () ]
   | Instr.Atomic_rmw (op, w, m, src) ->
-      let la = Option.get mem.load and sa = Option.get mem.store in
       let cls = Opclass.of_binop op in
       let m_regs = Array.of_list (Operand.mem_regs m) in
       [
-        load_mop ~addrs:la ~size:(w_size w) ~dst:temp ~addr_srcs:m_regs;
-        mop cls ~dst:temp ~srcs:(Array.append [| temp |] (srcs_of_operand src)) ();
-        store_mop ~addrs:sa ~size:(w_size w) ~data_srcs:(Array.append [| temp |] m_regs);
+        load_uop ~size:(w_size w) ~dst:temp ~addr_srcs:m_regs;
+        uop cls ~dst:temp ~srcs:(Array.append [| temp |] (srcs_of_operand src)) ();
+        store_uop ~size:(w_size w) ~data_srcs:(Array.append [| temp |] m_regs);
       ]
   | Instr.Io (_, _) | Instr.Halt -> []
+
+(* Every static instruction of [prog], cracked once, in site order
+   ((fid, block, ioff), as {!Coalesce.block_site} numbers them). *)
+let sites prog : Warp_trace.sites =
+  let slots = ref [] and off = ref [ 0 ] and n = ref 0 in
+  for fid = 0 to Program.func_count prog - 1 do
+    Array.iter
+        (fun (b : Program.block) ->
+          Array.iter
+            (fun instr ->
+              List.iter
+                (fun u ->
+                  slots := u :: !slots;
+                  incr n)
+                (uops instr);
+              off := !n :: !off)
+            b.Program.instrs)
+        (Program.func prog fid).Program.blocks
+  done;
+  let slots = Array.of_list (List.rev !slots) in
+  {
+    Warp_trace.slots = Array.map (fun u -> u.tpl) slots;
+    site_off = Array.of_list (List.rev !off);
+    slot_src =
+      Array.map
+        (fun u -> match u.access with No_access -> 0 | Load _ -> 1 | Store _ -> 2)
+        slots;
+    slot_size =
+      Array.map
+        (fun u -> match u.access with No_access -> 0 | Load s | Store s -> s)
+        slots;
+  }

@@ -1,17 +1,11 @@
 (** CISC → RISC cracking (paper §III): each traced CISC instruction expands
     into one or more RISC micro-ops before feeding the SIMT simulator —
     e.g. an [add] with a memory operand becomes a load then an add; a
-    read-modify-write destination becomes load, op, store. *)
+    read-modify-write destination becomes load, op, store.  [Io]/[Halt]
+    crack to nothing. *)
 
-type lane_mem = {
-  load : int array option;  (** per-lane load addresses (warp-sized, -1 inactive) *)
-  store : int array option;
-  size : int;
-}
-
-val no_mem : lane_mem
-
-(** [crack instr mem] — [mem] supplies the lanes' addresses recorded in the
-    trace for this instruction (empty for non-memory instructions).
-    [Io]/[Halt] crack to nothing. *)
-val crack : (int, int) Threadfuser_isa.Instr.t -> lane_mem -> Warp_trace.mop list
+(** Every static instruction of a program cracked once, in instruction-site
+    order ([(fid, block, ioff)], as {!Coalesce.block_site} numbers them):
+    the template table the warp-trace emitter ({!Warp_trace.Builder})
+    indexes.  Memory micro-ops get their lane addresses when emitted. *)
+val sites : Threadfuser_prog.Program.t -> Warp_trace.sites

@@ -186,8 +186,7 @@ type t = {
   mutable serializations : int;
   mutable serialized_instrs : int;
   mutable barrier_syncs : int; (* warp-level barrier crossings *)
-  mutable wt : Warp_trace.Builder.t option;
-  mutable wt_warp : int; (* warp currently being emitted *)
+  wt : Warp_trace.Builder.emitter option;
   mutable tl_current : Timeline.sample Vec.t option; (* active warp's samples *)
   mutable timelines : Timeline.t list; (* finished warps, reversed *)
   div_base : int array; (* per function: site index of its block 0 *)
@@ -226,8 +225,7 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     serializations = 0;
     serialized_instrs = 0;
     barrier_syncs = 0;
-    wt = warp_trace;
-    wt_warp = 0;
+    wt = Option.map Warp_trace.Builder.emitter warp_trace;
     tl_current = None;
     timelines = [];
     div_base;
@@ -352,35 +350,13 @@ let push_mem s ~is_store lane addr size =
     s.n_ld <- n + 1
   end
 
-(* Emit [instr] to the warp trace with the memory accesses gathered for
-   it ([n_ld]/[n_st] lanes; none for an instruction without memory).  A
-   lane with several accesses at one instruction contributes its
-   first. *)
-let emit_instr t wt ~mask (instr : (int, int) Instr.t) =
+(* Emit instruction site [site] to the warp trace with the memory
+   accesses gathered for it ([n_ld]/[n_st] lanes; none for an instruction
+   without memory). *)
+let emit_instr t wt ~mask ~site =
   let s = t.scratch in
-  let lane_addrs count lanes addrs =
-    if count = 0 then None
-    else begin
-      let a = Array.make t.config.warp_size (-1) in
-      for i = 0 to count - 1 do
-        if a.(lanes.(i)) < 0 then a.(lanes.(i)) <- addrs.(i)
-      done;
-      Some a
-    end
-  in
-  let mem =
-    if s.n_ld = 0 && s.n_st = 0 then Crack.no_mem
-    else
-      {
-        Crack.load = lane_addrs s.n_ld s.ld_lane s.ld_addr;
-        store = lane_addrs s.n_st s.st_lane s.st_addr;
-        size =
-          (if s.n_ld > 0 then s.ld_size.(s.n_ld - 1) else s.st_size.(s.n_st - 1));
-      }
-  in
-  List.iter
-    (fun op -> Warp_trace.Builder.emit wt ~warp:t.wt_warp mask op)
-    (Crack.crack instr mem)
+  Warp_trace.Builder.emit wt ~site mask ~n_ld:s.n_ld s.ld_lane
+    s.ld_addr ~n_st:s.n_st s.st_lane s.st_addr
 
 (* Stage lane [lane], whose cursor [c] is at a Block, as the next active
    lane of the block about to execute: its access range in its trace's
@@ -398,7 +374,7 @@ let[@inline] stage s (c : Cursor.t) lane =
    All bookkeeping lives here so the lock-step path and the scalar
    serialized path stay consistent.  [blame] is the chain of divergence
    sites enclosing this execution; each is charged its marginal lost-lane
-   cost per issue.  Allocation-free apart from warp-trace cracking. *)
+   cost per issue.  Allocation-free apart from warp-trace column growth. *)
 let count_block t ~func ~block ~mask ~(blame : blame) =
   let s = t.scratch in
   let instrs = (Program.func t.prog func).Program.blocks.(block).Program.instrs in
@@ -451,7 +427,7 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
         s.n_ld <- 0;
         s.n_st <- 0;
         for j = !ioff to m - 1 do
-          emit_instr t wt ~mask instrs.(j)
+          emit_instr t wt ~mask ~site:(site0 + j)
         done);
     if m < n then begin
       s.n_ld <- 0;
@@ -482,7 +458,7 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
         ignore
           (Coalesce.record_lanes t.coalesce ~is_store:true ~site:(site0 + m)
              ~n:s.n_st s.st_addr s.st_size);
-      match emit_wt with None -> () | Some wt -> emit_instr t wt ~mask instrs.(m)
+      match emit_wt with None -> () | Some wt -> emit_instr t wt ~mask ~site:(site0 + m)
     end;
     ioff := m + 1
   done;
@@ -825,14 +801,9 @@ let consume_markers cursors (e : entry) block marker =
     incr lane
   done
 
-(** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
-    lanes must start at the same worker function.  [fuel] (when given)
-    bounds the total number of stack steps + serialized events, raising a
-    typed [Tf_error.Timeout] when exhausted — the replay watchdog of the
-    checked pipeline. *)
-let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
+(* One warp's replay; {!run_warp} adds its warp-trace emission. *)
+let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   let fuel : fuel = Option.map ref fuel in
-  t.wt_warp <- warp_id;
   t.obs_on <- !Obs.enabled;
   t.scratch.cursors <- cursors;
   Hashtbl.reset t.scratch.evt_seen;
@@ -975,6 +946,24 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
         t.tl_current <- None
     | None -> ()
   end
+
+(** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
+    lanes must start at the same worker function.  [fuel] (when given)
+    bounds the total number of stack steps + serialized events, raising a
+    typed [Tf_error.Timeout] when exhausted — the replay watchdog of the
+    checked pipeline. *)
+let run_warp ?fuel t ~warp_id cursors =
+  match t.wt with
+  | None -> replay_warp ?fuel t ~warp_id cursors
+  | Some wt ->
+      (* an aborted warp keeps the micro-ops emitted before the abort *)
+      Warp_trace.Builder.start wt ~warp:warp_id;
+      (match replay_warp ?fuel t ~warp_id cursors with
+      | () -> Warp_trace.Builder.seal wt
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Warp_trace.Builder.seal wt;
+          Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Shard reduction                                                      *)

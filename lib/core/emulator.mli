@@ -86,8 +86,7 @@ type t = {
   mutable serializations : int;
   mutable serialized_instrs : int;
   mutable barrier_syncs : int;  (** warp-level barrier crossings *)
-  mutable wt : Warp_trace.Builder.t option;
-  mutable wt_warp : int;
+  wt : Warp_trace.Builder.emitter option;
   mutable tl_current : Timeline.sample Threadfuser_util.Vec.t option;
   mutable timelines : Timeline.t list;  (** finished warps, reversed *)
   div_base : int array;

@@ -15,6 +15,7 @@
     round-trips exactly ([of_string (to_string t) = t]). *)
 
 open Threadfuser_isa
+module Thread_trace = Threadfuser_trace.Thread_trace
 
 exception Corrupt of string
 
@@ -57,38 +58,38 @@ let rec add_hex buf n =
   if n >= 16 then add_hex buf (n lsr 4);
   Buffer.add_char buf hex_digits.[n land 15]
 
-let emit_entry buf warp_size (e : Warp_trace.entry) =
-  let op = e.Warp_trace.op in
+(* Micro-op [i] of warp [w], straight from the flat columns. *)
+let emit_op buf (t : Warp_trace.t) (w : Warp_trace.warp) i =
+  let tp = t.Warp_trace.templates.(w.Warp_trace.op_tpl.(i)) in
   (* a mask is already the bit pattern the format wants *)
-  add_hex buf (e.Warp_trace.mask :> int);
+  add_hex buf (w.Warp_trace.op_mask.(i) :> int);
   Buffer.add_char buf ' ';
-  Buffer.add_string buf (cls_to_string op.Warp_trace.cls);
+  Buffer.add_string buf (cls_to_string tp.Warp_trace.t_cls);
   Buffer.add_char buf ' ';
-  add_dec buf op.Warp_trace.dst;
+  add_dec buf tp.Warp_trace.t_dst;
   Buffer.add_char buf ' ';
-  add_udec buf (Array.length op.Warp_trace.srcs);
+  add_udec buf (Array.length tp.Warp_trace.t_srcs);
   Array.iter
     (fun s ->
       Buffer.add_char buf ' ';
       add_dec buf s)
-    op.Warp_trace.srcs;
-  (match op.Warp_trace.mem with
-  | None -> Buffer.add_string buf " -"
-  | Some m ->
-      Buffer.add_string buf (if m.Warp_trace.is_store then " M S " else " M L ");
-      add_udec buf m.Warp_trace.size;
-      Buffer.add_string buf
-        (match m.Warp_trace.space with
-        | Warp_trace.Global -> " G"
-        | Warp_trace.Local -> " P");
-      for lane = 0 to warp_size - 1 do
-        let a = m.Warp_trace.addrs.(lane) in
-        if a < 0 then Buffer.add_string buf " -"
-        else begin
-          Buffer.add_char buf ' ';
-          add_hex buf a
-        end
-      done);
+    tp.Warp_trace.t_srcs;
+  let o = w.Warp_trace.op_mem.(i) and m = w.Warp_trace.mem_recs in
+  if o < 0 then Buffer.add_string buf " -"
+  else begin
+    Buffer.add_string buf (if m.(o) <> 0 then " M S " else " M L ");
+    add_udec buf m.(o + 1);
+    Buffer.add_string buf
+      (if m.(o + 2) = Warp_trace.space_code Warp_trace.Global then " G" else " P");
+    for lane = 0 to t.Warp_trace.warp_size - 1 do
+      let a = m.(o + 3 + lane) in
+      if a < 0 then Buffer.add_string buf " -"
+      else begin
+        Buffer.add_char buf ' ';
+        add_hex buf a
+      end
+    done
+  end;
   Buffer.add_char buf '\n'
 
 let to_buffer (t : Warp_trace.t) =
@@ -99,9 +100,10 @@ let to_buffer (t : Warp_trace.t) =
   Array.iter
     (fun (w : Warp_trace.warp) ->
       Buffer.add_string buf
-        (Printf.sprintf "W %d %d\n" w.Warp_trace.warp_id
-           (Array.length w.Warp_trace.ops));
-      Array.iter (emit_entry buf t.Warp_trace.warp_size) w.Warp_trace.ops)
+        (Printf.sprintf "W %d %d\n" w.Warp_trace.warp_id (Warp_trace.n_ops w));
+      for i = 0 to Warp_trace.n_ops w - 1 do
+        emit_op buf t w i
+      done)
     t.Warp_trace.warps;
   buf
 
@@ -123,6 +125,13 @@ let hex_tok what s =
   | Some v -> v
   | None -> fail "bad %s %S" what s
 
+(* A register id the scoreboard can index: -1 (none) or a register. *)
+let reg_tok what s =
+  let r = int_tok what s in
+  if r < -1 || r >= Warp_trace.reg_file_size then
+    fail "%s register %d outside [-1, %d)" what r Warp_trace.reg_file_size;
+  r
+
 let parse_entry warp_size line : Warp_trace.entry =
   let toks = String.split_on_char ' ' line in
   match toks with
@@ -142,8 +151,8 @@ let parse_entry warp_size line : Warp_trace.entry =
         | x :: tl -> take (n - 1) (x :: acc) tl
       in
       let srcs, rest = take n_srcs [] rest in
-      let srcs = Array.of_list (List.map (int_tok "src") srcs) in
-      let dst = int_tok "dst" dst_s in
+      let srcs = Array.of_list (List.map (reg_tok "src") srcs) in
+      let dst = reg_tok "dst" dst_s in
       let cls = cls_of_string cls_s in
       match rest with
       | [ "-" ] -> { Warp_trace.mask; op = { Warp_trace.cls; dst; srcs; mem = None } }
@@ -164,7 +173,11 @@ let parse_entry warp_size line : Warp_trace.entry =
                 | "S" -> true
                 | "L" -> false
                 | _ -> fail "bad L/S flag %s" ls);
-              size = int_tok "size" size_s;
+              size =
+                (let size = int_tok "size" size_s in
+                 if size > Thread_trace.max_access_size then
+                   fail "access size %d exceeds %d" size Thread_trace.max_access_size;
+                 size);
               space =
                 (match space_s with
                 | "G" -> Warp_trace.Global
@@ -211,13 +224,10 @@ let of_string s : Warp_trace.t =
                     if n_ops < 0 || n_ops > !remaining then
                       fail "op count %d exceeds the file's remaining %d lines"
                         n_ops !remaining;
-                    let ops =
-                      Array.init n_ops (fun _ -> parse_entry warp_size (next_line ()))
-                    in
-                    { Warp_trace.warp_id; ops }
+                    (warp_id, Array.init n_ops (fun _ -> parse_entry warp_size (next_line ())))
                 | _ -> fail "expected warp header")
           in
-          { Warp_trace.warp_size; warps }
+          Warp_trace.of_entries ~warp_size warps
       | _ -> fail "bad magic")
   | [] -> fail "empty file"
 

@@ -6,7 +6,11 @@
     The reader treats every token as untrusted: malformed numbers fail as
     {!Corrupt} (never [Failure]), and warp/op/src counts are bounded by
     the input actually present before any allocation, so a corrupt header
-    cannot trigger a multi-GB [Array.init]. *)
+    cannot trigger a multi-GB [Array.init].  Register ids outside
+    [[-1, Warp_trace.reg_file_size)] and access sizes above
+    [Thread_trace.max_access_size] are {!Corrupt} too: the simulator
+    indexes its scoreboard by the one and walks 32 B lines over the
+    other. *)
 
 exception Corrupt of string
 

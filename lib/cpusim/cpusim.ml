@@ -23,6 +23,7 @@
     program order there). *)
 
 module Cache = Threadfuser_gpusim.Cache
+module Access_log = Threadfuser_gpusim.Access_log
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Par_replay = Threadfuser.Par_replay
 
@@ -53,41 +54,29 @@ type stats = {
   l1_hit_rate : float;
 }
 
-(* One logged L1 miss: [c_ts] is the core-local cycle at which the
-   request reaches L2 (nondecreasing within a core's log). *)
-type access = { c_ts : int; c_core : int; c_addr : int }
-
 type core = {
   l1 : Cache.t;
   mutable cycles : int; (* local leg: 1 IPC + L1 miss penalties *)
-  mutable instrs : int;
-  mutable log : access array;
-  mutable log_n : int;
+  mutable instrs : int; (* traced instructions (Block events) *)
+  log : Access_log.t;
+      (* L1 misses: the core-local cycle at which each request reaches L2
+         (nondecreasing) and its address *)
 }
 
-let no_access = { c_ts = 0; c_core = 0; c_addr = 0 }
-
-let log_access core ~core_id addr =
-  if core.log_n = Array.length core.log then begin
-    let bigger = Array.make (max 64 (2 * Array.length core.log)) no_access in
-    Array.blit core.log 0 bigger 0 core.log_n;
-    core.log <- bigger
-  end;
-  core.log.(core.log_n) <- { c_ts = core.cycles; c_core = core_id; c_addr = addr };
-  core.log_n <- core.log_n + 1
-
 (* Local leg of one thread on [core]: private L1 only; L1 misses are
-   charged the L1 penalty and logged for the shared-L2 merge. *)
-let thread_cycles config core ~core_id (trace : Thread_trace.t) =
+   charged the L1 penalty and logged for the shared-L2 merge.  Also
+   counts the thread's traced instructions. *)
+let thread_cycles config core (trace : Thread_trace.t) =
   for i = 0 to Thread_trace.length trace - 1 do
     match trace.events.(i) with
     | Thread_trace.Block ->
         core.cycles <- core.cycles + trace.n_instr.(i);
+        core.instrs <- core.instrs + trace.n_instr.(i);
         for j = trace.acc_off.(i) to trace.acc_off.(i + 1) - 1 do
           let addr = trace.addr.(j) in
           if not (Cache.access core.l1 addr) then begin
             core.cycles <- core.cycles + config.l1_miss_penalty;
-            log_access core ~core_id addr
+            Access_log.add core.log ~ts:core.cycles addr
           end
         done
     | Thread_trace.Skip -> core.cycles <- core.cycles + trace.n_instr.(i)
@@ -103,7 +92,7 @@ let run ?(config = default_config) ?(domains = 1)
     (traces : Thread_trace.t array) : stats =
   let cores =
     Array.init config.n_cores (fun _ ->
-        { l1 = Cache.create config.l1; cycles = 0; instrs = 0; log = [||]; log_n = 0 })
+        { l1 = Cache.create config.l1; cycles = 0; instrs = 0; log = Access_log.create () })
   in
   (* core-local legs: core c owns threads c, c + n_cores, ... in order *)
   Par_replay.parallel_for ~domains ~n:config.n_cores (fun c ->
@@ -111,34 +100,17 @@ let run ?(config = default_config) ?(domains = 1)
       let i = ref c in
       while !i < Array.length traces do
         let trace = traces.(!i) in
-        thread_cycles config core ~core_id:c trace;
-        core.instrs <-
-          core.instrs + (Thread_trace.stats trace).Thread_trace.traced_instrs;
+        thread_cycles config core trace;
         i := !i + config.n_cores
       done);
   (* deterministic shared-L2 merge in (cycle, core, emission) order *)
   let l2 = Cache.create config.l2 in
   let extra = Array.make config.n_cores 0 in
-  let total = Array.fold_left (fun acc c -> acc + c.log_n) 0 cores in
-  if total > 0 then begin
-    let buf = Array.make total no_access in
-    let k = ref 0 in
-    Array.iter
-      (fun core ->
-        Array.blit core.log 0 buf !k core.log_n;
-        k := !k + core.log_n;
-        core.log <- [||];
-        core.log_n <- 0)
-      cores;
-    Array.stable_sort
-      (fun a b -> compare (a.c_ts, a.c_core) (b.c_ts, b.c_core))
-      buf;
-    Array.iter
-      (fun a ->
-        if not (Cache.access l2 a.c_addr) then
-          extra.(a.c_core) <- extra.(a.c_core) + config.l2_miss_penalty)
-      buf
-  end;
+  Access_log.merge
+    (Array.map (fun c -> c.log) cores)
+    (fun _ts core addr ->
+      if not (Cache.access l2 addr) then
+        extra.(core) <- extra.(core) + config.l2_miss_penalty);
   let core_cycles =
     Array.init config.n_cores (fun c -> cores.(c).cycles + extra.(c))
   in

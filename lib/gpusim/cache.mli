@@ -11,12 +11,17 @@ type t = {
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
+  line_shift : int;  (** log2 [line_bytes], or -1 when [line_bytes] or the set count is not a power of two *)
+  set_shift : int;  (** log2 of the set count *)
 }
 
 (** Raises if size/assoc/line do not divide evenly. *)
 val create : config -> t
 
-(** [access t addr] — true on hit; misses allocate (LRU victim). *)
+(** [access t addr] — true on hit; misses allocate (LRU victim).  Set
+    and tag are [addr / line_bytes mod n_sets] and
+    [addr / line_bytes / n_sets], computed with a shift and a mask when
+    both counts are powers of two and [addr >= 0]. *)
 val access : t -> int -> bool
 
 val hit_rate : t -> float

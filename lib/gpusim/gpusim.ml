@@ -35,7 +35,16 @@
     count and {e any} epoch length — epochs only bound the access-log
     memory and set the barrier cadence.  The output is total cycles plus
     pipeline/memory statistics, from which the Fig. 6 speedup projections
-    are produced. *)
+    are produced.
+
+    {b Hot path.}  Issue reads the warp trace's flat columns in place
+    (template index, mask, memory record; the templates are unpacked once
+    per run into int arrays) and allocates nothing per micro-op: each SM
+    keeps its residents in an array partitioned stably in place, its
+    op's distinct 32 B lines in a scratch buffer visited newest first,
+    and a failed issue's wake-up cycle and stall reason in its own
+    fields; each warp keeps its in-flight loads in an int array; the
+    access logs are int columns merged by {!Access_log}. *)
 
 module Warp_trace = Threadfuser.Warp_trace
 module Mask = Threadfuser.Mask
@@ -75,29 +84,64 @@ let ipc s =
 
 (* ------------------------------------------------------------------ *)
 
-type warp_rt = {
-  wid : int;
-  ops : Warp_trace.entry array;
-  mutable next : int;
-  reg_ready : int array;
-  mutable outstanding : int list; (* completion cycles of in-flight loads *)
+(* The kernel's templates, unpacked once per run into int columns the
+   issue loop indexes: destination, ALU latency and source registers
+   ([srcs.(src_off.(k)) .. srcs.(src_off.(k + 1) - 1)]) of template [k]. *)
+type code = {
+  dst : int array;
+  lat : int array;
+  src_off : int array;
+  srcs : int array;
+  warp_size : int; (* lanes per memory record *)
 }
 
-type stall_reason = Dep_alu | Dep_mem
+let code_of (wt : Warp_trace.t) =
+  let tpls = wt.Warp_trace.templates in
+  let n = Array.length tpls in
+  let src_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun k (tp : Warp_trace.template) ->
+      src_off.(k + 1) <- src_off.(k) + Array.length tp.Warp_trace.t_srcs)
+    tpls;
+  {
+    dst = Array.map (fun (tp : Warp_trace.template) -> tp.Warp_trace.t_dst) tpls;
+    lat =
+      Array.map (fun (tp : Warp_trace.template) -> Config.latency_of tp.Warp_trace.t_cls) tpls;
+    src_off;
+    srcs = Array.concat (Array.to_list (Array.map (fun tp -> tp.Warp_trace.t_srcs) tpls));
+    warp_size = wt.Warp_trace.warp_size;
+  }
 
-type issue_result = Issued | Not_ready of int * stall_reason | Done
+(* One resident warp, reading its trace's columns in place. *)
+type warp_rt = {
+  w : Warp_trace.warp;
+  n_ops : int;
+  mutable next : int;
+  reg_ready : int array;
+  out : int array; (* completion cycles of in-flight loads, [0, n_out) *)
+  mutable n_out : int;
+}
 
-(* One logged shared-memory access: an L1 miss the epoch merge must
-   replay through the shared L2/DRAM.  [a_ts] is the SM-local issue
-   cycle; within one SM the log is in emission order (ts nondecreasing),
-   so concatenating the logs in SM order and stable-sorting on
-   [(a_ts, a_sm)] yields the total merge order. *)
-type access = { a_ts : int; a_sm : int; a_line : int }
+(* [try_issue] results; a [not_ready] leaves its wake-up cycle and stall
+   reason in the SM's [wake]/[reason]. *)
+let issued = 0
+
+let not_ready = 1
+
+let retired = 2
+
+(* stall reasons *)
+let dep_alu = 0
+
+let dep_mem = 1
+
+let no_reason = -1
 
 type sm = {
-  sm_id : int;
   l1 : Cache.t;
-  mutable resident : warp_rt list; (* scheduling priority order *)
+  res : warp_rt array; (* resident warps [0, n_res), scheduling priority order *)
+  mutable n_res : int;
+  spare : warp_rt array; (* scratch for the stable residency partition *)
   pending : warp_rt Queue.t;
   mutable now : int; (* SM-local clock *)
   mutable sleeping : bool;
@@ -112,106 +156,117 @@ type sm = {
   mutable idle : int;
   mutable s_dep : int;
   mutable s_mem : int;
-  (* this epoch's access log (grow-by-doubling; reset at each merge) *)
-  mutable log : access array;
-  mutable log_n : int;
+  log : Access_log.t; (* this epoch's L1 misses: (issue cycle, line) *)
   (* actual completion cycle of the SM's slowest DRAM-bound response *)
   mutable mem_tail : int;
+  mutable lines : int array; (* scratch: distinct 32 B lines of one op *)
+  mutable wake : int;
+  mutable reason : int;
 }
 
-let no_access = { a_ts = 0; a_sm = 0; a_line = 0 }
-
-let log_access sm line =
-  if sm.log_n = Array.length sm.log then begin
-    let bigger =
-      Array.make (max 64 (2 * Array.length sm.log)) no_access
-    in
-    Array.blit sm.log 0 bigger 0 sm.log_n;
-    sm.log <- bigger
-  end;
-  sm.log.(sm.log_n) <- { a_ts = sm.now; a_sm = sm.sm_id; a_line = line };
-  sm.log_n <- sm.log_n + 1
-
-let lines_of_mem (m : Warp_trace.mem_op) =
-  let lines = ref [] in
-  Array.iter
-    (fun addr ->
-      if addr >= 0 then begin
-        let first = addr / 32
-        and last = (addr + max 1 m.Warp_trace.size - 1) / 32 in
-        for l = first to last do
-          if not (List.mem l !lines) then lines := l :: !lines
-        done
-      end)
-    m.Warp_trace.addrs;
-  !lines
-
-(* Nominal completion cycle of a memory operation issued at [sm.now]:
-   each 32 B transaction checks the private L1; misses are logged for the
-   epoch merge and charged the contention-free L1+L2 latency.  The op
-   completes when the last transaction does. *)
-let memory_time (cfg : Config.t) sm (m : Warp_trace.mem_op) =
-  let now = sm.now in
-  List.fold_left
-    (fun worst line ->
-      let time =
-        if Cache.access sm.l1 (line * 32) then now + cfg.Config.l1_latency
-        else begin
-          log_access sm line;
-          now + cfg.Config.l1_latency + cfg.Config.l2_latency
+(* Nominal completion cycle of the memory operation whose record starts
+   at [o] in [m], issued at [sm.now]: each 32 B transaction checks the
+   private L1; misses are logged for the epoch merge and charged the
+   contention-free L1+L2 latency.  The op completes when the last
+   transaction does.  Lines are collected distinct in lane order and
+   visited newest first. *)
+let memory_time (cfg : Config.t) code sm m o =
+  let size = max 1 m.(o + 1) in
+  let n = ref 0 in
+  for lane = 0 to code.warp_size - 1 do
+    let addr = m.(o + 3 + lane) in
+    if addr >= 0 then
+      for l = addr / 32 to (addr + size - 1) / 32 do
+        let j = ref 0 in
+        while !j < !n && sm.lines.(!j) <> l do
+          incr j
+        done;
+        if !j = !n then begin
+          if !n = Array.length sm.lines then begin
+            let bigger = Array.make (2 * !n) 0 in
+            Array.blit sm.lines 0 bigger 0 !n;
+            sm.lines <- bigger
+          end;
+          sm.lines.(!n) <- l;
+          incr n
         end
-      in
-      max worst time)
-    (now + cfg.Config.l1_latency)
-    (lines_of_mem m)
+      done
+  done;
+  let now = sm.now in
+  let worst = ref (now + cfg.Config.l1_latency) in
+  for j = !n - 1 downto 0 do
+    let line = sm.lines.(j) in
+    let time =
+      if Cache.access sm.l1 (line * 32) then now + cfg.Config.l1_latency
+      else begin
+        Access_log.add sm.log ~ts:now line;
+        now + cfg.Config.l1_latency + cfg.Config.l2_latency
+      end
+    in
+    if time > !worst then worst := time
+  done;
+  !worst
 
-let try_issue (cfg : Config.t) sm (w : warp_rt) : issue_result =
-  if w.next >= Array.length w.ops then Done
+let try_issue (cfg : Config.t) code sm (w : warp_rt) =
+  if w.next >= w.n_ops then retired
   else begin
     let now = sm.now in
-    let entry = w.ops.(w.next) in
-    let op = entry.Warp_trace.op in
-    let dep_ready =
-      Array.fold_left
-        (fun acc r -> if r >= 0 then max acc w.reg_ready.(r) else acc)
-        0 op.Warp_trace.srcs
-    in
-    if dep_ready > now then begin
+    let i = w.next in
+    let k = w.w.Warp_trace.op_tpl.(i) in
+    let dep_ready = ref 0 in
+    for j = code.src_off.(k) to code.src_off.(k + 1) - 1 do
+      let r = code.srcs.(j) in
+      if r >= 0 && w.reg_ready.(r) > !dep_ready then dep_ready := w.reg_ready.(r)
+    done;
+    if !dep_ready > now then begin
       (* attribute the dependency to memory if an outstanding load will
          complete exactly then (the common long-latency case) *)
-      let reason =
-        if List.exists (fun c -> c >= dep_ready) w.outstanding then Dep_mem
-        else Dep_alu
-      in
-      Not_ready (dep_ready, reason)
+      let on_mem = ref false in
+      for j = 0 to w.n_out - 1 do
+        if w.out.(j) >= !dep_ready then on_mem := true
+      done;
+      sm.wake <- !dep_ready;
+      sm.reason <- (if !on_mem then dep_mem else dep_alu);
+      not_ready
     end
     else begin
-      w.outstanding <- List.filter (fun c -> c > now) w.outstanding;
-      let mshr_full =
-        match op.Warp_trace.mem with
-        | Some m ->
-            (not m.Warp_trace.is_store)
-            && List.length w.outstanding >= cfg.Config.mshr_per_warp
-        | None -> false
-      in
-      if mshr_full then
-        Not_ready (List.fold_left min max_int w.outstanding, Dep_mem)
+      let live = ref 0 in
+      for j = 0 to w.n_out - 1 do
+        let c = w.out.(j) in
+        if c > now then begin
+          w.out.(!live) <- c;
+          incr live
+        end
+      done;
+      w.n_out <- !live;
+      let m = w.w.Warp_trace.mem_recs and o = w.w.Warp_trace.op_mem.(i) in
+      let is_load = o >= 0 && m.(o) = 0 in
+      if is_load && w.n_out >= cfg.Config.mshr_per_warp then begin
+        let first = ref max_int in
+        for j = 0 to w.n_out - 1 do
+          if w.out.(j) < !first then first := w.out.(j)
+        done;
+        sm.wake <- !first;
+        sm.reason <- dep_mem;
+        not_ready
+      end
       else begin
-        (let completion =
-           match op.Warp_trace.mem with
-           | Some m ->
-               let c = memory_time cfg sm m in
-               if not m.Warp_trace.is_store then
-                 w.outstanding <- c :: w.outstanding;
-               c
-           | None -> now + Config.latency_of op.Warp_trace.cls
-         in
-         if op.Warp_trace.dst >= 0 then
-           w.reg_ready.(op.Warp_trace.dst) <- completion);
-        w.next <- w.next + 1;
+        let completion =
+          if o >= 0 then begin
+            let c = memory_time cfg code sm m o in
+            if is_load then begin
+              w.out.(w.n_out) <- c;
+              w.n_out <- w.n_out + 1
+            end;
+            c
+          end
+          else now + code.lat.(k)
+        in
+        if code.dst.(k) >= 0 then w.reg_ready.(code.dst.(k)) <- completion;
+        w.next <- i + 1;
         sm.instrs <- sm.instrs + 1;
-        sm.tinstrs <- sm.tinstrs + Mask.count entry.Warp_trace.mask;
-        Issued
+        sm.tinstrs <- sm.tinstrs + Mask.count w.w.Warp_trace.op_mask.(i);
+        issued
       end
     end
   end
@@ -221,7 +276,7 @@ let try_issue (cfg : Config.t) sm (w : warp_rt) : issue_result =
    the timeline at any epoch boundary resumes bit-exactly.  Stall
    episodes are charged once at sleep entry; the slept cycles accrue as
    idle time however the sleep is chunked. *)
-let step_sm (cfg : Config.t) sm ~until =
+let step_sm (cfg : Config.t) code sm ~until =
   while (not sm.finished) && sm.now < until do
     if sm.sleeping then begin
       let target = min sm.sleep_until until in
@@ -231,41 +286,52 @@ let step_sm (cfg : Config.t) sm ~until =
     end
     else begin
       while
-        List.length sm.resident < cfg.Config.max_warps_per_sm
-        && not (Queue.is_empty sm.pending)
+        sm.n_res < cfg.Config.max_warps_per_sm && not (Queue.is_empty sm.pending)
       do
-        sm.resident <- sm.resident @ [ Queue.pop sm.pending ]
+        sm.res.(sm.n_res) <- Queue.pop sm.pending;
+        sm.n_res <- sm.n_res + 1
       done;
-      if sm.resident = [] then begin
+      if sm.n_res = 0 then begin
         sm.finished <- true;
         sm.finish <- sm.now
       end
       else begin
-        let issued = ref 0 and next_event = ref max_int in
-        let first_reason = ref None in
-        let issued_warps = ref [] and stalled = ref [] in
-        List.iter
-          (fun w ->
-            if !issued >= cfg.Config.issue_width then stalled := w :: !stalled
-            else
-              match try_issue cfg sm w with
-              | Issued ->
-                  incr issued;
-                  issued_warps := w :: !issued_warps
-              | Not_ready (e, reason) ->
-                  if e < !next_event then next_event := e;
-                  if !first_reason = None then first_reason := Some reason;
-                  stalled := w :: !stalled
-              | Done -> () (* retire from residency *))
-          sm.resident;
-        (* GTO: warps that issued keep priority; LRR: they rotate to the
-           back. *)
-        sm.resident <-
-          (match cfg.Config.scheduler with
-          | Config.Gto -> List.rev_append !issued_warps (List.rev !stalled)
-          | Config.Lrr -> List.rev_append !stalled (List.rev !issued_warps));
-        if !issued > 0 then sm.now <- sm.now + 1
-        else if sm.resident = [] && Queue.is_empty sm.pending then begin
+        (* Stable partition of the residents into the warps that issued
+           and those that stalled (retired warps leave).  GTO: warps that
+           issued keep priority; LRR: they rotate to the back.  The front
+           group compacts in place, the back group goes to [spare]. *)
+        let issued_first = cfg.Config.scheduler = Config.Gto in
+        let n_issued = ref 0 and next_event = ref max_int in
+        let first_reason = ref no_reason in
+        let n_front = ref 0 and n_back = ref 0 in
+        for i = 0 to sm.n_res - 1 do
+          let w = sm.res.(i) in
+          let r =
+            if !n_issued >= cfg.Config.issue_width then not_ready
+            else begin
+              let r = try_issue cfg code sm w in
+              if r = issued then incr n_issued
+              else if r = not_ready then begin
+                if sm.wake < !next_event then next_event := sm.wake;
+                if !first_reason = no_reason then first_reason := sm.reason
+              end;
+              r
+            end
+          in
+          if r = retired then ()
+          else if r = issued = issued_first then begin
+            sm.res.(!n_front) <- w;
+            incr n_front
+          end
+          else begin
+            sm.spare.(!n_back) <- w;
+            incr n_back
+          end
+        done;
+        Array.blit sm.spare 0 sm.res !n_front !n_back;
+        sm.n_res <- !n_front + !n_back;
+        if !n_issued > 0 then sm.now <- sm.now + 1
+        else if sm.n_res = 0 && Queue.is_empty sm.pending then begin
           sm.finished <- true;
           sm.finish <- sm.now
         end
@@ -274,9 +340,8 @@ let step_sm (cfg : Config.t) sm ~until =
             if !next_event = max_int then sm.now + 1
             else max (sm.now + 1) !next_event
           in
-          (match !first_reason with
-          | Some Dep_mem -> sm.s_mem <- sm.s_mem + 1
-          | Some Dep_alu | None -> sm.s_dep <- sm.s_dep + 1);
+          if !first_reason = dep_mem then sm.s_mem <- sm.s_mem + 1
+          else sm.s_dep <- sm.s_dep + 1;
           sm.sleeping <- true;
           sm.sleep_until <- target
         end
@@ -306,12 +371,24 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
     Dram.create ~latency:config.Config.dram_latency
       ~transactions_per_cycle:config.Config.dram_txns_per_cycle
   in
+  let code = code_of wt in
+  let no_warp =
+    {
+      w = { Warp_trace.warp_id = -1; op_tpl = [||]; op_mask = [||]; op_mem = [||]; mem_recs = [||] };
+      n_ops = 0;
+      next = 0;
+      reg_ready = [||];
+      out = [||];
+      n_out = 0;
+    }
+  in
   let sms =
-    Array.init config.Config.n_sms (fun sm_id ->
+    Array.init config.Config.n_sms (fun _ ->
         {
-          sm_id;
           l1 = Cache.create config.Config.l1;
-          resident = [];
+          res = Array.make config.Config.max_warps_per_sm no_warp;
+          n_res = 0;
+          spare = Array.make config.Config.max_warps_per_sm no_warp;
           pending = Queue.create ();
           now = 0;
           sleeping = false;
@@ -324,23 +401,27 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
           idle = 0;
           s_dep = 0;
           s_mem = 0;
-          log = [||];
-          log_n = 0;
+          log = Access_log.create ();
           mem_tail = 0;
+          lines = Array.make 64 0;
+          wake = 0;
+          reason = no_reason;
         })
   in
   Array.iteri
     (fun i (w : Warp_trace.warp) ->
-      if Array.length w.Warp_trace.ops > 0 then begin
+      let n_ops = Warp_trace.n_ops w in
+      if n_ops > 0 then begin
         let sm = sms.(i mod config.Config.n_sms) in
         sm.had_work <- true;
         Queue.add
           {
-            wid = w.Warp_trace.warp_id;
-            ops = w.Warp_trace.ops;
+            w;
+            n_ops;
             next = 0;
             reg_ready = Array.make Warp_trace.reg_file_size 0;
-            outstanding = [];
+            out = Array.make (max 0 config.Config.mshr_per_warp) 0;
+            n_out = 0;
           }
           sm.pending
       end)
@@ -350,44 +431,25 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
   Array.iter
     (fun sm -> if not sm.had_work then sm.finished <- true)
     sms;
+  let logs = Array.map (fun sm -> sm.log) active in
+  (* deterministic barrier merge: replay an epoch's L1 misses through
+     the shared L2/DRAM in (cycle, sm, emission) total order.  Epochs
+     partition the logs by timestamp, so chunking is invisible. *)
+  let shared ts u line =
+    if not (Cache.access l2 (line * 32)) then begin
+      let c = Dram.access dram ~now:ts in
+      let done_at = c + config.Config.l1_latency + config.Config.l2_latency in
+      let sm = active.(u) in
+      if done_at > sm.mem_tail then sm.mem_tail <- done_at
+    end
+  in
   let horizon = ref epoch and epochs = ref 0 in
-  let merge_buf = ref [||] in
   while Array.exists (fun sm -> not sm.finished) active do
     incr epochs;
     (* local legs: disjoint SM partitions, any domain count *)
     Par_replay.parallel_for ~domains ~n:(Array.length active) (fun i ->
-        step_sm config active.(i) ~until:!horizon);
-    (* deterministic barrier merge: replay this epoch's L1 misses through
-       the shared L2/DRAM in (cycle, sm, emission) total order.  Epochs
-       partition the logs by timestamp, so chunking is invisible. *)
-    let total = Array.fold_left (fun acc sm -> acc + sm.log_n) 0 active in
-    if total > 0 then begin
-      if Array.length !merge_buf < total then
-        merge_buf := Array.make total no_access;
-      let buf = !merge_buf in
-      let k = ref 0 in
-      Array.iter
-        (fun sm ->
-          Array.blit sm.log 0 buf !k sm.log_n;
-          k := !k + sm.log_n;
-          sm.log_n <- 0)
-        active;
-      let slice = Array.sub buf 0 total in
-      Array.stable_sort
-        (fun a b -> compare (a.a_ts, a.a_sm) (b.a_ts, b.a_sm))
-        slice;
-      Array.iter
-        (fun a ->
-          if not (Cache.access l2 (a.a_line * 32)) then begin
-            let c = Dram.access dram ~now:a.a_ts in
-            let done_at =
-              c + config.Config.l1_latency + config.Config.l2_latency
-            in
-            let sm = sms.(a.a_sm) in
-            if done_at > sm.mem_tail then sm.mem_tail <- done_at
-          end)
-        slice
-    end;
+        step_sm config code active.(i) ~until:!horizon);
+    Access_log.merge logs shared;
     horizon := !horizon + epoch
   done;
   (* fan-in: every tally is per-SM and additive *)

@@ -26,6 +26,8 @@ let is_store t j =
    length [n] is a header plus [n / word + 1] words (always padded). *)
 let array_words a = if Array.length a = 0 then 0 else 1 + Array.length a
 
+let max_access_size = 255
+
 let heap_bytes t =
   let word = Sys.word_size / 8 in
   let record = 1 + 10 (* header + the ten fields of [t] *) in

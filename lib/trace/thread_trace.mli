@@ -38,6 +38,11 @@ val length : t -> int
 val is_store : t -> int -> bool
 (** Whether access [j] is a store. *)
 
+val max_access_size : int
+(** The largest access size a trace may carry (255): what the machine
+    tracer's 8-bit size field holds.  The ISA's accesses are at most 8
+    bytes; [Validate] and the warp-trace reader reject anything larger. *)
+
 val heap_bytes : t -> int
 (** The exact heap bytes of the trace: the record and every column,
     header words included.  Empty columns are the runtime's shared empty

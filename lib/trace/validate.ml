@@ -13,7 +13,8 @@
     - block/function ids must be inside the program's range (when bounds
       are supplied), so replay never indexes out of an array;
     - accesses must fit the block: offsets inside [0, n_instr), sorted by
-      offset, positive sizes, and [n_instr] consistent with the program;
+      offset, sizes in [1, Thread_trace.max_access_size], and [n_instr]
+      consistent with the program;
     - barrier consistency: all threads must agree on the sequence of
       team-barrier addresses (majority reference); a thread missing an
       arrival would block the team forever.
@@ -72,7 +73,7 @@ let check_block ~bounds diags (t : Thread_trace.t) i =
         else if ioff < !last_ioff then
           add_diag diags tid Tf_error.Bad_access
             "accesses of f%d.b%d not sorted by offset" func block;
-        if size <= 0 then
+        if size <= 0 || size > Thread_trace.max_access_size then
           add_diag diags tid Tf_error.Bad_access
             "access of f%d.b%d has size %d" func block size;
         last_ioff := ioff

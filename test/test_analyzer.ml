@@ -268,7 +268,7 @@ let test_warp_trace_generated () =
   | None -> Alcotest.fail "no warp trace"
   | Some wt ->
       Alcotest.(check int) "one warp" 1 (Array.length wt.Warp_trace.warps);
-      let ops = wt.Warp_trace.warps.(0).Warp_trace.ops in
+      let ops = snd (Warp_trace.to_entries wt).(0) in
       Alcotest.(check bool) "ops emitted" true (Array.length ops > 0);
       (* find the global load micro-op and check its lane addresses *)
       let loads =

@@ -7,6 +7,7 @@ open Threadfuser_isa
 module Event = Threadfuser_trace.Event
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Layout = Threadfuser_machine.Layout
+module Program = Threadfuser_prog.Program
 module Dcfg = Threadfuser_cfg.Dcfg
 module Ipdom = Threadfuser_cfg.Ipdom
 
@@ -99,27 +100,47 @@ let prop_coalesce_lower_bound =
 
 (* -- cracking ------------------------------------------------------------- *)
 
-let no_mem = Crack.no_mem
-
-let lane_addrs l =
-  let a = Array.make 32 (-1) in
-  List.iteri (fun i addr -> a.(i) <- addr) l;
-  a
+(* The micro-ops instruction [i] cracks to, through the path the analyzer
+   takes: [Crack.sites] of a one-instruction program, emitted for one warp
+   whose lane 0 loads [ld] / stores [st] (if given) by a
+   [Warp_trace.Builder] emitter, and read back through the view. *)
+let crack ?ld ?st i =
+  let prog =
+    {
+      Program.funcs =
+        [|
+          {
+            Program.name = "f";
+            fid = 0;
+            blocks = [| { Program.instrs = [| i |]; src_label = None } |];
+          };
+        |];
+      index = Hashtbl.create 1;
+    }
+  in
+  let b = Warp_trace.Builder.create ~warp_size:32 ~n_warps:1 (Crack.sites prog) in
+  let e = Warp_trace.Builder.emitter b in
+  let access = function None -> (0, [||]) | Some a -> (1, [| a |]) in
+  let n_ld, ld_addr = access ld and n_st, st_addr = access st in
+  Warp_trace.Builder.start e ~warp:0;
+  Warp_trace.Builder.emit e ~site:0 (Mask.singleton 0) ~n_ld [| 0 |] ld_addr ~n_st [| 0 |]
+    st_addr;
+  Warp_trace.Builder.seal e;
+  let _, ops = (Warp_trace.to_entries (Warp_trace.Builder.finish b)).(0) in
+  Array.to_list (Array.map (fun (en : Warp_trace.entry) -> en.Warp_trace.op) ops)
 
 let classes ops = List.map (fun (m : Warp_trace.mop) -> m.Warp_trace.cls) ops
 
 let test_crack_reg_alu () =
   let i = Instr.Binop (Op.Add, Width.W8, Operand.Reg 1, Operand.Reg 2) in
-  Alcotest.(check int) "one mop" 1 (List.length (Crack.crack i no_mem));
-  Alcotest.(check bool) "alu" true
-    (classes (Crack.crack i no_mem) = [ Opclass.Ialu ])
+  Alcotest.(check int) "one mop" 1 (List.length (crack i));
+  Alcotest.(check bool) "alu" true (classes (crack i) = [ Opclass.Ialu ])
 
 let test_crack_load_op () =
   (* add r1, [r2] -> load + add *)
   let m = Operand.Mem (Operand.mem ~base:(Reg.r 2) ()) in
   let i = Instr.Binop (Op.Add, Width.W8, Operand.Reg 1, m) in
-  let mem = { Crack.load = Some (lane_addrs [ 0x100 ]); store = None; size = 8 } in
-  let ops = Crack.crack i mem in
+  let ops = crack ~ld:0x100 i in
   Alcotest.(check (list string)) "load;add" [ "load"; "ialu" ]
     (List.map Opclass.to_string (classes ops));
   (* the ALU op must read the cracking temporary the load wrote *)
@@ -134,35 +155,31 @@ let test_crack_rmw () =
   (* add [r2], r1 -> load + add + store *)
   let m = Operand.Mem (Operand.mem ~base:(Reg.r 2) ()) in
   let i = Instr.Binop (Op.Add, Width.W8, m, Operand.Reg 1) in
-  let mem =
-    { Crack.load = Some (lane_addrs [ 0x40 ]); store = Some (lane_addrs [ 0x40 ]); size = 8 }
-  in
   Alcotest.(check (list string)) "load;add;store" [ "load"; "ialu"; "store" ]
-    (List.map Opclass.to_string (classes (Crack.crack i mem)))
+    (List.map Opclass.to_string (classes (crack ~ld:0x40 ~st:0x40 i)))
 
 let test_crack_spaces () =
   let m = Operand.Mem (Operand.mem ~base:(Reg.r 2) ()) in
   let i = Instr.Mov (Width.W8, Operand.Reg 1, m) in
-  let stack = lane_addrs [ Layout.stack_top 0 - 8 ] in
-  let heap = lane_addrs [ Layout.heap_base + 8 ] in
-  let space addrs =
-    match Crack.crack i { Crack.load = Some addrs; store = None; size = 8 } with
+  let space addr =
+    match crack ~ld:addr i with
     | [ { Warp_trace.mem = Some m; _ } ] -> m.Warp_trace.space
     | _ -> Alcotest.fail "expected one load"
   in
-  Alcotest.(check bool) "stack -> local" true (space stack = Warp_trace.Local);
-  Alcotest.(check bool) "heap -> global" true (space heap = Warp_trace.Global)
+  Alcotest.(check bool) "stack -> local" true
+    (space (Layout.stack_top 0 - 8) = Warp_trace.Local);
+  Alcotest.(check bool) "heap -> global" true
+    (space (Layout.heap_base + 8) = Warp_trace.Global)
 
 let test_crack_control () =
   Alcotest.(check bool) "jcc reads flags" true
-    (match Crack.crack (Instr.Jcc (Cond.Lt, 3)) no_mem with
+    (match crack (Instr.Jcc (Cond.Lt, 3)) with
     | [ b ] -> Array.mem Warp_trace.flags_reg b.Warp_trace.srcs
     | _ -> false);
   Alcotest.(check int) "io cracks to nothing" 0
-    (List.length (Crack.crack (Instr.Io (Instr.In, Operand.Imm 5)) no_mem));
+    (List.length (crack (Instr.Io (Instr.In, Operand.Imm 5))));
   Alcotest.(check bool) "lock is sync" true
-    (classes (Crack.crack (Instr.Lock_acquire (Operand.Imm 1)) no_mem)
-    = [ Opclass.Sync ])
+    (classes (crack (Instr.Lock_acquire (Operand.Imm 1))) = [ Opclass.Sync ])
 
 (* -- cursor ---------------------------------------------------------------- *)
 
@@ -440,6 +457,32 @@ let test_warp_serial_corrupt () =
   | exception Failure _ -> () (* int_of_string on a torn token *)
   | _ -> Alcotest.fail "expected failure on truncation"
 
+(* The boxed view and the flat form convert both ways without loss. *)
+let test_warp_view_roundtrip () =
+  let wt = real_warp_trace () in
+  let back = Warp_trace.of_entries ~warp_size:wt.Warp_trace.warp_size (Warp_trace.to_entries wt) in
+  Alcotest.(check string) "same TFWARP1 bytes" (Warp_serial.to_string wt)
+    (Warp_serial.to_string back);
+  Alcotest.(check bool) "equal flat form" true (wt = back)
+
+let expect_corrupt what s =
+  match Warp_serial.of_string s with
+  | exception Warp_serial.Corrupt _ -> ()
+  | _ -> Alcotest.failf "%s: expected Corrupt" what
+
+(* Register ids index the simulator's scoreboard and sizes bound its line
+   loop: out-of-range values are corrupt input, not a crash or a hang. *)
+let test_warp_serial_bounds () =
+  let file op = Printf.sprintf "TFWARP1 4 1\nW 0 1\n%s\n" op in
+  ignore (Warp_serial.of_string (file "f ialu -1 2 0 17 -"));
+  ignore (Warp_serial.of_string (file "f load 17 1 3 M L 255 G 0 20 40 -"));
+  expect_corrupt "dst 99" (file "f ialu 99 0 -");
+  expect_corrupt "dst 18" (file "f ialu 18 0 -");
+  expect_corrupt "dst -2" (file "f ialu -2 0 -");
+  expect_corrupt "src 18" (file "f ialu 1 1 18 -");
+  expect_corrupt "size 256" (file "f load 1 0 M L 256 G 0 20 40 60");
+  expect_corrupt "size 4e12" (file "f load 1 0 M L 4000000000000 G 0 20 40 60")
+
 (* -- warp width bounds -------------------------------------------------------- *)
 
 (* Masks pack lanes into an int, so 1..Mask.max_lanes is the whole range:
@@ -521,6 +564,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_warp_serial_roundtrip;
           Alcotest.test_case "file" `Quick test_warp_serial_file;
           Alcotest.test_case "corrupt" `Quick test_warp_serial_corrupt;
+          Alcotest.test_case "view roundtrip" `Quick test_warp_view_roundtrip;
+          Alcotest.test_case "register and size bounds" `Quick test_warp_serial_bounds;
         ] );
       ( "ncp",
         [

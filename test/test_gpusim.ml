@@ -43,6 +43,60 @@ let test_cache_bigger_is_better () =
   in
   Alcotest.(check bool) "4K <= 8K hit rate" true (rate 1024 <= rate 8192 +. 1e-9)
 
+(* The division reference for [Cache.access]: set and tag by [/] and
+   [mod], ways searched in order, LRU victim by strict [<] on stamps. *)
+let reference_access (cfg : Cache.config) tags stamps clock addr =
+  incr clock;
+  let n_sets = cfg.Cache.size_bytes / cfg.Cache.line_bytes / cfg.Cache.assoc in
+  let line_addr = addr / cfg.Cache.line_bytes in
+  let set = line_addr mod n_sets and tag = line_addr / n_sets in
+  let base = set * cfg.Cache.assoc in
+  let hit = ref (-1) in
+  for way = cfg.Cache.assoc - 1 downto 0 do
+    if tags.(base + way) = tag then hit := way
+  done;
+  if !hit >= 0 then begin
+    stamps.(base + !hit) <- !clock;
+    true
+  end
+  else begin
+    let victim = ref base in
+    for way = 1 to cfg.Cache.assoc - 1 do
+      if stamps.(base + way) < stamps.(!victim) then victim := base + way
+    done;
+    tags.(!victim) <- tag;
+    stamps.(!victim) <- !clock;
+    false
+  end
+
+(* The shift/mask fast path agrees with the reference on every access —
+   hit or miss, or the same exception — for power-of-two and other set
+   counts and line sizes, negative addresses included. *)
+let test_cache_fast_path_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* line_bytes = oneofl [ 16; 32; 48; 64 ] in
+      let* assoc = oneofl [ 1; 2; 3; 4; 8 ] in
+      let* n_sets = oneofl [ 1; 2; 8; 24; 64; 100 ] in
+      let* addrs =
+        list_size (int_range 1 300)
+          (frequency [ (6, int_range (-2048) 16384); (1, int); (1, map (fun x -> -x) int) ])
+      in
+      return ({ Cache.size_bytes = line_bytes * assoc * n_sets; assoc; line_bytes }, addrs))
+  in
+  QCheck.Test.make ~name:"cache fast path equals the division reference" ~count:300
+    (QCheck.make gen) (fun (cfg, addrs) ->
+      let c = Cache.create cfg in
+      let lines = cfg.Cache.size_bytes / cfg.Cache.line_bytes in
+      let tags = Array.make lines (-1) and stamps = Array.make lines 0 and clock = ref 0 in
+      let outcome f = match f () with b -> Ok b | exception e -> Error (Printexc.to_string e) in
+      List.for_all
+        (fun a ->
+          outcome (fun () -> Cache.access c a)
+          = outcome (fun () -> reference_access cfg tags stamps clock a))
+        addrs
+      && c.Cache.tags = tags && c.Cache.stamps = stamps)
+
 (* -- dram ---------------------------------------------------------------- *)
 
 let test_dram_latency_and_bandwidth () =
@@ -63,7 +117,7 @@ let indep_op dst =
 
 let entry ?(mask = Mask.full 32) op = { Warp_trace.mask; op }
 
-let kernel ops = { Warp_trace.warp_size = 32; warps = [| { Warp_trace.warp_id = 0; ops } |] }
+let kernel ops = Warp_trace.of_entries ~warp_size:32 [| (0, ops) |]
 
 let tiny = Config.tiny
 
@@ -102,12 +156,9 @@ let test_divergent_loads_slower () =
 let test_more_warps_scale () =
   (* with many independent warps, 8 SMs beat 1 SM *)
   let mk n_warps =
-    {
-      Warp_trace.warp_size = 32;
-      warps =
-        Array.init n_warps (fun warp_id ->
-            { Warp_trace.warp_id; ops = Array.init 200 (fun i -> entry (indep_op (i mod 4))) });
-    }
+    Warp_trace.of_entries ~warp_size:32
+      (Array.init n_warps (fun warp_id ->
+           (warp_id, Array.init 200 (fun i -> entry (indep_op (i mod 4))))))
   in
   let cfg n_sms = { tiny with Config.n_sms } in
   let s1 = Gpusim.run ~config:(cfg 1) (mk 16) in
@@ -121,12 +172,8 @@ let test_deterministic () =
 
 let test_lrr_vs_gto_both_finish () =
   let k =
-    {
-      Warp_trace.warp_size = 32;
-      warps =
-        Array.init 8 (fun warp_id ->
-            { Warp_trace.warp_id; ops = Array.init 50 (fun _ -> entry alu_op) });
-    }
+    Warp_trace.of_entries ~warp_size:32
+      (Array.init 8 (fun warp_id -> (warp_id, Array.init 50 (fun _ -> entry alu_op))))
   in
   let g = Gpusim.run ~config:{ tiny with Config.scheduler = Config.Gto } k in
   let l = Gpusim.run ~config:{ tiny with Config.scheduler = Config.Lrr } k in
@@ -249,20 +296,14 @@ let gen_kernel =
     let* lens = array_repeat n_warps (int_range 1 60) in
     let* seeds = array_repeat n_warps (int_range 0 1000) in
     return
-      {
-        Warp_trace.warp_size = 32;
-        warps =
-          Array.init n_warps (fun warp_id ->
+      (Warp_trace.of_entries ~warp_size:32
+         (Array.init n_warps (fun warp_id ->
               let mask =
                 if seeds.(warp_id) mod 4 = 0 then Mask.full 17 else Mask.full 32
               in
-              {
-                Warp_trace.warp_id;
-                ops =
-                  Array.init lens.(warp_id) (fun i ->
-                      entry ~mask (gen_op warp_id (seeds.(warp_id) + i)));
-              });
-      })
+              ( warp_id,
+                Array.init lens.(warp_id) (fun i ->
+                    entry ~mask (gen_op warp_id (seeds.(warp_id) + i))) )))))
 
 (* The tentpole invariant: stats are a pure function of the kernel —
    never of the domain count or the epoch length. *)
@@ -278,19 +319,13 @@ let test_gpusim_epoch_domain_invariance =
 
 let test_gpusim_epoch_extremes () =
   let k =
-    {
-      Warp_trace.warp_size = 32;
-      warps =
-        Array.init 6 (fun warp_id ->
-            {
-              Warp_trace.warp_id;
-              ops =
-                Array.init 80 (fun i ->
-                    if i mod 4 = 0 then
-                      entry (load_op (Array.init 32 (fun l -> (warp_id * 32768) + (i * 512) + (64 * l))))
-                    else entry alu_op);
-            });
-    }
+    Warp_trace.of_entries ~warp_size:32
+      (Array.init 6 (fun warp_id ->
+           ( warp_id,
+             Array.init 80 (fun i ->
+                 if i mod 4 = 0 then
+                   entry (load_op (Array.init 32 (fun l -> (warp_id * 32768) + (i * 512) + (64 * l))))
+                 else entry alu_op) )))
   in
   let base = Gpusim.run ~config:tiny k in
   List.iter
@@ -302,7 +337,7 @@ let test_gpusim_epoch_extremes () =
     [ (1, 1); (4, 1); (4, 3); (2, 100_000); (8, Gpusim.default_epoch) ]
 
 let test_gpusim_empty_kernel () =
-  let k = { Warp_trace.warp_size = 32; warps = [||] } in
+  let k = Warp_trace.of_entries ~warp_size:32 [||] in
   List.iter
     (fun domains ->
       let s = Gpusim.run ~config:tiny ~domains k in
@@ -406,6 +441,7 @@ let () =
           Alcotest.test_case "hit after miss" `Quick test_cache_hit_after_miss;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "bigger is better" `Quick test_cache_bigger_is_better;
+          QCheck_alcotest.to_alcotest test_cache_fast_path_matches_reference;
         ] );
       ( "dram",
         [ Alcotest.test_case "latency and bandwidth" `Quick test_dram_latency_and_bandwidth ] );

@@ -488,6 +488,30 @@ let test_validate () =
   | [] -> Alcotest.fail "never-released lock not flagged as deadlock"
   | _ -> ()
 
+(* Access sizes are bounded by [Thread_trace.max_access_size]: a larger
+   one is a [Bad_access] diagnostic, and the checked pipeline quarantines
+   the thread instead of sizing the coalescer by it. *)
+let test_validate_access_size () =
+  let block size =
+    Thread_trace.of_events 0
+      [|
+        Event.Block
+          { func = 0; block = 0; n_instr = 1; accesses = [| access 0 0x1000 size false |] };
+      |]
+  in
+  let kinds t = List.map (fun d -> Tf_error.kind_name d.Tf_error.kind) (Validate.thread t) in
+  Alcotest.(check (list string)) "largest size accepted" []
+    (kinds (block Thread_trace.max_access_size));
+  Alcotest.(check (list string)) "one past rejected" [ "bad-access" ]
+    (kinds (block (Thread_trace.max_access_size + 1)));
+  Alcotest.(check (list string)) "2^36 rejected" [ "bad-access" ] (kinds (block (1 lsl 36)));
+  let tr = W.trace_cpu ~threads:32 (Registry.find "vectoradd") in
+  let traces = Array.map (fun (t : Thread_trace.t) -> { t with size = Array.copy t.size }) tr.W.traces in
+  traces.(0).size.(0) <- 1 lsl 36;
+  let c = Threadfuser.Analyzer.analyze_checked tr.W.prog traces in
+  Alcotest.(check (list int)) "thread 0 quarantined" [ 0 ]
+    (List.map fst c.Threadfuser.Analyzer.quarantined)
+
 let prop_varint =
   QCheck.Test.make ~name:"varint roundtrip (signed)" ~count:500
     QCheck.(oneof [ small_signed_int; int ])
@@ -550,5 +574,6 @@ let () =
           Alcotest.test_case "overlong varint" `Quick test_overlong_varint;
           Alcotest.test_case "huge length header" `Quick test_huge_count;
           Alcotest.test_case "validate diagnostics" `Quick test_validate;
+          Alcotest.test_case "validate access size" `Quick test_validate_access_size;
         ] );
     ]
