@@ -135,7 +135,7 @@ let decode_blob s =
       (Serial.Corrupt
          (Printf.sprintf "blob crc mismatch (stored %08x, computed %08x)"
             stored computed));
-  let r = { Serial.data = body; pos = 0 } in
+  let r = Serial.reader body in
   let tag = Serial.read_uint r in
   if tag <> report_tag then
     raise (Serial.Corrupt (Printf.sprintf "bad blob kind %d" tag));

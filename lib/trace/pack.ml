@@ -108,25 +108,41 @@ let encode (traces : Thread_trace.t array) =
 
 (* -- payload decoding --------------------------------------------------- *)
 
+(* {!Serial.read_uint}'s one-byte case, here where the decode loops call
+   it: libraries build [-opaque], so no call into {!Serial} is inlined,
+   and tags aside most varints in a payload are one byte. *)
+let[@inline] read_uint (r : Serial.reader) =
+  let pos = r.pos in
+  if pos < r.lim then begin
+    let b = Char.code (String.unsafe_get r.data pos) in
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else Serial.read_uint r
+  end
+  else Serial.read_uint r
+
 (* A lock or barrier address, delta-coded against the previous one. *)
 let read_sync p r =
-  let a = p.p_sync + unzigzag (Serial.read_uint r) in
+  let a = p.p_sync + unzigzag (read_uint r) in
   p.p_sync <- a;
   a
 
-(* The payload is a fully-buffered substring, so {!Serial}'s bounded
-   readers apply with all counts relative to the payload, exactly like a
-   TFSTREAM1 frame.  The tag column is checked in place, then read again
-   beside the args column, so the columns go straight into the builder
-   with no per-event intermediate. *)
-let decode_payload ~tid payload : Thread_trace.t =
+(* The payload is [s.[pos .. lim-1]], decoded in place: {!Serial}'s
+   readers are bounded by [lim], so every count, truncation and
+   trailing-byte check is relative to the block, exactly like a TFSTREAM1
+   frame.  The tag column is checked in place, then read again beside the
+   args column, so the columns go straight into the builder with no
+   per-event intermediate. *)
+let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
   let module B = Thread_trace.Builder in
-  let r = { Serial.data = payload; pos = 0 } in
+  let r = Serial.reader ~pos ~lim s in
   (* an event costs at least its 1 tag byte *)
   let n_events = Serial.read_count r ~min_bytes:1 "event" in
   let tags = r.Serial.pos and kinds = Serial.kinds in
   for i = tags to tags + n_events - 1 do
-    let t = Char.code (String.unsafe_get payload i) in
+    let t = Char.code (String.unsafe_get s i) in
     if t >= Array.length kinds then
       raise (Serial.Corrupt (Printf.sprintf "bad event tag %d" t))
   done;
@@ -135,11 +151,11 @@ let decode_payload ~tid payload : Thread_trace.t =
   let p = predictor () in
   (* args column *)
   for i = tags to tags + n_events - 1 do
-    match Array.unsafe_get kinds (Char.code (String.unsafe_get payload i)) with
+    match Array.unsafe_get kinds (Char.code (String.unsafe_get s i)) with
     | Thread_trace.Block ->
-        let func = p.p_func + unzigzag (Serial.read_uint r) in
-        let block = p.p_block + unzigzag (Serial.read_uint r) in
-        let n_instr = Serial.read_uint r in
+        let func = p.p_func + unzigzag (read_uint r) in
+        let block = p.p_block + unzigzag (read_uint r) in
+        let n_instr = read_uint r in
         if n_instr < 0 then raise (Serial.Corrupt "negative n_instr");
         (* an access costs at least 4 varint bytes in its column *)
         let n_acc = Serial.read_count r ~min_bytes:4 "access" in
@@ -147,7 +163,7 @@ let decode_payload ~tid payload : Thread_trace.t =
         p.p_block <- block;
         B.block b ~func ~block ~n_instr ~n_acc
     | Thread_trace.Call ->
-        let f = p.p_call + unzigzag (Serial.read_uint r) in
+        let f = p.p_call + unzigzag (read_uint r) in
         p.p_call <- f;
         B.call b f
     | Thread_trace.Return -> B.return b
@@ -156,12 +172,12 @@ let decode_payload ~tid payload : Thread_trace.t =
     | Thread_trace.Barrier -> B.barrier b (read_sync p r)
     | Thread_trace.Skip ->
         let code = Serial.read_skip_code r in
-        B.skip b code (Serial.read_uint r)
+        B.skip b code (read_uint r)
   done;
   (* access column: each Block's count passed the per-block bound, but
      their sum must also fit what is left, before it sizes the columns *)
   let n_acc = B.claimed b in
-  let left = String.length payload - r.Serial.pos in
+  let left = lim - r.Serial.pos in
   if n_acc > left / 4 then
     raise
       (Serial.Corrupt
@@ -169,27 +185,19 @@ let decode_payload ~tid payload : Thread_trace.t =
             n_acc left));
   B.reserve_accesses b n_acc;
   for _ = 1 to n_acc do
-    let ioff = Serial.read_uint r in
-    let addr = p.p_addr + unzigzag (Serial.read_uint r) in
-    let size = Serial.read_uint r in
-    let is_store = Serial.read_uint r = 1 in
+    let ioff = read_uint r in
+    let addr = p.p_addr + unzigzag (read_uint r) in
+    let size = read_uint r in
+    let is_store = read_uint r = 1 in
     p.p_addr <- addr;
     B.access b ~ioff ~addr ~size ~is_store
   done;
-  if r.Serial.pos <> String.length payload then
+  if r.Serial.pos <> lim then
     raise
       (Serial.Corrupt
          (Printf.sprintf "pack payload has %d trailing byte(s)"
-            (String.length payload - r.Serial.pos)));
+            (lim - r.Serial.pos)));
   B.finish b
-
-let check_crc ~payload ~stored =
-  let computed = Crc32.string payload in
-  if computed <> stored then
-    raise
-      (Serial.Corrupt
-         (Printf.sprintf "pack block crc mismatch (stored %08x, computed %08x)"
-            stored computed))
 
 (* -- whole-buffer decoding ---------------------------------------------- *)
 
@@ -197,7 +205,7 @@ let decode s : Thread_trace.t array =
   let n_magic = String.length magic in
   if String.length s < n_magic || String.sub s 0 n_magic <> magic then
     raise (Serial.Corrupt "bad pack magic");
-  let r = { Serial.data = s; pos = n_magic } in
+  let r = Serial.reader ~pos:n_magic s in
   (* a thread block costs at least tid + len + 1-byte payload + 4-byte crc *)
   let n_threads = Serial.read_count r ~min_bytes:7 "thread" in
   let traces =
@@ -205,16 +213,22 @@ let decode s : Thread_trace.t array =
         let tid = Serial.read_uint r in
         if tid < 0 then raise (Serial.Corrupt "negative thread id");
         let payload_len = Serial.read_uint r in
+        let pos = r.Serial.pos in
         (* [payload_len + 4] would overflow for a crafted length near
            [max_int]; subtract on the side that cannot *)
-        if payload_len < 0 || payload_len > String.length s - r.Serial.pos - 4
-        then raise (Serial.Corrupt "pack block length exceeds remaining input");
-        let payload = String.sub s r.Serial.pos payload_len in
-        r.Serial.pos <- r.Serial.pos + payload_len;
-        let stored = Crc32.read_le s r.Serial.pos in
-        r.Serial.pos <- r.Serial.pos + 4;
-        check_crc ~payload ~stored;
-        decode_payload ~tid payload)
+        if payload_len < 0 || payload_len > String.length s - pos - 4 then
+          raise (Serial.Corrupt "pack block length exceeds remaining input");
+        let lim = pos + payload_len in
+        let stored = Crc32.read_le s lim in
+        let computed = Crc32.update 0 s pos payload_len in
+        if computed <> stored then
+          raise
+            (Serial.Corrupt
+               (Printf.sprintf
+                  "pack block crc mismatch (stored %08x, computed %08x)" stored
+                  computed));
+        r.Serial.pos <- lim + 4;
+        decode_payload ~tid s ~pos ~lim)
   in
   if r.Serial.pos <> String.length s then
     raise

@@ -17,11 +17,14 @@ val magic : string
 val encode : Thread_trace.t array -> string
 
 val decode : string -> Thread_trace.t array
-(** Decodes straight into the flat columns, each allocated once at its
-    exact size.  Raises {!Serial.Corrupt} on bad magic, truncation, CRC
+(** Decodes each block in place: its CRC-32 is checked over the payload
+    bytes where they sit, then a {!Serial.reader} bounded to the block
+    decodes them straight into the flat columns, each allocated once at
+    its exact size.  No payload is copied, and no read crosses the
+    block's end.  Raises {!Serial.Corrupt} on bad magic, truncation, CRC
     mismatch, overlong varints, lying counts (every count, and the sum of
-    a payload's access counts, is bounded by the bytes left before
-    anything is sized from it) or trailing bytes. *)
+    a payload's access counts, is bounded by the bytes left in its block
+    before anything is sized from it) or trailing bytes. *)
 
 val to_file : string -> Thread_trace.t array -> unit
 

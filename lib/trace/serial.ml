@@ -38,26 +38,29 @@ let write_uint buf n =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
-type reader = { data : string; mutable pos : int }
+type reader = { data : string; mutable pos : int; lim : int }
 
 exception Corrupt of string
 
-let read_byte r =
-  if r.pos >= String.length r.data then raise (Corrupt "truncated");
-  let c = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
+(* Plain comparisons and no sums, so no bound can wrap however large
+   [pos] or [lim] is; after it, [lim - pos] is the bytes left. *)
+let reader ?(pos = 0) ?lim data =
+  let lim = match lim with Some l -> l | None -> String.length data in
+  if pos < 0 || pos > lim || lim > String.length data then
+    invalid_arg "Serial.reader: bad bounds";
+  { data; pos; lim }
 
 (* The writer emits at most ceil(63/7) = 9 groups, so a continuation bit
    past shift 56 (i.e. a 10th byte) can only come from corrupt input; the
    bound also keeps [lsl] inside the word size (shifting an OCaml int by
-   >= Sys.int_size is undefined). *)
-let read_uint r =
-  let data = r.data in
-  let len = String.length data in
+   >= Sys.int_size is undefined).  Every read is bounded by [lim], never
+   by the length of [data]: a reader over one block of a larger buffer
+   cannot run on into the next. *)
+let read_uint_loop r =
+  let data = r.data and lim = r.lim in
   let pos = ref r.pos and shift = ref 0 and acc = ref 0 and more = ref true in
   while !more do
-    if !pos >= len then begin
+    if !pos >= lim then begin
       r.pos <- !pos;
       raise (Corrupt "truncated")
     end;
@@ -70,6 +73,21 @@ let read_uint r =
   r.pos <- !pos;
   !acc
 
+(* Tags and most deltas are one byte: return those before the loop.
+   [@inline] reaches only this module's callers (the event codec that
+   {!Stream} frames); other modules see an [-opaque] library. *)
+let[@inline] read_uint r =
+  let pos = r.pos in
+  if pos < r.lim then begin
+    let b = Char.code (String.unsafe_get r.data pos) in
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else read_uint_loop r
+  end
+  else read_uint_loop r
+
 (* Length headers are untrusted: a corrupt count must fail as [Corrupt]
    before it reaches [Array.init] (a 5-byte file must not trigger a
    multi-GB allocation or an [Invalid_argument]).  Every counted item
@@ -78,12 +96,11 @@ let read_uint r =
 let read_count r ~min_bytes what =
   let n = read_uint r in
   if n < 0 then raise (Corrupt (Printf.sprintf "negative %s count" what));
-  if n > (String.length r.data - r.pos) / min_bytes then
+  if n > (r.lim - r.pos) / min_bytes then
     raise
       (Corrupt
          (Printf.sprintf "%s count %d exceeds remaining input (%d bytes)" what
-            n
-            (String.length r.data - r.pos)));
+            n (r.lim - r.pos)));
   n
 
 (* -- events ------------------------------------------------------------- *)
@@ -175,7 +192,7 @@ let of_string s : Thread_trace.t array =
   let n_magic = String.length magic in
   if String.length s < n_magic || String.sub s 0 n_magic <> magic then
     raise (Corrupt "bad magic");
-  let r = { data = s; pos = n_magic } in
+  let r = reader ~pos:n_magic s in
   (* a thread costs at least 2 bytes (tid + event count) *)
   let n_threads = read_count r ~min_bytes:2 "thread" in
   Array.init n_threads (fun _ ->

@@ -73,7 +73,9 @@ let bytes_fed t = t.fed
 
 let feed t ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
-  if off < 0 || len < 0 || off + len > String.length s then
+  (* [off + len] could wrap negative for a huge [len]: compare on the
+     side that cannot *)
+  if off < 0 || len < 0 || len > String.length s - off then
     invalid_arg "Stream.feed: bad substring";
   (* compact the consumed prefix before growing: the buffer stays bounded
      by one frame plus one chunk *)
@@ -128,22 +130,24 @@ let fail t fmt =
       Corrupt d)
     fmt
 
-(* Decode one thread payload (already fully buffered).  All of [Serial]'s
-   reader checks apply relative to the frame, so a lying event count inside
-   a frame is caught by [read_count] against the frame length. *)
+(* Decode one thread payload (already fully buffered) in place: the reader
+   is bounded to the frame, so all of [Serial]'s checks apply relative to
+   it and a lying event count is caught against the frame length.  The
+   string view of [buf] is safe: nothing writes [buf] while the frame
+   decodes, and the view does not outlive this call. *)
 let decode_thread t ~payload_off ~payload_len =
+  let lim = payload_off + payload_len in
   let r =
-    { Serial.data = Bytes.sub_string t.buf payload_off payload_len; pos = 0 }
+    Serial.reader ~pos:payload_off ~lim (Bytes.unsafe_to_string t.buf)
   in
   let tid = Serial.read_uint r in
   if tid < 0 then raise (Serial.Corrupt "negative thread id");
   let n_events = Serial.read_count r ~min_bytes:1 "event" in
   let trace = Serial.read_events r ~tid n_events in
-  if r.pos <> payload_len then
+  if r.pos <> lim then
     raise
       (Serial.Corrupt
-         (Printf.sprintf "thread frame has %d trailing byte(s)"
-            (payload_len - r.pos)));
+         (Printf.sprintf "thread frame has %d trailing byte(s)" (lim - r.pos)));
   trace
 
 let rec next t =

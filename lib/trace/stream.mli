@@ -48,8 +48,10 @@ type step =
       (** typed, sticky: every later [next] returns the same diagnostic *)
 
 val feed : t -> ?off:int -> ?len:int -> string -> unit
-(** Append a chunk to the reassembly buffer.  Cheap; no parsing happens
-    until [next]. *)
+(** Append [s.[off .. off+len-1]] (default: the rest of [s]) to the
+    reassembly buffer.  Cheap; no parsing happens until [next], which
+    decodes each frame in place.  Raises [Invalid_argument] unless
+    [0 <= off], [0 <= len] and [len <= String.length s - off]. *)
 
 val next : t -> step
 

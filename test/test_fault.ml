@@ -147,7 +147,7 @@ let resealed_targets =
 
 (* (payload offset, payload length) of every thread block *)
 let pack_blocks bytes =
-  let r = { Serial.data = bytes; pos = String.length Pack.magic } in
+  let r = Serial.reader ~pos:(String.length Pack.magic) bytes in
   let n = Serial.read_uint r in
   Array.init n (fun _ ->
       ignore (Serial.read_uint r : int);
@@ -188,7 +188,7 @@ let inflated_block ~k ~m =
 
 (* [bytes] with [block] inserted as its first thread block. *)
 let prepend_block bytes block =
-  let r = { Serial.data = bytes; pos = String.length Pack.magic } in
+  let r = Serial.reader ~pos:(String.length Pack.magic) bytes in
   let n = Serial.read_uint r in
   let buf = Buffer.create (String.length bytes + String.length block) in
   Buffer.add_string buf Pack.magic;

@@ -186,6 +186,39 @@ let test_trailing_bytes () =
       Alcotest.(check bool) "typed trailing-byte error" true
         (d.Tf_error.kind = Tf_error.Corrupt_input)
 
+(* [off + len] wraps negative for [len = max_int]: a naive bound passes it
+   and the capacity-doubling loop never ends.  Every bad substring must be
+   refused up front, with nothing buffered. *)
+let test_feed_bounds () =
+  let dec = Stream.create () in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "feed off %d len %d" off len)
+        (Invalid_argument "Stream.feed: bad substring")
+        (fun () -> Stream.feed dec ~off ~len "abc"))
+    [ (1, max_int); (max_int, 1); (-1, 1); (0, -1); (0, 4); (4, 0) ];
+  Alcotest.check_raises "feed off past the end"
+    (Invalid_argument "Stream.feed: bad substring")
+    (fun () -> Stream.feed dec ~off:4 "abc");
+  Alcotest.(check int) "nothing buffered" 0 (Stream.buffered dec);
+  Alcotest.(check int) "nothing fed" 0 (Stream.bytes_fed dec)
+
+(* A frame decodes in place, bounded to itself: a payload ending in a
+   varint with its continuation bit set is truncated at the frame end,
+   even though the end frame's byte follows it in the buffer. *)
+let test_frame_bounded () =
+  let payload = "\x00\x01\x01\x80" (* tid 0, 1 event, Call, dangling *) in
+  let s =
+    Stream.magic ^ "\x00" ^ String.make 1 (Char.chr (String.length payload))
+    ^ payload ^ "\x01"
+  in
+  match Stream.decode s with
+  | Ok _ -> Alcotest.fail "dangling varint accepted"
+  | Error d ->
+      Alcotest.(check string) "truncated at the frame end" "truncated"
+        d.Tf_error.message
+
 let test_bad_magic () =
   match Stream.decode ("XXSTREAM1" ^ String.sub (Stream.encode [||]) 9 1) with
   | Ok _ -> Alcotest.fail "bad magic accepted"
@@ -246,5 +279,9 @@ let () =
           Alcotest.test_case "oversized frame" `Quick test_oversized_frame;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_bytes;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
+          Alcotest.test_case "feed bounds cannot overflow" `Quick
+            test_feed_bounds;
+          Alcotest.test_case "frame decodes bounded to itself" `Quick
+            test_frame_bounded;
         ] );
     ]

@@ -416,7 +416,7 @@ let test_bitflip_sweep () =
 (* A run of continuation bytes longer than any honest 63-bit encoding must
    be rejected, not shifted past the word size. *)
 let test_overlong_varint () =
-  let r = { Serial.data = String.make 12 '\x80'; pos = 0 } in
+  let r = Serial.reader (String.make 12 '\x80') in
   match Serial.read_uint r with
   | exception Serial.Corrupt _ -> ()
   | n -> Alcotest.failf "overlong varint decoded to %d" n
@@ -439,6 +439,75 @@ let test_huge_count () =
   match Serial.of_string (Buffer.contents buf) with
   | exception Serial.Corrupt _ -> ()
   | _ -> Alcotest.fail "huge event count accepted"
+
+(* -- bounded readers ---------------------------------------------------- *)
+
+let test_reader_bounds () =
+  List.iter
+    (fun (pos, lim) ->
+      Alcotest.check_raises
+        (Printf.sprintf "reader pos %d lim %d" pos lim)
+        (Invalid_argument "Serial.reader: bad bounds")
+        (fun () -> ignore (Serial.reader ~pos ~lim "abc")))
+    [ (-1, 3); (2, 1); (0, 4); (0, max_int); (max_int, max_int); (0, -1) ];
+  Alcotest.check_raises "pos past the end"
+    (Invalid_argument "Serial.reader: bad bounds")
+    (fun () -> ignore (Serial.reader ~pos:4 "abc"));
+  let r = Serial.reader ~pos:3 "abc" in
+  Alcotest.(check int) "empty reader at the end" 3 r.Serial.lim;
+  Alcotest.check_raises "read at lim" (Serial.Corrupt "truncated") (fun () ->
+      ignore (Serial.read_uint r))
+
+(* [read_uint] stops at [lim] even where [data] continues past it. *)
+let test_read_uint_at_lim () =
+  let read ?(pos = 0) ~lim data = Serial.read_uint (Serial.reader ~pos ~lim data) in
+  let truncated name f =
+    Alcotest.check_raises name (Serial.Corrupt "truncated") (fun () ->
+        ignore (f ()))
+  in
+  Alcotest.(check int) "0x7f, one byte" 0x7f (read ~lim:1 "\x7f\x05");
+  let r = Serial.reader ~lim:1 "\x7f\x05" in
+  ignore (Serial.read_uint r);
+  Alcotest.(check int) "one byte consumed" 1 r.Serial.pos;
+  truncated "nothing left before lim" (fun () -> Serial.read_uint r);
+  Alcotest.(check int) "0x80, two bytes" 0x80 (read ~lim:2 "\x80\x01\x05");
+  truncated "0x80 cut at lim" (fun () -> read ~lim:1 "\x80\x01");
+  truncated "cut at lim past pos" (fun () -> read ~pos:1 ~lim:3 "\x00\xff\xff\x01");
+  let cont = String.make 12 '\x80' in
+  truncated "nine continuation bytes" (fun () -> read ~lim:9 cont);
+  Alcotest.check_raises "ten continuation bytes" (Serial.Corrupt "overlong varint")
+    (fun () -> ignore (read ~lim:10 cont));
+  (* a count is checked against the bytes left before [lim] *)
+  let r = Serial.reader ~lim:3 "\x03\x00\x00\x00\x00" in
+  match Serial.read_count r ~min_bytes:1 "event" with
+  | exception Serial.Corrupt _ -> ()
+  | n -> Alcotest.failf "count %d accepted with 2 bytes before lim" n
+
+(* A sealed TFPACK1 thread block. *)
+let pack_block ~tid payload =
+  let b = Buffer.create 16 in
+  Serial.write_uint b tid;
+  Serial.write_uint b (String.length payload);
+  Buffer.add_string b payload;
+  Threadfuser_util.Crc32.add_le b (Threadfuser_util.Crc32.string payload);
+  Buffer.contents b
+
+(* Two blocks whose first payload (1 event, a Call) ends in a varint with
+   its continuation bit set, CRC re-sealed: the decoder, reading in place,
+   must stop at that block's end rather than read on into its CRC trailer
+   and the next block. *)
+let test_block_cannot_read_past_itself () =
+  let file first =
+    Pack.magic ^ "\x02" ^ pack_block ~tid:0 first
+    ^ pack_block ~tid:1 "\x01\x02" (* 1 event: Return *)
+  in
+  (match Pack.decode (file "\x01\x01\x05") with
+  | [| a; b |] ->
+      Alcotest.(check (list int)) "well-formed fixture" [ 1; 1 ]
+        [ Thread_trace.length a; Thread_trace.length b ]
+  | _ -> Alcotest.fail "well-formed fixture did not decode to 2 threads");
+  Alcotest.check_raises "dangling varint" (Serial.Corrupt "truncated")
+    (fun () -> ignore (Pack.decode (file "\x01\x01\x80")))
 
 (* The validator's structural diagnostics on intact traces. *)
 let test_validate () =
@@ -518,7 +587,7 @@ let prop_varint =
     (fun n ->
       let buf = Buffer.create 10 in
       Serial.write_uint buf n;
-      let r = { Serial.data = Buffer.contents buf; pos = 0 } in
+      let r = Serial.reader (Buffer.contents buf) in
       Serial.read_uint r = n)
 
 (* [read_uint] is on every decoder's hot path: it must not allocate. *)
@@ -526,7 +595,7 @@ let test_read_uint_no_alloc () =
   let buf = Buffer.create 64 in
   List.iter (Serial.write_uint buf) [ 0; 1; 127; 128; 300; 1 lsl 40; -1 ];
   let data = Buffer.contents buf in
-  let r = { Serial.data; pos = 0 } in
+  let r = Serial.reader data in
   let sum = ref 0 in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -573,6 +642,10 @@ let () =
           Alcotest.test_case "bit-flip sweep" `Quick test_bitflip_sweep;
           Alcotest.test_case "overlong varint" `Quick test_overlong_varint;
           Alcotest.test_case "huge length header" `Quick test_huge_count;
+          Alcotest.test_case "reader bounds" `Quick test_reader_bounds;
+          Alcotest.test_case "read_uint at lim" `Quick test_read_uint_at_lim;
+          Alcotest.test_case "block cannot read past itself" `Quick
+            test_block_cannot_read_past_itself;
           Alcotest.test_case "validate diagnostics" `Quick test_validate;
           Alcotest.test_case "validate access size" `Quick test_validate_access_size;
         ] );

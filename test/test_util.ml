@@ -1,4 +1,4 @@
-(* Unit and property tests for the utility library (Vec, Lcg). *)
+(* Unit and property tests for the utility library (Vec, Lcg, Crc32). *)
 
 open Threadfuser_util
 
@@ -145,6 +145,86 @@ let test_hash_string () =
     (List.length names)
     (List.length (List.sort_uniq compare hashes))
 
+(* -- Crc32 --------------------------------------------------------------- *)
+
+(* The textbook reflected CRC-32, one bit at a time: an oracle that shares
+   no table with the slicing-by-8 code under test.  Encode and decode both
+   call [Crc32], so a wrong CRC would still round-trip; only an oracle
+   catches it. *)
+let crc_ref s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+let test_crc_known_answers () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  Alcotest.(check int) "empty substring" 0 (Crc32.update 0 "abc" 3 0);
+  Alcotest.(check int)
+    "zeros" (crc_ref (String.make 37 '\000'))
+    (Crc32.string (String.make 37 '\000'))
+
+(* Every start offset mod 8 and every length 0..100 of one random buffer:
+   the 8-byte loop, the byte tail and their seam all meet the oracle. *)
+let test_crc_offsets_lengths () =
+  let rng = Lcg.create 20 in
+  let s = String.init 120 (fun _ -> Char.chr (Lcg.int rng 256)) in
+  for off = 0 to 7 do
+    for len = 0 to 100 do
+      Alcotest.(check int)
+        (Printf.sprintf "off %d len %d" off len)
+        (crc_ref (String.sub s off len))
+        (Crc32.update 0 s off len)
+    done
+  done
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"slicing-by-8 update = bitwise reference" ~count:500
+    QCheck.(triple (string_of_size Gen.(int_bound 100)) (int_bound 7) string)
+    (fun (body, off, tail) ->
+      let s = String.make off 'p' ^ body ^ tail in
+      Crc32.update 0 s off (String.length body) = crc_ref body
+      && Crc32.string s = crc_ref s)
+
+let prop_crc_split =
+  QCheck.Test.make ~name:"update (update 0 a) b = string (a ^ b)" ~count:500
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      let ab = a ^ b in
+      Crc32.update (Crc32.update 0 a 0 (String.length a)) b 0 (String.length b)
+      = Crc32.string ab
+      && Crc32.string ab = crc_ref ab)
+
+(* [pos + len] would wrap negative and pass a naive bound; the checks
+   must refuse it before any unchecked read. *)
+let test_crc_bounds () =
+  let bad_update pos len =
+    Alcotest.check_raises
+      (Printf.sprintf "update pos %d len %d" pos len)
+      (Invalid_argument "Crc32.update: bad substring")
+      (fun () -> ignore (Crc32.update 0 "abc" pos len))
+  in
+  List.iter
+    (fun (pos, len) -> bad_update pos len)
+    [ (1, max_int); (max_int, 1); (-1, 1); (0, -1); (4, 0); (0, 4) ];
+  let bad_read pos =
+    Alcotest.check_raises
+      (Printf.sprintf "read_le pos %d" pos)
+      (Invalid_argument "Crc32.read_le: out of bounds")
+      (fun () -> ignore (Crc32.read_le "abcd" pos))
+  in
+  List.iter bad_read [ max_int - 2; max_int; 1; -1 ];
+  let b = Buffer.create 4 in
+  Crc32.add_le b 0xCBF43926;
+  Alcotest.(check int) "read_le . add_le" 0xCBF43926
+    (Crc32.read_le (Buffer.contents b) 0)
+
 let () =
   Alcotest.run "util"
     [
@@ -174,5 +254,14 @@ let () =
             test_derive_negative_index;
           QCheck_alcotest.to_alcotest prop_split_decorrelated;
           Alcotest.test_case "hash_string" `Quick test_hash_string;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "known answers" `Quick test_crc_known_answers;
+          Alcotest.test_case "every offset mod 8, lengths 0..100" `Quick
+            test_crc_offsets_lengths;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crc_split;
+          Alcotest.test_case "overflow-safe bounds" `Quick test_crc_bounds;
         ] );
     ]
