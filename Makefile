@@ -96,7 +96,7 @@ bench-regress: build
 #   dune exec bin/threadfuser_cli.exe -- suite --resume
 suite: build
 	dune exec --no-build bin/threadfuser_cli.exe -- suite \
-		vectoradd uncoalesced bfs --jobs 2 --deadline 60 --retries 1
+		vectoradd uncoalesced bfs --jobs 2 --deadline 60
 
 # the same batch through the artifact cache, twice: the second pass must
 # serve every job as a verified hit (see docs/robustness.md §9), then

@@ -993,30 +993,20 @@ let diff_cmd =
 (* ------------------------------------------------------------------ *)
 (* Suite: supervised batch execution with checkpoint/resume             *)
 
-let suite_run () trace_out metrics_out workloads jobs deadline retries backoff
-    dir resume warps levels threads scale seed inject_crash inject_stall stall_s
-    every_attempt cache_dir domains =
+let suite_run () trace_out metrics_out workloads jobs deadline retries dir
+    resume warps levels threads scale fault cache_dir domains =
   let workloads =
     match workloads with
     | [] -> List.map (fun w -> w.W.name) Registry.all
     | ws -> ws
   in
-  let chaos =
-    let p =
-      Runner.Exec_fault.plan ~seed ~crash_pct:inject_crash
-        ~stall_pct:inject_stall ~stall_s
-        ~first_attempt_only:(not every_attempt) ()
-    in
-    if Runner.Exec_fault.active p then Some p else None
-  in
+  let chaos = Option.map Runner.Exec_fault.plan_of_spec fault in
   let cache = Option.map Cache.open_ cache_dir in
   let config =
     {
       Runner.parallelism = jobs;
       deadline_s = deadline;
       retries;
-      backoff_s = backoff;
-      seed;
       dir;
       resume;
       chaos;
@@ -1070,21 +1060,18 @@ let suite_cmd =
       value
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Per-attempt wall-clock budget; over it the job times out.")
+          ~doc:
+            "Per-attempt wall-clock budget (finite, > 0); over it the job \
+             times out.")
   in
   let retries_arg =
     Arg.(
-      value & opt int 1
+      value & opt int 0
       & info [ "retries" ] ~docv:"N"
-          ~doc:"Extra attempts after a failed first one.")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:
-            "Base delay before the first retry; doubles per attempt with \
-             seeded jitter, capped at 30 s.")
+            "Extra attempts after a failed first one; the first waits \
+             0.25 s, doubling per attempt with jitter.  Jobs are \
+             deterministic, so this is for $(b,--fault) runs.")
   in
   let dir_arg =
     Arg.(
@@ -1120,39 +1107,16 @@ let suite_cmd =
       & info [ "O"; "opt-level" ] ~docv:"LEVEL,..."
           ~doc:"Optimization levels to cross into the job matrix.")
   in
-  let seed_arg =
+  let fault_arg =
     Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Root seed for backoff jitter and fault injection.")
-  in
-  let inject_crash_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "inject-crash" ] ~docv:"PCT"
+      value
+      & opt (some string) None
+      & info [ "fault" ] ~docv:"SPEC"
           ~doc:
-            "Chaos: crash each eligible attempt with this probability \
-             (deterministic per seed/job/attempt).")
-  in
-  let inject_stall_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "inject-stall" ] ~docv:"PCT"
-          ~doc:"Chaos: stall eligible attempts with this probability.")
-  in
-  let stall_s_arg =
-    Arg.(
-      value & opt float 30.
-      & info [ "stall-s" ] ~docv:"SECONDS"
-          ~doc:"How long an injected stall sleeps.")
-  in
-  let every_attempt_flag =
-    Arg.(
-      value & flag
-      & info [ "inject-every-attempt" ]
-          ~doc:
-            "Make retries as fault-prone as first attempts (default: \
-             faults fire on attempt 1 only, so retries recover).")
+            "Chaos, deterministic per seed/job/attempt: a comma list of \
+             crash=PCT, stall=PCT, stall-s=SECONDS (30), seed=N (1) and \
+             every (fault retries too, not just first attempts), e.g. \
+             $(b,crash=40,seed=7).")
   in
   let cache_dir_opt =
     Arg.(
@@ -1181,16 +1145,15 @@ let suite_cmd =
     (Cmd.info "suite"
        ~doc:
          "Analyze a batch of workloads under a supervisor: parallel \
-          crash-isolated jobs, per-job deadlines, seeded retry/backoff, \
+          crash-isolated jobs, per-job deadlines, retry with backoff, \
           and an fsync'd checkpoint journal so $(b,--resume) skips \
           completed work.  Always writes a manifest accounting for every \
           job; exits 3 unless every job completed clean.")
     Term.(
       const suite_run $ setup_term $ trace_out_arg $ metrics_out_arg
-      $ workloads_pos $ jobs_arg $ deadline_arg $ retries_arg
-      $ backoff_arg $ dir_arg $ resume_flag $ warps_arg $ levels_arg $ threads
-      $ scale $ seed_arg $ inject_crash_arg $ inject_stall_arg $ stall_s_arg
-      $ every_attempt_flag $ cache_dir_opt $ suite_domains_arg)
+      $ workloads_pos $ jobs_arg $ deadline_arg $ retries_arg $ dir_arg
+      $ resume_flag $ warps_arg $ levels_arg $ threads $ scale $ fault_arg
+      $ cache_dir_opt $ suite_domains_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Cache: artifact-store maintenance                                    *)
@@ -1308,8 +1271,7 @@ let socket_arg =
         ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
-    max_sessions quota deadline workers seed inject_disc inject_stall
-    inject_oversize stall_s disc_after socket flight_dir cache_dir =
+    max_sessions quota deadline workers fault socket flight_dir cache_dir =
   let prog = W.link ~alloc:w.W.alloc w.W.cpu level in
   let options =
     {
@@ -1317,14 +1279,7 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
       Analyzer.domains = resolve_domains domains;
     }
   in
-  let fault =
-    let p =
-      Runner.Exec_fault.session_plan ~seed ~disconnect_pct:inject_disc
-        ~stall_writer_pct:inject_stall ~oversize_pct:inject_oversize
-        ~writer_stall_s:stall_s ~disconnect_after:disc_after ()
-    in
-    if Runner.Exec_fault.session_plan_active p then Some p else None
-  in
+  let fault = Option.map Runner.Exec_fault.session_plan_of_spec fault in
   let cache = Option.map Cache.open_ cache_dir in
   let cfg =
     {
@@ -1334,7 +1289,6 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
       session_quota = quota;
       deadline_s = deadline;
       workers = max 1 workers;
-      seed;
       fault;
       flight_dir;
       cache;
@@ -1379,8 +1333,9 @@ let serve_cmd =
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
-            "Per-session wall-clock budget; over it the session gets a \
-             typed $(b,timeout) reply covering the prefix it sent.")
+            "Per-session wall-clock budget (finite, > 0); over it the \
+             session gets a typed $(b,timeout) reply covering the prefix \
+             it sent.")
   in
   let workers_arg =
     Arg.(
@@ -1388,45 +1343,16 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N"
           ~doc:"Analysis worker domains servicing the session pool.")
   in
-  let seed_arg =
+  let fault_arg =
     Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Root seed for backoff jitter and fault injection.")
-  in
-  let inject_disconnect_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "inject-disconnect" ] ~docv:"PCT"
+      value
+      & opt (some string) None
+      & info [ "fault" ] ~docv:"SPEC"
           ~doc:
-            "Chaos: cut this percentage of sessions mid-stream \
-             (deterministic per seed and accept ordinal).")
-  in
-  let inject_stall_writer_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "inject-stall-writer" ] ~docv:"PCT"
-          ~doc:"Chaos: stop reading this percentage of sessions' sockets.")
-  in
-  let inject_oversize_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "inject-oversize" ] ~docv:"PCT"
-          ~doc:
-            "Chaos: prepend an oversized frame header to this percentage \
-             of sessions.")
-  in
-  let stall_s_arg =
-    Arg.(
-      value & opt float 30.
-      & info [ "stall-s" ] ~docv:"SECONDS"
-          ~doc:"How long an injected writer stall lasts.")
-  in
-  let disconnect_after_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "disconnect-after" ] ~docv:"BYTES"
-          ~doc:"Upper bound on bytes read before an injected disconnect.")
+            "Chaos, deterministic per seed and accept ordinal: a comma \
+             list of disconnect=PCT, stall-writer=PCT, oversize=PCT, \
+             stall-s=SECONDS (30), disconnect-after=BYTES (cut within \
+             4096) and seed=N (1), e.g. $(b,oversize=34,seed=4).")
   in
   let flight_dir_arg =
     Arg.(
@@ -1464,14 +1390,28 @@ let serve_cmd =
       const serve_run $ setup_term $ trace_out_arg $ metrics_out_arg
       $ workload_pos $ opt_level $ warp_size $ ignore_sync $ domains_arg
       $ max_sessions_arg $ quota_arg $ deadline_arg
-      $ workers_arg $ seed_arg $ inject_disconnect_arg
-      $ inject_stall_writer_arg $ inject_oversize_arg $ stall_s_arg
-      $ disconnect_after_arg $ socket_arg $ flight_dir_arg
+      $ workers_arg $ fault_arg $ socket_arg $ flight_dir_arg
       $ serve_cache_dir_arg)
+
+(* An absent daemon, or one that closes before its reply, is one error
+   line and exit 2, never an uncaught exception. *)
+let daemon_call ~what path f =
+  let fail m detail = Log.err "%s: %s: %s" m path detail; exit exit_corrupt in
+  try f () with
+  | Unix.Unix_error (e, "connect", _) ->
+      fail (Printf.sprintf "cannot %s daemon" what) (Unix.error_message e)
+  | Unix.Unix_error (e, _, _) ->
+      fail "daemon closed the session" (Unix.error_message e)
+  | End_of_file -> fail "daemon closed the session" "no reply"
 
 let client_run () path socket chunk_bytes =
   let stream = Stream.encode (Trace_file.load path) in
-  let outcome = Sclient.session ~chunk_bytes ~socket_path:socket stream in
+  (* a daemon that closes while we still send must surface as EPIPE *)
+  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+  let outcome =
+    daemon_call ~what:"reach" socket (fun () ->
+        Sclient.session ~chunk_bytes ~socket_path:socket stream)
+  in
   let r = outcome.Sclient.reply in
   Log.info "serve reply"
     ~fields:
@@ -1526,12 +1466,8 @@ let client_cmd =
 (* Stat: scrape a running daemon's admin socket                         *)
 
 let scrape ~format socket =
-  let admin = Serve.admin_path_of socket in
-  try Ok (Sclient.stats ~format ~socket_path:socket ())
-  with
-  | Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" admin (Unix.error_message e))
-  | End_of_file -> Error (Printf.sprintf "%s: daemon closed mid-reply" admin)
+  daemon_call ~what:"scrape" (Serve.admin_path_of socket) (fun () ->
+      Sclient.stats ~format ~socket_path:socket ())
 
 let jint k j =
   Option.value ~default:0 (Option.bind (Json.member k j) Json.to_int_opt)
@@ -1602,33 +1538,26 @@ let stat_poll socket interval count =
   let prev = ref None in
   let iter = ref 0 in
   while (not !stop) && (count = 0 || !iter < count) do
-    (match scrape ~format:Sprotocol.Stats_json socket with
-    | Error m ->
-        Log.err "cannot scrape daemon: %s" m;
-        exit exit_corrupt
-    | Ok body ->
-        let j = parse_stats body in
-        let d = Option.value ~default:(Json.Obj []) (Json.member "daemon" j) in
-        let l =
-          Option.value ~default:(Json.Obj []) (Json.member "latency_us" j)
-        in
-        let done_n = jint "served" d + jint "failed" d in
-        let bytes = jint "bytes_ingested" d in
-        let shed = jint "shed" d in
-        (match !prev with
-        | None ->
-            Fmt.pr "%-8s %8s %9s %12s %9s %9s %9s %9s@." "time" "active"
-              "sess/s" "ingest-B/s" "shed/s" "p50-us" "p95-us" "p99-us"
-        | Some (t0, done0, bytes0, shed0) ->
-            let dt = Unix.gettimeofday () -. t0 in
-            let dt = if dt <= 0.0 then interval else dt in
-            Fmt.pr "%-8.1f %8d %9.2f %12.0f %9.2f %9.0f %9.0f %9.0f@."
-              (jfloat "uptime_s" j) (jint "active" d)
-              (float_of_int (done_n - done0) /. dt)
-              (float_of_int (bytes - bytes0) /. dt)
-              (float_of_int (shed - shed0) /. dt)
-              (jfloat "p50" l) (jfloat "p95" l) (jfloat "p99" l));
-        prev := Some (Unix.gettimeofday (), done_n, bytes, shed));
+    let j = parse_stats (scrape ~format:Sprotocol.Stats_json socket) in
+    let d = Option.value ~default:(Json.Obj []) (Json.member "daemon" j) in
+    let l = Option.value ~default:(Json.Obj []) (Json.member "latency_us" j) in
+    let done_n = jint "served" d + jint "failed" d in
+    let bytes = jint "bytes_ingested" d in
+    let shed = jint "shed" d in
+    (match !prev with
+    | None ->
+        Fmt.pr "%-8s %8s %9s %12s %9s %9s %9s %9s@." "time" "active"
+          "sess/s" "ingest-B/s" "shed/s" "p50-us" "p95-us" "p99-us"
+    | Some (t0, done0, bytes0, shed0) ->
+        let dt = Unix.gettimeofday () -. t0 in
+        let dt = if dt <= 0.0 then interval else dt in
+        Fmt.pr "%-8.1f %8d %9.2f %12.0f %9.2f %9.0f %9.0f %9.0f@."
+          (jfloat "uptime_s" j) (jint "active" d)
+          (float_of_int (done_n - done0) /. dt)
+          (float_of_int (bytes - bytes0) /. dt)
+          (float_of_int (shed - shed0) /. dt)
+          (jfloat "p50" l) (jfloat "p95" l) (jfloat "p99" l));
+    prev := Some (Unix.gettimeofday (), done_n, bytes, shed);
     incr iter;
     if (not !stop) && (count = 0 || !iter < count) then Unix.sleepf interval
   done
@@ -1651,13 +1580,9 @@ let stat_run () socket prom json interval count =
       let format =
         if prom then Sprotocol.Stats_prom else Sprotocol.Stats_json
       in
-      match scrape ~format socket with
-      | Error m ->
-          Log.err "cannot scrape daemon: %s" m;
-          exit exit_corrupt
-      | Ok body ->
-          if prom || json then print_string body
-          else stat_print_human (parse_stats body))
+      let body = scrape ~format socket in
+      if prom || json then print_string body
+      else stat_print_human (parse_stats body))
 
 let prom_flag =
   Arg.(

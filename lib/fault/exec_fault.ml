@@ -1,14 +1,6 @@
-(** Execution faults: seeded crash and stall injection for the supervised
-    suite runner (lib/runner).
-
-    Where {!Injector} damages a job's *input* (trace bytes and events),
-    this module damages its *execution*: a job attempt can be made to
-    crash before doing any work, or to stall long enough to trip the
-    supervisor's wall-clock deadline.  The decision for a given
-    [(plan, job id, attempt)] triple is a pure function of the plan's seed
-    — via {!Threadfuser_util.Lcg.derive} stream splitting — so chaos runs
-    are replayable and CI-safe, exactly like the input-fault campaigns.
-    See the "Supervision" section of docs/robustness.md. *)
+(** Execution faults: seeded crash and stall injection for the suite
+    runner and session faults for the serve daemon (see exec_fault.mli).
+    Where {!Injector} damages a job's input, this damages its execution. *)
 
 module Lcg = Threadfuser_util.Lcg
 
@@ -32,8 +24,14 @@ type plan = {
       (** when set, only job ids with this prefix are eligible *)
 }
 
+(* a NaN stall would crash a suite attempt or never end a serve stall *)
+let check_seconds ~who s =
+  if not (Float.is_finite s && s >= 0.) then
+    invalid_arg (who ^ ": stall seconds must be finite and >= 0")
+
 let plan ?(seed = 1) ?(crash_pct = 0) ?(stall_pct = 0) ?(stall_s = 30.)
     ?(first_attempt_only = true) ?only_prefix () =
+  check_seconds ~who:"Exec_fault.plan" stall_s;
   {
     seed;
     arms =
@@ -43,7 +41,15 @@ let plan ?(seed = 1) ?(crash_pct = 0) ?(stall_pct = 0) ?(stall_s = 30.)
     only_prefix;
   }
 
-let active p = Fault_plan.active p.arms
+let plan_of_spec s =
+  let s =
+    Fault_plan.spec ~who:"Exec_fault.plan_of_spec" ~flags:[ "every" ]
+      ~keys:[ "crash"; "stall"; "stall-s"; "seed" ] s
+  in
+  let i = Fault_plan.int s in
+  plan ?seed:(i "seed") ?crash_pct:(i "crash") ?stall_pct:(i "stall")
+    ?stall_s:(Fault_plan.float s "stall-s")
+    ~first_attempt_only:(not (Fault_plan.flag s "every")) ()
 
 (** [decide plan ~job ~attempt] — [attempt] is 1-based.  Pure: the same
     triple always yields the same action. *)
@@ -87,6 +93,7 @@ type session_plan = {
 
 let session_plan ?(seed = 1) ?(disconnect_pct = 0) ?(stall_writer_pct = 0)
     ?(oversize_pct = 0) ?(writer_stall_s = 30.) ?(disconnect_after = 4096) () =
+  check_seconds ~who:"Exec_fault.session_plan" writer_stall_s;
   let session_arms =
     Fault_plan.make ~who:"Exec_fault.session_plan"
       [
@@ -102,7 +109,17 @@ let session_plan ?(seed = 1) ?(disconnect_pct = 0) ?(stall_writer_pct = 0)
     invalid_arg "Exec_fault.session_plan: disconnect_after must be >= 0";
   { session_seed = seed; session_arms }
 
-let session_plan_active p = Fault_plan.active p.session_arms
+let session_plan_of_spec s =
+  let s =
+    Fault_plan.spec ~who:"Exec_fault.session_plan_of_spec" ~flags:[] s
+      ~keys:[ "disconnect"; "stall-writer"; "oversize"; "stall-s";
+              "disconnect-after"; "seed" ]
+  in
+  let i = Fault_plan.int s in
+  session_plan ?seed:(i "seed") ?disconnect_pct:(i "disconnect")
+    ?stall_writer_pct:(i "stall-writer") ?oversize_pct:(i "oversize")
+    ?writer_stall_s:(Fault_plan.float s "stall-s")
+    ?disconnect_after:(i "disconnect-after") ()
 
 (** [decide_session plan ~session] — the fault for the daemon's
     [session]-th accepted connection (0-based ordinal).  Pure, so a chaos

@@ -15,8 +15,9 @@ type plan
 (** Crash and stall percentages drawn in that order (see {!Fault_plan}),
     plus which attempts and job ids are eligible. *)
 
-(** Build a plan; percentages are validated to 0..100.  Defaults: seed 1,
-    no faults, 30 s stalls, first attempt only, all jobs eligible. *)
+(** Build a plan; percentages are validated to 0..100 and [stall_s] must
+    be finite and >= 0 (else [Invalid_argument]).  Defaults: seed 1, no
+    faults, 30 s stalls, first attempt only, all jobs eligible. *)
 val plan :
   ?seed:int ->
   ?crash_pct:int ->
@@ -27,8 +28,10 @@ val plan :
   unit ->
   plan
 
-val active : plan -> bool
-(** At least one percentage is non-zero. *)
+val plan_of_spec : string -> plan
+(** [suite --fault], e.g. ["crash=40,stall=10,stall-s=5,seed=7,every"]
+    ([every]: fault retries too); omitted keys keep {!plan}'s defaults.
+    Raises [Invalid_argument] on a bad spec (see {!Fault_plan.spec}). *)
 
 (** [decide plan ~job ~attempt] — the action for this attempt ([attempt]
     is 1-based; raises on 0).  Deterministic per triple. *)
@@ -36,7 +39,7 @@ val decide : plan -> job:string -> attempt:int -> action
 
 (** {1 Session faults}
 
-    The serve daemon's chaos dimension ([threadfuser serve --inject-*]):
+    The serve daemon's chaos dimension ([threadfuser serve --fault]):
     deterministic per (seed, session ordinal), so a chaos smoke run
     replays exactly.  See docs/robustness.md §8. *)
 
@@ -60,8 +63,10 @@ type session_plan
     order (see {!Fault_plan}), plus the stall length and the cut-point
     bound. *)
 
-(** Build a session-fault plan; percentages validated to 0..100.
-    Defaults: seed 1, no faults, 30 s stalls, cut within 4096 bytes. *)
+(** Build a session-fault plan; percentages validated to 0..100,
+    [writer_stall_s] finite and >= 0, [disconnect_after] >= 0 (else
+    [Invalid_argument]).  Defaults: seed 1, no faults, 30 s stalls, cut
+    within 4096 bytes. *)
 val session_plan :
   ?seed:int ->
   ?disconnect_pct:int ->
@@ -72,8 +77,9 @@ val session_plan :
   unit ->
   session_plan
 
-(** At least one percentage is non-zero. *)
-val session_plan_active : session_plan -> bool
+val session_plan_of_spec : string -> session_plan
+(** [serve --fault]: keys [disconnect], [stall-writer], [oversize],
+    [stall-s], [disconnect-after] and [seed]; as {!plan_of_spec}. *)
 
 (** The fault for the daemon's [session]-th accepted connection (0-based
     ordinal).  Pure. *)

@@ -2,7 +2,8 @@
     {!Store_fault}): a plan is an ordered list of arms, each a percentage
     and the action it fires.  This module alone validates the
     percentages and draws the arms, so every injector makes its decisions
-    the same way. *)
+    the same way.  It also reads the [--fault] specs ([crash=40,every])
+    that build plans from the command line. *)
 
 type 'a t
 (** The ordered arms of a plan producing actions of type ['a]. *)
@@ -13,10 +14,22 @@ val make : who:string -> (int * (Threadfuser_util.Lcg.t -> 'a)) list -> 'a t
     as replayable as the decision.  Raises [Invalid_argument] naming
     [who] when a percentage lies outside 0..100. *)
 
-val active : 'a t -> bool
-(** At least one arm has a non-zero percentage. *)
-
 val draw : 'a t -> stream:int -> none:'a -> 'a
 (** [draw arms ~stream ~none] — seed a generator with [stream], draw one
     [Lcg.chance] per arm in order, and fire the first arm that hits;
     [none] when no arm does.  Pure in [(arms, stream)]. *)
+
+type spec
+(** A parsed [key=value,flag,...] list. *)
+
+val spec : who:string -> flags:string list -> keys:string list -> string -> spec
+(** [spec ~who ~flags ~keys s] splits [s] on commas into bare [flags] and
+    [key=value] items.  Raises [Invalid_argument] naming [who] on an empty
+    spec, an unknown or repeated key, a flag given a value, or a key
+    without one. *)
+
+val flag : spec -> string -> bool
+val int : spec -> string -> int option
+val float : spec -> string -> float option
+(** [None] when absent; [Invalid_argument] on a malformed value.  Range
+    checks are the plan constructors' job. *)

@@ -4,8 +4,8 @@
     jittered to [0.5x, 1.5x) so a batch of jobs that failed together does
     not retry in lock-step (a thundering herd against whatever shared
     resource made them fail).  The jitter draw comes from a generator
-    derived with {!Threadfuser_util.Lcg.derive} from the suite seed and
-    the attempt index, so a given (seed, job, attempt) always waits the
+    derived with {!Threadfuser_util.Lcg.derive} from a job-specific seed
+    and the attempt index, so a given (job, attempt) always waits the
     same time: suite runs are replayable end to end. *)
 
 module Lcg = Threadfuser_util.Lcg

@@ -1,6 +1,6 @@
 (** The supervised suite runner: crash-isolated parallel analysis of any
     subset of the workload registry (optionally crossed with a config
-    matrix), with per-job wall-clock deadlines, seeded retry/backoff, and
+    matrix), with per-job wall-clock deadlines, retry with backoff, and
     checkpoint/resume.
 
     The paper's evaluation is a batch of 36 analyses; this module is the
@@ -171,8 +171,6 @@ type config = {
   parallelism : int;  (** jobs in flight at once *)
   deadline_s : float option;  (** per-attempt wall-clock budget *)
   retries : int;  (** extra attempts after the first *)
-  backoff_s : float;  (** base backoff before the first retry *)
-  seed : int;  (** root of every derived stream (backoff jitter) *)
   dir : string;  (** suite directory: journal, reports, manifest *)
   resume : bool;  (** skip journalled successes *)
   chaos : Exec_fault.plan option;  (** execution-fault injection *)
@@ -184,9 +182,7 @@ let default_config =
   {
     parallelism = 1;
     deadline_s = None;
-    retries = 1;
-    backoff_s = 0.25;
-    seed = 1;
+    retries = 0;
     dir = ".tfsuite";
     resume = false;
     chaos = None;
@@ -268,11 +264,11 @@ let exec_job ~domains (j : job) : string * bool =
   let rep = r.Analyzer.report in
   (Report_json.to_string rep, Metrics.degraded rep)
 
-(* Per-job backoff stream: derived from the suite seed and the job id, so
-   two jobs never share jitter and a re-run waits identically. *)
-let backoff_delay cfg ~id ~attempt =
-  Backoff.delay_s ~base:cfg.backoff_s
-    ~seed:(Lcg.derive ~seed:cfg.seed ~index:(Lcg.hash_string id))
+(* 0.25 s base; the jitter stream is derived from the job id, so two jobs
+   never share jitter and a re-run waits identically. *)
+let backoff_delay ~id ~attempt =
+  Backoff.delay_s ~base:0.25
+    ~seed:(Lcg.derive ~seed:1 ~index:(Lcg.hash_string id))
     ~attempt
 
 let final_outcome ~attempt failure =
@@ -508,7 +504,7 @@ let run_fork cfg (pendings : pending list) ~(finish : entry -> unit) =
         if r.rp.attempt <= cfg.retries then begin
           (* budget left: back off and requeue *)
           Obs.Counter.incr c_retries;
-          let delay = backoff_delay cfg ~id:r.rp.pid_ ~attempt:r.rp.attempt in
+          let delay = backoff_delay ~id:r.rp.pid_ ~attempt:r.rp.attempt in
           fl_note r.rp
             ~args:[ ("backoff_s", Printf.sprintf "%.3f" delay) ]
             "retrying after backoff";
@@ -751,6 +747,9 @@ let run ?(config = default_config) (jobs : job list) : manifest =
   if jobs = [] then invalid_arg "Runner.run: no jobs";
   if config.parallelism < 1 then invalid_arg "Runner.run: parallelism < 1";
   if config.retries < 0 then invalid_arg "Runner.run: negative retries";
+  let bad d = not (Float.is_finite d && d > 0.) in
+  if Option.fold ~none:false ~some:bad config.deadline_s then
+    invalid_arg "Runner.run: deadline must be finite and > 0";
   (* a stop request only spans one batch: a resume run in the same
      process starts fresh *)
   Atomic.set stop_requested false;

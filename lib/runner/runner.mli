@@ -2,7 +2,7 @@
 
     [run] takes a list of {!job}s (one analysis configuration each) and
     executes them under a supervisor that runs every attempt in a
-    [Unix.fork]ed child, with per-job SIGKILL deadlines, seeded retry/backoff, and an append-only
+    [Unix.fork]ed child, with per-job SIGKILL deadlines, retry with backoff, and an append-only
     checkpoint journal ({!Journal}) enabling [--resume].  It {e always}
     terminates with a {!manifest} that accounts for every requested job.
     See docs/robustness.md ("Supervision"). *)
@@ -125,9 +125,7 @@ val pp_manifest : Format.formatter -> manifest -> unit
 type config = {
   parallelism : int;  (** jobs in flight at once *)
   deadline_s : float option;  (** per-attempt wall-clock budget *)
-  retries : int;  (** extra attempts after the first *)
-  backoff_s : float;  (** base backoff before the first retry *)
-  seed : int;  (** root of every derived stream (backoff jitter) *)
+  retries : int;  (** extra attempts after the first, 0.25 s backoff *)
   dir : string;  (** suite directory: journal, reports, manifest *)
   resume : bool;  (** skip journalled successes *)
   chaos : Exec_fault.plan option;  (** execution-fault injection *)
@@ -144,8 +142,8 @@ type config = {
 }
 
 val default_config : config
-(** parallelism 1, no deadline, 1 retry, 0.25 s backoff, seed 1,
-    dir [".tfsuite"], no resume, no chaos, no cache, 1 replay domain. *)
+(** parallelism 1, no deadline, no retries, dir [".tfsuite"], no resume,
+    no chaos, no cache, 1 replay domain. *)
 
 (** {1 Running} *)
 
@@ -166,5 +164,6 @@ val run : ?config:config -> job list -> manifest
     deadline kills); a job that
     fails terminally dumps it to [flight/<id>.trace.json] +
     [.metrics.txt], referenced from its entry.  Raises [Invalid_argument]
-    only on an empty job list or nonsensical config; job failures are
-    data, not exceptions. *)
+    only on an empty job list or nonsensical config (parallelism < 1,
+    negative retries, a deadline that is not finite and > 0); job
+    failures are data, not exceptions. *)

@@ -41,7 +41,10 @@ let session ?(chunk_bytes = 65536) ~socket_path bytes =
       match greeting.Protocol.status with
       | Protocol.Busy -> { reply = greeting; report = None }
       | Protocol.Ready ->
-          send_chunked fd ~chunk_bytes bytes;
+          (* a daemon that answers early (quota, injected fault) closes
+             while we still send; its reply is in our receive buffer *)
+          (try send_chunked fd ~chunk_bytes bytes
+           with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
           (* half-close our side so a daemon waiting on more input sees a
              finished sender even if the stream lacks its end frame *)
           (try Unix.shutdown fd Unix.SHUTDOWN_SEND

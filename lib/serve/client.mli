@@ -10,8 +10,9 @@ type outcome = {
 (** [session ?chunk_bytes ~socket_path bytes] runs one blocking session:
     connect, read the greeting, stream [bytes] (a TFSTREAM1 stream) in
     [chunk_bytes] slices (default 64KiB), read the reply.  A [busy]
-    greeting returns immediately with no report.  Raises [Unix.Unix_error]
-    on connection failure and [Tf_error.Error] on a malformed reply. *)
+    greeting returns immediately with no report; an early reply still
+    returns when the send is cut.  Raises [Unix.Unix_error] or
+    [End_of_file] on connection failure, [Tf_error.Error] on a bad reply. *)
 val session : ?chunk_bytes:int -> socket_path:string -> string -> outcome
 
 (** [stats ?format ~socket_path ()] scrapes the daemon's admin socket

@@ -15,7 +15,7 @@
       reply and is closed, never silently queued;
     - {e deadlines}: a session idle past [--deadline] gets a typed
       [timeout] reply over whatever prefix it sent;
-    - {e seeded backoff}: transient [accept] failures (fd exhaustion)
+    - {e backoff}: transient [accept] failures (fd exhaustion)
       mute the listener for a {!Threadfuser_runner.Backoff} delay instead
       of spinning;
     - {e crash isolation}: a session whose analysis raises is answered
@@ -84,7 +84,6 @@ type config = {
   session_quota : int;  (** per-session memory budget (bytes) *)
   deadline_s : float option;  (** per-session wall-clock budget *)
   workers : int;  (** analysis worker domains *)
-  seed : int;  (** backoff jitter seed *)
   fault : Exec_fault.session_plan option;  (** chaos injection *)
   tmp_dir : string option;
       (** where a session over half its quota of decoded traces spills
@@ -114,7 +113,6 @@ let default_config ~prog ~socket_path =
     session_quota = Session.default_budget;
     deadline_s = None;
     workers = 1;
-    seed = 1;
     fault = None;
     tmp_dir = None;
     flight_dir = None;
@@ -886,6 +884,9 @@ let write_admin (a : admin) =
 let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
   if cfg.max_sessions < 1 then invalid_arg "Serve.run: max_sessions must be >= 1";
   if cfg.workers < 1 then invalid_arg "Serve.run: workers must be >= 1";
+  let bad d = not (Float.is_finite d && d > 0.) in
+  if Option.fold ~none:false ~some:bad cfg.deadline_s then
+    invalid_arg "Serve.run: deadline must be finite and > 0";
   (* a peer vanishing mid-reply must surface as EPIPE, not kill the
      daemon; restored when the drain completes *)
   let prev_sigpipe =
@@ -1053,10 +1054,10 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
               | `Accepted | `Shed | `Again -> accept_attempt := 0
               | `Error e ->
                   (* transient fd pressure: mute the listener for a
-                     seeded backoff delay rather than spinning *)
+                     backoff delay rather than spinning *)
                   incr accept_attempt;
                   let delay =
-                    Backoff.delay_s ~base:accept_backoff_s ~seed:cfg.seed
+                    Backoff.delay_s ~base:accept_backoff_s ~seed:1
                       ~attempt:!accept_attempt
                   in
                   accept_muted_until := now () +. delay;

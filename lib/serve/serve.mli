@@ -7,7 +7,7 @@
     daemon runs every session through {!Threadfuser.Analyzer.Session}
     under a per-session memory quota and supervises with [lib/runner]
     semantics: backpressure instead of unbounded buffering, typed [busy]
-    shedding at [max_sessions], per-session deadlines, seeded backoff on
+    shedding at [max_sessions], per-session deadlines, backoff on
     transient accept failures, crash isolation, and a graceful drain on
     SIGTERM.  See docs/robustness.md §8. *)
 
@@ -19,7 +19,6 @@ type config = {
   session_quota : int;  (** per-session memory budget (bytes) *)
   deadline_s : float option;  (** per-session wall-clock budget *)
   workers : int;  (** analysis worker domains *)
-  seed : int;  (** backoff jitter seed *)
   fault : Threadfuser_fault.Exec_fault.session_plan option;
       (** deterministic chaos injection, keyed by accept ordinal *)
   tmp_dir : string option;
@@ -45,8 +44,7 @@ type config = {
 val admin_path_of : string -> string
 
 (** 8 sessions, {!Threadfuser.Analyzer.Session.default_budget} quota, no
-    deadline, 1 worker, seed 1, no faults, flight recorder off, no
-    cache. *)
+    deadline, 1 worker, no faults, flight recorder off, no cache. *)
 val default_config :
   prog:Threadfuser_prog.Program.t -> socket_path:string -> config
 
@@ -65,5 +63,6 @@ type stats = {
     collector is enabled for the daemon's lifetime (and restored after),
     so [STATS prom] scrapes always see live [tf_serve_*] instruments.
     Raises [Invalid_argument] on a non-positive [max_sessions] or
-    [workers]; [Unix.Unix_error] if a socket cannot be bound. *)
+    [workers] or a deadline that is not finite and > 0;
+    [Unix.Unix_error] if a socket cannot be bound. *)
 val run : ?stop:bool Atomic.t -> ?on_ready:(unit -> unit) -> config -> stats

@@ -500,7 +500,6 @@ let suite_config ~cache dir =
     Runner.default_config with
     parallelism = 1;
     retries = 0;
-    backoff_s = 0.005;
     dir;
     cache = Some cache;
   }

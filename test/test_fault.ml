@@ -280,6 +280,25 @@ let test_quarantine_linear () =
     (Printf.sprintf "quarantined in %.2f s (bound 2 s)" dt)
     true (dt < 2.0)
 
+let exec_action p ~job ~attempt =
+  match Exec_fault.decide p ~job ~attempt with
+  | Exec_fault.No_fault -> "none"
+  | Crash -> "crash"
+  | Stall s -> Printf.sprintf "stall %g" s
+
+let session_action p ~session =
+  match Exec_fault.decide_session p ~session with
+  | Exec_fault.Session_ok -> "none"
+  | Disconnect n -> Printf.sprintf "disconnect %d" n
+  | Stall_writer s -> Printf.sprintf "stall-writer %g" s
+  | Oversize_frame -> "oversize-frame"
+
+let decision_jobs =
+  List.concat_map
+    (fun w -> List.map (Printf.sprintf "%s.w%d.O1.s1" w) [ 8; 32 ])
+    [ "vectoradd"; "bfs"; "uncoalesced"; "pigz"; "nbody" ]
+  @ [ ""; "x" ]
+
 (* Golden decision table for the three seeded fault plans: every
    [(plan, key)] below must map to the action recorded in
    fault_decisions.golden, so any change to stream derivation or arm
@@ -301,12 +320,6 @@ let fault_decision_table () =
             ~first_attempt_only:false ());
     ]
   in
-  let jobs =
-    List.concat_map
-      (fun w -> List.map (Printf.sprintf "%s.w%d.O1.s1" w) [ 8; 32 ])
-      [ "vectoradd"; "bfs"; "uncoalesced"; "pigz"; "nbody" ]
-    @ [ ""; "x" ]
-  in
   List.iter
     (fun (name, mk) ->
       List.iter
@@ -315,16 +328,10 @@ let fault_decision_table () =
           List.iter
             (fun job ->
               for attempt = 1 to 3 do
-                let a =
-                  match Exec_fault.decide p ~job ~attempt with
-                  | Exec_fault.No_fault -> "none"
-                  | Crash -> "crash"
-                  | Stall s -> Printf.sprintf "stall %g" s
-                in
                 line "exec %s seed=%d job=%S attempt=%d -> %s" name seed job
-                  attempt a
+                  attempt (exec_action p ~job ~attempt)
               done)
-            jobs)
+            decision_jobs)
         [ 1; 4; 9; 42; 2024 ])
     exec_plans;
   let session_plans =
@@ -344,14 +351,8 @@ let fault_decision_table () =
         (fun seed ->
           let p = mk seed in
           for session = 0 to 63 do
-            let a =
-              match Exec_fault.decide_session p ~session with
-              | Exec_fault.Session_ok -> "none"
-              | Disconnect n -> Printf.sprintf "disconnect %d" n
-              | Stall_writer s -> Printf.sprintf "stall-writer %g" s
-              | Oversize_frame -> "oversize-frame"
-            in
-            line "session %s seed=%d session=%d -> %s" name seed session a
+            line "session %s seed=%d session=%d -> %s" name seed session
+              (session_action p ~session)
           done)
         [ 1; 4; 11; 99 ])
     session_plans;
@@ -408,25 +409,121 @@ let test_decision_table () =
   Alcotest.(check int) "table length" (List.length expect) (List.length got);
   List.iter2 (Alcotest.(check string) "decision") expect got
 
-(* Every plan rejects a percentage outside 0..100, naming itself. *)
+(* Every plan rejects a percentage outside 0..100 and the execution
+   plans a stall that is not a finite, non-negative number of seconds,
+   naming themselves. *)
 let test_plan_validation () =
-  let rejects name f =
+  let rejects name msg f =
     match f () with
-    | () -> Alcotest.failf "%s accepted an out-of-range percentage" name
+    | () -> Alcotest.failf "%s accepted %s" name msg
     | exception Invalid_argument m ->
-        Alcotest.(check string)
-          "message" (name ^ ": percentages must be in 0..100") m
+        Alcotest.(check string) "message" (name ^ ": " ^ msg) m
   in
-  rejects "Exec_fault.plan" (fun () ->
+  let pct = "percentages must be in 0..100" in
+  rejects "Exec_fault.plan" pct (fun () ->
       ignore (Exec_fault.plan ~stall_pct:101 ()));
-  rejects "Exec_fault.session_plan" (fun () ->
+  rejects "Exec_fault.session_plan" pct (fun () ->
       ignore (Exec_fault.session_plan ~oversize_pct:(-1) ()));
-  rejects "Store_fault.plan" (fun () ->
+  rejects "Store_fault.plan" pct (fun () ->
       ignore (Store_fault.plan ~partial_pct:200 ()));
-  Alcotest.(check bool) "all-zero plan inactive" false
-    (Exec_fault.active (Exec_fault.plan ()));
-  Alcotest.(check bool) "one arm makes it active" true
-    (Exec_fault.session_plan_active (Exec_fault.session_plan ~oversize_pct:1 ()))
+  let secs = "stall seconds must be finite and >= 0" in
+  List.iter
+    (fun s ->
+      rejects "Exec_fault.plan" secs (fun () ->
+          ignore (Exec_fault.plan ~stall_pct:1 ~stall_s:s ()));
+      rejects "Exec_fault.session_plan" secs (fun () ->
+          ignore (Exec_fault.session_plan ~writer_stall_s:s ())))
+    [ nan; infinity; neg_infinity; -1.; -0.001 ]
+
+(* A [--fault] spec builds the same plan as the constructor call it
+   spells: same decisions over the golden table's corpus, seeded or at
+   the default seed. *)
+let test_specs_decide_like_constructors () =
+  let seeds = None :: List.map Option.some [ 1; 4; 9; 42; 2024 ] in
+  let with_seed spec = function
+    | None -> spec
+    | Some s -> Printf.sprintf "%s,seed=%d" spec s
+  in
+  List.iter
+    (fun (spec, mk) ->
+      List.iter
+        (fun seed ->
+          let spec = with_seed spec seed in
+          let a = mk ?seed () and b = Exec_fault.plan_of_spec spec in
+          List.iter
+            (fun job ->
+              for attempt = 1 to 3 do
+                Alcotest.(check string)
+                  (Printf.sprintf "%s job=%S attempt=%d" spec job attempt)
+                  (exec_action a ~job ~attempt)
+                  (exec_action b ~job ~attempt)
+              done)
+            decision_jobs)
+        seeds)
+    [
+      ( "crash=50,stall=25,stall-s=0.5,every",
+        fun ?seed () ->
+          Exec_fault.plan ?seed ~crash_pct:50 ~stall_pct:25 ~stall_s:0.5
+            ~first_attempt_only:false () );
+      ("stall=100", fun ?seed () -> Exec_fault.plan ?seed ~stall_pct:100 ());
+      ( "every,stall=60,crash=10,stall-s=2",
+        fun ?seed () ->
+          Exec_fault.plan ?seed ~crash_pct:10 ~stall_pct:60 ~stall_s:2.
+            ~first_attempt_only:false () );
+      ("crash=40", fun ?seed () -> Exec_fault.plan ?seed ~crash_pct:40 ());
+    ];
+  List.iter
+    (fun (spec, mk) ->
+      List.iter
+        (fun seed ->
+          let spec = with_seed spec seed in
+          let a = mk ?seed () and b = Exec_fault.session_plan_of_spec spec in
+          for session = 0 to 63 do
+            Alcotest.(check string)
+              (Printf.sprintf "%s session=%d" spec session)
+              (session_action a ~session)
+              (session_action b ~session)
+          done)
+        seeds)
+    [
+      ( "oversize=34",
+        fun ?seed () -> Exec_fault.session_plan ?seed ~oversize_pct:34 () );
+      ( "disconnect=30,stall-writer=20,oversize=25,stall-s=2.5",
+        fun ?seed () ->
+          Exec_fault.session_plan ?seed ~disconnect_pct:30
+            ~stall_writer_pct:20 ~oversize_pct:25 ~writer_stall_s:2.5 () );
+      ( "disconnect-after=17,disconnect=100",
+        fun ?seed () ->
+          Exec_fault.session_plan ?seed ~disconnect_pct:100
+            ~disconnect_after:17 () );
+    ]
+
+(* Every malformed spec is one [Invalid_argument] naming its parser. *)
+let test_bad_specs () =
+  let rejects parser name spec =
+    match parser spec with
+    | _ -> Alcotest.failf "%s accepted %S" name spec
+    | exception Invalid_argument m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S: %s" spec m)
+          true
+          (String.starts_with ~prefix:"Exec_fault." m)
+  in
+  List.iter
+    (rejects Exec_fault.plan_of_spec "suite")
+    [
+      ""; "bogus"; "crash=40,bogus"; "crash=4,crash=5"; "crash=101";
+      "crash=-1"; "crash"; "crash="; "crash=4.5"; "every=1"; "every,every";
+      "oversize=34"; "disconnect-after=4096"; "stall-s=nan"; "stall-s=inf";
+      "stall-s=-1"; "stall-s=x"; "seed=x"; "crash=40,"; ",crash=40";
+    ];
+  List.iter
+    (rejects Exec_fault.session_plan_of_spec "serve")
+    [
+      ""; "disconnect-after=-1"; "disconnect-after=1.5"; "crash=40"; "every";
+      "stall=5"; "oversize"; "oversize=200"; "stall-s=nan"; "stall-s=-1";
+      "seed=4,seed=4";
+    ]
 
 let () =
   Alcotest.run "fault"
@@ -447,5 +544,8 @@ let () =
             test_decision_table;
           Alcotest.test_case "plan percentages validated" `Quick
             test_plan_validation;
+          Alcotest.test_case "fault specs decide like constructors" `Quick
+            test_specs_decide_like_constructors;
+          Alcotest.test_case "bad fault specs rejected" `Quick test_bad_specs;
         ] );
     ]

@@ -29,13 +29,12 @@ let read_file p =
 
 let small = [ "vectoradd"; "bfs"; "uncoalesced" ]
 
-let config ?(parallelism = 2) ?deadline_s ?(retries = 1) ?(backoff_s = 0.005) ?(resume = false) ?chaos dir =
+let config ?(parallelism = 2) ?deadline_s ?(retries = 1) ?(resume = false) ?chaos dir =
   {
     Runner.default_config with
     parallelism;
     deadline_s;
     retries;
-    backoff_s;
     resume;
     chaos;
     dir;
@@ -576,6 +575,20 @@ let test_exec_fault_determinism () =
     (Exec_fault.action_name
        (Exec_fault.decide scoped ~job:"pigz.w32.O1.s1" ~attempt:1))
 
+(* A deadline has to be a real budget: NaN used to switch it off, and a
+   non-positive one timed out every attempt. *)
+let test_bad_deadline () =
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (Printf.sprintf "deadline %g" d)
+        (Invalid_argument "Runner.run: deadline must be finite and > 0")
+        (fun () ->
+          ignore
+            (Runner.run
+               ~config:(config ~deadline_s:d (fresh_dir ()))
+               [ Runner.job "vectoradd" ])))
+    [ nan; infinity; 0.; -1. ]
+
 let () =
   Alcotest.run "runner"
     [
@@ -596,6 +609,8 @@ let () =
           Alcotest.test_case "flight dump on terminal failure" `Quick
             test_flight_dump_on_terminal_failure;
           Alcotest.test_case "manifest rollup" `Quick test_manifest_rollup;
+          Alcotest.test_case "deadline must be finite and positive" `Quick
+            test_bad_deadline;
         ] );
       ( "journal",
         [

@@ -218,7 +218,7 @@ let test_deadline_timeout () =
   in
   Alcotest.(check int) "timeout counted failed" 1 stats.Serve.failed
 
-(* Deterministic chaos: with --inject-disconnect at 100%, every session is
+(* Deterministic chaos: with --fault disconnect=100, every session is
    cut and answered with a typed error; the daemon drains cleanly. *)
 let test_injected_faults () =
   let _, traces = Lazy.force fixture in
@@ -246,6 +246,20 @@ let test_injected_faults () =
           Alcotest.failf "session %d decided %s, expected disconnect" i
             (Exec_fault.session_action_name a))
     outcomes
+
+(* A daemon that cuts a session replies and closes while the client is
+   still streaming: the client's send fails with EPIPE, yet the typed
+   reply already in its receive buffer is what it returns. *)
+let test_reply_after_early_close () =
+  let _, traces = Lazy.force fixture in
+  let fault =
+    Exec_fault.session_plan ~disconnect_pct:100 ~disconnect_after:2048 ()
+  in
+  (* far more than the socket buffers hold, so the send is cut *)
+  let stream = Stream.encode traces ^ String.make (1 lsl 20) '\x00' in
+  let o, _ = with_daemon ~fault (fun socket_path -> Client.session ~socket_path stream) in
+  Alcotest.(check string) "typed reply, not EPIPE" "error"
+    (Protocol.status_name o.Client.reply.Protocol.status)
 
 (* The admin surface, scraped mid-flight: a poisoned session and a live
    squatter, then a STATS scrape on the admin socket.  The JSON document
@@ -393,6 +407,27 @@ let test_flight_dump_on_poison () =
     (String.length metrics > 0
     && String.sub metrics 0 6 = "# HELP")
 
+(* A NaN deadline used to reach [Unix.select]'s timeout and kill the
+   daemon at its first session; every bad deadline is refused before
+   anything is bound.  [stop] is already set, so a daemon that wrongly
+   starts drains at once instead of hanging the test. *)
+let test_bad_deadline () =
+  let prog, _ = Lazy.force fixture in
+  List.iter
+    (fun d ->
+      let socket_path = fresh_socket () in
+      let cfg =
+        {
+          (Serve.default_config ~prog ~socket_path) with
+          Serve.deadline_s = Some d;
+        }
+      in
+      Alcotest.check_raises (Printf.sprintf "deadline %g" d)
+        (Invalid_argument "Serve.run: deadline must be finite and > 0")
+        (fun () -> ignore (Serve.run ~stop:(Atomic.make true) cfg));
+      Alcotest.(check bool) "nothing bound" false (Sys.file_exists socket_path))
+    [ nan; infinity; 0.; -1. ]
+
 let test_drain_idle () =
   let (), stats = with_daemon (fun _ -> ()) in
   Alcotest.(check int) "no sessions" 0
@@ -414,5 +449,9 @@ let () =
           Alcotest.test_case "flight dump on poison" `Quick
             test_flight_dump_on_poison;
           Alcotest.test_case "idle drain" `Quick test_drain_idle;
+          Alcotest.test_case "reply survives an early close" `Quick
+            test_reply_after_early_close;
+          Alcotest.test_case "deadline must be finite and positive" `Quick
+            test_bad_deadline;
         ] );
     ]
