@@ -153,12 +153,12 @@ let domains_arg =
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
           "Replay worker domains.  Warps shard across an OCaml 5 domain \
-           pool with a deterministic reduction, so any value yields \
+           pool with a deterministic reduction, so any value >= 1 yields \
            byte-identical reports.  Defaults to $(b,TF_DOMAINS) when set, \
            else 1 (sequential).")
 
 let resolve_domains = function
-  | Some d -> max 1 d
+  | Some d -> d
   | None -> Threadfuser.Par_replay.default_domains ()
 
 let options ~warp_size ~ignore_sync =
@@ -993,8 +993,8 @@ let diff_cmd =
 (* ------------------------------------------------------------------ *)
 (* Suite: supervised batch execution with checkpoint/resume             *)
 
-let suite_run () trace_out metrics_out workloads jobs deadline retries dir
-    resume warps levels threads scale fault cache_dir domains =
+let suite_run () trace_out metrics_out workloads jobs deadline dir resume
+    warps levels threads scale fault cache_dir =
   let workloads =
     match workloads with
     | [] -> List.map (fun w -> w.W.name) Registry.all
@@ -1006,12 +1006,10 @@ let suite_run () trace_out metrics_out workloads jobs deadline retries dir
     {
       Runner.parallelism = jobs;
       deadline_s = deadline;
-      retries;
       dir;
       resume;
       chaos;
       cache;
-      domains = (match domains with Some d -> max 1 d | None -> 1);
     }
   in
   let batch =
@@ -1064,15 +1062,6 @@ let suite_cmd =
             "Per-attempt wall-clock budget (finite, > 0); over it the job \
              times out.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Extra attempts after a failed first one; the first waits \
-             0.25 s, doubling per attempt with jitter.  Jobs are \
-             deterministic, so this is for $(b,--fault) runs.")
-  in
   let dir_arg =
     Arg.(
       value
@@ -1114,9 +1103,12 @@ let suite_cmd =
       & info [ "fault" ] ~docv:"SPEC"
           ~doc:
             "Chaos, deterministic per seed/job/attempt: a comma list of \
-             crash=PCT, stall=PCT, stall-s=SECONDS (30), seed=N (1) and \
-             every (fault retries too, not just first attempts), e.g. \
-             $(b,crash=40,seed=7).")
+             crash=PCT, stall=PCT, stall-s=SECONDS (30), seed=N (1), \
+             retries=N (0; extra attempts after a failed first one, the \
+             first after 0.25 s, doubling with jitter) and every (fault \
+             retries too, not just first attempts), e.g. \
+             $(b,crash=40,seed=7,retries=2).  Without it no job is \
+             retried: jobs are deterministic.")
   in
   let cache_dir_opt =
     Arg.(
@@ -1129,18 +1121,6 @@ let suite_cmd =
              version) hits; write clean fresh results through.  Composes \
              with $(b,--resume).")
   in
-  (* suite already uses -j for job-level parallelism, so the replay-domain
-     knob is long-form only here *)
-  let suite_domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Replay worker domains inside each job's analysis (the \
-             analyzer's $(b,-j)); byte-identical reports at any value.  \
-             Orthogonal to $(b,--jobs).")
-  in
   Cmd.v
     (Cmd.info "suite"
        ~doc:
@@ -1151,9 +1131,8 @@ let suite_cmd =
           job; exits 3 unless every job completed clean.")
     Term.(
       const suite_run $ setup_term $ trace_out_arg $ metrics_out_arg
-      $ workloads_pos $ jobs_arg $ deadline_arg $ retries_arg $ dir_arg
-      $ resume_flag $ warps_arg $ levels_arg $ threads $ scale $ fault_arg
-      $ cache_dir_opt $ suite_domains_arg)
+      $ workloads_pos $ jobs_arg $ deadline_arg $ dir_arg $ resume_flag
+      $ warps_arg $ levels_arg $ threads $ scale $ fault_arg $ cache_dir_opt)
 
 (* ------------------------------------------------------------------ *)
 (* Cache: artifact-store maintenance                                    *)
@@ -1271,7 +1250,7 @@ let socket_arg =
         ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
-    max_sessions quota deadline workers fault socket flight_dir cache_dir =
+    max_sessions quota deadline workers fault socket flight_dir =
   let prog = W.link ~alloc:w.W.alloc w.W.cpu level in
   let options =
     {
@@ -1280,7 +1259,6 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
     }
   in
   let fault = Option.map Runner.Exec_fault.session_plan_of_spec fault in
-  let cache = Option.map Cache.open_ cache_dir in
   let cfg =
     {
       (Serve.default_config ~prog ~socket_path:socket) with
@@ -1288,10 +1266,9 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
       max_sessions;
       session_quota = quota;
       deadline_s = deadline;
-      workers = max 1 workers;
+      workers;
       fault;
       flight_dir;
-      cache;
     }
   in
   let stop = Atomic.make false in
@@ -1300,9 +1277,7 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
   ignore (Sys.signal Sys.sigint (Sys.Signal_handle request_stop));
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let stats =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Cache.close cache)
-      (fun () -> with_obs ~trace_out ~metrics_out (fun () -> Serve.run ~stop cfg))
+    with_obs ~trace_out ~metrics_out (fun () -> Serve.run ~stop cfg)
   in
   Fmt.pr "served %d session(s), %d failed, %d shed, %d byte(s) ingested@."
     stats.Serve.served stats.Serve.failed stats.Serve.shed
@@ -1365,16 +1340,6 @@ let serve_cmd =
              metrics snapshot there whenever a session ends in an error \
              or timeout reply.")
   in
-  let serve_cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Serve clean report frames from (and write them through to) \
-             the artifact cache at $(docv), keyed by the stream's content \
-             digest.  Cache failures degrade to uncached replies.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1390,8 +1355,7 @@ let serve_cmd =
       const serve_run $ setup_term $ trace_out_arg $ metrics_out_arg
       $ workload_pos $ opt_level $ warp_size $ ignore_sync $ domains_arg
       $ max_sessions_arg $ quota_arg $ deadline_arg
-      $ workers_arg $ fault_arg $ socket_arg $ flight_dir_arg
-      $ serve_cache_dir_arg)
+      $ workers_arg $ fault_arg $ socket_arg $ flight_dir_arg)
 
 (* An absent daemon, or one that closes before its reply, is one error
    line and exit 2, never an uncaught exception. *)
@@ -1413,7 +1377,14 @@ let client_run () path socket chunk_bytes =
         Sclient.session ~chunk_bytes ~socket_path:socket stream)
   in
   let r = outcome.Sclient.reply in
-  Log.info "serve reply"
+  (* a reply that is not a report says why at the default log level *)
+  let log =
+    match r.Sprotocol.status with
+    | Sprotocol.Error_reply | Sprotocol.Timeout -> Log.err
+    | Sprotocol.Busy -> Log.warn
+    | Sprotocol.Ok_report | Sprotocol.Degraded | Sprotocol.Ready -> Log.info
+  in
+  log "serve reply"
     ~fields:
       ([
          ("status", Sprotocol.status_name r.Sprotocol.status);

@@ -21,8 +21,6 @@ type t = {
   observed : bool array; (* blocks that appeared in some trace *)
 }
 
-let entry_node = 0
-
 let n_nodes t = t.n_blocks + 1
 
 module Obs = Threadfuser_obs.Obs

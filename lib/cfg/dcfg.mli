@@ -13,8 +13,6 @@ type t = {
   observed : bool array;  (** blocks that appeared in some trace *)
 }
 
-val entry_node : int
-
 val n_nodes : t -> int
 
 (** Incremental builder over any number of thread traces. *)

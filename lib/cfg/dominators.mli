@@ -8,8 +8,6 @@ type t = {
   rpo_index : int array;  (** reverse-postorder position; -1 unreachable *)
 }
 
-val reverse_postorder : n:int -> entry:int -> succs:(int -> int list) -> int array
-
 val compute :
   n:int -> entry:int -> succs:(int -> int list) -> preds:(int -> int list) -> t
 

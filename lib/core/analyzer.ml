@@ -531,7 +531,7 @@ let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
           [
             ("warps", string_of_int n);
             ("domains", string_of_int domains);
-            ("requested_domains", string_of_int (max 1 options.domains));
+            ("requested_domains", string_of_int options.domains);
           ]
         (fun () ->
           Par_replay.map_shards ~domains ~n ~init ~item:(fun sh w ->
@@ -643,6 +643,11 @@ type checked = {
    (pushes, pops, reconvergence retargets) on damaged traces. *)
 let default_fuel events = (64 * events) + 4096
 
+let check_domains options =
+  if options.domains < 1 then
+    invalid_arg
+      (Printf.sprintf "Analyzer: domains %d must be >= 1" options.domains)
+
 (* Quarantine -> replay -> coverage over [src].  Every thread whose tid
    carries an Error among [diagnostics] is quarantined before replay
    ({!Validate.verdict}).  [checked] turns on the fuel watchdog (default:
@@ -655,6 +660,7 @@ let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
     invalid_arg
       (Printf.sprintf "Analyzer: warp size %d outside 1..%d" options.warp_size
          Mask.max_lanes);
+  check_domains options;
   let bad, keep = Validate.verdict ~tids:src.tids diagnostics in
   let n_total = Array.length src.tids in
   let surv_tids = ref [] and surv_events = ref [] and pre_dropped = ref 0 in
@@ -791,6 +797,7 @@ module Session = struct
       invalid_arg
         "Analyzer.Session.create: streaming analysis requires Sequential \
          batching (other policies need every trace at once)";
+    check_domains options;
     let max_frame = max budget_bytes 65536 in
     {
       s_options = options;

@@ -27,7 +27,8 @@ type options = {
       (** replay worker domains; warps are sharded across an OCaml 5
           domain pool and reduced deterministically, so any value >= 1
           yields byte-identical output (docs/performance.md).  1 =
-          sequential replay in the calling domain.  The request is capped
+          sequential replay in the calling domain; below 1 every entry
+          point raises [Invalid_argument].  The request is capped
           by trace volume ({!Par_replay.auto_domains}), so a workload too
           small to amortize domain hand-offs replays on fewer domains;
           only the wall-clock changes. *)
@@ -122,9 +123,10 @@ module Session : sig
       in-memory spool (decoder reassembly plus the decoded tail) and a
       single stream frame (at least 64 KiB);
       [tmp_dir] hosts the spill file (default: [Filename.temp_dir_name]).
-      @raise Invalid_argument if [budget_bytes <= 0] or
-        [options.batching] is not [Sequential] (other policies need every
-        trace at once, which streaming cannot provide). *)
+      @raise Invalid_argument if [budget_bytes <= 0],
+        [options.domains < 1] or [options.batching] is not [Sequential]
+        (other policies need every trace at once, which streaming cannot
+        provide). *)
   val create :
     ?options:options ->
     ?budget_bytes:int ->

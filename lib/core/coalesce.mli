@@ -3,8 +3,6 @@
     32-byte transactions, counted separately per address segment
     (stack/heap/global) for the paper's Fig. 10 breakdown. *)
 
-val transaction_bytes : int
-
 (** Distinct 32 B lines covered by [(addr, size)] accesses. *)
 val count_transactions : (int * int) list -> int
 

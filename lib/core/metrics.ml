@@ -110,15 +110,6 @@ type report = {
   coverage : coverage;
 }
 
-let full_coverage ~n_threads =
-  {
-    threads_total = n_threads;
-    threads_analyzed = n_threads;
-    threads_quarantined = 0;
-    events_dropped = 0;
-    warps_failed = 0;
-  }
-
 (** A report is degraded when any thread was quarantined or any warp's
     replay aborted. *)
 let degraded r =

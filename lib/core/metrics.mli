@@ -114,9 +114,6 @@ type report = {
   coverage : coverage;
 }
 
-(** Full coverage: every thread analyzed, nothing dropped. *)
-val full_coverage : n_threads:int -> coverage
-
 (** True when any thread was quarantined or any warp's replay aborted. *)
 val degraded : report -> bool
 

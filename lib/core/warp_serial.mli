@@ -14,8 +14,6 @@
 
 exception Corrupt of string
 
-val to_buffer : Warp_trace.t -> Buffer.t
-
 val to_string : Warp_trace.t -> string
 
 val of_string : string -> Warp_trace.t

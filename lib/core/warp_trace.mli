@@ -71,9 +71,6 @@ type t = { warp_size : int; templates : template array; warps : warp array }
 (** A memory record's space field: [Global] is 0, [Local] is 1. *)
 val space_code : space -> int
 
-(** Stack addresses are [Local], heap and global ones [Global]. *)
-val space_of_addr : int -> space
-
 (** Micro-ops of one warp. *)
 val n_ops : warp -> int
 

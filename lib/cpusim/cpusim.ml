@@ -90,6 +90,7 @@ let thread_cycles config core (trace : Thread_trace.t) =
     statistics are byte-identical at any value. *)
 let run ?(config = default_config) ?(domains = 1)
     (traces : Thread_trace.t array) : stats =
+  if domains < 1 then invalid_arg "Cpusim.run: domains must be >= 1";
   let cores =
     Array.init config.n_cores (fun _ ->
         { l1 = Cache.create config.l1; cycles = 0; instrs = 0; log = Access_log.create () })

@@ -34,7 +34,8 @@ type stats = {
 
 (** Simulate the trace set.  [domains] partitions the cores over the
     persistent domain pool ({!Threadfuser.Par_replay}); statistics are
-    byte-identical at any [domains >= 1]. *)
+    byte-identical at any [domains >= 1]; [domains < 1] raises
+    [Invalid_argument]. *)
 val run :
   ?config:config ->
   ?domains:int ->

@@ -5,8 +5,6 @@ val batching : Ctx.t -> unit
 
 val reconvergence : Ctx.t -> unit
 
-val lock_policy : Ctx.t -> unit
-
 val scheduler : Ctx.t -> unit
 
 (** All of the above. *)

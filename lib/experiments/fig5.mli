@@ -26,7 +26,4 @@ type level_stats = {
 
 val per_level : sample list -> level_stats list
 
-val dispersion : sample list -> float * float
-(** (std of efficiency errors, share within one std). *)
-
 val run : Ctx.t -> level_stats list

@@ -25,9 +25,6 @@ val cpu_seconds : ?domains:int -> Threadfuser_workloads.Workload.traced -> float
 
 val series : Ctx.t -> row list
 
-(** Pearson correlation between the two speedup series (the paper's 0.97). *)
-val speedup_correlation : row list -> float
-
 (** Mean relative execution-time error between the series. *)
 val time_error : row list -> float
 

@@ -2,9 +2,6 @@
     hardware between a multicore CPU and a GPU, evaluated on the
     microservice suite. *)
 
-val design_points : (string * int * int * float) list
-(** (label, cores, warp width, clock GHz). *)
-
 type cell = { speedup : float }
 
 type row = { workload : string; cells : (string * cell) list }

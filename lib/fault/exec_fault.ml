@@ -22,6 +22,7 @@ type plan = {
           the deterministic shape CI smoke tests want *)
   only_prefix : string option;
       (** when set, only job ids with this prefix are eligible *)
+  retries : int;  (** extra attempts the supervisor grants a failed job *)
 }
 
 (* a NaN stall would crash a suite attempt or never end a serve stall *)
@@ -30,8 +31,9 @@ let check_seconds ~who s =
     invalid_arg (who ^ ": stall seconds must be finite and >= 0")
 
 let plan ?(seed = 1) ?(crash_pct = 0) ?(stall_pct = 0) ?(stall_s = 30.)
-    ?(first_attempt_only = true) ?only_prefix () =
+    ?(first_attempt_only = true) ?only_prefix ?(retries = 0) () =
   check_seconds ~who:"Exec_fault.plan" stall_s;
+  if retries < 0 then invalid_arg "Exec_fault.plan: retries must be >= 0";
   {
     seed;
     arms =
@@ -39,17 +41,21 @@ let plan ?(seed = 1) ?(crash_pct = 0) ?(stall_pct = 0) ?(stall_s = 30.)
         [ (crash_pct, fun _ -> Crash); (stall_pct, fun _ -> Stall stall_s) ];
     first_attempt_only;
     only_prefix;
+    retries;
   }
+
+let retries p = p.retries
 
 let plan_of_spec s =
   let s =
     Fault_plan.spec ~who:"Exec_fault.plan_of_spec" ~flags:[ "every" ]
-      ~keys:[ "crash"; "stall"; "stall-s"; "seed" ] s
+      ~keys:[ "crash"; "stall"; "stall-s"; "seed"; "retries" ] s
   in
   let i = Fault_plan.int s in
   plan ?seed:(i "seed") ?crash_pct:(i "crash") ?stall_pct:(i "stall")
     ?stall_s:(Fault_plan.float s "stall-s")
-    ~first_attempt_only:(not (Fault_plan.flag s "every")) ()
+    ~first_attempt_only:(not (Fault_plan.flag s "every"))
+    ?retries:(i "retries") ()
 
 (** [decide plan ~job ~attempt] — [attempt] is 1-based.  Pure: the same
     triple always yields the same action. *)

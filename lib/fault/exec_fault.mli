@@ -13,11 +13,13 @@ val action_name : action -> string
 
 type plan
 (** Crash and stall percentages drawn in that order (see {!Fault_plan}),
-    plus which attempts and job ids are eligible. *)
+    which attempts and job ids are eligible, and the retry budget the
+    supervisor grants a failed job. *)
 
-(** Build a plan; percentages are validated to 0..100 and [stall_s] must
-    be finite and >= 0 (else [Invalid_argument]).  Defaults: seed 1, no
-    faults, 30 s stalls, first attempt only, all jobs eligible. *)
+(** Build a plan; percentages are validated to 0..100, [stall_s] must
+    be finite and >= 0 and [retries] >= 0 (else [Invalid_argument]).
+    Defaults: seed 1, no faults, 30 s stalls, first attempt only, all
+    jobs eligible, no retries. *)
 val plan :
   ?seed:int ->
   ?crash_pct:int ->
@@ -25,13 +27,19 @@ val plan :
   ?stall_s:float ->
   ?first_attempt_only:bool ->
   ?only_prefix:string ->
+  ?retries:int ->
   unit ->
   plan
 
+val retries : plan -> int
+(** Extra attempts after a failed first one.  A suite without a plan
+    retries nothing: its jobs are deterministic. *)
+
 val plan_of_spec : string -> plan
-(** [suite --fault], e.g. ["crash=40,stall=10,stall-s=5,seed=7,every"]
-    ([every]: fault retries too); omitted keys keep {!plan}'s defaults.
-    Raises [Invalid_argument] on a bad spec (see {!Fault_plan.spec}). *)
+(** [suite --fault], e.g.
+    ["crash=40,stall=10,stall-s=5,seed=7,retries=2,every"] ([every]:
+    fault retries too); omitted keys keep {!plan}'s defaults.  Raises
+    [Invalid_argument] on a bad spec (see {!Fault_plan.spec}). *)
 
 (** [decide plan ~job ~attempt] — the action for this attempt ([attempt]
     is 1-based; raises on 0).  Deterministic per triple. *)

@@ -37,22 +37,7 @@ let all_faults =
     Drop_unlock; Drop_barrier;
   ]
 
-let fault_name = function
-  | Drop_event -> "drop-event"
-  | Duplicate_event -> "duplicate-event"
-  | Swap_adjacent -> "swap-adjacent"
-  | Truncate_trace -> "truncate-trace"
-  | Bitflip_address -> "bitflip-address"
-  | Corrupt_block_id -> "corrupt-block-id"
-  | Drop_return -> "drop-return"
-  | Extra_return -> "extra-return"
-  | Drop_unlock -> "drop-unlock"
-  | Drop_barrier -> "drop-barrier"
-
 type applied = { fault : fault; tid : int; index : int }
-
-let pp_applied ppf a =
-  Fmt.pf ppf "%s@tid%d.%d" (fault_name a.fault) a.tid a.index
 
 (* Apply [fault] to [events] at (or near) [index]; [None] if the trace has
    no applicable site.  Pure: always returns a fresh array. *)
@@ -172,10 +157,6 @@ let inject ~seed ?(faults = 2) (traces : Thread_trace.t array) :
 type byte_fault =
   | Bit_flip of { offset : int; bit : int }
   | Truncate of int (* new length *)
-
-let pp_byte_fault ppf = function
-  | Bit_flip { offset; bit } -> Fmt.pf ppf "bitflip@%d.%d" offset bit
-  | Truncate n -> Fmt.pf ppf "truncate@%d" n
 
 (** [corrupt_bytes ~seed s] damages one byte (or the length) of the
     serialized trace [s], deterministically from [seed]. *)

@@ -19,13 +19,7 @@ type fault =
   | Drop_unlock  (** lock never released *)
   | Drop_barrier  (** one lane misses an arrival *)
 
-val all_faults : fault list
-
-val fault_name : fault -> string
-
 type applied = { fault : fault; tid : int; index : int }
-
-val pp_applied : Format.formatter -> applied -> unit
 
 (** [inject ~seed ?faults traces] applies up to [faults] (default 2)
     event-level faults to fresh copies of [traces]; faults without an
@@ -39,8 +33,6 @@ val inject :
 type byte_fault =
   | Bit_flip of { offset : int; bit : int }
   | Truncate of int  (** new length *)
-
-val pp_byte_fault : Format.formatter -> byte_fault -> unit
 
 (** [corrupt_bytes ~seed s] damages one byte (or truncates) the trace
     file bytes [s], deterministically from [seed]. *)

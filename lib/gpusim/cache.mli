@@ -25,5 +25,3 @@ val create : config -> t
 val access : t -> int -> bool
 
 val hit_rate : t -> float
-
-val reset_stats : t -> unit

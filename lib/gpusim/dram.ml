@@ -25,5 +25,3 @@ let access t ~now =
   t.next_free <- start +. t.interval;
   t.transactions <- t.transactions + 1;
   int_of_float start + t.latency
-
-let busy_until t = int_of_float t.next_free

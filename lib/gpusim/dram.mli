@@ -13,5 +13,3 @@ val create : latency:int -> transactions_per_cycle:float -> t
 
 (** [access t ~now] — completion cycle of one transaction issued at [now]. *)
 val access : t -> now:int -> int
-
-val busy_until : t -> int

@@ -357,6 +357,7 @@ let default_epoch = 4096
     are byte-identical at any [domains] and any [epoch >= 1]. *)
 let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
     (wt : Warp_trace.t) : stats =
+  if domains < 1 then invalid_arg "Gpusim.run: domains must be >= 1";
   let epoch = max 1 epoch in
   Obs.span "gpusim"
     ~args:

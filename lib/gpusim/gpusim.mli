@@ -37,7 +37,8 @@ val default_epoch : int
     partitions the SMs over the persistent domain pool
     ({!Threadfuser.Par_replay}); [epoch] sets the cycle-epoch barrier
     length.  Statistics are byte-identical at any [domains >= 1] and any
-    [epoch >= 1]; only the wall-clock changes. *)
+    [epoch >= 1]; only the wall-clock changes.  Raises
+    [Invalid_argument] when [domains < 1]. *)
 val run :
   ?config:Config.t ->
   ?domains:int ->

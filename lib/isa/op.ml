@@ -61,12 +61,6 @@ let isqrt n =
 let eval_unop op a =
   match op with Neg -> -a | Not -> lnot a | Fsqrt -> isqrt a
 
-let binop_is_float = function
-  | Fadd | Fsub | Fmul | Fdiv -> true
-  | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sar | Min | Max
-    ->
-      false
-
 let binop_to_string = function
   | Add -> "add"
   | Sub -> "sub"

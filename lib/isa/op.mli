@@ -28,11 +28,6 @@ val eval_binop : binop -> int -> int -> int
 
 val eval_unop : unop -> int -> int
 
-(** Integer square root (floor); total and terminating. *)
-val isqrt : int -> int
-
-val binop_is_float : binop -> bool
-
 val binop_to_string : binop -> string
 
 val unop_to_string : unop -> string

@@ -15,11 +15,7 @@
 
 type segment = Global | Heap | Stack
 
-let global_base = 0x0001_0000
-
 let heap_base = 0x1000_0000
-
-let heap_limit = 0x6000_0000
 
 let stack_region_base = 0x6000_0000
 

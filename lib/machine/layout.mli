@@ -13,11 +13,7 @@
 
 type segment = Global | Heap | Stack
 
-val global_base : int
-
 val heap_base : int
-
-val heap_limit : int
 
 val stack_region_base : int
 

@@ -94,10 +94,6 @@ let load_i64 t addr = load t ~width:Threadfuser_isa.Width.W8 addr
 
 let store_i64 t addr v = store t ~width:Threadfuser_isa.Width.W8 addr v
 
-let load_i32 t addr = load t ~width:Threadfuser_isa.Width.W4 addr
-
-let store_i32 t addr v = store t ~width:Threadfuser_isa.Width.W4 addr v
-
 (** [store_array64 t addr a] lays out [a] as consecutive 64-bit words. *)
 let store_array64 t addr a =
   Array.iteri (fun i v -> store_i64 t (addr + (8 * i)) v) a

@@ -22,10 +22,6 @@ val load_i64 : t -> int -> int
 
 val store_i64 : t -> int -> int -> unit
 
-val load_i32 : t -> int -> int
-
-val store_i32 : t -> int -> int -> unit
-
 (** [store_array64 t addr a] lays out [a] as consecutive 64-bit words. *)
 val store_array64 : t -> int -> int array -> unit
 

@@ -201,8 +201,6 @@ module Flight : sig
   (** Tap the calling domain: every event the enabled collector records
       on this domain is also appended to [fl]. *)
 
-  val detach : unit -> unit
-
   val with_attached : t -> (unit -> 'a) -> 'a
   (** [attach]/run/[detach], exception safe. *)
 end

@@ -17,9 +17,6 @@ val escape_label_value : string -> string
 val version : string
 (** The version string exported in [tf_build_info]. *)
 
-val build_info : (string * string) list
-(** The [tf_build_info] labels: version and OCaml compiler version. *)
-
 val to_string : Obs.snapshot -> string
 (** Besides the snapshot's instruments, every exposition carries
     [tf_obs_events_dropped_total] (even at 0), [tf_build_info] (labels

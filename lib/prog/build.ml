@@ -169,11 +169,6 @@ let while_ ?(w = Width.W8) cond a b body : code =
       label l_end;
     ]
 
-(** [do_while c a b body] — bottom-tested loop, runs at least once. *)
-let do_while ?(w = Width.W8) cond a b body : code =
-  let l_head = fresh "do" in
-  seq [ label l_head; seq body; cmp ~w a b; jcc cond l_head ]
-
 (** [for_up ~i ~from_ ~below body] — counted loop over register [i] from
     [from_] (inclusive) to [below] (exclusive), step 1. *)
 let for_up ?(w = Width.W8) ~i ~from_ ~below body : code =

@@ -141,9 +141,6 @@ val if_ :
 (** Top-tested loop: runs while [a c b] holds. *)
 val while_ : ?w:Width.t -> Cond.t -> Operand.t -> Operand.t -> code list -> code
 
-(** Bottom-tested loop: runs at least once, repeats while [a c b] holds. *)
-val do_while : ?w:Width.t -> Cond.t -> Operand.t -> Operand.t -> code list -> code
-
 (** Counted loop over register [i] from [from_] (inclusive) to [below]
     (exclusive), step 1. *)
 val for_up :

@@ -9,6 +9,4 @@ type func = { name : string; body : item list }
 
 type t = func list
 
-val pp_item : Format.formatter -> item -> unit
-
 val pp_func : Format.formatter -> func -> unit

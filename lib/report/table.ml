@@ -14,8 +14,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: cell count mismatch";
   t.rows <- cells :: t.rows
 
-let addf t fmts = add_row t fmts
-
 (* Formatting helpers for common cell types. *)
 let cell_float ?(digits = 2) v = Printf.sprintf "%.*f" digits v
 

@@ -10,8 +10,6 @@ val create : (string * align) list -> t
     column count. *)
 val add_row : t -> string list -> unit
 
-val addf : t -> string list -> unit
-
 val cell_float : ?digits:int -> float -> string
 
 (** [cell_pct 0.5] is ["50.0%"]. *)

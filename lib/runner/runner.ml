@@ -170,25 +170,24 @@ let request_stop () = Atomic.set stop_requested true
 type config = {
   parallelism : int;  (** jobs in flight at once *)
   deadline_s : float option;  (** per-attempt wall-clock budget *)
-  retries : int;  (** extra attempts after the first *)
   dir : string;  (** suite directory: journal, reports, manifest *)
   resume : bool;  (** skip journalled successes *)
   chaos : Exec_fault.plan option;  (** execution-fault injection *)
   cache : Cache.t option;  (** artifact cache: hit = job skipped *)
-  domains : int;  (** replay domains inside each job's analysis *)
 }
 
 let default_config =
   {
     parallelism = 1;
     deadline_s = None;
-    retries = 0;
     dir = ".tfsuite";
     resume = false;
     chaos = None;
     cache = None;
-    domains = 1;
   }
+
+(* Jobs are deterministic, so only an injected failure is worth a retry. *)
+let retries cfg = Option.fold ~none:0 ~some:Exec_fault.retries cfg.chaos
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -249,14 +248,10 @@ let read_text path =
 
 (** Run one analysis to a report-JSON string.  Deterministic: replay and
     report rendering depend only on the job, never on scheduling. *)
-let exec_job ~domains (j : job) : string * bool =
+let exec_job (j : job) : string * bool =
   let w = Registry.find j.workload in
   let options =
-    {
-      Analyzer.default_options with
-      Analyzer.warp_size = j.warp_size;
-      domains = max 1 domains;
-    }
+    { Analyzer.default_options with Analyzer.warp_size = j.warp_size }
   in
   let r =
     W.analyze ~options ~level:j.level ?threads:j.threads ~scale:j.scale w
@@ -358,7 +353,7 @@ let child_exec cfg (p : pending) tmp : 'never =
           | Exec_fault.Crash ->
               write_text (tmp ^ ".err") "injected crash";
               Unix._exit exit_injected));
-      let json, degraded = exec_job ~domains:cfg.domains p.pjob in
+      let json, degraded = exec_job p.pjob in
       write_text tmp (json ^ "\n");
       if degraded then exit_degraded_child else 0
     with e ->
@@ -443,8 +438,7 @@ let classify_exit cfg (r : running) status : attempt_result =
 let run_fork cfg (pendings : pending list) ~(finish : entry -> unit) =
   (* fork-in-multithreaded-process is the classic footgun: join any helper
      domains a previous analysis parked in the replay pool so every child
-     starts single-threaded.  Children rebuild their own pool lazily if
-     their job runs with [domains > 1]. *)
+     starts single-threaded.  Children replay on one domain. *)
   Threadfuser.Par_replay.quiesce ();
   let waiting = ref pendings in
   let running = ref [] in
@@ -501,7 +495,7 @@ let run_fork cfg (pendings : pending list) ~(finish : entry -> unit) =
         fl_note r.rp
           ~args:[ ("attempt", Obs.itos r.rp.attempt); ("kind", failure_name) ]
           "attempt failed";
-        if r.rp.attempt <= cfg.retries then begin
+        if r.rp.attempt <= retries cfg then begin
           (* budget left: back off and requeue *)
           Obs.Counter.incr c_retries;
           let delay = backoff_delay ~id:r.rp.pid_ ~attempt:r.rp.attempt in
@@ -746,7 +740,6 @@ let pp_manifest ppf m =
 let run ?(config = default_config) (jobs : job list) : manifest =
   if jobs = [] then invalid_arg "Runner.run: no jobs";
   if config.parallelism < 1 then invalid_arg "Runner.run: parallelism < 1";
-  if config.retries < 0 then invalid_arg "Runner.run: negative retries";
   let bad d = not (Float.is_finite d && d > 0.) in
   if Option.fold ~none:false ~some:bad config.deadline_s then
     invalid_arg "Runner.run: deadline must be finite and > 0";

@@ -63,15 +63,9 @@ end
 
 type source = Fresh | Resumed | Cached
 
-val source_name : source -> string
-
 val analyzer_version : string
 (** Part of every cache key; bumped when replay or report rendering
     changes semantically, so stale-analyzer artifacts can never hit. *)
-
-val cache_key : job -> Cache.key
-(** The artifact-cache key of a job: its full input identity
-    [(workload id, opt level, warp size, analyzer version)]. *)
 
 type entry = {
   job : job;
@@ -105,8 +99,6 @@ val all_ok : manifest -> bool
 val failures : manifest -> entry list
 (** Entries whose outcome is not a success. *)
 
-val manifest_to_json : manifest -> Threadfuser_report.Json.t
-
 val rollup_json : manifest -> Threadfuser_report.Json.t
 (** Fleet rollup of a manifest: job count, total attempts, throughput
     ([jobs_per_s]), artifact-cache effectiveness ([cache_hits],
@@ -125,25 +117,24 @@ val pp_manifest : Format.formatter -> manifest -> unit
 type config = {
   parallelism : int;  (** jobs in flight at once *)
   deadline_s : float option;  (** per-attempt wall-clock budget *)
-  retries : int;  (** extra attempts after the first, 0.25 s backoff *)
   dir : string;  (** suite directory: journal, reports, manifest *)
   resume : bool;  (** skip journalled successes *)
-  chaos : Exec_fault.plan option;  (** execution-fault injection *)
+  chaos : Exec_fault.plan option;
+      (** execution-fault injection; its {!Exec_fault.retries} is the
+          retry budget (0.25 s backoff, doubling), and without a plan no
+          job is retried *)
   cache : Cache.t option;
       (** artifact cache: a verified key hit materializes the cached
           report into the suite directory and journals a terminal [Ok]
           outcome (source [Cached]) without running the job; clean fresh
           runs are written through.  Composes with [resume]: the journal
           check runs first, then the cache. *)
-  domains : int;
-      (** replay worker domains inside each job's analysis
-          ({!Threadfuser.Analyzer.options}); byte-identical reports at
-          any value.  Orthogonal to [parallelism], which is job-level. *)
 }
 
 val default_config : config
-(** parallelism 1, no deadline, no retries, dir [".tfsuite"], no resume,
-    no chaos, no cache, 1 replay domain. *)
+(** parallelism 1, no deadline, dir [".tfsuite"], no resume, no chaos,
+    no cache.  Every job replays on one domain
+    ({!Threadfuser.Analyzer.default_options}). *)
 
 (** {1 Running} *)
 
@@ -165,5 +156,5 @@ val run : ?config:config -> job list -> manifest
     fails terminally dumps it to [flight/<id>.trace.json] +
     [.metrics.txt], referenced from its entry.  Raises [Invalid_argument]
     only on an empty job list or nonsensical config (parallelism < 1,
-    negative retries, a deadline that is not finite and > 0); job
+    a deadline that is not finite and > 0); job
     failures are data, not exceptions. *)

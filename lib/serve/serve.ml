@@ -34,9 +34,6 @@ module Report_json = Threadfuser_report.Report_json
 module Exec_fault = Threadfuser_fault.Exec_fault
 module Backoff = Threadfuser_runner.Backoff
 module Journal = Threadfuser_runner.Journal
-module Runner = Threadfuser_runner.Runner
-module Cache = Threadfuser_cache.Cache
-module Crc32 = Threadfuser_util.Crc32
 module Json = Threadfuser_report.Json
 module Obs = Threadfuser_obs.Obs
 module Prom = Threadfuser_obs.Prom
@@ -92,10 +89,6 @@ type config = {
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder;
           [None] disables the recorder *)
-  cache : Cache.t option;
-      (** artifact cache for clean report lookups, keyed by the stream's
-          content digest; [None] disables.  Cache failures degrade to
-          uncached replies — they never kill a session or the daemon. *)
 }
 
 (** Where the STATS admin socket lives relative to the session socket —
@@ -116,7 +109,6 @@ let default_config ~prog ~socket_path =
     fault = None;
     tmp_dir = None;
     flight_dir = None;
-    cache = None;
   }
 
 let flight_capacity = 2048
@@ -158,7 +150,6 @@ type sess = {
   accepted_wall : float;  (** wall clock at accept (stats: session age) *)
   accepted_us : float;  (** collector clock at accept (latency histogram) *)
   mutable bytes_in : int;  (** loop-side per-session ingest count *)
-  mutable crc_in : int;  (** running CRC-32 of the ingested stream *)
   flight : Obs.Flight.t option;  (** per-session flight recorder *)
 }
 
@@ -207,36 +198,7 @@ let monotonic_ids = Atomic.make 0
 let diag_strings diags =
   List.map (fun d -> Tf_error.to_string d) diags
 
-(* The report frame of a clean [Ok_report] reply can be served from (and
-   written through to) the artifact cache, keyed on the stream's content
-   digest.  A verified hit is byte-identical to fresh serialization by
-   construction — the daemon is deterministic over the stream bytes — and
-   any cache failure, corrupt entry included, silently degrades to the
-   freshly rendered report. *)
-let report_frame ?cache status rep =
-  let fresh () = Report_json.to_string rep in
-  match (status, cache) with
-  | Protocol.Ok_report, Some (t, key) -> (
-      match
-        Cache.find t ~key ~on_corrupt:(fun d ->
-            Log.warn "corrupt cache entry quarantined"
-              ~fields:[ ("error", Tf_error.to_string d) ])
-      with
-      | Some payload -> payload
-      | None ->
-          let s = fresh () in
-          (try Cache.put t ~key s
-           with exn ->
-             Log.warn "cache put failed; reply served uncached"
-               ~fields:[ ("exn", Printexc.to_string exn) ]);
-          s
-      | exception exn ->
-          Log.warn "cache lookup failed; reply served uncached"
-            ~fields:[ ("exn", Printexc.to_string exn) ];
-          fresh ())
-  | _ -> fresh ()
-
-let reply_of_checked ?cache ~timed_out ~truncated (c : Analyzer.checked) =
+let reply_of_checked ~timed_out ~truncated (c : Analyzer.checked) =
   let rep = c.Analyzer.result.Analyzer.report in
   let threads = rep.Metrics.coverage.Metrics.threads_total in
   let quarantined = List.length c.Analyzer.quarantined in
@@ -266,7 +228,7 @@ let reply_of_checked ?cache ~timed_out ~truncated (c : Analyzer.checked) =
   in
   let buf = Buffer.create 4096 in
   Protocol.add_frame buf (Protocol.reply_to_json status_reply);
-  Protocol.add_frame buf (report_frame ?cache status_reply.Protocol.status rep);
+  Protocol.add_frame buf (Report_json.to_string rep);
   (status_reply.Protocol.status, Buffer.contents buf)
 
 let reply_of_crash exn =
@@ -402,27 +364,7 @@ let worker_step svc (s : sess) =
           (fun () -> Session.finish session)
       with
       | checked ->
-          let cache =
-            match svc.cfg.cache with
-            | None -> None
-            | Some t ->
-                (* input is complete here, so the loop-side digest is
-                   final; lock anyway against a late timeout read. *)
-                Mutex.lock svc.mutex;
-                let crc = s.crc_in and len = s.bytes_in in
-                Mutex.unlock svc.mutex;
-                let key =
-                  {
-                    Cache.workload =
-                      Printf.sprintf "serve:crc32=%08x:len=%d" crc len;
-                    opt_level = 0;
-                    warp_size = svc.cfg.options.Analyzer.warp_size;
-                    analyzer_version = Runner.analyzer_version;
-                  }
-                in
-                Some (t, key)
-          in
-          reply_of_checked ?cache ~timed_out ~truncated checked
+          reply_of_checked ~timed_out ~truncated checked
       | exception exn ->
           (* [Session.finish] already catches non-fatal analysis failures;
              anything landing here is a daemon-side bug or a resource
@@ -596,7 +538,6 @@ let accept_session svc listen_fd =
             accepted_wall = now ();
             accepted_us = Obs.now_us ();
             bytes_in = 0;
-            crc_in = 0;
             flight = None;
           }
         in
@@ -633,7 +574,6 @@ let accept_session svc listen_fd =
             accepted_wall = now ();
             accepted_us = Obs.now_us ();
             bytes_in = 0;
-            crc_in = 0;
             flight =
               (match svc.cfg.flight_dir with
               | Some _ ->
@@ -665,7 +605,6 @@ let read_chunk svc (s : sess) =
       let chunk = Bytes.sub_string b 0 n in
       svc.bytes <- svc.bytes + n;
       s.bytes_in <- s.bytes_in + n;
-      s.crc_in <- Crc32.update s.crc_in chunk 0 n;
       Obs.Counter.add c_bytes n;
       fl_note s ~args:[ ("bytes", Obs.itos n) ] "chunk";
       (match s.read_cap with
@@ -884,6 +823,9 @@ let write_admin (a : admin) =
 let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
   if cfg.max_sessions < 1 then invalid_arg "Serve.run: max_sessions must be >= 1";
   if cfg.workers < 1 then invalid_arg "Serve.run: workers must be >= 1";
+  (* sessions are created in the select loop, which must not raise *)
+  if cfg.options.Analyzer.domains < 1 then
+    invalid_arg "Serve.run: domains must be >= 1";
   let bad d = not (Float.is_finite d && d > 0.) in
   if Option.fold ~none:false ~some:bad cfg.deadline_s then
     invalid_arg "Serve.run: deadline must be finite and > 0";

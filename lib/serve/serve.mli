@@ -29,13 +29,6 @@ type config = {
       (** where poisoned/timed-out sessions dump their flight recorder
           ([session-<id>.trace.json] + [.metrics.txt]); [None] disables
           per-session recorders entirely *)
-  cache : Threadfuser_cache.Cache.t option;
-      (** artifact cache for clean report lookups: the report frame of an
-          [ok] reply is keyed by the stream's CRC-32 content digest and
-          length, served from a verified hit or written through on a
-          miss.  Cache failures of any kind (corrupt entries included)
-          degrade to a freshly rendered report — they never kill a
-          session or the daemon.  [None] disables. *)
 }
 
 (** Where the STATS admin socket lives relative to the session socket
@@ -44,7 +37,7 @@ type config = {
 val admin_path_of : string -> string
 
 (** 8 sessions, {!Threadfuser.Analyzer.Session.default_budget} quota, no
-    deadline, 1 worker, no faults, flight recorder off, no cache. *)
+    deadline, 1 worker, no faults, flight recorder off. *)
 val default_config :
   prog:Threadfuser_prog.Program.t -> socket_path:string -> config
 
@@ -62,7 +55,8 @@ type stats = {
     socket files left by a dead daemon are replaced.  The observability
     collector is enabled for the daemon's lifetime (and restored after),
     so [STATS prom] scrapes always see live [tf_serve_*] instruments.
-    Raises [Invalid_argument] on a non-positive [max_sessions] or
-    [workers] or a deadline that is not finite and > 0;
+    Raises [Invalid_argument] on a non-positive [max_sessions],
+    [workers] or [options.domains] or a deadline that is not finite and
+    > 0;
     [Unix.Unix_error] if a socket cannot be bound. *)
 val run : ?stop:bool Atomic.t -> ?on_ready:(unit -> unit) -> config -> stats

@@ -43,10 +43,6 @@ type t =
 (** Shared empty array, to avoid allocating for the common no-access case. *)
 val no_accesses : access array
 
-val equal_access : access -> access -> bool
-
 val equal : t -> t -> bool
-
-val pp_access : Format.formatter -> access -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -60,8 +60,6 @@ val skip_excluded : int
 
 val is_skip_code : int -> bool
 
-val skip_code : Event.skip_reason -> int
-
 (** {2 The [Event.t] view} *)
 
 val get : t -> int -> Event.t

@@ -16,9 +16,6 @@ type bounds = {
       (** instruction count of (func, block), for [n_instr] cross-checks *)
 }
 
-(** Skips all range checks (no program at hand). *)
-val no_bounds : bounds
-
 (** Per-thread checks only. *)
 val thread :
   ?bounds:bounds -> Thread_trace.t -> Tf_error.diagnostic list

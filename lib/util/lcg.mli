@@ -7,8 +7,6 @@ type t
 
 val create : int -> t
 
-val next_int64 : t -> int64
-
 (** 46 random bits as a non-negative int. *)
 val bits : t -> int
 

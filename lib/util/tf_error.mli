@@ -28,8 +28,6 @@ exception Error of diagnostic
 
 val kind_name : kind -> string
 
-val severity_name : severity -> string
-
 (** [diag kind fmt ...] builds a diagnostic (default severity [Error]). *)
 val diag :
   ?thread:int ->

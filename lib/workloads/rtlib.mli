@@ -15,18 +15,6 @@
 
 type alloc_mode = Glibc | Concurrent
 
-(** Global allocator state addresses (in the globals segment). *)
-val heap_break : int
-
-val alloc_lock : int
-
-val alloc_count : int
-
-(** TLS offsets used by the runtime (the O0 spill pass owns 0..0x70). *)
-val tls_bump : int
-
-val tls_rand : int
-
 val arena_bytes : int
 
 (** Host-side initialization of the runtime globals; run before tracing. *)

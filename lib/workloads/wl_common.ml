@@ -19,8 +19,6 @@ let region k =
 (* Lock tables for fine-grained locking live in their own region. *)
 let lock_base = 0x18000
 
-let lock_slot i = lock_base + (64 * i) (* cache-line spaced *)
-
 let set_param mem k v = Memory.store_i64 mem (param k) v
 
 (** Fill [n] 64-bit words at [addr] with uniform values in [0, bound). *)

@@ -2,14 +2,10 @@
     a parameter block, 1 MiB-spaced data regions, cache-line-spaced lock
     slots, and deterministic input fills. *)
 
-val param : int -> int
-
 (** Raises outside [0, 200]. *)
 val region : int -> int
 
 val lock_base : int
-
-val lock_slot : int -> int
 
 val set_param : Threadfuser_machine.Memory.t -> int -> int -> unit
 

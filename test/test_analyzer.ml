@@ -349,6 +349,35 @@ let test_max_width_warp () =
   Alcotest.(check bool) "divergent but sane" true
     (rep.Metrics.simt_efficiency > 0.5 && rep.Metrics.simt_efficiency < 1.0)
 
+(* A domain count below 1 is a caller error in every library that takes
+   one, not a silent clamp to 1. *)
+let test_zero_domains_rejected () =
+  let prog, traces =
+    trace_workload [ diamond ] ~worker:"worker" ~args:[| [ 0 ]; [ 1 ] |]
+  in
+  let r =
+    Analyzer.analyze
+      ~options:{ two_lane_options with gen_warp_trace = true }
+      prog traces
+  in
+  let wt = Option.get r.Analyzer.warp_trace in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted 0 domains" name
+    | exception Invalid_argument _ -> ()
+  in
+  let options = { two_lane_options with domains = 0 } in
+  rejects "Analyzer.analyze" (fun () ->
+      ignore (Analyzer.analyze ~options prog traces));
+  rejects "Analyzer.analyze_checked" (fun () ->
+      ignore (Analyzer.analyze_checked ~options prog traces));
+  rejects "Analyzer.Session.create" (fun () ->
+      ignore (Analyzer.Session.create ~options prog));
+  rejects "Gpusim.run" (fun () ->
+      ignore (Threadfuser_gpusim.Gpusim.run ~domains:0 wt));
+  rejects "Cpusim.run" (fun () ->
+      ignore (Threadfuser_cpusim.Cpusim.run ~domains:0 traces))
+
 let prop_efficiency_bounds =
   QCheck.Test.make ~name:"efficiency in (0,1]" ~count:50
     QCheck.(pair (int_range 1 30) (int_range 1 6))
@@ -380,6 +409,8 @@ let () =
           Alcotest.test_case "warp size monotone" `Quick
             test_efficiency_decreases_with_warp_size;
           Alcotest.test_case "62-lane warp" `Quick test_max_width_warp;
+          Alcotest.test_case "zero domains rejected" `Quick
+            test_zero_domains_rejected;
           QCheck_alcotest.to_alcotest prop_efficiency_bounds;
         ] );
       ( "memory",

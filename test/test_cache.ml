@@ -499,7 +499,6 @@ let suite_config ~cache dir =
   {
     Runner.default_config with
     parallelism = 1;
-    retries = 0;
     dir;
     cache = Some cache;
   }

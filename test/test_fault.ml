@@ -450,6 +450,8 @@ let test_specs_decide_like_constructors () =
         (fun seed ->
           let spec = with_seed spec seed in
           let a = mk ?seed () and b = Exec_fault.plan_of_spec spec in
+          Alcotest.(check int) (spec ^ " retries") (Exec_fault.retries a)
+            (Exec_fault.retries b);
           List.iter
             (fun job ->
               for attempt = 1 to 3 do
@@ -461,16 +463,18 @@ let test_specs_decide_like_constructors () =
             decision_jobs)
         seeds)
     [
-      ( "crash=50,stall=25,stall-s=0.5,every",
+      ( "crash=50,stall=25,stall-s=0.5,every,retries=3",
         fun ?seed () ->
           Exec_fault.plan ?seed ~crash_pct:50 ~stall_pct:25 ~stall_s:0.5
-            ~first_attempt_only:false () );
+            ~first_attempt_only:false ~retries:3 () );
       ("stall=100", fun ?seed () -> Exec_fault.plan ?seed ~stall_pct:100 ());
       ( "every,stall=60,crash=10,stall-s=2",
         fun ?seed () ->
           Exec_fault.plan ?seed ~crash_pct:10 ~stall_pct:60 ~stall_s:2.
             ~first_attempt_only:false () );
       ("crash=40", fun ?seed () -> Exec_fault.plan ?seed ~crash_pct:40 ());
+      ( "retries=2,crash=40",
+        fun ?seed () -> Exec_fault.plan ?seed ~crash_pct:40 ~retries:2 () );
     ];
   List.iter
     (fun (spec, mk) ->
@@ -516,13 +520,14 @@ let test_bad_specs () =
       "crash=-1"; "crash"; "crash="; "crash=4.5"; "every=1"; "every,every";
       "oversize=34"; "disconnect-after=4096"; "stall-s=nan"; "stall-s=inf";
       "stall-s=-1"; "stall-s=x"; "seed=x"; "crash=40,"; ",crash=40";
+      "retries=-1"; "retries=x"; "retries";
     ];
   List.iter
     (rejects Exec_fault.session_plan_of_spec "serve")
     [
       ""; "disconnect-after=-1"; "disconnect-after=1.5"; "crash=40"; "every";
       "stall=5"; "oversize"; "oversize=200"; "stall-s=nan"; "stall-s=-1";
-      "seed=4,seed=4";
+      "seed=4,seed=4"; "retries=2";
     ]
 
 let () =

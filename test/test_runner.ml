@@ -29,12 +29,11 @@ let read_file p =
 
 let small = [ "vectoradd"; "bfs"; "uncoalesced" ]
 
-let config ?(parallelism = 2) ?deadline_s ?(retries = 1) ?(resume = false) ?chaos dir =
+let config ?(parallelism = 2) ?deadline_s ?(resume = false) ?chaos dir =
   {
     Runner.default_config with
     parallelism;
     deadline_s;
-    retries;
     resume;
     chaos;
     dir;
@@ -117,7 +116,9 @@ let test_happy () =
    track must record the recovery. *)
 let test_crash_then_recover () =
   let dir = fresh_dir () in
-  let chaos = Exec_fault.plan ~crash_pct:100 ~first_attempt_only:true () in
+  let chaos =
+    Exec_fault.plan ~crash_pct:100 ~first_attempt_only:true ~retries:1 ()
+  in
   let retries_ctr = Obs.Counter.make "tf_suite_retries" in
   Obs.reset ();
   Obs.set_enabled true;
@@ -146,10 +147,12 @@ let test_crash_then_recover () =
 
 let test_gave_up () =
   let dir = fresh_dir () in
-  let chaos = Exec_fault.plan ~crash_pct:100 ~first_attempt_only:false () in
+  let chaos =
+    Exec_fault.plan ~crash_pct:100 ~first_attempt_only:false ~retries:2 ()
+  in
   let m =
     Runner.run
-      ~config:(config ~retries:2 ~chaos dir)
+      ~config:(config ~chaos dir)
       [ Runner.job "vectoradd" ]
   in
   match m.Runner.entries with
@@ -172,7 +175,7 @@ let test_crashed_kind () =
   let dir = fresh_dir () in
   let chaos = Exec_fault.plan ~crash_pct:100 () in
   let m =
-    Runner.run ~config:(config ~retries:0 ~chaos dir) [ Runner.job "bfs" ]
+    Runner.run ~config:(config ~chaos dir) [ Runner.job "bfs" ]
   in
   Alcotest.(check (list string)) "crashed" [ "crashed" ] (outcome_names m)
 
@@ -184,11 +187,11 @@ let test_flight_dump_on_terminal_failure () =
   let dir = fresh_dir () in
   let chaos =
     Exec_fault.plan ~crash_pct:100 ~first_attempt_only:false
-      ~only_prefix:"bfs" ()
+      ~only_prefix:"bfs" ~retries:1 ()
   in
   let m =
     Runner.run
-      ~config:(config ~retries:1 ~chaos dir)
+      ~config:(config ~chaos dir)
       [ Runner.job "bfs"; Runner.job "vectoradd" ]
   in
   let entry id =
@@ -310,7 +313,7 @@ let test_stall_deadline_timeout () =
   let t0 = Unix.gettimeofday () in
   let m =
     Runner.run
-      ~config:(config ~retries:0 ~deadline_s:0.3 ~chaos dir)
+      ~config:(config ~deadline_s:0.3 ~chaos dir)
       [ Runner.job "vectoradd" ]
   in
   Alcotest.(check (list string)) "timed out" [ "timeout" ] (outcome_names m);
