@@ -9,7 +9,8 @@
 
    Experiment ids: table1 fig1 fig5a fig5b (fig5 = both) fig6 fig7 fig8
    fig9 fig10 table2 xapp scaling simtcpu ablations perf suite
-   analyzer_par sim_par.  An unknown id exits 1 before anything runs.
+   analyzer_par sim_par replay_copies.  An unknown id exits 1 before
+   anything runs.
    Per-stage timings come from bench/e2e's per-layer ledger
    (tfbench --trace 1), not from here. *)
 
@@ -22,7 +23,7 @@ let all_ids =
   [
     "table1"; "fig1"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10";
     "table2"; "xapp"; "scaling"; "simtcpu"; "ablations"; "perf"; "suite";
-    "analyzer_par"; "sim_par";
+    "analyzer_par"; "sim_par"; "replay_copies";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -571,6 +572,43 @@ let suite_bench () =
       output_char oc '\n');
   Fmt.pr "wrote %s@.@." path
 
+(* ------------------------------------------------------------------ *)
+(* replay_copies: is replay memory-bound?  pigz's thread-0 trace replayed
+   as 64 lanes, once with every lane reading the same columns and once
+   with each lane holding a private copy (decoded from TFPACK1, so the
+   copies sit apart in the heap).  The work is identical; only the
+   memory streams differ (docs/performance.md, "Replay is
+   memory-bound").  Median and min of 7 runs, ns per trace event. *)
+
+let replay_copies_bench () =
+  let module Thread_trace = Threadfuser_trace.Thread_trace in
+  let module Pack = Threadfuser_trace.Pack in
+  let tr = W.trace_cpu (Registry.find "pigz") in
+  let t0 = tr.W.traces.(0) in
+  let lane i = { t0 with Thread_trace.tid = i } in
+  let shared = Array.init 64 lane in
+  let private_ = Array.init 64 (fun i -> (Pack.decode (Pack.encode [| lane i |])).(0)) in
+  let events = 64 * Thread_trace.length t0 in
+  Fmt.pr "replay_copies: pigz thread 0 as 64 lanes, %d events@." events;
+  List.iter
+    (fun warp_size ->
+      let options =
+        { Analyzer.default_options with Analyzer.warp_size; domains = 1 }
+      in
+      List.iter
+        (fun (name, traces) ->
+          let runs =
+            Array.init 7 (fun _ ->
+                let t = Unix.gettimeofday () in
+                ignore (Analyzer.analyze ~options tr.W.prog traces);
+                (Unix.gettimeofday () -. t) *. 1e9 /. float_of_int events)
+          in
+          Array.sort compare runs;
+          Fmt.pr "  w%-2d %-7s median %6.1f  min %6.1f ns/event@." warp_size
+            name runs.(3) runs.(0))
+        [ ("shared", shared); ("private", private_) ])
+    [ 8; 32 ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* --csv DIR writes each table as <DIR>/<name>.csv alongside the text *)
@@ -629,4 +667,5 @@ let () =
   if need "perf" then perf_bench ();
   if need "suite" then suite_bench ();
   if need "analyzer_par" then analyzer_par_bench ();
-  if need "sim_par" then sim_par_bench ()
+  if need "sim_par" then sim_par_bench ();
+  if need "replay_copies" then replay_copies_bench ()

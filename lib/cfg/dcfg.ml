@@ -101,7 +101,7 @@ module Builder = struct
     for i = 0 to Thread_trace.length trace - 1 do
       match trace.events.(i) with
       | Thread_trace.Block ->
-          let func = trace.arg.(i) and block = trace.block.(i) in
+          let func = trace.ev.(3 * i) and block = trace.ev.((3 * i) + 1) in
           (match !stack with
           | fr :: _ when fr.facc.fid = func -> ()
           | _ -> enter func);
@@ -109,7 +109,7 @@ module Builder = struct
           fr.facc.seen.(block) <- true;
           if fr.last >= 0 then add_edge fr.facc fr.last block;
           fr.last <- block
-      | Thread_trace.Call -> enter trace.arg.(i)
+      | Thread_trace.Call -> enter trace.ev.(3 * i)
       | Thread_trace.Return -> leave ()
       | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier
       | Thread_trace.Skip ->

@@ -30,7 +30,7 @@ let signature ?(prefix = 64) (trace : Thread_trace.t) =
   while !remaining > 0 && !i < Thread_trace.length trace do
     (match trace.events.(!i) with
     | Thread_trace.Block ->
-        mix ((trace.arg.(!i) * 8191) + trace.block.(!i));
+        mix ((trace.ev.(3 * !i) * 8191) + trace.ev.((3 * !i) + 1));
         decr remaining
     | Thread_trace.Call | Thread_trace.Return | Thread_trace.Lock_acq
     | Thread_trace.Lock_rel | Thread_trace.Barrier | Thread_trace.Skip ->

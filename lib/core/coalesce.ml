@@ -80,14 +80,22 @@ let site_counters () =
     a_global_excess = 0;
   }
 
-(* Per-segment staging for the allocation-free {!record_lanes} entry
-   point: the current instruction's accesses split by address segment.
-   Growable — a warp-level instruction usually has at most one access per
-   lane, but cracked instructions may carry more. *)
-type seg_scratch = {
-  mutable x_addr : int array;
-  mutable x_size : int array;
-  mutable x_n : int;
+(* Staging for the instruction {!record_lanes} is recording.  Its
+   distinct 32 B lines are an open-addressed set with linear probing:
+   slot [i] is the pair [slots.(2i)] (its stamp) and [slots.(2i + 1)]
+   (its key), occupied iff its stamp is [gen], so bumping [gen] empties
+   the set without touching it.  A key is a line id with its segment
+   index in the low two bits, so one set serves all three segments, and
+   a line that accesses of two segments both touch counts once in each,
+   as when every segment kept its own set.  The set doubles when half
+   full.  [sums] holds, per segment (stack, heap, global), the
+   instruction's lanes, bytes and distinct lines. *)
+type scratch = {
+  mutable slots : int array;
+  mutable bits : int; (* log2 of the slot count *)
+  mutable gen : int;
+  mutable count : int; (* keys stamped [gen] *)
+  sums : int array;
 }
 
 type t = {
@@ -99,14 +107,13 @@ type t = {
          site (instruction [ioff] is site [block_site.(fid).(block) + ioff]);
          entry [n_blocks] is the function's end *)
   sites : site_counters array; (* one per static instruction *)
-  xs : seg_scratch array; (* staging per segment: stack, heap, global *)
-  mutable lines_buf : int array; (* 32 B line ids of one access set *)
+  scratch : scratch; (* this model's own, so shards never share one *)
   evt_seen : (int, unit) Hashtbl.t;
       (* sites whose "serialized access" instant already fired this warp
          (see [new_warp]); unused under [Obs.full_events] *)
 }
 
-let seg_scratch () = { x_addr = Array.make 64 0; x_size = Array.make 64 0; x_n = 0 }
+let initial_bits = 8 (* 256 slots: a 32-lane warp rarely needs 64 *)
 
 (* The site table is dense: a program has few static instructions (2,960
    over all 36 registry workloads), so every site gets its counters up
@@ -131,8 +138,14 @@ let create prog =
     global = seg_counters ();
     block_site;
     sites = Array.init !n (fun _ -> site_counters ());
-    xs = [| seg_scratch (); seg_scratch (); seg_scratch () |];
-    lines_buf = Array.make 128 0;
+    scratch =
+      {
+        slots = Array.make (2 lsl initial_bits) 0;
+        bits = initial_bits;
+        gen = 0;
+        count = 0;
+        sums = Array.make 9 0;
+      };
     evt_seen = Hashtbl.create 32;
   }
 
@@ -170,129 +183,139 @@ let segment_of_index = function
   | 1 -> Layout.Heap
   | _ -> Layout.Global
 
-let seg_index = function Layout.Stack -> 0 | Layout.Heap -> 1 | Layout.Global -> 2
+(* Fibonacci hashing: the top [bits] bits of the key times an odd
+   constant, so runs of consecutive line ids spread over the table. *)
+let[@inline] slot_of key bits = (key * 0x2545f4914f6cdd1d) lsr (63 - bits)
 
-let push_scratch (x : seg_scratch) addr size =
-  let n = x.x_n in
-  if n = Array.length x.x_addr then begin
-    let grow a =
-      let b = Array.make (2 * n) 0 in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    x.x_addr <- grow x.x_addr;
-    x.x_size <- grow x.x_size
+(* Double the table, re-inserting the keys stamped [gen]. *)
+let grow ls =
+  let old = ls.slots and gen = ls.gen in
+  let bits = ls.bits + 1 in
+  let slots = Array.make (2 lsl bits) 0 in
+  let mask = (1 lsl bits) - 1 in
+  for i = 0 to (Array.length old / 2) - 1 do
+    if old.(2 * i) = gen then begin
+      let key = old.((2 * i) + 1) in
+      let j = ref (slot_of key bits) in
+      while slots.(2 * !j) = gen do
+        j := (!j + 1) land mask
+      done;
+      slots.(2 * !j) <- gen;
+      slots.((2 * !j) + 1) <- key
+    end
+  done;
+  ls.slots <- slots;
+  ls.bits <- bits
+
+(* The per-segment accounting of one recorded instruction: [lanes]
+   accesses of [bytes] bytes covering [txns] distinct lines. *)
+let account t ~is_store ~site ~si ~lanes ~bytes ~txns =
+  let c = t.sites.(site) in
+  let segment = segment_of_index si in
+  (* [max] is polymorphic, a C call per use: compare ints directly *)
+  let min_txns = (bytes + transaction_bytes - 1) / transaction_bytes in
+  let min_txns = if min_txns < 1 then 1 else min_txns in
+  let excess = if txns > min_txns then txns - min_txns else 0 in
+  c.a_txns <- c.a_txns + txns;
+  c.a_min_txns <- c.a_min_txns + min_txns;
+  (match segment with
+  | Layout.Stack -> c.a_stack_excess <- c.a_stack_excess + excess
+  | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
+  | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess);
+  if !Obs.enabled then begin
+    Obs.Counter.incr c_mem_instrs;
+    Obs.Counter.add c_mem_txns txns;
+    Obs.Histogram.observe h_txns_per_instr (float_of_int txns);
+    if txns = 1 then Obs.Counter.incr c_mem_coalesced
+    else if txns >= lanes && lanes > 1 then begin
+      (* worst case: the instruction degenerated to one transaction
+         per lane — surface it on the memory track *)
+      Obs.Counter.incr c_mem_serialized;
+      if
+        !Obs.full_events
+        || (not (Hashtbl.mem t.evt_seen site))
+           && begin
+                Hashtbl.add t.evt_seen site ();
+                true
+              end
+      then
+        Obs.instant ~track:Obs.memory_track "serialized access"
+          ~args:
+            [
+              ("segment", Layout.segment_name segment);
+              ("txns", Obs.itos txns);
+              ("lanes", Obs.itos lanes);
+              ("store", string_of_bool is_store);
+            ]
+    end
   end;
-  x.x_addr.(n) <- addr;
-  x.x_size.(n) <- size;
-  x.x_n <- n + 1
-
-(* Distinct 32 B lines of the staged accesses, allocation-free: gather the
-   covered line ids into [t.lines_buf], insertion-sort the prefix (a warp
-   touches a handful of lines), count distinct.  Same result as the
-   Hashtbl-based {!count_transactions}. *)
-let count_transactions_scratch t (x : seg_scratch) =
-  let nl = ref 0 in
-  for i = 0 to x.x_n - 1 do
-    let first = x.x_addr.(i) / transaction_bytes
-    and last = (x.x_addr.(i) + max 1 x.x_size.(i) - 1) / transaction_bytes in
-    for line = first to last do
-      if !nl = Array.length t.lines_buf then begin
-        let b = Array.make (2 * !nl) 0 in
-        Array.blit t.lines_buf 0 b 0 !nl;
-        t.lines_buf <- b
-      end;
-      t.lines_buf.(!nl) <- line;
-      incr nl
-    done
-  done;
-  let buf = t.lines_buf in
-  for i = 1 to !nl - 1 do
-    let v = buf.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && buf.(!j) > v do
-      buf.(!j + 1) <- buf.(!j);
-      decr j
-    done;
-    buf.(!j + 1) <- v
-  done;
-  let distinct = ref 0 in
-  for i = 0 to !nl - 1 do
-    if i = 0 || buf.(i) <> buf.(i - 1) then incr distinct
-  done;
-  !distinct
+  let c = seg t segment in
+  if is_store then begin
+    c.st_txns <- c.st_txns + txns;
+    c.st_issues <- c.st_issues + 1;
+    c.st_lanes <- c.st_lanes + lanes
+  end
+  else begin
+    c.ld_txns <- c.ld_txns + txns;
+    c.ld_issues <- c.ld_issues + 1;
+    c.ld_lanes <- c.ld_lanes + lanes
+  end
 
 (** Record one warp-level memory instruction from parallel arrays:
     [addrs]/[sizes][0..n-1] are the active lanes' accesses.  The
     allocation-free hot-path twin of {!record}: identical accounting
     (segment split, site attribution, Obs instruments), returns the total
-    transaction count. *)
+    transaction count.  One pass classifies each access's segment, sums
+    its lanes and bytes, and counts its lines that are new to the set. *)
 let record_lanes t ~is_store ~site ~n (addrs : int array) (sizes : int array) =
-  t.xs.(0).x_n <- 0;
-  t.xs.(1).x_n <- 0;
-  t.xs.(2).x_n <- 0;
+  let ls = t.scratch in
+  let sums = ls.sums and gen = ls.gen + 1 in
+  ls.gen <- gen;
+  ls.count <- 0;
+  for k = 0 to 8 do
+    sums.(k) <- 0
+  done;
+  let stack_base = Layout.stack_region_base and heap_base = Layout.heap_base in
+  (* the key inserted last: coalesced lanes repeat it *)
+  let last = ref min_int in
   for i = 0 to n - 1 do
-    push_scratch t.xs.(seg_index (Layout.segment_of addrs.(i))) addrs.(i) sizes.(i)
+    let addr = addrs.(i) and size = sizes.(i) in
+    let size = if size < 1 then 1 else size in
+    let si = if addr >= stack_base then 0 else if addr >= heap_base then 1 else 2 in
+    let fresh = ref 0 in
+    for line = addr / transaction_bytes to (addr + size - 1) / transaction_bytes do
+      let key = (line lsl 2) lor si in
+      if key <> !last then begin
+        last := key;
+        (* the set's insert, here so the loop keeps its registers *)
+        let slots = ls.slots and bits = ls.bits in
+        let mask = (1 lsl bits) - 1 in
+        let j = ref (slot_of key bits) in
+        while slots.(2 * !j) = gen && slots.((2 * !j) + 1) <> key do
+          j := (!j + 1) land mask
+        done;
+        if slots.(2 * !j) <> gen then begin
+          slots.(2 * !j) <- gen;
+          slots.((2 * !j) + 1) <- key;
+          incr fresh;
+          ls.count <- ls.count + 1;
+          if 2 * ls.count > 1 lsl bits then grow ls
+        end
+      end
+    done;
+    let k = 3 * si in
+    sums.(k) <- sums.(k) + 1;
+    sums.(k + 1) <- sums.(k + 1) + size;
+    sums.(k + 2) <- sums.(k + 2) + !fresh
   done;
   let c = t.sites.(site) in
   c.a_issues <- c.a_issues + 1;
   let total = ref 0 in
   for si = 0 to 2 do
-    let x = t.xs.(si) in
-    if x.x_n > 0 then begin
-      let segment = segment_of_index si in
-      let txns = count_transactions_scratch t x in
-      let bytes = ref 0 in
-      for i = 0 to x.x_n - 1 do
-        bytes := !bytes + max 1 x.x_size.(i)
-      done;
-      let min_txns = max 1 ((!bytes + transaction_bytes - 1) / transaction_bytes) in
-      let excess = max 0 (txns - min_txns) in
-      c.a_txns <- c.a_txns + txns;
-      c.a_min_txns <- c.a_min_txns + min_txns;
-      (match segment with
-      | Layout.Stack -> c.a_stack_excess <- c.a_stack_excess + excess
-      | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
-      | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess);
-      if !Obs.enabled then begin
-        let lanes = x.x_n in
-        Obs.Counter.incr c_mem_instrs;
-        Obs.Counter.add c_mem_txns txns;
-        Obs.Histogram.observe h_txns_per_instr (float_of_int txns);
-        if txns = 1 then Obs.Counter.incr c_mem_coalesced
-        else if txns >= lanes && lanes > 1 then begin
-          (* worst case: the instruction degenerated to one transaction
-             per lane — surface it on the memory track *)
-          Obs.Counter.incr c_mem_serialized;
-          if
-            !Obs.full_events
-            || (not (Hashtbl.mem t.evt_seen site))
-               && begin
-                    Hashtbl.add t.evt_seen site ();
-                    true
-                  end
-          then
-            Obs.instant ~track:Obs.memory_track "serialized access"
-            ~args:
-              [
-                ("segment", Layout.segment_name segment);
-                ("txns", Obs.itos txns);
-                ("lanes", Obs.itos lanes);
-                ("store", string_of_bool is_store);
-              ]
-        end
-      end;
-      let c = seg t segment in
-      if is_store then begin
-        c.st_txns <- c.st_txns + txns;
-        c.st_issues <- c.st_issues + 1;
-        c.st_lanes <- c.st_lanes + x.x_n
-      end
-      else begin
-        c.ld_txns <- c.ld_txns + txns;
-        c.ld_issues <- c.ld_issues + 1;
-        c.ld_lanes <- c.ld_lanes + x.x_n
-      end;
+    let lanes = sums.(3 * si) in
+    if lanes > 0 then begin
+      let txns = sums.((3 * si) + 2) in
+      account t ~is_store ~site ~si ~lanes ~bytes:sums.((3 * si) + 1) ~txns;
       total := !total + txns
     end
   done;

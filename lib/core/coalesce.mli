@@ -28,8 +28,10 @@ type site_counters = {
   mutable a_global_excess : int;
 }
 
-type seg_scratch
-(** Internal staging for the allocation-free record path. *)
+type scratch
+(** Internal staging for the allocation-free record path: the set of
+    32 B lines the instruction being recorded covers, and its
+    per-segment sums. *)
 
 type t = {
   stack : seg_counters;
@@ -41,8 +43,7 @@ type t = {
           [f] is site [block_site.(f).(b) + ioff]; entry [n_blocks] is the
           function's end *)
   sites : site_counters array;  (** one per static instruction *)
-  xs : seg_scratch array;
-  mutable lines_buf : int array;
+  scratch : scratch;
   evt_seen : (int, unit) Hashtbl.t;
 }
 
@@ -73,7 +74,8 @@ val record : t -> is_store:bool -> site:int -> (int * int) list -> int
 (** Allocation-free twin of {!record} over parallel arrays
     [addrs]/[sizes][0..n-1] — the replay hot path ({!Emulator.count_block}
     stages each instruction's accesses into reusable buffers).  Identical
-    accounting and return value. *)
+    accounting and return value; work linear in the lines the accesses
+    cover. *)
 val record_lanes :
   t ->
   is_store:bool ->

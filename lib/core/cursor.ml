@@ -33,7 +33,7 @@ let rec absorb_run c =
   let tr = c.trace in
   if c.pos < Array.length tr.events && tr.events.(c.pos) = Thread_trace.Skip
   then begin
-    let n = tr.n_instr.(c.pos) and code = tr.arg.(c.pos) in
+    let n = tr.n_instr.(c.pos) and code = tr.ev.(3 * c.pos) in
     if code = Thread_trace.skip_io then c.skipped_io <- c.skipped_io + n
     else if code = Thread_trace.skip_spin then
       c.skipped_spin <- c.skipped_spin + n

@@ -60,7 +60,8 @@ let c_blocks =
    another module are never inlined).  [peek] returns the kind of the
    next non-Skip event, or [Skip] at the end of the trace; it calls
    {!Cursor.absorb_run} only when it must absorb a Skip.  [arg] and
-   [block_id] read the peeked event's columns. *)
+   [block_id] read the peeked event's words of the stride-3 [ev] column
+   (see {!Thread_trace.t}). *)
 let[@inline] peek (c : Cursor.t) =
   let kinds = c.trace.Thread_trace.events in
   if c.pos < Array.length kinds then
@@ -80,9 +81,10 @@ let[@inline] next c =
   advance c;
   k
 
-let[@inline] arg (c : Cursor.t) = c.trace.Thread_trace.arg.(c.pos)
+let[@inline] arg (c : Cursor.t) = c.trace.Thread_trace.ev.(3 * c.pos)
 
-let[@inline] block_id (c : Cursor.t) = c.trace.Thread_trace.block.(c.pos)
+let[@inline] block_id (c : Cursor.t) =
+  c.trace.Thread_trace.ev.((3 * c.pos) + 1)
 
 exception Emulation_error of string
 
@@ -318,13 +320,13 @@ let exit_node t fid = t.div_base.(fid + 1) - t.div_base.(fid)
 (* ------------------------------------------------------------------ *)
 (* Block execution: accounting, coalescing, warp-trace emission.       *)
 
+let grow n a =
+  let b = Array.make (2 * n) 0 in
+  Array.blit a 0 b 0 n;
+  b
+
 (* Growable push into the load/store gather buffers. *)
-let push_mem s ~is_store lane addr size =
-  let grow n a =
-    let b = Array.make (2 * n) 0 in
-    Array.blit a 0 b 0 n;
-    b
-  in
+let[@inline] push_mem s ~is_store lane addr size =
   if is_store then begin
     let n = s.n_st in
     if n = Array.length s.st_lane then begin
@@ -359,13 +361,14 @@ let emit_instr t wt ~mask ~site =
     s.ld_addr ~n_st:s.n_st s.st_lane s.st_addr
 
 (* Stage lane [lane], whose cursor [c] is at a Block, as the next active
-   lane of the block about to execute: its access range in its trace's
-   access columns. *)
+   lane of the block about to execute: its access range runs from the
+   Block's offset word to the next event's. *)
 let[@inline] stage s (c : Cursor.t) lane =
-  let k = s.n_lanes and off = c.Cursor.trace.Thread_trace.acc_off in
+  let k = s.n_lanes and ev = c.Cursor.trace.Thread_trace.ev in
+  let w = 3 * c.Cursor.pos in
   s.lane_ids.(k) <- lane;
-  s.lane_ptr.(k) <- off.(c.Cursor.pos);
-  s.lane_end.(k) <- off.(c.Cursor.pos + 1);
+  s.lane_ptr.(k) <- ev.(w + 2);
+  s.lane_end.(k) <- ev.(w + 5);
   s.n_lanes <- k + 1
 
 (* Execute block [block] of [func] for the active lanes staged in
@@ -411,7 +414,7 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   for i = 0 to active - 1 do
     let p = s.lane_ptr.(i) in
     if p < s.lane_end.(i) then begin
-      let io = s.cursors.(s.lane_ids.(i)).Cursor.trace.Thread_trace.ioff.(p) in
+      let io = s.cursors.(s.lane_ids.(i)).Cursor.trace.Thread_trace.acc.(3 * p) in
       if io >= 0 && io < !next then next := io
     end
   done;
@@ -436,17 +439,23 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
       for i = 0 to active - 1 do
         let lane = s.lane_ids.(i) in
         let tr = s.cursors.(lane).Cursor.trace in
+        let acc = tr.Thread_trace.acc and store = tr.Thread_trace.store in
         let len = s.lane_end.(i) in
         let p = ref s.lane_ptr.(i) in
-        while !p < len && tr.Thread_trace.ioff.(!p) = m do
+        while !p < len && acc.(3 * !p) = m do
+          let j = !p in
+          let w = 3 * j in
           push_mem s
-            ~is_store:(Thread_trace.is_store tr !p)
-            lane tr.Thread_trace.addr.(!p) tr.Thread_trace.size.(!p);
-          incr p
+            ~is_store:
+              (Char.code (Bytes.unsafe_get store (j lsr 3))
+               land (1 lsl (j land 7))
+              <> 0)
+            lane acc.(w + 1) acc.(w + 2);
+          p := j + 1
         done;
         s.lane_ptr.(i) <- !p;
         if !p < len then begin
-          let io = tr.Thread_trace.ioff.(!p) in
+          let io = acc.(3 * !p) in
           if io > m && io < !next then next := io
         end
       done;

@@ -45,7 +45,6 @@ let default_domains () =
 let min_work_per_domain = 20_000
 
 let auto_domains ~requested ~items ~work =
-  let requested = max 1 requested in
   if requested = 1 then 1
   else min requested (min (max 1 items) (max 1 (work / min_work_per_domain)))
 
@@ -287,8 +286,7 @@ let reraise_lowest (failures : failure option array) =
     byte-for-byte today's sequential behaviour. *)
 let map_shards ~domains ~n ~(init : unit -> 'shard)
     ~(item : 'shard -> int -> unit) : 'shard list =
-  let workers = max 1 (min domains n) in
-  if workers = 1 then begin
+  if domains <= 1 || n <= 1 then begin
     let shard = init () in
     (try
        for i = 0 to n - 1 do
@@ -300,6 +298,7 @@ let map_shards ~domains ~n ~(init : unit -> 'shard)
     [ shard ]
   end
   else begin
+    let workers = min domains n in
     (* worker k owns [k*chunk, min ((k+1)*chunk, n)) *)
     let chunk = (n + workers - 1) / workers in
     let failures : failure option array = Array.make workers None in
@@ -332,12 +331,12 @@ let map_shards ~domains ~n ~(init : unit -> 'shard)
     Exceptions re-raise as in {!map_shards}.  [domains <= 1] runs
     inline. *)
 let parallel_for ~domains ~n (body : int -> unit) =
-  let workers = max 1 (min domains n) in
-  if workers = 1 then
+  if domains <= 1 || n <= 1 then
     for i = 0 to n - 1 do
       body i
     done
   else begin
+    let workers = min domains n in
     let chunk = (n + workers - 1) / workers in
     let failures : failure option array = Array.make workers None in
     Pool.run (get_pool ()) ~workers (fun k ->

@@ -17,7 +17,8 @@ val min_work_per_domain : int
 (** [auto_domains ~requested ~items ~work] caps a requested domain count
     for a workload of [items] shardable units carrying [work] total work
     units: one domain is granted per {!min_work_per_domain} work units,
-    never more than [items] or [requested].  Tiny workloads thus collapse
+    never more than [items] or [requested], which must be at least 1
+    (callers reject lower counts).  Tiny workloads thus collapse
     toward serial instead of paying hand-off costs they cannot amortize;
     the reduction is grouping-invariant, so output is byte-identical
     either way. *)

@@ -72,8 +72,8 @@ let thread_cycles config core (trace : Thread_trace.t) =
     | Thread_trace.Block ->
         core.cycles <- core.cycles + trace.n_instr.(i);
         core.instrs <- core.instrs + trace.n_instr.(i);
-        for j = trace.acc_off.(i) to trace.acc_off.(i + 1) - 1 do
-          let addr = trace.addr.(j) in
+        for j = trace.ev.((3 * i) + 2) to trace.ev.((3 * i) + 5) - 1 do
+          let addr = trace.acc.((3 * j) + 1) in
           if not (Cache.access core.l1 addr) then begin
             core.cycles <- core.cycles + config.l1_miss_penalty;
             Access_log.add core.log ~ts:core.cycles addr

@@ -62,15 +62,17 @@ let encode_payload (t : Thread_trace.t) =
   let p = predictor () in
   (* args column *)
   for i = 0 to n - 1 do
-    let arg = t.arg.(i) in
+    let e = 3 * i in
+    let arg = t.ev.(e) in
     match t.events.(i) with
     | Thread_trace.Block ->
+        let block = t.ev.(e + 1) in
         Serial.write_uint buf (zigzag (arg - p.p_func));
-        Serial.write_uint buf (zigzag (t.block.(i) - p.p_block));
+        Serial.write_uint buf (zigzag (block - p.p_block));
         Serial.write_uint buf t.n_instr.(i);
-        Serial.write_uint buf (t.acc_off.(i + 1) - t.acc_off.(i));
+        Serial.write_uint buf (t.ev.(e + 5) - t.ev.(e + 2));
         p.p_func <- arg;
-        p.p_block <- t.block.(i)
+        p.p_block <- block
     | Thread_trace.Call ->
         Serial.write_uint buf (zigzag (arg - p.p_call));
         p.p_call <- arg
@@ -83,12 +85,14 @@ let encode_payload (t : Thread_trace.t) =
         Serial.write_uint buf t.n_instr.(i)
   done;
   (* access column: every access belongs to a Block, in block order *)
-  for j = 0 to Array.length t.ioff - 1 do
-    Serial.write_uint buf t.ioff.(j);
-    Serial.write_uint buf (zigzag (t.addr.(j) - p.p_addr));
-    Serial.write_uint buf t.size.(j);
+  for j = 0 to Thread_trace.n_accesses t - 1 do
+    let w = 3 * j in
+    let addr = t.acc.(w + 1) in
+    Serial.write_uint buf t.acc.(w);
+    Serial.write_uint buf (zigzag (addr - p.p_addr));
+    Serial.write_uint buf t.acc.(w + 2);
     Serial.write_uint buf (if Thread_trace.is_store t j then 1 else 0);
-    p.p_addr <- t.addr.(j)
+    p.p_addr <- addr
   done;
   Buffer.contents buf
 

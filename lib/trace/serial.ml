@@ -120,27 +120,27 @@ let tag_of_kind : Thread_trace.kind -> int = function
 
 (* Event [i] of [t]. *)
 let write_event buf (t : Thread_trace.t) i =
-  let kind = t.events.(i) in
+  let kind = t.events.(i) and e = 3 * i in
   write_uint buf (tag_of_kind kind);
   match kind with
   | Thread_trace.Block ->
-      write_uint buf t.arg.(i);
-      write_uint buf t.block.(i);
+      write_uint buf t.ev.(e);
+      write_uint buf t.ev.(e + 1);
       write_uint buf t.n_instr.(i);
-      let lo = t.acc_off.(i) and hi = t.acc_off.(i + 1) in
+      let lo = t.ev.(e + 2) and hi = t.ev.(e + 5) in
       write_uint buf (hi - lo);
       for j = lo to hi - 1 do
-        write_uint buf t.ioff.(j);
-        write_uint buf t.addr.(j);
-        write_uint buf t.size.(j);
+        write_uint buf t.acc.(3 * j);
+        write_uint buf t.acc.((3 * j) + 1);
+        write_uint buf t.acc.((3 * j) + 2);
         write_uint buf (if Thread_trace.is_store t j then 1 else 0)
       done
   | Thread_trace.Call | Thread_trace.Lock_acq | Thread_trace.Lock_rel
   | Thread_trace.Barrier ->
-      write_uint buf t.arg.(i)
+      write_uint buf t.ev.(e)
   | Thread_trace.Return -> ()
   | Thread_trace.Skip ->
-      write_uint buf t.arg.(i);
+      write_uint buf t.ev.(e);
       write_uint buf t.n_instr.(i)
 
 let read_skip_code r =

@@ -6,17 +6,15 @@ type kind = Block | Call | Return | Lock_acq | Lock_rel | Skip | Barrier
 type t = {
   tid : int;
   events : kind array;
-  arg : int array;
-  block : int array;
+  ev : int array;
   n_instr : int array;
-  acc_off : int array;
-  ioff : int array;
-  addr : int array;
-  size : int array;
+  acc : int array;
   store : Bytes.t;
 }
 
 let length t = Array.length t.events
+
+let n_accesses t = Array.length t.acc / 3
 
 let is_store t j =
   Char.code (Bytes.unsafe_get t.store (j lsr 3)) land (1 lsl (j land 7)) <> 0
@@ -30,15 +28,14 @@ let max_access_size = 255
 
 let heap_bytes t =
   let word = Sys.word_size / 8 in
-  let record = 1 + 10 (* header + the ten fields of [t] *) in
+  let record = 1 + 6 (* header + the six fields of [t] *) in
   let store = 1 + (Bytes.length t.store / word) + 1 in
   word
-  * (record + array_words t.events + array_words t.arg
-   + array_words t.block + array_words t.n_instr + array_words t.acc_off
-   + array_words t.ioff + array_words t.addr + array_words t.size + store)
+  * (record + array_words t.events + array_words t.ev
+   + array_words t.n_instr + array_words t.acc + store)
 
-(* Skip reason codes, as the [arg] column and both wire formats carry
-   them. *)
+(* Skip reason codes, as a Skip's argument word and both wire formats
+   carry them. *)
 let skip_io = 0
 let skip_spin = 1
 let skip_excluded = 2
@@ -59,35 +56,36 @@ let reason_of_code c : Event.skip_reason =
 (* -- the Event.t view ---------------------------------------------------- *)
 
 let get t i : Event.t =
+  let e = 3 * i in
   match t.events.(i) with
   | Block ->
-      let lo = t.acc_off.(i) and hi = t.acc_off.(i + 1) in
+      let lo = t.ev.(e + 2) and hi = t.ev.(e + 5) in
       let accesses =
         if lo = hi then Event.no_accesses
         else
           Array.init (hi - lo) (fun k ->
               let j = lo + k in
               {
-                Event.ioff = t.ioff.(j);
-                addr = t.addr.(j);
-                size = t.size.(j);
+                Event.ioff = t.acc.(3 * j);
+                addr = t.acc.((3 * j) + 1);
+                size = t.acc.((3 * j) + 2);
                 is_store = is_store t j;
               })
       in
       Event.Block
         {
-          func = t.arg.(i);
-          block = t.block.(i);
+          func = t.ev.(e);
+          block = t.ev.(e + 1);
           n_instr = t.n_instr.(i);
           accesses;
         }
-  | Call -> Event.Call t.arg.(i)
+  | Call -> Event.Call t.ev.(e)
   | Return -> Event.Return
-  | Lock_acq -> Event.Lock_acq t.arg.(i)
-  | Lock_rel -> Event.Lock_rel t.arg.(i)
-  | Barrier -> Event.Barrier t.arg.(i)
+  | Lock_acq -> Event.Lock_acq t.ev.(e)
+  | Lock_rel -> Event.Lock_rel t.ev.(e)
+  | Barrier -> Event.Barrier t.ev.(e)
   | Skip ->
-      Event.Skip { reason = reason_of_code t.arg.(i); n_instr = t.n_instr.(i) }
+      Event.Skip { reason = reason_of_code t.ev.(e); n_instr = t.n_instr.(i) }
 
 let to_events t = Array.init (length t) (get t)
 
@@ -100,51 +98,44 @@ module Builder = struct
     tid : int;
     mutable n : int;
     kinds : kind array;
-    arg : int array;
-    blk : int array;
+    ev : int array; (* stride 3, one triple spare for the end offset *)
     ninstr : int array;
-    off : int array; (* first access of each event; one slot spare *)
     mutable claimed : int;
     mutable na : int;
-    mutable ioff : int array;
-    mutable addr : int array;
-    mutable size : int array;
+    mutable acc : int array; (* stride 3 *)
     mutable store : Bytes.t;
   }
 
   let store_bytes n = (n + 7) lsr 3
 
   let create ~events ?(accesses = 16) tid =
+    (* [ev] is allocated before the other columns.  No reader sees the
+       order, but it moves the major GC's phase, and trace-ingest's peak
+       RSS read about 12% higher with [ev] allocated after them
+       (docs/performance.md, "Replay is memory-bound"). *)
+    let ev = Array.make (3 * (events + 1)) 0 in
     {
       tid;
       n = 0;
       kinds = Array.make events Return;
-      arg = Array.make events 0;
-      blk = Array.make events 0;
+      ev;
       ninstr = Array.make events 0;
-      off = Array.make (events + 1) 0;
       claimed = 0;
       na = 0;
-      ioff = Array.make accesses 0;
-      addr = Array.make accesses 0;
-      size = Array.make accesses 0;
+      acc = Array.make (3 * accesses) 0;
       store = Bytes.make (store_bytes accesses) '\000';
     }
-
-  let resize a len fill =
-    let b = Array.make len fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
 
   let[@inline] push t kind ~arg ~blk ~ninstr ~n_acc =
     let i = t.n in
     if i = Array.length t.kinds then
       invalid_arg "Thread_trace.Builder: more events than created for";
     Array.unsafe_set t.kinds i kind;
-    Array.unsafe_set t.arg i arg;
-    Array.unsafe_set t.blk i blk;
+    let e = 3 * i in
+    Array.unsafe_set t.ev e arg;
+    Array.unsafe_set t.ev (e + 1) blk;
+    Array.unsafe_set t.ev (e + 2) t.claimed;
     Array.unsafe_set t.ninstr i ninstr;
-    Array.unsafe_set t.off i t.claimed;
     t.claimed <- t.claimed + n_acc;
     t.n <- i + 1
 
@@ -165,22 +156,23 @@ module Builder = struct
     push t Skip ~arg:code ~blk:0 ~ninstr:n ~n_acc:0
 
   let set_access_cap t cap =
-    t.ioff <- resize t.ioff cap 0;
-    t.addr <- resize t.addr cap 0;
-    t.size <- resize t.size cap 0;
+    let a = Array.make (3 * cap) 0 in
+    Array.blit t.acc 0 a 0 (Array.length t.acc);
+    t.acc <- a;
     let s = Bytes.make (store_bytes cap) '\000' in
     Bytes.blit t.store 0 s 0 (Bytes.length t.store);
     t.store <- s
 
   let reserve_accesses t n =
-    if n > Array.length t.ioff then set_access_cap t n
+    if 3 * n > Array.length t.acc then set_access_cap t n
 
   let access t ~ioff ~addr ~size ~is_store =
-    if t.na = Array.length t.ioff then set_access_cap t (max 16 (2 * t.na));
     let j = t.na in
-    Array.unsafe_set t.ioff j ioff;
-    Array.unsafe_set t.addr j addr;
-    Array.unsafe_set t.size j size;
+    let w = 3 * j in
+    if w = Array.length t.acc then set_access_cap t (max 16 (2 * j));
+    Array.unsafe_set t.acc w ioff;
+    Array.unsafe_set t.acc (w + 1) addr;
+    Array.unsafe_set t.acc (w + 2) size;
     if is_store then begin
       let k = j lsr 3 in
       Bytes.unsafe_set t.store k
@@ -218,18 +210,16 @@ module Builder = struct
         (Printf.sprintf
            "Thread_trace.Builder.finish: blocks own %d accesses, %d appended"
            t.claimed t.na);
-    t.off.(t.n) <- t.claimed;
+    (* the spare triple after the last event: its offset slot is the end
+       of the last event's accesses; the other two stay 0 *)
+    t.ev.((3 * t.n) + 2) <- t.claimed;
     let nb = store_bytes t.na in
     {
       tid = t.tid;
       events = cut t.kinds t.n;
-      arg = cut t.arg t.n;
-      block = cut t.blk t.n;
+      ev = cut t.ev (3 * (t.n + 1));
       n_instr = cut t.ninstr t.n;
-      acc_off = cut t.off (t.n + 1);
-      ioff = cut t.ioff t.na;
-      addr = cut t.addr t.na;
-      size = cut t.size t.na;
+      acc = cut t.acc (3 * t.na);
       store =
         (if Bytes.length t.store = nb then t.store else Bytes.sub t.store 0 nb);
     }
@@ -271,12 +261,14 @@ let stats t =
     | Block ->
         traced := !traced + t.n_instr.(i);
         incr blocks
-    | Skip -> skipped.(t.arg.(i)) <- skipped.(t.arg.(i)) + t.n_instr.(i)
+    | Skip ->
+        let code = t.ev.(3 * i) in
+        skipped.(code) <- skipped.(code) + t.n_instr.(i)
     | Lock_acq | Lock_rel -> incr locks
     | Barrier -> incr barriers
     | Call | Return -> ()
   done;
-  let n_acc = Array.length t.ioff in
+  let n_acc = n_accesses t in
   let stores = ref 0 in
   for j = 0 to n_acc - 1 do
     if is_store t j then incr stores

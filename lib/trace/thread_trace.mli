@@ -1,13 +1,21 @@
 (** The dynamic trace of one CPU thread in flat columnar form, plus
     summary statistics.
 
-    A trace stores no boxed events.  Event [i] is the [i]th entry of the
-    kind column [events] together with entry [i] of the argument columns;
-    Block [i]'s memory accesses are entries [acc_off.(i)] to
-    [acc_off.(i + 1) - 1] of the access columns, in [ioff] order.
-    Columns are exactly as long as their contents, and every field a
-    kind does not use is 0, so two traces of the same events are equal
-    under [=].
+    A trace stores no boxed events, and the replay loop reads few memory
+    streams: the words one event or one access needs sit side by side.
+    Event [i] is the [i]th entry of the kind column [events], the triple
+    [ev.(3i)], [ev.(3i + 1)], [ev.(3i + 2)] (argument, block id, first
+    access) and [n_instr.(i)].  [ev] ends with one spare triple
+    [(0, 0, n)], where [n] is the access count, so Block [i]'s accesses
+    are always accesses [ev.(3i + 2)] to [ev.(3i + 5) - 1].  Access [j]
+    is the triple [acc.(3j)], [acc.(3j + 1)], [acc.(3j + 2)] (instruction
+    offset, address, size) and bit [j] of [store]; a Block's accesses are
+    in ioff order.
+
+    Every entry is a whole word, never a bit field, so any value a
+    decoder reads reaches {!Validate} unchanged.  Columns are exactly as
+    long as their contents, and every field a kind does not use is 0, so
+    two traces of the same events are equal under [=].
 
     {!Event.t} is the view of one event ({!get}, {!to_events},
     {!of_events}); it is for tests, fault injection, printing and error
@@ -20,20 +28,22 @@ type kind = Block | Call | Return | Lock_acq | Lock_rel | Skip | Barrier
 type t = {
   tid : int;
   events : kind array;  (** the kind column: one entry per event *)
-  arg : int array;
-      (** Block: function id; Call: callee; Lock_acq, Lock_rel, Barrier:
-          address; Skip: reason code ({!skip_io} ...) *)
-  block : int array;  (** Block: block id within the function *)
+  ev : int array;
+      (** [3 * (length + 1)] words: per event, its argument (Block:
+          function id; Call: callee; Lock_acq, Lock_rel, Barrier: address;
+          Skip: reason code ({!skip_io} ...)), its block id (Block only)
+          and its first access; then [(0, 0, access count)] *)
   n_instr : int array;  (** Block and Skip: instruction count *)
-  acc_off : int array;  (** [n_events + 1] access-column offsets *)
-  ioff : int array;  (** access: instruction offset within its block *)
-  addr : int array;
-  size : int array;
+  acc : int array;
+      (** [3 * n_accesses] words: per access, its instruction offset
+          within its block, its address and its size *)
   store : Bytes.t;  (** access [j] is a store iff bit [j] is set *)
 }
 
 val length : t -> int
 (** Number of events, Skips included. *)
+
+val n_accesses : t -> int
 
 val is_store : t -> int -> bool
 (** Whether access [j] is a store. *)
@@ -52,7 +62,7 @@ val heap_bytes : t -> int
 (** {2 Skip reason codes}
 
     The one mapping between a Skip's {!Event.skip_reason} and the code its
-    [arg] entry holds, which both wire formats carry too. *)
+    argument word in [ev] holds, which both wire formats carry too. *)
 
 val skip_io : int
 val skip_spin : int

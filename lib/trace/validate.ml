@@ -43,7 +43,8 @@ let add_diag diags tid k fmt =
 
 (* Block [i] of [t]. *)
 let check_block ~bounds diags (t : Thread_trace.t) i =
-  let func = t.arg.(i) and block = t.block.(i) and n_instr = t.n_instr.(i) in
+  let e = 3 * i in
+  let func = t.ev.(e) and block = t.ev.(e + 1) and n_instr = t.n_instr.(i) in
   let tid = t.tid in
   if func < 0 || func >= bounds.func_count then
     add_diag diags tid Tf_error.Bad_block_ref
@@ -64,8 +65,8 @@ let check_block ~bounds diags (t : Thread_trace.t) i =
         func block n_instr
     else begin
       let last_ioff = ref (-1) in
-      for j = t.acc_off.(i) to t.acc_off.(i + 1) - 1 do
-        let ioff = t.ioff.(j) and size = t.size.(j) in
+      for j = t.ev.(e + 2) to t.ev.(e + 5) - 1 do
+        let ioff = t.acc.(3 * j) and size = t.acc.((3 * j) + 2) in
         if ioff < 0 || ioff >= n_instr then
           add_diag diags tid Tf_error.Bad_access
             "access offset %d outside block f%d.b%d (%d instructions)" ioff
@@ -102,7 +103,7 @@ let thread ?(bounds = no_bounds) (t : Thread_trace.t) :
       match kind with
       | Thread_trace.Block -> check_block ~bounds diags t i
       | Thread_trace.Call ->
-          let f = t.arg.(i) in
+          let f = t.ev.(3 * i) in
           if f < 0 || f >= bounds.func_count then
             add Tf_error.Bad_block_ref "call to function id %d out of range" f;
           incr depth
@@ -112,9 +113,9 @@ let thread ?(bounds = no_bounds) (t : Thread_trace.t) :
             (* depth 0: this is the worker's own return, legal only as
                the last control event of the trace *)
             worker_returned := true
-      | Thread_trace.Lock_acq -> held := t.arg.(i) :: !held
+      | Thread_trace.Lock_acq -> held := t.ev.(3 * i) :: !held
       | Thread_trace.Lock_rel ->
-          let a = t.arg.(i) in
+          let a = t.ev.(3 * i) in
           if List.mem a !held then begin
             (* remove one occurrence *)
             let rec drop = function
@@ -143,7 +144,7 @@ let thread ?(bounds = no_bounds) (t : Thread_trace.t) :
 let barrier_seq (t : Thread_trace.t) =
   let seq = ref [] in
   for i = Thread_trace.length t - 1 downto 0 do
-    if t.events.(i) = Thread_trace.Barrier then seq := t.arg.(i) :: !seq
+    if t.events.(i) = Thread_trace.Barrier then seq := t.ev.(3 * i) :: !seq
   done;
   !seq
 

@@ -83,14 +83,14 @@ let extract (prog : Program.t) (trace : Thread_trace.t) : float array =
   for i = 0 to Thread_trace.length trace - 1 do
     match trace.events.(i) with
     | Thread_trace.Block ->
-        let func = trace.arg.(i) and block = trace.block.(i) in
+        let func = trace.ev.(3 * i) and block = trace.ev.((3 * i) + 1) in
         total_instrs := !total_instrs + trace.n_instr.(i);
         incr total_blocks;
         let f = Program.func prog func in
         Array.iter (classify_static mix) f.Program.blocks.(block).Program.instrs;
-        for j = trace.acc_off.(i) to trace.acc_off.(i + 1) - 1 do
+        for j = trace.ev.((3 * i) + 2) to trace.ev.((3 * i) + 5) - 1 do
           incr accesses;
-          Hashtbl.replace unique_addrs trace.addr.(j) ()
+          Hashtbl.replace unique_addrs trace.acc.((3 * j) + 1) ()
         done;
         let key = (func * 100_000) + block in
         if !last_block >= 0 then Hashtbl.replace edges ((!last_block * 1_000_000_000) + key) ();

@@ -98,6 +98,116 @@ let prop_coalesce_lower_bound =
       in
       Coalesce.count_transactions accesses >= (bytes + 31) / 32)
 
+(* [Coalesce.record] against a list-based reference built on
+   [count_transactions]: split each instruction's accesses by segment
+   and count each segment on its own.  Instructions are recorded in
+   sequence into one model, so a line of one instruction must not leak
+   into the next.  Accesses mix the three segments, straddle the segment
+   bounds and 32 B lines, repeat lines, take sizes 0 and 255, and some
+   instructions cover more than 128 lines, so the line set must grow. *)
+let gen_access =
+  let open QCheck.Gen in
+  let* base =
+    oneofl
+      [
+        0x10000;
+        Layout.heap_base - 64;
+        Layout.heap_base + 4096;
+        Layout.stack_region_base - 64;
+        Layout.stack_top 3 - 4096;
+      ]
+  in
+  let* off = oneof [ int_bound 256; int_bound 100_000 ] in
+  let* size = oneof [ oneofl [ 0; 1; 4; 8; 255 ]; int_bound 255 ] in
+  return (base + off, size)
+
+let gen_instr =
+  let open QCheck.Gen in
+  let* n = oneof [ int_range 1 32; int_range 100 300 ] in
+  let* is_store = bool in
+  let* accesses = list_repeat n gen_access in
+  return (is_store, accesses)
+
+let prop_coalesce_record_reference =
+  QCheck.Test.make ~name:"record = per-segment count_transactions" ~count:200
+    (QCheck.make
+       ~print:(fun instrs ->
+         String.concat " | "
+           (List.map
+              (fun (st, l) ->
+                Printf.sprintf "%b: %s" st
+                  (String.concat ";"
+                     (List.map (fun (a, s) -> Printf.sprintf "%#x/%d" a s) l)))
+              instrs))
+       QCheck.Gen.(list_size (int_range 1 4) gen_instr))
+    (fun instrs ->
+      let c =
+        Coalesce.create
+          (Threadfuser_prog.Program.assemble
+             [ Threadfuser_prog.Build.func "f" [ Threadfuser_prog.Build.ret ] ])
+      in
+      (* expected (txns, min_txns, lanes, issues) per segment and load/store,
+         and the site's totals *)
+      let expect = Hashtbl.create 6 in
+      let site_txns = ref 0 and site_min = ref 0 and excess = Hashtbl.create 3 in
+      let ok = ref true in
+      List.iter
+        (fun (is_store, accesses) ->
+          let total = ref 0 in
+          List.iter
+            (fun seg ->
+              match
+                List.filter (fun (a, _) -> Layout.segment_of a = seg) accesses
+              with
+              | [] -> ()
+              | xs ->
+                  let txns = Coalesce.count_transactions xs
+                  and min_txns = Coalesce.min_transactions xs in
+                  let t, l, i =
+                    Option.value ~default:(0, 0, 0)
+                      (Hashtbl.find_opt expect (seg, is_store))
+                  in
+                  Hashtbl.replace expect (seg, is_store)
+                    (t + txns, l + List.length xs, i + 1);
+                  site_txns := !site_txns + txns;
+                  site_min := !site_min + min_txns;
+                  Hashtbl.replace excess seg
+                    (Option.value ~default:0 (Hashtbl.find_opt excess seg)
+                    + max 0 (txns - min_txns));
+                  total := !total + txns)
+            [ Layout.Stack; Layout.Heap; Layout.Global ];
+          if Coalesce.record c ~is_store ~site:0 accesses <> !total then
+            ok := false)
+        instrs;
+      let got seg is_store =
+        let (s : Coalesce.seg_counters) =
+          match seg with
+          | Layout.Stack -> c.Coalesce.stack
+          | Layout.Heap -> c.Coalesce.heap
+          | Layout.Global -> c.Coalesce.global
+        in
+        if is_store then (s.st_txns, s.st_lanes, s.st_issues)
+        else (s.ld_txns, s.ld_lanes, s.ld_issues)
+      in
+      let site = c.Coalesce.sites.(0) in
+      let excess seg = Option.value ~default:0 (Hashtbl.find_opt excess seg) in
+      !ok
+      && List.for_all
+           (fun seg ->
+             List.for_all
+               (fun is_store ->
+                 got seg is_store
+                 = Option.value ~default:(0, 0, 0)
+                     (Hashtbl.find_opt expect (seg, is_store)))
+               [ false; true ])
+           [ Layout.Stack; Layout.Heap; Layout.Global ]
+      && site.a_issues = List.length instrs
+      && site.a_txns = !site_txns
+      && site.a_min_txns = !site_min
+      && site.a_stack_excess = excess Layout.Stack
+      && site.a_heap_excess = excess Layout.Heap
+      && site.a_global_excess = excess Layout.Global)
+
 (* -- cracking ------------------------------------------------------------- *)
 
 (* The micro-ops instruction [i] cracks to, through the path the analyzer
@@ -535,6 +645,7 @@ let () =
           Alcotest.test_case "segments" `Quick test_coalesce_segments;
           QCheck_alcotest.to_alcotest prop_coalesce_bounds;
           QCheck_alcotest.to_alcotest prop_coalesce_lower_bound;
+          QCheck_alcotest.to_alcotest prop_coalesce_record_reference;
         ] );
       ( "crack",
         [

@@ -44,6 +44,21 @@ let test_shards_partition () =
         seen)
     [ (1, 7); (3, 7); (4, 4); (8, 3); (4, 16) ]
 
+(* No items still gives one shard, built once and untouched: the
+   analyzer merges it as the empty replay, whatever [domains] is. *)
+let test_shards_empty () =
+  let inits = ref 0 in
+  let shards =
+    Par_replay.map_shards ~domains:2 ~n:0
+      ~init:(fun () ->
+        incr inits;
+        ref [])
+      ~item:(fun acc i -> acc := i :: !acc)
+  in
+  Alcotest.(check int) "one init" 1 !inits;
+  Alcotest.(check (list (list int))) "one empty shard" [ [] ]
+    (List.map ( ! ) shards)
+
 (* The exception a sequential loop would have raised first (lowest
    index) is the one that surfaces, whatever worker hit it. *)
 let test_shards_exception () =
@@ -227,6 +242,8 @@ let () =
         [
           Alcotest.test_case "partition covers indices" `Quick
             test_shards_partition;
+          Alcotest.test_case "no items: one empty shard" `Quick
+            test_shards_empty;
           Alcotest.test_case "lowest-index exception wins" `Quick
             test_shards_exception;
           Alcotest.test_case "parallel_for coverage" `Quick

@@ -224,6 +224,57 @@ let prop_view_roundtrip =
       && Array.for_all2 Event.equal (Thread_trace.to_events t)
            (Array.of_list events))
 
+(* Every column entry is a whole word: values no bit field could hold
+   (2^40, -1, max_int, min_int) survive the view and TFPACK1 unchanged.
+   TFPACK1 refuses a negative n_instr, so counts stay non-negative. *)
+let gen_wide_event =
+  let open QCheck.Gen in
+  let wide = oneof [ oneofl [ 0; 1; -1; 1 lsl 40; max_int; min_int ]; int ] in
+  let count = oneof [ oneofl [ 0; 1; 1 lsl 40; max_int ]; nat ] in
+  frequency
+    [
+      ( 4,
+        let* func = wide and* block = wide and* n_instr = count in
+        let* accs =
+          list_size (int_bound 4)
+            (let* ioff = wide and* addr = wide and* size = wide in
+             let* is_store = bool in
+             return { Event.ioff; addr; size; is_store })
+        in
+        return
+          (Event.Block { func; block; n_instr; accesses = Array.of_list accs })
+      );
+      (1, map (fun f -> Event.Call f) wide);
+      (1, return Event.Return);
+      (1, map (fun a -> Event.Lock_acq a) wide);
+      (1, map (fun a -> Event.Lock_rel a) wide);
+      (1, map (fun a -> Event.Barrier a) wide);
+      ( 1,
+        let* reason = oneofl [ Event.Io; Event.Spin; Event.Excluded ] in
+        let* n_instr = count in
+        return (Event.Skip { reason; n_instr }) );
+    ]
+
+let prop_wide_lossless =
+  QCheck.Test.make ~name:"whole-word columns: view and TFPACK1 lossless"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 4)
+           (pair (int_bound 1000)
+              (map Array.of_list (list_size (int_bound 40) gen_wide_event)))))
+    (fun threads ->
+      let ts =
+        Array.of_list
+          (List.map (fun (tid, evs) -> Thread_trace.of_events tid evs) threads)
+      in
+      List.for_all2
+        (fun (t : Thread_trace.t) (_, evs) ->
+          Thread_trace.of_events t.tid (Thread_trace.to_events t) = t
+          && Array.for_all2 Event.equal (Thread_trace.to_events t) evs)
+        (Array.to_list ts) threads
+      && Pack.decode (Pack.encode ts) = ts)
+
 (* Machine-made traces (the tracer's own builder calls) survive the view
    too, on workloads with accesses, locks, barriers, I/O and exclusion. *)
 let test_view_roundtrip_workloads () =
@@ -262,11 +313,9 @@ let prop_decoders_match_view =
 let test_heap_bytes () =
   let word = Sys.word_size / 8 in
   let check tag (t : Thread_trace.t) =
-    (* the kind column is as long as [arg] *)
+    (* the kind column is as long as [n_instr] *)
     let atom =
-      List.exists
-        (fun a -> Array.length a = 0)
-        [ t.arg; t.block; t.n_instr; t.acc_off; t.ioff; t.addr; t.size ]
+      List.exists (fun a -> Array.length a = 0) [ t.n_instr; t.acc ]
     in
     Alcotest.(check int)
       (Printf.sprintf "%s tid %d" tag t.tid)
@@ -275,8 +324,8 @@ let test_heap_bytes () =
   in
   let empty = Thread_trace.of_events 5 [||] in
   check "empty" empty;
-  Alcotest.(check int) "empty trace: record, acc_off and store"
-    (word * (11 + 2 + 2))
+  Alcotest.(check int) "empty trace: record, ev's end triple and store"
+    (word * (7 + 4 + 2))
     (Thread_trace.heap_bytes empty);
   check "sample" sample_trace;
   List.iter
@@ -575,11 +624,57 @@ let test_validate_access_size () =
     (kinds (block (Thread_trace.max_access_size + 1)));
   Alcotest.(check (list string)) "2^36 rejected" [ "bad-access" ] (kinds (block (1 lsl 36)));
   let tr = W.trace_cpu ~threads:32 (Registry.find "vectoradd") in
-  let traces = Array.map (fun (t : Thread_trace.t) -> { t with size = Array.copy t.size }) tr.W.traces in
-  traces.(0).size.(0) <- 1 lsl 36;
+  let traces = Array.map (fun (t : Thread_trace.t) -> { t with acc = Array.copy t.acc }) tr.W.traces in
+  (* access 0's size is word 2 of the stride-3 access column *)
+  traces.(0).acc.(2) <- 1 lsl 36;
   let c = Threadfuser.Analyzer.analyze_checked tr.W.prog traces in
   Alcotest.(check (list int)) "thread 0 quarantined" [ 0 ]
     (List.map fst c.Threadfuser.Analyzer.quarantined)
+
+(* A crafted value reaches [Validate] as it was written, whether the trace
+   is built or decoded from TFPACK1: a function id of 2^40, a block id of
+   -1 and an access offset of max_int each draw their diagnostic, naming
+   the value. *)
+let test_wide_values_reach_validate () =
+  let bounds =
+    { Validate.func_count = 2; block_count = (fun _ -> 4); block_instrs = None }
+  in
+  let block ?(accesses = [||]) func block =
+    Thread_trace.of_events 0
+      [| Event.Block { func; block; n_instr = 2; accesses } |]
+  in
+  List.iter
+    (fun (label, t, kind, value) ->
+      List.iter
+        (fun (how, t) ->
+          match Validate.thread ~bounds t with
+          | [ d ] ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s (%s): kind" label how)
+                kind
+                (Tf_error.kind_name d.Tf_error.kind);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s (%s): %S names %s" label how
+                   d.Tf_error.message value)
+                true
+                (let m = d.Tf_error.message and n = String.length value in
+                 let rec at i =
+                   i + n <= String.length m
+                   && (String.sub m i n = value || at (i + 1))
+                 in
+                 at 0)
+          | ds ->
+              Alcotest.failf "%s (%s): %d diagnostics" label how
+                (List.length ds))
+        [ ("built", t); ("TFPACK1", (Pack.decode (Pack.encode [| t |])).(0)) ])
+    [
+      ("func 2^40", block (1 lsl 40) 0, "bad-block-ref", string_of_int (1 lsl 40));
+      ("block -1", block 0 (-1), "bad-block-ref", "f0.b-1");
+      ( "ioff max_int",
+        block ~accesses:[| access max_int 0x1000 8 false |] 0 0,
+        "bad-access",
+        string_of_int max_int );
+    ]
 
 let prop_varint =
   QCheck.Test.make ~name:"varint roundtrip (signed)" ~count:500
@@ -631,6 +726,7 @@ let () =
           Alcotest.test_case "view round-trips machine traces" `Quick
             test_view_roundtrip_workloads;
           QCheck_alcotest.to_alcotest prop_decoders_match_view;
+          QCheck_alcotest.to_alcotest prop_wide_lossless;
           Alcotest.test_case "event counts golden" `Quick
             test_event_counts_golden;
           Alcotest.test_case "heap_bytes matches the runtime" `Quick
@@ -648,5 +744,7 @@ let () =
             test_block_cannot_read_past_itself;
           Alcotest.test_case "validate diagnostics" `Quick test_validate;
           Alcotest.test_case "validate access size" `Quick test_validate_access_size;
+          Alcotest.test_case "wide values reach validate" `Quick
+            test_wide_values_reach_validate;
         ] );
     ]
