@@ -53,7 +53,6 @@ module Runner = Threadfuser_runner.Runner
 module Serve = Threadfuser_serve.Serve
 module Sclient = Threadfuser_serve.Client
 module Sprotocol = Threadfuser_serve.Protocol
-module Stream = Threadfuser_trace.Stream
 module Json = Threadfuser_report.Json
 module Flamegraph = Threadfuser_report.Flamegraph
 module Report_diff = Threadfuser_report.Report_diff
@@ -149,17 +148,12 @@ let ignore_sync =
 let domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int 1
     & info [ "j"; "domains" ] ~docv:"N"
         ~doc:
           "Replay worker domains.  Warps shard across an OCaml 5 domain \
            pool with a deterministic reduction, so any value >= 1 yields \
-           byte-identical reports.  Defaults to $(b,TF_DOMAINS) when set, \
-           else 1 (sequential).")
-
-let resolve_domains = function
-  | Some d -> d
-  | None -> Threadfuser.Par_replay.default_domains ()
+           byte-identical reports.  The default, 1, is sequential.")
 
 let options ~warp_size ~ignore_sync =
   {
@@ -291,7 +285,7 @@ let analyze_run () trace_out metrics_out w warp_size level threads scale
     {
       (options ~warp_size ~ignore_sync) with
       Analyzer.record_timeline = timeline;
-      domains = resolve_domains domains;
+      domains;
     }
   in
   let r =
@@ -441,7 +435,6 @@ let gpu_preset_arg =
         ~doc:"GPU configuration: scaled (default), rtx3070, h100 or tiny.")
 
 let simulate_run () trace_out metrics_out w threads gpu_config domains =
-  let domains = resolve_domains domains in
   let ctx = E.Ctx.create ?threads () in
   let tr = E.Ctx.traced ctx w in
   let cpu_t = E.Fig6.cpu_seconds ~domains tr in
@@ -501,7 +494,7 @@ let profile_run () w warp_size level threads scale trace_out metrics_out
             {
               Analyzer.default_options with
               warp_size;
-              domains = resolve_domains domains;
+              domains;
             }
           tr.W.prog tr.W.traces)
   in
@@ -667,7 +660,7 @@ let replay_run path domains =
     (Threadfuser.Warp_trace.total_ops wt);
   let stats =
     Threadfuser_gpusim.Gpusim.run ~config:E.Fig6.gpu_config
-      ~domains:(resolve_domains domains) wt
+      ~domains wt
   in
   Fmt.pr "GPU (scaled 8-SM part): %a@." Threadfuser_gpusim.Gpusim.pp_stats stats
 
@@ -1105,10 +1098,10 @@ let suite_cmd =
             "Chaos, deterministic per seed/job/attempt: a comma list of \
              crash=PCT, stall=PCT, stall-s=SECONDS (30), seed=N (1), \
              retries=N (0; extra attempts after a failed first one, the \
-             first after 0.25 s, doubling with jitter) and every (fault \
-             retries too, not just first attempts), e.g. \
-             $(b,crash=40,seed=7,retries=2).  Without it no job is \
-             retried: jobs are deterministic.")
+             first after 0.25 s, doubling with jitter), e.g. \
+             $(b,crash=40,seed=7,retries=2).  Only first attempts are \
+             faulted, so retries recover.  Without it no job is retried: \
+             jobs are deterministic.")
   in
   let cache_dir_opt =
     Arg.(
@@ -1255,7 +1248,7 @@ let serve_run () trace_out metrics_out w level warp_size ignore_sync domains
   let options =
     {
       (options ~warp_size ~ignore_sync) with
-      Analyzer.domains = resolve_domains domains;
+      Analyzer.domains = domains;
     }
   in
   let fault = Option.map Runner.Exec_fault.session_plan_of_spec fault in
@@ -1299,7 +1292,7 @@ let serve_cmd =
       & info [ "session-quota" ] ~docv:"BYTES"
           ~doc:
             "Per-session memory budget; decoded traces beyond half of it \
-             spill to disk, and a frame bigger than the whole budget is \
+             spill to disk, and a trace block bigger than the whole budget is \
              rejected as corrupt.")
   in
   let deadline_arg =
@@ -1325,9 +1318,8 @@ let serve_cmd =
       & info [ "fault" ] ~docv:"SPEC"
           ~doc:
             "Chaos, deterministic per seed and accept ordinal: a comma \
-             list of disconnect=PCT, stall-writer=PCT, oversize=PCT, \
-             stall-s=SECONDS (30), disconnect-after=BYTES (cut within \
-             4096) and seed=N (1), e.g. $(b,oversize=34,seed=4).")
+             list of disconnect=PCT (cut within the first 4096 bytes), \
+             oversize=PCT and seed=N (1), e.g. $(b,oversize=34,seed=4).")
   in
   let flight_dir_arg =
     Arg.(
@@ -1369,7 +1361,9 @@ let daemon_call ~what path f =
   | End_of_file -> fail "daemon closed the session" "no reply"
 
 let client_run () path socket chunk_bytes =
-  let stream = Stream.encode (Trace_file.load path) in
+  (* a corrupt file fails here, before any connection; a file [trace]
+     wrote re-encodes to its own bytes *)
+  let stream = Pack.encode (Trace_file.load path) in
   (* a daemon that closes while we still send must surface as EPIPE *)
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let outcome =

@@ -19,6 +19,7 @@ module Thread_trace = Threadfuser_trace.Thread_trace
 module Validate = Threadfuser_trace.Validate
 module Serial = Threadfuser_trace.Serial
 module Stream = Threadfuser_trace.Stream
+module Pack = Threadfuser_trace.Pack
 module Tf_error = Threadfuser_util.Tf_error
 module Dcfg = Threadfuser_cfg.Dcfg
 module Ipdom = Threadfuser_cfg.Ipdom
@@ -758,13 +759,13 @@ module Session = struct
   type t = {
     s_options : options;
     s_budget : int;
-    s_max_frame : int;
+    s_max_block : int;
     s_prog : Program.t;
     s_bounds : Validate.bounds;
     s_dec : Stream.t;
     s_tmp_dir : string option;
-    (* The spool, in ingest order: the oldest threads re-framed in
-       [Stream]'s format (no magic) in a temp file, the newest ones kept
+    (* The spool, in ingest order: the oldest threads as TFPACK1 blocks
+       (no magic, no count) in a temp file, the newest ones kept
        decoded in [s_tail] (newest first).  The tail is charged its
        [Thread_trace.heap_bytes] and is encoded to the file only when it
        passes half the budget.  Threads with validation errors are
@@ -798,14 +799,14 @@ module Session = struct
         "Analyzer.Session.create: streaming analysis requires Sequential \
          batching (other policies need every trace at once)";
     check_domains options;
-    let max_frame = max budget_bytes 65536 in
+    let max_block = max budget_bytes 65536 in
     {
       s_options = options;
       s_budget = budget_bytes;
-      s_max_frame = max_frame;
+      s_max_block = max_block;
       s_prog = prog;
       s_bounds = bounds_of_program prog;
-      s_dec = Stream.create ~max_frame_bytes:max_frame ();
+      s_dec = Stream.create ~max_block_bytes:max_block ();
       s_tmp_dir = tmp_dir;
       s_tail = [];
       s_tail_bytes = 0;
@@ -834,7 +835,7 @@ module Session = struct
      cut at the same decoded size. *)
   let spill_at t = max 65536 (t.s_budget / 2)
 
-  (* Encode the tail, oldest first, onto the spill file; one frame is
+  (* Encode the tail, oldest first, onto the spill file; one block is
      staged at a time. *)
   let spill t =
     let oc =
@@ -851,7 +852,7 @@ module Session = struct
     let buf = Buffer.create 4096 in
     List.iter
       (fun tr ->
-        Stream.add_thread buf tr;
+        Pack.add_block buf tr;
         Buffer.output_buffer oc buf;
         t.s_spilled <- t.s_spilled + Buffer.length buf;
         Buffer.clear buf)
@@ -889,7 +890,7 @@ module Session = struct
       while !continue_ do
         match Stream.next t.s_dec with
         | Stream.Need_more -> continue_ := false
-        | Stream.Frame tr -> add_thread t tr
+        | Stream.Thread tr -> add_thread t tr
         | Stream.End_of_stream ->
             t.s_done <- true;
             (* loop once more only if trailing bytes remain: the decoder
@@ -903,28 +904,25 @@ module Session = struct
 
   (* Iterate the spool in ingest order with each thread's ingest index:
      the spill file (oldest), re-decoded through a bounded decoder so the
-     pass holds one frame plus one chunk of it, then the decoded tail as
-     it is. *)
+     pass holds one block plus one chunk of it, then the decoded tail as
+     it is.  Every block is CRC-checked, so a spill file damaged on disk
+     raises [Serial.Corrupt], which the checked pipeline reports as
+     corrupt input. *)
   let iter_spool t f =
-    let dec =
-      Stream.create ~max_frame_bytes:t.s_max_frame ~expect_magic:false ()
-    in
+    let dec = Stream.create ~max_block_bytes:t.s_max_block ~header:false () in
     let i = ref 0 in
     let emit tr =
       f !i tr;
       incr i
     in
-    let drain () =
-      let continue_ = ref true in
-      while !continue_ do
-        match Stream.next dec with
-        | Stream.Need_more -> continue_ := false
-        | Stream.Frame tr -> emit tr
-        | Stream.End_of_stream | Stream.Corrupt _ ->
-            (* the spill file is written only by [spill]: well-formed
-               thread frames, no end frame *)
-            assert false
-      done
+    let damaged m = raise (Serial.Corrupt ("session spill file damaged: " ^ m)) in
+    let rec drain () =
+      match Stream.next dec with
+      | Stream.Thread tr ->
+          emit tr;
+          drain ()
+      | Stream.Corrupt d -> damaged d.Tf_error.message
+      | Stream.Need_more | Stream.End_of_stream -> ()
     in
     (match t.s_file with
     | Some (path, oc) ->
@@ -942,7 +940,11 @@ module Session = struct
                 go ()
               end
             in
-            go ())
+            go ());
+        if Stream.buffered dec > 0 then
+          damaged
+            (Printf.sprintf "%d byte(s) after the last whole block"
+               (Stream.buffered dec))
     | None -> ());
     List.iter emit (List.rev t.s_tail)
 

@@ -94,8 +94,8 @@ val analyze_checked :
 
 (** {1 Streaming sessions}
 
-    Bounded-memory incremental analysis: feed {!Threadfuser_trace.Stream}
-    chunks as they arrive, then {!Session.finish} for a report that is
+    Bounded-memory incremental analysis: feed the chunks of a TFPACK1
+    file as they arrive, then {!Session.finish} for a report that is
     byte-identical to {!analyze_checked} over the same traces — at any
     chunking, any session budget and any [options.domains].
 
@@ -104,12 +104,12 @@ val analyze_checked :
     session hands it its spool.  Ingested threads are validated on
     arrival and kept decoded in the spool's tail, each charged its
     {!Threadfuser_trace.Thread_trace.heap_bytes}.  Only when the tail
-    passes half the budget is it encoded as {!Threadfuser_trace.Stream}
-    frames onto a temp file, so memory is bounded by the per-session
+    passes half the budget is it encoded as TFPACK1 blocks
+    ({!Threadfuser_trace.Pack.add_block}) onto a temp file, so memory is bounded by the per-session
     budget, not the trace length, and a session within budget never
     encodes or re-decodes a trace.  Each pipeline pass (one for the
-    DCFG, one for replay) re-decodes the spill file, then walks the
-    decoded tail; replay is cut at the first warp boundary where half a
+    DCFG, one for replay) re-decodes the spill file through
+    {!Threadfuser_trace.Stream}, then walks the decoded tail; replay is cut at the first warp boundary where half a
     budget of decoded traces is pending.  Quarantine, fuel, coverage,
     crash fallback and instrumentation are the same code on both
     sources.  Used by [threadfuser serve] (docs/robustness.md §8). *)
@@ -121,7 +121,7 @@ module Session : sig
 
   (** [create prog] starts a session.  [budget_bytes] bounds both the
       in-memory spool (decoder reassembly plus the decoded tail) and a
-      single stream frame (at least 64 KiB);
+      single block's payload (at least 64 KiB);
       [tmp_dir] hosts the spill file (default: [Filename.temp_dir_name]).
       @raise Invalid_argument if [budget_bytes <= 0],
         [options.domains < 1] or [options.batching] is not [Sequential]
@@ -134,8 +134,8 @@ module Session : sig
     Threadfuser_prog.Program.t ->
     t
 
-  (** Feed a chunk of a {!Threadfuser_trace.Stream}-encoded trace set
-      (magic + thread frames + end frame), any chunk boundaries.  Decoded
+  (** Feed a chunk of a TFPACK1 trace set ({!Threadfuser_trace.Pack.encode}:
+      magic, thread count, blocks), any chunk boundaries.  Decoded
       threads are validated and spooled immediately.  Corruption is
       recorded ({!failure}) rather than raised; chunks fed after it are
       discarded, so a hostile stream cannot grow the session. *)
@@ -145,7 +145,7 @@ module Session : sig
       session keeps the trace itself, not a copy, until it spills. *)
   val add_thread : t -> Threadfuser_trace.Thread_trace.t -> unit
 
-  (** The stream's end frame has been consumed. *)
+  (** Every block the stream's header counted has been consumed. *)
   val input_done : t -> bool
 
   (** The sticky stream-corruption diagnostic, if any. *)
@@ -168,8 +168,9 @@ module Session : sig
 
   (** Run the checked pipeline over everything ingested, exactly as
       {!analyze_checked} would over the same traces; a stream {!failure}
-      is prepended to [diagnostics].  Idempotent; the spool is
-      released. *)
+      is prepended to [diagnostics].  A spill file damaged on disk fails
+      its CRC and yields the crash fallback's [Corrupt_input] report.
+      Idempotent; the spool is released. *)
   val finish : t -> checked
 
   (** Release the spool and temp file.  Safe to call at any point (e.g.

@@ -22,18 +22,6 @@
 
 module Obs = Threadfuser_obs.Obs
 
-(** Domain count for [None]-means-default call sites: [TF_DOMAINS] when
-    set to a positive int, else 1 (serial).  Clamped to
-    [Domain.recommended_domain_count] so an over-wide request cannot
-    oversubscribe the machine. *)
-let default_domains () =
-  match Sys.getenv_opt "TF_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> min d (Domain.recommended_domain_count ())
-      | Some _ | None -> 1)
-
 (* ------------------------------------------------------------------ *)
 (* Auto -j: workloads too small to amortize a domain hand-off should not
    pay for domains they cannot feed.  The unit of "work" is whatever the

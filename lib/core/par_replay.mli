@@ -5,11 +5,6 @@
     partitions — in parallel yet reduce to byte-identical output at any
     domain count.  See docs/performance.md. *)
 
-(** Default worker count when the caller passed nothing: [TF_DOMAINS]
-    when set to a positive int (clamped to
-    [Domain.recommended_domain_count]), else 1. *)
-val default_domains : unit -> int
-
 val min_work_per_domain : int
 (** Work units (the analyzer counts trace events) that earn one domain:
     20000. *)

@@ -48,14 +48,12 @@ let retries p = p.retries
 
 let plan_of_spec s =
   let s =
-    Fault_plan.spec ~who:"Exec_fault.plan_of_spec" ~flags:[ "every" ]
+    Fault_plan.spec ~who:"Exec_fault.plan_of_spec"
       ~keys:[ "crash"; "stall"; "stall-s"; "seed"; "retries" ] s
   in
   let i = Fault_plan.int s in
   plan ?seed:(i "seed") ?crash_pct:(i "crash") ?stall_pct:(i "stall")
-    ?stall_s:(Fault_plan.float s "stall-s")
-    ~first_attempt_only:(not (Fault_plan.flag s "every"))
-    ?retries:(i "retries") ()
+    ?stall_s:(Fault_plan.float s "stall-s") ?retries:(i "retries") ()
 
 (** [decide plan ~job ~attempt] — [attempt] is 1-based.  Pure: the same
     triple always yields the same action. *)
@@ -117,15 +115,12 @@ let session_plan ?(seed = 1) ?(disconnect_pct = 0) ?(stall_writer_pct = 0)
 
 let session_plan_of_spec s =
   let s =
-    Fault_plan.spec ~who:"Exec_fault.session_plan_of_spec" ~flags:[] s
-      ~keys:[ "disconnect"; "stall-writer"; "oversize"; "stall-s";
-              "disconnect-after"; "seed" ]
+    Fault_plan.spec ~who:"Exec_fault.session_plan_of_spec" s
+      ~keys:[ "disconnect"; "oversize"; "seed" ]
   in
   let i = Fault_plan.int s in
   session_plan ?seed:(i "seed") ?disconnect_pct:(i "disconnect")
-    ?stall_writer_pct:(i "stall-writer") ?oversize_pct:(i "oversize")
-    ?writer_stall_s:(Fault_plan.float s "stall-s")
-    ?disconnect_after:(i "disconnect-after") ()
+    ?oversize_pct:(i "oversize") ()
 
 (** [decide_session plan ~session] — the fault for the daemon's
     [session]-th accepted connection (0-based ordinal).  Pure, so a chaos

@@ -36,10 +36,10 @@ val retries : plan -> int
     retries nothing: its jobs are deterministic. *)
 
 val plan_of_spec : string -> plan
-(** [suite --fault], e.g.
-    ["crash=40,stall=10,stall-s=5,seed=7,retries=2,every"] ([every]:
-    fault retries too); omitted keys keep {!plan}'s defaults.  Raises
-    [Invalid_argument] on a bad spec (see {!Fault_plan.spec}). *)
+(** [suite --fault], e.g. ["crash=40,stall=10,stall-s=5,seed=7,retries=2"];
+    omitted keys keep {!plan}'s defaults, so only first attempts are
+    faulted.  Raises [Invalid_argument] on a bad spec (see
+    {!Fault_plan.spec}). *)
 
 (** [decide plan ~job ~attempt] — the action for this attempt ([attempt]
     is 1-based; raises on 0).  Deterministic per triple. *)
@@ -86,8 +86,9 @@ val session_plan :
   session_plan
 
 val session_plan_of_spec : string -> session_plan
-(** [serve --fault]: keys [disconnect], [stall-writer], [oversize],
-    [stall-s], [disconnect-after] and [seed]; as {!plan_of_spec}. *)
+(** [serve --fault]: keys [disconnect], [oversize] and [seed]; the
+    writer stall and the cut-point bound keep {!session_plan}'s
+    defaults.  As {!plan_of_spec}. *)
 
 (** The fault for the daemon's [session]-th accepted connection (0-based
     ordinal).  Pure. *)

@@ -19,9 +19,9 @@ let draw arms ~stream ~none =
   in
   go arms
 
-type spec = { who : string; items : (string * string option) list }
+type spec = { who : string; items : (string * string) list }
 
-let spec ~who ~flags ~keys s =
+let spec ~who ~keys s =
   let fail fmt = Printf.ksprintf (fun m -> invalid_arg (who ^ ": " ^ m)) fmt in
   if s = "" then fail "empty fault spec";
   let item seen i =
@@ -33,21 +33,16 @@ let spec ~who ~flags ~keys s =
           (String.sub i 0 n, Some rest)
     in
     if List.mem_assoc k seen then fail "duplicate key %S" k;
-    (match (List.mem k flags, List.mem k keys, v) with
-    | true, _, None | _, true, Some _ -> ()
-    | true, _, Some _ -> fail "%s takes no value" k
-    | _, true, None -> fail "%s needs a value (%s=...)" k k
-    | false, false, _ ->
-        fail "unknown key %S (known: %s)" k
-          (String.concat ", " (keys @ flags)));
-    (k, v) :: seen
+    if not (List.mem k keys) then
+      fail "unknown key %S (known: %s)" k (String.concat ", " keys);
+    match v with
+    | Some v -> (k, v) :: seen
+    | None -> fail "%s needs a value (%s=...)" k k
   in
   { who; items = List.fold_left item [] (String.split_on_char ',' s) }
 
-let flag s k = List.mem_assoc k s.items
-
 let value conv what s k =
-  Option.join (List.assoc_opt k s.items)
+  List.assoc_opt k s.items
   |> Option.map (fun v ->
          match conv v with
          | Some x -> x

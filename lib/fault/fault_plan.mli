@@ -2,7 +2,7 @@
     {!Store_fault}): a plan is an ordered list of arms, each a percentage
     and the action it fires.  This module alone validates the
     percentages and draws the arms, so every injector makes its decisions
-    the same way.  It also reads the [--fault] specs ([crash=40,every])
+    the same way.  It also reads the [--fault] specs ([crash=40,seed=7])
     that build plans from the command line. *)
 
 type 'a t
@@ -20,15 +20,13 @@ val draw : 'a t -> stream:int -> none:'a -> 'a
     [none] when no arm does.  Pure in [(arms, stream)]. *)
 
 type spec
-(** A parsed [key=value,flag,...] list. *)
+(** A parsed [key=value,...] list. *)
 
-val spec : who:string -> flags:string list -> keys:string list -> string -> spec
-(** [spec ~who ~flags ~keys s] splits [s] on commas into bare [flags] and
-    [key=value] items.  Raises [Invalid_argument] naming [who] on an empty
-    spec, an unknown or repeated key, a flag given a value, or a key
-    without one. *)
+val spec : who:string -> keys:string list -> string -> spec
+(** [spec ~who ~keys s] splits [s] on commas into [key=value] items.
+    Raises [Invalid_argument] naming [who] on an empty spec, an unknown
+    or repeated key, or a key without a value. *)
 
-val flag : spec -> string -> bool
 val int : spec -> string -> int option
 val float : spec -> string -> float option
 (** [None] when absent; [Invalid_argument] on a malformed value.  Range

@@ -8,7 +8,7 @@ type outcome = {
 }
 
 (** [session ?chunk_bytes ~socket_path bytes] runs one blocking session:
-    connect, read the greeting, stream [bytes] (a TFSTREAM1 stream) in
+    connect, read the greeting, stream [bytes] (a TFPACK1 file) in
     [chunk_bytes] slices (default 64KiB), read the reply.  A [busy]
     greeting returns immediately with no report; an early reply still
     returns when the send is cut.  Raises [Unix.Unix_error] or

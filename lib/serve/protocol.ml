@@ -6,14 +6,16 @@
       client                          server
         |  ---- connect ---->           |
         |  <--- status frame  (ready | busy)
-        |  ---- raw TFSTREAM1 bytes --> |   (any chunking; self-delimiting)
+        |  ---- TFPACK1 file bytes ---> |   (any chunking; self-delimiting)
         |  <--- status frame  (ok | degraded | error | timeout)
         |  <--- report frame  (raw report JSON; iff status.report)
         |  <--- close                   |
     v}
 
-    The request side needs no framing of its own — {!Threadfuser_trace.Stream}
-    frames are self-delimiting and end with an explicit end-of-stream frame.
+    The request side needs no framing of its own: a TFPACK1 file is
+    self-delimiting, since its header counts the thread blocks that
+    follow and each block carries its length ({!Threadfuser_trace.Stream}
+    reads it incrementally).
     Replies are length-prefixed frames (4-byte big-endian length + payload)
     so the client can read a status object and a report of known size
     without sniffing for a terminator.  The status payload is a JSON

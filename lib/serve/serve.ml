@@ -27,7 +27,7 @@ module Analyzer = Threadfuser.Analyzer
 module Session = Threadfuser.Analyzer.Session
 module Metrics = Threadfuser.Metrics
 module Program = Threadfuser_prog.Program
-module Stream = Threadfuser_trace.Stream
+module Pack = Threadfuser_trace.Pack
 module Serial = Threadfuser_trace.Serial
 module Tf_error = Threadfuser_util.Tf_error
 module Report_json = Threadfuser_report.Report_json
@@ -84,7 +84,7 @@ type config = {
   fault : Exec_fault.session_plan option;  (** chaos injection *)
   tmp_dir : string option;
       (** where a session over half its quota of decoded traces spills
-          them as TFSTREAM1 frames (default: [Filename.temp_dir_name],
+          them as TFPACK1 blocks (default: [Filename.temp_dir_name],
           i.e. [TMPDIR]); the file is removed when the session ends *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder;
@@ -179,11 +179,13 @@ let rec drain_pipe fd =
   | _ -> ()
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
-(* Forged bytes for the oversize-frame injection: a thread-frame header
-   whose declared payload exceeds any plausible bound. *)
+(* Forged bytes for the oversize-frame injection: a TFPACK1 magic, a
+   count, and a block header whose declared payload exceeds any plausible
+   bound. *)
 let oversized_header () =
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf Stream.magic;
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf Pack.magic;
+  Serial.write_uint buf 1;
   Serial.write_uint buf 0;
   Serial.write_uint buf max_int;
   Buffer.contents buf

@@ -1,8 +1,8 @@
 (** The [threadfuser serve] daemon: a supervised streaming analysis
     service over a Unix-domain socket.
 
-    Clients connect, stream {!Threadfuser_trace.Stream} bytes, and
-    receive {!Protocol} reply frames: a status object plus — byte-for-byte
+    Clients connect, stream the bytes of a TFPACK1 trace file (read
+    incrementally by {!Threadfuser_trace.Stream}), and receive {!Protocol} reply frames: a status object plus — byte-for-byte
     identical to batch [threadfuser analyze --json] — the report.  The
     daemon runs every session through {!Threadfuser.Analyzer.Session}
     under a per-session memory quota and supervises with [lib/runner]
@@ -23,7 +23,7 @@ type config = {
       (** deterministic chaos injection, keyed by accept ordinal *)
   tmp_dir : string option;
       (** where a session over half its quota of decoded traces spills
-          them as TFSTREAM1 frames (default: [Filename.temp_dir_name],
+          them as TFPACK1 blocks (default: [Filename.temp_dir_name],
           i.e. [TMPDIR]); the file is removed when the session ends *)
   flight_dir : string option;
       (** where poisoned/timed-out sessions dump their flight recorder

@@ -96,7 +96,7 @@ let encode_payload (t : Thread_trace.t) =
   done;
   Buffer.contents buf
 
-let add_thread buf (t : Thread_trace.t) =
+let add_block buf (t : Thread_trace.t) =
   let payload = encode_payload t in
   Serial.write_uint buf t.Thread_trace.tid;
   Serial.write_uint buf (String.length payload);
@@ -107,7 +107,7 @@ let encode (traces : Thread_trace.t array) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Serial.write_uint buf (Array.length traces);
-  Array.iter (add_thread buf) traces;
+  Array.iter (add_block buf) traces;
   Buffer.contents buf
 
 (* -- payload decoding --------------------------------------------------- *)
@@ -135,10 +135,10 @@ let read_sync p r =
 
 (* The payload is [s.[pos .. lim-1]], decoded in place: {!Serial}'s
    readers are bounded by [lim], so every count, truncation and
-   trailing-byte check is relative to the block, exactly like a TFSTREAM1
-   frame.  The tag column is checked in place, then read again beside the
-   args column, so the columns go straight into the builder with no
-   per-event intermediate. *)
+   trailing-byte check is relative to the block.  The tag column is
+   checked in place, then read again beside the args column, so the
+   columns go straight into the builder with no per-event
+   intermediate. *)
 let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
   let module B = Thread_trace.Builder in
   let r = Serial.reader ~pos ~lim s in
@@ -203,6 +203,17 @@ let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
             (lim - r.Serial.pos)));
   B.finish b
 
+let decode_block ~tid s ~pos ~lim =
+  if tid < 0 then raise (Serial.Corrupt "negative thread id");
+  let stored = Crc32.read_le s lim in
+  let computed = Crc32.update 0 s pos (lim - pos) in
+  if computed <> stored then
+    raise
+      (Serial.Corrupt
+         (Printf.sprintf "pack block crc mismatch (stored %08x, computed %08x)"
+            stored computed));
+  decode_payload ~tid s ~pos ~lim
+
 (* -- whole-buffer decoding ---------------------------------------------- *)
 
 let decode s : Thread_trace.t array =
@@ -215,24 +226,14 @@ let decode s : Thread_trace.t array =
   let traces =
     Array.init n_threads (fun _ ->
         let tid = Serial.read_uint r in
-        if tid < 0 then raise (Serial.Corrupt "negative thread id");
         let payload_len = Serial.read_uint r in
         let pos = r.Serial.pos in
         (* [payload_len + 4] would overflow for a crafted length near
            [max_int]; subtract on the side that cannot *)
         if payload_len < 0 || payload_len > String.length s - pos - 4 then
           raise (Serial.Corrupt "pack block length exceeds remaining input");
-        let lim = pos + payload_len in
-        let stored = Crc32.read_le s lim in
-        let computed = Crc32.update 0 s pos payload_len in
-        if computed <> stored then
-          raise
-            (Serial.Corrupt
-               (Printf.sprintf
-                  "pack block crc mismatch (stored %08x, computed %08x)" stored
-                  computed));
-        r.Serial.pos <- lim + 4;
-        decode_payload ~tid s ~pos ~lim)
+        r.Serial.pos <- pos + payload_len + 4;
+        decode_block ~tid s ~pos ~lim:(pos + payload_len))
   in
   if r.Serial.pos <> String.length s then
     raise

@@ -15,16 +15,34 @@ val magic : string
 (** ["TFPACK1"] — the container's leading bytes, for format sniffing. *)
 
 val encode : Thread_trace.t array -> string
+(** [magic], the thread count, then one {!add_block} per trace. *)
+
+(** {1 Blocks}
+
+    A block is one thread: [tid], [payload_len], the payload and its
+    CRC-32 trailer.  Every block decodes on its own, so {!Stream} reads
+    the same blocks incrementally: the [serve] wire is a whole TFPACK1
+    file, and a session's spill file is a run of blocks with no magic
+    and no count. *)
+
+val add_block : Buffer.t -> Thread_trace.t -> unit
+
+val decode_block : tid:int -> string -> pos:int -> lim:int -> Thread_trace.t
+(** [decode_block ~tid s ~pos ~lim] decodes the payload [s.[pos .. lim-1]]
+    of a block whose header held [tid] and whose 4-byte CRC trailer
+    follows at [lim] (the caller has checked it is there).  The CRC is
+    checked over the payload where it sits, then the payload decodes in
+    place, every read bounded by [lim].  Raises {!Serial.Corrupt} on a
+    negative [tid], a CRC mismatch or a malformed payload. *)
 
 val decode : string -> Thread_trace.t array
-(** Decodes each block in place: its CRC-32 is checked over the payload
-    bytes where they sit, then a {!Serial.reader} bounded to the block
-    decodes them straight into the flat columns, each allocated once at
-    its exact size.  No payload is copied, and no read crosses the
-    block's end.  Raises {!Serial.Corrupt} on bad magic, truncation, CRC
-    mismatch, overlong varints, lying counts (every count, and the sum of
-    a payload's access counts, is bounded by the bytes left in its block
-    before anything is sized from it) or trailing bytes. *)
+(** Decodes each block in place with {!decode_block}, straight into the
+    flat columns, each allocated once at its exact size.  No payload is
+    copied, and no read crosses the block's end.  Raises
+    {!Serial.Corrupt} on bad magic, truncation, CRC mismatch, overlong
+    varints, lying counts (every count, and the sum of a payload's access
+    counts, is bounded by the bytes left in its block before anything is
+    sized from it) or trailing bytes. *)
 
 val to_file : string -> Thread_trace.t array -> unit
 

@@ -1,4 +1,4 @@
-(** The varint codec and event codec every trace container shares, plus
+(** The varint codec and event tags both trace containers share, plus
     the read-only decoder for legacy TFTRACE1 files.
 
     TFTRACE1 (all integers LEB128 varints over the two's-complement bit
@@ -56,7 +56,7 @@ let reader ?(pos = 0) ?lim data =
    >= Sys.int_size is undefined).  Every read is bounded by [lim], never
    by the length of [data]: a reader over one block of a larger buffer
    cannot run on into the next. *)
-let read_uint_loop r =
+let read_uint r =
   let data = r.data and lim = r.lim in
   let pos = ref r.pos and shift = ref 0 and acc = ref 0 and more = ref true in
   while !more do
@@ -72,21 +72,6 @@ let read_uint_loop r =
   done;
   r.pos <- !pos;
   !acc
-
-(* Tags and most deltas are one byte: return those before the loop.
-   [@inline] reaches only this module's callers (the event codec that
-   {!Stream} frames); other modules see an [-opaque] library. *)
-let[@inline] read_uint r =
-  let pos = r.pos in
-  if pos < r.lim then begin
-    let b = Char.code (String.unsafe_get r.data pos) in
-    if b < 0x80 then begin
-      r.pos <- pos + 1;
-      b
-    end
-    else read_uint_loop r
-  end
-  else read_uint_loop r
 
 (* Length headers are untrusted: a corrupt count must fail as [Corrupt]
    before it reaches [Array.init] (a 5-byte file must not trigger a
@@ -117,31 +102,6 @@ let tag_of_kind : Thread_trace.kind -> int = function
   | Thread_trace.Lock_rel -> 4
   | Thread_trace.Skip -> 5
   | Thread_trace.Barrier -> 6
-
-(* Event [i] of [t]. *)
-let write_event buf (t : Thread_trace.t) i =
-  let kind = t.events.(i) and e = 3 * i in
-  write_uint buf (tag_of_kind kind);
-  match kind with
-  | Thread_trace.Block ->
-      write_uint buf t.ev.(e);
-      write_uint buf t.ev.(e + 1);
-      write_uint buf t.n_instr.(i);
-      let lo = t.ev.(e + 2) and hi = t.ev.(e + 5) in
-      write_uint buf (hi - lo);
-      for j = lo to hi - 1 do
-        write_uint buf t.acc.(3 * j);
-        write_uint buf t.acc.((3 * j) + 1);
-        write_uint buf t.acc.((3 * j) + 2);
-        write_uint buf (if Thread_trace.is_store t j then 1 else 0)
-      done
-  | Thread_trace.Call | Thread_trace.Lock_acq | Thread_trace.Lock_rel
-  | Thread_trace.Barrier ->
-      write_uint buf t.ev.(e)
-  | Thread_trace.Return -> ()
-  | Thread_trace.Skip ->
-      write_uint buf t.ev.(e);
-      write_uint buf t.n_instr.(i)
 
 let read_skip_code r =
   let c = read_uint r in

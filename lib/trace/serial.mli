@@ -1,6 +1,6 @@
 (** The shared LEB128 varint codec (over the two's-complement bit
-    pattern) and event codec that {!Pack} and {!Stream} frame, plus the
-    read-only decoder for legacy TFTRACE1 trace files.  ThreadFuser writes
+    pattern) and event tags, plus the read-only decoder for legacy
+    TFTRACE1 trace files.  ThreadFuser writes
     TFPACK1 only; {!Trace_file} is the loader that accepts both. *)
 
 exception Corrupt of string
@@ -34,20 +34,13 @@ val read_count : reader -> min_bytes:int -> string -> int
     allocation.  "Remaining" is measured to [lim].  [what] names the
     counted thing in the error. *)
 
-(** {2 Event codec} (shared with {!Stream}'s framed format) *)
+(** {2 Event tags} (shared with {!Pack}) *)
 
 val kinds : Thread_trace.kind array
 (** Event kinds by tag: [kinds.(tag_of_kind k) = k]. *)
 
 val tag_of_kind : Thread_trace.kind -> int
-(** The one-byte event tag both codecs write (0 Block ... 6 Barrier). *)
-
-val write_event : Buffer.t -> Thread_trace.t -> int -> unit
-(** [write_event buf t i] appends event [i] of [t]. *)
-
-val read_events : reader -> tid:int -> int -> Thread_trace.t
-(** [read_events r ~tid n] decodes [n] events into a fresh trace.
-    Raises [Corrupt] on a bad tag, bad skip reason or truncation. *)
+(** The event tag both containers use (0 Block ... 6 Barrier). *)
 
 val read_skip_code : reader -> int
 (** A skip reason code; raises [Corrupt] unless

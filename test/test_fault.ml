@@ -463,15 +463,14 @@ let test_specs_decide_like_constructors () =
             decision_jobs)
         seeds)
     [
-      ( "crash=50,stall=25,stall-s=0.5,every,retries=3",
+      ( "crash=50,stall=25,stall-s=0.5,retries=3",
         fun ?seed () ->
           Exec_fault.plan ?seed ~crash_pct:50 ~stall_pct:25 ~stall_s:0.5
-            ~first_attempt_only:false ~retries:3 () );
+            ~retries:3 () );
       ("stall=100", fun ?seed () -> Exec_fault.plan ?seed ~stall_pct:100 ());
-      ( "every,stall=60,crash=10,stall-s=2",
+      ( "stall=60,crash=10,stall-s=2",
         fun ?seed () ->
-          Exec_fault.plan ?seed ~crash_pct:10 ~stall_pct:60 ~stall_s:2.
-            ~first_attempt_only:false () );
+          Exec_fault.plan ?seed ~crash_pct:10 ~stall_pct:60 ~stall_s:2. () );
       ("crash=40", fun ?seed () -> Exec_fault.plan ?seed ~crash_pct:40 ());
       ( "retries=2,crash=40",
         fun ?seed () -> Exec_fault.plan ?seed ~crash_pct:40 ~retries:2 () );
@@ -492,14 +491,11 @@ let test_specs_decide_like_constructors () =
     [
       ( "oversize=34",
         fun ?seed () -> Exec_fault.session_plan ?seed ~oversize_pct:34 () );
-      ( "disconnect=30,stall-writer=20,oversize=25,stall-s=2.5",
+      ( "disconnect=30,oversize=25",
         fun ?seed () ->
-          Exec_fault.session_plan ?seed ~disconnect_pct:30
-            ~stall_writer_pct:20 ~oversize_pct:25 ~writer_stall_s:2.5 () );
-      ( "disconnect-after=17,disconnect=100",
-        fun ?seed () ->
-          Exec_fault.session_plan ?seed ~disconnect_pct:100
-            ~disconnect_after:17 () );
+          Exec_fault.session_plan ?seed ~disconnect_pct:30 ~oversize_pct:25 () );
+      ( "disconnect=100",
+        fun ?seed () -> Exec_fault.session_plan ?seed ~disconnect_pct:100 () );
     ]
 
 (* Every malformed spec is one [Invalid_argument] naming its parser. *)
@@ -528,6 +524,30 @@ let test_bad_specs () =
       ""; "disconnect-after=-1"; "disconnect-after=1.5"; "crash=40"; "every";
       "stall=5"; "oversize"; "oversize=200"; "stall-s=nan"; "stall-s=-1";
       "seed=4,seed=4"; "retries=2";
+    ];
+  (* keys the specs no longer take: constructor arguments only *)
+  let unknown parser spec =
+    match parser spec with
+    | _ -> Alcotest.failf "accepted %S" spec
+    | exception Invalid_argument m ->
+        let key = "unknown key" in
+        let rec at i =
+          i + String.length key <= String.length m
+          && (String.sub m i (String.length key) = key || at (i + 1))
+        in
+        Alcotest.(check bool) (Printf.sprintf "%S: %s" spec m) true (at 0)
+  in
+  List.iter
+    (unknown Exec_fault.plan_of_spec)
+    [
+      "crash=50,stall=25,stall-s=0.5,every,retries=3";
+      "every,stall=60,crash=10,stall-s=2";
+    ];
+  List.iter
+    (unknown Exec_fault.session_plan_of_spec)
+    [
+      "disconnect=30,stall-writer=20,oversize=25,stall-s=2.5";
+      "disconnect-after=17,disconnect=100";
     ]
 
 let () =

@@ -5,7 +5,8 @@
 module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
 module Analyzer = Threadfuser.Analyzer
-module Stream = Threadfuser_trace.Stream
+module Pack = Threadfuser_trace.Pack
+module Serial = Threadfuser_trace.Serial
 module Serve = Threadfuser_serve.Serve
 module Client = Threadfuser_serve.Client
 module Protocol = Threadfuser_serve.Protocol
@@ -95,7 +96,7 @@ let test_byte_identity () =
             (fun chunk_bytes ->
               Domain.spawn (fun () ->
                   Client.session ~chunk_bytes ~socket_path
-                    (Stream.encode traces)))
+                    (Pack.encode traces)))
             [ 7; 1024; 65536 ]
         in
         List.iter
@@ -132,7 +133,7 @@ let test_busy_shed () =
   let (), stats =
     with_daemon ~max_sessions:1 (fun socket_path ->
         let holder = squat socket_path in
-        let o = Client.session ~socket_path (Stream.encode traces) in
+        let o = Client.session ~socket_path (Pack.encode traces) in
         Alcotest.(check string) "second session shed" "busy"
           (Protocol.status_name o.Client.reply.Protocol.status);
         Alcotest.(check bool) "busy says why" true
@@ -144,7 +145,7 @@ let test_busy_shed () =
            takes the daemon a beat, so retry busy greetings briefly. *)
         Unix.close holder;
         let rec retry n =
-          let o2 = Client.session ~socket_path (Stream.encode traces) in
+          let o2 = Client.session ~socket_path (Pack.encode traces) in
           match o2.Client.reply.Protocol.status with
           | Protocol.Busy when n > 0 ->
               Unix.sleepf 0.05;
@@ -159,7 +160,7 @@ let test_busy_shed () =
    typed reply, and a clean session afterwards still gets a full report. *)
 let test_poison_isolation () =
   let _, traces = Lazy.force fixture in
-  let stream = Stream.encode traces in
+  let stream = Pack.encode traces in
   let expect = batch_json () in
   let (), stats =
     with_daemon (fun socket_path ->
@@ -180,7 +181,7 @@ let test_poison_isolation () =
         Protocol.write_all fd (String.sub stream 0 (String.length stream / 3));
         Unix.close fd;
         (* the daemon still serves *)
-        let o2 = Client.session ~socket_path (Stream.encode traces) in
+        let o2 = Client.session ~socket_path (Pack.encode traces) in
         Alcotest.(check string) "daemon survives poison" "ok"
           (Protocol.status_name o2.Client.reply.Protocol.status);
         Alcotest.(check bool) "clean report still byte-identical" true
@@ -189,9 +190,42 @@ let test_poison_isolation () =
   Alcotest.(check bool) "failures counted" true (stats.Serve.failed >= 1);
   Alcotest.(check int) "only the clean session served" 1 stats.Serve.served
 
+(* One flipped bit in a block's payload fails that block's CRC: the
+   session gets a typed [corrupt-input] error, never a report over
+   different traces, and the daemon keeps serving. *)
+let test_flipped_bit () =
+  let _, traces = Lazy.force fixture in
+  let stream = Pack.encode traces in
+  let r = Serial.reader ~pos:(String.length Pack.magic) stream in
+  ignore (Serial.read_uint r);
+  (* the first block: tid, payload length, payload *)
+  ignore (Serial.read_uint r);
+  let payload_len = Serial.read_uint r in
+  let b = Bytes.of_string stream in
+  let at = r.Serial.pos + (payload_len / 2) in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x04));
+  let expect = batch_json () in
+  let (), stats =
+    with_daemon (fun socket_path ->
+        let o = Client.session ~socket_path (Bytes.to_string b) in
+        Alcotest.(check string) "flipped bit -> error" "error"
+          (Protocol.status_name o.Client.reply.Protocol.status);
+        Alcotest.(check (option string))
+          "typed kind" (Some "corrupt-input") o.Client.reply.Protocol.kind;
+        Alcotest.(check bool) "the CRC caught it" true
+          (match o.Client.reply.Protocol.message with
+          | Some m -> String.starts_with ~prefix:"pack block crc mismatch" m
+          | None -> false);
+        let o2 = Client.session ~socket_path stream in
+        Alcotest.(check bool) "daemon still serves" true
+          (o2.Client.report = Some expect))
+  in
+  Alcotest.(check int) "one failed" 1 stats.Serve.failed;
+  Alcotest.(check int) "one served" 1 stats.Serve.served
+
 let test_deadline_timeout () =
   let _, traces = Lazy.force fixture in
-  let stream = Stream.encode traces in
+  let stream = Pack.encode traces in
   let (), stats =
     with_daemon ~deadline_s:0.3 (fun socket_path ->
         let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -229,7 +263,7 @@ let test_injected_faults () =
   let outcomes, stats =
     with_daemon ~fault (fun socket_path ->
         List.init 3 (fun _ ->
-            Client.session ~socket_path (Stream.encode traces)))
+            Client.session ~socket_path (Pack.encode traces)))
   in
   List.iter
     (fun o ->
@@ -256,7 +290,7 @@ let test_reply_after_early_close () =
     Exec_fault.session_plan ~disconnect_pct:100 ~disconnect_after:2048 ()
   in
   (* far more than the socket buffers hold, so the send is cut *)
-  let stream = Stream.encode traces ^ String.make (1 lsl 20) '\x00' in
+  let stream = Pack.encode traces ^ String.make (1 lsl 20) '\x00' in
   let o, _ = with_daemon ~fault (fun socket_path -> Client.session ~socket_path stream) in
   Alcotest.(check string) "typed reply, not EPIPE" "error"
     (Protocol.status_name o.Client.reply.Protocol.status)
@@ -442,6 +476,7 @@ let () =
             test_byte_identity;
           Alcotest.test_case "busy shed at max-sessions" `Quick test_busy_shed;
           Alcotest.test_case "poison isolation" `Quick test_poison_isolation;
+          Alcotest.test_case "flipped payload bit" `Quick test_flipped_bit;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "injected faults" `Quick test_injected_faults;
           Alcotest.test_case "admin stats scrape" `Quick

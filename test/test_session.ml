@@ -12,7 +12,8 @@ module Session = Threadfuser.Analyzer.Session
 module Metrics = Threadfuser.Metrics
 module Par_replay = Threadfuser.Par_replay
 module Warp_serial = Threadfuser.Warp_serial
-module Stream = Threadfuser_trace.Stream
+module Pack = Threadfuser_trace.Pack
+module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Tf_error = Threadfuser_util.Tf_error
@@ -77,8 +78,9 @@ let check_equal ~tag (batch : Analyzer.checked) (streamed : Analyzer.checked) =
 
 let session_over ?budget_bytes ~options ~chunks traces prog =
   let s = Session.create ~options ?budget_bytes prog in
-  feed_chunked s (Stream.encode traces) chunks;
-  Alcotest.(check bool) "end frame consumed" true (Session.input_done s);
+  feed_chunked s (Pack.encode traces) chunks;
+  Alcotest.(check bool) "every counted block consumed" true
+    (Session.input_done s);
   Alcotest.(check int) "all threads ingested" (Array.length traces)
     (Session.threads_ingested s);
   Session.finish s
@@ -113,7 +115,7 @@ let test_identical_to_batch () =
               ([ max_int ], None);
               ([ 1; 7; 3 ], None);
               ([ 4096 ], Some 1);
-              (* 1-byte budget: frame bound clamps to 64 KiB, spool spills
+              (* 1-byte budget: block bound clamps to 64 KiB, spool spills
                  constantly — the maximal-stress configuration *)
               ([ 13; 4096; 1 ], Some 1);
             ])
@@ -197,7 +199,7 @@ let test_quarantine_parity () =
    keeps [buffered_bytes] under it and spills the rest to disk. *)
 let test_bounded_memory () =
   let traced = W.trace_cpu ~threads:64 (Registry.find "hdsearch-mid") in
-  let stream = Stream.encode traced.W.traces in
+  let stream = Pack.encode traced.W.traces in
   let budget_bytes = 128 * 1024 in
   Alcotest.(check bool) "fixture larger than budget" true
     (String.length stream > 4 * budget_bytes);
@@ -237,7 +239,7 @@ let test_decoded_budget () =
   let traced = W.trace_cpu ~threads:256 (Registry.find "mcrouter-mid") in
   let traces = traced.W.traces in
   let n = Array.length traces in
-  let stream = Stream.encode traces in
+  let stream = Pack.encode traces in
   let budget_bytes = 128 * 1024 in
   let spill_at = budget_bytes / 2 in
   let sizes = Array.map Thread_trace.heap_bytes traces in
@@ -313,7 +315,7 @@ let test_decoded_budget () =
    still analyzes the clean prefix. *)
 let test_corrupt_midstream () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
-  let stream = Stream.encode traced.W.traces in
+  let stream = Pack.encode traced.W.traces in
   let cut = String.length stream / 2 in
   let s = Session.create ~options:(options ~domains:1) traced.W.prog in
   Session.feed s ~len:cut stream;
@@ -338,10 +340,69 @@ let test_corrupt_midstream () =
       (d.Tf_error.kind = Tf_error.Corrupt_input)
   | [] -> Alcotest.fail "no diagnostics on a corrupt session")
 
+(* A spill file damaged on disk fails its block's CRC when the pipeline
+   re-reads it: the checked pipeline's fallback reports [Corrupt_input]
+   instead of analyzing different traces. *)
+let test_damaged_spill () =
+  let traced = W.trace_cpu ~threads:64 (Registry.find "hdsearch-mid") in
+  let tmp_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tf-spill-%d" (Unix.getpid ()))
+  in
+  Sys.mkdir tmp_dir 0o700;
+  let s =
+    Session.create ~options:(options ~domains:1) ~budget_bytes:(128 * 1024)
+      ~tmp_dir traced.W.prog
+  in
+  feed_chunked s (Pack.encode traced.W.traces) [ 4096 ];
+  Alcotest.(check bool) "spilled" true (Session.spilled_bytes s > 0);
+  let spool =
+    match Sys.readdir tmp_dir with
+    | [| f |] -> Filename.concat tmp_dir f
+    | fs -> Alcotest.failf "%d spill files" (Array.length fs)
+  in
+  (* flip a byte in the middle of the first block's payload, which is
+     on disk: the channel flushed it long before *)
+  let fd = Unix.openfile spool [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let head = Bytes.create 32 in
+      Alcotest.(check int) "block header on disk" 32 (Unix.read fd head 0 32);
+      let r = Serial.reader (Bytes.to_string head) in
+      ignore (Serial.read_uint r);
+      let payload_len = Serial.read_uint r in
+      let at = r.Serial.pos + (payload_len / 2) in
+      Alcotest.(check bool) "payload on disk" true
+        ((Unix.fstat fd).Unix.st_size > at);
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      let b = Bytes.create 1 in
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x10));
+      ignore (Unix.lseek fd at Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1));
+  let c = Session.finish s in
+  Session.close s;
+  Sys.rmdir tmp_dir;
+  match
+    List.filter
+      (fun (d : Tf_error.diagnostic) -> d.Tf_error.kind = Tf_error.Corrupt_input)
+      c.Analyzer.diagnostics
+  with
+  | [ d ] ->
+      Alcotest.(check bool) "names the spill file" true
+        (String.starts_with ~prefix:"session spill file damaged: "
+           d.Tf_error.message);
+      Alcotest.(check int) "nothing analyzed" 0
+        c.Analyzer.result.Analyzer.report.Metrics.coverage
+          .Metrics.threads_analyzed
+  | ds -> Alcotest.failf "%d corrupt-input diagnostics" (List.length ds)
+
 (* Snapshots: a rolling report mid-ingest, the final report afterwards. *)
 let test_snapshot () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
-  let stream = Stream.encode traced.W.traces in
+  let stream = Pack.encode traced.W.traces in
   let s = Session.create ~options:(options ~domains:2) traced.W.prog in
   Session.feed s ~len:(String.length stream / 2) stream;
   let mid = Session.snapshot s in
@@ -358,9 +419,9 @@ let test_snapshot () =
 let test_lifecycle () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
   let prog = traced.W.prog in
-  (* empty stream (magic + end) analyzes like an empty batch *)
+  (* empty stream (magic + zero count) analyzes like an empty batch *)
   let s = Session.create ~options:(options ~domains:1) prog in
-  Session.feed s (Stream.encode [||]);
+  Session.feed s (Pack.encode [||]);
   let c = Session.finish s in
   let batch = Analyzer.analyze_checked ~options:(options ~domains:1) prog [||] in
   Alcotest.(check string) "empty session = empty batch"
@@ -408,6 +469,8 @@ let () =
       ( "degradation",
         [
           Alcotest.test_case "corrupt mid-stream" `Quick test_corrupt_midstream;
+          Alcotest.test_case "damaged spill file fails typed" `Quick
+            test_damaged_spill;
           Alcotest.test_case "snapshots" `Quick test_snapshot;
           Alcotest.test_case "lifecycle edges" `Quick test_lifecycle;
         ] );
