@@ -28,6 +28,29 @@ module Log = Threadfuser_obs.Log
 
 (* Observability instruments (docs/observability.md); all no-ops until the
    collector is enabled. *)
+
+(* Replay totals.  The emulator and the coalescer keep exact totals of
+   their own, so these are not fed per event: {!publish_totals} adds the
+   merged replay state's totals once per final result. *)
+let c_mem_instrs =
+  Obs.Counter.make "tf_mem_instrs_total"
+    ~help:"warp-level memory instructions coalesced"
+let c_mem_txns =
+  Obs.Counter.make "tf_mem_transactions_total"
+    ~help:"32B memory transactions after coalescing"
+let c_div_splits =
+  Obs.Counter.make "tf_divergence_splits_total"
+    ~help:"branch divergences that split a warp"
+let c_lock_serializations =
+  Obs.Counter.make "tf_lock_serializations_total"
+    ~help:"same-lock contention episodes serialized within a warp"
+let c_serialized_instrs =
+  Obs.Counter.make "tf_serialized_instrs_total"
+    ~help:"thread instructions replayed one-lane-at-a-time under a lock"
+let c_barrier_syncs =
+  Obs.Counter.make "tf_barrier_syncs_total"
+    ~help:"warp-level team-barrier crossings"
+
 let c_warps = Obs.Counter.make "tf_warps_replayed_total" ~help:"warps replayed"
 let c_warp_failures =
   Obs.Counter.make "tf_warp_failures_total"
@@ -234,7 +257,7 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
   in
   let c = emu.Emulator.coalesce in
   (* the coalescing aggregation phase: per-transaction counting happened
-     inline during replay (memory track); this span covers the roll-up *)
+     inline during replay; this span covers the roll-up *)
   let total_mem_txns, total_mem_issues, stack_mem, heap_mem, global_mem =
     Obs.span "coalesce" (fun () ->
         let txns, issues = Coalesce.totals c in
@@ -272,6 +295,23 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
     serialized_instrs = emu.Emulator.serialized_instrs;
     coverage;
   }
+
+(* Add the merged replay state's totals to the replay counters: the
+   same totals [build_report] reads, over every site (not the report's
+   top-20 lists). *)
+let publish_totals (emu : Emulator.t) =
+  if !Obs.enabled then begin
+    let txns, instrs = Coalesce.totals emu.Emulator.coalesce in
+    Obs.Counter.add c_mem_instrs instrs;
+    Obs.Counter.add c_mem_txns txns;
+    Obs.Counter.add c_div_splits
+      (Array.fold_left
+         (fun acc (c : Emulator.div_site_cell) -> acc + c.Emulator.sc_splits)
+         0 emu.Emulator.div_sites);
+    Obs.Counter.add c_lock_serializations emu.Emulator.serializations;
+    Obs.Counter.add c_serialized_instrs emu.Emulator.serialized_instrs;
+    Obs.Counter.add c_barrier_syncs emu.Emulator.barrier_syncs
+  end
 
 (* A warp whose replay aborted (checked pipeline only): the lanes it
    carried (as survivor indices) and the verdict. *)
@@ -462,10 +502,11 @@ let array_source (traces : Thread_trace.t array) =
    depends neither on the cuts nor on the domain count.
    [catch = false] re-raises warp replay failures (the [analyze]
    contract); [catch = true] records them as {!warp_failure}s and keeps
-   replaying.  [threads_total] / [pre_quarantined] / [pre_dropped]
-   describe threads quarantined before replay, so the coverage fields
-   account for them. *)
-let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
+   replaying.  [publish] adds the merged totals to the replay counters:
+   on for a final result, off for a session's rolling snapshot.
+   [threads_total] / [pre_quarantined] / [pre_dropped] describe threads
+   quarantined before replay, so the coverage fields account for them. *)
+let replay ~(options : options) ?fuel ~catch ~publish ~cut ~threads_total
     ~pre_quarantined ~pre_dropped prog ~surv_events ~iter :
     result * warp_failure list =
   let dcfgs =
@@ -578,6 +619,7 @@ let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
       ~skipped_io:merged.sh_io ~skipped_spin:merged.sh_spin
       ~skipped_excluded:merged.sh_excluded ~coverage
   in
+  if publish then publish_totals emu;
   if !Obs.enabled then begin
     List.iter
       (fun (s : Metrics.div_site) ->
@@ -655,8 +697,8 @@ let check_domains options =
    {!default_fuel} of the survivors' events), per-warp failure capture
    and the whole-set crash fallback; [analyze] runs with it off and no
    diagnostics. *)
-let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
-    (src : source) : checked =
+let pipeline ~(options : options) ?fuel ~checked ~publish ~cut ~diagnostics
+    prog (src : source) : checked =
   if options.warp_size < 1 || options.warp_size > Mask.max_lanes then
     invalid_arg
       (Printf.sprintf "Analyzer: warp size %d outside 1..%d" options.warp_size
@@ -682,7 +724,7 @@ let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
            ~default:(default_fuel (Array.fold_left ( + ) 0 surv_events)))
   in
   let run ~pre_quarantined ~pre_dropped ~surv_events ~iter =
-    replay ~options ?fuel ~catch:checked ~cut ~threads_total:n_total
+    replay ~options ?fuel ~catch:checked ~publish ~cut ~threads_total:n_total
       ~pre_quarantined ~pre_dropped prog ~surv_events ~iter
   in
   match
@@ -723,8 +765,8 @@ let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics prog
 (** Run the full analysis pipeline over a trace set. *)
 let analyze ?(options = default_options) prog (traces : Thread_trace.t array) :
     result =
-  (pipeline ~options ~checked:false ~cut:(fun _ -> false) ~diagnostics:[] prog
-     (array_source traces))
+  (pipeline ~options ~checked:false ~publish:true ~cut:(fun _ -> false)
+     ~diagnostics:[] prog (array_source traces))
     .result
 
 let bounds_of_program prog =
@@ -744,7 +786,7 @@ let bounds_of_program prog =
     coverage fields account for everything dropped. *)
 let analyze_checked ?(options = default_options) ?fuel prog
     (traces : Thread_trace.t array) : checked =
-  pipeline ~options ?fuel ~checked:true ~cut:(fun _ -> false)
+  pipeline ~options ?fuel ~checked:true ~publish:true ~cut:(fun _ -> false)
     ~diagnostics:(Validate.all ~bounds:(bounds_of_program prog) traces)
     prog (array_source traces)
 
@@ -955,7 +997,7 @@ module Session = struct
      the first warp boundary at which half a budget of decoded traces is
      pending, so replay holds at most that plus one warp, never the whole
      set. *)
-  let analyze_spool t ~(options : options) : checked =
+  let analyze_spool t ~(options : options) ~publish : checked =
     let arr l = Array.of_list (List.rev l) in
     let tids = arr t.s_tids and sizes = arr t.s_sizes in
     let diagnostics =
@@ -973,7 +1015,7 @@ module Session = struct
       end
       else false
     in
-    pipeline ~options ~checked:true ~cut ~diagnostics t.s_prog
+    pipeline ~options ~checked:true ~publish ~cut ~diagnostics t.s_prog
       { tids; events = arr t.s_events; iter = iter_spool t }
 
   let snapshot t : Metrics.report =
@@ -982,11 +1024,12 @@ module Session = struct
     | Finished c -> c.result.report
     | Ingest ->
         (* advisory rolling report over the ingested prefix: skip the
-           warp-trace / timeline side products *)
+           warp-trace / timeline side products, and publish no replay
+           totals ([finish] counts the whole set once) *)
         let options =
           { t.s_options with gen_warp_trace = false; record_timeline = false }
         in
-        (analyze_spool t ~options).result.report
+        (analyze_spool t ~options ~publish:false).result.report
 
   let remove_spool t =
     (match t.s_file with
@@ -1003,7 +1046,7 @@ module Session = struct
     | Closed -> invalid_arg "Analyzer.Session.finish: session closed"
     | Finished c -> c
     | Ingest ->
-        let c = analyze_spool t ~options:t.s_options in
+        let c = analyze_spool t ~options:t.s_options ~publish:true in
         let c =
           match t.s_failure with
           | None -> c

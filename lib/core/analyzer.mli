@@ -60,7 +60,11 @@ type result = {
 
 (** Run the full analysis pipeline over a trace set.  Trusts its input:
     malformed traces raise ({!Emulator.Emulation_error} or the typed
-    [Tf_error.Error]).  Use {!analyze_checked} for untrusted traces. *)
+    [Tf_error.Error]).  Use {!analyze_checked} for untrusted traces.
+    With the collector on, the replay counters
+    ([tf_divergence_splits_total], [tf_mem_transactions_total], ...) grow
+    by the report's totals, once per call; so do {!analyze_checked}'s
+    and {!Session.finish}'s, never {!Session.snapshot}'s. *)
 val analyze :
   ?options:options ->
   Threadfuser_prog.Program.t ->
@@ -162,8 +166,8 @@ module Session : sig
   val spilled_bytes : t -> int
 
   (** Rolling report over the threads ingested so far (the warp-trace and
-      timeline side products are skipped).  After {!finish}, returns the
-      final report. *)
+      timeline side products are skipped, and the replay counters are
+      left alone).  After {!finish}, returns the final report. *)
   val snapshot : t -> Metrics.report
 
   (** Run the checked pipeline over everything ingested, exactly as

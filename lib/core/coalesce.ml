@@ -8,28 +8,8 @@
 
 module Layout = Threadfuser_machine.Layout
 module Program = Threadfuser_prog.Program
-module Obs = Threadfuser_obs.Obs
 
 let transaction_bytes = 32
-
-(* Coalescing instruments: fully-coalesced vs serialized warp-level memory
-   instructions, total 32 B transactions, and the per-instruction
-   transaction-count distribution.  One branch each when disabled. *)
-let c_mem_instrs =
-  Obs.Counter.make "tf_mem_instrs_total"
-    ~help:"warp-level memory instructions coalesced"
-let c_mem_txns =
-  Obs.Counter.make "tf_mem_transactions_total"
-    ~help:"32B memory transactions after coalescing"
-let c_mem_coalesced =
-  Obs.Counter.make "tf_mem_coalesced_total"
-    ~help:"warp-level memory instructions that coalesced to one transaction"
-let c_mem_serialized =
-  Obs.Counter.make "tf_mem_serialized_total"
-    ~help:"warp-level memory instructions needing one transaction per lane"
-let h_txns_per_instr =
-  Obs.Histogram.make "tf_txns_per_mem_instr"
-    ~help:"32B transactions per warp-level memory instruction"
 
 (** Distinct 32 B lines covered by [(addr, size)] accesses. *)
 let count_transactions (accesses : (int * int) list) =
@@ -108,9 +88,6 @@ type t = {
          entry [n_blocks] is the function's end *)
   sites : site_counters array; (* one per static instruction *)
   scratch : scratch; (* this model's own, so shards never share one *)
-  evt_seen : (int, unit) Hashtbl.t;
-      (* sites whose "serialized access" instant already fired this warp
-         (see [new_warp]); unused under [Obs.full_events] *)
 }
 
 let initial_bits = 8 (* 256 slots: a 32-lane warp rarely needs 64 *)
@@ -146,7 +123,6 @@ let create prog =
         count = 0;
         sums = Array.make 9 0;
       };
-    evt_seen = Hashtbl.create 32;
   }
 
 (* Every site in (fid, block, ioff) order. *)
@@ -159,12 +135,6 @@ let iter_sites t f =
         done
       done)
     t.block_site
-
-(* Called when a warp's replay starts: per-occurrence instants are
-   thinned to the first occurrence per (warp, site) unless
-   [Obs.full_events] — warp-confined thinning state keeps the surviving
-   event set identical at every domain count (counters stay exact). *)
-let new_warp t = Hashtbl.reset t.evt_seen
 
 (** Perfectly-coalesced floor for an access set: the 32 B lines needed if
     the same bytes were laid out contiguously. *)
@@ -222,33 +192,6 @@ let account t ~is_store ~site ~si ~lanes ~bytes ~txns =
   | Layout.Stack -> c.a_stack_excess <- c.a_stack_excess + excess
   | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
   | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess);
-  if !Obs.enabled then begin
-    Obs.Counter.incr c_mem_instrs;
-    Obs.Counter.add c_mem_txns txns;
-    Obs.Histogram.observe h_txns_per_instr (float_of_int txns);
-    if txns = 1 then Obs.Counter.incr c_mem_coalesced
-    else if txns >= lanes && lanes > 1 then begin
-      (* worst case: the instruction degenerated to one transaction
-         per lane — surface it on the memory track *)
-      Obs.Counter.incr c_mem_serialized;
-      if
-        !Obs.full_events
-        || (not (Hashtbl.mem t.evt_seen site))
-           && begin
-                Hashtbl.add t.evt_seen site ();
-                true
-              end
-      then
-        Obs.instant ~track:Obs.memory_track "serialized access"
-          ~args:
-            [
-              ("segment", Layout.segment_name segment);
-              ("txns", Obs.itos txns);
-              ("lanes", Obs.itos lanes);
-              ("store", string_of_bool is_store);
-            ]
-    end
-  end;
   let c = seg t segment in
   if is_store then begin
     c.st_txns <- c.st_txns + txns;
@@ -264,8 +207,8 @@ let account t ~is_store ~site ~si ~lanes ~bytes ~txns =
 (** Record one warp-level memory instruction from parallel arrays:
     [addrs]/[sizes][0..n-1] are the active lanes' accesses.  The
     allocation-free hot-path twin of {!record}: identical accounting
-    (segment split, site attribution, Obs instruments), returns the total
-    transaction count.  One pass classifies each access's segment, sums
+    (segment split, site attribution), returns the total transaction
+    count.  One pass classifies each access's segment, sums
     its lanes and bytes, and counts its lines that are new to the set. *)
 let record_lanes t ~is_store ~site ~n (addrs : int array) (sizes : int array) =
   let ls = t.scratch in

@@ -44,7 +44,6 @@ type t = {
           function's end *)
   sites : site_counters array;  (** one per static instruction *)
   scratch : scratch;
-  evt_seen : (int, unit) Hashtbl.t;
 }
 
 (** An empty model with one site per static instruction of the program. *)
@@ -54,12 +53,6 @@ val create : Threadfuser_prog.Program.t -> t
     in [(fid, block, ioff)] order, untouched sites included. *)
 val iter_sites :
   t -> (fid:int -> block:int -> ioff:int -> site_counters -> unit) -> unit
-
-(** Reset the per-warp instant-thinning state; {!Emulator.run_warp}
-    calls this when a warp's replay starts.  Unless [Obs.full_events] is
-    on, the "serialized access" instant fires once per (warp, site) —
-    counters still count every occurrence. *)
-val new_warp : t -> unit
 
 (** Perfectly-coalesced floor for an access set: the 32 B lines needed if
     the same bytes were laid out contiguously (at least 1). *)

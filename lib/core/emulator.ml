@@ -30,30 +30,7 @@ module Thread_trace = Threadfuser_trace.Thread_trace
 module Ipdom = Threadfuser_cfg.Ipdom
 module Tf_error = Threadfuser_util.Tf_error
 module Vec = Threadfuser_util.Vec
-module Obs = Threadfuser_obs.Obs
 open Threadfuser_isa
-
-(* Analysis-event instruments: divergence and sync behaviour lands on the
-   Perfetto "divergence" / "sync" tracks when the collector is on.  Every
-   hook below is a single branch when it is off. *)
-let c_div_splits =
-  Obs.Counter.make "tf_divergence_splits_total"
-    ~help:"branch divergences that split a warp"
-let c_reconv =
-  Obs.Counter.make "tf_reconvergences_total"
-    ~help:"SIMT-stack entries popped at their reconvergence point"
-let c_lock_serializations =
-  Obs.Counter.make "tf_lock_serializations_total"
-    ~help:"same-lock contention episodes serialized within a warp"
-let c_serialized_instrs =
-  Obs.Counter.make "tf_serialized_instrs_total"
-    ~help:"thread instructions replayed one-lane-at-a-time under a lock"
-let c_barrier_syncs =
-  Obs.Counter.make "tf_barrier_syncs_total"
-    ~help:"warp-level team-barrier crossings"
-let c_blocks =
-  Obs.Counter.make "tf_blocks_executed_total"
-    ~help:"warp-level basic-block executions"
 
 (* Cursor reads of the replay loop, kept in this module so they inline
    (dune's default build compiles libraries [-opaque], so calls into
@@ -168,9 +145,6 @@ type scratch = {
   grp_target : int array; (* distinct regroup targets, first-seen order *)
   mutable grp_mask : Mask.t array;
   mutable n_groups : int;
-  evt_seen : (int, unit) Hashtbl.t;
-      (* replay instants already emitted this warp (cleared per warp);
-         keys encode kind|func|block.  Unused under [Obs.full_events]. *)
 }
 
 type t = {
@@ -196,7 +170,6 @@ type t = {
   flame : (int list, flame_cell) Hashtbl.t; (* call stack (leaf first) *)
   mutable call_stack : int list; (* replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option; (* cached cell for [call_stack] *)
-  mutable obs_on : bool; (* [!Obs.enabled] cached per replay *)
   scratch : scratch;
 }
 
@@ -237,7 +210,6 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     flame = Hashtbl.create 64;
     call_stack = [];
     flame_cur = None;
-    obs_on = false;
     scratch =
       {
         lane_ids = Array.make ws 0;
@@ -257,7 +229,6 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
         grp_target = Array.make ws 0;
         grp_mask = Array.make ws Mask.empty;
         n_groups = 0;
-        evt_seen = Hashtbl.create 32;
       };
   }
 
@@ -266,25 +237,6 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
 let set_call_stack t cs =
   t.call_stack <- cs;
   t.flame_cur <- None
-
-(* Should this replay instant be emitted?  Per-occurrence instants
-   dominate the cost of an enabled collector, so unless
-   [Obs.full_events] is on they are thinned to the first occurrence per
-   (warp, site): [evt_seen] is cleared when a warp starts, and because a
-   warp never spans domains the surviving event set is a pure function
-   of the warp list — identical at every [domains].  Counters are not
-   thinned.  [key] packs kind|func|site into an int to keep the lookup
-   allocation-free. *)
-let emit_instant t key =
-  !Obs.full_events
-  ||
-  (not (Hashtbl.mem t.scratch.evt_seen key))
-  && begin
-       Hashtbl.add t.scratch.evt_seen key ();
-       true
-     end
-
-let evt_key tag func v = (tag lsl 58) lor (func lsl 29) lor v
 
 let div_site t ~func ~block = t.div_base.(func) + block
 
@@ -383,7 +335,6 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   let instrs = (Program.func t.prog func).Program.blocks.(block).Program.instrs in
   let n = Array.length instrs in
   let active = s.n_lanes in
-  if t.obs_on then Obs.Counter.incr c_blocks;
   t.issues <- t.issues + n;
   t.thread_instrs <- t.thread_instrs + (n * active);
   charge_blame t.div_sites n blame;
@@ -576,7 +527,6 @@ let scalar_critical_section ?(fuel : fuel = None) ~warp_id ~(blame : blame) t
           lane lock_addr
   in
   Fun.protect ~finally:(fun () -> set_call_stack t saved_stack) go;
-  Obs.Counter.add c_serialized_instrs (t.thread_instrs - before);
   t.serialized_instrs <- t.serialized_instrs + (t.thread_instrs - before)
 
 (* After executing [block], group the active lanes by the next block they
@@ -635,21 +585,10 @@ let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
       m := !m lsr 1;
       incr lane
     done;
-    Obs.Counter.incr c_div_splits;
     let site = div_site t ~func:e.e_func ~block in
     let cell = t.div_sites.(site) in
     cell.sc_splits <- cell.sc_splits + 1;
     if kind = Sync_site then cell.sc_kind <- Sync_site;
-    if t.obs_on && emit_instant t (evt_key 0 e.e_func block) then
-      Obs.instant ~track:Obs.divergence_track "divergence split"
-        ~args:
-          [
-            ("func", Obs.itos e.e_func);
-            ("block", Obs.itos block);
-            ("paths", Obs.itos s.n_groups);
-            ("lanes", Obs.itos parent_lanes);
-            ("kind", (match kind with Branch_site -> "branch" | Sync_site -> "sync"));
-          ];
     (* Sort the groups by target (insertion sort over a handful of
        entries): the NCP fold is order-insensitive, and the children push
        below gets the same ascending-target order the old
@@ -725,15 +664,6 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
          alternative designs the paper defers to future work) *)
       if List.length addrs > 1 then begin
         t.serializations <- t.serializations + 1;
-        Obs.Counter.incr c_lock_serializations;
-        if t.obs_on && emit_instant t (evt_key 1 e.e_func block) then
-          Obs.instant ~track:Obs.sync_track "lock serialization"
-            ~args:
-              [
-                ("contenders", Obs.itos (List.length addrs));
-                ("func", Obs.itos e.e_func);
-                ("block", Obs.itos block);
-              ];
         let blame = serial_blame ~contenders:(List.length addrs) in
         List.iter
           (fun (lane, a) ->
@@ -757,16 +687,6 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
       List.iter
         (fun (a, lanes) ->
           t.serializations <- t.serializations + 1;
-          Obs.Counter.incr c_lock_serializations;
-          if t.obs_on && emit_instant t (evt_key 1 e.e_func block) then
-            Obs.instant ~track:Obs.sync_track "lock serialization"
-              ~args:
-                [
-                  ("lock", Printf.sprintf "0x%x" a);
-                  ("contenders", Obs.itos (List.length lanes));
-                  ("func", Obs.itos e.e_func);
-                  ("block", Obs.itos block);
-                ];
           let blame = serial_blame ~contenders:(List.length lanes) in
           List.iter
             (fun lane ->
@@ -813,10 +733,7 @@ let consume_markers cursors (e : entry) block marker =
 (* One warp's replay; {!run_warp} adds its warp-trace emission. *)
 let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   let fuel : fuel = Option.map ref fuel in
-  t.obs_on <- !Obs.enabled;
   t.scratch.cursors <- cursors;
-  Hashtbl.reset t.scratch.evt_seen;
-  Coalesce.new_warp t.coalesce;
   if t.config.record_timeline then
     t.tl_current <- Some (Vec.create ~capacity:256 { Timeline.n_instr = 0; active = 0 });
   let n_lanes = Array.length cursors in
@@ -857,15 +774,6 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
       burn fuel ~warp_id;
       let e = Vec.top stack in
       if e.pc = e.e_reconv then begin
-        Obs.Counter.incr c_reconv;
-        if t.obs_on && emit_instant t (evt_key 2 e.e_func e.pc) then
-          Obs.instant ~track:Obs.divergence_track "reconverge"
-            ~args:
-              [
-                ("func", Obs.itos e.e_func);
-                ("node", Obs.itos e.pc);
-                ("lanes", Obs.itos (Mask.count e.e_mask));
-              ];
         if e.e_frame then
           set_call_stack t
             (match t.call_stack with _ :: rest -> rest | [] -> []);
@@ -930,7 +838,6 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                on real hardware — a typed deadlock verdict. *)
             consume_markers cursors e block M_barrier;
             t.barrier_syncs <- t.barrier_syncs + 1;
-            Obs.Counter.incr c_barrier_syncs;
             regroup t stack e block cursors
         | Instr.Lock_release _ ->
             consume_markers cursors e block M_unlock;

@@ -99,7 +99,6 @@ type t = {
   mutable call_stack : int list;  (** replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option;
       (** cached flamegraph cell for [call_stack] *)
-  mutable obs_on : bool;  (** [!Obs.enabled], cached per replay *)
   scratch : scratch;
 }
 

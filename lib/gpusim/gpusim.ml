@@ -160,35 +160,78 @@ type sm = {
   (* actual completion cycle of the SM's slowest DRAM-bound response *)
   mutable mem_tail : int;
   mutable lines : int array; (* scratch: distinct 32 B lines of one op *)
+  mutable seen : int array;
+      (* the set of [lines], open-addressed with linear probing: slot [i]
+         is [seen.(2i)] (its stamp) and [seen.(2i + 1)] (its line),
+         occupied iff its stamp is [seen_gen], so bumping [seen_gen]
+         empties the set; doubled when half full *)
+  mutable seen_bits : int; (* log2 of the slot count *)
+  mutable seen_gen : int;
   mutable wake : int;
   mutable reason : int;
 }
+
+(* Fibonacci hashing, as in {!Threadfuser.Coalesce}: the top [bits] bits
+   of the line times an odd constant. *)
+let[@inline] slot_of line bits = (line * 0x2545f4914f6cdd1d) lsr (63 - bits)
+
+(* Double [sm.seen], re-inserting the op's first [n] lines. *)
+let grow_seen sm n =
+  let bits = sm.seen_bits + 1 and gen = sm.seen_gen in
+  let slots = Array.make (2 lsl bits) 0 in
+  let mask = (1 lsl bits) - 1 in
+  for k = 0 to n - 1 do
+    let line = sm.lines.(k) in
+    let j = ref (slot_of line bits) in
+    while slots.(2 * !j) = gen do
+      j := (!j + 1) land mask
+    done;
+    slots.(2 * !j) <- gen;
+    slots.((2 * !j) + 1) <- line
+  done;
+  sm.seen <- slots;
+  sm.seen_bits <- bits
 
 (* Nominal completion cycle of the memory operation whose record starts
    at [o] in [m], issued at [sm.now]: each 32 B transaction checks the
    private L1; misses are logged for the epoch merge and charged the
    contention-free L1+L2 latency.  The op completes when the last
-   transaction does.  Lines are collected distinct in lane order and
-   visited newest first. *)
+   transaction does.  Lines are collected distinct in lane order (a
+   stamped set dedups them in time linear in the lines) and visited
+   newest first. *)
 let memory_time (cfg : Config.t) code sm m o =
-  let size = max 1 m.(o + 1) in
+  (* [max] is polymorphic, a C call per use: compare ints directly *)
+  let size = m.(o + 1) in
+  let size = if size < 1 then 1 else size in
+  let gen = sm.seen_gen + 1 in
+  sm.seen_gen <- gen;
   let n = ref 0 in
+  (* the line inserted last: coalesced lanes repeat it *)
+  let last = ref (-1) in
   for lane = 0 to code.warp_size - 1 do
     let addr = m.(o + 3 + lane) in
     if addr >= 0 then
       for l = addr / 32 to (addr + size - 1) / 32 do
-        let j = ref 0 in
-        while !j < !n && sm.lines.(!j) <> l do
-          incr j
-        done;
-        if !j = !n then begin
-          if !n = Array.length sm.lines then begin
-            let bigger = Array.make (2 * !n) 0 in
-            Array.blit sm.lines 0 bigger 0 !n;
-            sm.lines <- bigger
-          end;
-          sm.lines.(!n) <- l;
-          incr n
+        if l <> !last then begin
+          last := l;
+          let slots = sm.seen and bits = sm.seen_bits in
+          let mask = (1 lsl bits) - 1 in
+          let j = ref (slot_of l bits) in
+          while slots.(2 * !j) = gen && slots.((2 * !j) + 1) <> l do
+            j := (!j + 1) land mask
+          done;
+          if slots.(2 * !j) <> gen then begin
+            slots.(2 * !j) <- gen;
+            slots.((2 * !j) + 1) <- l;
+            if !n = Array.length sm.lines then begin
+              let bigger = Array.make (2 * !n) 0 in
+              Array.blit sm.lines 0 bigger 0 !n;
+              sm.lines <- bigger
+            end;
+            sm.lines.(!n) <- l;
+            incr n;
+            if 2 * !n > 1 lsl bits then grow_seen sm !n
+          end
         end
       done
   done;
@@ -405,6 +448,9 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
           log = Access_log.create ();
           mem_tail = 0;
           lines = Array.make 64 0;
+          seen = Array.make (2 lsl 7) 0;
+          seen_bits = 7;
+          seen_gen = 0;
           wake = 0;
           reason = no_reason;
         })

@@ -35,8 +35,3 @@ let segment_of addr : segment =
   if addr >= stack_region_base then Stack
   else if addr >= heap_base then Heap
   else Global
-
-let segment_name = function
-  | Global -> "global"
-  | Heap -> "heap"
-  | Stack -> "stack"

@@ -30,5 +30,3 @@ val stack_low : int -> int
 val tls_base : int -> int
 
 val segment_of : int -> segment
-
-val segment_name : segment -> string

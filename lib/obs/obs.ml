@@ -9,9 +9,8 @@
     behind [if !Obs.enabled then ...].
 
     Spans and instants land on {e tracks} (Perfetto rows).  Framework
-    timing uses {!pipeline} / {!replay_track}; analysis events (divergence
-    splits, reconvergence, uncoalesced memory, lock serialization) use
-    {!divergence_track} / {!memory_track} / {!sync_track}.  Export with
+    timing uses {!pipeline} / {!replay_track}; the analyzer's per-site
+    bottleneck attribution uses {!blame_track}.  Export with
     {!Trace_export} (Chrome trace-event JSON, opens in ui.perfetto.dev) or
     {!Prom} (Prometheus text exposition).  See docs/observability.md. *)
 
@@ -20,22 +19,10 @@ module Stats = Threadfuser_stats.Stats
 let enabled = ref false
 let set_enabled b = enabled := b
 
-(* Replay-path instants (divergence splits, reconvergence, serialized
-   accesses, lock serializations) fire once per *dynamic occurrence*,
-   which dominates the cost of an enabled collector on replay-heavy
-   runs.  By default the emulator thins them to the first occurrence per
-   (warp, site) — counters still count every occurrence exactly, and the
-   thinning state is warp-confined, so event totals stay identical at
-   every [Analyzer.options.domains].  [set_full_events true] (the
-   [threadfuser profile] default) restores one instant per occurrence
-   for timeline debugging. *)
-let full_events = ref false
-let set_full_events b = full_events := b
-
-(* Memoized decimal rendering of small non-negative ints.  The replay
-   emits instants whose arguments are almost always lane counts, block
-   ids and function ids well under the cap; rendering them through this
-   table makes an enabled-path hook allocation-free for the common case.
+(* Memoized decimal rendering of small non-negative ints.  Per-warp
+   replay spans carry lane counts and warp ids, almost always well under
+   the cap; rendering them through this table makes an enabled-path hook
+   allocation-free for the common case.
    The table is immutable after init, so sharing across domains is safe. *)
 let itos_cap = 4096
 let itos_table = Array.init itos_cap string_of_int
@@ -87,9 +74,6 @@ let track name =
 (* Registration order fixes the Perfetto row order. *)
 let pipeline = track "pipeline"
 let replay_track = track "warp replay"
-let divergence_track = track "divergence"
-let memory_track = track "memory"
-let sync_track = track "sync"
 let blame_track = track "attribution"
 
 (* ------------------------------------------------------------------ *)

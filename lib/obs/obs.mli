@@ -15,18 +15,8 @@ val enabled : bool ref
 
 val set_enabled : bool -> unit
 
-(** Per-occurrence replay instants.  Off (the default), the emulator
-    thins divergence/memory/sync instants to the first occurrence per
-    (warp, site) — counter totals stay exact, and because the thinning
-    state is warp-confined the event totals are identical at every
-    domain count.  On, every dynamic occurrence is recorded
-    ([threadfuser profile] turns this on for timeline debugging). *)
-val full_events : bool ref
-
-val set_full_events : bool -> unit
-
 (** Memoized [string_of_int] for small non-negative ints (lane counts,
-    block/function ids): enabled-path hooks can build their arguments
+    warp ids): enabled-path hooks can build their arguments
     without allocating.  Falls back to [string_of_int] past the cap. *)
 val itos : int -> string
 
@@ -39,12 +29,6 @@ val track : string -> track
 val pipeline : track  (** framework phase spans *)
 
 val replay_track : track  (** per-warp replay spans *)
-
-val divergence_track : track  (** split / reconverge instants *)
-
-val memory_track : track  (** uncoalesced-access instants *)
-
-val sync_track : track  (** lock-serialization instants *)
 
 val blame_track : track  (** per-site bottleneck-attribution instants *)
 

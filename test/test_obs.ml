@@ -12,6 +12,10 @@ module Stats = Threadfuser_stats.Stats
 module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
 module Analyzer = Threadfuser.Analyzer
+module Metrics = Threadfuser.Metrics
+
+(* A track of this test's own for the generic collector tests. *)
+let test_track = Obs.track "test"
 
 (* Every test leaves the collector disabled and empty for the next one;
    the registries deliberately survive [reset]. *)
@@ -107,7 +111,7 @@ let test_span_exception_safe () =
 let test_span_disabled_records_nothing () =
   Obs.reset ();
   Obs.span "quiet" (fun () -> ());
-  Obs.instant ~track:Obs.divergence_track "quiet instant";
+  Obs.instant ~track:test_track "quiet instant";
   let snap = Obs.snapshot () in
   Alcotest.(check int) "no events when disabled" 0 (List.length snap.Obs.events)
 
@@ -118,7 +122,7 @@ let test_event_cap () =
         ~finally:(fun () -> Obs.set_max_events 500_000)
         (fun () ->
           for _ = 1 to 25 do
-            Obs.instant ~track:Obs.memory_track "e"
+            Obs.instant ~track:test_track "e"
           done;
           let snap = Obs.snapshot () in
           Alcotest.(check int) "events capped" 10 (List.length snap.Obs.events);
@@ -136,7 +140,7 @@ let test_chrome_export_well_formed () =
   with_collector (fun () ->
       Obs.Counter.incr c;
       Obs.span "phase_a" (fun () ->
-          Obs.instant ~track:Obs.divergence_track "split"
+          Obs.instant ~track:test_track "split"
             ~args:[ ("lanes", "4") ]);
       let s = Trace_export.to_string (Obs.snapshot ()) in
       match Json.parse s with
@@ -725,55 +729,123 @@ let test_prometheus_always_emitted () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the instrumented pipeline                                *)
 
+(* A team barrier between two phases: every warp crosses it once. *)
+let barrier_program () =
+  let open Threadfuser_prog in
+  let prog =
+    Program.assemble
+      [
+        Build.(
+          func "worker"
+            [
+              mov (reg 6) (reg 0);
+              mov (mem ~scale:8 ~index:6 ~disp:0x20000 ()) (reg 6);
+              barrier (imm 0x50000);
+              mov (reg 7) (mem ~scale:8 ~index:6 ~disp:0x20000 ());
+              ret;
+            ]);
+      ]
+  in
+  let module Machine = Threadfuser_machine.Machine in
+  let m = Machine.create prog in
+  let r =
+    Machine.run_workers m ~worker:"worker"
+      ~args:(Array.init 16 (fun i -> [ i; 16 ]))
+  in
+  (prog, r.Machine.traces)
+
+(* With the collector on, the pipeline emits its phase spans, per-warp
+   replay spans and attribution instants, and each replay counter equals
+   the merged replay totals of the report, at one domain and across a
+   two-domain shard merge. *)
 let test_pipeline_emits_phases () =
-  let bfs = Registry.find "bfs" in
-  let tr = W.trace_cpu bfs in
-  with_collector (fun () ->
-      ignore (Analyzer.analyze tr.W.prog tr.W.traces);
-      let snap = Obs.snapshot () in
-      let phase_names =
-        List.filter_map
-          (function
-            | Obs.Complete { name; track; _ }
-              when Obs.track_id track = Obs.track_id Obs.pipeline ->
-                Some name
-            | _ -> None)
-          snap.Obs.events
-      in
+  let hd = W.trace_cpu (Registry.find "hdsearch-mid") in
+  let bar_prog, bar_traces = barrier_program () in
+  List.iter
+    (fun (name, prog, traces, domain_counts) ->
       List.iter
-        (fun phase ->
-          Alcotest.(check bool) ("phase " ^ phase) true
-            (List.mem phase phase_names))
-        [ "dcfg"; "ipdom"; "warp_formation"; "replay"; "coalesce" ];
-      (* bfs diverges, so the replay must emit warp spans and divergence
-         instants, and the core counters must move *)
-      let warp_spans =
-        List.exists
-          (function
-            | Obs.Complete { track; _ } ->
-                Obs.track_id track = Obs.track_id Obs.replay_track
-            | _ -> false)
-          snap.Obs.events
-      in
-      Alcotest.(check bool) "per-warp replay spans" true warp_spans;
-      let splits =
-        List.exists
-          (function
-            | Obs.Instant { name = "divergence split"; _ } -> true
-            | _ -> false)
-          snap.Obs.events
-      in
-      Alcotest.(check bool) "divergence instants" true splits;
-      let value name =
-        let c = Obs.Counter.make name in
-        Obs.Counter.value c
-      in
-      Alcotest.(check bool) "warps counted" true
-        (value "tf_warps_replayed_total" > 0);
-      Alcotest.(check bool) "blocks counted" true
-        (value "tf_blocks_executed_total" > 0);
-      Alcotest.(check bool) "mem instrs counted" true
-        (value "tf_mem_instrs_total" > 0))
+        (fun domains ->
+          let tag = Printf.sprintf "%s -j %d" name domains in
+          let options =
+            { Analyzer.default_options with Analyzer.warp_size = 8; domains }
+          in
+          if domains > 1 then
+            Alcotest.(check int)
+              (tag ^ ": replay runs on two domains")
+              2
+              (Threadfuser.Par_replay.auto_domains ~requested:domains
+                 ~items:((Array.length traces + 7) / 8)
+                 ~work:
+                   (Array.fold_left
+                      (fun acc (t : Threadfuser_trace.Thread_trace.t) ->
+                        acc + Array.length t.Threadfuser_trace.Thread_trace.events)
+                      0 traces));
+          with_collector (fun () ->
+              let r = (Analyzer.analyze ~options prog traces).Analyzer.report in
+              let snap = Obs.snapshot () in
+              let phase_names =
+                List.filter_map
+                  (function
+                    | Obs.Complete { name; track; _ }
+                      when Obs.track_id track = Obs.track_id Obs.pipeline ->
+                        Some name
+                    | _ -> None)
+                  snap.Obs.events
+              in
+              List.iter
+                (fun phase ->
+                  Alcotest.(check bool) (tag ^ ": phase " ^ phase) true
+                    (List.mem phase phase_names))
+                [ "dcfg"; "ipdom"; "warp_formation"; "replay"; "coalesce" ];
+              let on track =
+                List.exists
+                  (function
+                    | Obs.Complete { track = t; _ } | Obs.Instant { track = t; _ }
+                      ->
+                        Obs.track_id t = Obs.track_id track)
+                  snap.Obs.events
+              in
+              Alcotest.(check bool) (tag ^ ": per-warp replay spans") true
+                (on Obs.replay_track);
+              (* the report lists every divergence site it has, so the
+                 sum over it is the merged total *)
+              Alcotest.(check bool) (tag ^ ": site list complete") true
+                (List.length r.Metrics.divergence_sites < 20);
+              let value name = Obs.Counter.value (Obs.Counter.make name) in
+              List.iter
+                (fun (counter, total) ->
+                  Alcotest.(check int) (tag ^ ": " ^ counter) total (value counter))
+                [
+                  ("tf_warps_replayed_total", r.Metrics.n_warps);
+                  ("tf_mem_instrs_total", r.Metrics.total_mem_issues);
+                  ("tf_mem_transactions_total", r.Metrics.total_mem_txns);
+                  ("tf_lock_serializations_total", r.Metrics.serializations);
+                  ("tf_serialized_instrs_total", r.Metrics.serialized_instrs);
+                  ("tf_barrier_syncs_total", r.Metrics.barrier_syncs);
+                  ( "tf_divergence_splits_total",
+                    List.fold_left
+                      (fun acc (s : Metrics.div_site) -> acc + s.Metrics.ds_splits)
+                      0 r.Metrics.divergence_sites );
+                ];
+              (* totals that read 0 would pass the equalities vacuously *)
+              if name = "hdsearch-mid" then begin
+                Alcotest.(check bool) (tag ^ ": locks, memory and splits seen")
+                  true
+                  (r.Metrics.serializations > 0
+                  && r.Metrics.total_mem_txns > 0
+                  && value "tf_divergence_splits_total" > 0);
+                Alcotest.(check bool) (tag ^ ": attribution instants") true
+                  (on Obs.blame_track)
+              end
+              else
+                Alcotest.(check bool) (tag ^ ": barriers seen") true
+                  (r.Metrics.barrier_syncs > 0)))
+        domain_counts)
+    [
+      ("hdsearch-mid", hd.W.prog, hd.W.traces, [ 1; 2 ]);
+      (* too small to shard *)
+      ("barrier", bar_prog, bar_traces, [ 1 ]);
+    ]
 
 let test_pipeline_disabled_is_silent () =
   let bfs = Registry.find "bfs" in
