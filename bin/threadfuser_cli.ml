@@ -38,7 +38,6 @@ module Analyzer = Threadfuser.Analyzer
 module Metrics = Threadfuser.Metrics
 module Serial = Threadfuser_trace.Serial
 module Pack = Threadfuser_trace.Pack
-module Trace_file = Threadfuser_trace.Trace_file
 module Validate = Threadfuser_trace.Validate
 module Cache = Threadfuser_cache.Cache
 module Tf_error = Threadfuser_util.Tf_error
@@ -691,7 +690,7 @@ let pp_trace_summary path traces =
   Fmt.pr "total traced instructions: %d@." !total
 
 let check_run () path workload level =
-  let traces = Trace_file.load path in
+  let traces = Pack.of_file path in
   match workload with
   | None ->
       (* no program at hand: the per-thread summary, then structural
@@ -740,8 +739,7 @@ let check_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "Trace file written by $(b,threadfuser trace) (TFPACK1), or a \
-             legacy TFTRACE1 file; the format is sniffed by magic.")
+            "TFPACK1 trace file written by $(b,threadfuser trace).")
   in
   let workload =
     Arg.(
@@ -756,11 +754,10 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Validate a trace file (TFPACK1, or legacy TFTRACE1): decode — \
-          including magic/version and per-block CRC-32 checks for TFPACK1 \
-          — print a per-thread summary (without a workload), run the \
-          diagnostic passes, and (given a workload) the quarantining \
-          checked analysis.  Exits 2 on corrupt input, 3 on \
+         "Validate a TFPACK1 trace file: decode — including the magic and \
+          per-block CRC-32 checks — print a per-thread summary (without a \
+          workload), run the diagnostic passes, and (given a workload) the \
+          quarantining checked analysis.  Exits 2 on corrupt input, 3 on \
           validation/replay errors.")
     Term.(const check_run $ setup_term $ path $ workload $ opt_level)
 
@@ -1349,9 +1346,11 @@ let daemon_call ~what path f =
   | End_of_file -> fail "daemon closed the session" "no reply"
 
 let client_run () path socket chunk_bytes =
-  (* a corrupt file fails here, before any connection; a file [trace]
-     wrote re-encodes to its own bytes *)
-  let stream = Pack.encode (Trace_file.load path) in
+  (* the wire is a TFPACK1 file, so the client sends the file's own
+     bytes; decoding them first makes a corrupt file fail here, before
+     any connection *)
+  let stream = In_channel.with_open_bin path In_channel.input_all in
+  ignore (Pack.decode stream);
   (* a daemon that closes while we still send must surface as EPIPE *)
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let outcome =

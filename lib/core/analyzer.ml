@@ -31,7 +31,7 @@ module Log = Threadfuser_obs.Log
 
 (* Replay totals.  The emulator and the coalescer keep exact totals of
    their own, so these are not fed per event: {!publish_totals} adds the
-   merged replay state's totals once per final result. *)
+   merged replay state's totals once per analysis. *)
 let c_mem_instrs =
   Obs.Counter.make "tf_mem_instrs_total"
     ~help:"warp-level memory instructions coalesced"
@@ -502,11 +502,11 @@ let array_source (traces : Thread_trace.t array) =
    depends neither on the cuts nor on the domain count.
    [catch = false] re-raises warp replay failures (the [analyze]
    contract); [catch = true] records them as {!warp_failure}s and keeps
-   replaying.  [publish] adds the merged totals to the replay counters:
-   on for a final result, off for a session's rolling snapshot.
-   [threads_total] / [pre_quarantined] / [pre_dropped] describe threads
-   quarantined before replay, so the coverage fields account for them. *)
-let replay ~(options : options) ?fuel ~catch ~publish ~cut ~threads_total
+   replaying.  The merged totals are added to the replay counters once,
+   here.  [threads_total] / [pre_quarantined] / [pre_dropped] describe
+   threads quarantined before replay, so the coverage fields account for
+   them. *)
+let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
     ~pre_quarantined ~pre_dropped prog ~surv_events ~iter :
     result * warp_failure list =
   let dcfgs =
@@ -619,7 +619,7 @@ let replay ~(options : options) ?fuel ~catch ~publish ~cut ~threads_total
       ~skipped_io:merged.sh_io ~skipped_spin:merged.sh_spin
       ~skipped_excluded:merged.sh_excluded ~coverage
   in
-  if publish then publish_totals emu;
+  publish_totals emu;
   if !Obs.enabled then begin
     List.iter
       (fun (s : Metrics.div_site) ->
@@ -697,7 +697,7 @@ let check_domains options =
    {!default_fuel} of the survivors' events), per-warp failure capture
    and the whole-set crash fallback; [analyze] runs with it off and no
    diagnostics. *)
-let pipeline ~(options : options) ?fuel ~checked ~publish ~cut ~diagnostics
+let pipeline ~(options : options) ?fuel ~checked ~cut ~diagnostics
     prog (src : source) : checked =
   if options.warp_size < 1 || options.warp_size > Mask.max_lanes then
     invalid_arg
@@ -724,7 +724,7 @@ let pipeline ~(options : options) ?fuel ~checked ~publish ~cut ~diagnostics
            ~default:(default_fuel (Array.fold_left ( + ) 0 surv_events)))
   in
   let run ~pre_quarantined ~pre_dropped ~surv_events ~iter =
-    replay ~options ?fuel ~catch:checked ~publish ~cut ~threads_total:n_total
+    replay ~options ?fuel ~catch:checked ~cut ~threads_total:n_total
       ~pre_quarantined ~pre_dropped prog ~surv_events ~iter
   in
   match
@@ -765,7 +765,7 @@ let pipeline ~(options : options) ?fuel ~checked ~publish ~cut ~diagnostics
 (** Run the full analysis pipeline over a trace set. *)
 let analyze ?(options = default_options) prog (traces : Thread_trace.t array) :
     result =
-  (pipeline ~options ~checked:false ~publish:true ~cut:(fun _ -> false)
+  (pipeline ~options ~checked:false ~cut:(fun _ -> false)
      ~diagnostics:[] prog (array_source traces))
     .result
 
@@ -786,7 +786,7 @@ let bounds_of_program prog =
     coverage fields account for everything dropped. *)
 let analyze_checked ?(options = default_options) ?fuel prog
     (traces : Thread_trace.t array) : checked =
-  pipeline ~options ?fuel ~checked:true ~publish:true ~cut:(fun _ -> false)
+  pipeline ~options ?fuel ~checked:true ~cut:(fun _ -> false)
     ~diagnostics:(Validate.all ~bounds:(bounds_of_program prog) traces)
     prog (array_source traces)
 
@@ -997,7 +997,8 @@ module Session = struct
      the first warp boundary at which half a budget of decoded traces is
      pending, so replay holds at most that plus one warp, never the whole
      set. *)
-  let analyze_spool t ~(options : options) ~publish : checked =
+  let analyze_spool t : checked =
+    let options = t.s_options in
     let arr l = Array.of_list (List.rev l) in
     let tids = arr t.s_tids and sizes = arr t.s_sizes in
     let diagnostics =
@@ -1015,21 +1016,8 @@ module Session = struct
       end
       else false
     in
-    pipeline ~options ~checked:true ~publish ~cut ~diagnostics t.s_prog
+    pipeline ~options ~checked:true ~cut ~diagnostics t.s_prog
       { tids; events = arr t.s_events; iter = iter_spool t }
-
-  let snapshot t : Metrics.report =
-    match t.s_phase with
-    | Closed -> invalid_arg "Analyzer.Session.snapshot: session closed"
-    | Finished c -> c.result.report
-    | Ingest ->
-        (* advisory rolling report over the ingested prefix: skip the
-           warp-trace / timeline side products, and publish no replay
-           totals ([finish] counts the whole set once) *)
-        let options =
-          { t.s_options with gen_warp_trace = false; record_timeline = false }
-        in
-        (analyze_spool t ~options ~publish:false).result.report
 
   let remove_spool t =
     (match t.s_file with
@@ -1046,7 +1034,7 @@ module Session = struct
     | Closed -> invalid_arg "Analyzer.Session.finish: session closed"
     | Finished c -> c
     | Ingest ->
-        let c = analyze_spool t ~options:t.s_options ~publish:true in
+        let c = analyze_spool t in
         let c =
           match t.s_failure with
           | None -> c

@@ -64,7 +64,7 @@ type result = {
     With the collector on, the replay counters
     ([tf_divergence_splits_total], [tf_mem_transactions_total], ...) grow
     by the report's totals, once per call; so do {!analyze_checked}'s
-    and {!Session.finish}'s, never {!Session.snapshot}'s. *)
+    and {!Session.finish}'s. *)
 val analyze :
   ?options:options ->
   Threadfuser_prog.Program.t ->
@@ -164,11 +164,6 @@ module Session : sig
 
   (** Encoded bytes written to the spill file so far. *)
   val spilled_bytes : t -> int
-
-  (** Rolling report over the threads ingested so far (the warp-trace and
-      timeline side products are skipped, and the replay counters are
-      left alone).  After {!finish}, returns the final report. *)
-  val snapshot : t -> Metrics.report
 
   (** Run the checked pipeline over everything ingested, exactly as
       {!analyze_checked} would over the same traces; a stream {!failure}

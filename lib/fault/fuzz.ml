@@ -12,7 +12,7 @@
 module Analyzer = Threadfuser.Analyzer
 module Metrics = Threadfuser.Metrics
 module Serial = Threadfuser_trace.Serial
-module Trace_file = Threadfuser_trace.Trace_file
+module Pack = Threadfuser_trace.Pack
 module Tf_error = Threadfuser_util.Tf_error
 module Program = Threadfuser_prog.Program
 
@@ -58,10 +58,10 @@ let run_one ~(prog : Program.t) ~bytes ~seed : outcome =
     let traces =
       if seed land 1 = 0 then begin
         let damaged, _fault = Injector.corrupt_bytes ~seed bytes in
-        Trace_file.of_string damaged
+        Pack.decode damaged
       end
       else begin
-        let traces = Trace_file.of_string bytes in
+        let traces = Pack.decode bytes in
         let damaged, _applied = Injector.inject ~seed traces in
         damaged
       end

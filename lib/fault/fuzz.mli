@@ -24,7 +24,7 @@ type totals = {
 }
 
 (** One seeded corruption, end to end.  [bytes] is a trace file's
-    contents, loaded through {!Threadfuser_trace.Trace_file}.  Even seeds
+    contents, decoded by {!Threadfuser_trace.Pack.decode}.  Even seeds
     corrupt the bytes (decoder path); odd seeds decode cleanly and damage the events
     (validation / replay path). *)
 val run_one : prog:Program.t -> bytes:string -> seed:int -> outcome

@@ -31,10 +31,10 @@ let itos n = if n >= 0 && n < itos_cap then itos_table.(n) else string_of_int n
 (* One global mutex guards the event log, track registry and histogram
    sample buffers.  Counters use [Atomic.t] and skip the lock.
 
-   Domain-safety: the suite runner hammers this collector from several
-   [Domain.spawn]ed workers at once, so every mutation of shared state is
-   either atomic or under [lock] — including registry creation and
-   histogram sample growth/decimation.  The two plain refs ([enabled],
+   Domain-safety: the serve daemon's worker domains and the replay pool's
+   shards ([Par_replay]) write into this collector at once, so every
+   mutation of shared state is either atomic or under [lock] — including
+   registry creation and histogram sample growth/decimation.  The two plain refs ([enabled],
    [t0]) are single-word flags written only from lifecycle entry points
    ([set_enabled]/[reset]); concurrent readers may observe either value,
    which is benign (an event more or less around the toggle), and OCaml's

@@ -21,11 +21,15 @@
     each block decodes independently — which is what lets the CRC-32
     trailer sit per block.
 
+    The CRC covers the payload only, not the block's [tid] and
+    [payload_len] header.
+
     Hot traces are loops: block ids, lock addresses and access strides
     repeat with small deltas, so the columns varint-pack far better than
-    the flat TFTRACE1 encoding. *)
+    a flat per-event encoding. *)
 
 module Crc32 = Threadfuser_util.Crc32
+module Obs = Threadfuser_obs.Obs
 
 let magic = "TFPACK1"
 
@@ -216,7 +220,15 @@ let decode_block ~tid s ~pos ~lim =
 
 (* -- whole-buffer decoding ---------------------------------------------- *)
 
-let decode s : Thread_trace.t array =
+let c_decoded_threads =
+  Obs.Counter.make "tf_trace_threads_decoded_total"
+    ~help:"thread traces decoded from a trace file's bytes"
+
+let c_decoded_bytes =
+  Obs.Counter.make "tf_trace_bytes_decoded_total"
+    ~help:"trace file bytes decoded"
+
+let decode_blocks s : Thread_trace.t array =
   let n_magic = String.length magic in
   if String.length s < n_magic || String.sub s 0 n_magic <> magic then
     raise (Serial.Corrupt "bad pack magic");
@@ -241,6 +253,15 @@ let decode s : Thread_trace.t array =
          (Printf.sprintf "%d byte(s) after the last pack block"
             (String.length s - r.Serial.pos)));
   traces
+
+let decode s =
+  Obs.span "decode"
+    ~args:[ ("bytes", string_of_int (String.length s)) ]
+    (fun () ->
+      let traces = decode_blocks s in
+      Obs.Counter.add c_decoded_threads (Array.length traces);
+      Obs.Counter.add c_decoded_bytes (String.length s);
+      traces)
 
 (* -- files -------------------------------------------------------------- *)
 

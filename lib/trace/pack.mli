@@ -1,18 +1,20 @@
-(** TFPACK1: the compact columnar, delta-encoded binary trace container.
+(** TFPACK1: the compact columnar, delta-encoded binary trace container,
+    and the only thread-trace format ThreadFuser reads or writes.
 
-    Smaller than TFTRACE1 on real traces (tags, delta-coded block ids and
-    access addresses each get their own varint column) and safer at rest:
-    every per-thread block carries a CRC-32 trailer, so torn or bit-flipped
-    bytes are detected before any event reaches an analyzer.  Encoding is
-    deterministic: the same traces always produce the same bytes.  It is
-    the only trace format ThreadFuser writes; {!Trace_file}
-    also reads legacy TFTRACE1 files.
+    Tags, delta-coded block ids and access addresses each get their own
+    varint column, and every per-thread block carries a CRC-32 trailer
+    over its payload, so torn or bit-flipped payload bytes are detected
+    before any event reaches an analyzer.  The CRC does not cover the
+    block header ([tid], [payload_len]): a flipped [tid] decodes as
+    another thread's trace.  (A flipped [payload_len] moves where the
+    trailer is read, so it nearly always fails the CRC.)  Encoding is
+    deterministic: the same traces always produce the same bytes.
 
     All decode errors raise {!Serial.Corrupt} (the CLI's typed exit-2
     path). *)
 
 val magic : string
-(** ["TFPACK1"] — the container's leading bytes, for format sniffing. *)
+(** ["TFPACK1"] — the container's leading bytes. *)
 
 val encode : Thread_trace.t array -> string
 (** [magic], the thread count, then one {!add_block} per trace. *)
@@ -38,7 +40,9 @@ val decode_block : tid:int -> string -> pos:int -> lim:int -> Thread_trace.t
 val decode : string -> Thread_trace.t array
 (** Decodes each block in place with {!decode_block}, straight into the
     flat columns, each allocated once at its exact size.  No payload is
-    copied, and no read crosses the block's end.  Raises
+    copied, and no read crosses the block's end.  Each call is one
+    [decode] span and feeds the [tf_trace_{threads,bytes}_decoded_total]
+    counters ({!Stream} decodes blocks without either).  Raises
     {!Serial.Corrupt} on bad magic, truncation, CRC mismatch, overlong
     varints, lying counts (every count, and the sum of a payload's access
     counts, is bounded by the bytes left in its block before anything is

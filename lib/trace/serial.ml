@@ -1,25 +1,11 @@
-(** The varint codec and event tags both trace containers share, plus
-    the read-only decoder for legacy TFTRACE1 files.
-
-    TFTRACE1 (all integers LEB128 varints over the two's-complement bit
-    pattern): a magic header, a thread count, then per thread the tid, the
-    event count and the events.  Event tags:
+(** The LEB128 varint codec (over the two's-complement bit pattern) and
+    the event tags of the TFPACK1 container ({!Pack}):
 
     {v
-      0 Block   func block n_instr n_accesses (ioff addr size is_store)*
-      1 Call    func
-      2 Return
-      3 Lock_acq addr
-      4 Lock_rel addr
-      5 Skip    reason(0=io,1=spin,2=excluded) n_instr
-      6 Barrier addr
+      0 Block  1 Call  2 Return  3 Lock_acq  4 Lock_rel  5 Skip  6 Barrier
     v}
 
-    ThreadFuser no longer writes TFTRACE1 ({!Pack}'s TFPACK1 is the one
-    written format); files captured before that still load through
-    {!Trace_file}. *)
-
-let magic = "TFTRACE1"
+    A skip reason is coded 0 io, 1 spin, 2 excluded. *)
 
 (* -- varint primitives -------------------------------------------------- *)
 
@@ -108,56 +94,3 @@ let read_skip_code r =
   if not (Thread_trace.is_skip_code c) then
     raise (Corrupt (Printf.sprintf "bad skip reason %d" c));
   c
-
-let read_event r b =
-  let module B = Thread_trace.Builder in
-  let tag = read_uint r in
-  if tag < 0 || tag >= Array.length kinds then
-    raise (Corrupt (Printf.sprintf "bad event tag %d" tag));
-  match kinds.(tag) with
-  | Thread_trace.Block ->
-      let func = read_uint r in
-      let block = read_uint r in
-      let n_instr = read_uint r in
-      (* an access is at least 4 varint bytes (ioff addr size is_store) *)
-      let n_acc = read_count r ~min_bytes:4 "access" in
-      for _ = 1 to n_acc do
-        let ioff = read_uint r in
-        let addr = read_uint r in
-        let size = read_uint r in
-        let is_store = read_uint r = 1 in
-        B.access b ~ioff ~addr ~size ~is_store
-      done;
-      B.block b ~func ~block ~n_instr ~n_acc
-  | Thread_trace.Call -> B.call b (read_uint r)
-  | Thread_trace.Return -> B.return b
-  | Thread_trace.Lock_acq -> B.lock_acq b (read_uint r)
-  | Thread_trace.Lock_rel -> B.lock_rel b (read_uint r)
-  | Thread_trace.Skip ->
-      let code = read_skip_code r in
-      B.skip b code (read_uint r)
-  | Thread_trace.Barrier -> B.barrier b (read_uint r)
-
-(* [n_events] events into a fresh trace of thread [tid]. *)
-let read_events r ~tid n_events =
-  let b = Thread_trace.Builder.create ~events:n_events tid in
-  for _ = 1 to n_events do
-    read_event r b
-  done;
-  Thread_trace.Builder.finish b
-
-(* -- legacy whole traces ------------------------------------------------ *)
-
-let of_string s : Thread_trace.t array =
-  let n_magic = String.length magic in
-  if String.length s < n_magic || String.sub s 0 n_magic <> magic then
-    raise (Corrupt "bad magic");
-  let r = reader ~pos:n_magic s in
-  (* a thread costs at least 2 bytes (tid + event count) *)
-  let n_threads = read_count r ~min_bytes:2 "thread" in
-  Array.init n_threads (fun _ ->
-      let tid = read_uint r in
-      if tid < 0 then raise (Corrupt "negative thread id");
-      (* an event is at least 1 byte (its tag) *)
-      let n_events = read_count r ~min_bytes:1 "event" in
-      read_events r ~tid n_events)

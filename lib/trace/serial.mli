@@ -1,13 +1,8 @@
-(** The shared LEB128 varint codec (over the two's-complement bit
-    pattern) and event tags, plus the read-only decoder for legacy
-    TFTRACE1 trace files.  ThreadFuser writes
-    TFPACK1 only; {!Trace_file} is the loader that accepts both. *)
+(** The LEB128 varint codec (over the two's-complement bit pattern) and
+    event tags of the TFPACK1 container ({!Pack}, {!Stream}). *)
 
 exception Corrupt of string
 (** Raised by the readers on malformed or truncated input. *)
-
-val of_string : string -> Thread_trace.t array
-(** Decode a legacy TFTRACE1 trace set. *)
 
 (** {2 Low-level varint primitives} *)
 

@@ -10,7 +10,6 @@ module Memory = Threadfuser_machine.Memory
 module Compiler = Threadfuser_compiler.Compiler
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Pack = Threadfuser_trace.Pack
-module Trace_file = Threadfuser_trace.Trace_file
 
 let bar = 0x50000
 
@@ -125,7 +124,7 @@ let test_analyzer_barrier_across_warps () =
 
 let test_serial_roundtrip_with_barrier () =
   let _, _, r = run_phased 2 in
-  let back = Trace_file.of_string (Pack.encode r.Machine.traces) in
+  let back = Pack.decode (Pack.encode r.Machine.traces) in
   Array.iteri
     (fun i (t : Thread_trace.t) ->
       Alcotest.(check bool)

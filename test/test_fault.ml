@@ -10,7 +10,6 @@ module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Serial = Threadfuser_trace.Serial
 module Pack = Threadfuser_trace.Pack
-module Trace_file = Threadfuser_trace.Trace_file
 module Crc32 = Threadfuser_util.Crc32
 module Tf_error = Threadfuser_util.Tf_error
 module Injector = Threadfuser_fault.Injector
@@ -219,7 +218,7 @@ let prop_resealed_pack =
         edits;
       reseal bytes blocks;
       let bytes = Bytes.to_string bytes in
-      (match Trace_file.of_string bytes with
+      (match Pack.decode bytes with
       | exception Serial.Corrupt _ -> ()
       | traces -> (
           match Analyzer.analyze_checked prog traces with
@@ -233,7 +232,7 @@ let prop_resealed_pack =
           (* shrinking stays in range: at least 2 Blocks, 1 access each *)
           let k = 2 + (k mod 63) and m = 1 + (m mod 1000) in
           match
-            Trace_file.of_string (prepend_block bytes (inflated_block ~k ~m))
+            Pack.decode (prepend_block bytes (inflated_block ~k ~m))
           with
           | exception Serial.Corrupt msg
             when String.starts_with ~prefix:"access count" msg ->

@@ -399,69 +399,6 @@ let test_damaged_spill () =
           .Metrics.threads_analyzed
   | ds -> Alcotest.failf "%d corrupt-input diagnostics" (List.length ds)
 
-(* Snapshots: a rolling report mid-ingest, the final report afterwards. *)
-let test_snapshot () =
-  let traced = W.trace_cpu (Registry.find "vectoradd") in
-  let stream = Pack.encode traced.W.traces in
-  let s = Session.create ~options:(options ~domains:2) traced.W.prog in
-  Session.feed s ~len:(String.length stream / 2) stream;
-  let mid = Session.snapshot s in
-  Alcotest.(check int) "snapshot covers the ingested prefix"
-    (Session.threads_ingested s)
-    mid.Metrics.coverage.Metrics.threads_total;
-  Session.feed s ~off:(String.length stream / 2) stream;
-  let c = Session.finish s in
-  Alcotest.(check string) "post-finish snapshot = final report"
-    (Report_json.to_string c.Analyzer.result.Analyzer.report)
-    (Report_json.to_string (Session.snapshot s))
-
-(* The replay counters count each final result once: a snapshot
-   publishes nothing, so snapshot-then-finish leaves every counter where
-   a single [analyze_checked] over the same traces does. *)
-let test_snapshot_publishes_nothing () =
-  let traced = W.trace_cpu (Registry.find "hdsearch-mid") in
-  let stream = Pack.encode traced.W.traces in
-  let options = options ~domains:2 in
-  let counters =
-    [
-      "tf_divergence_splits_total";
-      "tf_lock_serializations_total";
-      "tf_serialized_instrs_total";
-      "tf_barrier_syncs_total";
-      "tf_mem_instrs_total";
-      "tf_mem_transactions_total";
-    ]
-  in
-  let capture run =
-    Obs.reset ();
-    Obs.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.set_enabled false;
-        Obs.reset ())
-      (fun () ->
-        run ();
-        List.map
-          (fun n -> (n, Obs.Counter.value (Obs.Counter.make n)))
-          counters)
-  in
-  let batch =
-    capture (fun () ->
-        ignore (Analyzer.analyze_checked ~options traced.W.prog traced.W.traces))
-  in
-  let streamed =
-    capture (fun () ->
-        let s = Session.create ~options traced.W.prog in
-        Session.feed s ~len:(String.length stream / 2) stream;
-        ignore (Session.snapshot s);
-        Session.feed s ~off:(String.length stream / 2) stream;
-        ignore (Session.finish s))
-  in
-  Alcotest.(check bool) "the batch counts something" true
-    (List.assoc "tf_mem_transactions_total" batch > 0);
-  Alcotest.(check (list (pair string int)))
-    "snapshot then finish = analyze_checked" batch streamed
-
 (* Lifecycle edges: empty stream, misuse after finish/close, bad budgets. *)
 let test_lifecycle () =
   let traced = W.trace_cpu (Registry.find "vectoradd") in
@@ -518,9 +455,6 @@ let () =
           Alcotest.test_case "corrupt mid-stream" `Quick test_corrupt_midstream;
           Alcotest.test_case "damaged spill file fails typed" `Quick
             test_damaged_spill;
-          Alcotest.test_case "snapshots" `Quick test_snapshot;
-          Alcotest.test_case "snapshot publishes no counters" `Quick
-            test_snapshot_publishes_nothing;
           Alcotest.test_case "lifecycle edges" `Quick test_lifecycle;
         ] );
     ]

@@ -9,7 +9,6 @@ module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Validate = Threadfuser_trace.Validate
-module Trace_file = Threadfuser_trace.Trace_file
 module Crc32 = Threadfuser_util.Crc32
 module Tf_error = Threadfuser_util.Tf_error
 module Injector = Threadfuser_fault.Injector
@@ -335,7 +334,7 @@ let test_zero_length () =
   Alcotest.(check bool) "empty decoder wants input" true (Stream.next dec = Stream.Need_more);
   Stream.feed dec "";
   Alcotest.(check bool) "empty feed is a no-op" true (Stream.next dec = Stream.Need_more);
-  (match Trace_file.of_string "" with
+  (match Pack.decode "" with
   | exception Serial.Corrupt _ -> ()
   | exception Tf_error.Error _ -> ()
   | _ -> Alcotest.fail "the trace loader accepted empty input");

@@ -1,5 +1,5 @@
-(* Tests for trace events, statistics, the trace-file loader and the
-   read-only legacy TFTRACE1 decoder. *)
+(* Tests for trace events, statistics, the flat trace columns and the
+   TFPACK1 decoder's behaviour on hostile input. *)
 
 open Threadfuser_trace
 module W = Threadfuser_workloads.Workload
@@ -30,56 +30,6 @@ let sample_events =
 
 let sample_trace = Thread_trace.of_events 7 sample_events
 
-(* ThreadFuser no longer writes TFTRACE1, but it still reads old files, so
-   the decoder's tests build their inputs here, straight from boxed
-   events: magic, thread count, then per thread tid, event count and
-   events.  Nothing here reads the trace columns, so the bytes are a
-   reference the column decoder is checked against. *)
-let legacy_event buf (e : Event.t) =
-  let w = Serial.write_uint buf in
-  match e with
-  | Event.Block b ->
-      w 0;
-      w b.func;
-      w b.block;
-      w b.n_instr;
-      w (Array.length b.accesses);
-      Array.iter
-        (fun (a : Event.access) ->
-          w a.ioff;
-          w a.addr;
-          w a.size;
-          w (if a.is_store then 1 else 0))
-        b.accesses
-  | Event.Call f -> w 1; w f
-  | Event.Return -> w 2
-  | Event.Lock_acq a -> w 3; w a
-  | Event.Lock_rel a -> w 4; w a
-  | Event.Skip { reason; n_instr } ->
-      w 5;
-      w (match reason with Event.Io -> 0 | Event.Spin -> 1 | Event.Excluded -> 2);
-      w n_instr
-  | Event.Barrier a -> w 6; w a
-
-let legacy_bytes_of_events (threads : (int * Event.t array) list) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "TFTRACE1";
-  Serial.write_uint buf (List.length threads);
-  List.iter
-    (fun (tid, events) ->
-      Serial.write_uint buf tid;
-      Serial.write_uint buf (Array.length events);
-      Array.iter (legacy_event buf) events)
-    threads;
-  Buffer.contents buf
-
-let legacy_bytes (traces : Thread_trace.t array) =
-  legacy_bytes_of_events
-    (Array.to_list
-       (Array.map
-          (fun (t : Thread_trace.t) -> (t.tid, Thread_trace.to_events t))
-          traces))
-
 let test_stats () =
   let s = Thread_trace.stats sample_trace in
   Alcotest.(check int) "traced" 8 s.Thread_trace.traced_instrs;
@@ -90,81 +40,28 @@ let test_stats () =
   Alcotest.(check int) "stores" 1 s.Thread_trace.stores;
   Alcotest.(check int) "locks" 2 s.Thread_trace.lock_ops
 
-let test_roundtrip () =
-  let traces = [| sample_trace; Thread_trace.of_events 9 [||] |] in
-  let back = Serial.of_string (legacy_bytes traces) in
-  Alcotest.(check int) "thread count" 2 (Array.length back);
-  Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid;
-  Alcotest.(check int) "event count" (Array.length sample_events)
-    (Array.length back.(0).Thread_trace.events);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "event %d" i)
-        true
-        (Event.equal e (Thread_trace.get back.(0) i)))
-    sample_events
-
-let test_bad_magic () =
-  match Serial.of_string "NOTATRACE" with
-  | exception Serial.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt"
-
-let test_truncated () =
-  let s = legacy_bytes [| sample_trace |] in
-  let cut = String.sub s 0 (String.length s - 3) in
-  match Serial.of_string cut with
-  | exception Serial.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt on truncation"
-
 let test_file_roundtrip () =
   let path = Filename.temp_file "tftrace" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Pack.to_file path [| sample_trace |];
-      let back = Trace_file.load path in
+      let back = Pack.of_file path in
       Alcotest.(check int) "tid" 7 back.(0).Thread_trace.tid)
 
-(* The one loader sniffs the container: the same traces saved as
-   TFTRACE1 and as TFPACK1 load equal, and bytes carrying neither magic
+(* Bytes of the retired TFTRACE1 container: one thread holding one
+   excluded Skip. *)
+let tftrace1_bytes = "TFTRACE1\x01\x00\x01\x05\x02\x07"
+
+(* Bytes without the TFPACK1 magic, or cut short in the header after it,
    are a typed [Corrupt], never a crash. *)
-let test_loader_sniffs_format () =
-  let traces = [| sample_trace; { sample_trace with Thread_trace.tid = 8 } |] in
-  let save ext bytes =
-    let path = Filename.temp_file "tfload" ext in
-    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
-    path
-  in
-  let plain = save ".tftrace" (legacy_bytes traces) in
-  let packed = save ".tfpack" (Pack.encode traces) in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ plain; packed ])
-    (fun () ->
-      let a = Trace_file.load plain and b = Trace_file.load packed in
-      Alcotest.(check bool) "TFTRACE1 loads the saved traces" true (a = traces);
-      Alcotest.(check bool) "TFPACK1 loads equal traces" true (b = a));
+let test_bad_magic () =
   List.iter
     (fun garbage ->
-      match Trace_file.of_string garbage with
+      match Pack.decode garbage with
       | exception Serial.Corrupt _ -> ()
-      | _ -> Alcotest.failf "garbage %S loaded" garbage)
-    [ ""; "TFPACK"; "TFPACK1\xff\xff"; "not a trace at all" ]
-
-(* A TFTRACE1 file as the tool wrote it before TFPACK1 became the only
-   written format ([trace vectoradd -t 8]; tracing is deterministic).  It
-   must load to exactly the traces a fresh capture produces, and analyze
-   clean against the workload's program, as [check FILE vectoradd] does. *)
-let test_legacy_fixture () =
-  let w = Registry.find "vectoradd" in
-  let tr = W.trace_cpu ~threads:8 w in
-  let traces = Trace_file.load "legacy_vectoradd.tftrace" in
-  Alcotest.(check int) "thread count" 8 (Array.length traces);
-  Alcotest.(check bool) "equals a fresh capture" true (traces = tr.W.traces);
-  let checked = Threadfuser.Analyzer.analyze_checked tr.W.prog traces in
-  Alcotest.(check bool) "analyzes clean" false
-    (Threadfuser.Metrics.degraded
-       checked.Threadfuser.Analyzer.result.Threadfuser.Analyzer.report)
+      | _ -> Alcotest.failf "garbage %S decoded" garbage)
+    [ ""; "TFPACK"; "TFPACK1\xff\xff"; "NOTATRACE"; tftrace1_bytes ]
 
 (* Random event generator for the round-trip property. *)
 let gen_event =
@@ -196,16 +93,6 @@ let gen_event =
         let* n_instr = int_range 1 1000 in
         return (Event.Skip { reason; n_instr }) );
     ]
-
-let prop_roundtrip =
-  QCheck.Test.make ~name:"serialization roundtrip" ~count:100
-    (QCheck.make QCheck.Gen.(list_size (int_bound 50) gen_event))
-    (fun events ->
-      let events = Array.of_list events in
-      let back = Serial.of_string (legacy_bytes_of_events [ (0, events) ]) in
-      Array.length back = 1
-      && Thread_trace.length back.(0) = Array.length events
-      && Array.for_all2 Event.equal (Thread_trace.to_events back.(0)) events)
 
 (* Threads of random boxed events, the reference every decoder must
    reproduce column for column. *)
@@ -302,8 +189,8 @@ let stream_decode s =
   in
   go []
 
-(* TFPACK1, read whole or incrementally, and TFTRACE1 each decode to
-   exactly [of_events] of the boxed events they were written from. *)
+(* TFPACK1, read whole or incrementally, decodes to exactly [of_events]
+   of the boxed events it was written from. *)
 let prop_decoders_match_view =
   QCheck.Test.make ~name:"decoders yield of_events of the boxed reference"
     ~count:200 (QCheck.make gen_threads) (fun threads ->
@@ -312,8 +199,7 @@ let prop_decoders_match_view =
           (List.map (fun (tid, evs) -> Thread_trace.of_events tid evs) threads)
       in
       Pack.decode (Pack.encode expected) = expected
-      && stream_decode (Pack.encode expected) = Some expected
-      && Serial.of_string (legacy_bytes_of_events threads) = expected)
+      && stream_decode (Pack.encode expected) = Some expected)
 
 (* [heap_bytes] is the exact heap the columns occupy, checked against
    the runtime's own count for machine-traced and TFPACK1-decoded traces
@@ -438,7 +324,7 @@ let sync_trace =
 (* Decode + validate; the only acceptable failures are the typed ones. *)
 let decode_checked what s =
   match
-    let traces = Serial.of_string s in
+    let traces = Pack.decode s in
     ignore (Validate.all traces)
   with
   | () -> ()
@@ -447,12 +333,15 @@ let decode_checked what s =
   | exception e ->
       Alcotest.failf "%s: escaped with %s" what (Printexc.to_string e)
 
-(* Every single-byte truncation and every single-bit flip of a legacy
-   trace file (no CRC guards it) must either decode (possibly to garbage the validator flags)
-   or raise [Corrupt] / [Tf_error.Error] — never [Invalid_argument],
-   [Not_found], out-of-memory allocation or a hang. *)
+(* Every single-byte truncation and every single-bit flip of a TFPACK1
+   file must either decode (possibly to garbage the validator flags) or
+   raise [Corrupt] / [Tf_error.Error] — never [Invalid_argument],
+   [Not_found], out-of-memory allocation or a hang.  A payload flip
+   fails its block's CRC; the flips that get past it are in the block
+   headers the CRC does not cover, where a [tid] flip decodes as another
+   thread. *)
 let test_truncation_sweep () =
-  let s = legacy_bytes [| sample_trace; sync_trace |] in
+  let s = Pack.encode [| sample_trace; sync_trace |] in
   for keep = 0 to String.length s - 1 do
     decode_checked
       (Printf.sprintf "truncate to %d bytes" keep)
@@ -460,7 +349,7 @@ let test_truncation_sweep () =
   done
 
 let test_bitflip_sweep () =
-  let s = legacy_bytes [| sample_trace; sync_trace |] in
+  let s = Pack.encode [| sample_trace; sync_trace |] in
   for off = 0 to String.length s - 1 do
     for bit = 0 to 7 do
       let b = Bytes.of_string s in
@@ -478,25 +367,6 @@ let test_overlong_varint () =
   match Serial.read_uint r with
   | exception Serial.Corrupt _ -> ()
   | n -> Alcotest.failf "overlong varint decoded to %d" n
-
-(* A length header larger than the remaining input must fail as [Corrupt]
-   before it reaches [Array.init] — not attempt a giant allocation. *)
-let test_huge_count () =
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf "TFTRACE1";
-  Serial.write_uint buf 0x3FFF_FFFF_FFFF;
-  (match Serial.of_string (Buffer.contents buf) with
-  | exception Serial.Corrupt _ -> ()
-  | _ -> Alcotest.fail "huge thread count accepted");
-  (* same for a per-thread event count *)
-  let buf = Buffer.create 16 in
-  Buffer.add_string buf "TFTRACE1";
-  Serial.write_uint buf 1 (* n_threads *);
-  Serial.write_uint buf 0 (* tid *);
-  Serial.write_uint buf 0x3FFF_FFFF_FFFF;
-  match Serial.of_string (Buffer.contents buf) with
-  | exception Serial.Corrupt _ -> ()
-  | _ -> Alcotest.fail "huge event count accepted"
 
 (* -- bounded readers ---------------------------------------------------- *)
 
@@ -566,6 +436,50 @@ let test_block_cannot_read_past_itself () =
   | _ -> Alcotest.fail "well-formed fixture did not decode to 2 threads");
   Alcotest.check_raises "dangling varint" (Serial.Corrupt "truncated")
     (fun () -> ignore (Pack.decode (file "\x01\x01\x80")))
+
+(* A count larger than the remaining input must fail as [Corrupt] before
+   it sizes anything — not attempt a giant allocation: the thread count,
+   and an event count inside a sealed block.  (Block lengths are the
+   cache tests' [oversize bound from header].) *)
+let test_huge_count () =
+  let huge = 0x3FFF_FFFF_FFFF in
+  let varint n =
+    let b = Buffer.create 8 in
+    Serial.write_uint b n;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (what, bytes) ->
+      match Pack.decode bytes with
+      | exception Serial.Corrupt _ -> ()
+      | _ -> Alcotest.failf "huge %s accepted" what)
+    [
+      ("thread count", Pack.magic ^ varint huge);
+      ("event count", Pack.magic ^ "\x01" ^ pack_block ~tid:0 (varint huge));
+    ]
+
+(* TFPACK1 is the one trace format: a TFTRACE1 file is corrupt input to
+   the file loader [check] uses and to the fuzz harness, which reads a
+   trace file's bytes the same way. *)
+let test_tftrace1_is_corrupt () =
+  let path = Filename.temp_file "tftrace1" ".tftrace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc tftrace1_bytes);
+      match Pack.of_file path with
+      | exception Serial.Corrupt m ->
+          Alcotest.(check string) "Pack.of_file" "bad pack magic" m
+      | _ -> Alcotest.fail "Pack.of_file: TFTRACE1 file decoded");
+  let prog = (W.trace_cpu ~threads:8 (Registry.find "vectoradd")).W.prog in
+  (* an odd seed decodes the bytes as they are *)
+  match Threadfuser_fault.Fuzz.run_one ~prog ~bytes:tftrace1_bytes ~seed:1 with
+  | Threadfuser_fault.Fuzz.Rejected m ->
+      Alcotest.(check string) "fuzz rejects" "bad pack magic" m
+  | o ->
+      Alcotest.failf "fuzz: TFTRACE1 bytes ended %s"
+        (Threadfuser_fault.Fuzz.outcome_name o)
 
 (* The validator's structural diagnostics on intact traces. *)
 let test_validate () =
@@ -716,15 +630,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "stats" `Quick test_stats;
-          Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
-          Alcotest.test_case "truncated" `Quick test_truncated;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
-          Alcotest.test_case "loader sniffs TFTRACE1 and TFPACK1" `Quick
-            test_loader_sniffs_format;
-          Alcotest.test_case "legacy TFTRACE1 fixture loads" `Quick
-            test_legacy_fixture;
-          QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_varint;
           Alcotest.test_case "read_uint does not allocate" `Quick
             test_read_uint_no_alloc;
@@ -751,6 +658,8 @@ let () =
           Alcotest.test_case "read_uint at lim" `Quick test_read_uint_at_lim;
           Alcotest.test_case "block cannot read past itself" `Quick
             test_block_cannot_read_past_itself;
+          Alcotest.test_case "TFTRACE1 bytes are corrupt input" `Quick
+            test_tftrace1_is_corrupt;
           Alcotest.test_case "validate diagnostics" `Quick test_validate;
           Alcotest.test_case "validate access size" `Quick test_validate_access_size;
           Alcotest.test_case "wide values reach validate" `Quick

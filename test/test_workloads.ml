@@ -193,8 +193,7 @@ let test_serialized_traces_analyze_identically () =
   let w = Registry.find "b+tree" in
   let tr = W.trace_cpu w in
   let roundtripped =
-    Threadfuser_trace.Trace_file.of_string
-      (Threadfuser_trace.Pack.encode tr.W.traces)
+    Threadfuser_trace.Pack.decode (Threadfuser_trace.Pack.encode tr.W.traces)
   in
   let a = Analyzer.analyze tr.W.prog tr.W.traces in
   let b = Analyzer.analyze tr.W.prog roundtripped in
