@@ -106,6 +106,19 @@ type result = {
 let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
     ~per_warp ~skipped_io ~skipped_spin ~skipped_excluded ~coverage =
   let total_instrs = emu.Emulator.thread_instrs in
+  (* the emulator counts per static block (its divergence site); a
+     function's totals are the sums over its blocks *)
+  let base = emu.Emulator.div_base in
+  let func_total counts fid =
+    let sum = ref 0 in
+    for i = base.(fid) to base.(fid + 1) - 1 do
+      sum := !sum + counts.(i)
+    done;
+    !sum
+  in
+  let func_instrs =
+    Array.init (Program.func_count prog) (func_total emu.Emulator.site_instrs)
+  in
   let per_function =
     let stats = ref [] in
     Array.iteri
@@ -116,19 +129,18 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
               Metrics.fid;
               func_name = Program.func_name prog fid;
               issues;
-              thread_instrs = emu.Emulator.func_instrs.(fid);
+              thread_instrs = func_instrs.(fid);
               efficiency =
-                Metrics.efficiency ~issues
-                  ~thread_instrs:emu.Emulator.func_instrs.(fid)
+                Metrics.efficiency ~issues ~thread_instrs:func_instrs.(fid)
                   ~warp_size:options.warp_size;
               instr_share =
                 (if total_instrs = 0 then 0.0
                  else
-                   float_of_int emu.Emulator.func_instrs.(fid)
-                   /. float_of_int total_instrs);
+                   float_of_int func_instrs.(fid) /. float_of_int total_instrs);
             }
             :: !stats)
-      emu.Emulator.func_issues;
+      (Array.init (Program.func_count prog)
+         (func_total emu.Emulator.site_issues));
     List.sort
       (fun (a : Metrics.func_stat) (b : Metrics.func_stat) ->
         compare b.thread_instrs a.thread_instrs)
@@ -138,32 +150,31 @@ let build_report (options : options) prog (emu : Emulator.t) ~n_threads ~n_warps
      (issues * warp_size - instrs), keeping clearly-divergent ones *)
   let hot_blocks =
     let acc = ref [] in
-    Array.iteri
-      (fun fid per_block ->
-        Array.iteri
-          (fun bid issues ->
-            if issues > 0 then begin
-              let instrs = emu.Emulator.block_instrs.(fid).(bid) in
-              let eff =
-                Metrics.efficiency ~issues ~thread_instrs:instrs
-                  ~warp_size:options.warp_size
-              in
-              if eff < 0.9 then
-                acc :=
-                  {
-                    Metrics.block_fid = fid;
-                    block_func = Program.func_name prog fid;
-                    block_id = bid;
-                    src_label =
-                      (Program.func prog fid).Program.blocks.(bid).Program.src_label;
-                    block_issues = issues;
-                    block_instrs = instrs;
-                    block_efficiency = eff;
-                  }
-                  :: !acc
-            end)
-          per_block)
-      emu.Emulator.block_issues;
+    for fid = 0 to Program.func_count prog - 1 do
+      for bid = 0 to base.(fid + 1) - base.(fid) - 1 do
+        let issues = emu.Emulator.site_issues.(base.(fid) + bid) in
+        if issues > 0 then begin
+          let instrs = emu.Emulator.site_instrs.(base.(fid) + bid) in
+          let eff =
+            Metrics.efficiency ~issues ~thread_instrs:instrs
+              ~warp_size:options.warp_size
+          in
+          if eff < 0.9 then
+            acc :=
+              {
+                Metrics.block_fid = fid;
+                block_func = Program.func_name prog fid;
+                block_id = bid;
+                src_label =
+                  (Program.func prog fid).Program.blocks.(bid).Program.src_label;
+                block_issues = issues;
+                block_instrs = instrs;
+                block_efficiency = eff;
+              }
+              :: !acc
+        end
+      done
+    done;
     List.sort
       (fun (a : Metrics.block_stat) (b : Metrics.block_stat) ->
         compare

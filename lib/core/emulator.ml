@@ -22,7 +22,12 @@
       continuation).
 
     The emulator simultaneously drives the coalescing model and (optionally)
-    emits the cracked warp-level RISC trace for the cycle simulator. *)
+    emits the cracked warp-level RISC trace for the cycle simulator.
+
+    The replay loop pays per active lane, not per mask bit: a block's mask
+    is walked once, into the lane list [scratch.lane_ids], and every later
+    per-lane step of the block (accounting, markers, regrouping) iterates
+    that list. *)
 
 module Program = Threadfuser_prog.Program
 module Event = Threadfuser_trace.Event
@@ -62,6 +67,20 @@ let[@inline] arg (c : Cursor.t) = c.trace.Thread_trace.ev.(3 * c.pos)
 
 let[@inline] block_id (c : Cursor.t) =
   c.trace.Thread_trace.ev.((3 * c.pos) + 1)
+
+(* Lane index of a one-bit mask [b = 1 lsl lane] ([lane < Mask.max_lanes]):
+   the powers 2^0 .. 2^65 are distinct mod 67, so a 67-entry table
+   inverts them, and [mod] by a constant compiles to a multiply.  With
+   [m land (-m)] (the lowest set bit) this walks a mask's set bits in
+   ascending lane order, one step per active lane. *)
+let lane_of_bit =
+  let tbl = Array.make 67 0 in
+  for lane = 0 to Mask.max_lanes - 1 do
+    tbl.((1 lsl lane) mod 67) <- lane
+  done;
+  tbl
+
+let[@inline] lane_of b = Array.unsafe_get lane_of_bit (b mod 67)
 
 exception Emulation_error of string
 
@@ -113,27 +132,62 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(* A blame chain entry: (divergence-site index, lanes lost per lock-step
-   issue).  Site [div_base.(fid) + block] is block [block] of [fid]. *)
-type blame = (int * int) list
-
 (* Folded-stack accumulation for the replay flamegraph: the warp's call
    stack (leaf first) -> lock-step issues and lost-lane issue slots. *)
 type flame_cell = { mutable fc_issues : int; mutable fc_lost : int }
 
+(* Per-site static block facts, flat and indexed by the divergence site
+   [div_base.(func) + block], built once at [create] so the replay loop
+   reads one array slot per fact instead of walking [Program]. *)
+type blocks = {
+  b_ninstr : int array; (* instructions in the block *)
+  b_term : (int, int) Instr.t array; (* its terminator (last instruction) *)
+  b_first : int array; (* coalescing site of its first instruction *)
+}
+
+(* The SIMT stack, as monomorphic columns indexed by stack slot
+   ([0 .. sp - 1], top at [sp - 1]).  Slot [i] is an entry: function
+   [func], next node [pc], reconvergence node [reconv], active [mask],
+   [frame] (its pop leaves the function), and one blame link
+   ([bl_site], [bl_lost], [bl_up]): the divergence site that split this
+   entry off, the lanes it lost per lock-step issue, and the slot whose
+   link continues the chain ([-1] ends it).  A divergent child links to
+   its parent; a function frame copies its caller's link, so it charges
+   exactly the caller's chain.  A link stays valid while its entry is
+   live, because every slot a chain names lies below it on the stack.
+   The columns keep one spare slot above the top (see {!handle_locks}). *)
+type stack = {
+  mutable func : int array;
+  mutable pc : int array;
+  mutable reconv : int array;
+  mutable mask : Mask.t array;
+  mutable frame : bool array;
+  mutable bl_site : int array;
+  mutable bl_lost : int array;
+  mutable bl_up : int array;
+  mutable sp : int;
+}
+
 (* Reusable hot-path buffers (the replay allocation diet): one warp
-   replays at a time per emulator, so [count_block] and [regroup] borrow
-   these instead of allocating per block / per instruction.  The [ld_*] /
-   [st_*] triples gather the current instruction's memory accesses
-   (growable: a lane may access several addresses per instruction); the
-   [grp_*] pair collects the distinct branch targets of a regroup. *)
+   replays at a time per emulator, so the block path borrows these
+   instead of allocating per block / per instruction.  [lane_ids] holds
+   the lanes of the block being executed, staged once per block from its
+   mask; [lane_ptr]/[lane_end] their access ranges and [first_io] the
+   smallest first-access ioff among them.  [staged] says that [lane_ids]
+   already holds the next block's lanes, each at a Block of it (a uniform
+   {!regroup} checked them).  The [ld_*] / [st_*] triples gather the
+   current instruction's memory accesses (growable: a lane may access
+   several addresses per instruction); the [grp_*] columns collect the
+   distinct branch targets of a regroup; the [lk_*] pair the lock
+   addresses of a lock-acquire block. *)
 type scratch = {
   lane_ids : int array; (* active lanes of the current block, ascending *)
   lane_ptr : int array; (* per active lane: next access in its trace *)
   lane_end : int array; (* per active lane: end of the block's accesses *)
-  mutable cursors : Cursor.t array; (* the replaying warp's lanes *)
-  lane_target : int array; (* per lane: next block, during a regroup *)
   mutable n_lanes : int;
+  mutable first_io : int; (* min first-access ioff, or [max_int] *)
+  mutable staged : bool;
+  mutable cursors : Cursor.t array; (* the replaying warp's lanes *)
   mutable ld_lane : int array;
   mutable ld_addr : int array;
   mutable ld_size : int array;
@@ -142,9 +196,13 @@ type scratch = {
   mutable st_addr : int array;
   mutable st_size : int array;
   mutable n_st : int;
-  grp_target : int array; (* distinct regroup targets, first-seen order *)
-  mutable grp_mask : Mask.t array;
+  grp_target : int array; (* distinct regroup targets *)
+  grp_mask : Mask.t array;
+  grp_count : int array; (* lanes per target *)
   mutable n_groups : int;
+  lane_group : int array; (* per staged lane: its target's group *)
+  lk_lane : int array; (* lock-acquire lanes, then sorted by address *)
+  lk_addr : int array;
 }
 
 type t = {
@@ -152,10 +210,8 @@ type t = {
   ipdoms : Ipdom.t array; (* per function *)
   config : config;
   coalesce : Coalesce.t;
-  func_issues : int array;
-  func_instrs : int array;
-  block_issues : int array array; (* per function, per block *)
-  block_instrs : int array array;
+  site_issues : int array; (* per divergence site: lock-step issues *)
+  site_instrs : int array; (* per divergence site: thread instructions *)
   mutable issues : int;
   mutable thread_instrs : int;
   mutable lock_acquires : int;
@@ -167,9 +223,11 @@ type t = {
   mutable timelines : Timeline.t list; (* finished warps, reversed *)
   div_base : int array; (* per function: site index of its block 0 *)
   div_sites : div_site_cell array; (* one per static block *)
+  blocks : blocks;
   flame : (int list, flame_cell) Hashtbl.t; (* call stack (leaf first) *)
   mutable call_stack : int list; (* replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option; (* cached cell for [call_stack] *)
+  stack : stack;
   scratch : scratch;
 }
 
@@ -181,19 +239,28 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     div_base.(fid + 1) <-
       div_base.(fid) + Program.block_count (Program.func prog fid)
   done;
+  let n_sites = div_base.(nf) in
+  let coalesce = Coalesce.create prog in
+  let b_ninstr = Array.make n_sites 0
+  and b_term = Array.make n_sites Instr.Halt
+  and b_first = Array.make n_sites 0 in
+  for fid = 0 to nf - 1 do
+    Array.iteri
+      (fun b (blk : Program.block) ->
+        let i = div_base.(fid) + b and n = Array.length blk.Program.instrs in
+        b_ninstr.(i) <- n;
+        b_term.(i) <- blk.Program.instrs.(n - 1);
+        b_first.(i) <- coalesce.Coalesce.block_site.(fid).(b))
+      (Program.func prog fid).Program.blocks
+  done;
+  let cap = 16 in
   {
     prog;
     ipdoms;
     config;
-    coalesce = Coalesce.create prog;
-    func_issues = Array.make (Program.func_count prog) 0;
-    func_instrs = Array.make (Program.func_count prog) 0;
-    block_issues =
-      Array.init (Program.func_count prog) (fun fid ->
-          Array.make (Program.block_count (Program.func prog fid)) 0);
-    block_instrs =
-      Array.init (Program.func_count prog) (fun fid ->
-          Array.make (Program.block_count (Program.func prog fid)) 0);
+    coalesce;
+    site_issues = Array.make n_sites 0;
+    site_instrs = Array.make n_sites 0;
     issues = 0;
     thread_instrs = 0;
     lock_acquires = 0;
@@ -205,19 +272,33 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     timelines = [];
     div_base;
     div_sites =
-      Array.init div_base.(nf) (fun _ ->
+      Array.init n_sites (fun _ ->
           { sc_splits = 0; sc_lost = 0; sc_kind = Branch_site });
+    blocks = { b_ninstr; b_term; b_first };
     flame = Hashtbl.create 64;
     call_stack = [];
     flame_cur = None;
+    stack =
+      {
+        func = Array.make cap 0;
+        pc = Array.make cap 0;
+        reconv = Array.make cap 0;
+        mask = Array.make cap Mask.empty;
+        frame = Array.make cap false;
+        bl_site = Array.make cap 0;
+        bl_lost = Array.make cap 0;
+        bl_up = Array.make cap 0;
+        sp = 0;
+      };
     scratch =
       {
         lane_ids = Array.make ws 0;
         lane_ptr = Array.make ws 0;
         lane_end = Array.make ws 0;
-        cursors = [||];
-        lane_target = Array.make ws 0;
         n_lanes = 0;
+        first_io = max_int;
+        staged = false;
+        cursors = [||];
         ld_lane = Array.make ws 0;
         ld_addr = Array.make ws 0;
         ld_size = Array.make ws 0;
@@ -228,7 +309,11 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
         n_st = 0;
         grp_target = Array.make ws 0;
         grp_mask = Array.make ws Mask.empty;
+        grp_count = Array.make ws 0;
         n_groups = 0;
+        lane_group = Array.make ws 0;
+        lk_lane = Array.make ws 0;
+        lk_addr = Array.make ws 0;
       };
   }
 
@@ -238,7 +323,15 @@ let set_call_stack t cs =
   t.call_stack <- cs;
   t.flame_cur <- None
 
-let div_site t ~func ~block = t.div_base.(func) + block
+(* The site of block [block] of [func], bounds-checked against the
+   function: a trace naming a block past its function's end fails with
+   [Invalid_argument], as an out-of-range [Program] block does, instead
+   of charging a neighbour's site. *)
+let[@inline] site_of t func block =
+  let base = t.div_base.(func) in
+  if block < 0 || block >= t.div_base.(func + 1) - base then
+    invalid_arg "index out of bounds";
+  base + block
 
 (* Every divergence site in (fid, block) order. *)
 let iter_div_sites t f =
@@ -248,17 +341,6 @@ let iter_div_sites t f =
     done
   done
 
-(* Charge every enclosing divergence site its lost lanes for [n] issues. *)
-let rec charge_blame sites n (blame : blame) =
-  match blame with
-  | [] -> ()
-  | (site, lost) :: rest ->
-      if lost > 0 then begin
-        let c = sites.(site) in
-        c.sc_lost <- c.sc_lost + (n * lost)
-      end;
-      charge_blame sites n rest
-
 let flame_cell t key =
   match Hashtbl.find_opt t.flame key with
   | Some c -> c
@@ -267,15 +349,136 @@ let flame_cell t key =
       Hashtbl.add t.flame key c;
       c
 
-let exit_node t fid = t.div_base.(fid + 1) - t.div_base.(fid)
+let[@inline] exit_node t fid = t.div_base.(fid + 1) - t.div_base.(fid)
+
+(* ------------------------------------------------------------------ *)
+(* The SIMT stack                                                       *)
+
+(* Double the first [n] (>= 1) slots of [a] into a new array. *)
+let grow n a =
+  let b = Array.make (2 * n) a.(0) in
+  Array.blit a 0 b 0 n;
+  b
+
+let grow_stack st =
+  let n = Array.length st.pc in
+  st.func <- grow n st.func;
+  st.pc <- grow n st.pc;
+  st.reconv <- grow n st.reconv;
+  st.mask <- grow n st.mask;
+  st.frame <- grow n st.frame;
+  st.bl_site <- grow n st.bl_site;
+  st.bl_lost <- grow n st.bl_lost;
+  st.bl_up <- grow n st.bl_up
+
+(* Push an entry whose blame link is ([site], [lost], [up]).  The
+   columns then still have a spare slot above the new top. *)
+let[@inline] push st ~func ~pc ~reconv ~mask ~frame ~site ~lost ~up =
+  let i = st.sp in
+  st.func.(i) <- func;
+  st.pc.(i) <- pc;
+  st.reconv.(i) <- reconv;
+  st.mask.(i) <- mask;
+  st.frame.(i) <- frame;
+  st.bl_site.(i) <- site;
+  st.bl_lost.(i) <- lost;
+  st.bl_up.(i) <- up;
+  st.sp <- i + 1;
+  if st.sp = Array.length st.pc then grow_stack st
+
+(* Charge every divergence site on the blame chain starting at slot
+   [link] its lost lanes for [n] issues. *)
+let charge_blame t n link =
+  let st = t.stack in
+  let l = ref link in
+  while !l >= 0 do
+    let lost = st.bl_lost.(!l) in
+    if lost > 0 then begin
+      let c = t.div_sites.(st.bl_site.(!l)) in
+      c.sc_lost <- c.sc_lost + (n * lost)
+    end;
+    l := st.bl_up.(!l)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Lane staging                                                         *)
+
+(* What a lane's trace has where the emulator expected something else
+   ([Cursor.event]'s end-of-trace [Skip] included).  [callee] names a
+   call's target.  Error paths only: it reads the boxed event view. *)
+let describe ?(callee = true) (ev : Event.t) =
+  match ev with
+  | Event.Block b -> Printf.sprintf "block f%d.b%d" b.func b.block
+  | Event.Call f -> if callee then Printf.sprintf "call f%d" f else "call"
+  | Event.Return -> "return"
+  | Event.Lock_acq _ -> "lock"
+  | Event.Lock_rel _ -> "unlock"
+  | Event.Barrier _ -> "barrier"
+  | Event.Skip _ -> "end of trace"
+
+(* Stage lane [lane], whose cursor [c] is at a Block, at [k] of the lane
+   list: its access range runs from the Block's offset word to the next
+   event's, and its first access's ioff joins [first_io]. *)
+let[@inline] stage_at s (c : Cursor.t) k =
+  let tr = c.Cursor.trace in
+  let w = 3 * c.Cursor.pos and ev = tr.Thread_trace.ev in
+  let p = ev.(w + 2) and e = ev.(w + 5) in
+  s.lane_ptr.(k) <- p;
+  s.lane_end.(k) <- e;
+  if p < e then begin
+    let io = tr.Thread_trace.acc.(3 * p) in
+    if io >= 0 && io < s.first_io then s.first_io <- io
+  end
+
+(* Stage the lanes of [mask] for block [block] of [func] and consume the
+   block from each: one step per set bit, in ascending lane order.  A
+   lane whose trace has anything else aborts the warp. *)
+let stage_mask s (cursors : Cursor.t array) ~func ~block (mask : Mask.t) =
+  s.first_io <- max_int;
+  let m = ref (mask :> int) and k = ref 0 in
+  while !m <> 0 do
+    let b = !m land (- !m) in
+    let lane = lane_of b in
+    let c = cursors.(lane) in
+    (match peek c with
+    | Thread_trace.Block when arg c = func && block_id c = block ->
+        s.lane_ids.(!k) <- lane;
+        stage_at s c !k;
+        advance c
+    | _ ->
+        (* a mismatch aborts the warp *)
+        s.n_lanes <- !k;
+        errf "lane %d: expected block f%d.b%d, trace has %s" lane func block
+          (describe (Cursor.event c)));
+    incr k;
+    m := !m lxor b
+  done;
+  s.n_lanes <- !k
+
+(* Stage the lanes already in [lane_ids] (see [staged]): their cursors
+   stand at the block, so only the ranges are read and the block
+   consumed. *)
+let restage s (cursors : Cursor.t array) =
+  s.first_io <- max_int;
+  for k = 0 to s.n_lanes - 1 do
+    let c = cursors.(s.lane_ids.(k)) in
+    stage_at s c k;
+    advance c
+  done
+
+(* The lanes of [mask] into [lane_ids], without touching their cursors. *)
+let list_lanes s (mask : Mask.t) =
+  let m = ref (mask :> int) and k = ref 0 in
+  while !m <> 0 do
+    let b = !m land (- !m) in
+    s.lane_ids.(!k) <- lane_of b;
+    incr k;
+    m := !m lxor b
+  done;
+  s.n_lanes <- !k
 
 (* ------------------------------------------------------------------ *)
 (* Block execution: accounting, coalescing, warp-trace emission.       *)
-
-let grow n a =
-  let b = Array.make (2 * n) 0 in
-  Array.blit a 0 b 0 n;
-  b
 
 (* Growable push into the load/store gather buffers. *)
 let[@inline] push_mem s ~is_store lane addr size =
@@ -312,32 +515,21 @@ let emit_instr t wt ~mask ~site =
   Warp_trace.Builder.emit wt ~site mask ~n_ld:s.n_ld s.ld_lane
     s.ld_addr ~n_st:s.n_st s.st_lane s.st_addr
 
-(* Stage lane [lane], whose cursor [c] is at a Block, as the next active
-   lane of the block about to execute: its access range runs from the
-   Block's offset word to the next event's. *)
-let[@inline] stage s (c : Cursor.t) lane =
-  let k = s.n_lanes and ev = c.Cursor.trace.Thread_trace.ev in
-  let w = 3 * c.Cursor.pos in
-  s.lane_ids.(k) <- lane;
-  s.lane_ptr.(k) <- ev.(w + 2);
-  s.lane_end.(k) <- ev.(w + 5);
-  s.n_lanes <- k + 1
-
-(* Execute block [block] of [func] for the active lanes staged in
+(* Execute the block at divergence site [site] for the lanes staged in
    [t.scratch] ([lane_ids]/[lane_ptr]/[lane_end][0..n_lanes), ascending
-   lane order; see {!stage}).
-   All bookkeeping lives here so the lock-step path and the scalar
-   serialized path stay consistent.  [blame] is the chain of divergence
-   sites enclosing this execution; each is charged its marginal lost-lane
-   cost per issue.  Allocation-free apart from warp-trace column growth. *)
-let count_block t ~func ~block ~mask ~(blame : blame) =
+   lane order, and [first_io]; see {!stage_mask}) and return its
+   terminator.  All bookkeeping lives here so the lock-step path and the
+   scalar serialized path stay consistent.  [blame] is the stack slot
+   whose link starts the chain of divergence sites enclosing this
+   execution; each is charged its marginal lost-lane cost per issue.
+   Allocation-free apart from warp-trace column growth. *)
+let count_block t ~site ~mask ~blame =
   let s = t.scratch in
-  let instrs = (Program.func t.prog func).Program.blocks.(block).Program.instrs in
-  let n = Array.length instrs in
+  let n = t.blocks.b_ninstr.(site) in
   let active = s.n_lanes in
   t.issues <- t.issues + n;
   t.thread_instrs <- t.thread_instrs + (n * active);
-  charge_blame t.div_sites n blame;
+  charge_blame t n blame;
   (let fc =
      match t.flame_cur with
      | Some fc -> fc
@@ -351,25 +543,17 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   (match t.tl_current with
   | Some v -> Vec.push v { Timeline.n_instr = n; active }
   | None -> ());
-  t.func_issues.(func) <- t.func_issues.(func) + n;
-  t.func_instrs.(func) <- t.func_instrs.(func) + (n * active);
-  t.block_issues.(func).(block) <- t.block_issues.(func).(block) + n;
-  t.block_instrs.(func).(block) <- t.block_instrs.(func).(block) + (n * active);
+  t.site_issues.(site) <- t.site_issues.(site) + n;
+  t.site_instrs.(site) <- t.site_instrs.(site) + (n * active);
   (* Visit only the instructions that access memory: a merge over the
      lanes' ioff-sorted access ranges.  [lane_ptr] is each lane's read
      pointer; a lane whose next access sits below the current ioff (or at
      or past [n]) is never read again, exactly as a full ioff-by-ioff
      scan would leave it.  [next] is the smallest ioff >= the current one
-     at which some lane's next access sits, or [n]. *)
-  let next = ref n in
-  for i = 0 to active - 1 do
-    let p = s.lane_ptr.(i) in
-    if p < s.lane_end.(i) then begin
-      let io = s.cursors.(s.lane_ids.(i)).Cursor.trace.Thread_trace.acc.(3 * p) in
-      if io >= 0 && io < !next then next := io
-    end
-  done;
-  let site0 = t.coalesce.Coalesce.block_site.(func).(block) in
+     at which some lane's next access sits, or [n]; staging took its
+     first value. *)
+  let next = ref (if s.first_io < n then s.first_io else n) in
+  let site0 = t.blocks.b_first.(site) in
   let emit_wt = t.wt in
   let ioff = ref 0 in
   while !ioff < n do
@@ -422,278 +606,255 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
     end;
     ioff := m + 1
   done;
-  instrs.(n - 1)
+  t.blocks.b_term.(site)
 
 (* ------------------------------------------------------------------ *)
-(* The SIMT stack                                                       *)
+(* Regrouping and lock serialization                                    *)
 
-type entry = {
-  e_func : int;
-  mutable pc : int; (* node: block id or the function's exit node *)
-  e_reconv : int;
-  mutable e_mask : Mask.t;
-  e_blame : blame; (* divergence sites enclosing this entry's region *)
-  e_frame : bool; (* a function frame (its pop leaves the function) *)
-}
-
-(* What a lane's trace has where the emulator expected something else
-   ([Cursor.event]'s end-of-trace [Skip] included).  [callee] names a
-   call's target.  Error paths only: it reads the boxed event view. *)
-let describe ?(callee = true) (ev : Event.t) =
-  match ev with
-  | Event.Block b -> Printf.sprintf "block f%d.b%d" b.func b.block
-  | Event.Call f -> if callee then Printf.sprintf "call f%d" f else "call"
-  | Event.Return -> "return"
-  | Event.Lock_acq _ -> "lock"
-  | Event.Lock_rel _ -> "unlock"
-  | Event.Barrier _ -> "barrier"
-  | Event.Skip _ -> "end of trace"
-
-(* Reconvergence point for a divergence whose lanes stand at [targets]
-   inside [e]: the nearest common post-dominator of the targets (for plain
-   branch divergence this is the diverging block's IPDOM; after lock
+(* Reconvergence point for a divergence of the entry at slot [top] whose
+   lanes stand at the [n_groups] targets in [grp_target] (ascending): the
+   nearest common post-dominator of the targets (for plain branch
+   divergence this is the diverging block's IPDOM; after lock
    serialization some lanes are already deep in the region, and the NCP
    places reconvergence after the critical section, per the paper's
    "unlock of one of the threads" rule).  The result is clamped to the
    entry's own reconvergence point when it would escape past it (possible
    because the DCFG merges paths from all calling contexts), and forced to
    the function exit in the ablation mode. *)
-let reconv_for t (e : entry) targets =
+let reconv_for t top =
+  let st = t.stack and s = t.scratch in
+  let func = st.func.(top) and reconv = st.reconv.(top) in
   match t.config.reconv with
-  | Function_exit_reconv -> exit_node t e.e_func
-  | Ipdom_reconv -> (
-      let tbl = t.ipdoms.(e.e_func) in
-      match targets with
-      | [] -> e.e_reconv
-      | first :: rest ->
-          let r =
-            List.fold_left (Ipdom.nearest_common_post_dominator tbl) first rest
-          in
-          if r = e.e_reconv then r
-          else if Ipdom.post_dominates tbl r e.e_reconv then e.e_reconv
-          else r)
+  | Function_exit_reconv -> exit_node t func
+  | Ipdom_reconv ->
+      let tbl = t.ipdoms.(func) in
+      let r = ref s.grp_target.(0) in
+      for j = 1 to s.n_groups - 1 do
+        r := Ipdom.nearest_common_post_dominator tbl !r s.grp_target.(j)
+      done;
+      let r = !r in
+      if r = reconv then r
+      else if Ipdom.post_dominates tbl r reconv then reconv
+      else r
+
+(* After executing [block] (divergence site [site]), group the active
+   lanes ([lane_ids]) of the entry at slot [top] by the next block they
+   enter and update the stack accordingly.  [kind] records what caused any split: a plain divergent
+   branch, or lock serialization scattering the lanes ([Sync_site], from
+   {!handle_locks}). *)
+let regroup ?(kind = Branch_site) t top block site =
+  let s = t.scratch and st = t.stack in
+  let cursors = s.cursors and func = st.func.(top) in
+  s.n_groups <- 0;
+  (* Group the lanes by their next block: a linear scan over the (few)
+     distinct targets.  Each lane's group is kept so the group masks need
+     building only when the warp splits. *)
+  for k = 0 to s.n_lanes - 1 do
+    let lane = s.lane_ids.(k) in
+    let c = cursors.(lane) in
+    let target =
+      match peek c with
+      | Thread_trace.Block when arg c = func -> block_id c
+      | _ ->
+          errf "lane %d: expected a block of f%d after f%d.b%d, got %s" lane
+            func func block
+            (describe ~callee:false (Cursor.event c))
+    in
+    let j = ref 0 in
+    while !j < s.n_groups && s.grp_target.(!j) <> target do
+      incr j
+    done;
+    let j = !j in
+    if j = s.n_groups then begin
+      s.grp_target.(j) <- target;
+      s.grp_count.(j) <- 0;
+      s.n_groups <- j + 1
+    end;
+    s.grp_count.(j) <- s.grp_count.(j) + 1;
+    s.lane_group.(k) <- j
+  done;
+  if s.n_groups = 1 then begin
+    (* uniform: the lanes stay in [lane_ids], checked to stand at the
+       target, so the next staging need not look again *)
+    st.pc.(top) <- s.grp_target.(0);
+    s.staged <- true
+  end
+  else begin
+    for j = 0 to s.n_groups - 1 do
+      s.grp_mask.(j) <- Mask.empty
+    done;
+    for k = 0 to s.n_lanes - 1 do
+      let j = s.lane_group.(k) in
+      s.grp_mask.(j) <- Mask.add s.grp_mask.(j) s.lane_ids.(k)
+    done;
+    let parent_lanes = s.n_lanes in
+    let cell = t.div_sites.(site) in
+    cell.sc_splits <- cell.sc_splits + 1;
+    if kind = Sync_site then cell.sc_kind <- Sync_site;
+    (* Sort the groups by target (insertion sort over a handful of
+       entries): the NCP fold is order-insensitive, and the children are
+       pushed in ascending-target order. *)
+    for i = 1 to s.n_groups - 1 do
+      let tg = s.grp_target.(i)
+      and mk = s.grp_mask.(i)
+      and ct = s.grp_count.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && s.grp_target.(!j) > tg do
+        s.grp_target.(!j + 1) <- s.grp_target.(!j);
+        s.grp_mask.(!j + 1) <- s.grp_mask.(!j);
+        s.grp_count.(!j + 1) <- s.grp_count.(!j);
+        decr j
+      done;
+      s.grp_target.(!j + 1) <- tg;
+      s.grp_mask.(!j + 1) <- mk;
+      s.grp_count.(!j + 1) <- ct
+    done;
+    let r = reconv_for t top in
+    st.pc.(top) <- r;
+    (* Push one child per distinct destination (other than the
+       reconvergence point itself), deterministically ordered.  Each child
+       links this site into the blame chain: while it executes, the lanes
+       parked on the sibling paths are this split's fault. *)
+    for j = 0 to s.n_groups - 1 do
+      let target = s.grp_target.(j) in
+      if target <> r then
+        push st ~func ~pc:target ~reconv:r ~mask:s.grp_mask.(j) ~frame:false
+          ~site ~lost:(parent_lanes - s.grp_count.(j)) ~up:top
+    done
+  end
 
 (* Scalar replay of one lane's critical section: consume events until the
    matching unlock of [lock_addr], charging every block as a one-lane
-   issue.  [blame] carries the serialization site (and any enclosing
-   divergence) so the lost-lane slots land on the lock-acquire block; the
-   call stack follows the lane's call/return events so flamegraph frames
-   stay accurate inside the critical section.  A trace that ends while
-   still holding the lock is a deadlock verdict (the lock is never
-   released, so the other contenders would wait forever); the fuel
-   watchdog bounds the walk on corrupt input. *)
-let scalar_critical_section ?(fuel : fuel = None) ~warp_id ~(blame : blame) t
-    cursors lane lock_addr =
-  let c = cursors.(lane) in
+   issue.  [blame] is the slot of the link naming the serialization site
+   (and, through it, any enclosing divergence) so the lost-lane slots
+   land on the lock-acquire block; the call stack follows the lane's
+   call/return events so flamegraph frames stay accurate inside the
+   critical section, and is restored afterwards (an aborted warp leaves
+   it to the next warp's reset).  A trace that ends while still holding
+   the lock is a deadlock verdict (the lock is never released, so the
+   other contenders would wait forever); the fuel watchdog bounds the
+   walk on corrupt input. *)
+let scalar_critical_section ~(fuel : fuel) ~warp_id ~blame t lane lock_addr =
+  let s = t.scratch in
+  let c = s.cursors.(lane) in
   let before = t.thread_instrs in
   let saved_stack = t.call_stack in
-  let s = t.scratch in
-  let rec go () =
+  let fin = ref false in
+  while not !fin do
     burn fuel ~warp_id;
     match peek c with
     | Thread_trace.Block ->
         let func = arg c and block = block_id c in
-        s.n_lanes <- 0;
-        stage s c lane;
+        s.n_lanes <- 1;
+        s.lane_ids.(0) <- lane;
+        s.first_io <- max_int;
+        stage_at s c 0;
         advance c;
-        ignore (count_block t ~func ~block ~mask:(Mask.singleton lane) ~blame);
-        go ()
+        ignore
+          (count_block t ~site:(site_of t func block) ~mask:(Mask.singleton lane)
+             ~blame)
     | Thread_trace.Call ->
         let f = arg c in
         advance c;
-        set_call_stack t (f :: t.call_stack);
-        go ()
-    | Thread_trace.Return ->
+        set_call_stack t (f :: t.call_stack)
+    | Thread_trace.Return -> (
         advance c;
-        (match t.call_stack with
+        match t.call_stack with
         | _ :: (_ :: _ as rest) -> set_call_stack t rest
-        | _ -> ());
-        go ()
+        | _ -> ())
     | Thread_trace.Lock_acq ->
         advance c;
-        t.lock_acquires <- t.lock_acquires + 1;
-        go ()
-    | Thread_trace.Barrier ->
-        advance c;
-        go ()
+        t.lock_acquires <- t.lock_acquires + 1
+    | Thread_trace.Barrier -> advance c
     | Thread_trace.Lock_rel ->
         let a = arg c in
         advance c;
-        if a = lock_addr then () else go ()
+        if a = lock_addr then fin := true
     | Thread_trace.Skip ->
         Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
           "lane %d: trace ended inside critical section of lock 0x%x (lock \
            never released)"
           lane lock_addr
-  in
-  Fun.protect ~finally:(fun () -> set_call_stack t saved_stack) go;
+  done;
+  set_call_stack t saved_stack;
   t.serialized_instrs <- t.serialized_instrs + (t.thread_instrs - before)
 
-(* After executing [block], group the active lanes by the next block they
-   enter and update the stack accordingly.  [kind] records what caused any
-   split: a plain divergent branch, or lock serialization scattering the
-   lanes ([Sync_site], from {!handle_locks}). *)
-let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
-  let s = t.scratch in
-  s.n_groups <- 0;
-  (* Group the active lanes by their next block: linear scan over the
-     (few) distinct targets, no Hashtbl, no lane list.  Each lane's target
-     is kept so the group masks need building only when the warp
-     splits. *)
-  let parent_lanes = ref 0 in
-  let m = ref (e.e_mask :> int) and lane = ref 0 in
-  while !m <> 0 do
-    if !m land 1 <> 0 then begin
-      let c = cursors.(!lane) in
-      let target =
-        match peek c with
-        | Thread_trace.Block when arg c = e.e_func -> block_id c
-        | _ ->
-            errf "lane %d: expected a block of f%d after f%d.b%d, got %s" !lane
-              e.e_func e.e_func block
-              (describe ~callee:false (Cursor.event c))
-      in
-      s.lane_target.(!lane) <- target;
-      let j = ref 0 in
-      while !j < s.n_groups && s.grp_target.(!j) <> target do
-        incr j
-      done;
-      if !j = s.n_groups then begin
-        s.grp_target.(s.n_groups) <- target;
-        s.n_groups <- s.n_groups + 1
-      end;
-      incr parent_lanes
-    end;
-    m := !m lsr 1;
-    incr lane
-  done;
-  let parent_lanes = !parent_lanes in
-  if s.n_groups = 1 then e.pc <- s.grp_target.(0)
-  else begin
-    for j = 0 to s.n_groups - 1 do
-      s.grp_mask.(j) <- Mask.empty
-    done;
-    let m = ref (e.e_mask :> int) and lane = ref 0 in
-    while !m <> 0 do
-      if !m land 1 <> 0 then begin
-        let j = ref 0 in
-        while s.grp_target.(!j) <> s.lane_target.(!lane) do
-          incr j
-        done;
-        s.grp_mask.(!j) <- Mask.add s.grp_mask.(!j) !lane
-      end;
-      m := !m lsr 1;
-      incr lane
-    done;
-    let site = div_site t ~func:e.e_func ~block in
-    let cell = t.div_sites.(site) in
-    cell.sc_splits <- cell.sc_splits + 1;
-    if kind = Sync_site then cell.sc_kind <- Sync_site;
-    (* Sort the groups by target (insertion sort over a handful of
-       entries): the NCP fold is order-insensitive, and the children push
-       below gets the same ascending-target order the old
-       [List.sort compare] produced. *)
-    for i = 1 to s.n_groups - 1 do
-      let tg = s.grp_target.(i) and mk = s.grp_mask.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && s.grp_target.(!j) > tg do
-        s.grp_target.(!j + 1) <- s.grp_target.(!j);
-        s.grp_mask.(!j + 1) <- s.grp_mask.(!j);
-        decr j
-      done;
-      s.grp_target.(!j + 1) <- tg;
-      s.grp_mask.(!j + 1) <- mk
-    done;
-    let distinct = ref [] in
-    for j = s.n_groups - 1 downto 0 do
-      distinct := s.grp_target.(j) :: !distinct
-    done;
-    let r = reconv_for t e !distinct in
-    e.pc <- r;
-    (* Push one child per distinct destination (other than the
-       reconvergence point itself), deterministically ordered.  Each child
-       extends the blame chain with this site: while it executes, the
-       lanes parked on the sibling paths are this split's fault. *)
-    for j = 0 to s.n_groups - 1 do
-      let target = s.grp_target.(j) and mask = s.grp_mask.(j) in
-      if target <> r then
-        Vec.push stack
-          {
-            e_func = e.e_func;
-            pc = target;
-            e_reconv = r;
-            e_mask = mask;
-            e_blame = (site, parent_lanes - Mask.count mask) :: e.e_blame;
-            e_frame = false;
-          }
-    done
-  end
+(* Serialize the contenders [lk_*][i..j) of the lock-acquire block at
+   [site] (entry [top]) one lane at a time.  The idle contenders are the
+   lock site's fault: the scalar replay charges a blame link
+   (site, contenders - 1) in the stack's spare slot above the top,
+   chained to the entry's own. *)
+let serialize_run ~fuel ~warp_id t top site i j =
+  let s = t.scratch and st = t.stack in
+  t.serializations <- t.serializations + 1;
+  (* a lock-acquire block is only ever a sync site *)
+  t.div_sites.(site).sc_kind <- Sync_site;
+  let link = st.sp in
+  st.bl_site.(link) <- site;
+  st.bl_lost.(link) <- j - i - 1;
+  st.bl_up.(link) <- top;
+  for k = i to j - 1 do
+    scalar_critical_section ~fuel ~warp_id ~blame:link t s.lk_lane.(k)
+      s.lk_addr.(k)
+  done
 
-(* Handle the lock-acquire terminator: consume the lock events, serialize
-   same-lock contenders, then regroup. *)
-let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
-    cursors =
-  let lanes = Mask.to_list e.e_mask in
-  let addrs =
-    List.map
-      (fun lane ->
-        let c = cursors.(lane) in
-        match peek c with
-        | Thread_trace.Lock_acq ->
-            let a = arg c in
-            advance c;
-            t.lock_acquires <- t.lock_acquires + 1;
-            (lane, a)
-        | _ -> errf "lane %d: expected lock acquire after f%d.b%d" lane e.e_func block)
-      lanes
+(* Handle the lock-acquire terminator of [block] (site [site]): consume
+   the lock events, serialize same-lock contenders, then regroup. *)
+let handle_locks ~fuel ~warp_id t top block site =
+  let s = t.scratch and st = t.stack in
+  let func = st.func.(top) and n = s.n_lanes in
+  for k = 0 to n - 1 do
+    let lane = s.lane_ids.(k) in
+    let c = s.cursors.(lane) in
+    match peek c with
+    | Thread_trace.Lock_acq ->
+        s.lk_lane.(k) <- lane;
+        s.lk_addr.(k) <- arg c;
+        advance c;
+        t.lock_acquires <- t.lock_acquires + 1
+    | _ -> errf "lane %d: expected lock acquire after f%d.b%d" lane func block
+  done;
+  let serialized =
+    match t.config.sync with
+    | Ignore_sync -> false
+    | Serialize_all ->
+        (* pessimistic policy: any lock acquire serializes the whole warp's
+           critical sections, regardless of the addresses (one of the
+           alternative designs the paper defers to future work) *)
+        if n > 1 then serialize_run ~fuel ~warp_id t top site 0 n;
+        n > 1
+    | Serialize ->
+        (* Group the contenders by address: a stable insertion sort keeps
+           each address's lanes ascending, and the conflicting groups (two
+           or more lanes) serialize in ascending address order. *)
+        for i = 1 to n - 1 do
+          let a = s.lk_addr.(i) and l = s.lk_lane.(i) in
+          let j = ref (i - 1) in
+          while !j >= 0 && s.lk_addr.(!j) > a do
+            s.lk_addr.(!j + 1) <- s.lk_addr.(!j);
+            s.lk_lane.(!j + 1) <- s.lk_lane.(!j);
+            decr j
+          done;
+          s.lk_addr.(!j + 1) <- a;
+          s.lk_lane.(!j + 1) <- l
+        done;
+        let any = ref false and i = ref 0 in
+        while !i < n do
+          let j = ref (!i + 1) in
+          while !j < n && s.lk_addr.(!j) = s.lk_addr.(!i) do
+            incr j
+          done;
+          if !j - !i > 1 then begin
+            serialize_run ~fuel ~warp_id t top site !i !j;
+            any := true
+          end;
+          i := !j
+        done;
+        !any
   in
-  (* Serialized critical sections run one lane at a time: the idle
-     contenders are the lock site's fault, so the scalar replay extends
-     the blame chain with ((func, block), contenders - 1). *)
-  let site = div_site t ~func:e.e_func ~block in
-  let serial_blame ~contenders : blame =
-    (* a lock-acquire block is only ever a sync site *)
-    t.div_sites.(site).sc_kind <- Sync_site;
-    (site, contenders - 1) :: e.e_blame
-  in
-  (match t.config.sync with
-  | Ignore_sync -> ()
-  | Serialize_all ->
-      (* pessimistic policy: any lock acquire serializes the whole warp's
-         critical sections, regardless of the addresses (one of the
-         alternative designs the paper defers to future work) *)
-      if List.length addrs > 1 then begin
-        t.serializations <- t.serializations + 1;
-        let blame = serial_blame ~contenders:(List.length addrs) in
-        List.iter
-          (fun (lane, a) ->
-            scalar_critical_section ~fuel ~warp_id ~blame t cursors lane a)
-          addrs
-      end
-  | Serialize ->
-      let by_addr = Hashtbl.create 4 in
-      List.iter
-        (fun (lane, a) ->
-          let l = try Hashtbl.find by_addr a with Not_found -> [] in
-          Hashtbl.replace by_addr a (lane :: l))
-        addrs;
-      let conflicting =
-        Hashtbl.fold
-          (fun a lanes acc ->
-            if List.length lanes > 1 then (a, List.rev lanes) :: acc else acc)
-          by_addr []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (a, lanes) ->
-          t.serializations <- t.serializations + 1;
-          let blame = serial_blame ~contenders:(List.length lanes) in
-          List.iter
-            (fun lane ->
-              scalar_critical_section ~fuel ~warp_id ~blame t cursors lane a)
-            lanes)
-        conflicting);
-  regroup ~kind:Sync_site t stack e block cursors
+  (* the scalar replay staged single lanes over [lane_ids] *)
+  if serialized then list_lanes s st.mask.(top);
+  regroup ~kind:Sync_site t top block site
 
 (* ------------------------------------------------------------------ *)
 (* Warp main loop                                                       *)
@@ -702,38 +863,38 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
    terminator in every lane's trace. *)
 type marker = M_call | M_ret | M_barrier | M_unlock
 
-(* Consume [marker] from every active lane of [e], which just executed
-   [block].  A missing barrier arrival would block the whole team forever
-   on real hardware — a typed deadlock verdict. *)
-let consume_markers cursors (e : entry) block marker =
-  let m = ref (e.e_mask :> int) and lane = ref 0 in
-  while !m <> 0 do
-    if !m land 1 <> 0 then begin
-      let c = cursors.(!lane) in
-      match (marker, next c) with
-      | M_call, _
-      | M_ret, Thread_trace.Return
-      | M_barrier, Thread_trace.Barrier
-      | M_unlock, Thread_trace.Lock_rel ->
-          ()
-      | M_ret, _ ->
-          errf "lane %d: expected return after f%d.b%d" !lane e.e_func block
-      | M_barrier, _ ->
-          Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
-            "lane %d: no barrier arrival after f%d.b%d (barrier never \
-             satisfied)"
-            !lane e.e_func block
-      | M_unlock, _ ->
-          errf "lane %d: expected unlock after f%d.b%d" !lane e.e_func block
-    end;
-    m := !m lsr 1;
-    incr lane
+(* Consume [marker] from every lane of [lane_ids], which just executed
+   [block] of [func].  A missing barrier arrival would block the whole
+   team forever on real hardware — a typed deadlock verdict. *)
+let consume_markers s ~func block marker =
+  for k = 0 to s.n_lanes - 1 do
+    let lane = s.lane_ids.(k) in
+    let c = s.cursors.(lane) in
+    match (marker, next c) with
+    | M_call, _
+    | M_ret, Thread_trace.Return
+    | M_barrier, Thread_trace.Barrier
+    | M_unlock, Thread_trace.Lock_rel ->
+        ()
+    | M_ret, _ -> errf "lane %d: expected return after f%d.b%d" lane func block
+    | M_barrier, _ ->
+        Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
+          "lane %d: no barrier arrival after f%d.b%d (barrier never \
+           satisfied)"
+          lane func block
+    | M_unlock, _ -> errf "lane %d: expected unlock after f%d.b%d" lane func block
   done
 
-(* One warp's replay; {!run_warp} adds its warp-trace emission. *)
+(* One warp's replay; {!run_warp} adds its warp-trace emission.  All
+   per-warp state (stack, staged lanes, call stack, timeline) is reset
+   here, so a warp that aborted mid-replay leaves nothing behind. *)
 let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   let fuel : fuel = Option.map ref fuel in
-  t.scratch.cursors <- cursors;
+  let s = t.scratch and st = t.stack in
+  s.cursors <- cursors;
+  s.staged <- false;
+  s.n_lanes <- 0;
+  st.sp <- 0;
   if t.config.record_timeline then
     t.tl_current <- Some (Vec.create ~capacity:256 { Timeline.n_instr = 0; active = 0 });
   let n_lanes = Array.length cursors in
@@ -748,104 +909,63 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
           arg c
       | _ -> errf "warp %d: empty trace" warp_id
     in
-    let stack =
-      Vec.create
-        {
-          e_func = 0;
-          pc = 0;
-          e_reconv = 0;
-          e_mask = Mask.empty;
-          e_blame = [];
-          e_frame = false;
-        }
-    in
-    Vec.push stack
-      {
-        e_func = worker;
-        pc = 0;
-        e_reconv = exit_node t worker;
-        e_mask = Mask.full n_lanes;
-        e_blame = [];
-        e_frame = true;
-      };
+    push st ~func:worker ~pc:0 ~reconv:(exit_node t worker)
+      ~mask:(Mask.full n_lanes) ~frame:true ~site:0 ~lost:0 ~up:(-1);
     set_call_stack t [ worker ];
-    let s = t.scratch in
-    while not (Vec.is_empty stack) do
+    while st.sp > 0 do
       burn fuel ~warp_id;
-      let e = Vec.top stack in
-      if e.pc = e.e_reconv then begin
-        if e.e_frame then
+      let top = st.sp - 1 in
+      let func = st.func.(top) and block = st.pc.(top) in
+      if block = st.reconv.(top) then begin
+        if st.frame.(top) then
           set_call_stack t
             (match t.call_stack with _ :: rest -> rest | [] -> []);
-        ignore (Vec.pop stack)
+        st.sp <- top;
+        s.staged <- false
       end
-      else if e.pc = exit_node t e.e_func then
-        errf "warp %d: entry reached f%d's exit without popping" warp_id e.e_func
+      else if block = exit_node t func then
+        errf "warp %d: entry reached f%d's exit without popping" warp_id func
       else begin
-        let block = e.pc in
-        (* Consume this block from every active lane, staging the lanes and
-           their access ranges in the scratch buffers (ascending). *)
-        s.n_lanes <- 0;
-        let m = ref (e.e_mask :> int) and lane = ref 0 in
-        while !m <> 0 do
-          if !m land 1 <> 0 then begin
-            let c = cursors.(!lane) in
-            match peek c with
-            | Thread_trace.Block
-              when arg c = e.e_func && block_id c = block ->
-                stage s c !lane;
-                advance c
-            | _ ->
-                (* a mismatch aborts the warp *)
-                errf "lane %d: expected block f%d.b%d, trace has %s" !lane
-                  e.e_func block (describe (Cursor.event c))
-          end;
-          m := !m lsr 1;
-          incr lane
-        done;
-        let term =
-          count_block t ~func:e.e_func ~block ~mask:e.e_mask ~blame:e.e_blame
-        in
-        match term with
+        (* Consume this block from every active lane, staging the lanes
+           and their access ranges in the scratch buffers (ascending). *)
+        if s.staged then restage s cursors
+        else stage_mask s cursors ~func ~block st.mask.(top);
+        s.staged <- false;
+        let site = site_of t func block in
+        match count_block t ~site ~mask:st.mask.(top) ~blame:top with
         | Instr.Call callee -> (
             (* an excluded callee leaves no Call event: the lanes jump
                straight to the continuation block (paper §III's selective
                tracing) *)
             match peek cursors.(s.lane_ids.(0)) with
             | Thread_trace.Call ->
-                consume_markers cursors e block M_call;
-                e.pc <- block + 1;
+                consume_markers s ~func block M_call;
+                st.pc.(top) <- block + 1;
                 set_call_stack t (callee :: t.call_stack);
-                Vec.push stack
-                  {
-                    e_func = callee;
-                    pc = 0;
-                    e_reconv = exit_node t callee;
-                    e_mask = e.e_mask;
-                    e_blame = e.e_blame;
-                    e_frame = true;
-                  }
-            | _ -> regroup t stack e block cursors)
+                push st ~func:callee ~pc:0 ~reconv:(exit_node t callee)
+                  ~mask:st.mask.(top) ~frame:true ~site:st.bl_site.(top)
+                  ~lost:st.bl_lost.(top) ~up:st.bl_up.(top)
+            | _ -> regroup t top block site)
         | Instr.Ret ->
-            consume_markers cursors e block M_ret;
-            e.pc <- exit_node t e.e_func
-        | Instr.Halt -> e.pc <- exit_node t e.e_func
-        | Instr.Lock_acquire _ -> handle_locks ~fuel ~warp_id t stack e block cursors
+            consume_markers s ~func block M_ret;
+            st.pc.(top) <- exit_node t func
+        | Instr.Halt -> st.pc.(top) <- exit_node t func
+        | Instr.Lock_acquire _ -> handle_locks ~fuel ~warp_id t top block site
         | Instr.Barrier _ ->
             (* all lanes arrive together (same block): within the warp a
                team barrier is free; count it and continue in lockstep.  A
                lane without the arrival would block the whole team forever
                on real hardware — a typed deadlock verdict. *)
-            consume_markers cursors e block M_barrier;
+            consume_markers s ~func block M_barrier;
             t.barrier_syncs <- t.barrier_syncs + 1;
-            regroup t stack e block cursors
+            regroup t top block site
         | Instr.Lock_release _ ->
-            consume_markers cursors e block M_unlock;
-            regroup t stack e block cursors
+            consume_markers s ~func block M_unlock;
+            regroup t top block site
         | Instr.Jcc _ | Instr.Jmp _ | Instr.Io _ | Instr.Mov _ | Instr.Cmov _
         | Instr.Lea _ | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _
         | Instr.Atomic_rmw _ ->
-            regroup t stack e block cursors
+            regroup t top block site
       end
     done;
     Array.iteri
@@ -890,8 +1010,8 @@ let run_warp ?fuel t ~warp_id cursors =
     worker order.  Every aggregate is a sum (or, for [sc_kind], a
     site-determined constant), so the merged emulator carries exactly the
     totals a sequential replay of all the warps would have produced.
-    Transient per-warp state (call stack, scratch buffers, warp-trace
-    handle) is left untouched. *)
+    Transient per-warp state (call stack, stack, scratch buffers,
+    warp-trace handle) is left untouched. *)
 let merge_into ~dst src =
   dst.issues <- dst.issues + src.issues;
   dst.thread_instrs <- dst.thread_instrs + src.thread_instrs;
@@ -900,10 +1020,8 @@ let merge_into ~dst src =
   dst.serialized_instrs <- dst.serialized_instrs + src.serialized_instrs;
   dst.barrier_syncs <- dst.barrier_syncs + src.barrier_syncs;
   let add_into d s = Array.iteri (fun i v -> d.(i) <- d.(i) + v) s in
-  add_into dst.func_issues src.func_issues;
-  add_into dst.func_instrs src.func_instrs;
-  Array.iteri (fun fid s -> add_into dst.block_issues.(fid) s) src.block_issues;
-  Array.iteri (fun fid s -> add_into dst.block_instrs.(fid) s) src.block_instrs;
+  add_into dst.site_issues src.site_issues;
+  add_into dst.site_instrs src.site_instrs;
   Coalesce.merge_into ~dst:dst.coalesce src.coalesce;
   Array.iteri
     (fun i (c : div_site_cell) ->

@@ -59,27 +59,32 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(** A blame chain: (site index, lanes lost per lock-step issue) per
-    enclosing divergence. *)
-type blame = (int * int) list
-
 (** Folded-stack accumulation for the replay flamegraph, keyed by the
     warp's call stack (leaf first). *)
 type flame_cell = { mutable fc_issues : int; mutable fc_lost : int }
 
+type blocks
+(** Per-site static block facts (instruction count, terminator, first
+    coalescing site), indexed like [div_sites]; internal. *)
+
+type stack
+(** The SIMT stack: monomorphic columns per entry (function, pc,
+    reconvergence node, mask, frame flag) and a blame link per entry
+    (site, lanes lost, parent slot), reused across warps; internal. *)
+
 type scratch
-(** Reusable hot-path buffers (per-block lane staging, per-instruction
-    load/store gather, regroup target grouping); internal. *)
+(** Reusable hot-path buffers (the block's lane list and access ranges,
+    per-instruction load/store gather, regroup target grouping, lock
+    grouping); internal. *)
 
 type t = {
   prog : Threadfuser_prog.Program.t;
   ipdoms : Threadfuser_cfg.Ipdom.t array;
   config : config;
   coalesce : Coalesce.t;
-  func_issues : int array;  (** per-function warp-level issues *)
-  func_instrs : int array;  (** per-function thread instructions *)
-  block_issues : int array array;  (** per function, per block *)
-  block_instrs : int array array;
+  site_issues : int array;
+      (** per static block (indexed like [div_sites]): warp-level issues *)
+  site_instrs : int array;  (** per static block: thread instructions *)
   mutable issues : int;
   mutable thread_instrs : int;
   mutable lock_acquires : int;
@@ -94,11 +99,13 @@ type t = {
           total *)
   div_sites : div_site_cell array;
       (** divergence attribution per static block, across all warps *)
+  blocks : blocks;
   flame : (int list, flame_cell) Hashtbl.t;
       (** folded call stacks (leaf first), across all warps *)
   mutable call_stack : int list;  (** replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option;
       (** cached flamegraph cell for [call_stack] *)
+  stack : stack;
   scratch : scratch;
 }
 

@@ -26,15 +26,19 @@ module Obs = Threadfuser_obs.Obs
 (* Auto -j: workloads too small to amortize a domain hand-off should not
    pay for domains they cannot feed.  The unit of "work" is whatever the
    caller can count cheaply up front (the analyzer uses total trace
-   events); one extra domain is granted per [min_work_per_domain] units,
-   so a tiny workload collapses to fewer domains — the reduction is
+   events, gpusim micro-ops); one extra domain is granted per
+   [per_domain] units ([min_work_per_domain] for replay), so a tiny
+   workload collapses to fewer domains — the reduction is
    grouping-invariant, so the output is byte-identical either way. *)
 
 let min_work_per_domain = 20_000
 
-let auto_domains ~requested ~items ~work =
+let cap_domains ~per_domain ~requested ~items ~work =
   if requested = 1 then 1
-  else min requested (min (max 1 items) (max 1 (work / min_work_per_domain)))
+  else min requested (min (max 1 items) (max 1 (work / per_domain)))
+
+let auto_domains ~requested ~items ~work =
+  cap_domains ~per_domain:min_work_per_domain ~requested ~items ~work
 
 (* ------------------------------------------------------------------ *)
 (* The persistent helper-domain pool.

@@ -19,6 +19,13 @@ val min_work_per_domain : int
     either way. *)
 val auto_domains : requested:int -> items:int -> work:int -> int
 
+(** [cap_domains ~per_domain ~requested ~items ~work] is the same cap
+    with [per_domain] work units per domain; {!auto_domains} is
+    [cap_domains ~per_domain:min_work_per_domain].  The cycle-level GPU
+    simulator caps its domains this way by micro-op volume. *)
+val cap_domains :
+  per_domain:int -> requested:int -> items:int -> work:int -> int
+
 (** [map_shards ~domains ~n ~init ~item] processes indices [0..n-1] with
     up to [domains] workers drawn from the persistent pool, each owning
     one contiguous chunk.  [init ()] runs {e inside} each worker domain

@@ -363,6 +363,178 @@ let test_four_way_divergence () =
     (let e = r.Analyzer.report.Metrics.simt_efficiency in
      e > 0.25 && e < 1.0)
 
+(* -- per-warp state does not outlive an aborted warp ---------------------- *)
+
+(* Every counter an emulator accumulates, flattened. *)
+let counters (e : Emulator.t) =
+  let acc = ref [] in
+  let add v = acc := v :: !acc in
+  List.iter add
+    [
+      e.Emulator.issues;
+      e.Emulator.thread_instrs;
+      e.Emulator.lock_acquires;
+      e.Emulator.serializations;
+      e.Emulator.serialized_instrs;
+      e.Emulator.barrier_syncs;
+    ];
+  Array.iter add e.Emulator.site_issues;
+  Array.iter add e.Emulator.site_instrs;
+  Emulator.iter_div_sites e (fun ~fid:_ ~block:_ c ->
+      add c.Emulator.sc_splits;
+      add c.Emulator.sc_lost);
+  Coalesce.iter_sites e.Emulator.coalesce (fun ~fid:_ ~block:_ ~ioff:_ c ->
+      List.iter add
+        [
+          c.Coalesce.a_issues;
+          c.Coalesce.a_txns;
+          c.Coalesce.a_min_txns;
+          c.Coalesce.a_stack_excess;
+          c.Coalesce.a_heap_excess;
+          c.Coalesce.a_global_excess;
+        ]);
+  Array.of_list (List.rev !acc)
+
+(* Ten threads of a program with a uniform loop, a store and a shared
+   critical section, so every warp regroups uniformly, coalesces and
+   serializes.  Warp 0 (threads 0-1) is the one made to abort; warps 1
+   and 2 hold four lanes each. *)
+let leak_setup () =
+  let funcs =
+    [
+      Build.(
+        func "worker"
+          [
+            mov (reg 1) (reg 0);
+            mov (reg 3) (imm 0);
+            for_up ~i:2 ~from_:(imm 0) ~below:(imm 3)
+              [
+                add (reg 3) (reg 1);
+                mov (mem ~scale:8 ~index:1 ~disp:0x20000 ()) (reg 3);
+              ];
+            mov (reg 11) (imm 0xd00);
+            lock_acquire (reg 11);
+            add (reg 4) (imm 1);
+            lock_release (reg 11);
+            if_ Cond.Lt (reg 1) (imm 3) ~then_:[ add (reg 3) (imm 1) ] ();
+            ret;
+          ]);
+    ]
+  in
+  let prog = Program.assemble funcs in
+  let m = Machine.create prog in
+  let r = Machine.run_workers m ~worker:"worker" ~args:(Array.init 10 (fun i -> [ i ])) in
+  let traces = r.Machine.traces in
+  let ipdoms = Threadfuser_cfg.(Ipdom.of_dcfgs (Dcfg.of_traces prog traces)) in
+  let config =
+    {
+      Emulator.warp_size = 4;
+      sync = Emulator.Serialize;
+      reconv = Emulator.Ipdom_reconv;
+      record_timeline = false;
+    }
+  in
+  (prog, ipdoms, config, traces)
+
+(* Replay the aborting warp 0 ([abort] raises, or the test fails), then
+   warps 1 and 2 through the same emulator: each later warp must add
+   exactly what a fresh emulator's replay of it counts. *)
+let check_no_leak ~abort () =
+  let prog, ipdoms, config, traces = leak_setup () in
+  let cursors tids = Array.map (fun tid -> Cursor.of_trace traces.(tid)) tids in
+  let emu = Emulator.create prog ipdoms config in
+  abort emu traces;
+  List.iter
+    (fun (warp_id, tids) ->
+      let before = counters emu in
+      Emulator.run_warp emu ~warp_id (cursors tids);
+      let added = Array.map2 ( - ) (counters emu) before in
+      let fresh = Emulator.create prog ipdoms config in
+      Emulator.run_warp fresh ~warp_id (cursors tids);
+      Alcotest.(check (array int))
+        (Printf.sprintf "warp %d counts as if replayed alone" warp_id)
+        (counters fresh) added)
+    [ (1, [| 2; 3; 4; 5 |]); (2, [| 6; 7; 8; 9 |]) ]
+
+(* Warp 0 aborts right after staging its first block: lane 1's trace
+   ends there, so regrouping that block finds no next block. *)
+let test_no_leak_after_staging () =
+  check_no_leak
+    ~abort:(fun emu traces ->
+      let cut = Thread_trace.of_events 1 [| (Thread_trace.to_events traces.(1)).(0) |] in
+      match
+        Emulator.run_warp emu ~warp_id:0
+          [| Cursor.of_trace traces.(0); Cursor.of_trace cut |]
+      with
+      | () -> Alcotest.fail "truncated warp replayed"
+      | exception Emulator.Emulation_error _ -> ())
+    ()
+
+(* Warp 0 runs out of fuel after one step: its first block regrouped
+   uniformly, so the next block's lanes are already staged. *)
+let test_no_leak_after_uniform_regroup () =
+  check_no_leak
+    ~abort:(fun emu traces ->
+      match
+        Emulator.run_warp ~fuel:1 emu ~warp_id:0
+          [| Cursor.of_trace traces.(0); Cursor.of_trace traces.(1) |]
+      with
+      | () -> Alcotest.fail "one step of fuel replayed the warp"
+      | exception Threadfuser_util.Tf_error.Error d ->
+          Alcotest.(check bool) "timeout" true
+            (d.Threadfuser_util.Tf_error.kind = Threadfuser_util.Tf_error.Timeout))
+    ()
+
+(* A trace naming a block past its function's end must fail, not charge
+   the next function's block that shares its site index. *)
+let test_block_past_function_end () =
+  let funcs =
+    [
+      Build.(
+        func "worker"
+          [
+            mov (reg 1) (reg 0);
+            if_ Cond.Eq (reg 1) (imm 5) ~then_:[ add (reg 2) (imm 1) ] ();
+            call "other";
+            ret;
+          ]);
+      Build.(
+        func "other"
+          [
+            if_ Cond.Eq (reg 1) (imm 1) ~then_:[ add (reg 2) (imm 1) ] ();
+            if_ Cond.Eq (reg 1) (imm 2) ~then_:[ add (reg 2) (imm 2) ] ();
+            ret;
+          ]);
+    ]
+  in
+  let prog = Program.assemble funcs in
+  let m = Machine.create prog in
+  let r = Machine.run_workers m ~worker:"worker" ~args:[| [ 0 ] |] in
+  let ipdoms =
+    Threadfuser_cfg.(Ipdom.of_dcfgs (Dcfg.of_traces prog r.Machine.traces))
+  in
+  let n_worker = Program.block_count (Program.func prog 0) in
+  let block b =
+    Threadfuser_trace.Event.Block
+      { func = 0; block = b; n_instr = 1; accesses = [||] }
+  in
+  let bogus = Thread_trace.of_events 0 [| block 0; block (n_worker + 1) |] in
+  let emu =
+    Emulator.create prog ipdoms
+      {
+        Emulator.warp_size = 1;
+        sync = Emulator.Serialize;
+        reconv = Emulator.Ipdom_reconv;
+        record_timeline = false;
+      }
+  in
+  match Emulator.run_warp emu ~warp_id:0 [| Cursor.of_trace bogus |] with
+  | () -> Alcotest.fail "replayed a block past the function's end"
+  | exception Invalid_argument _ ->
+      Alcotest.(check int) "only block 0 counted" 0
+        (Array.fold_left ( + ) 0 emu.Emulator.site_issues
+        - emu.Emulator.site_issues.(0))
+
 let () =
   Alcotest.run "emulator"
     [
@@ -390,5 +562,13 @@ let () =
           Alcotest.test_case "tail warp" `Quick test_tail_warp_efficiency;
           Alcotest.test_case "single lane" `Quick test_single_lane_warp;
           Alcotest.test_case "four-way divergence" `Quick test_four_way_divergence;
+        ] );
+      ( "aborted warp",
+        [
+          Alcotest.test_case "no leak after staging" `Quick test_no_leak_after_staging;
+          Alcotest.test_case "no leak after uniform regroup" `Quick
+            test_no_leak_after_uniform_regroup;
+          Alcotest.test_case "block past its function's end" `Quick
+            test_block_past_function_end;
         ] );
     ]
