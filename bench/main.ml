@@ -354,8 +354,12 @@ let sim_par_bench () =
   let pigz_traced, pigz_wt = warp_trace ~threads:16 ~warp_size:4 "pigz" in
   let _, bfs_wt = warp_trace ~threads:512 ~warp_size:32 "bfs" in
   let gpu_config = Threadfuser_gpusim.Config.rtx3070 in
-  (* one case = (name, run-at-j, extra determinism probes at j4) *)
+  (* one case = (name, run-at-j, domains granted at j, extra determinism
+     probes at j4).  gpusim is timed at the domains the CLI grants for
+     [-j d] ({!Gpusim.effective_domains}; cpusim has no cap); its
+     determinism probes run the uncapped partition. *)
   let gpu_case name wt =
+    let effective d = Gpusim.effective_domains ~config:gpu_config ~domains:d wt in
     let run d () = Gpusim.run ~config:gpu_config ~domains:d wt in
     let base = run 1 () in
     let identical = base = run 4 () in
@@ -365,13 +369,13 @@ let sim_par_bench () =
       base = Gpusim.run ~config:gpu_config ~domains:4 ~epoch:1 wt
       && base = Gpusim.run ~config:gpu_config ~domains:4 ~epoch:100_000 wt
     in
-    (name, (fun d -> time_ns (run d)), identical, Some epoch_ok)
+    (name, (fun d -> time_ns (run (effective d))), effective, identical, Some epoch_ok)
   in
   let cpu_case name traces =
     let run d () = Cpusim.run ~domains:d traces in
     let base = run 1 () in
     let identical = base = run 4 () in
-    (name, (fun d -> time_ns (run d)), identical, None)
+    (name, (fun d -> time_ns (run d)), Fun.id, identical, None)
   in
   let cases =
     [
@@ -382,7 +386,7 @@ let sim_par_bench () =
   in
   let case_docs =
     List.map
-      (fun (name, time_at, identical, epoch_ok) ->
+      (fun (name, time_at, effective, identical, epoch_ok) ->
         let timings = List.map (fun d -> (d, time_at d)) levels in
         let t1 = List.assoc 1 timings in
         Fmt.pr "  %-18s@." name;
@@ -410,6 +414,11 @@ let sim_par_bench () =
                    (List.map
                       (fun (d, ns) -> (string_of_int d, J.Float ns))
                       timings) );
+               ( "effective_domains",
+                 J.Obj
+                   (List.map
+                      (fun d -> (string_of_int d, J.Int (effective d)))
+                      levels) );
                ( "speedup_vs_j1",
                  J.Obj
                    (List.map

@@ -46,7 +46,11 @@ let gpu_seconds ?(domains = 1) (tr : W.traced) =
       tr.W.prog tr.W.traces
   in
   let wt = Option.get r.Analyzer.warp_trace in
-  let stats = Gpusim.run ~config:gpu_config ~domains wt in
+  let stats =
+    Gpusim.run ~config:gpu_config
+      ~domains:(Gpusim.effective_domains ~config:gpu_config ~domains wt)
+      wt
+  in
   (Gpusim.seconds ~config:gpu_config stats, stats)
 
 let cpu_seconds ?(domains = 1) (tr : W.traced) =
