@@ -19,14 +19,14 @@
     by scrub), or a fully committed entry; never a served torn read.
 
     Every read re-verifies the envelope: magic, CRC-32 over the whole
-    body, bounded length headers via {!Serial}'s readers, and that the
+    body, bounded length headers via {!Pack}'s readers, and that the
     embedded key matches the requested one.  The payload, an analysis
     report, must additionally parse and pass {!Report_json.validate}.
     Anything that fails is moved to [quarantine/] — never served, never
     fatal — with a typed {!Tf_error} diagnostic and a
     [tf_cache_corrupt_total] tick. *)
 
-module Serial = Threadfuser_trace.Serial
+module Pack = Threadfuser_trace.Pack
 module Json = Threadfuser_report.Json
 module Report_json = Threadfuser_report.Report_json
 module Tf_error = Threadfuser_util.Tf_error
@@ -98,14 +98,14 @@ let blob_magic = "TFBLOB1"
 
 let encode_blob ~key:k payload =
   let body = Buffer.create (String.length payload + 64) in
-  Serial.write_uint body report_tag;
-  Serial.write_uint body (String.length k.workload);
+  Pack.write_uint body report_tag;
+  Pack.write_uint body (String.length k.workload);
   Buffer.add_string body k.workload;
-  Serial.write_uint body k.opt_level;
-  Serial.write_uint body k.warp_size;
-  Serial.write_uint body (String.length k.analyzer_version);
+  Pack.write_uint body k.opt_level;
+  Pack.write_uint body k.warp_size;
+  Pack.write_uint body (String.length k.analyzer_version);
   Buffer.add_string body k.analyzer_version;
-  Serial.write_uint body (String.length payload);
+  Pack.write_uint body (String.length payload);
   Buffer.add_string body payload;
   let b = Buffer.contents body in
   let out = Buffer.create (String.length b + 16) in
@@ -114,44 +114,44 @@ let encode_blob ~key:k payload =
   Crc32.add_le out (Crc32.string b);
   Buffer.contents out
 
-let read_bytes (r : Serial.reader) n =
+let read_bytes (r : Pack.reader) n =
   (* [n] has already passed a [read_count] bound *)
-  let s = String.sub r.Serial.data r.Serial.pos n in
-  r.Serial.pos <- r.Serial.pos + n;
+  let s = String.sub r.Pack.data r.Pack.pos n in
+  r.Pack.pos <- r.Pack.pos + n;
   s
 
-(* Raises [Serial.Corrupt] on any damage: the CRC runs first, so a torn or
+(* Raises [Pack.Corrupt] on any damage: the CRC runs first, so a torn or
    bit-flipped body never reaches the structural parse. *)
 let decode_blob s =
   let n_magic = String.length blob_magic in
   if String.length s < n_magic + 4 || String.sub s 0 n_magic <> blob_magic
-  then raise (Serial.Corrupt "bad blob magic");
+  then raise (Pack.Corrupt "bad blob magic");
   let body_len = String.length s - n_magic - 4 in
   let body = String.sub s n_magic body_len in
   let stored = Crc32.read_le s (n_magic + body_len) in
   let computed = Crc32.string body in
   if stored <> computed then
     raise
-      (Serial.Corrupt
+      (Pack.Corrupt
          (Printf.sprintf "blob crc mismatch (stored %08x, computed %08x)"
             stored computed));
-  let r = Serial.reader body in
-  let tag = Serial.read_uint r in
+  let r = Pack.reader body in
+  let tag = Pack.read_uint r in
   if tag <> report_tag then
-    raise (Serial.Corrupt (Printf.sprintf "bad blob kind %d" tag));
-  let wlen = Serial.read_count r ~min_bytes:1 "workload" in
+    raise (Pack.Corrupt (Printf.sprintf "bad blob kind %d" tag));
+  let wlen = Pack.read_count r ~min_bytes:1 "workload" in
   let workload = read_bytes r wlen in
-  let opt_level = Serial.read_uint r in
-  let warp_size = Serial.read_uint r in
-  let alen = Serial.read_count r ~min_bytes:1 "analyzer version" in
+  let opt_level = Pack.read_uint r in
+  let warp_size = Pack.read_uint r in
+  let alen = Pack.read_count r ~min_bytes:1 "analyzer version" in
   let analyzer_version = read_bytes r alen in
-  let plen = Serial.read_count r ~min_bytes:1 "payload" in
+  let plen = Pack.read_count r ~min_bytes:1 "payload" in
   let payload = read_bytes r plen in
-  if r.Serial.pos <> body_len then
+  if r.Pack.pos <> body_len then
     raise
-      (Serial.Corrupt
+      (Pack.Corrupt
          (Printf.sprintf "blob has %d trailing byte(s)"
-            (body_len - r.Serial.pos)));
+            (body_len - r.Pack.pos)));
   ({ workload; opt_level; warp_size; analyzer_version }, payload)
 
 (* One more gate before a report is trusted: the payload must be
@@ -434,7 +434,7 @@ let find ?(on_corrupt = fun _ -> ()) t ~key =
       | exception Sys_error _ -> corrupt "blob file unreadable"
       | s -> (
           match decode_blob s with
-          | exception Serial.Corrupt m -> corrupt "%s" m
+          | exception Pack.Corrupt m -> corrupt "%s" m
           | k, payload ->
               if k <> key then corrupt "blob key mismatch (%a)" pp_key k
               else begin
@@ -490,7 +490,7 @@ let blob_ok t id =
   | exception Sys_error _ -> None
   | s -> (
       match decode_blob s with
-      | exception Serial.Corrupt _ -> None
+      | exception Pack.Corrupt _ -> None
       | k, payload -> (
           if object_name k <> id then None
           else

@@ -17,7 +17,6 @@
 module Program = Threadfuser_prog.Program
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Validate = Threadfuser_trace.Validate
-module Serial = Threadfuser_trace.Serial
 module Stream = Threadfuser_trace.Stream
 module Pack = Threadfuser_trace.Pack
 module Tf_error = Threadfuser_util.Tf_error
@@ -341,7 +340,7 @@ let diag_of_exn ?thread = function
   | Tf_error.Error d -> d
   | Emulator.Emulation_error m ->
       Tf_error.diag ?thread Tf_error.Replay_error "%s" m
-  | Serial.Corrupt m -> Tf_error.diag ?thread Tf_error.Corrupt_input "%s" m
+  | Pack.Corrupt m -> Tf_error.diag ?thread Tf_error.Corrupt_input "%s" m
   | e ->
       Tf_error.diag ?thread Tf_error.Replay_error "unexpected exception: %s"
         (Printexc.to_string e)
@@ -362,9 +361,6 @@ let diag_of_exn ?thread = function
 type shard = {
   sh_emu : Emulator.t;
   mutable sh_failures : warp_failure list; (* reversed *)
-  mutable sh_io : int;
-  mutable sh_spin : int;
-  mutable sh_excluded : int;
 }
 
 (* Replay warp [warp_id] into [sh].  Its lanes are indices into the
@@ -376,18 +372,18 @@ let shard_replay_warp ~(options : options) ?fuel ~catch sh
     ~(stats : Metrics.warp_stat option array) ~warp_id ~base
     (traces : Thread_trace.t array) lanes =
   let emu = sh.sh_emu in
-  let cursors = Array.map (fun l -> Cursor.of_trace traces.(l)) lanes in
+  let lane_traces = Array.map (fun l -> traces.(l)) lanes in
   let issues0 = emu.Emulator.issues
   and instrs0 = emu.Emulator.thread_instrs in
   let replay () =
-    if not !Obs.enabled then Emulator.run_warp ?fuel emu ~warp_id cursors
+    if not !Obs.enabled then Emulator.run_warp ?fuel emu ~warp_id lane_traces
     else
       Obs.span ~track:Obs.replay_track
         ~args:[ ("lanes", Obs.itos (Array.length lanes)) ]
         ("warp " ^ Obs.itos warp_id)
         (fun () ->
           Obs.timed h_warp_replay (fun () ->
-              let r = Emulator.run_warp ?fuel emu ~warp_id cursors in
+              let r = Emulator.run_warp ?fuel emu ~warp_id lane_traces in
               Obs.Counter.incr c_warps;
               r))
   in
@@ -422,19 +418,12 @@ let shard_replay_warp ~(options : options) ?fuel ~catch sh
           fw_tids = Array.map (( + ) base) lanes;
           fw_diag = diag;
         }
-        :: sh.sh_failures);
-  Array.iter
-    (fun (c : Cursor.t) ->
-      sh.sh_io <- sh.sh_io + c.Cursor.skipped_io;
-      sh.sh_spin <- sh.sh_spin + c.Cursor.skipped_spin;
-      sh.sh_excluded <- sh.sh_excluded + c.Cursor.skipped_excluded)
-    cursors
+        :: sh.sh_failures)
 
 (* Deterministic shard reduction, timed: fold every later shard into the
    first, in worker order (merge-in-place over the first shard's
-   preallocated accumulators), summing the scalar skip counters as we
-   go.  [tf_par_merge_ns] (and the "par_merge" span) make the fan-in
-   overhead visible in `threadfuser profile`. *)
+   preallocated accumulators).  [tf_par_merge_ns] (and the "par_merge"
+   span) make the fan-in overhead visible in `threadfuser profile`. *)
 let merge_shards (shards : shard list) : shard =
   Obs.span "par_merge" @@ fun () ->
   let t0 = Obs.now_us () in
@@ -446,10 +435,7 @@ let merge_shards (shards : shard list) : shard =
   List.iter
     (fun (r : shard) ->
       Emulator.merge_into ~dst:first.sh_emu r.sh_emu;
-      first.sh_failures <- List.rev_append r.sh_failures first.sh_failures;
-      first.sh_io <- first.sh_io + r.sh_io;
-      first.sh_spin <- first.sh_spin + r.sh_spin;
-      first.sh_excluded <- first.sh_excluded + r.sh_excluded)
+      first.sh_failures <- List.rev_append r.sh_failures first.sh_failures)
     rest;
   Obs.Counter.add c_par_merge_ns
     (int_of_float ((Obs.now_us () -. t0) *. 1e3));
@@ -549,9 +535,6 @@ let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
     {
       sh_emu = Emulator.create ?warp_trace:wt_builder prog ipdoms econfig;
       sh_failures = [];
-      sh_io = 0;
-      sh_spin = 0;
-      sh_excluded = 0;
     }
   in
   (* per-warp stats land in preallocated warp-id slots (warp-confined
@@ -627,8 +610,9 @@ let replay ~(options : options) ?fuel ~catch ~cut ~threads_total
   in
   let report =
     build_report options prog emu ~n_threads ~n_warps ~per_warp
-      ~skipped_io:merged.sh_io ~skipped_spin:merged.sh_spin
-      ~skipped_excluded:merged.sh_excluded ~coverage
+      ~skipped_io:emu.Emulator.skipped_io
+      ~skipped_spin:emu.Emulator.skipped_spin
+      ~skipped_excluded:emu.Emulator.skipped_excluded ~coverage
   in
   publish_totals emu;
   if !Obs.enabled then begin
@@ -959,7 +943,7 @@ module Session = struct
      the spill file (oldest), re-decoded through a bounded decoder so the
      pass holds one block plus one chunk of it, then the decoded tail as
      it is.  Every block is CRC-checked, so a spill file damaged on disk
-     raises [Serial.Corrupt], which the checked pipeline reports as
+     raises [Pack.Corrupt], which the checked pipeline reports as
      corrupt input. *)
   let iter_spool t f =
     let dec = Stream.create ~max_block_bytes:t.s_max_block ~header:false () in
@@ -968,7 +952,7 @@ module Session = struct
       f !i tr;
       incr i
     in
-    let damaged m = raise (Serial.Corrupt ("session spill file damaged: " ^ m)) in
+    let damaged m = raise (Pack.Corrupt ("session spill file damaged: " ^ m)) in
     let rec drain () =
       match Stream.next dec with
       | Stream.Thread tr ->

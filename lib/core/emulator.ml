@@ -37,37 +37,6 @@ module Tf_error = Threadfuser_util.Tf_error
 module Vec = Threadfuser_util.Vec
 open Threadfuser_isa
 
-(* Cursor reads of the replay loop, kept in this module so they inline
-   (dune's default build compiles libraries [-opaque], so calls into
-   another module are never inlined).  [peek] returns the kind of the
-   next non-Skip event, or [Skip] at the end of the trace; it calls
-   {!Cursor.absorb_run} only when it must absorb a Skip.  [arg] and
-   [block_id] read the peeked event's words of the stride-3 [ev] column
-   (see {!Thread_trace.t}). *)
-let[@inline] peek (c : Cursor.t) =
-  let kinds = c.trace.Thread_trace.events in
-  if c.pos < Array.length kinds then
-    match Array.unsafe_get kinds c.pos with
-    | Thread_trace.Skip ->
-        Cursor.absorb_run c;
-        if c.pos < Array.length kinds then Array.unsafe_get kinds c.pos
-        else Thread_trace.Skip
-    | k -> k
-  else Thread_trace.Skip
-
-let[@inline] advance (c : Cursor.t) =
-  if c.pos < Array.length c.trace.Thread_trace.events then c.pos <- c.pos + 1
-
-let[@inline] next c =
-  let k = peek c in
-  advance c;
-  k
-
-let[@inline] arg (c : Cursor.t) = c.trace.Thread_trace.ev.(3 * c.pos)
-
-let[@inline] block_id (c : Cursor.t) =
-  c.trace.Thread_trace.ev.((3 * c.pos) + 1)
-
 (* Lane index of a one-bit mask [b = 1 lsl lane] ([lane < Mask.max_lanes]):
    the powers 2^0 .. 2^65 are distinct mod 67, so a 67-entry table
    inverts them, and [mod] by a constant compiles to a multiply.  With
@@ -170,10 +139,12 @@ type stack = {
 
 (* Reusable hot-path buffers (the replay allocation diet): one warp
    replays at a time per emulator, so the block path borrows these
-   instead of allocating per block / per instruction.  [lane_ids] holds
-   the lanes of the block being executed, staged once per block from its
-   mask; [lane_ptr]/[lane_end] their access ranges and [first_io] the
-   smallest first-access ioff among them.  [staged] says that [lane_ids]
+   instead of allocating per block / per instruction.  [traces] and
+   [pos] are the replaying warp's lanes and their read positions (see
+   {!peek}).  [lane_ids] holds the lanes of the block being executed,
+   staged once per block from its mask; [lane_ptr]/[lane_end] their
+   access ranges and [first_io] the smallest first-access ioff among
+   them.  [staged] says that [lane_ids]
    already holds the next block's lanes, each at a Block of it (a uniform
    {!regroup} checked them).  The [ld_*] / [st_*] triples gather the
    current instruction's memory accesses (growable: a lane may access
@@ -187,7 +158,8 @@ type scratch = {
   mutable n_lanes : int;
   mutable first_io : int; (* min first-access ioff, or [max_int] *)
   mutable staged : bool;
-  mutable cursors : Cursor.t array; (* the replaying warp's lanes *)
+  mutable traces : Thread_trace.t array; (* the replaying warp's lanes *)
+  pos : int array; (* per lane: its read position in [traces.(lane)] *)
   mutable ld_lane : int array;
   mutable ld_addr : int array;
   mutable ld_size : int array;
@@ -218,6 +190,9 @@ type t = {
   mutable serializations : int;
   mutable serialized_instrs : int;
   mutable barrier_syncs : int; (* warp-level barrier crossings *)
+  mutable skipped_io : int; (* Skip instructions the lanes' reads reached *)
+  mutable skipped_spin : int;
+  mutable skipped_excluded : int;
   wt : Warp_trace.Builder.emitter option;
   mutable tl_current : Timeline.sample Vec.t option; (* active warp's samples *)
   mutable timelines : Timeline.t list; (* finished warps, reversed *)
@@ -230,6 +205,96 @@ type t = {
   stack : stack;
   scratch : scratch;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Lane reads                                                           *)
+
+(* Lane [lane] reads its trace [traces.(lane)] at [pos.(lane)], by index
+   into the trace's columns (see {!Thread_trace.t}).  [Skip] events (I/O,
+   lock spinning, excluded calls) carry no control flow: a read absorbs
+   them into [t]'s skip counters only when it reaches them, so a warp
+   that aborts mid-replay counts exactly the skips its lanes reached
+   (paper Fig. 8 reports their share).
+
+   Every lane the replay reads is a bit of a mask inside [Mask.full
+   n_lanes], where [n_lanes = Array.length traces], and {!replay_warp}
+   refuses a warp with more lanes than [pos] holds before the first read;
+   so [lane] is in bounds of both columns and [lane_trace]/[lane_pos]
+   skip the check. *)
+
+let[@inline] lane_trace s lane = Array.unsafe_get s.traces lane
+let[@inline] lane_pos s lane = Array.unsafe_get s.pos lane
+let[@inline] set_pos s lane p = Array.unsafe_set s.pos lane p
+
+(* Absorb the Skips from the lane's position on, leaving it at the next
+   non-Skip event or the end of the trace. *)
+let absorb_run t lane =
+  let s = t.scratch in
+  let tr = lane_trace s lane in
+  let kinds = tr.Thread_trace.events in
+  let p = ref (lane_pos s lane) in
+  while !p < Array.length kinds && kinds.(!p) = Thread_trace.Skip do
+    let n = tr.Thread_trace.n_instr.(!p)
+    and code = tr.Thread_trace.ev.(3 * !p) in
+    if code = Thread_trace.skip_io then t.skipped_io <- t.skipped_io + n
+    else if code = Thread_trace.skip_spin then
+      t.skipped_spin <- t.skipped_spin + n
+    else t.skipped_excluded <- t.skipped_excluded + n;
+    incr p
+  done;
+  set_pos s lane !p
+
+(* The kind of the lane's next non-Skip event, or [Skip] at the end of
+   the trace; {!absorb_run} runs only when there is a Skip to absorb.
+   [arg] and [block_id] read the peeked event's words of the stride-3
+   [ev] column. *)
+let[@inline] peek t lane =
+  let s = t.scratch in
+  let kinds = (lane_trace s lane).Thread_trace.events and p = lane_pos s lane in
+  if p < Array.length kinds then
+    match Array.unsafe_get kinds p with
+    | Thread_trace.Skip ->
+        absorb_run t lane;
+        let p = lane_pos s lane in
+        if p < Array.length kinds then Array.unsafe_get kinds p
+        else Thread_trace.Skip
+    | k -> k
+  else Thread_trace.Skip
+
+let[@inline] advance t lane =
+  let s = t.scratch in
+  let p = lane_pos s lane in
+  if p < Array.length (lane_trace s lane).Thread_trace.events then
+    set_pos s lane (p + 1)
+
+let[@inline] next t lane =
+  let k = peek t lane in
+  advance t lane;
+  k
+
+let[@inline] arg t lane =
+  let s = t.scratch in
+  (lane_trace s lane).Thread_trace.ev.(3 * lane_pos s lane)
+
+let[@inline] block_id t lane =
+  let s = t.scratch in
+  (lane_trace s lane).Thread_trace.ev.((3 * lane_pos s lane) + 1)
+
+let end_of_trace = Event.Skip { reason = Event.Io; n_instr = 0 }
+
+(* The lane's next non-Skip event as an {!Event.t} view, or a [Skip] at
+   the end of the trace: for error messages only. *)
+let event t lane =
+  absorb_run t lane;
+  let s = t.scratch in
+  let tr = lane_trace s lane and p = lane_pos s lane in
+  if p < Array.length tr.Thread_trace.events then Thread_trace.get tr p
+  else end_of_trace
+
+let at_end t lane =
+  absorb_run t lane;
+  let s = t.scratch in
+  lane_pos s lane >= Array.length (lane_trace s lane).Thread_trace.events
 
 let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
   let ws = config.warp_size in
@@ -267,6 +332,9 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     serializations = 0;
     serialized_instrs = 0;
     barrier_syncs = 0;
+    skipped_io = 0;
+    skipped_spin = 0;
+    skipped_excluded = 0;
     wt = Option.map Warp_trace.Builder.emitter warp_trace;
     tl_current = None;
     timelines = [];
@@ -298,7 +366,8 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
         n_lanes = 0;
         first_io = max_int;
         staged = false;
-        cursors = [||];
+        traces = [||];
+        pos = Array.make ws 0;
         ld_lane = Array.make ws 0;
         ld_addr = Array.make ws 0;
         ld_size = Array.make ws 0;
@@ -404,7 +473,7 @@ let charge_blame t n link =
 (* Lane staging                                                         *)
 
 (* What a lane's trace has where the emulator expected something else
-   ([Cursor.event]'s end-of-trace [Skip] included).  [callee] names a
+   ([event]'s end-of-trace [Skip] included).  [callee] names a
    call's target.  Error paths only: it reads the boxed event view. *)
 let describe ?(callee = true) (ev : Event.t) =
   match ev with
@@ -416,12 +485,12 @@ let describe ?(callee = true) (ev : Event.t) =
   | Event.Barrier _ -> "barrier"
   | Event.Skip _ -> "end of trace"
 
-(* Stage lane [lane], whose cursor [c] is at a Block, at [k] of the lane
-   list: its access range runs from the Block's offset word to the next
-   event's, and its first access's ioff joins [first_io]. *)
-let[@inline] stage_at s (c : Cursor.t) k =
-  let tr = c.Cursor.trace in
-  let w = 3 * c.Cursor.pos and ev = tr.Thread_trace.ev in
+(* Stage lane [lane], whose read position is at a Block, at [k] of the
+   lane list: its access range runs from the Block's offset word to the
+   next event's, and its first access's ioff joins [first_io]. *)
+let[@inline] stage_at s lane k =
+  let tr = lane_trace s lane in
+  let w = 3 * lane_pos s lane and ev = tr.Thread_trace.ev in
   let p = ev.(w + 2) and e = ev.(w + 5) in
   s.lane_ptr.(k) <- p;
   s.lane_end.(k) <- e;
@@ -433,40 +502,40 @@ let[@inline] stage_at s (c : Cursor.t) k =
 (* Stage the lanes of [mask] for block [block] of [func] and consume the
    block from each: one step per set bit, in ascending lane order.  A
    lane whose trace has anything else aborts the warp. *)
-let stage_mask s (cursors : Cursor.t array) ~func ~block (mask : Mask.t) =
+let stage_mask t ~func ~block (mask : Mask.t) =
+  let s = t.scratch in
   s.first_io <- max_int;
   let m = ref (mask :> int) and k = ref 0 in
   while !m <> 0 do
     let b = !m land (- !m) in
     let lane = lane_of b in
-    let c = cursors.(lane) in
-    (match peek c with
-    | Thread_trace.Block when arg c = func && block_id c = block ->
+    (match peek t lane with
+    | Thread_trace.Block when arg t lane = func && block_id t lane = block ->
         s.lane_ids.(!k) <- lane;
-        stage_at s c !k;
-        advance c
+        stage_at s lane !k;
+        advance t lane
     | _ ->
         (* a mismatch aborts the warp *)
         s.n_lanes <- !k;
         errf "lane %d: expected block f%d.b%d, trace has %s" lane func block
-          (describe (Cursor.event c)));
+          (describe (event t lane)));
     incr k;
     m := !m lxor b
   done;
   s.n_lanes <- !k
 
-(* Stage the lanes already in [lane_ids] (see [staged]): their cursors
-   stand at the block, so only the ranges are read and the block
-   consumed. *)
-let restage s (cursors : Cursor.t array) =
+(* Stage the lanes already in [lane_ids] (see [staged]): they stand at
+   the block, so only the ranges are read and the block consumed. *)
+let restage t =
+  let s = t.scratch in
   s.first_io <- max_int;
   for k = 0 to s.n_lanes - 1 do
-    let c = cursors.(s.lane_ids.(k)) in
-    stage_at s c k;
-    advance c
+    let lane = s.lane_ids.(k) in
+    stage_at s lane k;
+    advance t lane
   done
 
-(* The lanes of [mask] into [lane_ids], without touching their cursors. *)
+(* The lanes of [mask] into [lane_ids], without moving their reads. *)
 let list_lanes s (mask : Mask.t) =
   let m = ref (mask :> int) and k = ref 0 in
   while !m <> 0 do
@@ -573,7 +642,7 @@ let count_block t ~site ~mask ~blame =
       next := n;
       for i = 0 to active - 1 do
         let lane = s.lane_ids.(i) in
-        let tr = s.cursors.(lane).Cursor.trace in
+        let tr = lane_trace s lane in
         let acc = tr.Thread_trace.acc and store = tr.Thread_trace.store in
         let len = s.lane_end.(i) in
         let p = ref s.lane_ptr.(i) in
@@ -644,21 +713,20 @@ let reconv_for t top =
    {!handle_locks}). *)
 let regroup ?(kind = Branch_site) t top block site =
   let s = t.scratch and st = t.stack in
-  let cursors = s.cursors and func = st.func.(top) in
+  let func = st.func.(top) in
   s.n_groups <- 0;
   (* Group the lanes by their next block: a linear scan over the (few)
      distinct targets.  Each lane's group is kept so the group masks need
      building only when the warp splits. *)
   for k = 0 to s.n_lanes - 1 do
     let lane = s.lane_ids.(k) in
-    let c = cursors.(lane) in
     let target =
-      match peek c with
-      | Thread_trace.Block when arg c = func -> block_id c
+      match peek t lane with
+      | Thread_trace.Block when arg t lane = func -> block_id t lane
       | _ ->
           errf "lane %d: expected a block of f%d after f%d.b%d, got %s" lane
             func func block
-            (describe ~callee:false (Cursor.event c))
+            (describe ~callee:false (event t lane))
     in
     let j = ref 0 in
     while !j < s.n_groups && s.grp_target.(!j) <> target do
@@ -736,42 +804,42 @@ let regroup ?(kind = Branch_site) t top block site =
    walk on corrupt input. *)
 let scalar_critical_section ~(fuel : fuel) ~warp_id ~blame t lane lock_addr =
   let s = t.scratch in
-  let c = s.cursors.(lane) in
   let before = t.thread_instrs in
   let saved_stack = t.call_stack in
   let fin = ref false in
   while not !fin do
     burn fuel ~warp_id;
-    match peek c with
+    match peek t lane with
     | Thread_trace.Block ->
-        let func = arg c and block = block_id c in
+        let func = arg t lane and block = block_id t lane in
         s.n_lanes <- 1;
         s.lane_ids.(0) <- lane;
         s.first_io <- max_int;
-        stage_at s c 0;
-        advance c;
+        stage_at s lane 0;
+        advance t lane;
         ignore
           (count_block t ~site:(site_of t func block) ~mask:(Mask.singleton lane)
              ~blame)
     | Thread_trace.Call ->
-        let f = arg c in
-        advance c;
+        let f = arg t lane in
+        advance t lane;
         set_call_stack t (f :: t.call_stack)
     | Thread_trace.Return -> (
-        advance c;
+        advance t lane;
         match t.call_stack with
         | _ :: (_ :: _ as rest) -> set_call_stack t rest
         | _ -> ())
     | Thread_trace.Lock_acq ->
-        advance c;
+        advance t lane;
         t.lock_acquires <- t.lock_acquires + 1
-    | Thread_trace.Barrier -> advance c
+    | Thread_trace.Barrier -> advance t lane
     | Thread_trace.Lock_rel ->
-        let a = arg c in
-        advance c;
+        let a = arg t lane in
+        advance t lane;
         if a = lock_addr then fin := true
     | Thread_trace.Skip ->
-        Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
+        Tf_error.fail ~thread:(lane_trace s lane).Thread_trace.tid
+          Tf_error.Deadlock
           "lane %d: trace ended inside critical section of lock 0x%x (lock \
            never released)"
           lane lock_addr
@@ -805,12 +873,11 @@ let handle_locks ~fuel ~warp_id t top block site =
   let func = st.func.(top) and n = s.n_lanes in
   for k = 0 to n - 1 do
     let lane = s.lane_ids.(k) in
-    let c = s.cursors.(lane) in
-    match peek c with
+    match peek t lane with
     | Thread_trace.Lock_acq ->
         s.lk_lane.(k) <- lane;
-        s.lk_addr.(k) <- arg c;
-        advance c;
+        s.lk_addr.(k) <- arg t lane;
+        advance t lane;
         t.lock_acquires <- t.lock_acquires + 1
     | _ -> errf "lane %d: expected lock acquire after f%d.b%d" lane func block
   done;
@@ -866,11 +933,11 @@ type marker = M_call | M_ret | M_barrier | M_unlock
 (* Consume [marker] from every lane of [lane_ids], which just executed
    [block] of [func].  A missing barrier arrival would block the whole
    team forever on real hardware — a typed deadlock verdict. *)
-let consume_markers s ~func block marker =
+let consume_markers t ~func block marker =
+  let s = t.scratch in
   for k = 0 to s.n_lanes - 1 do
     let lane = s.lane_ids.(k) in
-    let c = s.cursors.(lane) in
-    match (marker, next c) with
+    match (marker, next t lane) with
     | M_call, _
     | M_ret, Thread_trace.Return
     | M_barrier, Thread_trace.Barrier
@@ -878,7 +945,8 @@ let consume_markers s ~func block marker =
         ()
     | M_ret, _ -> errf "lane %d: expected return after f%d.b%d" lane func block
     | M_barrier, _ ->
-        Tf_error.fail ~thread:c.Cursor.tid Tf_error.Deadlock
+        Tf_error.fail ~thread:(lane_trace s lane).Thread_trace.tid
+          Tf_error.Deadlock
           "lane %d: no barrier arrival after f%d.b%d (barrier never \
            satisfied)"
           lane func block
@@ -888,25 +956,27 @@ let consume_markers s ~func block marker =
 (* One warp's replay; {!run_warp} adds its warp-trace emission.  All
    per-warp state (stack, staged lanes, call stack, timeline) is reset
    here, so a warp that aborted mid-replay leaves nothing behind. *)
-let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
+let replay_warp ?fuel t ~warp_id (traces : Thread_trace.t array) =
   let fuel : fuel = Option.map ref fuel in
   let s = t.scratch and st = t.stack in
-  s.cursors <- cursors;
+  let n_lanes = Array.length traces in
+  if n_lanes > Array.length s.pos then
+    invalid_arg "Emulator.run_warp: more lanes than the warp size";
+  s.traces <- traces;
+  Array.fill s.pos 0 n_lanes 0;
   s.staged <- false;
   s.n_lanes <- 0;
   st.sp <- 0;
   if t.config.record_timeline then
     t.tl_current <- Some (Vec.create ~capacity:256 { Timeline.n_instr = 0; active = 0 });
-  let n_lanes = Array.length cursors in
   if n_lanes = 0 then ()
   else begin
     let worker =
-      let c = cursors.(0) in
-      match peek c with
+      match peek t 0 with
       | Thread_trace.Block ->
-          if block_id c <> 0 then
+          if block_id t 0 <> 0 then
             errf "warp %d: trace does not start at entry" warp_id;
-          arg c
+          arg t 0
       | _ -> errf "warp %d: empty trace" warp_id
     in
     push st ~func:worker ~pc:0 ~reconv:(exit_node t worker)
@@ -928,8 +998,8 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
       else begin
         (* Consume this block from every active lane, staging the lanes
            and their access ranges in the scratch buffers (ascending). *)
-        if s.staged then restage s cursors
-        else stage_mask s cursors ~func ~block st.mask.(top);
+        if s.staged then restage t
+        else stage_mask t ~func ~block st.mask.(top);
         s.staged <- false;
         let site = site_of t func block in
         match count_block t ~site ~mask:st.mask.(top) ~blame:top with
@@ -937,9 +1007,9 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
             (* an excluded callee leaves no Call event: the lanes jump
                straight to the continuation block (paper §III's selective
                tracing) *)
-            match peek cursors.(s.lane_ids.(0)) with
+            match peek t s.lane_ids.(0) with
             | Thread_trace.Call ->
-                consume_markers s ~func block M_call;
+                consume_markers t ~func block M_call;
                 st.pc.(top) <- block + 1;
                 set_call_stack t (callee :: t.call_stack);
                 push st ~func:callee ~pc:0 ~reconv:(exit_node t callee)
@@ -947,7 +1017,7 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                   ~lost:st.bl_lost.(top) ~up:st.bl_up.(top)
             | _ -> regroup t top block site)
         | Instr.Ret ->
-            consume_markers s ~func block M_ret;
+            consume_markers t ~func block M_ret;
             st.pc.(top) <- exit_node t func
         | Instr.Halt -> st.pc.(top) <- exit_node t func
         | Instr.Lock_acquire _ -> handle_locks ~fuel ~warp_id t top block site
@@ -956,11 +1026,11 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
                team barrier is free; count it and continue in lockstep.  A
                lane without the arrival would block the whole team forever
                on real hardware — a typed deadlock verdict. *)
-            consume_markers s ~func block M_barrier;
+            consume_markers t ~func block M_barrier;
             t.barrier_syncs <- t.barrier_syncs + 1;
             regroup t top block site
         | Instr.Lock_release _ ->
-            consume_markers s ~func block M_unlock;
+            consume_markers t ~func block M_unlock;
             regroup t top block site
         | Instr.Jcc _ | Instr.Jmp _ | Instr.Io _ | Instr.Mov _ | Instr.Cmov _
         | Instr.Lea _ | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _
@@ -968,12 +1038,11 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
             regroup t top block site
       end
     done;
-    Array.iteri
-      (fun lane c ->
-        if not (Cursor.at_end c) then
-          errf "warp %d lane %d: %d unconsumed trace events" warp_id lane
-            (Array.length c.Cursor.trace.Thread_trace.events - c.Cursor.pos))
-      cursors;
+    for lane = 0 to n_lanes - 1 do
+      if not (at_end t lane) then
+        errf "warp %d lane %d: %d unconsumed trace events" warp_id lane
+          (Array.length traces.(lane).Thread_trace.events - s.pos.(lane))
+    done;
     match t.tl_current with
     | Some v ->
         t.timelines <-
@@ -983,18 +1052,18 @@ let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
     | None -> ()
   end
 
-(** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
-    lanes must start at the same worker function.  [fuel] (when given)
-    bounds the total number of stack steps + serialized events, raising a
-    typed [Tf_error.Timeout] when exhausted — the replay watchdog of the
-    checked pipeline. *)
-let run_warp ?fuel t ~warp_id cursors =
+(** Replay one warp.  [traces.(lane)] is lane [lane]'s trace, read from
+    its start; all lanes must start at the same worker function.  [fuel]
+    (when given) bounds the total number of stack steps + serialized
+    events, raising a typed [Tf_error.Timeout] when exhausted — the replay
+    watchdog of the checked pipeline. *)
+let run_warp ?fuel t ~warp_id traces =
   match t.wt with
-  | None -> replay_warp ?fuel t ~warp_id cursors
+  | None -> replay_warp ?fuel t ~warp_id traces
   | Some wt ->
       (* an aborted warp keeps the micro-ops emitted before the abort *)
       Warp_trace.Builder.start wt ~warp:warp_id;
-      (match replay_warp ?fuel t ~warp_id cursors with
+      (match replay_warp ?fuel t ~warp_id traces with
       | () -> Warp_trace.Builder.seal wt
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
@@ -1019,6 +1088,9 @@ let merge_into ~dst src =
   dst.serializations <- dst.serializations + src.serializations;
   dst.serialized_instrs <- dst.serialized_instrs + src.serialized_instrs;
   dst.barrier_syncs <- dst.barrier_syncs + src.barrier_syncs;
+  dst.skipped_io <- dst.skipped_io + src.skipped_io;
+  dst.skipped_spin <- dst.skipped_spin + src.skipped_spin;
+  dst.skipped_excluded <- dst.skipped_excluded + src.skipped_excluded;
   let add_into d s = Array.iteri (fun i v -> d.(i) <- d.(i) + v) s in
   add_into dst.site_issues src.site_issues;
   add_into dst.site_instrs src.site_instrs;

@@ -73,7 +73,8 @@ type stack
     (site, lanes lost, parent slot), reused across warps; internal. *)
 
 type scratch
-(** Reusable hot-path buffers (the block's lane list and access ranges,
+(** Reusable hot-path buffers (the replaying warp's traces and one read
+    position per lane, the block's lane list and access ranges,
     per-instruction load/store gather, regroup target grouping, lock
     grouping); internal. *)
 
@@ -91,6 +92,12 @@ type t = {
   mutable serializations : int;
   mutable serialized_instrs : int;
   mutable barrier_syncs : int;  (** warp-level barrier crossings *)
+  mutable skipped_io : int;
+      (** instructions of the I/O [Skip] events the lanes' reads reached
+          (paper Fig. 8): a warp that aborts counts only the skips its
+          lanes reached before the abort *)
+  mutable skipped_spin : int;  (** likewise, lock-spin [Skip]s *)
+  mutable skipped_excluded : int;  (** likewise, excluded-call [Skip]s *)
   wt : Warp_trace.Builder.emitter option;
   mutable tl_current : Timeline.sample Threadfuser_util.Vec.t option;
   mutable timelines : Timeline.t list;  (** finished warps, reversed *)
@@ -120,12 +127,15 @@ val create :
     block, in [(fid, block)] order. *)
 val iter_div_sites : t -> (fid:int -> block:int -> div_site_cell -> unit) -> unit
 
-(** Replay one warp; [cursors.(lane)] is the lane's trace cursor.  Counters
-    accumulate across calls, so one [t] serves a whole grid of warps.
+(** Replay one warp; [traces.(lane)] is lane [lane]'s trace, read from its
+    start (at most [config.warp_size] lanes, else [Invalid_argument]).
+    Counters accumulate across calls, so one [t] serves a whole grid of
+    warps.
     [fuel] (when given) bounds the total stack steps + serialized events,
     raising [Tf_error.Error] with kind [Timeout] when exhausted — the
     replay watchdog of {!Analyzer.analyze_checked}. *)
-val run_warp : ?fuel:int -> t -> warp_id:int -> Cursor.t array -> unit
+val run_warp :
+  ?fuel:int -> t -> warp_id:int -> Threadfuser_trace.Thread_trace.t array -> unit
 
 (** [merge_into ~dst src] folds [src]'s accumulated metrics into [dst] —
     the shard-reduction step of the domain-parallel replay

@@ -3,7 +3,7 @@
     (docs/performance.md).
 
     Warps are independent after formation — each replays against its own
-    lanes' cursors and accumulates into per-warp or summable state — so the
+    lanes' traces and accumulates into per-warp or summable state — so the
     replay loop is embarrassingly parallel.  This module owns only the
     scheduling: it shards item indices [0..n-1] over a {e persistent} OCaml 5
     domain pool, gives every worker a private shard state (built {e inside}

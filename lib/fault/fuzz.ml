@@ -11,7 +11,6 @@
 
 module Analyzer = Threadfuser.Analyzer
 module Metrics = Threadfuser.Metrics
-module Serial = Threadfuser_trace.Serial
 module Pack = Threadfuser_trace.Pack
 module Tf_error = Threadfuser_util.Tf_error
 module Program = Threadfuser_prog.Program
@@ -79,7 +78,7 @@ let run_one ~(prog : Program.t) ~bytes ~seed : outcome =
       Degraded cov
     else Clean
   with
-  | Serial.Corrupt m -> Rejected m
+  | Pack.Corrupt m -> Rejected m
   | Tf_error.Error d -> Rejected (Tf_error.to_string d)
   | e -> Uncaught (Printexc.to_string e)
 

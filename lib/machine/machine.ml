@@ -34,8 +34,8 @@ let errf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
    joined at the end), and chunks made simulate's set-up 60% slower.
 
    Record layout ([w0], [w1]): [w0]'s low 3 bits are the event's
-   {!Serial.tag_of_kind}, or [access_tag] for an access, and [x] is
-   [w0 lsr 3].
+   {!Threadfuser_trace.Pack.tag_of_kind}, or [access_tag] for an access,
+   and [x] is [w0 lsr 3].
    - Block: [x] = func | block << 30, [w1] = n_instr | n_acc << 32
      (program ids and block sizes are far below these widths);
    - Call, Lock_acq, Lock_rel, Barrier: [w1] = callee or address;
@@ -44,7 +44,7 @@ let errf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
    Accesses precede the Block that owns them. *)
 module Log = struct
   module B = Thread_trace.Builder
-  module Serial = Threadfuser_trace.Serial
+  module Pack = Threadfuser_trace.Pack
 
   type t = {
     mutable cur : int array; (* chunk being filled *)
@@ -57,7 +57,7 @@ module Log = struct
 
   let max_chunk = 8192
 
-  let access_tag = Array.length Serial.kinds
+  let access_tag = Array.length Pack.kinds
 
   let create () =
     {
@@ -81,7 +81,7 @@ module Log = struct
 
   let event t kind x w1 =
     t.events <- t.events + 1;
-    add t (Serial.tag_of_kind kind) x w1
+    add t (Pack.tag_of_kind kind) x w1
 
   let access t ~ioff ~addr ~size ~is_store =
     t.accesses <- t.accesses + 1;
@@ -113,7 +113,7 @@ module Log = struct
            ~size:((x lsr 1) land 0xff)
            ~is_store:(x land 1 <> 0)
        else
-         match Serial.kinds.(tag) with
+         match Pack.kinds.(tag) with
          | Thread_trace.Block ->
              B.block b ~func:(x land 0x3fff_ffff) ~block:(x lsr 30)
                ~n_instr:(w1 land 0xffff_ffff) ~n_acc:(w1 lsr 32)

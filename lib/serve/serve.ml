@@ -28,7 +28,6 @@ module Session = Threadfuser.Analyzer.Session
 module Metrics = Threadfuser.Metrics
 module Program = Threadfuser_prog.Program
 module Pack = Threadfuser_trace.Pack
-module Serial = Threadfuser_trace.Serial
 module Tf_error = Threadfuser_util.Tf_error
 module Report_json = Threadfuser_report.Report_json
 module Exec_fault = Threadfuser_fault.Exec_fault
@@ -185,9 +184,9 @@ let rec drain_pipe fd =
 let oversized_header () =
   let buf = Buffer.create 32 in
   Buffer.add_string buf Pack.magic;
-  Serial.write_uint buf 1;
-  Serial.write_uint buf 0;
-  Serial.write_uint buf max_int;
+  Pack.write_uint buf 1;
+  Pack.write_uint buf 0;
+  Pack.write_uint buf max_int;
   Buffer.contents buf
 
 let now () = Unix.gettimeofday ()
@@ -593,10 +592,18 @@ let accept_session svc listen_fd =
         `Accepted
       end
 
-let read_chunk svc (s : sess) =
-  let cap = match s.read_cap with Some c -> max 0 (min c 65536) | None -> 65536 in
-  let b = Bytes.create (max 1 cap) in
-  match Unix.read s.fd b 0 (max 1 cap) with
+(* The select loop's one read buffer: its reads ([read_chunk], the
+   Replying-state drain, [read_admin]) all run on the loop's domain and
+   copy out what they keep, so each borrows [buf] instead of allocating. *)
+let read_buf_bytes = 65536
+
+let read_chunk svc buf (s : sess) =
+  let cap =
+    match s.read_cap with
+    | Some c -> max 0 (min c read_buf_bytes)
+    | None -> read_buf_bytes
+  in
+  match Unix.read s.fd buf 0 (max 1 cap) with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error (_, _, _) -> s.eof <- true
@@ -604,7 +611,7 @@ let read_chunk svc (s : sess) =
       s.eof <- true;
       fl_note s ~args:[ ("bytes_in", Obs.itos s.bytes_in) ] "peer closed"
   | n ->
-      let chunk = Bytes.sub_string b 0 n in
+      let chunk = Bytes.sub_string buf 0 n in
       svc.bytes <- svc.bytes + n;
       s.bytes_in <- s.bytes_in + n;
       Obs.Counter.add c_bytes n;
@@ -788,15 +795,14 @@ let accept_admin svc admin_fd =
         }
         :: svc.admins
 
-let read_admin svc (a : admin) =
-  let b = Bytes.create 256 in
-  match Unix.read a.afd b 0 256 with
+let read_admin svc buf (a : admin) =
+  match Unix.read a.afd buf 0 256 with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> a.aclosed <- true
   | 0 -> a.aclosed <- true
   | n ->
-      Buffer.add_subbytes a.abuf b 0 n;
+      Buffer.add_subbytes a.abuf buf 0 n;
       let req = Buffer.contents a.abuf in
       if String.contains req '\n' then
         let line = List.hd (String.split_on_char '\n' req) in
@@ -895,6 +901,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
       ];
   on_ready ();
   let finished () = (not !listening) && svc.sessions = [] in
+  let buf = Bytes.create read_buf_bytes in
   while not (finished ()) do
     if Atomic.get stop && !listening then begin
       listening := false;
@@ -1016,14 +1023,14 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
             if !listening && List.mem admin_fd rs then accept_admin svc admin_fd;
             List.iter
               (fun a ->
-                if List.mem a.afd rs then read_admin svc a;
+                if List.mem a.afd rs then read_admin svc buf a;
                 if List.mem a.afd ws then write_admin a)
               svc.admins;
             List.iter
               (fun s ->
                 if List.mem s.fd rs then begin
                   if s.state = Reading then begin
-                    read_chunk svc s;
+                    read_chunk svc buf s;
                     Mutex.lock svc.mutex;
                     if
                       (not (Queue.is_empty s.queue))
@@ -1033,8 +1040,7 @@ let run ?(stop = Atomic.make false) ?(on_ready = fun () -> ()) cfg =
                   end
                   else begin
                     (* replying: discard whatever the peer still sends *)
-                    let b = Bytes.create 4096 in
-                    match Unix.read s.fd b 0 4096 with
+                    match Unix.read s.fd buf 0 read_buf_bytes with
                     | 0 -> s.eof <- true
                     | _ -> ()
                     | exception Unix.Unix_error _ -> s.eof <- true

@@ -1,7 +1,8 @@
 (** TFPACK1: compact columnar, delta-encoded binary trace container (see
     pack.mli).
 
-    Wire format (all integers LEB128 varints via {!Serial}):
+    Wire format (all integers LEB128 varints over the two's-complement bit
+    pattern):
 
     {v
       "TFPACK1" n_threads:varint block*
@@ -9,17 +10,22 @@
       payload := n_events:varint tags[n_events] args-column access-column
     v}
 
-    The tag column is one byte per event ({!Serial}'s tag numbering).  The
-    args column stores, per event in order: Block as zigzag deltas of
+    The tag column is one byte per event:
+
+    {v
+      0 Block  1 Call  2 Return  3 Lock_acq  4 Lock_rel  5 Skip  6 Barrier
+    v}
+
+    The args column stores, per event in order: Block as zigzag deltas of
     (func, block) against the previous Block plus n_instr and the access
     count; Call as a zigzag delta against the previous Call target; lock
     and barrier addresses as zigzag deltas against the previous sync
-    address; Skip as reason and n_instr.  The access column stores, for
-    each Block's accesses in order, ioff, a zigzag delta of the address
-    against the previous access (the stream crosses block boundaries),
-    size, and the store flag.  All predictors reset per thread block, so
-    each block decodes independently — which is what lets the CRC-32
-    trailer sit per block.
+    address; Skip as reason (0 io, 1 spin, 2 excluded) and n_instr.  The
+    access column stores, for each Block's accesses in order, ioff, a
+    zigzag delta of the address against the previous access (the stream
+    crosses block boundaries), size, and the store flag.  All predictors
+    reset per thread block, so each block decodes independently — which
+    is what lets the CRC-32 trailer sit per block.
 
     The CRC covers the payload only, not the block's [tid] and
     [payload_len] header.
@@ -32,6 +38,103 @@ module Crc32 = Threadfuser_util.Crc32
 module Obs = Threadfuser_obs.Obs
 
 let magic = "TFPACK1"
+
+(* -- varint codec ------------------------------------------------------- *)
+
+exception Corrupt of string
+
+(* Encodes the two's-complement bit pattern with a logical shift, so every
+   OCaml int round-trips (negatives cost 9 bytes; they are rare in traces). *)
+let write_uint buf n =
+  let n = ref n in
+  let continue_ = ref true in
+  while !continue_ do
+    let b = !n land 0x7f in
+    n := !n lsr 7;
+    if !n = 0 then begin
+      Buffer.add_char buf (Char.chr b);
+      continue_ := false
+    end
+    else Buffer.add_char buf (Char.chr (b lor 0x80))
+  done
+
+type reader = { data : string; mutable pos : int; lim : int }
+
+(* Plain comparisons and no sums, so no bound can wrap however large
+   [pos] or [lim] is; after it, [lim - pos] is the bytes left. *)
+let reader ?(pos = 0) ?lim data =
+  let lim = match lim with Some l -> l | None -> String.length data in
+  if pos < 0 || pos > lim || lim > String.length data then
+    invalid_arg "Pack.reader: bad bounds";
+  { data; pos; lim }
+
+(* Tags aside, most varints in a payload are one byte, so that case comes
+   first; at [lim] the sentinel [0x80] sends the read to the loop, which
+   raises.  The writer emits at most ceil(63/7) = 9 groups, so a
+   continuation bit past shift 56 (i.e. a 10th byte) can only come from
+   corrupt input; the bound also keeps [lsl] inside the word size
+   (shifting an OCaml int by >= Sys.int_size is undefined).  Every read is
+   bounded by [lim], never by the length of [data]: a reader over one
+   block of a larger buffer cannot run on into the next. *)
+let[@inline] read_uint r =
+  let data = r.data and lim = r.lim and pos = r.pos in
+  let b0 = if pos < lim then Char.code (String.unsafe_get data pos) else 0x80 in
+  if b0 < 0x80 then begin
+    r.pos <- pos + 1;
+    b0
+  end
+  else begin
+    let pos = ref pos and shift = ref 0 and acc = ref 0 and more = ref true in
+    while !more do
+      if !pos >= lim then begin
+        r.pos <- !pos;
+        raise (Corrupt "truncated")
+      end;
+      let b = Char.code (String.unsafe_get data !pos) in
+      incr pos;
+      if !shift >= 63 then raise (Corrupt "overlong varint");
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      if b land 0x80 = 0 then more := false else shift := !shift + 7
+    done;
+    r.pos <- !pos;
+    !acc
+  end
+
+(* Length headers are untrusted: a corrupt count must fail as [Corrupt]
+   before it reaches [Array.init] (a 5-byte file must not trigger a
+   multi-GB allocation or an [Invalid_argument]).  Every counted item
+   costs at least [min_bytes] input bytes, so any honest count is bounded
+   by the bytes left. *)
+let read_count r ~min_bytes what =
+  let n = read_uint r in
+  if n < 0 then raise (Corrupt (Printf.sprintf "negative %s count" what));
+  if n > (r.lim - r.pos) / min_bytes then
+    raise
+      (Corrupt
+         (Printf.sprintf "%s count %d exceeds remaining input (%d bytes)" what
+            n (r.lim - r.pos)));
+  n
+
+(* -- event tags --------------------------------------------------------- *)
+
+(* {!Thread_trace.kind}'s constructor order is the tag numbering. *)
+let kinds =
+  Thread_trace.[| Block; Call; Return; Lock_acq; Lock_rel; Skip; Barrier |]
+
+let tag_of_kind : Thread_trace.kind -> int = function
+  | Thread_trace.Block -> 0
+  | Thread_trace.Call -> 1
+  | Thread_trace.Return -> 2
+  | Thread_trace.Lock_acq -> 3
+  | Thread_trace.Lock_rel -> 4
+  | Thread_trace.Skip -> 5
+  | Thread_trace.Barrier -> 6
+
+let read_skip_code r =
+  let c = read_uint r in
+  if not (Thread_trace.is_skip_code c) then
+    raise (Corrupt (Printf.sprintf "bad skip reason %d" c));
+  c
 
 (* -- zigzag ------------------------------------------------------------- *)
 
@@ -59,9 +162,9 @@ let predictor () = { p_func = 0; p_block = 0; p_call = 0; p_sync = 0; p_addr = 0
 let encode_payload (t : Thread_trace.t) =
   let buf = Buffer.create 512 in
   let n = Thread_trace.length t in
-  Serial.write_uint buf n;
+  write_uint buf n;
   Array.iter
-    (fun k -> Buffer.add_char buf (Char.chr (Serial.tag_of_kind k)))
+    (fun k -> Buffer.add_char buf (Char.chr (tag_of_kind k)))
     t.events;
   let p = predictor () in
   (* args column *)
@@ -71,65 +174,50 @@ let encode_payload (t : Thread_trace.t) =
     match t.events.(i) with
     | Thread_trace.Block ->
         let block = t.ev.(e + 1) in
-        Serial.write_uint buf (zigzag (arg - p.p_func));
-        Serial.write_uint buf (zigzag (block - p.p_block));
-        Serial.write_uint buf t.n_instr.(i);
-        Serial.write_uint buf (t.ev.(e + 5) - t.ev.(e + 2));
+        write_uint buf (zigzag (arg - p.p_func));
+        write_uint buf (zigzag (block - p.p_block));
+        write_uint buf t.n_instr.(i);
+        write_uint buf (t.ev.(e + 5) - t.ev.(e + 2));
         p.p_func <- arg;
         p.p_block <- block
     | Thread_trace.Call ->
-        Serial.write_uint buf (zigzag (arg - p.p_call));
+        write_uint buf (zigzag (arg - p.p_call));
         p.p_call <- arg
     | Thread_trace.Return -> ()
     | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier ->
-        Serial.write_uint buf (zigzag (arg - p.p_sync));
+        write_uint buf (zigzag (arg - p.p_sync));
         p.p_sync <- arg
     | Thread_trace.Skip ->
-        Serial.write_uint buf arg;
-        Serial.write_uint buf t.n_instr.(i)
+        write_uint buf arg;
+        write_uint buf t.n_instr.(i)
   done;
   (* access column: every access belongs to a Block, in block order *)
   for j = 0 to Thread_trace.n_accesses t - 1 do
     let w = 3 * j in
     let addr = t.acc.(w + 1) in
-    Serial.write_uint buf t.acc.(w);
-    Serial.write_uint buf (zigzag (addr - p.p_addr));
-    Serial.write_uint buf t.acc.(w + 2);
-    Serial.write_uint buf (if Thread_trace.is_store t j then 1 else 0);
+    write_uint buf t.acc.(w);
+    write_uint buf (zigzag (addr - p.p_addr));
+    write_uint buf t.acc.(w + 2);
+    write_uint buf (if Thread_trace.is_store t j then 1 else 0);
     p.p_addr <- addr
   done;
   Buffer.contents buf
 
 let add_block buf (t : Thread_trace.t) =
   let payload = encode_payload t in
-  Serial.write_uint buf t.Thread_trace.tid;
-  Serial.write_uint buf (String.length payload);
+  write_uint buf t.Thread_trace.tid;
+  write_uint buf (String.length payload);
   Buffer.add_string buf payload;
   Crc32.add_le buf (Crc32.string payload)
 
 let encode (traces : Thread_trace.t array) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  Serial.write_uint buf (Array.length traces);
+  write_uint buf (Array.length traces);
   Array.iter (add_block buf) traces;
   Buffer.contents buf
 
 (* -- payload decoding --------------------------------------------------- *)
-
-(* {!Serial.read_uint}'s one-byte case, here where the decode loops call
-   it: libraries build [-opaque], so no call into {!Serial} is inlined,
-   and tags aside most varints in a payload are one byte. *)
-let[@inline] read_uint (r : Serial.reader) =
-  let pos = r.pos in
-  if pos < r.lim then begin
-    let b = Char.code (String.unsafe_get r.data pos) in
-    if b < 0x80 then begin
-      r.pos <- pos + 1;
-      b
-    end
-    else Serial.read_uint r
-  end
-  else Serial.read_uint r
 
 (* A lock or barrier address, delta-coded against the previous one. *)
 let read_sync p r =
@@ -137,24 +225,24 @@ let read_sync p r =
   p.p_sync <- a;
   a
 
-(* The payload is [s.[pos .. lim-1]], decoded in place: {!Serial}'s
-   readers are bounded by [lim], so every count, truncation and
-   trailing-byte check is relative to the block.  The tag column is
+(* The payload is [s.[pos .. lim-1]], decoded in place: every read is
+   bounded by [lim], so every count, truncation and trailing-byte check
+   is relative to the block.  The tag column is
    checked in place, then read again beside the args column, so the
    columns go straight into the builder with no per-event
    intermediate. *)
 let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
   let module B = Thread_trace.Builder in
-  let r = Serial.reader ~pos ~lim s in
+  let r = reader ~pos ~lim s in
   (* an event costs at least its 1 tag byte *)
-  let n_events = Serial.read_count r ~min_bytes:1 "event" in
-  let tags = r.Serial.pos and kinds = Serial.kinds in
+  let n_events = read_count r ~min_bytes:1 "event" in
+  let tags = r.pos in
   for i = tags to tags + n_events - 1 do
     let t = Char.code (String.unsafe_get s i) in
     if t >= Array.length kinds then
-      raise (Serial.Corrupt (Printf.sprintf "bad event tag %d" t))
+      raise (Corrupt (Printf.sprintf "bad event tag %d" t))
   done;
-  r.Serial.pos <- tags + n_events;
+  r.pos <- tags + n_events;
   let b = B.create ~events:n_events ~accesses:0 tid in
   let p = predictor () in
   (* args column *)
@@ -164,9 +252,9 @@ let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
         let func = p.p_func + unzigzag (read_uint r) in
         let block = p.p_block + unzigzag (read_uint r) in
         let n_instr = read_uint r in
-        if n_instr < 0 then raise (Serial.Corrupt "negative n_instr");
+        if n_instr < 0 then raise (Corrupt "negative n_instr");
         (* an access costs at least 4 varint bytes in its column *)
-        let n_acc = Serial.read_count r ~min_bytes:4 "access" in
+        let n_acc = read_count r ~min_bytes:4 "access" in
         p.p_func <- func;
         p.p_block <- block;
         B.block b ~func ~block ~n_instr ~n_acc
@@ -179,16 +267,16 @@ let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
     | Thread_trace.Lock_rel -> B.lock_rel b (read_sync p r)
     | Thread_trace.Barrier -> B.barrier b (read_sync p r)
     | Thread_trace.Skip ->
-        let code = Serial.read_skip_code r in
+        let code = read_skip_code r in
         B.skip b code (read_uint r)
   done;
   (* access column: each Block's count passed the per-block bound, but
      their sum must also fit what is left, before it sizes the columns *)
   let n_acc = B.claimed b in
-  let left = lim - r.Serial.pos in
+  let left = lim - r.pos in
   if n_acc > left / 4 then
     raise
-      (Serial.Corrupt
+      (Corrupt
          (Printf.sprintf "access count %d exceeds remaining input (%d bytes)"
             n_acc left));
   B.reserve_accesses b n_acc;
@@ -200,20 +288,20 @@ let decode_payload ~tid s ~pos ~lim : Thread_trace.t =
     p.p_addr <- addr;
     B.access b ~ioff ~addr ~size ~is_store
   done;
-  if r.Serial.pos <> lim then
+  if r.pos <> lim then
     raise
-      (Serial.Corrupt
+      (Corrupt
          (Printf.sprintf "pack payload has %d trailing byte(s)"
-            (lim - r.Serial.pos)));
+            (lim - r.pos)));
   B.finish b
 
 let decode_block ~tid s ~pos ~lim =
-  if tid < 0 then raise (Serial.Corrupt "negative thread id");
+  if tid < 0 then raise (Corrupt "negative thread id");
   let stored = Crc32.read_le s lim in
   let computed = Crc32.update 0 s pos (lim - pos) in
   if computed <> stored then
     raise
-      (Serial.Corrupt
+      (Corrupt
          (Printf.sprintf "pack block crc mismatch (stored %08x, computed %08x)"
             stored computed));
   decode_payload ~tid s ~pos ~lim
@@ -231,27 +319,27 @@ let c_decoded_bytes =
 let decode_blocks s : Thread_trace.t array =
   let n_magic = String.length magic in
   if String.length s < n_magic || String.sub s 0 n_magic <> magic then
-    raise (Serial.Corrupt "bad pack magic");
-  let r = Serial.reader ~pos:n_magic s in
+    raise (Corrupt "bad pack magic");
+  let r = reader ~pos:n_magic s in
   (* a thread block costs at least tid + len + 1-byte payload + 4-byte crc *)
-  let n_threads = Serial.read_count r ~min_bytes:7 "thread" in
+  let n_threads = read_count r ~min_bytes:7 "thread" in
   let traces =
     Array.init n_threads (fun _ ->
-        let tid = Serial.read_uint r in
-        let payload_len = Serial.read_uint r in
-        let pos = r.Serial.pos in
+        let tid = read_uint r in
+        let payload_len = read_uint r in
+        let pos = r.pos in
         (* [payload_len + 4] would overflow for a crafted length near
            [max_int]; subtract on the side that cannot *)
         if payload_len < 0 || payload_len > String.length s - pos - 4 then
-          raise (Serial.Corrupt "pack block length exceeds remaining input");
-        r.Serial.pos <- pos + payload_len + 4;
+          raise (Corrupt "pack block length exceeds remaining input");
+        r.pos <- pos + payload_len + 4;
         decode_block ~tid s ~pos ~lim:(pos + payload_len))
   in
-  if r.Serial.pos <> String.length s then
+  if r.pos <> String.length s then
     raise
-      (Serial.Corrupt
+      (Corrupt
          (Printf.sprintf "%d byte(s) after the last pack block"
-            (String.length s - r.Serial.pos)));
+            (String.length s - r.pos)));
   traces
 
 let decode s =

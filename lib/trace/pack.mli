@@ -10,11 +10,52 @@
     trailer is read, so it nearly always fails the CRC.)  Encoding is
     deterministic: the same traces always produce the same bytes.
 
-    All decode errors raise {!Serial.Corrupt} (the CLI's typed exit-2
-    path). *)
+    All decode errors raise {!Corrupt} (the CLI's typed exit-2 path).
+    The varint codec and event tags below are the container's; the
+    report cache's TFBLOB1 blobs and the machine's trace log reuse
+    them. *)
 
 val magic : string
 (** ["TFPACK1"] — the container's leading bytes. *)
+
+exception Corrupt of string
+(** Raised by every reader here on malformed or truncated input. *)
+
+(** {1 Varint codec}
+
+    LEB128 over the two's-complement bit pattern. *)
+
+type reader = { data : string; mutable pos : int; lim : int }
+(** A read position over [data.[pos .. lim-1]]: every read is bounded by
+    [lim], so a reader over one block of a larger buffer cannot read past
+    it. *)
+
+val reader : ?pos:int -> ?lim:int -> string -> reader
+(** [reader ?pos ?lim data] reads [data] from [pos] (default 0) up to
+    [lim] (default [String.length data]).  Raises [Invalid_argument]
+    unless [0 <= pos <= lim <= String.length data]. *)
+
+val write_uint : Buffer.t -> int -> unit
+(** Every OCaml int round-trips, negatives included (at 9 bytes). *)
+
+val read_uint : reader -> int
+(** A varint below [lim]; raises {!Corrupt} when it is truncated at [lim]
+    or longer than any 63-bit encoding. *)
+
+val read_count : reader -> min_bytes:int -> string -> int
+(** Bounded length header: reads a varint count and raises {!Corrupt}
+    unless every counted item can pay for at least [min_bytes] of the
+    remaining input — an untrusted count can never drive a giant
+    allocation.  "Remaining" is measured to [lim].  [what] names the
+    counted thing in the error. *)
+
+(** {1 Event tags} *)
+
+val kinds : Thread_trace.kind array
+(** Event kinds by tag: [kinds.(tag_of_kind k) = k]. *)
+
+val tag_of_kind : Thread_trace.kind -> int
+(** The tag of the payload's tag column (0 Block ... 6 Barrier). *)
 
 val encode : Thread_trace.t array -> string
 (** [magic], the thread count, then one {!add_block} per trace. *)
@@ -34,7 +75,7 @@ val decode_block : tid:int -> string -> pos:int -> lim:int -> Thread_trace.t
     of a block whose header held [tid] and whose 4-byte CRC trailer
     follows at [lim] (the caller has checked it is there).  The CRC is
     checked over the payload where it sits, then the payload decodes in
-    place, every read bounded by [lim].  Raises {!Serial.Corrupt} on a
+    place, every read bounded by [lim].  Raises {!Corrupt} on a
     negative [tid], a CRC mismatch or a malformed payload. *)
 
 val decode : string -> Thread_trace.t array
@@ -43,7 +84,7 @@ val decode : string -> Thread_trace.t array
     copied, and no read crosses the block's end.  Each call is one
     [decode] span and feeds the [tf_trace_{threads,bytes}_decoded_total]
     counters ({!Stream} decodes blocks without either).  Raises
-    {!Serial.Corrupt} on bad magic, truncation, CRC mismatch, overlong
+    {!Corrupt} on bad magic, truncation, CRC mismatch, overlong
     varints, lying counts (every count, and the sum of a payload's access
     counts, is bounded by the bytes left in its block before anything is
     sized from it) or trailing bytes. *)
@@ -51,4 +92,4 @@ val decode : string -> Thread_trace.t array
 val to_file : string -> Thread_trace.t array -> unit
 
 val of_file : string -> Thread_trace.t array
-(** Raises {!Serial.Corrupt} like {!decode}; [Sys_error] on I/O failure. *)
+(** Raises {!Corrupt} like {!decode}; [Sys_error] on I/O failure. *)

@@ -80,7 +80,7 @@ type step =
 (* Raised internally when the buffered bytes end mid-item. *)
 exception Short
 
-(* Varint over the reassembly buffer, with [Serial.read_uint]'s overlong
+(* Varint over the reassembly buffer, with [Pack.read_uint]'s overlong
    bound but [Short] instead of "truncated" (more input may still fix it). *)
 let read_uint_b t p =
   let shift = ref 0 and acc = ref 0 and more = ref true in
@@ -88,7 +88,7 @@ let read_uint_b t p =
     if !p >= t.len then raise Short;
     let b = Char.code (Bytes.get t.buf !p) in
     incr p;
-    if !shift >= 63 then raise (Serial.Corrupt "overlong varint");
+    if !shift >= 63 then raise (Pack.Corrupt "overlong varint");
     acc := !acc lor ((b land 0x7f) lsl !shift);
     if b land 0x80 = 0 then more := false else shift := !shift + 7
   done;
@@ -109,7 +109,7 @@ let read_block t =
   let payload_len = read_uint_b t p in
   if payload_len < 0 || payload_len > t.max_block then
     raise
-      (Serial.Corrupt
+      (Pack.Corrupt
          (Printf.sprintf "block of %d bytes exceeds the %d-byte bound"
             payload_len t.max_block));
   if t.len - !p - 4 < payload_len then raise Short;
@@ -143,7 +143,7 @@ let rec next t =
           t.state <- Blocks;
           next t
       | exception Short -> Need_more
-      | exception Serial.Corrupt m -> fail t m)
+      | exception Pack.Corrupt m -> fail t m)
   | Blocks when t.left = 0 ->
       if t.pos < t.len then
         fail t
@@ -156,4 +156,4 @@ let rec next t =
           if t.left > 0 then t.left <- t.left - 1;
           Thread trace
       | exception Short -> Need_more
-      | exception Serial.Corrupt m -> fail t m)
+      | exception Pack.Corrupt m -> fail t m)

@@ -22,7 +22,7 @@
     messages, never for a replay or decode loop. *)
 
 (** One event's kind.  All constructors are constant, so a [kind array]
-    is an unboxed int array; the order is {!Serial}'s tag numbering. *)
+    is an unboxed int array; the order is {!Pack}'s tag numbering. *)
 type kind = Block | Call | Return | Lock_acq | Lock_rel | Skip | Barrier
 
 type t = {

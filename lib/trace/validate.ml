@@ -1,6 +1,6 @@
 (** Semantic validation of decoded thread traces.
 
-    [Serial] guarantees only that the bytes decoded; this pass checks that
+    {!Pack} guarantees only that the bytes decoded; this pass checks that
     the events make sense under the trace contract (docs/ARCHITECTURE.md §1)
     before the analyzer replays them:
 

@@ -6,7 +6,6 @@
    byte-identical reports from the cache). *)
 
 module Pack = Threadfuser_trace.Pack
-module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Cache = Threadfuser_cache.Cache
@@ -163,10 +162,10 @@ let test_pack_truncation () =
   for cut = 0 to String.length bytes - 1 do
     match Pack.decode (String.sub bytes 0 cut) with
     | _ -> Alcotest.failf "prefix of %d byte(s) decoded" cut
-    | exception Serial.Corrupt _ -> ()
+    | exception Pack.Corrupt _ -> ()
   done
 
-(* Single corrupted byte anywhere: decode must raise [Serial.Corrupt] —
+(* Single corrupted byte anywhere: decode must raise [Pack.Corrupt] —
    except inside the (unchecksummed, self-delimiting) tid varints, where a
    flip can only rename a thread, never corrupt its events.  The sweep
    asserts no other exception ever escapes and that at most 2 positions
@@ -180,7 +179,7 @@ let test_pack_bitflip () =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x41));
     match Pack.decode (Bytes.to_string b) with
     | _ -> ()
-    | exception Serial.Corrupt _ -> incr detected
+    | exception Pack.Corrupt _ -> incr detected
   done;
   Alcotest.(check bool)
     (Printf.sprintf "corruption detected at %d/%d positions" !detected n)
@@ -192,15 +191,15 @@ let test_pack_bitflip () =
 let pack_header ~payload_len =
   let buf = Buffer.create 32 in
   Buffer.add_string buf Pack.magic;
-  Serial.write_uint buf 1;
-  Serial.write_uint buf 0;
-  Serial.write_uint buf payload_len;
+  Pack.write_uint buf 1;
+  Pack.write_uint buf 0;
+  Pack.write_uint buf payload_len;
   Buffer.add_string buf (String.make 16 '\000');
   Buffer.contents buf
 
 let test_pack_oversize_bound () =
   match Pack.decode (pack_header ~payload_len:1_000_000) with
-  | exception Serial.Corrupt _ -> ()
+  | exception Pack.Corrupt _ -> ()
   | _ -> Alcotest.fail "oversized block header accepted"
 
 (* A declared length of 2^62 - 1 (varint ff x8 3f, 34 bytes in all): the
@@ -210,7 +209,7 @@ let test_pack_length_overflow () =
   let bytes = pack_header ~payload_len:max_int in
   Alcotest.(check int) "crafted input size" 34 (String.length bytes);
   match Pack.decode bytes with
-  | exception Serial.Corrupt _ -> ()
+  | exception Pack.Corrupt _ -> ()
   | exception e ->
       Alcotest.failf "escaped as %s, not Corrupt" (Printexc.to_string e)
   | _ -> Alcotest.fail "block length near max_int accepted"

@@ -1,6 +1,6 @@
 (* Direct unit and property tests for the analyzer's building blocks:
-   masks, the coalescer, CISC->RISC cracking, trace cursors, and the
-   nearest-common-post-dominator reconvergence logic. *)
+   masks, the coalescer, CISC->RISC cracking, and the nearest-common-
+   post-dominator reconvergence logic. *)
 
 open Threadfuser
 open Threadfuser_isa
@@ -290,36 +290,6 @@ let test_crack_control () =
     (List.length (crack (Instr.Io (Instr.In, Operand.Imm 5))));
   Alcotest.(check bool) "lock is sync" true
     (classes (crack (Instr.Lock_acquire (Operand.Imm 1))) = [ Opclass.Sync ])
-
-(* -- cursor ---------------------------------------------------------------- *)
-
-let cursor_of events = Cursor.of_trace (Thread_trace.of_events 0 events)
-
-let test_cursor_absorbs_skips () =
-  let c =
-    cursor_of
-      [|
-        Event.Skip { reason = Event.Io; n_instr = 10 };
-        Event.Skip { reason = Event.Spin; n_instr = 5 };
-        Event.Call 2;
-        Event.Return;
-      |]
-  in
-  (match Cursor.event c with
-  | Event.Call 2 -> ()
-  | _ -> Alcotest.fail "expected call after skips");
-  Alcotest.(check int) "io counted" 10 c.Cursor.skipped_io;
-  Alcotest.(check int) "spin counted" 5 c.Cursor.skipped_spin;
-  Alcotest.(check int) "at the call" 2 c.Cursor.pos;
-  c.Cursor.pos <- c.Cursor.pos + 1;
-  (match Cursor.event c with
-  | Event.Return -> ()
-  | _ -> Alcotest.fail "expected return");
-  c.Cursor.pos <- c.Cursor.pos + 1;
-  Alcotest.(check bool) "at end" true (Cursor.at_end c);
-  (match Cursor.event c with
-  | Event.Skip { n_instr = 0; _ } -> ()
-  | _ -> Alcotest.fail "end of trace")
 
 (* -- NCP reconvergence ----------------------------------------------------- *)
 
@@ -655,8 +625,6 @@ let () =
           Alcotest.test_case "spaces" `Quick test_crack_spaces;
           Alcotest.test_case "control" `Quick test_crack_control;
         ] );
-      ( "cursor",
-        [ Alcotest.test_case "absorbs skips" `Quick test_cursor_absorbs_skips ] );
       ( "timeline",
         [
           Alcotest.test_case "math" `Quick test_timeline_math;

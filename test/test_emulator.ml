@@ -377,6 +377,9 @@ let counters (e : Emulator.t) =
       e.Emulator.serializations;
       e.Emulator.serialized_instrs;
       e.Emulator.barrier_syncs;
+      e.Emulator.skipped_io;
+      e.Emulator.skipped_spin;
+      e.Emulator.skipped_excluded;
     ];
   Array.iter add e.Emulator.site_issues;
   Array.iter add e.Emulator.site_instrs;
@@ -441,16 +444,16 @@ let leak_setup () =
    exactly what a fresh emulator's replay of it counts. *)
 let check_no_leak ~abort () =
   let prog, ipdoms, config, traces = leak_setup () in
-  let cursors tids = Array.map (fun tid -> Cursor.of_trace traces.(tid)) tids in
+  let lanes tids = Array.map (fun tid -> traces.(tid)) tids in
   let emu = Emulator.create prog ipdoms config in
   abort emu traces;
   List.iter
     (fun (warp_id, tids) ->
       let before = counters emu in
-      Emulator.run_warp emu ~warp_id (cursors tids);
+      Emulator.run_warp emu ~warp_id (lanes tids);
       let added = Array.map2 ( - ) (counters emu) before in
       let fresh = Emulator.create prog ipdoms config in
-      Emulator.run_warp fresh ~warp_id (cursors tids);
+      Emulator.run_warp fresh ~warp_id (lanes tids);
       Alcotest.(check (array int))
         (Printf.sprintf "warp %d counts as if replayed alone" warp_id)
         (counters fresh) added)
@@ -462,10 +465,7 @@ let test_no_leak_after_staging () =
   check_no_leak
     ~abort:(fun emu traces ->
       let cut = Thread_trace.of_events 1 [| (Thread_trace.to_events traces.(1)).(0) |] in
-      match
-        Emulator.run_warp emu ~warp_id:0
-          [| Cursor.of_trace traces.(0); Cursor.of_trace cut |]
-      with
+      match Emulator.run_warp emu ~warp_id:0 [| traces.(0); cut |] with
       | () -> Alcotest.fail "truncated warp replayed"
       | exception Emulator.Emulation_error _ -> ())
     ()
@@ -476,14 +476,23 @@ let test_no_leak_after_uniform_regroup () =
   check_no_leak
     ~abort:(fun emu traces ->
       match
-        Emulator.run_warp ~fuel:1 emu ~warp_id:0
-          [| Cursor.of_trace traces.(0); Cursor.of_trace traces.(1) |]
+        Emulator.run_warp ~fuel:1 emu ~warp_id:0 [| traces.(0); traces.(1) |]
       with
       | () -> Alcotest.fail "one step of fuel replayed the warp"
       | exception Threadfuser_util.Tf_error.Error d ->
           Alcotest.(check bool) "timeout" true
             (d.Threadfuser_util.Tf_error.kind = Threadfuser_util.Tf_error.Timeout))
     ()
+
+(* A warp wider than the emulator's warp size is refused before any
+   lane is read. *)
+let test_more_lanes_than_warp_size () =
+  let prog, ipdoms, config, traces = leak_setup () in
+  let emu = Emulator.create prog ipdoms config in
+  Alcotest.check_raises "five lanes at warp size 4"
+    (Invalid_argument "Emulator.run_warp: more lanes than the warp size")
+    (fun () -> Emulator.run_warp emu ~warp_id:0 (Array.sub traces 0 5));
+  Alcotest.(check int) "nothing counted" 0 emu.Emulator.issues
 
 (* A trace naming a block past its function's end must fail, not charge
    the next function's block that shares its site index. *)
@@ -528,12 +537,66 @@ let test_block_past_function_end () =
         record_timeline = false;
       }
   in
-  match Emulator.run_warp emu ~warp_id:0 [| Cursor.of_trace bogus |] with
+  match Emulator.run_warp emu ~warp_id:0 [| bogus |] with
   | () -> Alcotest.fail "replayed a block past the function's end"
   | exception Invalid_argument _ ->
       Alcotest.(check int) "only block 0 counted" 0
         (Array.fold_left ( + ) 0 emu.Emulator.site_issues
         - emu.Emulator.site_issues.(0))
+
+(* -- skip accounting ------------------------------------------------------- *)
+
+(* Skip events carry no control flow: the replay absorbs them into the
+   emulator's skip totals when a lane's read reaches them (trailing ones
+   at the end-of-warp check) and counts everything else as it would
+   without them. *)
+let test_skips_absorbed_before_call () =
+  let funcs =
+    [
+      Build.(func "helper" [ mov (reg 2) (imm 1); ret ]);
+      Build.(
+        func "worker"
+          [ mov (reg 1) (reg 0); call "helper"; mov (reg 3) (imm 9); ret ]);
+    ]
+  in
+  let prog = Program.assemble funcs in
+  let m = Machine.create prog in
+  let r = Machine.run_workers m ~worker:"worker" ~args:[| [ 0 ] |] in
+  let plain = r.Machine.traces.(0) in
+  let module Event = Threadfuser_trace.Event in
+  let skip reason n_instr = Event.Skip { reason; n_instr } in
+  let skipped =
+    Array.to_list (Thread_trace.to_events plain)
+    |> List.concat_map (function
+         | Event.Call _ as e -> [ skip Event.Io 10; skip Event.Spin 5; e ]
+         | e -> [ e ])
+    |> fun evs -> Array.of_list (evs @ [ skip Event.Excluded 3 ])
+  in
+  let ipdoms =
+    Threadfuser_cfg.(Ipdom.of_dcfgs (Dcfg.of_traces prog [| plain |]))
+  in
+  let replay trace =
+    let emu =
+      Emulator.create prog ipdoms
+        {
+          Emulator.warp_size = 1;
+          sync = Emulator.Serialize;
+          reconv = Emulator.Ipdom_reconv;
+          record_timeline = false;
+        }
+    in
+    Emulator.run_warp emu ~warp_id:0 [| trace |];
+    emu
+  in
+  let base = replay plain and emu = replay (Thread_trace.of_events 0 skipped) in
+  Alcotest.(check int) "io counted" 10 emu.Emulator.skipped_io;
+  Alcotest.(check int) "spin counted" 5 emu.Emulator.skipped_spin;
+  Alcotest.(check int) "trailing excluded counted" 3
+    emu.Emulator.skipped_excluded;
+  Alcotest.(check int) "issues unchanged" base.Emulator.issues
+    emu.Emulator.issues;
+  Alcotest.(check int) "instrs unchanged" base.Emulator.thread_instrs
+    emu.Emulator.thread_instrs
 
 let () =
   Alcotest.run "emulator"
@@ -563,11 +626,18 @@ let () =
           Alcotest.test_case "single lane" `Quick test_single_lane_warp;
           Alcotest.test_case "four-way divergence" `Quick test_four_way_divergence;
         ] );
+      ( "skips",
+        [
+          Alcotest.test_case "absorbed before a call" `Quick
+            test_skips_absorbed_before_call;
+        ] );
       ( "aborted warp",
         [
           Alcotest.test_case "no leak after staging" `Quick test_no_leak_after_staging;
           Alcotest.test_case "no leak after uniform regroup" `Quick
             test_no_leak_after_uniform_regroup;
+          Alcotest.test_case "more lanes than the warp size" `Quick
+            test_more_lanes_than_warp_size;
           Alcotest.test_case "block past its function's end" `Quick
             test_block_past_function_end;
         ] );

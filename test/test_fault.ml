@@ -8,7 +8,6 @@ open Threadfuser
 module Machine = Threadfuser_machine.Machine
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
-module Serial = Threadfuser_trace.Serial
 module Pack = Threadfuser_trace.Pack
 module Crc32 = Threadfuser_util.Crc32
 module Tf_error = Threadfuser_util.Tf_error
@@ -93,6 +92,62 @@ let test_fuel_watchdog () =
   Alcotest.(check bool) "clean under default fuel" false
     (Metrics.degraded c.Analyzer.result.Analyzer.report)
 
+(* A warp that aborts counts exactly the skips its lanes reached, at any
+   domain count.  Warp 0's lane 0 absorbs an I/O skip of 7 right after
+   its first block; lane 1 returns after that block instead of entering
+   the loop, so regrouping the block aborts the warp before lane 1
+   reaches its skip of 100.  Each of the other six threads has one I/O
+   skip of 3, all reached.  The loops are long enough (over 40k events
+   in all) that [-j 2] really replays on two domains. *)
+let test_aborted_warp_skips () =
+  let prog =
+    Program.assemble
+      [
+        Build.(
+          func "worker"
+            [
+              mov (reg 1) (imm 0);
+              while_ Threadfuser_isa.Cond.Lt (reg 1) (imm 4000)
+                [ add (reg 1) (imm 1) ];
+              ret;
+            ]);
+      ]
+  in
+  let m = Machine.create prog in
+  let r = Machine.run_workers m ~worker:"worker" ~args:(Array.make 8 []) in
+  let io n = Event.Skip { reason = Event.Io; n_instr = n } in
+  let traces =
+    Array.map
+      (fun t ->
+        let ev = Thread_trace.to_events t in
+        let tid = t.Thread_trace.tid in
+        let after_first extra =
+          Array.concat
+            [ [| ev.(0) |]; extra; Array.sub ev 1 (Array.length ev - 1) ]
+        in
+        Thread_trace.of_events tid
+          (match tid with
+          | 0 -> after_first [| io 7 |]
+          | 1 -> [| ev.(0); Event.Return; io 100 |]
+          | _ -> after_first [| io 3 |]))
+      r.Machine.traces
+  in
+  let work =
+    Array.fold_left (fun n t -> n + Thread_trace.length t) 0 traces
+  in
+  Alcotest.(check int) "two domains at -j 2" 2
+    (Par_replay.auto_domains ~requested:2 ~items:4 ~work);
+  List.iter
+    (fun domains ->
+      let options = { Analyzer.default_options with warp_size = 2; domains } in
+      let c = Analyzer.analyze_checked ~options prog traces in
+      let rep = c.Analyzer.result.Analyzer.report in
+      let name what = Printf.sprintf "-j %d: %s" domains what in
+      Alcotest.(check int) (name "warp 0 failed in replay") 1
+        rep.Metrics.coverage.Metrics.warps_failed;
+      Alcotest.(check int) (name "skips reached") 25 rep.Metrics.skipped_io)
+    [ 1; 2 ]
+
 (* Same seed -> byte-identical corruption; different seed -> (almost
    surely) different damage. *)
 let test_injector_deterministic () =
@@ -128,7 +183,7 @@ let test_fuzz_smoke () =
 (* Fuzzing a TFPACK1 file never gets past the per-block CRC-32, so this
    is the payload decoder's hostile-input coverage: overwrite payload
    bytes, re-seal every block's CRC, then load.  The loader must return
-   traces or raise [Serial.Corrupt], and whatever it returns must go
+   traces or raise [Pack.Corrupt], and whatever it returns must go
    through [analyze_checked] without raising.  The workloads cover
    accesses, calls, locks and skips (no registered workload has
    barriers; a mutated tag byte can still produce one). *)
@@ -146,13 +201,13 @@ let resealed_targets =
 
 (* (payload offset, payload length) of every thread block *)
 let pack_blocks bytes =
-  let r = Serial.reader ~pos:(String.length Pack.magic) bytes in
-  let n = Serial.read_uint r in
+  let r = Pack.reader ~pos:(String.length Pack.magic) bytes in
+  let n = Pack.read_uint r in
   Array.init n (fun _ ->
-      ignore (Serial.read_uint r : int);
-      let len = Serial.read_uint r in
-      let off = r.Serial.pos in
-      r.Serial.pos <- off + len + 4;
+      ignore (Pack.read_uint r : int);
+      let len = Pack.read_uint r in
+      let off = r.Pack.pos in
+      r.Pack.pos <- off + len + 4;
       (off, len))
 
 let reseal bytes blocks =
@@ -171,29 +226,29 @@ let reseal bytes blocks =
    the sum stops the decoder sizing its access columns from them. *)
 let inflated_block ~k ~m =
   let payload = Buffer.create 64 in
-  Serial.write_uint payload k;
+  Pack.write_uint payload k;
   Buffer.add_string payload (String.make k '\000');
   for _ = 1 to k do
-    List.iter (Serial.write_uint payload) [ 0; 0; 1; m ]
+    List.iter (Pack.write_uint payload) [ 0; 0; 1; m ]
   done;
   Buffer.add_string payload (String.make (4 * m) '\000');
   let payload = Buffer.contents payload in
   let b = Buffer.create (String.length payload + 16) in
-  Serial.write_uint b 0;
-  Serial.write_uint b (String.length payload);
+  Pack.write_uint b 0;
+  Pack.write_uint b (String.length payload);
   Buffer.add_string b payload;
   Crc32.add_le b (Crc32.string payload);
   Buffer.contents b
 
 (* [bytes] with [block] inserted as its first thread block. *)
 let prepend_block bytes block =
-  let r = Serial.reader ~pos:(String.length Pack.magic) bytes in
-  let n = Serial.read_uint r in
+  let r = Pack.reader ~pos:(String.length Pack.magic) bytes in
+  let n = Pack.read_uint r in
   let buf = Buffer.create (String.length bytes + String.length block) in
   Buffer.add_string buf Pack.magic;
-  Serial.write_uint buf (n + 1);
+  Pack.write_uint buf (n + 1);
   Buffer.add_string buf block;
-  Buffer.add_substring buf bytes r.Serial.pos (String.length bytes - r.Serial.pos);
+  Buffer.add_substring buf bytes r.Pack.pos (String.length bytes - r.Pack.pos);
   Buffer.contents buf
 
 (* Every mutated file must decode to a typed error or analyze cleanly.
@@ -219,7 +274,7 @@ let prop_resealed_pack =
       reseal bytes blocks;
       let bytes = Bytes.to_string bytes in
       (match Pack.decode bytes with
-      | exception Serial.Corrupt _ -> ()
+      | exception Pack.Corrupt _ -> ()
       | traces -> (
           match Analyzer.analyze_checked prog traces with
           | _ -> ()
@@ -234,10 +289,10 @@ let prop_resealed_pack =
           match
             Pack.decode (prepend_block bytes (inflated_block ~k ~m))
           with
-          | exception Serial.Corrupt msg
+          | exception Pack.Corrupt msg
             when String.starts_with ~prefix:"access count" msg ->
               true
-          | exception Serial.Corrupt msg ->
+          | exception Pack.Corrupt msg ->
               QCheck.Test.fail_reportf "%s: inflated counts refused as %S" name
                 msg
           | _ ->
@@ -556,6 +611,8 @@ let () =
         [
           Alcotest.test_case "deadlock verdict" `Quick test_deadlock_verdict;
           Alcotest.test_case "fuel watchdog" `Quick test_fuel_watchdog;
+          Alcotest.test_case "aborted warp counts the skips it reached" `Quick
+            test_aborted_warp_skips;
           Alcotest.test_case "injector determinism" `Quick
             test_injector_deterministic;
           Alcotest.test_case "all threads quarantined" `Quick

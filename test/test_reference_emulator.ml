@@ -6,7 +6,7 @@
    fused bookkeeping.  The reference below is a direct structural
    recursion: "run these lanes from their current positions until each
    reaches [reconv]", recomputing groups functionally at every step.  It
-   walks the traces itself (no [Cursor]) and counts issues, thread
+   walks the traces itself (its own read positions) and counts issues, thread
    instructions and, per [(func, block, ioff)] site, warp-level memory
    instructions and their 32 B transactions from a sorted unique list of
    line ids (no [Coalesce]).  Agreement on all three across randomly
@@ -271,7 +271,7 @@ let sites_agree prog ipdoms traces warps ref_sites ~warp_size =
   Array.iteri
     (fun warp_id tids ->
       Emulator.run_warp emu ~warp_id
-        (Array.map (fun tid -> Cursor.of_trace traces.(tid)) tids))
+        (Array.map (fun tid -> traces.(tid)) tids))
     warps;
   let production = ref [] in
   Coalesce.iter_sites emu.Emulator.coalesce (fun ~fid ~block ~ioff c ->

@@ -6,7 +6,6 @@ module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
 module Analyzer = Threadfuser.Analyzer
 module Pack = Threadfuser_trace.Pack
-module Serial = Threadfuser_trace.Serial
 module Serve = Threadfuser_serve.Serve
 module Client = Threadfuser_serve.Client
 module Protocol = Threadfuser_serve.Protocol
@@ -196,13 +195,13 @@ let test_poison_isolation () =
 let test_flipped_bit () =
   let _, traces = Lazy.force fixture in
   let stream = Pack.encode traces in
-  let r = Serial.reader ~pos:(String.length Pack.magic) stream in
-  ignore (Serial.read_uint r);
+  let r = Pack.reader ~pos:(String.length Pack.magic) stream in
+  ignore (Pack.read_uint r);
   (* the first block: tid, payload length, payload *)
-  ignore (Serial.read_uint r);
-  let payload_len = Serial.read_uint r in
+  ignore (Pack.read_uint r);
+  let payload_len = Pack.read_uint r in
   let b = Bytes.of_string stream in
-  let at = r.Serial.pos + (payload_len / 2) in
+  let at = r.Pack.pos + (payload_len / 2) in
   Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x04));
   let expect = batch_json () in
   let (), stats =

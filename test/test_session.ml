@@ -13,7 +13,6 @@ module Metrics = Threadfuser.Metrics
 module Par_replay = Threadfuser.Par_replay
 module Warp_serial = Threadfuser.Warp_serial
 module Pack = Threadfuser_trace.Pack
-module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Tf_error = Threadfuser_util.Tf_error
@@ -370,10 +369,10 @@ let test_damaged_spill () =
     (fun () ->
       let head = Bytes.create 32 in
       Alcotest.(check int) "block header on disk" 32 (Unix.read fd head 0 32);
-      let r = Serial.reader (Bytes.to_string head) in
-      ignore (Serial.read_uint r);
-      let payload_len = Serial.read_uint r in
-      let at = r.Serial.pos + (payload_len / 2) in
+      let r = Pack.reader (Bytes.to_string head) in
+      ignore (Pack.read_uint r);
+      let payload_len = Pack.read_uint r in
+      let at = r.Pack.pos + (payload_len / 2) in
       Alcotest.(check bool) "payload on disk" true
         ((Unix.fstat fd).Unix.st_size > at);
       ignore (Unix.lseek fd at Unix.SEEK_SET);

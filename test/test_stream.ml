@@ -5,7 +5,6 @@
 
 module Stream = Threadfuser_trace.Stream
 module Pack = Threadfuser_trace.Pack
-module Serial = Threadfuser_trace.Serial
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Event = Threadfuser_trace.Event
 module Validate = Threadfuser_trace.Validate
@@ -148,18 +147,18 @@ let test_truncation_sweep () =
     | Stream.Thread _ -> assert false);
     match Pack.decode (String.sub s 0 cut) with
     | _ -> Alcotest.failf "Pack.decode accepted a %d-byte prefix" cut
-    | exception Serial.Corrupt _ -> ()
+    | exception Pack.Corrupt _ -> ()
   done
 
 (* (payload offset, payload length) of every block of a TFPACK1 file. *)
 let blocks s =
-  let r = Serial.reader ~pos:(String.length Pack.magic) s in
-  let n = Serial.read_uint r in
+  let r = Pack.reader ~pos:(String.length Pack.magic) s in
+  let n = Pack.read_uint r in
   List.init n (fun _ ->
-      ignore (Serial.read_uint r : int);
-      let len = Serial.read_uint r in
-      let off = r.Serial.pos in
-      r.Serial.pos <- off + len + 4;
+      ignore (Pack.read_uint r : int);
+      let len = Pack.read_uint r in
+      let off = r.Pack.pos in
+      r.Pack.pos <- off + len + 4;
       (off, len))
 
 (* Every single-bit flip inside a block's payload or its CRC trailer is
@@ -212,7 +211,7 @@ let prop_matches_pack_decode =
       let expect =
         match Pack.decode damaged with
         | t -> Some t
-        | exception Serial.Corrupt _ -> None
+        | exception Pack.Corrupt _ -> None
       in
       let got =
         match feed_chunked damaged chunks with
@@ -255,7 +254,7 @@ let test_lying_count () =
   let with_count n =
     let b = Buffer.create (String.length s + 9) in
     Buffer.add_string b Pack.magic;
-    Serial.write_uint b n;
+    Pack.write_uint b n;
     Buffer.add_string b body;
     Buffer.contents b
   in
@@ -312,9 +311,9 @@ let test_frame_bounded () =
   let payload = "\x01\x01\x80" (* 1 event, Call, dangling varint *) in
   let b = Buffer.create 32 in
   Buffer.add_string b Pack.magic;
-  Serial.write_uint b 1;
-  Serial.write_uint b 0;
-  Serial.write_uint b (String.length payload);
+  Pack.write_uint b 1;
+  Pack.write_uint b 0;
+  Pack.write_uint b (String.length payload);
   Buffer.add_string b payload;
   Crc32.add_le b (Crc32.string payload);
   match feed_chunked (Buffer.contents b) [ 1 ] with
@@ -335,7 +334,7 @@ let test_zero_length () =
   Stream.feed dec "";
   Alcotest.(check bool) "empty feed is a no-op" true (Stream.next dec = Stream.Need_more);
   (match Pack.decode "" with
-  | exception Serial.Corrupt _ -> ()
+  | exception Pack.Corrupt _ -> ()
   | exception Tf_error.Error _ -> ()
   | _ -> Alcotest.fail "the trace loader accepted empty input");
   Alcotest.(check int) "Validate.all on zero traces" 0

@@ -59,7 +59,7 @@ let test_bad_magic () =
   List.iter
     (fun garbage ->
       match Pack.decode garbage with
-      | exception Serial.Corrupt _ -> ()
+      | exception Pack.Corrupt _ -> ()
       | _ -> Alcotest.failf "garbage %S decoded" garbage)
     [ ""; "TFPACK"; "TFPACK1\xff\xff"; "NOTATRACE"; tftrace1_bytes ]
 
@@ -328,7 +328,7 @@ let decode_checked what s =
     ignore (Validate.all traces)
   with
   | () -> ()
-  | exception Serial.Corrupt _ -> ()
+  | exception Pack.Corrupt _ -> ()
   | exception Tf_error.Error _ -> ()
   | exception e ->
       Alcotest.failf "%s: escaped with %s" what (Printexc.to_string e)
@@ -363,9 +363,9 @@ let test_bitflip_sweep () =
 (* A run of continuation bytes longer than any honest 63-bit encoding must
    be rejected, not shifted past the word size. *)
 let test_overlong_varint () =
-  let r = Serial.reader (String.make 12 '\x80') in
-  match Serial.read_uint r with
-  | exception Serial.Corrupt _ -> ()
+  let r = Pack.reader (String.make 12 '\x80') in
+  match Pack.read_uint r with
+  | exception Pack.Corrupt _ -> ()
   | n -> Alcotest.failf "overlong varint decoded to %d" n
 
 (* -- bounded readers ---------------------------------------------------- *)
@@ -375,47 +375,47 @@ let test_reader_bounds () =
     (fun (pos, lim) ->
       Alcotest.check_raises
         (Printf.sprintf "reader pos %d lim %d" pos lim)
-        (Invalid_argument "Serial.reader: bad bounds")
-        (fun () -> ignore (Serial.reader ~pos ~lim "abc")))
+        (Invalid_argument "Pack.reader: bad bounds")
+        (fun () -> ignore (Pack.reader ~pos ~lim "abc")))
     [ (-1, 3); (2, 1); (0, 4); (0, max_int); (max_int, max_int); (0, -1) ];
   Alcotest.check_raises "pos past the end"
-    (Invalid_argument "Serial.reader: bad bounds")
-    (fun () -> ignore (Serial.reader ~pos:4 "abc"));
-  let r = Serial.reader ~pos:3 "abc" in
-  Alcotest.(check int) "empty reader at the end" 3 r.Serial.lim;
-  Alcotest.check_raises "read at lim" (Serial.Corrupt "truncated") (fun () ->
-      ignore (Serial.read_uint r))
+    (Invalid_argument "Pack.reader: bad bounds")
+    (fun () -> ignore (Pack.reader ~pos:4 "abc"));
+  let r = Pack.reader ~pos:3 "abc" in
+  Alcotest.(check int) "empty reader at the end" 3 r.Pack.lim;
+  Alcotest.check_raises "read at lim" (Pack.Corrupt "truncated") (fun () ->
+      ignore (Pack.read_uint r))
 
 (* [read_uint] stops at [lim] even where [data] continues past it. *)
 let test_read_uint_at_lim () =
-  let read ?(pos = 0) ~lim data = Serial.read_uint (Serial.reader ~pos ~lim data) in
+  let read ?(pos = 0) ~lim data = Pack.read_uint (Pack.reader ~pos ~lim data) in
   let truncated name f =
-    Alcotest.check_raises name (Serial.Corrupt "truncated") (fun () ->
+    Alcotest.check_raises name (Pack.Corrupt "truncated") (fun () ->
         ignore (f ()))
   in
   Alcotest.(check int) "0x7f, one byte" 0x7f (read ~lim:1 "\x7f\x05");
-  let r = Serial.reader ~lim:1 "\x7f\x05" in
-  ignore (Serial.read_uint r);
-  Alcotest.(check int) "one byte consumed" 1 r.Serial.pos;
-  truncated "nothing left before lim" (fun () -> Serial.read_uint r);
+  let r = Pack.reader ~lim:1 "\x7f\x05" in
+  ignore (Pack.read_uint r);
+  Alcotest.(check int) "one byte consumed" 1 r.Pack.pos;
+  truncated "nothing left before lim" (fun () -> Pack.read_uint r);
   Alcotest.(check int) "0x80, two bytes" 0x80 (read ~lim:2 "\x80\x01\x05");
   truncated "0x80 cut at lim" (fun () -> read ~lim:1 "\x80\x01");
   truncated "cut at lim past pos" (fun () -> read ~pos:1 ~lim:3 "\x00\xff\xff\x01");
   let cont = String.make 12 '\x80' in
   truncated "nine continuation bytes" (fun () -> read ~lim:9 cont);
-  Alcotest.check_raises "ten continuation bytes" (Serial.Corrupt "overlong varint")
+  Alcotest.check_raises "ten continuation bytes" (Pack.Corrupt "overlong varint")
     (fun () -> ignore (read ~lim:10 cont));
   (* a count is checked against the bytes left before [lim] *)
-  let r = Serial.reader ~lim:3 "\x03\x00\x00\x00\x00" in
-  match Serial.read_count r ~min_bytes:1 "event" with
-  | exception Serial.Corrupt _ -> ()
+  let r = Pack.reader ~lim:3 "\x03\x00\x00\x00\x00" in
+  match Pack.read_count r ~min_bytes:1 "event" with
+  | exception Pack.Corrupt _ -> ()
   | n -> Alcotest.failf "count %d accepted with 2 bytes before lim" n
 
 (* A sealed TFPACK1 thread block. *)
 let pack_block ~tid payload =
   let b = Buffer.create 16 in
-  Serial.write_uint b tid;
-  Serial.write_uint b (String.length payload);
+  Pack.write_uint b tid;
+  Pack.write_uint b (String.length payload);
   Buffer.add_string b payload;
   Threadfuser_util.Crc32.add_le b (Threadfuser_util.Crc32.string payload);
   Buffer.contents b
@@ -434,7 +434,7 @@ let test_block_cannot_read_past_itself () =
       Alcotest.(check (list int)) "well-formed fixture" [ 1; 1 ]
         [ Thread_trace.length a; Thread_trace.length b ]
   | _ -> Alcotest.fail "well-formed fixture did not decode to 2 threads");
-  Alcotest.check_raises "dangling varint" (Serial.Corrupt "truncated")
+  Alcotest.check_raises "dangling varint" (Pack.Corrupt "truncated")
     (fun () -> ignore (Pack.decode (file "\x01\x01\x80")))
 
 (* A count larger than the remaining input must fail as [Corrupt] before
@@ -445,13 +445,13 @@ let test_huge_count () =
   let huge = 0x3FFF_FFFF_FFFF in
   let varint n =
     let b = Buffer.create 8 in
-    Serial.write_uint b n;
+    Pack.write_uint b n;
     Buffer.contents b
   in
   List.iter
     (fun (what, bytes) ->
       match Pack.decode bytes with
-      | exception Serial.Corrupt _ -> ()
+      | exception Pack.Corrupt _ -> ()
       | _ -> Alcotest.failf "huge %s accepted" what)
     [
       ("thread count", Pack.magic ^ varint huge);
@@ -469,7 +469,7 @@ let test_tftrace1_is_corrupt () =
       Out_channel.with_open_bin path (fun oc ->
           output_string oc tftrace1_bytes);
       match Pack.of_file path with
-      | exception Serial.Corrupt m ->
+      | exception Pack.Corrupt m ->
           Alcotest.(check string) "Pack.of_file" "bad pack magic" m
       | _ -> Alcotest.fail "Pack.of_file: TFTRACE1 file decoded");
   let prog = (W.trace_cpu ~threads:8 (Registry.find "vectoradd")).W.prog in
@@ -604,21 +604,21 @@ let prop_varint =
     QCheck.(oneof [ small_signed_int; int ])
     (fun n ->
       let buf = Buffer.create 10 in
-      Serial.write_uint buf n;
-      let r = Serial.reader (Buffer.contents buf) in
-      Serial.read_uint r = n)
+      Pack.write_uint buf n;
+      let r = Pack.reader (Buffer.contents buf) in
+      Pack.read_uint r = n)
 
 (* [read_uint] is on every decoder's hot path: it must not allocate. *)
 let test_read_uint_no_alloc () =
   let buf = Buffer.create 64 in
-  List.iter (Serial.write_uint buf) [ 0; 1; 127; 128; 300; 1 lsl 40; -1 ];
+  List.iter (Pack.write_uint buf) [ 0; 1; 127; 128; 300; 1 lsl 40; -1 ];
   let data = Buffer.contents buf in
-  let r = Serial.reader data in
+  let r = Pack.reader data in
   let sum = ref 0 in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
     if r.pos = String.length data then r.pos <- 0;
-    sum := !sum + Serial.read_uint r
+    sum := !sum + Pack.read_uint r
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check (float 0.)) "minor words over 10,000 reads" 0. words;
