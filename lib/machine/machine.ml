@@ -18,120 +18,11 @@ open Threadfuser_isa
 module Program = Threadfuser_prog.Program
 module Thread_trace = Threadfuser_trace.Thread_trace
 module Vec = Threadfuser_util.Vec
+module Log = Thread_trace.Log
 
 exception Machine_error of string
 
 let errf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
-
-(* The tracer's log of one thread.  Every event and every memory access
-   is recorded as it happens as one two-word record, in chunks that never
-   move; when the run ends, the log is replayed into a trace builder sized
-   exactly, so the flat columns are allocated once and the log is the only
-   garbage a trace leaves (about half the size of its columns).  Growing
-   the builder's own columns instead leaves up to a trace's worth of
-   slack and copies: in the end-to-end benchmark, replay-sweep's peak RSS
-   rose from about 122 MiB to 157 (doubling) or 169 (fixed-size chunks
-   joined at the end), and chunks made simulate's set-up 60% slower.
-
-   Record layout ([w0], [w1]): [w0]'s low 3 bits are the event's
-   {!Threadfuser_trace.Pack.tag_of_kind}, or [access_tag] for an access,
-   and [x] is [w0 lsr 3].
-   - Block: [x] = func | block << 30, [w1] = n_instr | n_acc << 32
-     (program ids and block sizes are far below these widths);
-   - Call, Lock_acq, Lock_rel, Barrier: [w1] = callee or address;
-     Return: nothing; Skip: [x] = reason code, [w1] = n_instr;
-   - access: [x] = store | size << 1 | ioff << 9, [w1] = address.
-   Accesses precede the Block that owns them. *)
-module Log = struct
-  module B = Thread_trace.Builder
-  module Pack = Threadfuser_trace.Pack
-
-  type t = {
-    mutable cur : int array; (* chunk being filled *)
-    mutable used : int;
-    mutable full : int array list; (* filled chunks, newest first *)
-    mutable events : int;
-    mutable accesses : int;
-    mutable block_accs : int; (* accesses of the executing block *)
-  }
-
-  let max_chunk = 8192
-
-  let access_tag = Array.length Pack.kinds
-
-  let create () =
-    {
-      cur = Array.make 64 0;
-      used = 0;
-      full = [];
-      events = 0;
-      accesses = 0;
-      block_accs = 0;
-    }
-
-  let add t tag x w1 =
-    if t.used = Array.length t.cur then begin
-      t.full <- t.cur :: t.full;
-      t.cur <- Array.make (min max_chunk (2 * t.used)) 0;
-      t.used <- 0
-    end;
-    Array.unsafe_set t.cur t.used (tag lor (x lsl 3));
-    Array.unsafe_set t.cur (t.used + 1) w1;
-    t.used <- t.used + 2
-
-  let event t kind x w1 =
-    t.events <- t.events + 1;
-    add t (Pack.tag_of_kind kind) x w1
-
-  let access t ~ioff ~addr ~size ~is_store =
-    t.accesses <- t.accesses + 1;
-    t.block_accs <- t.block_accs + 1;
-    add t access_tag
-      (Bool.to_int is_store lor (size lsl 1) lor (ioff lsl 9))
-      addr
-
-  let block t ~func ~block ~n_instr =
-    event t Thread_trace.Block
-      (func lor (block lsl 30))
-      (n_instr lor (t.block_accs lsl 32));
-    t.block_accs <- 0
-
-  let call t f = event t Thread_trace.Call 0 f
-  let return t = event t Thread_trace.Return 0 0
-  let lock_acq t a = event t Thread_trace.Lock_acq 0 a
-  let lock_rel t a = event t Thread_trace.Lock_rel 0 a
-  let barrier t a = event t Thread_trace.Barrier 0 a
-  let skip t code n = event t Thread_trace.Skip code n
-
-  let replay_chunk b a used =
-    let i = ref 0 in
-    while !i < used do
-      let w0 = a.(!i) and w1 = a.(!i + 1) in
-      let tag = w0 land 7 and x = w0 lsr 3 in
-      (if tag = access_tag then
-         B.access b ~ioff:(x lsr 9) ~addr:w1
-           ~size:((x lsr 1) land 0xff)
-           ~is_store:(x land 1 <> 0)
-       else
-         match Pack.kinds.(tag) with
-         | Thread_trace.Block ->
-             B.block b ~func:(x land 0x3fff_ffff) ~block:(x lsr 30)
-               ~n_instr:(w1 land 0xffff_ffff) ~n_acc:(w1 lsr 32)
-         | Thread_trace.Call -> B.call b w1
-         | Thread_trace.Return -> B.return b
-         | Thread_trace.Lock_acq -> B.lock_acq b w1
-         | Thread_trace.Lock_rel -> B.lock_rel b w1
-         | Thread_trace.Skip -> B.skip b x w1
-         | Thread_trace.Barrier -> B.barrier b w1);
-      i := !i + 2
-    done
-
-  let finish t ~tid =
-    let b = B.create ~events:t.events ~accesses:t.accesses tid in
-    List.iter (fun a -> replay_chunk b a (Array.length a)) (List.rev t.full);
-    replay_chunk b t.cur t.used;
-    B.finish b
-end
 
 type config = {
   trace : bool; (* record events (disable for timing-only runs) *)
@@ -161,6 +52,20 @@ type thread_state = Ready | Blocked | Finished
    next scheduled. *)
 type wake = Wake_lock of int | Wake_barrier of int
 
+(* How the block that just ran hands control on.  Its terminator sets
+   the thread's [exit] and [exit_arg] (a constant constructor and an int,
+   so nothing is allocated); a block without one falls through. *)
+type exit_kind =
+  | Fall_through
+  | Jump (* [exit_arg]: target block *)
+  | Enter (* [exit_arg]: callee *)
+  | Leave
+  | Acquire (* [exit_arg]: lock address *)
+  | Release
+  | Io_work (* [exit_arg]: skipped instructions *)
+  | Arrive (* [exit_arg]: barrier address *)
+  | Stop
+
 type thread = {
   tid : int;
   regs : int array;
@@ -168,7 +73,7 @@ type thread = {
   mutable fb : int;
   mutable fid : int; (* current function *)
   mutable bid : int; (* current block *)
-  callstack : (int * int) Vec.t;
+  callstack : int Vec.t; (* return points: caller fid, then block id *)
   mutable state : thread_state;
   log : Log.t;
   traced : bool; (* [config.trace] *)
@@ -176,7 +81,13 @@ type thread = {
   mutable blocked_since : int; (* scheduler slot when blocking started *)
   mutable suppress_depth : int; (* >0 while inside an excluded function *)
   mutable suppressed_instrs : int; (* instructions hidden so far *)
+  mutable exit : exit_kind;
+  mutable exit_arg : int;
 }
+
+(* One compiled instruction: it reads and writes the thread's state
+   directly. *)
+type code = thread -> unit
 
 type lock = { mutable owner : int; waiters : int Queue.t }
 
@@ -185,6 +96,7 @@ type barrier = { mutable arrived : int list }
 type t = {
   prog : Program.t;
   mem : Memory.t;
+  code : code array array array; (* per function, per block, per instruction *)
   config : config;
   locks : (int, lock) Hashtbl.t;
   barriers : (int, barrier) Hashtbl.t;
@@ -199,14 +111,300 @@ type result = {
   instrs_executed : int;
 }
 
+(* ---------------------------------------------------------------- *)
+(* Compiler: every block once, into closures                         *)
+
+(* [Machine.create] compiles each instruction into a closure specialised
+   on its operand kinds, width and ALU op, so running a block matches on
+   no instruction, operand or width.  Effects keep the ISA's order:
+   sources are read (and their accesses recorded) before destinations,
+   and an instruction that must fail (a store to an immediate, a cmov to
+   memory, a negative address) fails only when it executes. *)
+
+(* Does [th] record events now?  Not inside an excluded function. *)
+let[@inline] tracing th = th.traced && th.suppress_depth = 0
+
+(* A memory access of the executing block; the block claims it when it
+   finishes. *)
+let[@inline] record th ioff addr size is_store =
+  if tracing th then Log.access th.log ~ioff ~addr ~size ~is_store
+
+(* A width as the mask that truncates to it. *)
+let mask : Width.t -> int = function
+  | Width.W8 -> -1
+  | Width.W4 -> 0xffffffff
+  | Width.W2 -> 0xffff
+  | Width.W1 -> 0xff
+
+(* A memory operand as (base, index, scale, disp); an absent register
+   is -1. *)
+let split (m : Operand.mem) =
+  let b = match m.base with Some r -> r | None -> -1 in
+  match m.index with
+  | Some (x, s) -> (b, x, s, m.disp)
+  | None -> (b, -1, 0, m.disp)
+
+let[@inline] ea regs b x s d =
+  (if b >= 0 then regs.(b) else 0) + (if x >= 0 then regs.(x) * s else 0) + d
+
+(* The general forms, for operand shapes no hot path takes: a source's
+   value at width [w] and a destination's store. *)
+let src_fn mem ioff w (op : Operand.t) : thread -> int =
+  match op with
+  | Operand.Reg r ->
+      let k = mask w in
+      fun th -> th.regs.(r) land k
+  | Operand.Imm n ->
+      let v = n land mask w in
+      fun _ -> v
+  | Operand.Mem m ->
+      let b, x, s, d = split m and size = Width.bytes w in
+      fun th ->
+        let a = ea th.regs b x s d in
+        record th ioff a size false;
+        Memory.load mem ~width:w a
+
+let dst_fn mem ioff w (op : Operand.t) : thread -> int -> unit =
+  match op with
+  | Operand.Reg r ->
+      let k = mask w in
+      fun th v -> th.regs.(r) <- v land k
+  | Operand.Mem m ->
+      let b, x, s, d = split m and size = Width.bytes w in
+      fun th v ->
+        let a = ea th.regs b x s d in
+        record th ioff a size true;
+        Memory.store mem ~width:w a v
+  | Operand.Imm _ ->
+      fun th _ -> errf "thread %d: store to immediate operand" th.tid
+
+(* The value a lock primitive names: memory operands denote their address
+   (like [lea]); registers and immediates denote their value. *)
+let target_fn (op : Operand.t) : thread -> int =
+  match op with
+  | Operand.Mem m ->
+      let b, x, s, d = split m in
+      fun th -> ea th.regs b x s d
+  | Operand.Reg r -> fun th -> th.regs.(r)
+  | Operand.Imm n -> fun _ -> n
+
+(* [dst <- dst op src] on registers, one closure per op. *)
+let binop_rr (op : Op.binop) k r q : code =
+  match op with
+  | Op.Add | Op.Fadd ->
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) + (g.(q) land k)) land k
+  | Op.Sub | Op.Fsub ->
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) - (g.(q) land k)) land k
+  | Op.Mul | Op.Fmul ->
+      fun th -> let g = th.regs in g.(r) <- (g.(r) land k) * (g.(q) land k) land k
+  | Op.And -> fun th -> let g = th.regs in g.(r) <- g.(r) land g.(q) land k
+  | Op.Or -> fun th -> let g = th.regs in g.(r) <- (g.(r) lor g.(q)) land k
+  | Op.Xor -> fun th -> let g = th.regs in g.(r) <- (g.(r) lxor g.(q)) land k
+  | Op.Shl ->
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) lsl (g.(q) land k land 63)) land k
+  | Op.Shr ->
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) lsr (g.(q) land k land 63)) land k
+  | Op.Sar ->
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) asr (g.(q) land k land 63)) land k
+  | Op.Div | Op.Fdiv | Op.Rem | Op.Min | Op.Max ->
+      fun th ->
+        let g = th.regs in
+        g.(r) <- Op.eval_binop op (g.(r) land k) (g.(q) land k) land k
+
+(* [dst <- dst op n] with [n] already truncated. *)
+let binop_ri (op : Op.binop) k r n : code =
+  match op with
+  | Op.Add | Op.Fadd -> fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) + n) land k
+  | Op.Sub | Op.Fsub -> fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) - n) land k
+  | Op.Mul | Op.Fmul -> fun th -> let g = th.regs in g.(r) <- (g.(r) land k) * n land k
+  | Op.And -> fun th -> let g = th.regs in g.(r) <- g.(r) land n
+  | Op.Or -> fun th -> let g = th.regs in g.(r) <- (g.(r) lor n) land k
+  | Op.Xor -> fun th -> let g = th.regs in g.(r) <- (g.(r) lxor n) land k
+  | Op.Shl ->
+      let n = n land 63 in
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) lsl n) land k
+  | Op.Shr ->
+      let n = n land 63 in
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) lsr n) land k
+  | Op.Sar ->
+      let n = n land 63 in
+      fun th -> let g = th.regs in g.(r) <- ((g.(r) land k) asr n) land k
+  | Op.Div | Op.Fdiv | Op.Rem | Op.Min | Op.Max ->
+      fun th -> let g = th.regs in g.(r) <- Op.eval_binop op (g.(r) land k) n land k
+
+let jcc (c : Cond.t) target : code =
+  let jump th =
+    th.exit <- Jump;
+    th.exit_arg <- target
+  in
+  match c with
+  | Cond.Eq -> fun th -> if th.fa = th.fb then jump th
+  | Cond.Ne -> fun th -> if th.fa <> th.fb then jump th
+  | Cond.Lt -> fun th -> if th.fa < th.fb then jump th
+  | Cond.Le -> fun th -> if th.fa <= th.fb then jump th
+  | Cond.Gt -> fun th -> if th.fa > th.fb then jump th
+  | Cond.Ge -> fun th -> if th.fa >= th.fb then jump th
+
+let exit_with kind arg_fn : code =
+ fun th ->
+  th.exit <- kind;
+  th.exit_arg <- arg_fn th
+
+let compile_instr mem ioff (instr : (int, int) Instr.t) : code =
+  match instr with
+  | Instr.Mov (w, dst, src) -> (
+      let k = mask w and size = Width.bytes w in
+      match (dst, src) with
+      | Operand.Reg r, Operand.Reg q -> fun th -> let g = th.regs in g.(r) <- g.(q) land k
+      | Operand.Reg r, Operand.Imm n ->
+          let v = n land k in
+          fun th -> th.regs.(r) <- v
+      | Operand.Reg r, Operand.Mem m ->
+          let b, x, s, d = split m in
+          fun th ->
+            let g = th.regs in
+            let a = ea g b x s d in
+            record th ioff a size false;
+            g.(r) <- Memory.load mem ~width:w a
+      | Operand.Mem m, Operand.Reg q ->
+          let b, x, s, d = split m in
+          fun th ->
+            let g = th.regs in
+            let v = g.(q) land k in
+            let a = ea g b x s d in
+            record th ioff a size true;
+            Memory.store mem ~width:w a v
+      | Operand.Mem m, Operand.Imm n ->
+          let b, x, s, d = split m and v = n land k in
+          fun th ->
+            let a = ea th.regs b x s d in
+            record th ioff a size true;
+            Memory.store mem ~width:w a v
+      | _ ->
+          let src = src_fn mem ioff w src and dst = dst_fn mem ioff w dst in
+          fun th ->
+            let v = src th in
+            dst th v)
+  | Instr.Cmov (c, Operand.Reg r, Operand.Reg q) ->
+      fun th ->
+        let g = th.regs in
+        let v = g.(q) in
+        if Cond.eval c th.fa th.fb then g.(r) <- v
+  | Instr.Cmov (c, Operand.Reg r, src) ->
+      let src = src_fn mem ioff Width.W8 src in
+      fun th ->
+        let v = src th in
+        if Cond.eval c th.fa th.fb then th.regs.(r) <- v
+  | Instr.Cmov (_, (Operand.Imm _ | Operand.Mem _), src) ->
+      let src = src_fn mem ioff Width.W8 src in
+      fun th ->
+        ignore (src th : int);
+        errf "thread %d: cmov destination must be a register" th.tid
+  | Instr.Lea (r, m) ->
+      let b, x, s, d = split m in
+      fun th -> let g = th.regs in g.(r) <- ea g b x s d
+  | Instr.Binop (op, w, dst, src) -> (
+      let k = mask w and size = Width.bytes w in
+      match (dst, src) with
+      | Operand.Reg r, Operand.Reg q -> binop_rr op k r q
+      | Operand.Reg r, Operand.Imm n -> binop_ri op k r (n land k)
+      | Operand.Reg r, Operand.Mem m ->
+          let b, x, s, d = split m in
+          fun th ->
+            let g = th.regs in
+            let a = ea g b x s d in
+            record th ioff a size false;
+            let v = Memory.load mem ~width:w a in
+            g.(r) <- Op.eval_binop op (g.(r) land k) v land k
+      | Operand.Mem m, (Operand.Reg _ | Operand.Imm _) ->
+          let src = src_fn mem ioff w src and b, x, s, d = split m in
+          fun th ->
+            let v = src th in
+            let a = ea th.regs b x s d in
+            record th ioff a size false;
+            let old = Memory.load mem ~width:w a in
+            record th ioff a size true;
+            Memory.store mem ~width:w a (Op.eval_binop op old v land k)
+      | _ ->
+          let src = src_fn mem ioff w src
+          and cur = src_fn mem ioff w dst
+          and dst = dst_fn mem ioff w dst in
+          fun th ->
+            let v = src th in
+            let old = cur th in
+            dst th (Op.eval_binop op old v land k))
+  | Instr.Unop (op, w, dst) -> (
+      let k = mask w in
+      match (op, dst) with
+      | Op.Neg, Operand.Reg r -> fun th -> let g = th.regs in g.(r) <- (- (g.(r) land k)) land k
+      | Op.Not, Operand.Reg r -> fun th -> let g = th.regs in g.(r) <- lnot g.(r) land k
+      | _ ->
+          let cur = src_fn mem ioff w dst and dst = dst_fn mem ioff w dst in
+          fun th ->
+            let v = Op.eval_unop op (cur th) land k in
+            dst th v)
+  | Instr.Cmp (w, x, y) -> (
+      let k = mask w in
+      match (x, y) with
+      | Operand.Reg p, Operand.Reg q ->
+          fun th ->
+            let g = th.regs in
+            th.fa <- g.(p) land k;
+            th.fb <- g.(q) land k
+      | Operand.Reg p, Operand.Imm n ->
+          let n = n land k in
+          fun th ->
+            th.fa <- th.regs.(p) land k;
+            th.fb <- n
+      | _ ->
+          let fx = src_fn mem ioff w x and fy = src_fn mem ioff w y in
+          fun th ->
+            th.fa <- fx th;
+            th.fb <- fy th)
+  | Instr.Jcc (c, target) -> jcc c target
+  | Instr.Jmp target ->
+      fun th ->
+        th.exit <- Jump;
+        th.exit_arg <- target
+  | Instr.Call f ->
+      fun th ->
+        th.exit <- Enter;
+        th.exit_arg <- f
+  | Instr.Ret -> fun th -> th.exit <- Leave
+  | Instr.Halt -> fun th -> th.exit <- Stop
+  | Instr.Lock_acquire op -> exit_with Acquire (target_fn op)
+  | Instr.Lock_release op -> exit_with Release (target_fn op)
+  | Instr.Barrier op -> exit_with Arrive (target_fn op)
+  | Instr.Io (_, cost) -> exit_with Io_work (src_fn mem ioff Width.W8 cost)
+  | Instr.Atomic_rmw (op, w, m, src) ->
+      let k = mask w and size = Width.bytes w in
+      let src = src_fn mem ioff w src and b, x, s, d = split m in
+      fun th ->
+        let v = src th in
+        let a = ea th.regs b x s d in
+        record th ioff a size false;
+        let old = Memory.load mem ~width:w a in
+        record th ioff a size true;
+        Memory.store mem ~width:w a (Op.eval_binop op old v land k)
+
+let compile mem (prog : Program.t) =
+  Array.map
+    (fun (f : Program.func) ->
+      Array.map
+        (fun (b : Program.block) -> Array.mapi (compile_instr mem) b.Program.instrs)
+        f.Program.blocks)
+    prog.Program.funcs
+
 let create ?(config = default_config) prog =
   let untraced = Array.make (Program.func_count prog) false in
   List.iter
     (fun name -> untraced.(Program.find_func prog name) <- true)
     config.untraced_functions;
+  let mem = Memory.create () in
   {
     prog;
-    mem = Memory.create ();
+    mem;
+    code = compile mem prog;
     config;
     locks = Hashtbl.create 64;
     barriers = Hashtbl.create 8;
@@ -218,113 +416,6 @@ let create ?(config = default_config) prog =
 let memory t = t.mem
 
 let instrs_executed t = t.instr_count
-
-(* ---------------------------------------------------------------- *)
-(* Interpreter                                                       *)
-
-let trunc width v =
-  match width with
-  | Width.W8 -> v
-  | Width.W4 -> v land 0xffffffff
-  | Width.W2 -> v land 0xffff
-  | Width.W1 -> v land 0xff
-
-let mem_addr th (m : Operand.mem) =
-  let base = match m.base with Some r -> th.regs.(r) | None -> 0 in
-  let index = match m.index with Some (r, s) -> th.regs.(r) * s | None -> 0 in
-  base + index + m.disp
-
-(* Does [th] record events now?  Not inside an excluded function. *)
-let tracing th = th.traced && th.suppress_depth = 0
-
-(* A memory access of the executing block; the block claims it when it
-   finishes. *)
-let record th ioff addr size is_store =
-  if tracing th then Log.access th.log ~ioff ~addr ~size ~is_store
-
-let eval_src m th ioff width (op : Operand.t) =
-  match op with
-  | Operand.Reg r -> trunc width th.regs.(r)
-  | Operand.Imm n -> trunc width n
-  | Operand.Mem mm ->
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes width) false;
-      Memory.load m.mem ~width addr
-
-let store_dst m th ioff width (op : Operand.t) v =
-  match op with
-  | Operand.Reg r -> th.regs.(r) <- trunc width v
-  | Operand.Mem mm ->
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes width) true;
-      Memory.store m.mem ~width addr v
-  | Operand.Imm _ -> errf "thread %d: store to immediate operand" th.tid
-
-(* The value a lock primitive names: memory operands denote their address
-   (like [lea]); registers and immediates denote their value. *)
-let lock_target th (op : Operand.t) =
-  match op with
-  | Operand.Mem mm -> mem_addr th mm
-  | Operand.Reg r -> th.regs.(r)
-  | Operand.Imm n -> n
-
-type outcome =
-  | Next
-  | Goto of int
-  | Do_call of int
-  | Do_ret
-  | Do_lock of int
-  | Do_unlock of int
-  | Do_io of int
-  | Do_barrier of int
-  | Do_halt
-
-let exec_instr m th ioff (instr : (int, int) Instr.t) : outcome =
-  match instr with
-  | Instr.Mov (w, dst, src) ->
-      let v = eval_src m th ioff w src in
-      store_dst m th ioff w dst v;
-      Next
-  | Instr.Cmov (c, dst, src) ->
-      let v = eval_src m th ioff Width.W8 src in
-      (match dst with
-      | Operand.Reg r -> if Cond.eval c th.fa th.fb then th.regs.(r) <- v
-      | Operand.Imm _ | Operand.Mem _ ->
-          errf "thread %d: cmov destination must be a register" th.tid);
-      Next
-  | Instr.Lea (r, mm) ->
-      th.regs.(r) <- mem_addr th mm;
-      Next
-  | Instr.Binop (op, w, dst, src) ->
-      let b = eval_src m th ioff w src in
-      let a = eval_src m th ioff w dst in
-      store_dst m th ioff w dst (trunc w (Op.eval_binop op a b));
-      Next
-  | Instr.Unop (op, w, dst) ->
-      let a = eval_src m th ioff w dst in
-      store_dst m th ioff w dst (trunc w (Op.eval_unop op a));
-      Next
-  | Instr.Cmp (w, x, y) ->
-      th.fa <- eval_src m th ioff w x;
-      th.fb <- eval_src m th ioff w y;
-      Next
-  | Instr.Jcc (c, target) -> if Cond.eval c th.fa th.fb then Goto target else Next
-  | Instr.Jmp target -> Goto target
-  | Instr.Call f -> Do_call f
-  | Instr.Ret -> Do_ret
-  | Instr.Lock_acquire op -> Do_lock (lock_target th op)
-  | Instr.Lock_release op -> Do_unlock (lock_target th op)
-  | Instr.Atomic_rmw (op, w, mm, src) ->
-      let b = eval_src m th ioff w src in
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes w) false;
-      let a = Memory.load m.mem ~width:w addr in
-      record th ioff addr (Width.bytes w) true;
-      Memory.store m.mem ~width:w addr (trunc w (Op.eval_binop op a b));
-      Next
-  | Instr.Io (_, cost) -> Do_io (eval_src m th ioff Width.W8 cost)
-  | Instr.Barrier op -> Do_barrier (lock_target th op)
-  | Instr.Halt -> Do_halt
 
 
 let find_barrier m addr =
@@ -370,35 +461,37 @@ let find_lock m addr =
    terminator's control effect.  Returns unit; thread state tells the
    scheduler what happened. *)
 let run_block m threads th =
-  let f = m.prog.Program.funcs.(th.fid) in
-  let blocks = f.Program.blocks in
+  let blocks = m.code.(th.fid) in
   if th.bid >= Array.length blocks then
-    errf "thread %d: fell off the end of %s" th.tid f.Program.name;
-  let b = blocks.(th.bid) in
-  let n = Array.length b.Program.instrs in
+    errf "thread %d: fell off the end of %s" th.tid
+      (Program.func_name m.prog th.fid);
+  let code = blocks.(th.bid) in
+  let n = Array.length code in
   m.instr_count <- m.instr_count + n;
   if m.instr_count > m.config.max_instrs then
     errf "instruction budget exceeded (%d): runaway program?"
       m.config.max_instrs;
   if th.suppress_depth > 0 then th.suppressed_instrs <- th.suppressed_instrs + n;
-  let outcome = ref Next in
-  for ioff = 0 to n - 1 do
-    outcome := exec_instr m th ioff b.Program.instrs.(ioff)
+  th.exit <- Fall_through;
+  for i = 0 to n - 1 do
+    (Array.unsafe_get code i) th
   done;
   if tracing th then Log.block th.log ~func:th.fid ~block:th.bid ~n_instr:n;
-  match !outcome with
-  | Next -> th.bid <- th.bid + 1
-  | Goto target -> th.bid <- target
-  | Do_call callee ->
-      if Vec.length th.callstack >= m.config.max_call_depth then
+  match th.exit with
+  | Fall_through -> th.bid <- th.bid + 1
+  | Jump -> th.bid <- th.exit_arg
+  | Enter ->
+      let callee = th.exit_arg in
+      if Vec.length th.callstack >= 2 * m.config.max_call_depth then
         errf "thread %d: call depth exceeded" th.tid;
       if th.suppress_depth > 0 then th.suppress_depth <- th.suppress_depth + 1
       else if m.untraced.(callee) then th.suppress_depth <- 1
       else if tracing th then Log.call th.log callee;
-      Vec.push th.callstack (th.fid, th.bid + 1);
+      Vec.push th.callstack th.fid;
+      Vec.push th.callstack (th.bid + 1);
       th.fid <- callee;
       th.bid <- 0
-  | Do_ret ->
+  | Leave ->
       if th.suppress_depth > 0 then begin
         th.suppress_depth <- th.suppress_depth - 1;
         if th.suppress_depth = 0 && th.suppressed_instrs > 0 then begin
@@ -411,15 +504,16 @@ let run_block m threads th =
       else if tracing th then Log.return th.log;
       if Vec.is_empty th.callstack then th.state <- Finished
       else begin
-        let fid, bid = Vec.pop th.callstack in
-        th.fid <- fid;
-        th.bid <- bid
+        th.bid <- Vec.pop th.callstack;
+        th.fid <- Vec.pop th.callstack
       end
-  | Do_halt -> th.state <- Finished
-  | Do_io cost ->
+  | Stop -> th.state <- Finished
+  | Io_work ->
+      let cost = th.exit_arg in
       if cost > 0 && tracing th then Log.skip th.log Thread_trace.skip_io cost;
       th.bid <- th.bid + 1
-  | Do_barrier addr ->
+  | Arrive ->
+      let addr = th.exit_arg in
       let b = find_barrier m addr in
       th.bid <- th.bid + 1;
       b.arrived <- th.tid :: b.arrived;
@@ -432,7 +526,8 @@ let run_block m threads th =
         th.state <- Blocked;
         th.blocked_since <- m.slot
       end
-  | Do_lock addr ->
+  | Acquire ->
+      let addr = th.exit_arg in
       let l = find_lock m addr in
       th.bid <- th.bid + 1;
       if l.owner = -1 then begin
@@ -446,7 +541,8 @@ let run_block m threads th =
         th.state <- Blocked;
         th.blocked_since <- m.slot
       end
-  | Do_unlock addr ->
+  | Release ->
+      let addr = th.exit_arg in
       let l = find_lock m addr in
       if l.owner <> th.tid then
         errf "thread %d: released lock 0x%x it does not hold" th.tid addr;
@@ -479,7 +575,7 @@ let make_thread m ~trace ~tid ~fid ~args =
     fb = 0;
     fid;
     bid = 0;
-    callstack = Vec.create (0, 0);
+    callstack = Vec.create 0;
     state = Ready;
     log = Log.create ();
     traced = trace;
@@ -487,6 +583,8 @@ let make_thread m ~trace ~tid ~fid ~args =
     blocked_since = 0;
     suppress_depth = 0;
     suppressed_instrs = 0;
+    exit = Fall_through;
+    exit_arg = 0;
   }
 
 let run_threads m threads =

@@ -5,35 +5,52 @@
     actually touch.  All multi-byte accesses are little-endian.  Reads of
     untouched memory return zero. *)
 
+(* Page lookups go through a small direct-mapped cache in front of the
+   table.  Its slot is a multiplicative hash of the page id, not the id's
+   low bits: per-thread stacks sit 64 KiB (16 pages) apart, so a low-bits
+   index maps the same stack offset of threads 16 apart to one slot, and
+   the round-robin scheduler makes them evict one another. *)
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
-  mutable last_id : int; (* one-entry lookup cache *)
-  mutable last_page : Bytes.t;
+  ids : int array; (* cached page id per slot; -1 while empty *)
+  cached : Bytes.t array;
 }
 
 let page_bits = 12
 
 let page_size = 1 lsl page_bits
 
+let cache_bits = 8
+
 let create () =
   let zero = Bytes.make page_size '\000' in
-  { pages = Hashtbl.create 1024; last_id = -1; last_page = zero }
+  {
+    pages = Hashtbl.create 1024;
+    ids = Array.make (1 lsl cache_bits) (-1);
+    cached = Array.make (1 lsl cache_bits) zero;
+  }
 
-let page t id =
-  if id = t.last_id then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages id with
-      | Some p -> p
-      | None ->
-          let p = Bytes.make page_size '\000' in
-          Hashtbl.add t.pages id p;
-          p
-    in
-    t.last_id <- id;
-    t.last_page <- p;
-    p
-  end
+(* The top [cache_bits] bits of the id times an odd 63-bit constant
+   (Fibonacci hashing): in range for every id, negatives included. *)
+let[@inline] slot id = (id * 0x1E3779B97F4A7C15) lsr (Sys.int_size - cache_bits)
+
+let page_miss t s id =
+  let p =
+    match Hashtbl.find t.pages id with
+    | p -> p
+    | exception Not_found ->
+        let p = Bytes.make page_size '\000' in
+        Hashtbl.add t.pages id p;
+        p
+  in
+  Array.unsafe_set t.ids s id;
+  Array.unsafe_set t.cached s p;
+  p
+
+let[@inline] page t id =
+  let s = slot id in
+  if Array.unsafe_get t.ids s = id then Array.unsafe_get t.cached s
+  else page_miss t s id
 
 let check_addr addr =
   if addr < 0 then invalid_arg "Memory: negative address"
@@ -60,16 +77,24 @@ let store_bytes_slow t addr n v =
     store_byte t (addr + k) ((v lsr (8 * k)) land 0xff)
   done
 
+(* The width's byte count, matched here: a call into [Width] is never
+   inlined under [-opaque]. *)
+let[@inline] width_bytes : Threadfuser_isa.Width.t -> int = function
+  | Threadfuser_isa.Width.W1 -> 1
+  | Threadfuser_isa.Width.W2 -> 2
+  | Threadfuser_isa.Width.W4 -> 4
+  | Threadfuser_isa.Width.W8 -> 8
+
 (** [load t ~width addr]: W1/W2/W4 zero-extend, W8 is the full word. *)
 let load t ~width addr =
   check_addr addr;
   let off = addr land (page_size - 1) in
-  let n = Threadfuser_isa.Width.bytes width in
+  let n = width_bytes width in
   if off + n > page_size then load_bytes_slow t addr n
   else
     let p = page t (addr lsr page_bits) in
     match width with
-    | Threadfuser_isa.Width.W1 -> Char.code (Bytes.get p off)
+    | Threadfuser_isa.Width.W1 -> Char.code (Bytes.unsafe_get p off)
     | Threadfuser_isa.Width.W2 -> Bytes.get_uint16_le p off
     | Threadfuser_isa.Width.W4 ->
         Int32.to_int (Bytes.get_int32_le p off) land 0xffffffff
@@ -78,12 +103,12 @@ let load t ~width addr =
 let store t ~width addr v =
   check_addr addr;
   let off = addr land (page_size - 1) in
-  let n = Threadfuser_isa.Width.bytes width in
+  let n = width_bytes width in
   if off + n > page_size then store_bytes_slow t addr n v
   else
     let p = page t (addr lsr page_bits) in
     match width with
-    | Threadfuser_isa.Width.W1 -> Bytes.set_uint8 p off (v land 0xff)
+    | Threadfuser_isa.Width.W1 -> Bytes.unsafe_set p off (Char.unsafe_chr (v land 0xff))
     | Threadfuser_isa.Width.W2 -> Bytes.set_uint16_le p off (v land 0xffff)
     | Threadfuser_isa.Width.W4 -> Bytes.set_int32_le p off (Int32.of_int v)
     | Threadfuser_isa.Width.W8 -> Bytes.set_int64_le p off (Int64.of_int v)

@@ -121,7 +121,7 @@ let read_count r ~min_bytes what =
 let kinds =
   Thread_trace.[| Block; Call; Return; Lock_acq; Lock_rel; Skip; Barrier |]
 
-let tag_of_kind : Thread_trace.kind -> int = function
+let[@inline] tag_of_kind : Thread_trace.kind -> int = function
   | Thread_trace.Block -> 0
   | Thread_trace.Call -> 1
   | Thread_trace.Return -> 2
@@ -159,63 +159,134 @@ let predictor () = { p_func = 0; p_block = 0; p_call = 0; p_sync = 0; p_addr = 0
 
 (* -- encoding ----------------------------------------------------------- *)
 
-let encode_payload (t : Thread_trace.t) =
-  let buf = Buffer.create 512 in
+(* The encoder writes varints straight into a growable [Bytes.t]: a
+   [room] check covers one whole event (or access) and the writes after
+   it index the bytes unchecked.  Each event's args and each access are
+   at most four varints of at most 9 bytes. *)
+type sink = { mutable buf : Bytes.t; mutable len : int }
+
+let sink n = { buf = Bytes.create n; len = 0 }
+
+let max_item = 4 * 9
+
+let grow s need =
+  let cap = ref (2 * Bytes.length s.buf) in
+  while !cap < s.len + need do
+    cap := 2 * !cap
+  done;
+  let b = Bytes.create !cap in
+  Bytes.blit s.buf 0 b 0 s.len;
+  s.buf <- b
+
+let[@inline] room s need = if s.len + need > Bytes.length s.buf then grow s need
+
+let put_long s n =
+  let n = ref n and pos = ref s.len in
+  while !n lsr 7 <> 0 do
+    Bytes.unsafe_set s.buf !pos (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7;
+    incr pos
+  done;
+  Bytes.unsafe_set s.buf !pos (Char.unsafe_chr !n);
+  s.len <- !pos + 1
+
+(* [write_uint]'s bytes, into room already made; most values take the
+   one-byte path. *)
+let[@inline] put s n =
+  if n land lnot 0x7f = 0 then begin
+    Bytes.unsafe_set s.buf s.len (Char.unsafe_chr n);
+    s.len <- s.len + 1
+  end
+  else put_long s n
+
+(* Stage [t]'s payload in [p], from its start. *)
+let payload p (t : Thread_trace.t) =
+  p.len <- 0;
   let n = Thread_trace.length t in
-  write_uint buf n;
-  Array.iter
-    (fun k -> Buffer.add_char buf (Char.chr (tag_of_kind k)))
-    t.events;
-  let p = predictor () in
+  room p (9 + n);
+  put p n;
+  let events = t.events and ev = t.ev and n_instr = t.n_instr in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set p.buf (p.len + i)
+      (Char.unsafe_chr (tag_of_kind (Array.unsafe_get events i)))
+  done;
+  p.len <- p.len + n;
+  let pr = predictor () in
   (* args column *)
   for i = 0 to n - 1 do
+    room p max_item;
     let e = 3 * i in
-    let arg = t.ev.(e) in
-    match t.events.(i) with
+    let arg = ev.(e) in
+    match Array.unsafe_get events i with
     | Thread_trace.Block ->
-        let block = t.ev.(e + 1) in
-        write_uint buf (zigzag (arg - p.p_func));
-        write_uint buf (zigzag (block - p.p_block));
-        write_uint buf t.n_instr.(i);
-        write_uint buf (t.ev.(e + 5) - t.ev.(e + 2));
-        p.p_func <- arg;
-        p.p_block <- block
+        let block = ev.(e + 1) in
+        put p (zigzag (arg - pr.p_func));
+        put p (zigzag (block - pr.p_block));
+        put p n_instr.(i);
+        put p (ev.(e + 5) - ev.(e + 2));
+        pr.p_func <- arg;
+        pr.p_block <- block
     | Thread_trace.Call ->
-        write_uint buf (zigzag (arg - p.p_call));
-        p.p_call <- arg
+        put p (zigzag (arg - pr.p_call));
+        pr.p_call <- arg
     | Thread_trace.Return -> ()
     | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier ->
-        write_uint buf (zigzag (arg - p.p_sync));
-        p.p_sync <- arg
+        put p (zigzag (arg - pr.p_sync));
+        pr.p_sync <- arg
     | Thread_trace.Skip ->
-        write_uint buf arg;
-        write_uint buf t.n_instr.(i)
+        put p arg;
+        put p n_instr.(i)
   done;
   (* access column: every access belongs to a Block, in block order *)
-  for j = 0 to Thread_trace.n_accesses t - 1 do
+  let acc = t.acc and store = t.store in
+  for j = 0 to (Array.length acc / 3) - 1 do
+    room p max_item;
     let w = 3 * j in
-    let addr = t.acc.(w + 1) in
-    write_uint buf t.acc.(w);
-    write_uint buf (zigzag (addr - p.p_addr));
-    write_uint buf t.acc.(w + 2);
-    write_uint buf (if Thread_trace.is_store t j then 1 else 0);
-    p.p_addr <- addr
-  done;
-  Buffer.contents buf
+    let addr = acc.(w + 1) in
+    put p acc.(w);
+    put p (zigzag (addr - pr.p_addr));
+    put p acc.(w + 2);
+    put p ((Char.code (Bytes.unsafe_get store (j lsr 3)) lsr (j land 7)) land 1);
+    pr.p_addr <- addr
+  done
+
+let[@inline] crc p = Crc32.update 0 (Bytes.unsafe_to_string p.buf) 0 p.len
+
+let put_crc s c =
+  room s 4;
+  Bytes.set_int32_le s.buf s.len (Int32.of_int c);
+  s.len <- s.len + 4
+
+(* One block onto [out], its payload staged in the scratch [p]. *)
+let put_block out p (t : Thread_trace.t) =
+  payload p t;
+  room out (18 + p.len);
+  put out t.Thread_trace.tid;
+  put out p.len;
+  Bytes.blit p.buf 0 out.buf out.len p.len;
+  out.len <- out.len + p.len;
+  put_crc out (crc p)
 
 let add_block buf (t : Thread_trace.t) =
-  let payload = encode_payload t in
+  let p = sink 512 in
+  payload p t;
   write_uint buf t.Thread_trace.tid;
-  write_uint buf (String.length payload);
-  Buffer.add_string buf payload;
-  Crc32.add_le buf (Crc32.string payload)
+  write_uint buf p.len;
+  Buffer.add_subbytes buf p.buf 0 p.len;
+  Crc32.add_le buf (crc p)
 
-let encode (traces : Thread_trace.t array) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  write_uint buf (Array.length traces);
-  Array.iter (add_block buf) traces;
-  Buffer.contents buf
+let encode_sink (traces : Thread_trace.t array) =
+  let out = sink 4096 and p = sink 4096 in
+  room out (String.length magic + 9);
+  Bytes.blit_string magic 0 out.buf 0 (String.length magic);
+  out.len <- String.length magic;
+  put out (Array.length traces);
+  Array.iter (put_block out p) traces;
+  out
+
+let encode traces =
+  let out = encode_sink traces in
+  Bytes.sub_string out.buf 0 out.len
 
 (* -- payload decoding --------------------------------------------------- *)
 
@@ -354,10 +425,11 @@ let decode s =
 (* -- files -------------------------------------------------------------- *)
 
 let to_file path traces =
+  let out = encode_sink traces in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (encode traces))
+    (fun () -> output oc out.buf 0 out.len)
 
 let of_file path =
   let ic = open_in_bin path in

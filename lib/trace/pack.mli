@@ -11,9 +11,10 @@
     deterministic: the same traces always produce the same bytes.
 
     All decode errors raise {!Corrupt} (the CLI's typed exit-2 path).
-    The varint codec and event tags below are the container's; the
-    report cache's TFBLOB1 blobs and the machine's trace log reuse
-    them. *)
+    The varint codec below is the container's; the report cache's
+    TFBLOB1 blobs reuse it.  The encoder writes the same varints
+    straight into one growable buffer, each payload staged once in a
+    scratch buffer that the block's CRC is then taken over. *)
 
 val magic : string
 (** ["TFPACK1"] — the container's leading bytes. *)
@@ -48,14 +49,6 @@ val read_count : reader -> min_bytes:int -> string -> int
     remaining input — an untrusted count can never drive a giant
     allocation.  "Remaining" is measured to [lim].  [what] names the
     counted thing in the error. *)
-
-(** {1 Event tags} *)
-
-val kinds : Thread_trace.kind array
-(** Event kinds by tag: [kinds.(tag_of_kind k) = k]. *)
-
-val tag_of_kind : Thread_trace.kind -> int
-(** The tag of the payload's tag column (0 Block ... 6 Barrier). *)
 
 val encode : Thread_trace.t array -> string
 (** [magic], the thread count, then one {!add_block} per trace. *)

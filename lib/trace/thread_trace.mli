@@ -94,11 +94,12 @@ type stats = {
 
 val stats : t -> stats
 
-(** The one way a trace is made: the machine's tracer and every decoder
-    append events with unboxed calls, then {!finish} cuts the columns to
-    size.  A Block declares how many accesses it owns ([n_acc]); the
-    accesses themselves are appended with {!access} in block order, before
-    or after their Block, so a decoder can fill the access columns from a
+(** How every decoder makes a trace: it appends events with unboxed
+    calls, then {!finish} cuts the columns to size.  (The machine's
+    tracer uses {!Log}, which writes the columns in one pass.)  A Block
+    declares how many accesses it owns ([n_acc]); the accesses
+    themselves are appended with {!access} in block order, before or
+    after their Block, so a decoder can fill the access columns from a
     separate stream. *)
 module Builder : sig
   type trace := t
@@ -139,6 +140,39 @@ module Builder : sig
   val finish : t -> trace
   (** Raises [Invalid_argument] unless every appended access is owned by
       exactly one Block. *)
+end
+
+(** The machine tracer's per-thread log: it records each event and
+    access as it happens, in chunks that never move, then {!finish}
+    writes the whole trace once into columns of their exact sizes.
+    Accesses are appended before the Block that owns them; [block]
+    claims every access appended since the previous Block. *)
+module Log : sig
+  type trace := t
+
+  type t
+
+  val create : unit -> t
+
+  val access : t -> ioff:int -> addr:int -> size:int -> is_store:bool -> unit
+  (** [size] must be at most {!max_access_size}. *)
+
+  val block : t -> func:int -> block:int -> n_instr:int -> unit
+
+  val call : t -> int -> unit
+
+  val return : t -> unit
+
+  val lock_acq : t -> int -> unit
+
+  val lock_rel : t -> int -> unit
+
+  val skip : t -> int -> int -> unit
+  (** [skip log code n_instr]; [code] is one of {!skip_io} ... *)
+
+  val barrier : t -> int -> unit
+
+  val finish : t -> tid:int -> trace
 end
 
 val pp : Format.formatter -> t -> unit

@@ -441,6 +441,33 @@ let test_mul_overflow_wraps () =
   in
   Alcotest.(check bool) "wrapped" true (v <> 3 * 1 && v = max_int * 3)
 
+(* The compiled machine allocates nothing per instruction: a terminator
+   reports through the thread's fields, page lookups hit a cache, and
+   calls push ints.  What is left is per thread (registers, an empty log)
+   and per page, so an untraced pigz run stays below 0.01 minor words per
+   executed instruction; boxing each taken branch's outcome costs about
+   0.33. *)
+let test_untraced_run_allocation () =
+  let module W = Threadfuser_workloads.Workload in
+  let module Registry = Threadfuser_workloads.Registry in
+  let w = Registry.find "pigz" in
+  let v = w.W.cpu in
+  let prog = W.link ~alloc:w.W.alloc v Threadfuser_compiler.Compiler.O1 in
+  let m =
+    Machine.create ~config:{ W.machine_config with Machine.trace = false } prog
+  in
+  Threadfuser_workloads.Rtlib.init (Machine.memory m);
+  v.W.setup (Machine.memory m) ~scale:1;
+  let n = w.W.default_threads in
+  let args = Array.init n (fun tid -> v.W.args ~tid ~n ~scale:1) in
+  let before = Gc.minor_words () in
+  let r = Machine.run_workers m ~worker:v.W.worker ~args in
+  let words = Gc.minor_words () -. before in
+  let per_instr = words /. float r.Machine.instrs_executed in
+  if per_instr > 0.01 then
+    Alcotest.failf "%.4f minor words per instruction (%.0f over %d)" per_instr
+      words r.Machine.instrs_executed
+
 let () =
   Alcotest.run "machine"
     [
@@ -466,6 +493,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "runaway detected" `Quick test_runaway_detected;
           Alcotest.test_case "untraced mode" `Quick test_untraced_mode_same_semantics;
+          Alcotest.test_case "untraced pigz allocation" `Quick test_untraced_run_allocation;
         ] );
       ( "semantics",
         [

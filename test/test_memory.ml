@@ -105,6 +105,27 @@ let prop_disjoint_stores_independent =
       Memory.store m ~width:Width.W8 a2 v2;
       Memory.load m ~width:Width.W8 a1 = v1 && Memory.load m ~width:Width.W8 a2 = v2)
 
+(* Lookups go through a small direct-mapped page cache: pages that share
+   a slot must never read each other.  512 thread stacks, 64 KiB apart,
+   and 512 pages 256 pages apart are more pages than the cache has slots,
+   so some of each set share one; every page is written, then all are
+   read back, twice, in interleaved order. *)
+let test_page_cache_keeps_pages_apart () =
+  let m = Memory.create () in
+  let addrs =
+    List.init 512 (fun tid -> Layout.stack_top tid - 8)
+    @ List.init 512 (fun i -> 0x10_0000 + (i * 256 * 4096))
+  in
+  let expected = List.mapi (fun i a -> (a, i + 1)) addrs in
+  List.iter (fun (a, v) -> Memory.store_i64 m a v) expected;
+  for _ = 1 to 2 do
+    List.iter
+      (fun (a, v) ->
+        Alcotest.(check int) (Printf.sprintf "page of 0x%x" a) v (Memory.load_i64 m a))
+      (List.rev expected)
+  done;
+  Alcotest.(check int) "pages" 1024 (Memory.touched_pages m)
+
 let () =
   Alcotest.run "memory"
     [
@@ -119,6 +140,8 @@ let () =
           Alcotest.test_case "sparsity" `Quick test_sparsity;
           Alcotest.test_case "negative address" `Quick test_negative_address_rejected;
           Alcotest.test_case "segments" `Quick test_segments;
+          Alcotest.test_case "page cache keeps pages apart" `Quick
+            test_page_cache_keeps_pages_apart;
           QCheck_alcotest.to_alcotest prop_store_load_roundtrip;
           QCheck_alcotest.to_alcotest prop_disjoint_stores_independent;
         ] );

@@ -2,6 +2,7 @@
    TFPACK1 decoder's behaviour on hostile input. *)
 
 open Threadfuser_trace
+module Crc32 = Threadfuser_util.Crc32
 module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
 
@@ -161,6 +162,133 @@ let prop_wide_lossless =
           && Array.for_all2 Event.equal (Thread_trace.to_events t) evs)
         (Array.to_list ts) threads
       && Pack.decode (Pack.encode ts) = ts)
+
+(* The TFPACK1 encoder as a [Buffer] of [write_uint]s, the way the format
+   reads in pack.ml's header: the reference the direct-to-bytes encoder
+   must reproduce byte for byte. *)
+module Reference_encoder = struct
+  let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+
+  let tag : Thread_trace.kind -> int = function
+    | Thread_trace.Block -> 0
+    | Thread_trace.Call -> 1
+    | Thread_trace.Return -> 2
+    | Thread_trace.Lock_acq -> 3
+    | Thread_trace.Lock_rel -> 4
+    | Thread_trace.Skip -> 5
+    | Thread_trace.Barrier -> 6
+
+  let payload (t : Thread_trace.t) =
+    let buf = Buffer.create 64 and w = Pack.write_uint in
+    let n = Thread_trace.length t in
+    w buf n;
+    Array.iter (fun k -> Buffer.add_char buf (Char.chr (tag k))) t.events;
+    let func = ref 0 and block = ref 0 and call = ref 0 and sync = ref 0 in
+    for i = 0 to n - 1 do
+      let arg = t.ev.(3 * i) in
+      match t.events.(i) with
+      | Thread_trace.Block ->
+          let b = t.ev.((3 * i) + 1) in
+          w buf (zigzag (arg - !func));
+          w buf (zigzag (b - !block));
+          w buf t.n_instr.(i);
+          w buf (t.ev.((3 * i) + 5) - t.ev.((3 * i) + 2));
+          func := arg;
+          block := b
+      | Thread_trace.Call ->
+          w buf (zigzag (arg - !call));
+          call := arg
+      | Thread_trace.Return -> ()
+      | Thread_trace.Lock_acq | Thread_trace.Lock_rel | Thread_trace.Barrier ->
+          w buf (zigzag (arg - !sync));
+          sync := arg
+      | Thread_trace.Skip ->
+          w buf arg;
+          w buf t.n_instr.(i)
+    done;
+    let addr = ref 0 in
+    for j = 0 to Thread_trace.n_accesses t - 1 do
+      let a = t.acc.((3 * j) + 1) in
+      w buf t.acc.(3 * j);
+      w buf (zigzag (a - !addr));
+      w buf t.acc.((3 * j) + 2);
+      w buf (if Thread_trace.is_store t j then 1 else 0);
+      addr := a
+    done;
+    Buffer.contents buf
+
+  let add_block buf (t : Thread_trace.t) =
+    let p = payload t in
+    Pack.write_uint buf t.tid;
+    Pack.write_uint buf (String.length p);
+    Buffer.add_string buf p;
+    Crc32.add_le buf (Crc32.string p)
+
+  let encode ts =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf Pack.magic;
+    Pack.write_uint buf (Array.length ts);
+    Array.iter (add_block buf) ts;
+    Buffer.contents buf
+end
+
+(* Extreme field values: args and addresses at min_int, max_int and
+   other negatives, every access size 0..255, empty threads, and tids at
+   both ends of the range TFPACK1 accepts. *)
+let gen_extreme_threads =
+  let open QCheck.Gen in
+  let extreme = oneofl [ 0; 1; -1; 127; 128; -64; 1 lsl 56; max_int; min_int; min_int + 1 ] in
+  let wide = oneof [ extreme; int ] in
+  let count = oneof [ oneofl [ 0; 127; 128; max_int ]; nat ] in
+  let event =
+    frequency
+      [
+        ( 4,
+          let* func = wide and* block = wide and* n_instr = count in
+          let* accs =
+            list_size (int_bound 6)
+              (let* ioff = wide and* addr = wide and* size = int_bound 255 in
+               let* is_store = bool in
+               return { Event.ioff; addr; size; is_store })
+          in
+          return (Event.Block { func; block; n_instr; accesses = Array.of_list accs }) );
+        (1, map (fun f -> Event.Call f) wide);
+        (1, return Event.Return);
+        (1, map (fun a -> Event.Lock_acq a) wide);
+        (1, map (fun a -> Event.Lock_rel a) wide);
+        (1, map (fun a -> Event.Barrier a) wide);
+        ( 1,
+          let* reason = oneofl [ Event.Io; Event.Spin; Event.Excluded ] in
+          let* n_instr = wide in
+          return (Event.Skip { reason; n_instr }) );
+      ]
+  in
+  list_size (int_bound 5)
+    (pair
+       (oneof [ oneofl [ 0; 127; 128; max_int ]; nat ])
+       (map Array.of_list
+          (frequency [ (1, return []); (4, list_size (int_bound 60) event) ])))
+
+let prop_encoder_matches_reference =
+  QCheck.Test.make ~name:"encode and add_block = Buffer reference, and decode back"
+    ~count:300 (QCheck.make gen_extreme_threads) (fun threads ->
+      let ts =
+        Array.of_list (List.map (fun (tid, evs) -> Thread_trace.of_events tid evs) threads)
+      in
+      let bytes = Pack.encode ts in
+      if bytes <> Reference_encoder.encode ts then
+        QCheck.Test.fail_report "Pack.encode differs from the reference";
+      Array.iter
+        (fun t ->
+          let a = Buffer.create 16 and b = Buffer.create 16 in
+          Buffer.add_string a "prefix";
+          Buffer.add_string b "prefix";
+          Pack.add_block a t;
+          Reference_encoder.add_block b t;
+          if Buffer.contents a <> Buffer.contents b then
+            QCheck.Test.fail_report "Pack.add_block differs from the reference")
+        ts;
+      Pack.decode bytes = ts)
 
 (* Machine-made traces (the tracer's own builder calls) survive the view
    too, on workloads with accesses, locks, barriers, I/O and exclusion. *)
@@ -647,6 +775,7 @@ let () =
             test_event_counts_golden;
           Alcotest.test_case "heap_bytes matches the runtime" `Quick
             test_heap_bytes;
+          QCheck_alcotest.to_alcotest prop_encoder_matches_reference;
         ] );
       ( "robustness",
         [
